@@ -54,19 +54,23 @@ def _resolve_input(arg: str) -> str:
 
 
 def _apply_overrides(spec: ScenarioSpec, args: argparse.Namespace) -> ScenarioSpec:
+    """Apply command-line overrides; a value the model rejects is a ConfigError."""
     if args.policy:
         spec = replace(spec, policies=tuple(config.parse_policy(p)
                                             for p in args.policy.split(",")))
-    if args.runs is not None:
-        spec = replace(spec, runs=args.runs)
-    if args.seed is not None:
-        spec = replace(spec, seed=args.seed)
-    errors = spec.errors
-    if args.time_error is not None:
-        errors = replace(errors, time_error=args.time_error)
-    if args.thr_error is not None:
-        errors = replace(errors, throughput_error=args.thr_error)
-    return replace(spec, errors=errors)
+    try:
+        if args.runs is not None:
+            spec = replace(spec, runs=args.runs)
+        if args.seed is not None:
+            spec = replace(spec, seed=args.seed)
+        errors = spec.errors
+        if args.time_error is not None:
+            errors = replace(errors, time_error=args.time_error)
+        if args.thr_error is not None:
+            errors = replace(errors, throughput_error=args.thr_error)
+        return replace(spec, errors=errors)
+    except ValueError as exc:
+        raise ConfigError(f"override: {exc}") from exc
 
 
 def _print_summary(results: Sequence[AggregateResult]) -> None:
@@ -121,6 +125,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_oracle_check(args: argparse.Namespace) -> int:
     spec = config.load_scenario(_resolve_input(args.scenario))
     spec = _apply_overrides(spec, args)
+    if args.seeds < 1:
+        raise ConfigError(f"--seeds must be >= 1, got {args.seeds}")
+    if not args.dt > 0:
+        raise ConfigError(f"--dt must be positive, got {args.dt}")
     nominal = spec.scaled_route()
     dt = args.dt
     worst_bytes = 0.0

@@ -2,7 +2,9 @@
 
 Each run draws one realized route and evaluates every policy on that same
 realization (paired comparison), then metrics are aggregated into means with
-Student-t 95% confidence intervals.  Per-run seeds are derived from the
+Student-t 95% confidence intervals.  The t quantile comes from
+``t_quantile_975``, a standard-library Newton solve on the t tail, so the
+package needs no statistics library.  Per-run seeds are derived from the
 scenario seed with a stable hash, so adding a policy or rerunning a sweep
 never reshuffles the realizations.
 """
@@ -10,13 +12,13 @@ never reshuffles the realizations.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
-from scipy import stats
 
 from .engine import RunOutcome, run_trip
 from .model import EnergyModel, RouteProfile, TransferTask, scale_route
@@ -36,6 +38,84 @@ class InsufficientSamples(ValueError):
     """Fewer than two samples: no confidence interval exists."""
 
 
+def _exp_sinh_nodes() -> tuple[tuple[float, float], ...]:
+    """Nodes ``w`` and weights for int_0^inf e^-w g(w) dw, e^-w folded in.
+
+    Trapezoid rule in tau after w = exp(pi/2 sinh tau).  Step 1/16 on
+    tau in [-4.5, 2] keeps ``_t_mills_ratio`` within 3e-16 of its exact value
+    for df from 3 to 1e6 at t = 0 and at t from 1.9 to 3.2, where the
+    quantile search evaluates it (checked against mpmath).  The left end is
+    set by the 1/sqrt(w) singularity of the t = 0 integrand; past the right
+    end the weights are below 1e-120.
+    """
+    h = 1.0 / 16.0
+    nodes = []
+    for j in range(-72, 33):
+        w = math.exp(math.pi / 2 * math.sinh(j * h))
+        nodes.append((w, h * math.pi / 2 * math.cosh(j * h) * w * math.exp(-w)))
+    return tuple(nodes)
+
+
+_NODES = _exp_sinh_nodes()
+
+
+def _t_mills_ratio(t: float, nu: float) -> float:
+    """Upper tail over density, Q(t)/f(t), of Student's t with ``nu`` df, t >= 0.
+
+    Substituting w = log f(t) - log f(s) turns the tail integral of f over
+    [t, inf) into f(t) times the integral of e^-w ds/dw over w in [0, inf),
+    with s^2 = t^2 + (nu + t^2) expm1(2w/(nu + 1)) and
+    ds/dw = (nu + s^2) / ((nu + 1) s).  Every term is positive, so the sum
+    keeps full relative precision at any ``nu``; the regularized incomplete
+    beta's continued fraction, by contrast, loses digits in proportion to
+    ``nu`` in double precision.
+    """
+    k = 2.0 / (nu + 1.0)
+    c = nu + t * t
+    terms = []
+    for w, weight in _NODES:
+        e = math.expm1(k * w)
+        terms.append(weight * (1.0 + e) / math.sqrt(t * t + c * e))
+    return c / (nu + 1.0) * math.fsum(terms)
+
+
+@functools.cache
+def t_quantile_975(df: int) -> float:
+    """The 0.975 quantile of Student's t with ``df`` >= 1 degrees of freedom.
+
+    df 1 and 2 have closed forms.  Above them Newton's method, started from
+    the Cornish-Fisher expansion (Abramowitz & Stegun 26.7.5), solves
+    Q(t) = 0.025 for the upper tail Q = f M (density times Mills ratio).
+    Since Q(0) = 1/2, the density's constant is f(0) = 1/(2 M(0)), so the
+    Newton step (Q(t) - 0.025) / f(t) is M(t) - 0.05 M(0) (1 + t^2/df)^((df+1)/2)
+    and no gamma function is needed.  Checked against mpmath, the result is
+    within 3e-16 of the exact quantile for every df sampled from 3 to 1e7.
+    """
+    if df < 1:
+        raise ValueError(f"degrees of freedom must be >= 1, got {df}")
+    if df == 1:
+        return math.tan(0.475 * math.pi)
+    if df == 2:
+        p = 0.975
+        return (2 * p - 1) / math.sqrt(2 * p * (1 - p))
+    nu = float(df)
+    z = 1.959963984540054  # standard normal 0.975 quantile
+    z2 = z * z
+    g1 = (z2 + 1) * z / 4
+    g2 = ((5 * z2 + 16) * z2 + 3) * z / 96
+    g3 = (((3 * z2 + 19) * z2 + 17) * z2 - 15) * z / 384
+    g4 = ((((79 * z2 + 776) * z2 + 1482) * z2 - 1920) * z2 - 945) * z / 92160
+    t = z + (g1 + (g2 + (g3 + g4 / nu) / nu) / nu) / nu
+    scale = 0.05 * _t_mills_ratio(0.0, nu)
+    for _ in range(20):
+        step = _t_mills_ratio(t, nu) - scale * math.exp((nu + 1) / 2 * math.log1p(t * t / nu))
+        t += step
+        # convergence is quadratic: after a step this small the error is far below an ulp
+        if abs(step) <= 1e-11 * t:
+            break
+    return t
+
+
 def ci_halfwidth(samples: Sequence[float]) -> float:
     """Two-sided 95% confidence half-width, Student-t: t(0.975, n-1) s/sqrt(n)."""
     n = len(samples)
@@ -44,7 +124,7 @@ def ci_halfwidth(samples: Sequence[float]) -> float:
     if min(samples) == max(samples):  # exact, not a float-noise std
         return 0.0
     s = float(np.std(samples, ddof=1))
-    return float(stats.t.ppf(0.975, n - 1)) * s / math.sqrt(n)
+    return t_quantile_975(n - 1) * s / math.sqrt(n)
 
 
 def relative_gain(a_mean: float, b_mean: float, lower_is_better: bool = False) -> float:

@@ -212,6 +212,22 @@ class TestCli:
                             "--policy", "warp-drive")
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ("run", "--scenario", "dt-default", "--runs", "0"),
+        ("run", "--scenario", "dt-default", "--time-error", "1.5"),
+        ("run", "--scenario", "dt-default", "--thr-error", "-0.1"),
+        ("sweep", "--sweep", "fig2a", "--runs", "0"),
+        ("oracle-check", "--scenario", "ds-default", "--dt", "0"),
+        ("oracle-check", "--scenario", "ds-default", "--dt", "-1"),
+        ("oracle-check", "--scenario", "ds-default", "--seeds", "0"),
+    ])
+    def test_bad_override_exits_2(self, argv, capsys):
+        assert self.run_cli(*argv) == 2
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "worst over" not in captured.out
+
     def test_oracle_check_passes(self, capsys):
         code = self.run_cli("oracle-check", "--scenario", "ds-default",
                             "--seeds", "3")

@@ -1,9 +1,15 @@
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from decimal import Decimal
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import offloadsim
 from conftest import make_task
 from offloadsim.metrics import (
     METRICS,
@@ -17,6 +23,7 @@ from offloadsim.metrics import (
     render_csv,
     run_scenario,
     run_sweep,
+    t_quantile_975,
 )
 from offloadsim.policies import Policy
 from offloadsim.prediction import ErrorSpec
@@ -62,6 +69,79 @@ class TestCiHalfwidth:
     def test_insufficient_samples(self, samples):
         with pytest.raises(InsufficientSamples):
             ci_halfwidth(samples)
+
+
+# t(0.975, df) to 30 significant digits, computed with mpmath 1.3.0 as the
+# root of betainc(df/2, 1/2, 0, df/(df + t^2), regularized=True)/2 = 0.025.
+T_975 = [
+    (1, "12.7062047361747046460216799788"),
+    (2, "4.30265272974946385232094389262"),
+    (3, "3.18244630528370959272322542578"),
+    (4, "2.77644510519779435780310484675"),
+    (5, "2.57058183563631551469624621744"),
+    (6, "2.44691185114496997107129684555"),
+    (7, "2.36462425159278534168090147378"),
+    (8, "2.3060041352041666832951209546"),
+    (9, "2.26215716279820554260776963794"),
+    (10, "2.2281388519862747483954906632"),
+    (11, "2.2009851600916398678772003617"),
+    (12, "2.17881282966722886632634438349"),
+    (13, "2.16036865646279250153067817049"),
+    (14, "2.14478668791780382867141224353"),
+    (15, "2.13144954555977568214507262373"),
+    (16, "2.11990529922125467445570144977"),
+    (17, "2.1098155778333170859295550823"),
+    (18, "2.10092204024103848806087164373"),
+    (19, "2.09302405440830976917731528219"),
+    (20, "2.08596344726586484271736086636"),
+    (21, "2.07961384472768039512166246231"),
+    (22, "2.07387306790402616584647829245"),
+    (23, "2.06865761041904865150852478228"),
+    (24, "2.06389856162802584924578412368"),
+    (25, "2.05953855275329774889290909012"),
+    (26, "2.05552943864287321354201677612"),
+    (27, "2.05183051648028555615209051521"),
+    (28, "2.04840714179524515989388443608"),
+    (29, "2.04522964213270429819377222151"),
+    (30, "2.04227245630123830995804223203"),
+    (40, "2.02107539030627342130113190132"),
+    (60, "2.00029782201426050450347266818"),
+    (119, "1.98009987645693988874605320174"),
+    (120, "1.97993040508244084673127707078"),
+    (999, "1.96234146113344997866262468382"),
+    (9999, "1.9602012636213576803711134371"),
+]
+
+
+class TestTQuantile:
+    @pytest.mark.parametrize("df,exact", T_975)
+    def test_reference_table(self, df, exact):
+        got = t_quantile_975(df)
+        assert abs(Decimal(got) - Decimal(exact)) / Decimal(exact) <= Decimal("4e-15")
+
+    def test_closed_forms(self):
+        p = 0.975
+        assert t_quantile_975(1) == math.tan(0.475 * math.pi)
+        assert t_quantile_975(2) == (2 * p - 1) / math.sqrt(2 * p * (1 - p))
+
+    def test_df_below_one_rejected(self):
+        with pytest.raises(ValueError):
+            t_quantile_975(0)
+
+    def test_halfwidth_uses_quantile(self):
+        samples = [0.0, 1.0, 3.0]
+        s = float(np.std(samples, ddof=1))
+        assert ci_halfwidth(samples) == t_quantile_975(2) * s / math.sqrt(3)
+
+
+def test_package_import_loads_no_scipy():
+    """Importing the package and its CLI must not pull in scipy, the slowest import it had."""
+    env = dict(os.environ, PYTHONPATH=str(Path(offloadsim.__file__).resolve().parents[1]))
+    code = ("import sys, offloadsim, offloadsim.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 class TestRelativeGain:
