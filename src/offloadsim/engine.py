@@ -237,7 +237,7 @@ def run_trip(
     cache_provisioned = 0.0
     infeasible = False
 
-    def replan(now_nominal: float, now_realized: float) -> TransferPlan:
+    def replan(event: TripEvent, now_nominal: float, now_realized: float) -> TransferPlan:
         nonlocal cache_provisioned, infeasible
         pred = build_prediction(
             route_nominal,
@@ -246,7 +246,6 @@ def run_trip(
             use_local_rate=policy.uses_local_rate_bounds,
             horizon=horizon,
         )
-        event = TripEvent.ROUTE_START if now_realized == 0.0 else TripEvent.HOTSPOT_EXIT
         plan, cache = policy_dispatch(
             policy,
             event,
@@ -263,7 +262,7 @@ def run_trip(
             cache_provisioned += cache.amount_mb
         return plan
 
-    plan = replan(0.0, 0.0)
+    plan = replan(TripEvent.ROUTE_START, 0.0, 0.0)
 
     for i, (seg, seg_nom) in enumerate(zip(route_realized.segments,
                                            route_nominal.segments)):
@@ -314,7 +313,7 @@ def run_trip(
             leave = state.completion_time if state.complete else seg.end_time
             visits.append(WifiVisit(entry_time=t0, leave_time=leave, busy_seconds=busy))
         if seg.kind is AccessKind.WIFI and not state.complete:
-            plan = replan(seg_nom.end_time, seg.end_time)
+            plan = replan(TripEvent.HOTSPOT_EXIT, seg_nom.end_time, seg.end_time)
 
     completed = state.complete
     transfer_delay = state.completion_time if completed else route_realized.total_time

@@ -64,12 +64,11 @@ def run_trip_stepped(
     caches: dict[int, object] = {}
     completion: Optional[float] = None
 
-    def replan(now_nominal: float, now_realized: float) -> object:
+    def replan(event: TripEvent, now_nominal: float, now_realized: float) -> object:
         pred = build_prediction(
             route_nominal, now_nominal, errors,
             use_local_rate=policy.uses_local_rate_bounds, horizon=horizon,
         )
-        event = TripEvent.ROUTE_START if now_realized == 0.0 else TripEvent.HOTSPOT_EXIT
         plan, cache = policy_dispatch(
             policy, event, task,
             pred=pred,
@@ -82,7 +81,7 @@ def run_trip_stepped(
             caches[cache.hotspot_index] = cache
         return plan
 
-    plan = replan(0.0, 0.0)
+    plan = replan(TripEvent.ROUTE_START, 0.0, 0.0)
 
     for i, (seg, seg_nom) in enumerate(zip(route_realized.segments,
                                            route_nominal.segments)):
@@ -142,7 +141,7 @@ def run_trip_stepped(
                 break
 
         if completion is None and seg.kind is AccessKind.WIFI:
-            plan = replan(seg_nom.end_time, seg.end_time)
+            plan = replan(TripEvent.HOTSPOT_EXIT, seg_nom.end_time, seg.end_time)
 
     return StepOutcome(
         mobile_mb=totals[Channel.MOBILE],

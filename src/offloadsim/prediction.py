@@ -94,6 +94,15 @@ def _mobile_rates_in(route: RouteProfile, now: float, window_end: float) -> list
     return rates
 
 
+# Forecasts of the most recent nominal route: (route, {key: forecast}).  A
+# forecast depends on the route, the replan time, the two error magnitudes,
+# the rate kind and the horizon, never on the run seed, so every realization
+# of a route reuses them.  The route is compared by identity and held here, so
+# its id cannot be reused while the table lives; a new route starts a new
+# table.  Routes are frozen, so a held forecast never goes stale.
+_memo: tuple[Optional[RouteProfile], dict] = (None, {})
+
+
 def build_prediction(
     route: RouteProfile,
     now: float,
@@ -110,11 +119,35 @@ def build_prediction(
     ``horizon`` truncates the forecast at a deadline: hotspots starting at or
     after it are dropped and a window straddling it only counts the part
     before it.
+
+    The result does not depend on ``errors.seed``.  Forecasts of the most
+    recently seen route are memoized.
     """
-    if now < -1e-9 or now > route.total_time + 1e-6:
+    global _memo
+    if not -1e-9 <= now <= route.total_time + 1e-6:  # NaN fails too
         raise ValueError(f"now={now} outside route [0, {route.total_time}]")
+    memo_route, table = _memo
+    if route is not memo_route:
+        table = {}
+        _memo = (route, table)
+    key = (now, errors.time_error, errors.throughput_error, use_local_rate, horizon)
+    pred = table.get(key)
+    if pred is None:
+        pred = table[key] = _forecast(route, *key)
+    return pred
+
+
+def _forecast(
+    route: RouteProfile,
+    now: float,
+    time_error: float,
+    throughput_error: float,
+    use_local_rate: bool,
+    horizon: Optional[float],
+) -> PredictionProfile:
+    """The uncached forecast behind :func:`build_prediction`."""
     hi = route.total_time if horizon is None else min(horizon, route.total_time)
-    te, re = errors.time_error, errors.throughput_error
+    te, re = time_error, throughput_error
 
     forecasts = []
     first_start = None
@@ -171,11 +204,16 @@ def realize_route(route: RouteProfile, errors: ErrorSpec) -> RouteProfile:
     capped at the drawn local rate, same physical constraint as in
     :func:`offloadsim.model.scale_route`.
     """
-    rng = np.random.default_rng(errors.seed)
     te, re = errors.time_error, errors.throughput_error
+    # One vector draw equals the same number of scalar draws from the
+    # generator, bit for bit; consumed in segment order as duration, then
+    # local and backhaul (WiFi) or mobile rate.
+    n = sum(3 if seg.is_wifi else 2 for seg in route.segments)
+    draws = np.random.default_rng(errors.seed).uniform(-1.0, 1.0, size=n).tolist()
+    draw = iter(draws).__next__
 
     def jitter(value: float, err: float) -> float:
-        return value * (1.0 + err * rng.uniform(-1.0, 1.0))
+        return value * (1.0 + err * draw())
 
     out = []
     cursor = 0.0

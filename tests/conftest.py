@@ -81,3 +81,20 @@ def random_route(rng: np.random.Generator, n_segments=None) -> RouteProfile:
             )
         t += duration
     return RouteProfile(tuple(segments), t)
+
+
+def edge_routes(rng: np.random.Generator) -> list[RouteProfile]:
+    """Degenerate random routes: WiFi only, WiFi first, and a single segment
+    of each kind (drawn from :func:`random_route` by rejection)."""
+    def draw(accept, n_segments=None):
+        while True:
+            route = random_route(rng, n_segments)
+            if accept(route):
+                return route
+
+    return [
+        draw(lambda r: len(r.segments) >= 2 and r.mobile_time() == 0),
+        draw(lambda r: r.segments[0].is_wifi and r.mobile_time() > 0),
+        draw(lambda r: r.segments[0].is_wifi, n_segments=1),
+        draw(lambda r: not r.segments[0].is_wifi, n_segments=1),
+    ]

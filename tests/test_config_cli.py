@@ -18,6 +18,7 @@ from offloadsim.config import (
     parse_policy,
 )
 from offloadsim.metrics import ScenarioSpec, SweepSpec
+from offloadsim.oracle import AgreementReport
 from offloadsim.model import TrafficClass
 from offloadsim.policies import Policy
 
@@ -235,6 +236,15 @@ class TestCli:
         out = capsys.readouterr().out
         assert "worst over 3 seeds" in out
         assert "FAIL" not in out
+
+    def test_oracle_check_failure_exits_1(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "compare_runs",
+                            lambda *args, **kwargs: AgreementReport(1e9, 0.0, False))
+        code = self.run_cli("oracle-check", "--scenario", "ds-default", "--seeds", "2")
+        assert code == 1
+        out = capsys.readouterr().out
+        assert "FAIL" in out
+        assert "2 failing seed(s)" in out
 
     def test_oracle_check_dt_flag(self, capsys):
         code = self.run_cli("oracle-check", "--scenario", "dt-default",

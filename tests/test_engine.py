@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import make_task, random_route
+from conftest import edge_routes, make_task, random_route
+from offloadsim import engine
 from offloadsim.engine import (
     TransferState,
     WifiVisit,
@@ -174,6 +175,36 @@ class TestConservation:
                 if out.completed:
                     assert total == pytest.approx(task.size_mb, abs=1e-6)
                     assert out.transfer_delay <= realized.total_time + 1e-6
+
+
+class TestSingleInterval:
+    def test_received_bytes_stay_one_interval(self, monkeypatch):
+        """Under every policy the received bytes stay one contiguous interval."""
+        calls = 0
+
+        def checked(state, *args, **kwargs):
+            nonlocal calls
+            used = integrate_transfer(state, *args, **kwargs)
+            assert len(state.received) <= 1, state.received
+            calls += 1
+            return used
+
+        monkeypatch.setattr(engine, "integrate_transfer", checked)
+        rng = np.random.default_rng(17)
+        routes = [random_route(rng) for _ in range(150)]
+        routes += [r for _ in range(10) for r in edge_routes(rng)]
+        for route in routes:
+            for _ in range(2):
+                errors = ErrorSpec(float(rng.uniform(0, 0.4)), float(rng.uniform(0, 0.8)),
+                                   seed=int(rng.integers(1 << 30)))
+                realized = realize_route(route, errors)
+                threshold = route.total_time * float(rng.uniform(0.3, 1.2))
+                size = float(rng.uniform(0.5, 120))
+                for sensitive in (False, True):
+                    task = make_task(size, threshold=threshold, sensitive=sensitive)
+                    for policy in policies_for(task):
+                        run_trip(realized, route, task, policy, errors)
+        assert calls > 1000
 
 
 class TestDeterminism:

@@ -1,9 +1,47 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from conftest import random_route
-from offloadsim.model import scale_route
-from offloadsim.prediction import ErrorSpec, build_prediction, realize_route
+from conftest import edge_routes, random_route
+from offloadsim.model import AccessKind, RouteProfile, RouteSegment, scale_route
+from offloadsim.prediction import ErrorSpec, _forecast, build_prediction, realize_route
+
+
+def replan_times(route):
+    """The times a trip replans at: the start and every hotspot exit."""
+    return [0.0] + [s.end_time for s in route.segments if s.is_wifi]
+
+
+def assert_fields_equal(a, b):
+    assert type(a) is type(b)
+    for f in dataclasses.fields(a):
+        assert getattr(a, f.name) == getattr(b, f.name), f.name
+
+
+def realize_route_scalar(route, errors):
+    """Reference realization: one scalar draw per perturbed value."""
+    rng = np.random.default_rng(errors.seed)
+    te, re = errors.time_error, errors.throughput_error
+
+    def jitter(value, err):
+        return value * (1.0 + err * rng.uniform(-1.0, 1.0))
+
+    out = []
+    cursor = 0.0
+    for seg in route.segments:
+        dur = jitter(seg.duration, te)
+        if seg.is_wifi:
+            local = jitter(seg.wifi_local_rate, re)
+            back = min(jitter(seg.backhaul_rate, re), local)
+            out.append(RouteSegment(kind=AccessKind.WIFI, start_time=cursor, duration=dur,
+                                    wifi_local_rate=local, backhaul_rate=back,
+                                    hotspot_index=seg.hotspot_index))
+        else:
+            out.append(RouteSegment(kind=AccessKind.MOBILE, start_time=cursor, duration=dur,
+                                    mobile_rate=jitter(seg.mobile_rate, re)))
+        cursor += dur
+    return RouteProfile(tuple(out), cursor)
 
 
 class TestErrorSpec:
@@ -71,6 +109,61 @@ class TestBuildPrediction:
         with pytest.raises(ValueError):
             build_prediction(default_route, 300.0, zero_errors)
 
+    @pytest.mark.parametrize("now", [-1.0, float("nan")])
+    def test_now_negative_or_nan(self, default_route, zero_errors, now):
+        with pytest.raises(ValueError):
+            build_prediction(default_route, now, zero_errors)
+
+
+class TestForecastMemo:
+    def test_seed_does_not_change_forecast(self):
+        rng = np.random.default_rng(21)
+        for route in [random_route(rng) for _ in range(40)] + edge_routes(rng):
+            te, re = float(rng.uniform(0, 0.5)), float(rng.uniform(0, 0.9))
+            for now in replan_times(route):
+                a = build_prediction(route, now, ErrorSpec(te, re, seed=1))
+                b = build_prediction(route, now, ErrorSpec(te, re, seed=2))
+                assert_fields_equal(a, b)
+
+    def test_memoized_equals_uncached(self):
+        rng = np.random.default_rng(22)
+        for route in [random_route(rng) for _ in range(40)] + edge_routes(rng):
+            errors = ErrorSpec(float(rng.uniform(0, 0.5)), float(rng.uniform(0, 0.9)),
+                               seed=int(rng.integers(1 << 30)))
+            horizon = float(rng.uniform(0.3, 1.2)) * route.total_time
+            for now in replan_times(route):
+                for local in (True, False):
+                    for h in (None, horizon):
+                        first = build_prediction(route, now, errors, local, h)
+                        again = build_prediction(route, now, errors, local, h)
+                        fresh = _forecast(route, now, errors.time_error,
+                                          errors.throughput_error, local, h)
+                        assert again is first
+                        assert_fields_equal(first, fresh)
+                        for got, want in zip(first.hotspots, fresh.hotspots):
+                            assert_fields_equal(got, want)
+
+    def test_alternating_routes_get_their_own_forecast(self):
+        rng = np.random.default_rng(23)
+        errors = ErrorSpec(0.10, 0.20)
+        checked = 0
+        while checked < 30:
+            route = random_route(rng)
+            if route.n_hotspots == 0:
+                continue
+            i = next(i for i, s in enumerate(route.segments) if s.is_wifi)
+            faster = dataclasses.replace(
+                route.segments[i], wifi_local_rate=1.5 * route.segments[i].wifi_local_rate)
+            other = RouteProfile(route.segments[:i] + (faster,) + route.segments[i + 1:],
+                                 route.total_time)
+            twin = RouteProfile(route.segments, route.total_time)  # equal, not identical
+            want = {id(r): _forecast(r, 0.0, 0.10, 0.20, True, None)
+                    for r in (route, other, twin)}
+            assert want[id(route)] != want[id(other)]
+            for r in (route, other, route, twin, other, twin, route):
+                assert build_prediction(r, 0.0, errors) == want[id(r)]
+            checked += 1
+
 
 class TestRealizeRoute:
     def test_zero_errors_identity(self, default_route):
@@ -120,6 +213,23 @@ class TestRealizeRoute:
             realized = realize_route(default_route, ErrorSpec(0.10, 0.80, seed=seed))
             for seg in realized.hotspots:
                 assert seg.backhaul_rate <= seg.wifi_local_rate + 1e-12
+
+    def test_vector_draw_equals_scalar_draws(self, default_route):
+        rng = np.random.default_rng(24)
+        routes = [random_route(rng) for _ in range(60)] + edge_routes(rng) + [default_route]
+        for route in routes:
+            for _ in range(5):
+                errors = ErrorSpec(float(rng.uniform(0, 0.5)), float(rng.uniform(0, 0.9)),
+                                   seed=int(rng.integers(1 << 62)))
+                got = realize_route(route, errors)
+                want = realize_route_scalar(route, errors)
+                assert got.total_time == want.total_time
+                assert len(got.segments) == len(want.segments)
+                for g, w in zip(got.segments, want.segments):
+                    assert_fields_equal(g, w)
+                    for f in ("start_time", "duration", "mobile_rate",
+                              "wifi_local_rate", "backhaul_rate"):
+                        assert type(getattr(g, f)) is type(getattr(w, f))
 
     def test_random_routes_survive_realization(self):
         rng = np.random.default_rng(99)
