@@ -50,12 +50,10 @@ from .policies import (
     Policy,
     PolicyClassMismatch,
     TransferPlan,
-    TripEvent,
     plan_entry,
+    plan_exit,
     plan_exit_delay_sensitive,
     plan_exit_delay_tolerant,
-    plan_exit_prediction_only,
-    policy_dispatch,
 )
 from .prediction import (
     ErrorSpec,
@@ -64,7 +62,6 @@ from .prediction import (
     build_prediction,
     realize_route,
 )
-from .ranges import RangeSet
 
 __version__ = "0.1.0"
 
@@ -84,7 +81,6 @@ __all__ = [
     "Policy",
     "PolicyClassMismatch",
     "PredictionProfile",
-    "RangeSet",
     "RouteProfile",
     "RouteSegment",
     "RunOutcome",
@@ -96,7 +92,6 @@ __all__ = [
     "TransferPlan",
     "TransferState",
     "TransferTask",
-    "TripEvent",
     "WifiVisit",
     "account_energy",
     "build_prediction",
@@ -107,10 +102,9 @@ __all__ = [
     "mb_to_mbit",
     "mbit_to_mb",
     "plan_entry",
+    "plan_exit",
     "plan_exit_delay_sensitive",
     "plan_exit_delay_tolerant",
-    "plan_exit_prediction_only",
-    "policy_dispatch",
     "realize_route",
     "relative_gain",
     "render_csv",

@@ -13,7 +13,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Any, Optional, Union
 
-from .metrics import ScenarioSpec, SweepSpec
+from .metrics import ScenarioSpec, SweepSpec, apply_sweep_value
 from .model import (
     AccessKind,
     EnergyModel,
@@ -22,6 +22,7 @@ from .model import (
     SnrBand,
     TrafficClass,
     TransferTask,
+    scale_route,
     validate_snr_table,
 )
 from .policies import Policy
@@ -160,6 +161,7 @@ def scenario_from_dict(data: dict, label: str = "scenario") -> ScenarioSpec:
         mobile_f = parse_factor(factors.get("mobile", "1/3"), f"{label}.rate_factors.mobile")
         wifi_f = parse_factor(factors.get("wifi", "1/3"), f"{label}.rate_factors.wifi")
         back_f = parse_factor(factors.get("backhaul", "1/3"), f"{label}.rate_factors.backhaul")
+        scale_route(route, mobile_f, wifi_f, back_f)  # a bad factor fails here, not mid-run
 
         task_d = data["task"]
         klass = _CLASS_BY_NAME.get(task_d.get("class", "delay-tolerant"))
@@ -213,12 +215,15 @@ def sweep_from_dict(data: dict, label: str = "sweep") -> SweepSpec:
             parse_factor(v, f"{label}.sweep.values") for v in sweep_d["values"]
         )
         metrics = tuple(data["metrics"]) if "metrics" in data else base.metrics
-        return SweepSpec(
+        sweep = SweepSpec(
             base=base,
             parameter=str(sweep_d["parameter"]),
             values=values,
             metrics=metrics,
         )
+        for v in values:  # a bad point fails here, not mid-sweep
+            apply_sweep_value(base, sweep.parameter, v).scaled_route()
+        return sweep
     except ConfigError:
         raise
     except (KeyError, TypeError, ValueError) as exc:

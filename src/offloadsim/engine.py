@@ -1,16 +1,16 @@
 """Trip executor: fluid-flow integration of one realized route.
 
 The planner side sees only the nominal route plus error bounds; this module
-executes the plans against the realized route, keeps the byte-range and
-per-channel accounting, and prices the energy spent.  Transfers are fluid:
-bytes moved = rate x time, with exact interpolation of the completion
+executes the plans against the realized route, keeps the received prefix
+and the per-channel accounting, and prices the energy spent.  Transfers are
+fluid: bytes moved = rate x time, with exact interpolation of the completion
 crossing.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .model import (
@@ -26,11 +26,10 @@ from .policies import (
     Policy,
     PolicyClassMismatch,
     TransferPlan,
-    TripEvent,
-    policy_dispatch,
+    plan_entry,
+    plan_exit,
 )
 from .prediction import ErrorSpec, build_prediction
-from .ranges import RangeSet
 
 _BYTE_EPS = 1e-9  # MB; completion slack for float round-off
 _DEADLINE_EPS = 1e-9  # s
@@ -38,26 +37,22 @@ _DEADLINE_EPS = 1e-9  # s
 
 @dataclass
 class TransferState:
-    """Mutable byte accounting for one trip."""
+    """Mutable byte accounting for one trip.
+
+    Every fetch step extends one received prefix of the object: a hotspot's
+    hole is filled before its cache is drained, so no gap is ever left.
+    """
 
     size_mb: float
-    received: RangeSet = field(default_factory=RangeSet)
+    prefix: float = 0.0
     mobile_mb: float = 0.0
     wifi_local_mb: float = 0.0
     wifi_backhaul_mb: float = 0.0
     completion_time: Optional[float] = None
 
     @property
-    def prefix(self) -> float:
-        return min(self.received.prefix_end(), self.size_mb)
-
-    @property
-    def total_received(self) -> float:
-        return min(self.received.total(), self.size_mb)
-
-    @property
     def remaining(self) -> float:
-        return max(0.0, self.size_mb - self.total_received)
+        return max(0.0, self.size_mb - self.prefix)
 
     @property
     def complete(self) -> bool:
@@ -114,32 +109,25 @@ def integrate_transfer(
     max_seconds: float,
     channel: Channel,
     now: float,
-    window_lo: float = 0.0,
     window_hi: Optional[float] = None,
 ) -> float:
-    """Move fluid bytes into the missing parts of ``window`` for up to
-    ``max_seconds`` at ``rate``; returns the seconds actually spent.
+    """Extend the received prefix toward ``window_hi`` (None: the object
+    end) for up to ``max_seconds`` at ``rate``; returns the seconds spent.
 
-    Fills lowest-missing-first, updates the channel total, and interpolates
-    ``state.completion_time`` exactly when the object finishes mid-way.
+    Updates the channel total, and interpolates ``state.completion_time``
+    exactly when the object finishes mid-way.
     """
     if rate < 0 or max_seconds < 0:
         raise ValueError("rate and duration must be >= 0")
     if rate == 0 or max_seconds == 0 or state.complete:
         return 0.0
-    lo = max(0.0, window_lo)
     hi = state.size_mb if window_hi is None else min(window_hi, state.size_mb)
-    need = state.received.missing_within(lo, hi)
+    need = hi - state.prefix
     if need <= 0:
         return 0.0
-    missing_total = state.remaining
-    budget_mb = rate * max_seconds / MBIT_PER_MB
-    moved = min(need, budget_mb)
-
-    # Does this fill cover the last missing byte of the whole object?
-    completes = (missing_total <= need + _BYTE_EPS) and (moved >= missing_total - _BYTE_EPS)
-    filled = state.received.fill_in_order(lo, hi, moved)
-    moved = filled  # guard against float drift between need and fill
+    missing_total = state.size_mb - state.prefix
+    moved = min(need, rate * max_seconds / MBIT_PER_MB)
+    state.prefix += moved
 
     if channel is Channel.MOBILE:
         state.mobile_mb += moved
@@ -148,7 +136,7 @@ def integrate_transfer(
     else:
         state.wifi_backhaul_mb += moved
 
-    if completes and state.received.covers(0.0, state.size_mb, slack=1e-6):
+    if moved >= missing_total - _BYTE_EPS:
         state.completion_time = now + missing_total * MBIT_PER_MB / rate
     return moved * MBIT_PER_MB / rate
 
@@ -237,24 +225,22 @@ def run_trip(
     cache_provisioned = 0.0
     infeasible = False
 
-    def replan(event: TripEvent, now_nominal: float, now_realized: float) -> TransferPlan:
+    def replan(now_nominal: float, now_realized: float) -> TransferPlan:
         nonlocal cache_provisioned, infeasible
         pred = build_prediction(
             route_nominal,
             now_nominal,
             errors,
-            use_local_rate=policy.uses_local_rate_bounds,
+            use_local_rate=policy.prefetches,
             horizon=horizon,
         )
-        plan, cache = policy_dispatch(
+        plan, cache = plan_exit(
             policy,
-            event,
-            task,
-            pred=pred,
-            remaining_mb=state.remaining,
+            state.remaining,
+            deadline - now_realized if not math.isinf(deadline) else math.inf,
+            pred,
             received_prefix_mb=state.prefix,
-            time_left=deadline - now_realized if not math.isinf(deadline) else math.inf,
-            now=now_realized,
+            valid_from=now_realized,
         )
         infeasible = infeasible or plan.infeasible
         if cache is not None and cache.amount_mb > 0 and cache.hotspot_index is not None:
@@ -262,7 +248,7 @@ def run_trip(
             cache_provisioned += cache.amount_mb
         return plan
 
-    plan = replan(TripEvent.ROUTE_START, 0.0, 0.0)
+    plan = replan(0.0, 0.0)
 
     for i, (seg, seg_nom) in enumerate(zip(route_realized.segments,
                                            route_nominal.segments)):
@@ -281,15 +267,14 @@ def run_trip(
             if rate > 0:
                 integrate_transfer(state, rate, seg.duration, Channel.MOBILE, now=t0)
         else:
-            actions = policy_dispatch(
+            actions = plan_entry(
                 policy,
-                TripEvent.HOTSPOT_ENTER,
-                task,
-                received=state.received,
-                cache=caches.get(seg.hotspot_index),
+                state.prefix,
+                caches.get(seg.hotspot_index),
                 local_rate=seg.wifi_local_rate,
                 backhaul_rate=seg.backhaul_rate,
                 mobile_rate=_window_mobile_rate(route_realized, i),
+                size_mb=task.size_mb,
             )
             budget = seg.duration
             cursor = t0
@@ -303,7 +288,6 @@ def run_trip(
                     budget,
                     action.channel,
                     now=cursor,
-                    window_lo=action.window_lo,
                     window_hi=action.window_hi,
                 )
                 if action.channel is not Channel.MOBILE:
@@ -313,7 +297,7 @@ def run_trip(
             leave = state.completion_time if state.complete else seg.end_time
             visits.append(WifiVisit(entry_time=t0, leave_time=leave, busy_seconds=busy))
         if seg.kind is AccessKind.WIFI and not state.complete:
-            plan = replan(TripEvent.HOTSPOT_EXIT, seg_nom.end_time, seg.end_time)
+            plan = replan(seg_nom.end_time, seg.end_time)
 
     completed = state.complete
     transfer_delay = state.completion_time if completed else route_realized.total_time

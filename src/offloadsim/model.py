@@ -27,6 +27,11 @@ class TrafficClass(Enum):
     DELAY_SENSITIVE = "delay-sensitive"
 
 
+def _positive_finite(x: Optional[float]) -> bool:
+    """True for a real number above zero; False for None, NaN and infinity."""
+    return x is not None and math.isfinite(x) and x > 0
+
+
 def mb_to_mbit(x: float) -> float:
     """Megabytes to megabits (1 MB = 8 Mbit). Requires x >= 0."""
     if x < 0:
@@ -60,20 +65,20 @@ class RouteSegment:
     hotspot_index: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.duration <= 0:
-            raise ValueError(f"segment duration must be positive, got {self.duration}")
-        if self.start_time < -1e-9:
-            raise ValueError(f"segment start_time must be >= 0, got {self.start_time}")
+        if not _positive_finite(self.duration):
+            raise ValueError(f"segment duration must be positive and finite, got {self.duration}")
+        if not (math.isfinite(self.start_time) and self.start_time >= -1e-9):
+            raise ValueError(f"segment start_time must be finite and >= 0, got {self.start_time}")
         if self.kind is AccessKind.MOBILE:
-            if self.mobile_rate is None or self.mobile_rate <= 0:
-                raise ValueError("mobile segment needs a positive mobile_rate")
+            if not _positive_finite(self.mobile_rate):
+                raise ValueError("mobile segment needs a positive, finite mobile_rate")
             if self.wifi_local_rate is not None or self.backhaul_rate is not None:
                 raise ValueError("mobile segment must not carry WiFi rates")
         else:
-            if self.wifi_local_rate is None or self.wifi_local_rate <= 0:
-                raise ValueError("wifi segment needs a positive wifi_local_rate")
-            if self.backhaul_rate is None or self.backhaul_rate <= 0:
-                raise ValueError("wifi segment needs a positive backhaul_rate")
+            if not _positive_finite(self.wifi_local_rate):
+                raise ValueError("wifi segment needs a positive, finite wifi_local_rate")
+            if not _positive_finite(self.backhaul_rate):
+                raise ValueError("wifi segment needs a positive, finite backhaul_rate")
             # The backhaul path traverses the same radio link, so it can
             # never beat the local-cache rate.
             if self.backhaul_rate > self.wifi_local_rate * (1 + 1e-12):
@@ -150,8 +155,8 @@ def scale_route(
     """
     for name, f in (("mobile", mobile_factor), ("wifi", wifi_factor),
                     ("backhaul", backhaul_factor)):
-        if f <= 0:
-            raise ValueError(f"{name} factor must be positive, got {f}")
+        if not _positive_finite(f):
+            raise ValueError(f"{name} factor must be positive and finite, got {f}")
     out = []
     for seg in route.segments:
         if seg.is_wifi:
@@ -193,11 +198,11 @@ class TransferTask:
     traffic_class: TrafficClass = TrafficClass.DELAY_TOLERANT
 
     def __post_init__(self) -> None:
-        if self.size_mb <= 0:
-            raise ValueError(f"task size must be positive, got {self.size_mb}")
-        if self.delay_threshold <= 0:
+        if not _positive_finite(self.size_mb):
+            raise ValueError(f"task size must be positive and finite, got {self.size_mb}")
+        if not _positive_finite(self.delay_threshold):
             raise ValueError(
-                f"delay threshold must be positive, got {self.delay_threshold}"
+                f"delay threshold must be positive and finite, got {self.delay_threshold}"
             )
 
     def effective_deadline(self) -> float:
@@ -223,8 +228,9 @@ class EnergyModel:
     def __post_init__(self) -> None:
         for name in ("mobile_transfer_j_per_mb", "wifi_transfer_j_per_mb",
                      "wifi_idle_w", "wifi_preactivation_s"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,8 @@
 
 Same event rules and planners as :mod:`offloadsim.engine`, but the transfer
 integration is a forward time march with a fixed step instead of closed-form
-phase algebra, and the byte state is a plain contiguous prefix instead of a
-range set.  Agreement between the two is the correctness check for the
+phase algebra, over its own received prefix and its own phase list for each
+segment.  Agreement between the two is the correctness check for the
 analytic engine.
 """
 
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .model import MBIT_PER_MB, AccessKind, RouteProfile, TransferTask
-from .policies import Channel, Policy, PolicyClassMismatch, TripEvent, policy_dispatch
+from .policies import Channel, Policy, PolicyClassMismatch, plan_exit
 from .prediction import ErrorSpec, build_prediction
 from .engine import RunOutcome, _check_same_structure, _window_mobile_rate
 
@@ -64,24 +64,24 @@ def run_trip_stepped(
     caches: dict[int, object] = {}
     completion: Optional[float] = None
 
-    def replan(event: TripEvent, now_nominal: float, now_realized: float) -> object:
+    def replan(now_nominal: float, now_realized: float) -> object:
         pred = build_prediction(
             route_nominal, now_nominal, errors,
-            use_local_rate=policy.uses_local_rate_bounds, horizon=horizon,
+            use_local_rate=policy.prefetches, horizon=horizon,
         )
-        plan, cache = policy_dispatch(
-            policy, event, task,
-            pred=pred,
-            remaining_mb=max(0.0, size - prefix),
+        plan, cache = plan_exit(
+            policy,
+            max(0.0, size - prefix),
+            deadline - now_realized if not math.isinf(deadline) else math.inf,
+            pred,
             received_prefix_mb=prefix,
-            time_left=deadline - now_realized if not math.isinf(deadline) else math.inf,
-            now=now_realized,
+            valid_from=now_realized,
         )
         if cache is not None and cache.amount_mb > 0 and cache.hotspot_index is not None:
             caches[cache.hotspot_index] = cache
         return plan
 
-    plan = replan(TripEvent.ROUTE_START, 0.0, 0.0)
+    plan = replan(0.0, 0.0)
 
     for i, (seg, seg_nom) in enumerate(zip(route_realized.segments,
                                            route_nominal.segments)):
@@ -101,7 +101,7 @@ def run_trip_stepped(
         else:
             cache = caches.get(seg.hotspot_index) if policy.prefetches else None
             if cache is not None:
-                if policy is Policy.PREFETCH_DELAY_SENSITIVE:
+                if policy.hole_channel is Channel.MOBILE:
                     hole_rate = _window_mobile_rate(route_realized, i)
                     hole = (Channel.MOBILE, hole_rate, min(cache.offset_mb, size))
                 else:
@@ -141,7 +141,7 @@ def run_trip_stepped(
                 break
 
         if completion is None and seg.kind is AccessKind.WIFI:
-            plan = replan(TripEvent.HOTSPOT_EXIT, seg_nom.end_time, seg.end_time)
+            plan = replan(seg_nom.end_time, seg.end_time)
 
     return StepOutcome(
         mobile_mb=totals[Channel.MOBILE],

@@ -1,83 +1,80 @@
-"""Transfer policies: pure planning functions invoked at trip events.
+"""Transfer policies: one table of per-policy traits and two pure planners.
 
-Plans are made at the route start and whenever the node leaves a hotspot.
-Delay-tolerant planning sizes the mobile rate so that the pessimistic WiFi
-forecast plus the mobile stream finish exactly at the deadline; the
-maximum-throughput policies just request the full predicted mobile rate.
-Prefetching policies additionally decide how much of the object to push
-into the next hotspot's cache and at which object offset.
+Plans are made at the route start and whenever the node leaves a hotspot
+(:func:`plan_exit`).  Delay-tolerant planning sizes the mobile rate so that
+the pessimistic WiFi forecast plus the mobile stream finish exactly at the
+deadline; the maximum-throughput policies just request the full predicted
+mobile rate.  Prefetching policies additionally decide how much of the
+object to push into the next hotspot's cache and at which object offset.
 
-On entering a hotspot the node first deals with any hole below the cached
-offset (delay-tolerant traffic fetches it from the origin over the backhaul;
-delay-sensitive traffic lets its still-running mobile stream finish it),
-then drains the local cache, then spends whatever dwell time is left
-fetching more from the origin.
+The received bytes are always one prefix of the object, so on entering a
+hotspot (:func:`plan_entry`) every step fills the prefix up to a position:
+first the hole below the cached offset (delay-tolerant traffic fetches it
+from the origin over the backhaul; delay-sensitive traffic lets its
+still-running mobile stream finish it), then the cached range, then the
+rest of the object from the origin for whatever dwell time is left.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Union
+from typing import Optional
 
-from .model import MBIT_PER_MB, TrafficClass, TransferTask
+from .model import MBIT_PER_MB, TrafficClass
 from .prediction import PredictionProfile
-from .ranges import RangeSet
 
 # Floor for the mobile-time denominator; avoids division by zero when the
 # WiFi-time estimate reaches the remaining budget.
 T_MOBILE_FLOOR = 1e-6
 
 
+class Channel(Enum):
+    MOBILE = "mobile"
+    WIFI_LOCAL = "wifi-local"
+    WIFI_BACKHAUL = "wifi-backhaul"
+
+
+_DT = TrafficClass.DELAY_TOLERANT
+_DS = TrafficClass.DELAY_SENSITIVE
+
+
 class Policy(Enum):
-    PREFETCH_DELAY_TOLERANT = "prefetch-dt"
-    PREDICTION_ONLY_DELAY_TOLERANT = "prediction-dt"
-    NO_PREDICTION_OFFLOAD = "no-prediction"
-    PREFETCH_DELAY_SENSITIVE = "prefetch-ds"
-    MOBILE_ONLY = "mobile-only"
+    """The five policies, one row each.
+
+    ``admitted_class`` is the one traffic class the policy serves (None:
+    both).  A ``rate_limited`` policy deliberately underuses the mobile
+    channel at its planned rate; the others ride whatever rate the channel
+    realizes, and their plan's mobile_rate is the nominal prediction that
+    sizes the cache offset.  ``prefetches`` stages part of the object in the
+    next hotspot's cache, and ``hole_channel`` is the channel that fills the
+    hole below a cached offset.
+    """
+
+    # (cli name, admitted class, rate-limited, prefetches, hole channel)
+    PREFETCH_DELAY_TOLERANT = ("prefetch-dt", _DT, True, True, Channel.WIFI_BACKHAUL)
+    PREDICTION_ONLY_DELAY_TOLERANT = ("prediction-dt", _DT, True, False, None)
+    NO_PREDICTION_OFFLOAD = ("no-prediction", None, False, False, None)
+    PREFETCH_DELAY_SENSITIVE = ("prefetch-ds", _DS, False, True, Channel.MOBILE)
+    MOBILE_ONLY = ("mobile-only", None, False, False, None)
+
+    def __new__(cls, cli_name: str, admitted_class: Optional[TrafficClass],
+                rate_limited: bool, prefetches: bool,
+                hole_channel: Optional[Channel]) -> "Policy":
+        member = object.__new__(cls)
+        member._value_ = cli_name
+        member.admitted_class = admitted_class
+        member.rate_limited = rate_limited
+        member.prefetches = prefetches
+        member.hole_channel = hole_channel
+        return member
 
     @property
     def cli_name(self) -> str:
         return self.value
 
-    @property
-    def prefetches(self) -> bool:
-        return self in (Policy.PREFETCH_DELAY_TOLERANT, Policy.PREFETCH_DELAY_SENSITIVE)
-
-    @property
-    def uses_local_rate_bounds(self) -> bool:
-        return self.prefetches
-
-    @property
-    def rate_limited(self) -> bool:
-        """Deliberately underuses the mobile channel at the planned rate.
-
-        The maximum-throughput policies instead ride whatever rate the
-        channel realizes; their plan's mobile_rate is the nominal prediction
-        that sizes the cache offset.
-        """
-        return self in (Policy.PREFETCH_DELAY_TOLERANT,
-                        Policy.PREDICTION_ONLY_DELAY_TOLERANT)
-
     def admits(self, traffic_class: TrafficClass) -> bool:
-        if self is Policy.PREFETCH_DELAY_SENSITIVE:
-            return traffic_class is TrafficClass.DELAY_SENSITIVE
-        if self in (Policy.PREFETCH_DELAY_TOLERANT, Policy.PREDICTION_ONLY_DELAY_TOLERANT):
-            return traffic_class is TrafficClass.DELAY_TOLERANT
-        return True
-
-
-class TripEvent(Enum):
-    ROUTE_START = "route-start"
-    HOTSPOT_EXIT = "hotspot-exit"
-    HOTSPOT_ENTER = "hotspot-enter"
-
-
-class Channel(Enum):
-    MOBILE = "mobile"
-    WIFI_LOCAL = "wifi-local"
-    WIFI_BACKHAUL = "wifi-backhaul"
+        return self.admitted_class in (None, traffic_class)
 
 
 class PolicyClassMismatch(ValueError):
@@ -116,12 +113,12 @@ class CachePlan:
 
 @dataclass(frozen=True)
 class EntryAction:
-    """One fetch step inside a hotspot: fill missing bytes of ``window`` in
-    order at ``rate`` over ``channel``.  ``window_hi`` None means object end."""
+    """One fetch step inside a hotspot: extend the received prefix up to
+    ``window_hi`` at ``rate`` over ``channel``.  ``window_hi`` None means
+    object end."""
 
     channel: Channel
     rate: float
-    window_lo: float
     window_hi: Optional[float]
 
 
@@ -178,8 +175,10 @@ def plan_exit_delay_tolerant(
 ) -> tuple[TransferPlan, CachePlan]:
     """Plan mobile rate and next-hotspot cache for delay-tolerant traffic.
 
-    Expects ``pred`` built with local-rate bounds (prefetching makes each
-    hotspot serve at its local WiFi rate).
+    The WiFi capacity comes from ``pred``: local-rate bounds when the cache
+    is used (a cached hotspot serves at its local WiFi rate), backhaul-rate
+    bounds when it is not (a hotspot can only deliver what its backhaul
+    brings in).
     """
     if remaining_mb < 0:
         raise ValueError(f"remaining_mb must be >= 0, got {remaining_mb}")
@@ -187,23 +186,6 @@ def plan_exit_delay_tolerant(
     plan = TransferPlan(mobile_rate=rate, valid_from=valid_from, infeasible=infeasible)
     cache = _next_cache(pred, rate, received_prefix_mb, remaining_mb)
     return plan, cache
-
-
-def plan_exit_prediction_only(
-    remaining_mb: float,
-    time_left: float,
-    pred: PredictionProfile,
-    valid_from: float = 0.0,
-) -> TransferPlan:
-    """Delay-tolerant planning without prefetching.
-
-    Same arithmetic, but ``pred`` must carry backhaul-rate bounds: with no
-    cache, a hotspot can only deliver what its backhaul link brings in.
-    """
-    if remaining_mb < 0:
-        raise ValueError(f"remaining_mb must be >= 0, got {remaining_mb}")
-    rate, infeasible = _delay_tolerant_rate(remaining_mb, time_left, pred)
-    return TransferPlan(mobile_rate=rate, valid_from=valid_from, infeasible=infeasible)
 
 
 def plan_exit_delay_sensitive(
@@ -222,123 +204,59 @@ def plan_exit_delay_sensitive(
     return plan, cache
 
 
-def plan_entry(
-    received: RangeSet,
-    cache: Optional[CachePlan],
-    local_rate: float,
-    backhaul_rate: float,
-    size_mb: float,
-) -> list[EntryAction]:
-    """Ordered fetch steps for the dwell time in one hotspot.
+def plan_exit(
+    policy: Policy,
+    remaining_mb: float,
+    time_left: float,
+    pred: PredictionProfile,
+    received_prefix_mb: float = 0.0,
+    valid_from: float = 0.0,
+) -> tuple[TransferPlan, Optional[CachePlan]]:
+    """Plan at the route start or a hotspot exit: the mobile rate until the
+    next exit, and the next hotspot's cache when the policy prefetches.
 
-    With a cache: (1) repair the hole below the cached offset from the
-    origin, (2) drain the cached range at the local rate, (3) keep fetching
-    from the origin with the remaining dwell.  Without one, the whole dwell
-    is an origin fetch (the no-prefetch behavior).
+    Rate-limited policies size the rate for the deadline; ``pred`` must
+    carry local-rate bounds when the policy prefetches (a cached hotspot
+    serves at its local WiFi rate) and backhaul-rate bounds otherwise.  The
+    other policies request the full predicted mobile rate.
     """
-    if cache is None or cache.amount_mb <= 0:
-        return [EntryAction(Channel.WIFI_BACKHAUL, backhaul_rate, 0.0, size_mb)]
-    cache_end = min(cache.offset_mb + cache.amount_mb, size_mb)
-    actions = []
-    if received.missing_within(0.0, min(cache.offset_mb, size_mb)) > 0:
-        actions.append(
-            EntryAction(Channel.WIFI_BACKHAUL, backhaul_rate, 0.0,
-                        min(cache.offset_mb, size_mb))
-        )
-    actions.append(
-        EntryAction(Channel.WIFI_LOCAL, local_rate, cache.offset_mb, cache_end)
-    )
-    actions.append(EntryAction(Channel.WIFI_BACKHAUL, backhaul_rate, 0.0, size_mb))
-    return actions
+    if policy.rate_limited:
+        plan, cache = plan_exit_delay_tolerant(
+            remaining_mb, time_left, pred, received_prefix_mb, valid_from)
+    else:
+        plan, cache = plan_exit_delay_sensitive(
+            remaining_mb, received_prefix_mb, pred, valid_from)
+    return plan, cache if policy.prefetches else None
 
 
-def plan_entry_delay_sensitive(
-    received: RangeSet,
+def plan_entry(
+    policy: Policy,
+    prefix_mb: float,
     cache: Optional[CachePlan],
     local_rate: float,
     backhaul_rate: float,
     mobile_rate: float,
     size_mb: float,
 ) -> list[EntryAction]:
-    """Hotspot entry steps for the maximum-mobile-throughput prefetch policy.
+    """Ordered fetch steps for the dwell time in one hotspot.
 
-    The node's mobile stream never throttles, so on arrival it first lets
-    that stream finish the hole below the cached offset (the bytes it was
-    mid-way through when it reached the hotspot), then drains the cache at
-    the local rate and tops up from the origin.
+    With a cache: (1) fill the hole below the cached offset over the
+    policy's hole channel (``mobile_rate`` is the mobile throughput reachable
+    inside the hotspot), (2) drain the cached range at the local rate,
+    (3) keep fetching from the origin with the remaining dwell.  Without one,
+    the whole dwell is an origin fetch; mobile-only never associates.
     """
-    if cache is None or cache.amount_mb <= 0:
-        return [EntryAction(Channel.WIFI_BACKHAUL, backhaul_rate, 0.0, size_mb)]
-    cache_end = min(cache.offset_mb + cache.amount_mb, size_mb)
-    actions = []
+    if policy is Policy.MOBILE_ONLY:
+        return []
+    origin = EntryAction(Channel.WIFI_BACKHAUL, backhaul_rate, size_mb)
+    if not policy.prefetches or cache is None or cache.amount_mb <= 0:
+        return [origin]
     hole_end = min(cache.offset_mb, size_mb)
-    if received.missing_within(0.0, hole_end) > 0 and mobile_rate > 0:
-        actions.append(EntryAction(Channel.MOBILE, mobile_rate, 0.0, hole_end))
-    actions.append(
-        EntryAction(Channel.WIFI_LOCAL, local_rate, cache.offset_mb, cache_end)
-    )
-    actions.append(EntryAction(Channel.WIFI_BACKHAUL, backhaul_rate, 0.0, size_mb))
+    hole_rate = mobile_rate if policy.hole_channel is Channel.MOBILE else backhaul_rate
+    actions = []
+    if prefix_mb < hole_end and hole_rate > 0:
+        actions.append(EntryAction(policy.hole_channel, hole_rate, hole_end))
+    cache_end = min(cache.offset_mb + cache.amount_mb, size_mb)
+    actions.append(EntryAction(Channel.WIFI_LOCAL, local_rate, cache_end))
+    actions.append(origin)
     return actions
-
-
-PlanPair = tuple[TransferPlan, Optional[CachePlan]]
-
-
-def policy_dispatch(
-    policy: Policy,
-    event: TripEvent,
-    task: TransferTask,
-    *,
-    pred: Optional[PredictionProfile] = None,
-    remaining_mb: float = 0.0,
-    received_prefix_mb: float = 0.0,
-    time_left: float = math.inf,
-    now: float = 0.0,
-    received: Optional[RangeSet] = None,
-    cache: Optional[CachePlan] = None,
-    local_rate: float = 0.0,
-    backhaul_rate: float = 0.0,
-    mobile_rate: float = 0.0,
-) -> Union[PlanPair, list[EntryAction]]:
-    """Route a trip event to the planner the policy prescribes.
-
-    ROUTE_START and HOTSPOT_EXIT return ``(TransferPlan, CachePlan | None)``;
-    HOTSPOT_ENTER returns the ordered entry actions.  ``mobile_rate`` is the
-    mobile throughput reachable inside the hotspot, used only by the
-    delay-sensitive entry sequence.
-    """
-    if not policy.admits(task.traffic_class):
-        raise PolicyClassMismatch(
-            f"{policy.cli_name} cannot serve {task.traffic_class.value} traffic"
-        )
-
-    if event is TripEvent.HOTSPOT_ENTER:
-        if policy is Policy.MOBILE_ONLY:
-            return []  # stays on the mobile network, never associates
-        if policy is Policy.PREFETCH_DELAY_SENSITIVE:
-            assert received is not None
-            return plan_entry_delay_sensitive(
-                received, cache, local_rate, backhaul_rate, mobile_rate, task.size_mb
-            )
-        if policy.prefetches:
-            assert received is not None
-            return plan_entry(received, cache, local_rate, backhaul_rate, task.size_mb)
-        # prediction-only and no-prediction fetch from the origin all dwell
-        return [EntryAction(Channel.WIFI_BACKHAUL, backhaul_rate, 0.0, task.size_mb)]
-
-    assert pred is not None
-    if policy is Policy.PREFETCH_DELAY_TOLERANT:
-        return plan_exit_delay_tolerant(
-            remaining_mb, time_left, pred,
-            received_prefix_mb=received_prefix_mb, valid_from=now,
-        )
-    if policy is Policy.PREDICTION_ONLY_DELAY_TOLERANT:
-        plan = plan_exit_prediction_only(remaining_mb, time_left, pred, valid_from=now)
-        return plan, None
-    if policy is Policy.PREFETCH_DELAY_SENSITIVE:
-        return plan_exit_delay_sensitive(
-            remaining_mb, received_prefix_mb, pred, valid_from=now
-        )
-    # MOBILE_ONLY and NO_PREDICTION_OFFLOAD always request the full
-    # predicted mobile rate and stage nothing.
-    return TransferPlan(mobile_rate=pred.max_mobile_rate, valid_from=now), None

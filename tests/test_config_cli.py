@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -21,6 +22,8 @@ from offloadsim.metrics import ScenarioSpec, SweepSpec
 from offloadsim.oracle import AgreementReport
 from offloadsim.model import TrafficClass
 from offloadsim.policies import Policy
+
+GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
 
 RECIPES = [f"fig{n}{letter}" for n, letters in
            (("2", "ab"), ("3", "abcd"), ("4", "ab"), ("5", "ab"),
@@ -168,6 +171,50 @@ class TestCli:
         rows = out.read_text().splitlines()
         assert len(rows) == 1 + 4  # header + one row per metric
         assert all(r.split(",")[5] == "1" for r in rows[1:])
+
+    @pytest.mark.parametrize("scenario", ["dt-default", "ds-default"])
+    def test_run_csv_matches_golden_digest(self, scenario, tmp_path):
+        """The default scenarios' CSV bytes are a contract: any change to the
+        engine, planners or aggregation must leave them identical."""
+        out = tmp_path / f"{scenario}.csv"
+        assert self.run_cli("run", "--scenario", scenario, "--out", str(out)) == 0
+        golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == golden[f"cli-run:{scenario}"]
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("task", "size_mb", float("nan")),
+        ("task", "size_mb", float("inf")),
+        ("task", "delay_threshold_s", float("nan")),
+        ("task", "delay_threshold_s", float("inf")),
+        ("rate_factors", "mobile", float("nan")),
+        ("energy", "wifi_idle_w", float("nan")),
+        ("route", "duration", float("nan")),
+        ("route", "mobile_rate", float("nan")),
+        ("sweep", "values", [float("nan")]),
+    ])
+    def test_non_finite_input_exits_2(self, tmp_path, capsys, section, key, value):
+        def bundled(name):
+            return json.loads(bundled_scenario_path(name).read_text())
+
+        data = bundled("scenario_dt_default")
+        if section == "route":
+            route = bundled("route_4ap")
+            route["segments"][-1][key] = value  # the last segment is mobile
+            path = tmp_path / "route.json"
+            path.write_text(json.dumps(route))
+            data["route"] = str(path)
+        elif section == "energy":
+            data["energy"] = dict(bundled("energy"), **{key: value})
+        elif section == "sweep":
+            data = json.loads(bundled_recipe_path("fig3a").read_text())
+            data[section][key] = value  # fig3a sweeps the mobile factor
+        else:
+            data[section][key] = value
+        bad = tmp_path / "input.json"
+        bad.write_text(json.dumps(data))  # json writes NaN and Infinity
+        assert self.run_cli("run", "--scenario", str(bad), "--runs", "3") == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
 
     def test_run_malformed_scenario_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "broken.json"

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import edge_routes, make_task, random_route
-from offloadsim import engine
+from conftest import make_task, random_route
 from offloadsim.engine import (
     TransferState,
     WifiVisit,
@@ -50,20 +49,23 @@ class TestIntegrateTransfer:
     def test_zero_rate_moves_nothing(self):
         state = TransferState(size_mb=10.0)
         assert integrate_transfer(state, 0.0, 10.0, Channel.MOBILE, now=0.0) == 0.0
-        assert state.total_received == 0.0
+        assert state.prefix == 0.0
 
     def test_window_bounds_fill(self):
+        """A fill stops at its target; a target at or below the prefix moves
+        nothing in no time."""
         state = TransferState(size_mb=100.0)
-        integrate_transfer(state, 8.0, 100.0, Channel.WIFI_LOCAL, now=0.0,
-                           window_lo=10.0, window_hi=20.0)
-        assert state.wifi_local_mb == pytest.approx(10.0)
-        assert list(state.received) == [(10.0, 20.0)]
-
-    def test_no_completion_with_outside_hole(self):
-        state = TransferState(size_mb=30.0)
-        integrate_transfer(state, 8.0, 100.0, Channel.WIFI_LOCAL, now=0.0,
-                           window_lo=10.0, window_hi=30.0)
-        assert not state.complete  # [0, 10) still missing
+        used = integrate_transfer(state, 8.0, 100.0, Channel.WIFI_LOCAL, now=0.0,
+                                  window_hi=20.0)
+        assert used == pytest.approx(20.0)
+        assert state.prefix == pytest.approx(20.0)
+        assert state.wifi_local_mb == pytest.approx(20.0)
+        assert not state.complete
+        for target in (20.0, 10.0):
+            assert integrate_transfer(state, 8.0, 100.0, Channel.WIFI_BACKHAUL,
+                                      now=20.0, window_hi=target) == 0.0
+        assert state.wifi_backhaul_mb == 0.0
+        assert state.prefix == pytest.approx(20.0)
 
 
 class TestRunTripAnchors:
@@ -132,9 +134,12 @@ class TestRunTripAnchors:
 class TestRunTripValidation:
     def test_class_mismatch(self, default_route, zero_errors):
         realized = realize_route(default_route, zero_errors)
-        with pytest.raises(PolicyClassMismatch):
-            run_trip(realized, default_route, make_task(50.0, sensitive=True),
-                     Policy.PREFETCH_DELAY_TOLERANT, zero_errors)
+        for sensitive, policy in ((True, Policy.PREFETCH_DELAY_TOLERANT),
+                                  (True, Policy.PREDICTION_ONLY_DELAY_TOLERANT),
+                                  (False, Policy.PREFETCH_DELAY_SENSITIVE)):
+            with pytest.raises(PolicyClassMismatch):
+                run_trip(realized, default_route, make_task(50.0, sensitive=sensitive),
+                         policy, zero_errors)
 
     def test_structure_mismatch(self, default_route, route_2ap, zero_errors):
         realized = realize_route(default_route, zero_errors)
@@ -175,36 +180,6 @@ class TestConservation:
                 if out.completed:
                     assert total == pytest.approx(task.size_mb, abs=1e-6)
                     assert out.transfer_delay <= realized.total_time + 1e-6
-
-
-class TestSingleInterval:
-    def test_received_bytes_stay_one_interval(self, monkeypatch):
-        """Under every policy the received bytes stay one contiguous interval."""
-        calls = 0
-
-        def checked(state, *args, **kwargs):
-            nonlocal calls
-            used = integrate_transfer(state, *args, **kwargs)
-            assert len(state.received) <= 1, state.received
-            calls += 1
-            return used
-
-        monkeypatch.setattr(engine, "integrate_transfer", checked)
-        rng = np.random.default_rng(17)
-        routes = [random_route(rng) for _ in range(150)]
-        routes += [r for _ in range(10) for r in edge_routes(rng)]
-        for route in routes:
-            for _ in range(2):
-                errors = ErrorSpec(float(rng.uniform(0, 0.4)), float(rng.uniform(0, 0.8)),
-                                   seed=int(rng.integers(1 << 30)))
-                realized = realize_route(route, errors)
-                threshold = route.total_time * float(rng.uniform(0.3, 1.2))
-                size = float(rng.uniform(0.5, 120))
-                for sensitive in (False, True):
-                    task = make_task(size, threshold=threshold, sensitive=sensitive)
-                    for policy in policies_for(task):
-                        run_trip(realized, route, task, policy, errors)
-        assert calls > 1000
 
 
 class TestDeterminism:

@@ -32,12 +32,22 @@ class TestRouteSegment:
     def test_mobile_segment_needs_rate(self):
         with pytest.raises(ValueError):
             RouteSegment(AccessKind.MOBILE, 0.0, 10.0)
+        for rate in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                mobile(0.0, 10.0, rate)
+            with pytest.raises(ValueError):
+                wifi(0.0, 10.0, rate, 5.0, 1)
 
     def test_duration_must_be_positive(self):
         with pytest.raises(ValueError):
             mobile(0.0, 0.0, 5.0)
         with pytest.raises(ValueError):
             mobile(0.0, -3.0, 5.0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                mobile(0.0, bad, 5.0)
+            with pytest.raises(ValueError):
+                mobile(bad, 10.0, 5.0)
 
     def test_backhaul_cannot_exceed_local(self):
         with pytest.raises(ValueError):
@@ -167,8 +177,9 @@ class TestScaleRoute:
             assert seg.backhaul_rate == pytest.approx(seg.wifi_local_rate)
 
     def test_nonpositive_factor_rejected(self, route_4ap):
-        with pytest.raises(ValueError):
-            scale_route(route_4ap, mobile_factor=0.0)
+        for bad in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                scale_route(route_4ap, mobile_factor=bad)
 
 
 class TestEnergyModel:
@@ -180,8 +191,9 @@ class TestEnergyModel:
         assert m.wifi_preactivation_s == 20.0
 
     def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            EnergyModel(wifi_idle_w=-0.1)
+        for bad in (-0.1, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                EnergyModel(wifi_idle_w=bad)
 
 
 class TestTransferTask:
@@ -190,6 +202,11 @@ class TestTransferTask:
             TransferTask(size_mb=0.0, delay_threshold=100.0)
         with pytest.raises(ValueError):
             TransferTask(size_mb=10.0, delay_threshold=0.0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                TransferTask(size_mb=bad, delay_threshold=100.0)
+            with pytest.raises(ValueError):
+                TransferTask(size_mb=10.0, delay_threshold=bad)
 
     def test_delay_sensitive_ignores_threshold(self):
         task = TransferTask(50.0, 100.0, TrafficClass.DELAY_SENSITIVE)

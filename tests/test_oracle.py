@@ -1,6 +1,7 @@
+import numpy as np
 import pytest
 
-from conftest import make_task
+from conftest import edge_routes, make_task, random_route
 from offloadsim.engine import run_trip
 from offloadsim.model import scale_route
 from offloadsim.oracle import compare_runs, run_trip_stepped
@@ -37,6 +38,39 @@ def test_delay_sensitive_agreement(default_route):
 def test_high_error_agreement(default_route):
     check_agreement(default_route, make_task(50.0, sensitive=True), DS,
                     seeds=range(8), time_error=0.40, throughput_error=0.80)
+
+
+def test_random_route_agreement():
+    """Engine and oracle agree over random and degenerate routes, both
+    traffic classes and every policy each class admits, with deadlines that
+    often fall inside a hotspot."""
+    rng = np.random.default_rng(29)
+    routes = [random_route(rng) for _ in range(36)]
+    routes += [r for _ in range(2) for r in edge_routes(rng)]
+    trips = in_hotspot = 0
+    for route in routes:
+        errors = ErrorSpec(float(rng.uniform(0, 0.4)), float(rng.uniform(0, 0.8)),
+                           seed=int(rng.integers(1 << 30)))
+        realized = realize_route(route, errors)
+        if route.hotspots and rng.random() < 0.5:
+            hotspot = route.hotspots[int(rng.integers(route.n_hotspots))]
+            threshold = hotspot.start_time + hotspot.duration * float(rng.uniform(0.1, 0.9))
+            in_hotspot += 1
+        else:
+            threshold = route.total_time * float(rng.uniform(0.3, 1.2))
+        size = float(rng.uniform(0.5, 120))
+        for sensitive in (False, True):
+            task = make_task(size, threshold=threshold, sensitive=sensitive)
+            for policy in Policy:
+                if not policy.admits(task.traffic_class):
+                    continue
+                analytic = run_trip(realized, route, task, policy, errors)
+                stepped = run_trip_stepped(realized, route, task, policy, errors)
+                report = compare_runs(analytic, stepped, task.size_mb,
+                                      realized.total_time)
+                assert report.within(task.size_mb), (route, task, policy, errors, report)
+                trips += 1
+    assert trips == 7 * len(routes) and in_hotspot >= 10
 
 
 def test_mutation_detected(default_route):

@@ -1,23 +1,20 @@
+import math
+
 import numpy as np
 import pytest
 
-from conftest import make_task, random_route
+from conftest import random_route
 from offloadsim.model import scale_route
 from offloadsim.policies import (
     CachePlan,
     Channel,
     Policy,
-    PolicyClassMismatch,
-    TripEvent,
     plan_entry,
-    plan_entry_delay_sensitive,
+    plan_exit,
     plan_exit_delay_sensitive,
     plan_exit_delay_tolerant,
-    plan_exit_prediction_only,
-    policy_dispatch,
 )
 from offloadsim.prediction import ErrorSpec, build_prediction
-from offloadsim.ranges import RangeSet
 
 ZERO = ErrorSpec(0.0, 0.0)
 
@@ -74,13 +71,18 @@ class TestDelayTolerantPlan:
             plan_exit_delay_tolerant(-1.0, 100.0, pred_local_t0)
 
 
+PREDICTION_ONLY = Policy.PREDICTION_ONLY_DELAY_TOLERANT
+
+
 class TestPredictionOnlyPlan:
     def test_default_scenario_rate(self, pred_backhaul_t0):
-        plan = plan_exit_prediction_only(60.0, 269.0, pred_backhaul_t0)
+        plan, cache = plan_exit(PREDICTION_ONLY, 60.0, 269.0, pred_backhaul_t0)
         assert plan.mobile_rate == pytest.approx(281.94 / 197, rel=1e-12)
+        assert cache is None
 
     def test_zero_remaining(self, pred_backhaul_t0):
-        assert plan_exit_prediction_only(0.0, 269.0, pred_backhaul_t0).mobile_rate == 0.0
+        plan, _ = plan_exit(PREDICTION_ONLY, 0.0, 269.0, pred_backhaul_t0)
+        assert plan.mobile_rate == 0.0
 
     def test_matches_prefetch_when_backhaul_equals_local(self, route_4ap):
         # collapse the local rates onto the backhaul rates: both planners see
@@ -90,7 +92,7 @@ class TestPredictionOnlyPlan:
         pred_l = build_prediction(equal, 0.0, ZERO, use_local_rate=True)
         pred_b = build_prediction(equal, 0.0, ZERO, use_local_rate=False)
         p1, _ = plan_exit_delay_tolerant(60.0, 269.0, pred_l)
-        p2 = plan_exit_prediction_only(60.0, 269.0, pred_b)
+        p2, _ = plan_exit(PREDICTION_ONLY, 60.0, 269.0, pred_b)
         assert p1.mobile_rate == pytest.approx(p2.mobile_rate, rel=1e-12)
 
 
@@ -218,17 +220,17 @@ class TestPlanIdempotence:
         assert checked >= 30  # the loop exercised real multi-hotspot cases
 
 
+PREFETCH_DT = Policy.PREFETCH_DELAY_TOLERANT
+
+
 class TestPlanEntry:
     def test_exact_arrival_skips_gap_fetch(self):
-        received = RangeSet([(0.0, 10.0)])
-        actions = plan_entry(received, CachePlan(1, 5.0, 10.0), 16.0, 8.0, 60.0)
+        actions = plan_entry(PREFETCH_DT, 10.0, CachePlan(1, 5.0, 10.0), 16.0, 8.0, 0.0, 60.0)
         assert [a.channel for a in actions] == [Channel.WIFI_LOCAL, Channel.WIFI_BACKHAUL]
-        assert actions[0].window_lo == 10.0
         assert actions[0].window_hi == 15.0
 
     def test_early_arrival_repairs_gap_first(self):
-        received = RangeSet([(0.0, 7.0)])
-        actions = plan_entry(received, CachePlan(1, 5.0, 10.0), 16.0, 8.0, 60.0)
+        actions = plan_entry(PREFETCH_DT, 7.0, CachePlan(1, 5.0, 10.0), 16.0, 8.0, 0.0, 60.0)
         assert [a.channel for a in actions] == [
             Channel.WIFI_BACKHAUL, Channel.WIFI_LOCAL, Channel.WIFI_BACKHAUL,
         ]
@@ -236,16 +238,14 @@ class TestPlanEntry:
         assert actions[-1].window_hi == 60.0
 
     def test_no_cache_is_pure_backhaul(self):
-        actions = plan_entry(RangeSet(), None, 16.0, 8.0, 60.0)
+        actions = plan_entry(PREFETCH_DT, 0.0, None, 16.0, 8.0, 0.0, 60.0)
         assert len(actions) == 1
         assert actions[0].channel is Channel.WIFI_BACKHAUL
-        assert (actions[0].window_lo, actions[0].window_hi) == (0.0, 60.0)
+        assert actions[0].window_hi == 60.0
 
     def test_delay_sensitive_hole_goes_to_mobile(self):
-        received = RangeSet([(0.0, 7.0)])
-        actions = plan_entry_delay_sensitive(
-            received, CachePlan(1, 5.0, 10.0), 16.0, 8.0, 1.5, 60.0
-        )
+        actions = plan_entry(Policy.PREFETCH_DELAY_SENSITIVE, 7.0,
+                             CachePlan(1, 5.0, 10.0), 16.0, 8.0, 1.5, 60.0)
         assert [a.channel for a in actions] == [
             Channel.MOBILE, Channel.WIFI_LOCAL, Channel.WIFI_BACKHAUL,
         ]
@@ -254,50 +254,28 @@ class TestPlanEntry:
 
 
 class TestPolicyDispatch:
-    def test_class_mismatch(self, pred_local_t0):
-        ds_task = make_task(50, sensitive=True)
-        dt_task = make_task(60)
-        with pytest.raises(PolicyClassMismatch):
-            policy_dispatch(Policy.PREFETCH_DELAY_TOLERANT, TripEvent.ROUTE_START,
-                            ds_task, pred=pred_local_t0)
-        with pytest.raises(PolicyClassMismatch):
-            policy_dispatch(Policy.PREFETCH_DELAY_SENSITIVE, TripEvent.ROUTE_START,
-                            dt_task, pred=pred_local_t0)
+    """plan_exit and plan_entry follow each policy's row of the table."""
 
     def test_mobile_only(self, pred_local_t0):
-        task = make_task(60)
-        plan, cache = policy_dispatch(
-            Policy.MOBILE_ONLY, TripEvent.HOTSPOT_EXIT, task,
-            pred=pred_local_t0, remaining_mb=60.0,
-        )
+        plan, cache = plan_exit(Policy.MOBILE_ONLY, 60.0, math.inf, pred_local_t0)
         assert plan.mobile_rate == pred_local_t0.max_mobile_rate
         assert cache is None
-        assert policy_dispatch(Policy.MOBILE_ONLY, TripEvent.HOTSPOT_ENTER, task) == []
+        assert plan_entry(Policy.MOBILE_ONLY, 0.0, None, 16.0, 8.0, 1.5, 60.0) == []
 
     def test_prediction_only_entry_is_backhaul(self):
-        task = make_task(60)
-        actions = policy_dispatch(
-            Policy.PREDICTION_ONLY_DELAY_TOLERANT, TripEvent.HOTSPOT_ENTER, task,
-            backhaul_rate=8.0,
-        )
+        # a non-prefetching policy fetches from the origin even if handed a cache
+        actions = plan_entry(PREDICTION_ONLY, 7.0, CachePlan(1, 5.0, 10.0),
+                             16.0, 8.0, 1.5, 60.0)
         assert [a.channel for a in actions] == [Channel.WIFI_BACKHAUL]
 
     def test_route_start_matches_exit_arithmetic(self, pred_local_t0):
-        task = make_task(60)
-        via_dispatch, cache = policy_dispatch(
-            Policy.PREFETCH_DELAY_TOLERANT, TripEvent.ROUTE_START, task,
-            pred=pred_local_t0, remaining_mb=60.0, time_left=269.0,
-        )
+        via_table, cache = plan_exit(PREFETCH_DT, 60.0, 269.0, pred_local_t0)
         direct, direct_cache = plan_exit_delay_tolerant(60.0, 269.0, pred_local_t0)
-        assert via_dispatch.mobile_rate == direct.mobile_rate
+        assert via_table.mobile_rate == direct.mobile_rate
         assert cache == direct_cache
 
     def test_delay_sensitive_always_max_rate(self, default_route):
-        task = make_task(50, sensitive=True)
         for now in (0.0, 36.0, 108.0):
             pred = build_prediction(default_route, now, ZERO, use_local_rate=True)
-            plan, _ = policy_dispatch(
-                Policy.PREFETCH_DELAY_SENSITIVE, TripEvent.HOTSPOT_EXIT, task,
-                pred=pred, remaining_mb=50.0,
-            )
+            plan, _ = plan_exit(Policy.PREFETCH_DELAY_SENSITIVE, 50.0, math.inf, pred)
             assert plan.mobile_rate == pred.max_mobile_rate
