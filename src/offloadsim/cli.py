@@ -55,10 +55,10 @@ def _resolve_input(arg: str) -> str:
 
 def _apply_overrides(spec: ScenarioSpec, args: argparse.Namespace) -> ScenarioSpec:
     """Apply command-line overrides; a value the model rejects is a ConfigError."""
-    if args.policy:
-        spec = replace(spec, policies=tuple(config.parse_policy(p)
-                                            for p in args.policy.split(",")))
     try:
+        if args.policy:
+            spec = replace(spec, policies=tuple(config.parse_policy(p)
+                                                for p in args.policy.split(",")))
         if args.runs is not None:
             spec = replace(spec, runs=args.runs)
         if args.seed is not None:

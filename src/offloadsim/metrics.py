@@ -2,7 +2,9 @@
 
 Each run draws one realized route and evaluates every policy on that same
 realization (paired comparison), then metrics are aggregated into means with
-Student-t 95% confidence intervals.  The t quantile comes from
+Student-t 95% confidence intervals.  A scenario's realizations are drawn
+together and each policy runs over all of them in one batched pass
+(:func:`offloadsim.engine.run_batch`).  The t quantile comes from
 ``t_quantile_975``, a standard-library Newton solve on the t tail, so the
 package needs no statistics library.  Per-run seeds are derived from the
 scenario seed with a stable hash, so adding a policy or rerunning a sweep
@@ -16,16 +18,20 @@ import functools
 import io
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .engine import RunOutcome, run_trip
+from .engine import BatchOutcome, run_batch
 from .model import EnergyModel, RouteProfile, TransferTask, scale_route
 from .policies import Policy
-from .prediction import ErrorSpec, realize_route
+from .prediction import ErrorSpec, realize_batch
 
 METRICS = ("offload_pct", "transfer_delay_s", "energy_j", "cache_mb")
+
+# the BatchOutcome field behind each metric
+_METRIC_FIELDS = {"offload_pct": "offload_pct", "transfer_delay_s": "transfer_delay",
+                  "energy_j": "energy_j", "cache_mb": "cache_bytes_used"}
 
 CSV_COLUMNS = ("scenario_id", "policy", "metric", "mean", "ci95", "n",
                "infeasible_count")
@@ -121,7 +127,8 @@ def ci_halfwidth(samples: Sequence[float]) -> float:
     n = len(samples)
     if n < 2:
         raise InsufficientSamples(f"need at least 2 samples, got {n}")
-    if min(samples) == max(samples):  # exact, not a float-noise std
+    samples = np.asarray(samples, dtype=float)
+    if samples.min() == samples.max():  # exact, not a float-noise std
         return 0.0
     s = float(np.std(samples, ddof=1))
     return t_quantile_975(n - 1) * s / math.sqrt(n)
@@ -145,6 +152,12 @@ def derive_run_seed(base_seed: int, run_index: int) -> int:
     """Stable per-run seed: SeedSequence entropy (base_seed, run_index)."""
     ss = np.random.SeedSequence(entropy=(int(base_seed), int(run_index)))
     return int(ss.generate_state(1, np.uint64)[0])
+
+
+def _check_metrics(metrics: Optional[Sequence[str]]) -> None:
+    unknown = [m for m in metrics or () if m not in METRICS]
+    if unknown:
+        raise ValueError(f"unknown metric {unknown[0]!r}; expected one of {METRICS}")
 
 
 @dataclass(frozen=True)
@@ -171,6 +184,10 @@ class ScenarioSpec:
             raise ValueError(f"runs must be >= 1, got {self.runs}")
         if not self.policies:
             raise ValueError("scenario needs at least one policy")
+        for i, p in enumerate(self.policies):
+            if p in self.policies[:i]:
+                raise ValueError(f"policy {p.cli_name} is listed twice")
+        _check_metrics(self.metrics)
         for p in self.policies:
             if not p.admits(self.task.traffic_class):
                 raise ValueError(
@@ -205,44 +222,36 @@ class AggregateResult:
         return self.summaries[policy][metric].mean
 
 
-TripHook = Callable[[int, Policy, RouteProfile, RunOutcome], None]
+def scenario_outcomes(spec: ScenarioSpec) -> dict[Policy, BatchOutcome]:
+    """Every policy's outcome on each of ``spec.runs`` paired realizations.
 
-
-def run_scenario(spec: ScenarioSpec, trip_hook: Optional[TripHook] = None) -> AggregateResult:
-    """Run every policy over ``spec.runs`` paired realizations and aggregate."""
+    Run k is drawn with seed ``derive_run_seed(spec.seed, k)``, and every
+    policy runs over the same realizations, all at once.
+    """
     nominal = spec.scaled_route()
-    samples: dict[Policy, dict[str, list[float]]] = {
-        p: {m: [] for m in METRICS} for p in spec.policies
-    }
-    infeasible = {p: 0 for p in spec.policies}
-    for k in range(spec.runs):
-        err_k = replace(spec.errors, seed=derive_run_seed(spec.seed, k))
-        realized = realize_route(nominal, err_k)
-        for p in spec.policies:
-            outcome = run_trip(realized, nominal, spec.task, p, err_k, spec.energy)
-            if trip_hook is not None:
-                trip_hook(k, p, realized, outcome)
-            samples[p]["offload_pct"].append(outcome.offload_pct)
-            samples[p]["transfer_delay_s"].append(outcome.transfer_delay)
-            samples[p]["energy_j"].append(outcome.energy_j)
-            samples[p]["cache_mb"].append(outcome.cache_bytes_used)
-            if not outcome.deadline_met:
-                infeasible[p] += 1
-    summaries = {
-        p: {
-            m: MetricSummary(
+    seeds = [derive_run_seed(spec.seed, k) for k in range(spec.runs)]
+    batch = realize_batch(nominal, spec.errors, seeds)
+    return {p: run_batch(batch, spec.task, p, spec.errors, spec.energy)
+            for p in spec.policies}
+
+
+def run_scenario(spec: ScenarioSpec) -> AggregateResult:
+    """Run every policy over ``spec.runs`` paired realizations and aggregate."""
+    outcomes = scenario_outcomes(spec)
+    summaries = {}
+    for p, outcome in outcomes.items():
+        summaries[p] = {}
+        for m in METRICS:
+            vals = getattr(outcome, _METRIC_FIELDS[m])
+            summaries[p][m] = MetricSummary(
                 mean=float(np.mean(vals)),
                 ci95=ci_halfwidth(vals) if len(vals) >= 2 else 0.0,
                 n=len(vals),
             )
-            for m, vals in per_policy.items()
-        }
-        for p, per_policy in samples.items()
-    }
     return AggregateResult(
         scenario_id=spec.scenario_id,
         summaries=summaries,
-        infeasible=infeasible,
+        infeasible={p: int(np.count_nonzero(~o.deadline_met)) for p, o in outcomes.items()},
         runs=spec.runs,
         policies=spec.policies,
     )
@@ -264,6 +273,7 @@ class SweepSpec:
             )
         if not self.values:
             raise ValueError("sweep needs at least one value")
+        _check_metrics(self.metrics)
 
 
 def apply_sweep_value(spec: ScenarioSpec, parameter: str, value: float) -> ScenarioSpec:
@@ -291,9 +301,9 @@ def apply_sweep_value(spec: ScenarioSpec, parameter: str, value: float) -> Scena
     raise ValueError(f"unknown sweep parameter {parameter!r}")
 
 
-def run_sweep(sweep: SweepSpec, trip_hook: Optional[TripHook] = None) -> list[AggregateResult]:
+def run_sweep(sweep: SweepSpec) -> list[AggregateResult]:
     return [
-        run_scenario(apply_sweep_value(sweep.base, sweep.parameter, v), trip_hook)
+        run_scenario(apply_sweep_value(sweep.base, sweep.parameter, v))
         for v in sweep.values
     ]
 

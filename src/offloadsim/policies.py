@@ -19,7 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import Optional, Union
+
+import numpy as np
 
 from .model import MBIT_PER_MB, TrafficClass
 from .prediction import PredictionProfile
@@ -260,3 +262,79 @@ def plan_entry(
     actions.append(EntryAction(Channel.WIFI_LOCAL, local_rate, cache_end))
     actions.append(origin)
     return actions
+
+
+# -- the same planners over a batch of runs ----------------------------------
+# Each run of a batch carries its own prefix and clock but shares the nominal
+# forecast, so the closed forms above apply elementwise: the float operations
+# are the same, in the same order, and np.maximum/np.minimum pick what max/min
+# pick, so every run's plan equals the scalar planner's bit for bit.
+
+Floats = Union[float, np.ndarray]
+
+
+def plan_exit_batch(
+    policy: Policy,
+    remaining_mb: np.ndarray,
+    time_left: np.ndarray,
+    pred: PredictionProfile,
+    received_prefix_mb: np.ndarray,
+) -> tuple[Floats, np.ndarray, Optional[tuple[int, np.ndarray, np.ndarray]]]:
+    """:func:`plan_exit` for every run at one replan point.
+
+    Returns the planned mobile rate and the infeasible flag per run, and,
+    when the policy prefetches and a hotspot remains, the next hotspot's
+    index with the cache amount and offset per run (amount 0: no cache).
+    """
+    if policy.rate_limited:
+        wifi_mb, wifi_s = _pessimistic_wifi(pred)
+        data_mobile = np.maximum(0.0, remaining_mb - wifi_mb)
+        time_mobile = np.maximum(T_MOBILE_FLOOR, time_left - wifi_s)
+        raw = data_mobile * MBIT_PER_MB / time_mobile
+        cap = pred.sustainable_mobile_rate
+        rate = np.minimum(np.maximum(raw, 0.0), cap)
+        infeasible = raw > cap
+    else:
+        rate = pred.max_mobile_rate
+        infeasible = np.zeros(remaining_mb.shape, dtype=bool)
+    if not policy.prefetches or not pred.hotspots:
+        return rate, infeasible, None
+    size_mb = received_prefix_mb + remaining_mb
+    offset = received_prefix_mb + rate * pred.time_to_next_wifi / MBIT_PER_MB
+    nxt = pred.hotspots[0]
+    amount = np.maximum(0.0, np.minimum(nxt.rate_max * nxt.duration_max / MBIT_PER_MB,
+                                        size_mb - offset))
+    return rate, infeasible, (nxt.hotspot_index, amount, offset)
+
+
+def plan_entry_batch(
+    policy: Policy,
+    prefix_mb: np.ndarray,
+    cache: Optional[tuple[np.ndarray, np.ndarray]],
+    local_rate: np.ndarray,
+    backhaul_rate: np.ndarray,
+    mobile_rate: np.ndarray,
+    size_mb: float,
+) -> list[tuple[Optional[np.ndarray], EntryAction]]:
+    """:func:`plan_entry` for every run entering one hotspot.
+
+    ``cache`` is the (offset, amount) per run, amount 0 where a run has no
+    cache.  Returns the steps in order, each with the mask of runs that take
+    it (None: every run) and its rate and fill target per run.
+    """
+    if policy is Policy.MOBILE_ONLY:
+        return []
+    origin = (None, EntryAction(Channel.WIFI_BACKHAUL, backhaul_rate, size_mb))
+    if not policy.prefetches or cache is None:
+        return [origin]
+    offset, amount = cache
+    cached = amount > 0
+    hole_end = np.minimum(offset, size_mb)
+    hole_rate = mobile_rate if policy.hole_channel is Channel.MOBILE else backhaul_rate
+    return [
+        (cached & (prefix_mb < hole_end) & (hole_rate > 0),
+         EntryAction(policy.hole_channel, hole_rate, hole_end)),
+        (cached, EntryAction(Channel.WIFI_LOCAL, local_rate,
+                             np.minimum(offset + amount, size_mb))),
+        origin,
+    ]

@@ -9,7 +9,7 @@ realization of the same route.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -195,6 +195,19 @@ def _forecast(
     )
 
 
+def _draws(seed: int, n: int) -> np.ndarray:
+    """The ``n`` uniform(-1, 1) draws of one realization of a route with
+    ``_draw_count(route) == n``.  One vector draw equals the same number of
+    scalar draws from the generator, bit for bit."""
+    return np.random.default_rng(seed).uniform(-1.0, 1.0, size=n)
+
+
+def _draw_count(route: RouteProfile) -> int:
+    """Draws per realization, consumed in segment order as duration, then
+    local and backhaul rate (WiFi) or mobile rate."""
+    return sum(3 if seg.is_wifi else 2 for seg in route.segments)
+
+
 def realize_route(route: RouteProfile, errors: ErrorSpec) -> RouteProfile:
     """Draw one perturbed realization of a nominal route.
 
@@ -205,12 +218,7 @@ def realize_route(route: RouteProfile, errors: ErrorSpec) -> RouteProfile:
     :func:`offloadsim.model.scale_route`.
     """
     te, re = errors.time_error, errors.throughput_error
-    # One vector draw equals the same number of scalar draws from the
-    # generator, bit for bit; consumed in segment order as duration, then
-    # local and backhaul (WiFi) or mobile rate.
-    n = sum(3 if seg.is_wifi else 2 for seg in route.segments)
-    draws = np.random.default_rng(errors.seed).uniform(-1.0, 1.0, size=n).tolist()
-    draw = iter(draws).__next__
+    draw = iter(_draws(errors.seed, _draw_count(route)).tolist()).__next__
 
     def jitter(value: float, err: float) -> float:
         return value * (1.0 + err * draw())
@@ -243,3 +251,70 @@ def realize_route(route: RouteProfile, errors: ErrorSpec) -> RouteProfile:
             )
         cursor += dur
     return RouteProfile(tuple(out), cursor)
+
+
+@dataclass(frozen=True)
+class RealizedBatch:
+    """Realizations of one nominal route, one column per run.
+
+    Row i of each (segments x runs) array is segment i of every realization;
+    a rate the segment's kind does not carry is 0.  ``end`` is each
+    segment's realized end time, ``end[-1]`` the realized total time.
+    """
+
+    route: RouteProfile
+    start: np.ndarray
+    duration: np.ndarray
+    end: np.ndarray
+    mobile_rate: np.ndarray
+    wifi_local_rate: np.ndarray
+    backhaul_rate: np.ndarray
+
+    @property
+    def runs(self) -> int:
+        return self.start.shape[1]
+
+
+def realize_batch(route: RouteProfile, errors: ErrorSpec,
+                  seeds: Sequence[int]) -> RealizedBatch:
+    """Draw one realization of ``route`` per seed, all at once.
+
+    Run k holds, bit for bit, the values of
+    ``realize_route(route, replace(errors, seed=seeds[k]))``: the same draws
+    in the same order go through the same float operations, and a start time
+    is the running sum of the durations before it.  ``errors.seed`` is not
+    used.
+    """
+    te, re = errors.time_error, errors.throughput_error
+    n = _draw_count(route)
+    draws = np.stack([_draws(s, n) for s in seeds], axis=1)
+    wifi = np.array([seg.is_wifi for seg in route.segments])
+    # draw row of each segment's duration; its first rate follows it, and a
+    # WiFi segment's backhaul rate follows that
+    first = np.cumsum([0] + [3 if w else 2 for w in wifi[:-1]])
+    rate_nominal = np.array([seg.wifi_local_rate if seg.is_wifi else seg.mobile_rate
+                             for seg in route.segments])
+    duration = (np.array([seg.duration for seg in route.segments])[:, None]
+                * (1.0 + te * draws[first]))
+    rate = rate_nominal[:, None] * (1.0 + re * draws[first + 1])
+    backhaul = np.zeros_like(rate)
+    back_nominal = np.array([seg.backhaul_rate for seg in route.segments if seg.is_wifi])
+    backhaul[wifi] = np.minimum(back_nominal[:, None] * (1.0 + re * draws[first[wifi] + 2]),
+                                rate[wifi])
+    end = np.cumsum(duration, axis=0)
+    start = np.zeros_like(end)
+    start[1:] = end[:-1]
+    # RouteSegment's range checks, for every run at once
+    for label, values in (("duration", duration), ("end time", end),
+                          ("rate", rate), ("backhaul rate", backhaul[wifi])):
+        if not np.all(np.isfinite(values) & (values > 0)):
+            raise ValueError(f"realized {label} must be positive and finite")
+    return RealizedBatch(
+        route=route,
+        start=start,
+        duration=duration,
+        end=end,
+        mobile_rate=np.where(wifi[:, None], 0.0, rate),
+        wifi_local_rate=np.where(wifi[:, None], rate, 0.0),
+        backhaul_rate=backhaul,
+    )

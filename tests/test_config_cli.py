@@ -18,7 +18,7 @@ from offloadsim.config import (
     parse_factor,
     parse_policy,
 )
-from offloadsim.metrics import ScenarioSpec, SweepSpec
+from offloadsim.metrics import ScenarioSpec, SweepSpec, render_csv, run_sweep
 from offloadsim.oracle import AgreementReport
 from offloadsim.model import TrafficClass
 from offloadsim.policies import Policy
@@ -172,13 +172,20 @@ class TestCli:
         assert len(rows) == 1 + 4  # header + one row per metric
         assert all(r.split(",")[5] == "1" for r in rows[1:])
 
-    @pytest.mark.parametrize("scenario", ["dt-default", "ds-default"])
+    @pytest.mark.parametrize("scenario", ["dt-default", "ds-default"] + RECIPES)
     def test_run_csv_matches_golden_digest(self, scenario, tmp_path):
-        """The default scenarios' CSV bytes are a contract: any change to the
+        """The CSV bytes of the default scenarios (through the CLI) and of the
+        figure recipes (through run_sweep) are a contract: any change to the
         engine, planners or aggregation must leave them identical."""
+        golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+        if scenario in RECIPES:
+            sweep = load_sweep(str(bundled_recipe_path(scenario)))
+            text = render_csv(run_sweep(sweep), sweep.metrics)
+            digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+            assert digest == golden[f"figures:{scenario}"]
+            return
         out = tmp_path / f"{scenario}.csv"
         assert self.run_cli("run", "--scenario", scenario, "--out", str(out)) == 0
-        golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
         assert hashlib.sha256(out.read_bytes()).hexdigest() == golden[f"cli-run:{scenario}"]
 
     @pytest.mark.parametrize("section,key,value", [
@@ -215,6 +222,27 @@ class TestCli:
         assert self.run_cli("run", "--scenario", str(bad), "--runs", "3") == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
+
+    @pytest.mark.parametrize("recipe,section,key,value", [
+        (None, None, "policies", ["prefetch-dt", "no-prediction", "prefetch-dt"]),
+        (None, None, "metrics", ["offload_pct", "bogus"]),
+        ("fig2a", None, "metrics", ["offload_pct", "bogus"]),
+        ("fig2a", "scenario", "metrics", ["bogus"]),
+    ], ids=["policy-twice", "scenario-metric", "sweep-metric", "sweep-base-metric"])
+    def test_bad_input_file_exits_2(self, tmp_path, capsys, recipe, section, key, value):
+        """A policy listed twice or an unknown metric name fails at load."""
+        if recipe is None:
+            data = json.loads(bundled_scenario_path("scenario_dt_default").read_text())
+        else:
+            data = json.loads(bundled_recipe_path(recipe).read_text())
+        (data if section is None else data[section])[key] = value
+        bad = tmp_path / "input.json"
+        bad.write_text(json.dumps(data))
+        assert self.run_cli("run", "--scenario", str(bad), "--runs", "3") == 2
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert captured.out == ""
 
     def test_run_malformed_scenario_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "broken.json"
@@ -268,6 +296,9 @@ class TestCli:
         ("oracle-check", "--scenario", "ds-default", "--dt", "0"),
         ("oracle-check", "--scenario", "ds-default", "--dt", "-1"),
         ("oracle-check", "--scenario", "ds-default", "--seeds", "0"),
+        ("run", "--scenario", "dt-default", "--policy", "prefetch-dt,prefetch-dt",
+         "--runs", "3"),
+        ("run", "--scenario", "dt-default", "--policy", "prefetch-ds"),
     ])
     def test_bad_override_exits_2(self, argv, capsys):
         assert self.run_cli(*argv) == 2

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 import offloadsim
-from conftest import make_task
+from conftest import edge_routes, make_task, random_route
+from offloadsim.engine import run_trip
 from offloadsim.metrics import (
     METRICS,
     InsufficientSamples,
@@ -23,10 +24,11 @@ from offloadsim.metrics import (
     render_csv,
     run_scenario,
     run_sweep,
+    scenario_outcomes,
     t_quantile_975,
 )
 from offloadsim.policies import Policy
-from offloadsim.prediction import ErrorSpec
+from offloadsim.prediction import ErrorSpec, realize_route
 
 DT_POLICIES = (Policy.PREFETCH_DELAY_TOLERANT, Policy.PREDICTION_ONLY_DELAY_TOLERANT,
                Policy.NO_PREDICTION_OFFLOAD)
@@ -44,6 +46,38 @@ def make_spec(route, runs=40, seed=0, time_error=0.10, throughput_error=0.20,
         runs=runs,
         seed=seed,
     )
+
+
+def assert_runs_equal_single_trips(spec):
+    """run_scenario's per-run outcomes and its aggregates against run_trip on
+    ``realize_route(nominal, replace(errors, seed=derive_run_seed(seed, k)))``."""
+    outcomes = scenario_outcomes(spec)
+    nominal = spec.scaled_route()
+    single = {p: [] for p in spec.policies}
+    for k in range(spec.runs):
+        errors = replace(spec.errors, seed=derive_run_seed(spec.seed, k))
+        realized = realize_route(nominal, errors)
+        for p in spec.policies:
+            one = run_trip(realized, nominal, spec.task, p, errors, spec.energy)
+            single[p].append(one)
+            batch = outcomes[p]
+            got = (batch.offload_pct[k], batch.transfer_delay[k], batch.energy_j[k],
+                   batch.cache_bytes_used[k], batch.deadline_met[k], batch.mobile_mb[k],
+                   batch.wifi_local_mb[k], batch.wifi_backhaul_mb[k],
+                   batch.plan_infeasible[k])
+            want = (one.offload_pct, one.transfer_delay, one.energy_j,
+                    one.cache_bytes_used, one.deadline_met, one.mobile_mb,
+                    one.wifi_local_mb, one.wifi_backhaul_mb, one.plan_infeasible)
+            assert got == want, (spec.scenario_id, k, p)
+    result = run_scenario(spec)
+    for p, runs in single.items():
+        values = {"offload_pct": [o.offload_pct for o in runs],
+                  "transfer_delay_s": [o.transfer_delay for o in runs],
+                  "energy_j": [o.energy_j for o in runs],
+                  "cache_mb": [o.cache_bytes_used for o in runs]}
+        for m in METRICS:
+            assert result.mean(p, m) == float(np.mean(values[m])), (spec.scenario_id, p, m)
+        assert result.infeasible[p] == sum(not o.deadline_met for o in runs)
 
 
 class TestCiHalfwidth:
@@ -192,15 +226,32 @@ class TestRunScenario:
         nothing = result.mean(Policy.NO_PREDICTION_OFFLOAD, "offload_pct")
         assert prefetch > prediction > nothing
 
-    def test_paired_realizations(self, route_4ap):
-        """Every policy in a run must see the same realized route."""
-        seen = {}
-        def hook(run_index, policy, realized, outcome):
-            seen.setdefault(run_index, set()).add(id(realized))
-        spec = make_spec(route_4ap, runs=8)
-        run_scenario(spec, trip_hook=hook)
-        assert len(seen) == 8
-        assert all(len(ids) == 1 for ids in seen.values())
+    def test_runs_equal_single_trips(self, route_2ap, route_4ap, route_8ap):
+        """Each run of a scenario equals run_trip on its own realization, with
+        no tolerance, so every policy of a run saw the same realized route."""
+        rng = np.random.default_rng(41)
+        in_hotspot = 0
+        cases = [(route, 1 / 3, 8) for route in (route_2ap, route_4ap, route_8ap)]
+        cases += [(random_route(rng), 1.0, 5) for _ in range(30)]
+        cases += [(r, 1.0, 5) for _ in range(2) for r in edge_routes(rng)]
+        for case, (route, factor, runs) in enumerate(cases):
+            if route.hotspots and rng.random() < 0.5:
+                hotspot = route.hotspots[int(rng.integers(route.n_hotspots))]
+                threshold = hotspot.start_time + hotspot.duration * float(rng.uniform(0.1, 0.9))
+                in_hotspot += 1
+            else:
+                threshold = route.total_time * float(rng.uniform(0.3, 1.2))
+            size = float(rng.uniform(0.5, 120))
+            errors = ErrorSpec(float(rng.uniform(0, 0.4)), float(rng.uniform(0, 0.8)))
+            for sensitive in (False, True):
+                task = make_task(size, threshold=threshold, sensitive=sensitive)
+                spec = ScenarioSpec(
+                    scenario_id=f"case{case}", route=route, route_id="random",
+                    task=task, policies=tuple(p for p in Policy if p.admits(task.traffic_class)),
+                    mobile_factor=factor, wifi_factor=factor, backhaul_factor=factor,
+                    errors=errors, runs=runs, seed=case)
+                assert_runs_equal_single_trips(spec)
+        assert in_hotspot >= 10
 
     def test_ci_shrinks_with_sqrt_n(self, route_4ap):
         small = run_scenario(make_spec(route_4ap, runs=120))

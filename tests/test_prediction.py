@@ -5,7 +5,13 @@ import pytest
 
 from conftest import edge_routes, random_route
 from offloadsim.model import AccessKind, RouteProfile, RouteSegment, scale_route
-from offloadsim.prediction import ErrorSpec, _forecast, build_prediction, realize_route
+from offloadsim.prediction import (
+    ErrorSpec,
+    _forecast,
+    build_prediction,
+    realize_batch,
+    realize_route,
+)
 
 
 def replan_times(route):
@@ -230,6 +236,26 @@ class TestRealizeRoute:
                     for f in ("start_time", "duration", "mobile_rate",
                               "wifi_local_rate", "backhaul_rate"):
                         assert type(getattr(g, f)) is type(getattr(w, f))
+
+    def test_batch_equals_single_realizations(self, default_route):
+        """Column k of realize_batch is realize_route with seed k, exactly."""
+        rng = np.random.default_rng(25)
+        routes = [random_route(rng) for _ in range(40)] + edge_routes(rng) + [default_route]
+        for route in routes:
+            errors = ErrorSpec(float(rng.uniform(0, 0.5)), float(rng.uniform(0, 0.9)))
+            seeds = [int(s) for s in rng.integers(1 << 62, size=4)]
+            batch = realize_batch(route, errors, seeds)
+            assert batch.route is route and batch.runs == 4
+            for k, seed in enumerate(seeds):
+                single = realize_route(route, dataclasses.replace(errors, seed=seed))
+                assert batch.end[-1, k] == single.total_time
+                for i, seg in enumerate(single.segments):
+                    assert (batch.start[i, k], batch.duration[i, k], batch.end[i, k]) == (
+                        seg.start_time, seg.duration, seg.end_time)
+                    assert (batch.mobile_rate[i, k], batch.wifi_local_rate[i, k],
+                            batch.backhaul_rate[i, k]) == (
+                        seg.mobile_rate or 0.0, seg.wifi_local_rate or 0.0,
+                        seg.backhaul_rate or 0.0)
 
     def test_random_routes_survive_realization(self):
         rng = np.random.default_rng(99)
