@@ -4,7 +4,7 @@
 The engine integrates each trip in closed form; the oracle marches the same
 trip in 10 ms steps with its own state representation.  Their per-channel
 byte totals and completion times must agree within 0.1% of the object size
-and 0.05 s.
+and 0.05 s plus one step.
 """
 
 from dataclasses import replace

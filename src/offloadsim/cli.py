@@ -12,6 +12,7 @@ success, 1 when an oracle check fails, 2 on configuration errors.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -127,8 +128,8 @@ def _cmd_oracle_check(args: argparse.Namespace) -> int:
     spec = _apply_overrides(spec, args)
     if args.seeds < 1:
         raise ConfigError(f"--seeds must be >= 1, got {args.seeds}")
-    if not args.dt > 0:
-        raise ConfigError(f"--dt must be positive, got {args.dt}")
+    if not (args.dt > 0 and math.isfinite(args.dt)):
+        raise ConfigError(f"--dt must be positive and finite, got {args.dt}")
     nominal = spec.scaled_route()
     dt = args.dt
     worst_bytes = 0.0

@@ -260,7 +260,6 @@ def run_trip(
             deadline - now_realized if not math.isinf(deadline) else math.inf,
             pred,
             received_prefix_mb=state.prefix,
-            valid_from=now_realized,
         )
         infeasible = infeasible or plan.infeasible
         if cache is not None and cache.amount_mb > 0 and cache.hotspot_index is not None:

@@ -346,12 +346,3 @@ def render_csv(
             writer.writerow(row)
     return buf.getvalue()
 
-
-def write_csv(
-    results: Union[AggregateResult, Sequence[AggregateResult]],
-    path: str,
-    metrics: Optional[Sequence[str]] = None,
-) -> None:
-    text = render_csv(results, metrics)
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        f.write(text)

@@ -92,7 +92,6 @@ class TransferPlan:
     """
 
     mobile_rate: float
-    valid_from: float = 0.0
     infeasible: bool = False
 
     def __post_init__(self) -> None:
@@ -173,7 +172,6 @@ def plan_exit_delay_tolerant(
     time_left: float,
     pred: PredictionProfile,
     received_prefix_mb: float = 0.0,
-    valid_from: float = 0.0,
 ) -> tuple[TransferPlan, CachePlan]:
     """Plan mobile rate and next-hotspot cache for delay-tolerant traffic.
 
@@ -185,7 +183,7 @@ def plan_exit_delay_tolerant(
     if remaining_mb < 0:
         raise ValueError(f"remaining_mb must be >= 0, got {remaining_mb}")
     rate, infeasible = _delay_tolerant_rate(remaining_mb, time_left, pred)
-    plan = TransferPlan(mobile_rate=rate, valid_from=valid_from, infeasible=infeasible)
+    plan = TransferPlan(mobile_rate=rate, infeasible=infeasible)
     cache = _next_cache(pred, rate, received_prefix_mb, remaining_mb)
     return plan, cache
 
@@ -194,14 +192,13 @@ def plan_exit_delay_sensitive(
     remaining_mb: float,
     received_prefix_mb: float,
     pred: PredictionProfile,
-    valid_from: float = 0.0,
 ) -> tuple[TransferPlan, CachePlan]:
     """Plan for delay-sensitive traffic: full predicted mobile rate, plus the
     cache estimate for the next hotspot."""
     if remaining_mb < 0:
         raise ValueError(f"remaining_mb must be >= 0, got {remaining_mb}")
     rate = pred.max_mobile_rate
-    plan = TransferPlan(mobile_rate=rate, valid_from=valid_from)
+    plan = TransferPlan(mobile_rate=rate)
     cache = _next_cache(pred, rate, received_prefix_mb, remaining_mb)
     return plan, cache
 
@@ -212,7 +209,6 @@ def plan_exit(
     time_left: float,
     pred: PredictionProfile,
     received_prefix_mb: float = 0.0,
-    valid_from: float = 0.0,
 ) -> tuple[TransferPlan, Optional[CachePlan]]:
     """Plan at the route start or a hotspot exit: the mobile rate until the
     next exit, and the next hotspot's cache when the policy prefetches.
@@ -224,10 +220,10 @@ def plan_exit(
     """
     if policy.rate_limited:
         plan, cache = plan_exit_delay_tolerant(
-            remaining_mb, time_left, pred, received_prefix_mb, valid_from)
+            remaining_mb, time_left, pred, received_prefix_mb)
     else:
         plan, cache = plan_exit_delay_sensitive(
-            remaining_mb, received_prefix_mb, pred, valid_from)
+            remaining_mb, received_prefix_mb, pred)
     return plan, cache if policy.prefetches else None
 
 

@@ -12,6 +12,12 @@ from offloadsim.model import (
 )
 from offloadsim.prediction import ErrorSpec
 
+# The 20 bundled figure recipes.
+RECIPES = [f"fig{n}{letter}" for n, letters in
+           (("2", "ab"), ("3", "abcd"), ("4", "ab"), ("5", "ab"),
+            ("6", "ab"), ("7", "abcd"), ("8", "ab"), ("9", "ab"))
+           for letter in letters]
+
 
 @pytest.fixture(scope="session")
 def route_4ap():

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import RECIPES
 from offloadsim import cli
 from offloadsim.config import (
     ConfigError,
@@ -24,11 +25,6 @@ from offloadsim.model import TrafficClass
 from offloadsim.policies import Policy
 
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
-
-RECIPES = [f"fig{n}{letter}" for n, letters in
-           (("2", "ab"), ("3", "abcd"), ("4", "ab"), ("5", "ab"),
-            ("6", "ab"), ("7", "abcd"), ("8", "ab"), ("9", "ab"))
-           for letter in letters]
 
 
 class TestLoaders:
@@ -299,6 +295,8 @@ class TestCli:
         ("run", "--scenario", "dt-default", "--policy", "prefetch-dt,prefetch-dt",
          "--runs", "3"),
         ("run", "--scenario", "dt-default", "--policy", "prefetch-ds"),
+        ("oracle-check", "--scenario", "ds-default", "--dt", "inf"),
+        ("oracle-check", "--scenario", "ds-default", "--dt", "nan"),
     ])
     def test_bad_override_exits_2(self, argv, capsys):
         assert self.run_cli(*argv) == 2
