@@ -182,6 +182,8 @@ class ScenarioSpec:
         # a single run is allowed (its CI is reported as zero-width)
         if self.runs < 1:
             raise ValueError(f"runs must be >= 1, got {self.runs}")
+        if self.seed < 0:  # SeedSequence takes non-negative entropy only
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not self.policies:
             raise ValueError("scenario needs at least one policy")
         for i, p in enumerate(self.policies):

@@ -110,12 +110,21 @@ class RouteProfile:
             raise ValueError("route needs at least one segment")
         object.__setattr__(self, "segments", tuple(self.segments))
         cursor = 0.0
+        start = end = -math.inf
         for i, seg in enumerate(self.segments):
             if not math.isclose(seg.start_time, cursor, rel_tol=1e-9, abs_tol=1e-6):
                 raise ValueError(
                     f"segment {i} starts at {seg.start_time}, expected {cursor} "
                     "(segments must be contiguous)"
                 )
+            # the contiguity slack must not let a segment start or end before
+            # its predecessor: forecasts bisect the start and end times
+            if seg.start_time < start or seg.end_time < end:
+                raise ValueError(
+                    f"segment {i} [{seg.start_time}, {seg.end_time}) starts or ends "
+                    f"before segment {i - 1} [{start}, {end}) (segments must be ordered)"
+                )
+            start, end = seg.start_time, seg.end_time
             cursor += seg.duration
         if not math.isclose(self.total_time, cursor, rel_tol=1e-9, abs_tol=1e-6):
             raise ValueError(

@@ -4,10 +4,25 @@ The planner never sees the realized route.  It sees the nominal timeline
 plus symmetric uncertainty bounds derived from the configured error
 fractions; the engine separately executes against an independently drawn
 realization of the same route.
+
+Forecasts are read from an index of the nominal route, built on the route's
+first forecast and memoized with the forecasts it has served.  It holds the
+mobile segments' start times, end times and rates as lists sorted by time (a
+:class:`RouteProfile` is ordered), and, per ``(time_error,
+throughput_error, use_local_rate, hi)``, the tuple of every hotspot's
+forecast up to the clipped horizon ``hi`` with the hotspots' start times
+beside it.  A hotspot's forecast depends on ``hi`` but not on the replan
+time ``now``, so the hotspots ahead of ``now`` are a suffix of that tuple,
+found by one bisect; the mobile rates before the next hotspot and before
+``hi`` are each a run of consecutive mobile segments, found by two more.
+So a new forecast costs five bisects and three slices, not a scan of the
+route, and only the first forecast per error pair, rate kind and ``hi``
+walks the hotspots.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -47,7 +62,6 @@ class HotspotForecast:
     duration_max: float
     rate_min: float
     rate_max: float
-    backhaul_min: float
 
     def __post_init__(self) -> None:
         if self.duration_min > self.duration_max or self.rate_min > self.rate_max:
@@ -68,39 +82,78 @@ class PredictionProfile:
 
     hotspots: tuple[HotspotForecast, ...]
     time_to_next_wifi: float
-    remaining_mobile_time: float
     max_mobile_rate: float
     sustainable_mobile_rate: float
 
-    @property
-    def n_wifi(self) -> int:
-        return len(self.hotspots)
+
+class _RouteIndex:
+    """What forecasts of one nominal route share; see the module docstring.
+
+    ``hotspot_forecasts`` maps ``(time_error, throughput_error,
+    use_local_rate, hi)`` to ``(starts, forecasts)``; ``predictions`` maps
+    :func:`build_prediction`'s key to the forecast it returned.
+    """
+
+    __slots__ = ("route", "mobile_start", "mobile_end", "mobile_rate",
+                 "hotspot_forecasts", "predictions")
+
+    def __init__(self, route: RouteProfile) -> None:
+        mobile = [s for s in route.segments if not s.is_wifi]
+        self.route = route
+        self.mobile_start = [s.start_time for s in mobile]
+        self.mobile_end = [s.end_time for s in mobile]
+        self.mobile_rate = [s.mobile_rate for s in mobile]
+        self.hotspot_forecasts: dict = {}
+        self.predictions: dict = {}
+
+    def mobile_rates_in(self, now: float, window_end: float) -> list[float]:
+        """Nominal mobile rates in [now, window_end); falls back to the
+        remaining route, then the whole route, when the window has none."""
+        first = bisect_right(self.mobile_end, now + 1e-12)
+        stop = bisect_left(self.mobile_start, window_end - 1e-12)
+        if first < stop:
+            return self.mobile_rate[first:stop]
+        if first < len(self.mobile_rate):
+            return self.mobile_rate[first:]
+        return self.mobile_rate
 
 
-def _mobile_rates_in(route: RouteProfile, now: float, window_end: float) -> list[float]:
-    """Nominal mobile rates in [now, window_end); falls back to the remaining
-    route, then the whole route, when the window has none."""
-    rates = [
-        s.mobile_rate for s in route.segments
-        if not s.is_wifi and s.end_time > now + 1e-12 and s.start_time < window_end - 1e-12
-    ]
-    if not rates:
-        rates = [
-            s.mobile_rate for s in route.segments
-            if not s.is_wifi and s.end_time > now + 1e-12
-        ]
-    if not rates:
-        rates = [s.mobile_rate for s in route.segments if not s.is_wifi]
-    return rates
+def _hotspot_forecasts(
+    route: RouteProfile,
+    time_error: float,
+    throughput_error: float,
+    use_local_rate: bool,
+    hi: float,
+) -> tuple[list[float], tuple[HotspotForecast, ...]]:
+    """Every hotspot usable before ``hi`` and its start time, in route order."""
+    te, re = time_error, throughput_error
+    starts = []
+    forecasts = []
+    for seg in route.hotspots:
+        usable = min(seg.end_time, hi) - seg.start_time
+        if usable <= 1e-12:
+            continue
+        rate = seg.wifi_local_rate if use_local_rate else seg.backhaul_rate
+        starts.append(seg.start_time)
+        forecasts.append(
+            HotspotForecast(
+                hotspot_index=seg.hotspot_index,
+                duration_min=(1 - te) * usable,
+                duration_max=(1 + te) * usable,
+                rate_min=(1 - re) * rate,
+                rate_max=(1 + re) * rate,
+            )
+        )
+    return starts, tuple(forecasts)
 
 
-# Forecasts of the most recent nominal route: (route, {key: forecast}).  A
-# forecast depends on the route, the replan time, the two error magnitudes,
-# the rate kind and the horizon, never on the run seed, so every realization
-# of a route reuses them.  The route is compared by identity and held here, so
-# its id cannot be reused while the table lives; a new route starts a new
-# table.  Routes are frozen, so a held forecast never goes stale.
-_memo: tuple[Optional[RouteProfile], dict] = (None, {})
+# The index of the most recent nominal route.  A forecast depends on the
+# route, the replan time, the two error magnitudes, the rate kind and the
+# horizon, never on the run seed, so every realization of a route reuses the
+# index.  The route is compared by identity and held by the index, so its id
+# cannot be reused while the index lives; a new route starts a new index.
+# Routes are frozen, so nothing held goes stale.
+_memo: Optional[_RouteIndex] = None
 
 
 def build_prediction(
@@ -120,76 +173,56 @@ def build_prediction(
     after it are dropped and a window straddling it only counts the part
     before it.
 
-    The result does not depend on ``errors.seed``.  Forecasts of the most
-    recently seen route are memoized.
+    The result does not depend on ``errors.seed``.  The most recently seen
+    route is indexed once (see the module docstring): a repeated call returns
+    the forecast it returned before, and a new one costs a few bisects and
+    slices of the index, plus one walk over the hotspots the first time its
+    errors, rate kind and clipped horizon come up.
     """
     global _memo
     if not -1e-9 <= now <= route.total_time + 1e-6:  # NaN fails too
         raise ValueError(f"now={now} outside route [0, {route.total_time}]")
-    memo_route, table = _memo
-    if route is not memo_route:
-        table = {}
-        _memo = (route, table)
+    index = _memo
+    if index is None or index.route is not route:
+        index = _memo = _RouteIndex(route)
     key = (now, errors.time_error, errors.throughput_error, use_local_rate, horizon)
-    pred = table.get(key)
+    pred = index.predictions.get(key)
     if pred is None:
-        pred = table[key] = _forecast(route, *key)
+        pred = index.predictions[key] = _forecast(index, *key)
     return pred
 
 
 def _forecast(
-    route: RouteProfile,
+    index: _RouteIndex,
     now: float,
     time_error: float,
     throughput_error: float,
     use_local_rate: bool,
     horizon: Optional[float],
 ) -> PredictionProfile:
-    """The uncached forecast behind :func:`build_prediction`."""
+    """The forecast behind :func:`build_prediction`, read from the index."""
+    route = index.route
     hi = route.total_time if horizon is None else min(horizon, route.total_time)
-    te, re = time_error, throughput_error
+    key = (time_error, throughput_error, use_local_rate, hi)
+    ahead = index.hotspot_forecasts.get(key)
+    if ahead is None:
+        ahead = index.hotspot_forecasts[key] = _hotspot_forecasts(route, *key)
+    starts, forecasts = ahead
+    # the first hotspot not started before now (within 1e-9 s)
+    cut = bisect_left(starts, now - 1e-9)
 
-    forecasts = []
-    first_start = None
-    for seg in route.segments:
-        if not seg.is_wifi or seg.start_time < now - 1e-9:
-            continue
-        usable = min(seg.end_time, hi) - seg.start_time
-        if usable <= 1e-12:
-            continue
-        if first_start is None:
-            first_start = seg.start_time
-        rate = seg.wifi_local_rate if use_local_rate else seg.backhaul_rate
-        forecasts.append(
-            HotspotForecast(
-                hotspot_index=seg.hotspot_index,
-                duration_min=(1 - te) * usable,
-                duration_max=(1 + te) * usable,
-                rate_min=(1 - re) * rate,
-                rate_max=(1 + re) * rate,
-                backhaul_min=(1 - re) * seg.backhaul_rate,
-            )
-        )
-
-    if first_start is None:
+    if cut == len(starts):
         time_to_next = 0.0
         gap_end = route.total_time
     else:
-        time_to_next = max(0.0, first_start - now)
-        gap_end = first_start
+        time_to_next = max(0.0, starts[cut] - now)
+        gap_end = starts[cut]
 
-    remaining_mobile = sum(
-        max(0.0, s.end_time - max(now, s.start_time))
-        for s in route.segments
-        if not s.is_wifi and s.end_time > now
-    )
-
-    gap_rates = _mobile_rates_in(route, now, gap_end)
-    horizon_rates = _mobile_rates_in(route, now, hi)
+    gap_rates = index.mobile_rates_in(now, gap_end)
+    horizon_rates = index.mobile_rates_in(now, hi)
     return PredictionProfile(
-        hotspots=tuple(forecasts),
+        hotspots=forecasts[cut:],
         time_to_next_wifi=time_to_next,
-        remaining_mobile_time=remaining_mobile,
         max_mobile_rate=max(gap_rates) if gap_rates else 0.0,
         sustainable_mobile_rate=min(horizon_rates) if horizon_rates else 0.0,
     )

@@ -202,7 +202,7 @@ def test_c8_property_suite():
         # offset identity at the route start, both prefetching planners
         if route.n_hotspots:
             pred = build_prediction(route, 0.0, errors, use_local_rate=True)
-            if pred.n_wifi:
+            if pred.hotspots:
                 prefix = float(rng.uniform(0, 5))
                 plan, cache = plan_exit_delay_tolerant(
                     size, route.total_time, pred, received_prefix_mb=prefix)

@@ -224,9 +224,13 @@ class TestCli:
         (None, None, "metrics", ["offload_pct", "bogus"]),
         ("fig2a", None, "metrics", ["offload_pct", "bogus"]),
         ("fig2a", "scenario", "metrics", ["bogus"]),
-    ], ids=["policy-twice", "scenario-metric", "sweep-metric", "sweep-base-metric"])
+        (None, None, "seed", -1),
+        ("fig2a", "scenario", "seed", -1),
+    ], ids=["policy-twice", "scenario-metric", "sweep-metric", "sweep-base-metric",
+            "scenario-negative-seed", "sweep-base-negative-seed"])
     def test_bad_input_file_exits_2(self, tmp_path, capsys, recipe, section, key, value):
-        """A policy listed twice or an unknown metric name fails at load."""
+        """A policy listed twice, an unknown metric name or a negative seed
+        fails at load."""
         if recipe is None:
             data = json.loads(bundled_scenario_path("scenario_dt_default").read_text())
         else:
@@ -248,6 +252,23 @@ class TestCli:
         assert code == 2
         assert not out.exists()
         assert "error:" in capsys.readouterr().err
+
+    def test_unordered_route_file_exits_2(self, tmp_path, capsys):
+        """A segment ending before its predecessor, within the contiguity
+        slack, is rejected at load."""
+        route = json.loads(bundled_scenario_path("route_4ap").read_text())
+        first = route["segments"][0]  # mobile [0, 18)
+        route["segments"].insert(1, dict(first, start_time=first["duration"] - 5e-7,
+                                         duration=1e-7))
+        route_path = tmp_path / "route.json"
+        route_path.write_text(json.dumps(route))
+        data = json.loads(bundled_scenario_path("scenario_dt_default").read_text())
+        data["route"] = str(route_path)
+        bad = tmp_path / "input.json"
+        bad.write_text(json.dumps(data))
+        assert self.run_cli("run", "--scenario", str(bad), "--runs", "3") == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "ordered" in err[0]
 
     def test_missing_file_exits_2(self):
         assert self.run_cli("run", "--scenario", "no-such-thing") == 2
@@ -297,6 +318,9 @@ class TestCli:
         ("run", "--scenario", "dt-default", "--policy", "prefetch-ds"),
         ("oracle-check", "--scenario", "ds-default", "--dt", "inf"),
         ("oracle-check", "--scenario", "ds-default", "--dt", "nan"),
+        ("run", "--scenario", "dt-default", "--seed", "-1", "--runs", "3"),
+        ("sweep", "--sweep", "fig2a", "--seed", "-1", "--runs", "3"),
+        ("oracle-check", "--scenario", "ds-default", "--seed", "-1", "--seeds", "1"),
     ])
     def test_bad_override_exits_2(self, argv, capsys):
         assert self.run_cli(*argv) == 2

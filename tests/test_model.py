@@ -69,6 +69,16 @@ class TestRouteProfile:
         with pytest.raises(ValueError):
             RouteProfile((mobile(0, 10, 5), mobile(11, 10, 5)), 21.0)
 
+    def test_order_enforced(self):
+        # within the contiguity slack, but ending before its predecessor ends
+        with pytest.raises(ValueError, match="ordered"):
+            RouteProfile((wifi(0, 10, 10, 5, 1), mobile(9.9999995, 1e-7, 5)), 10.0000001)
+        # within the slack, but starting before its predecessor starts
+        with pytest.raises(ValueError, match="ordered"):
+            RouteProfile((mobile(5e-7, 1e-7, 5), mobile(0, 10, 5)), 10.0000001)
+        # the slack itself still holds for ordered segments
+        RouteProfile((mobile(0, 10, 5), mobile(9.9999995, 10, 5)), 20.0)
+
     def test_total_time_must_match(self):
         with pytest.raises(ValueError):
             RouteProfile((mobile(0, 10, 5),), 11.0)

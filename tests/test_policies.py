@@ -135,7 +135,7 @@ class TestCacheTruncation:
             errors = ErrorSpec(float(rng.uniform(0, 0.4)), float(rng.uniform(0, 0.8)))
             now = float(rng.uniform(0, route.total_time * 0.8))
             pred = build_prediction(route, now, errors, use_local_rate=True)
-            if pred.n_wifi == 0:
+            if not pred.hotspots:
                 continue
             prefix = float(rng.uniform(0, 30))
             remaining = float(rng.uniform(0, 40))
@@ -156,7 +156,7 @@ class TestCacheTruncation:
                 continue
             pred = build_prediction(route, 0.0, ErrorSpec(0.1, 0.2),
                                     use_local_rate=True)
-            if pred.n_wifi == 0:
+            if not pred.hotspots:
                 continue
             prefix = float(rng.uniform(0, 10))
             plan, cache = plan_exit_delay_tolerant(
@@ -167,6 +167,12 @@ class TestCacheTruncation:
             plan, cache = plan_exit_delay_sensitive(50.0, prefix, pred)
             gap = plan.mobile_rate * pred.time_to_next_wifi / 8
             assert cache.offset_mb - prefix == pytest.approx(gap, abs=1e-12)
+
+
+def remaining_mobile_time(route, now):
+    """Mobile seconds left on the nominal route after ``now``."""
+    return sum(max(0.0, s.end_time - max(now, s.start_time))
+               for s in route.segments if not s.is_wifi and s.end_time > now)
 
 
 class TestPlanIdempotence:
@@ -196,7 +202,7 @@ class TestPlanIdempotence:
                     break
                 pred = build_prediction(route, now, errors, use_local_rate=True,
                                         horizon=deadline)
-                if pred.remaining_mobile_time <= 1e-9:
+                if remaining_mobile_time(route, now) <= 1e-9:
                     break  # pure-WiFi horizon: the mobile rate is moot (0/0)
                 plan, _ = plan_exit_delay_tolerant(
                     size - received, deadline - now, pred, received_prefix_mb=received

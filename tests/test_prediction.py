@@ -1,13 +1,19 @@
+import collections
 import dataclasses
+from typing import Optional
 
 import numpy as np
 import pytest
 
-from conftest import edge_routes, random_route
+from conftest import edge_routes, make_task, random_route
+from offloadsim import prediction
+from offloadsim.engine import run_trip
 from offloadsim.model import AccessKind, RouteProfile, RouteSegment, scale_route
+from offloadsim.policies import Policy
 from offloadsim.prediction import (
     ErrorSpec,
-    _forecast,
+    HotspotForecast,
+    PredictionProfile,
     build_prediction,
     realize_batch,
     realize_route,
@@ -23,6 +29,82 @@ def assert_fields_equal(a, b):
     assert type(a) is type(b)
     for f in dataclasses.fields(a):
         assert getattr(a, f.name) == getattr(b, f.name), f.name
+
+
+def reference_mobile_rates_in(route: RouteProfile, now: float,
+                              window_end: float) -> list[float]:
+    """Nominal mobile rates in [now, window_end); falls back to the remaining
+    route, then the whole route, when the window has none."""
+    rates = [
+        s.mobile_rate for s in route.segments
+        if not s.is_wifi and s.end_time > now + 1e-12 and s.start_time < window_end - 1e-12
+    ]
+    if not rates:
+        rates = [
+            s.mobile_rate for s in route.segments
+            if not s.is_wifi and s.end_time > now + 1e-12
+        ]
+    if not rates:
+        rates = [s.mobile_rate for s in route.segments if not s.is_wifi]
+    return rates
+
+
+def reference_forecast(
+    route: RouteProfile,
+    now: float,
+    time_error: float,
+    throughput_error: float,
+    use_local_rate: bool,
+    horizon: Optional[float],
+) -> PredictionProfile:
+    """Reference forecast: the scan over every segment that the route index
+    replaced, less the fields no planner reads."""
+    hi = route.total_time if horizon is None else min(horizon, route.total_time)
+    te, re = time_error, throughput_error
+
+    forecasts = []
+    first_start = None
+    for seg in route.segments:
+        if not seg.is_wifi or seg.start_time < now - 1e-9:
+            continue
+        usable = min(seg.end_time, hi) - seg.start_time
+        if usable <= 1e-12:
+            continue
+        if first_start is None:
+            first_start = seg.start_time
+        rate = seg.wifi_local_rate if use_local_rate else seg.backhaul_rate
+        forecasts.append(
+            HotspotForecast(
+                hotspot_index=seg.hotspot_index,
+                duration_min=(1 - te) * usable,
+                duration_max=(1 + te) * usable,
+                rate_min=(1 - re) * rate,
+                rate_max=(1 + re) * rate,
+            )
+        )
+
+    if first_start is None:
+        time_to_next = 0.0
+        gap_end = route.total_time
+    else:
+        time_to_next = max(0.0, first_start - now)
+        gap_end = first_start
+
+    gap_rates = reference_mobile_rates_in(route, now, gap_end)
+    horizon_rates = reference_mobile_rates_in(route, now, hi)
+    return PredictionProfile(
+        hotspots=tuple(forecasts),
+        time_to_next_wifi=time_to_next,
+        max_mobile_rate=max(gap_rates) if gap_rates else 0.0,
+        sustainable_mobile_rate=min(horizon_rates) if horizon_rates else 0.0,
+    )
+
+
+def assert_forecast_equal(got, want):
+    assert_fields_equal(got, want)
+    assert len(got.hotspots) == len(want.hotspots)
+    for g, w in zip(got.hotspots, want.hotspots):
+        assert_fields_equal(g, w)
 
 
 def realize_route_scalar(route, errors):
@@ -61,7 +143,7 @@ class TestErrorSpec:
 class TestBuildPrediction:
     def test_zero_errors_equal_nominal(self, default_route, zero_errors):
         pred = build_prediction(default_route, 0.0, zero_errors, use_local_rate=True)
-        assert pred.n_wifi == 4
+        assert len(pred.hotspots) == 4
         for fc, seg in zip(pred.hotspots, default_route.hotspots):
             assert fc.duration_min == fc.duration_max == seg.duration
             assert fc.rate_min == fc.rate_max == seg.wifi_local_rate
@@ -83,12 +165,10 @@ class TestBuildPrediction:
                                 use_local_rate=False)
         seg = default_route.hotspots[0]
         assert pred.hotspots[0].rate_min == pytest.approx(0.8 * seg.backhaul_rate)
-        assert pred.hotspots[0].backhaul_min == pytest.approx(0.8 * seg.backhaul_rate)
 
     def test_gap_and_horizon_quantities(self, default_route, zero_errors):
         pred = build_prediction(default_route, 0.0, zero_errors)
         assert pred.time_to_next_wifi == pytest.approx(18.0)
-        assert pred.remaining_mobile_time == pytest.approx(197.0)
         assert pred.max_mobile_rate == pytest.approx(4.83 / 3)
         assert pred.sustainable_mobile_rate == pytest.approx(4.58 / 3)
 
@@ -98,18 +178,17 @@ class TestBuildPrediction:
 
     def test_no_hotspots_left(self, default_route, zero_errors):
         pred = build_prediction(default_route, 260.0, zero_errors)
-        assert pred.n_wifi == 0
         assert pred.hotspots == ()
         assert pred.time_to_next_wifi == 0.0
 
     def test_horizon_clips_windows(self, default_route, zero_errors):
         # deadline lands 9 s into the second hotspot window
         pred = build_prediction(default_route, 0.0, zero_errors, horizon=99.0)
-        assert pred.n_wifi == 2
+        assert len(pred.hotspots) == 2
         assert pred.hotspots[1].duration_max == pytest.approx(9.0)
         # and drops hotspots past it entirely
         pred = build_prediction(default_route, 0.0, zero_errors, horizon=80.0)
-        assert pred.n_wifi == 1
+        assert len(pred.hotspots) == 1
 
     def test_now_out_of_range(self, default_route, zero_errors):
         with pytest.raises(ValueError):
@@ -142,12 +221,10 @@ class TestForecastMemo:
                     for h in (None, horizon):
                         first = build_prediction(route, now, errors, local, h)
                         again = build_prediction(route, now, errors, local, h)
-                        fresh = _forecast(route, now, errors.time_error,
-                                          errors.throughput_error, local, h)
+                        fresh = reference_forecast(route, now, errors.time_error,
+                                                   errors.throughput_error, local, h)
                         assert again is first
-                        assert_fields_equal(first, fresh)
-                        for got, want in zip(first.hotspots, fresh.hotspots):
-                            assert_fields_equal(got, want)
+                        assert_forecast_equal(first, fresh)
 
     def test_alternating_routes_get_their_own_forecast(self):
         rng = np.random.default_rng(23)
@@ -163,12 +240,118 @@ class TestForecastMemo:
             other = RouteProfile(route.segments[:i] + (faster,) + route.segments[i + 1:],
                                  route.total_time)
             twin = RouteProfile(route.segments, route.total_time)  # equal, not identical
-            want = {id(r): _forecast(r, 0.0, 0.10, 0.20, True, None)
+            want = {id(r): reference_forecast(r, 0.0, 0.10, 0.20, True, None)
                     for r in (route, other, twin)}
             assert want[id(route)] != want[id(other)]
             for r in (route, other, route, twin, other, twin, route):
                 assert build_prediction(r, 0.0, errors) == want[id(r)]
             checked += 1
+
+
+def forecast_times(route, rng):
+    """Replan times, random times, each hotspot start and times 1e-9 s either
+    side of it (the hotspot cut), and times 1e-12 s either side of each mobile
+    segment's end (the mobile windows)."""
+    nows = set(replan_times(route))
+    nows.update(float(t) for t in rng.uniform(0, route.total_time, size=4))
+    for seg in route.segments:
+        if seg.is_wifi:
+            nows.update((seg.start_time - 1e-9, seg.start_time, seg.start_time + 1e-9))
+        else:
+            nows.update((seg.end_time - 1e-12, seg.end_time + 1e-12))
+    return sorted(t for t in nows if -1e-9 <= t <= route.total_time)
+
+
+def forecast_horizons(route, rng):
+    """No horizon, one before the first hotspot, one straddling a hotspot,
+    one at and one a hair past a hotspot start, one a hair past a mobile
+    segment's start, and ones at and past the route's end."""
+    horizons = [None, route.total_time, 1.5 * route.total_time]
+    horizons.append(float(rng.uniform(0, route.total_time)))
+    hotspots = route.hotspots
+    if hotspots:
+        horizons.append(0.5 * hotspots[0].start_time)
+        seg = hotspots[int(rng.integers(len(hotspots)))]
+        horizons += [seg.start_time + 0.5 * seg.duration, seg.start_time,
+                     seg.start_time + 5e-13]
+    mobile = [seg for seg in route.segments if not seg.is_wifi]
+    if mobile:
+        horizons.append(mobile[int(rng.integers(len(mobile)))].start_time + 1e-12)
+    return horizons
+
+
+class TestForecastIndex:
+    ERROR_PAIRS = ((0.0, 0.0), (0.10, 0.20), (0.35, 0.05), (0.49, 0.9))
+
+    def test_equals_reference(self):
+        """Every field of every forecast equals the full scan's, with ==."""
+        rng = np.random.default_rng(27)
+        routes = [random_route(rng) for _ in range(150)]
+        routes += [random_route(rng, n_segments=int(rng.integers(28, 37)))
+                   for _ in range(6)]
+        routes += edge_routes(rng)
+        mobile_only = random_route(rng, n_segments=4)
+        while mobile_only.n_hotspots:
+            mobile_only = random_route(rng, n_segments=4)
+        routes.append(mobile_only)
+        checked = 0
+        for i, route in enumerate(routes):
+            te, re = self.ERROR_PAIRS[i % len(self.ERROR_PAIRS)]
+            errors = ErrorSpec(te, re)
+            nows = forecast_times(route, rng)
+            for local in (True, False):
+                for h in forecast_horizons(route, rng):
+                    for now in nows:
+                        got = build_prediction(route, now, errors, local, h)
+                        want = reference_forecast(route, now, te, re, local, h)
+                        assert_forecast_equal(got, want)
+                        checked += 1
+        assert checked > 40_000
+
+    def test_one_index_per_route(self, monkeypatch):
+        """All five policies on one route, through every replan, index the
+        route once and walk its hotspots at most once per key."""
+        builds = collections.Counter()
+        walks = collections.Counter()
+        forecasts = collections.Counter()
+        real_index = prediction._RouteIndex
+        real_walk = prediction._hotspot_forecasts
+        real_forecast = prediction._forecast
+
+        def index(route):
+            builds[id(route)] += 1
+            return real_index(route)
+
+        def walk(route, *key):
+            walks[id(route), key] += 1
+            return real_walk(route, *key)
+
+        def forecast(index, *key):
+            forecasts[key] += 1
+            return real_forecast(index, *key)
+
+        monkeypatch.setattr(prediction, "_RouteIndex", index)
+        monkeypatch.setattr(prediction, "_hotspot_forecasts", walk)
+        monkeypatch.setattr(prediction, "_forecast", forecast)
+        monkeypatch.setattr(prediction, "_memo", None)
+        rng = np.random.default_rng(28)
+        route = random_route(rng, n_segments=32)
+        while route.n_hotspots < 8:
+            route = random_route(rng, n_segments=32)
+        errors = ErrorSpec(0.10, 0.20, seed=3)
+        realized = realize_route(route, errors)
+        # more than the route can carry, so every trip replans at every exit
+        size = sum(s.duration * (s.backhaul_rate if s.is_wifi else s.mobile_rate)
+                   for s in route.segments) / 8
+        tolerant = make_task(size, threshold=0.8 * route.total_time)
+        sensitive = make_task(size, sensitive=True)
+        for policy in Policy:
+            task = sensitive if policy is Policy.PREFETCH_DELAY_SENSITIVE else tolerant
+            run_trip(realized, route, task, policy, errors)
+        assert builds == {id(route): 1}
+        assert walks and max(walks.values()) == 1
+        assert max(forecasts.values()) == 1
+        assert sum(forecasts.values()) > 2 * route.n_hotspots
 
 
 class TestRealizeRoute:
