@@ -36,13 +36,11 @@ from .model import (
     EnergyModel,
     RouteProfile,
     RouteSegment,
-    SnrBand,
     TrafficClass,
     TransferTask,
     mb_to_mbit,
     mbit_to_mb,
     scale_route,
-    snr_to_throughput,
 )
 from .oracle import AgreementReport, StepOutcome, compare_runs, run_trip_stepped
 from .policies import (
@@ -91,7 +89,6 @@ __all__ = [
     "RouteSegment",
     "RunOutcome",
     "ScenarioSpec",
-    "SnrBand",
     "StepOutcome",
     "SweepSpec",
     "TrafficClass",
@@ -122,5 +119,4 @@ __all__ = [
     "run_trip_stepped",
     "scale_route",
     "scenario_outcomes",
-    "snr_to_throughput",
 ]

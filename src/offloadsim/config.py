@@ -1,8 +1,8 @@
-"""JSON configuration: routes, SNR table, energy model, scenarios, sweeps.
+"""JSON configuration: routes, energy model, scenarios, sweeps.
 
 Bundled under ``offloadsim/data``: three route layouts (``2ap``, ``4ap``,
-``8ap``), the SNR-to-throughput table, the energy model, two default
-scenarios, and one sweep recipe per result figure under ``data/recipes``.
+``8ap``), the energy model, two default scenarios, and one sweep recipe per
+result figure under ``data/recipes``.
 """
 
 from __future__ import annotations
@@ -19,11 +19,9 @@ from .model import (
     EnergyModel,
     RouteProfile,
     RouteSegment,
-    SnrBand,
     TrafficClass,
     TransferTask,
     scale_route,
-    validate_snr_table,
 )
 from .policies import Policy
 from .prediction import ErrorSpec
@@ -71,6 +69,16 @@ def parse_factor(value: Union[str, int, float], label: str = "factor") -> float:
         raise ConfigError(f"{label}: cannot parse rate factor {value!r}") from exc
 
 
+def parse_integer(value: Any, label: str) -> int:
+    """A whole number: ``int`` would truncate 3.7 to 3 and read true as 1."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ConfigError(f"{label}: expected an integer, got {value!r}")
+    try:
+        return int(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{label}: expected an integer, got {value!r}") from exc
+
+
 def parse_policy(name: str) -> Policy:
     try:
         return _POLICY_BY_NAME[name]
@@ -102,7 +110,8 @@ def route_from_dict(data: dict, label: str = "route") -> RouteProfile:
                         duration=float(seg["duration"]),
                         wifi_local_rate=float(seg["wifi_local_rate"]),
                         backhaul_rate=float(seg["backhaul_rate"]),
-                        hotspot_index=int(seg["hotspot_index"]),
+                        hotspot_index=parse_integer(
+                            seg["hotspot_index"], f"{label}.segments[{i}].hotspot_index"),
                     )
                 )
         return RouteProfile(tuple(segments), float(data["total_time"]))
@@ -116,23 +125,6 @@ def load_route(key_or_path: str) -> RouteProfile:
         data = _read_bundled(_BUNDLED_ROUTES[key_or_path])
         return route_from_dict(data, label=key_or_path)
     return route_from_dict(_read_json(key_or_path, "route"), label=key_or_path)
-
-
-def load_snr_table(path: Optional[str] = None) -> tuple[SnrBand, ...]:
-    data = _read_bundled("snr_table.json") if path is None else _read_json(path, "snr table")
-    try:
-        bands = tuple(
-            SnrBand(
-                lower_db=row["lower_db"],
-                upper_db=row["upper_db"],
-                wifi_rate=float(row["wifi_rate"]),
-                adsl_rate=float(row["adsl_rate"]),
-            )
-            for row in data["bands"]
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"snr table: {exc}") from exc
-    return validate_snr_table(bands)
 
 
 def load_energy_model(path: Optional[str] = None) -> EnergyModel:
@@ -196,8 +188,8 @@ def scenario_from_dict(data: dict, label: str = "scenario") -> ScenarioSpec:
             wifi_factor=wifi_f,
             backhaul_factor=back_f,
             errors=errors,
-            runs=int(data.get("runs", 120)),
-            seed=int(data.get("seed", 0)),
+            runs=parse_integer(data.get("runs", 120), f"{label}.runs"),
+            seed=parse_integer(data.get("seed", 0), f"{label}.seed"),
             energy=energy,
             metrics=metrics,
         )

@@ -69,9 +69,6 @@ class TransferState:
     def complete(self) -> bool:
         return self.completion_time is not None
 
-    def channel_total(self) -> float:
-        return self.mobile_mb + self.wifi_local_mb + self.wifi_backhaul_mb
-
 
 @dataclass(frozen=True)
 class WifiVisit:

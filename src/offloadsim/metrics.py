@@ -9,6 +9,14 @@ together and each policy runs over all of them in one batched pass
 package needs no statistics library.  Per-run seeds are derived from the
 scenario seed with a stable hash, so adding a policy or rerunning a sweep
 never reshuffles the realizations.
+
+A realization's draws depend only on the scenario seed, the run index and
+the route's draw count (see :func:`offloadsim.prediction.realize_batch`).
+So the draw matrix is memoized per ``(seed, runs, draw count)``: the sweep
+points of a figure that keep the seed, run count and route layout reuse one
+matrix, and only the first point derives the seeds and draws.  The memo
+holds the same read-only numbers a fresh draw would give, so no result can
+change with the order in which points run.
 """
 
 from __future__ import annotations
@@ -25,7 +33,8 @@ import numpy as np
 from .engine import BatchOutcome, run_batch
 from .model import EnergyModel, RouteProfile, TransferTask, scale_route
 from .policies import Policy
-from .prediction import ErrorSpec, realize_batch
+# derive_run_seed is defined beside the draws it seeds and stays public here
+from .prediction import ErrorSpec, derive_run_seed, realize_batch  # noqa: F401
 
 METRICS = ("offload_pct", "transfer_delay_s", "energy_j", "cache_mb")
 
@@ -148,12 +157,6 @@ def relative_gain(a_mean: float, b_mean: float, lower_is_better: bool = False) -
     return (a_mean - b_mean) / b_mean * 100.0
 
 
-def derive_run_seed(base_seed: int, run_index: int) -> int:
-    """Stable per-run seed: SeedSequence entropy (base_seed, run_index)."""
-    ss = np.random.SeedSequence(entropy=(int(base_seed), int(run_index)))
-    return int(ss.generate_state(1, np.uint64)[0])
-
-
 def _check_metrics(metrics: Optional[Sequence[str]]) -> None:
     unknown = [m for m in metrics or () if m not in METRICS]
     if unknown:
@@ -230,9 +233,7 @@ def scenario_outcomes(spec: ScenarioSpec) -> dict[Policy, BatchOutcome]:
     Run k is drawn with seed ``derive_run_seed(spec.seed, k)``, and every
     policy runs over the same realizations, all at once.
     """
-    nominal = spec.scaled_route()
-    seeds = [derive_run_seed(spec.seed, k) for k in range(spec.runs)]
-    batch = realize_batch(nominal, spec.errors, seeds)
+    batch = realize_batch(spec.scaled_route(), spec.errors, spec.seed, spec.runs)
     return {p: run_batch(batch, spec.task, p, spec.errors, spec.energy)
             for p in spec.policies}
 
@@ -298,6 +299,8 @@ def apply_sweep_value(spec: ScenarioSpec, parameter: str, value: float) -> Scena
     if parameter == "hotspot_count":
         from .config import load_route  # deferred: config builds on these types
 
+        if not float(value).is_integer():  # int() would run 2.5 as 2
+            raise ValueError(f"hotspot_count must be a whole number, got {value:g}")
         key = f"{int(value)}ap"
         return replace(spec, scenario_id=sid, route=load_route(key), route_id=key)
     raise ValueError(f"unknown sweep parameter {parameter!r}")

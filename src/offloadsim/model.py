@@ -240,56 +240,3 @@ class EnergyModel:
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):
                 raise ValueError(f"{name} must be finite and >= 0, got {value}")
-
-
-@dataclass(frozen=True)
-class SnrBand:
-    """One row of the SNR-to-throughput lookup: (lower_db, upper_db] -> rates.
-
-    ``None`` bounds are open ends.  A boundary SNR belongs to the band that
-    names it as its upper bound, e.g. -60 dB maps to the band (-70, -60].
-    """
-
-    lower_db: Optional[float]
-    upper_db: Optional[float]
-    wifi_rate: float
-    adsl_rate: float
-
-    def __post_init__(self) -> None:
-        if self.wifi_rate <= 0 or self.adsl_rate <= 0:
-            raise ValueError("band rates must be strictly positive")
-        if (self.lower_db is not None and self.upper_db is not None
-                and self.lower_db >= self.upper_db):
-            raise ValueError(f"empty band ({self.lower_db}, {self.upper_db}]")
-
-    def contains(self, snr_db: float) -> bool:
-        lo = -math.inf if self.lower_db is None else self.lower_db
-        hi = math.inf if self.upper_db is None else self.upper_db
-        return lo < snr_db <= hi
-
-
-def validate_snr_table(table: Sequence[SnrBand]) -> tuple[SnrBand, ...]:
-    """Check that the bands partition the SNR axis; returns them sorted."""
-    if not table:
-        raise ValueError("SNR table must not be empty")
-    def low_key(b: SnrBand) -> float:
-        return -math.inf if b.lower_db is None else b.lower_db
-    bands = tuple(sorted(table, key=low_key))
-    if bands[0].lower_db is not None or bands[-1].upper_db is not None:
-        raise ValueError("SNR table must be open-ended on both sides")
-    for a, b in zip(bands, bands[1:]):
-        if a.upper_db is None or b.lower_db is None or a.upper_db != b.lower_db:
-            raise ValueError(
-                f"SNR bands must tile the axis; gap/overlap between "
-                f"(*, {a.upper_db}] and ({b.lower_db}, *]"
-            )
-    return bands
-
-
-def snr_to_throughput(snr_db: float, table: Sequence[SnrBand]) -> tuple[float, float]:
-    """Map an SNR value to the (wifi_rate, adsl_rate) pair of its band."""
-    bands = validate_snr_table(table)
-    for band in bands:
-        if band.contains(snr_db):
-            return band.wifi_rate, band.adsl_rate
-    raise AssertionError("validated table must cover every SNR")  # pragma: no cover

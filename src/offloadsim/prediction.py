@@ -18,13 +18,22 @@ found by one bisect; the mobile rates before the next hotspot and before
 So a new forecast costs five bisects and three slices, not a scan of the
 route, and only the first forecast per error pair, rate kind and ``hi``
 walks the hotspots.
+
+Realizations draw uniform(-1, 1) numbers, one generator per run seeded with
+:func:`derive_run_seed` of the base seed and the run index.  A batch's draw
+matrix depends only on ``(seed, runs, draw count)``, so it is memoized under
+that key in a small LRU of read-only arrays: every later batch with the same
+key (a figure's sweep points vary the rates, sizes and errors, not the
+seed) skips the seeding and drawing and gets the numbers a fresh draw would
+give, bit for bit.
 """
 
 from __future__ import annotations
 
+import functools
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -228,11 +237,31 @@ def _forecast(
     )
 
 
+def derive_run_seed(base_seed: int, run_index: int) -> int:
+    """Stable per-run seed: SeedSequence entropy (base_seed, run_index)."""
+    ss = np.random.SeedSequence(entropy=(int(base_seed), int(run_index)))
+    return int(ss.generate_state(1, np.uint64)[0])
+
+
 def _draws(seed: int, n: int) -> np.ndarray:
     """The ``n`` uniform(-1, 1) draws of one realization of a route with
     ``_draw_count(route) == n``.  One vector draw equals the same number of
     scalar draws from the generator, bit for bit."""
     return np.random.default_rng(seed).uniform(-1.0, 1.0, size=n)
+
+
+# The draw matrices of the most recent (seed, runs, draw count) keys.  The
+# draws of a batch depend on nothing else: not on the route's durations or
+# rates, the errors, the task or the policies.  So the sweep points of a
+# figure share one matrix per route layout.  The arrays are read-only, and
+# realize_batch only reads them, so a shared entry cannot change.
+@functools.lru_cache(maxsize=8)
+def _draw_matrix(seed: int, runs: int, n: int) -> np.ndarray:
+    """Column k holds the ``n`` draws of run k, seeded
+    ``derive_run_seed(seed, k)``, for k < ``runs``."""
+    draws = np.stack([_draws(derive_run_seed(seed, k), n) for k in range(runs)], axis=1)
+    draws.flags.writeable = False
+    return draws
 
 
 def _draw_count(route: RouteProfile) -> int:
@@ -308,19 +337,19 @@ class RealizedBatch:
         return self.start.shape[1]
 
 
-def realize_batch(route: RouteProfile, errors: ErrorSpec,
-                  seeds: Sequence[int]) -> RealizedBatch:
-    """Draw one realization of ``route`` per seed, all at once.
+def realize_batch(route: RouteProfile, errors: ErrorSpec, seed: int,
+                  runs: int) -> RealizedBatch:
+    """Draw ``runs`` realizations of ``route`` from base seed ``seed``, all at once.
 
     Run k holds, bit for bit, the values of
-    ``realize_route(route, replace(errors, seed=seeds[k]))``: the same draws
-    in the same order go through the same float operations, and a start time
-    is the running sum of the durations before it.  ``errors.seed`` is not
-    used.
+    ``realize_route(route, replace(errors, seed=derive_run_seed(seed, k)))``:
+    the same draws in the same order go through the same float operations,
+    and a start time is the running sum of the durations before it.
+    ``errors.seed`` is not used.  The draws are read from the memo above,
+    which holds the same numbers a fresh draw would give.
     """
     te, re = errors.time_error, errors.throughput_error
-    n = _draw_count(route)
-    draws = np.stack([_draws(s, n) for s in seeds], axis=1)
+    draws = _draw_matrix(seed, runs, _draw_count(route))
     wifi = np.array([seg.is_wifi for seg in route.segments])
     # draw row of each segment's duration; its first rate follows it, and a
     # WiFi segment's backhaul rate follows that

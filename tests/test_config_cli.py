@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from conftest import RECIPES
-from offloadsim import cli
+from offloadsim import cli, prediction
 from offloadsim.config import (
     ConfigError,
     bundled_recipe_path,
@@ -14,7 +14,6 @@ from offloadsim.config import (
     load_experiment,
     load_route,
     load_scenario,
-    load_snr_table,
     load_sweep,
     parse_factor,
     parse_policy,
@@ -50,20 +49,11 @@ class TestLoaders:
         with pytest.raises(ConfigError):
             load_route(str(bad))
 
-    def test_snr_and_energy_defaults(self):
-        table = load_snr_table()
-        assert len(table) == 6
+    def test_energy_defaults(self):
         model = load_energy_model()
         assert model.mobile_transfer_j_per_mb == 100.0
 
-    def test_snr_and_energy_from_custom_files(self, tmp_path):
-        snr = tmp_path / "snr.json"
-        snr.write_text(json.dumps({"bands": [
-            {"lower_db": None, "upper_db": -70, "wifi_rate": 10.0, "adsl_rate": 5.0},
-            {"lower_db": -70, "upper_db": None, "wifi_rate": 20.0, "adsl_rate": 9.0},
-        ]}))
-        table = load_snr_table(str(snr))
-        assert len(table) == 2
+    def test_energy_from_custom_file(self, tmp_path):
         energy = tmp_path / "energy.json"
         energy.write_text(json.dumps({
             "mobile_transfer_j_per_mb": 80.0, "wifi_transfer_j_per_mb": 4.0,
@@ -184,6 +174,17 @@ class TestCli:
         assert self.run_cli("run", "--scenario", scenario, "--out", str(out)) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == golden[f"cli-run:{scenario}"]
 
+    def test_figures_match_golden_in_reverse_order(self):
+        """All 20 recipes in one process, last first: every point after the
+        first of its route layout reads the memoized draws, and every CSV
+        still matches its digest."""
+        golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+        prediction._draw_matrix.cache_clear()
+        for name in reversed(RECIPES):
+            sweep = load_sweep(str(bundled_recipe_path(name)))
+            text = render_csv(run_sweep(sweep), sweep.metrics)
+            assert hashlib.sha256(text.encode("utf-8")).hexdigest() == golden[f"figures:{name}"]
+
     @pytest.mark.parametrize("section,key,value", [
         ("task", "size_mb", float("nan")),
         ("task", "size_mb", float("inf")),
@@ -226,16 +227,34 @@ class TestCli:
         ("fig2a", "scenario", "metrics", ["bogus"]),
         (None, None, "seed", -1),
         ("fig2a", "scenario", "seed", -1),
+        (None, None, "seed", 0.9),
+        (None, None, "runs", 3.7),
+        (None, None, "runs", True),
+        (None, None, "seed", False),
+        (None, None, "runs", float("inf")),
+        ("fig2a", "scenario", "runs", 3.7),
+        ("4ap", None, "hotspot_index", 1.5),
+        ("4ap", None, "hotspot_index", True),
+        ("fig3d", "sweep", "values", [2, 2.5]),
     ], ids=["policy-twice", "scenario-metric", "sweep-metric", "sweep-base-metric",
-            "scenario-negative-seed", "sweep-base-negative-seed"])
+            "scenario-negative-seed", "sweep-base-negative-seed",
+            "scenario-fractional-seed", "scenario-fractional-runs", "scenario-bool-runs",
+            "scenario-bool-seed", "scenario-infinite-runs", "sweep-base-fractional-runs",
+            "route-fractional-hotspot-index", "route-bool-hotspot-index",
+            "sweep-fractional-hotspot-count"])
     def test_bad_input_file_exits_2(self, tmp_path, capsys, recipe, section, key, value):
-        """A policy listed twice, an unknown metric name or a negative seed
-        fails at load."""
-        if recipe is None:
-            data = json.loads(bundled_scenario_path("scenario_dt_default").read_text())
+        """A policy listed twice, an unknown metric name, a negative seed, or a
+        count, seed or hotspot index that is not a whole number fails at load."""
+        data = json.loads(bundled_scenario_path("scenario_dt_default").read_text())
+        if recipe == "4ap":  # a copy of the route, its first hotspot changed
+            route = json.loads(bundled_scenario_path("route_4ap").read_text())
+            route["segments"][1][key] = value
+            data["route"] = str(tmp_path / "route.json")
+            Path(data["route"]).write_text(json.dumps(route))
         else:
-            data = json.loads(bundled_recipe_path(recipe).read_text())
-        (data if section is None else data[section])[key] = value
+            if recipe is not None:
+                data = json.loads(bundled_recipe_path(recipe).read_text())
+            (data if section is None else data[section])[key] = value
         bad = tmp_path / "input.json"
         bad.write_text(json.dumps(data))
         assert self.run_cli("run", "--scenario", str(bad), "--runs", "3") == 2

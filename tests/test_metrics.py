@@ -1,5 +1,7 @@
+import collections
 import math
 import os
+import random
 import subprocess
 import sys
 from dataclasses import replace
@@ -10,7 +12,9 @@ import numpy as np
 import pytest
 
 import offloadsim
-from conftest import edge_routes, make_task, random_route
+from conftest import RECIPES, edge_routes, make_task, random_route
+from offloadsim import prediction
+from offloadsim.config import bundled_recipe_path, load_sweep
 from offloadsim.engine import run_trip
 from offloadsim.metrics import (
     METRICS,
@@ -275,6 +279,71 @@ class TestRunScenario:
         spec = make_spec(route_4ap, runs=10, size=10_000.0)
         result = run_scenario(spec)
         assert result.infeasible[Policy.PREFETCH_DELAY_TOLERANT] == 10
+
+
+class TestDrawMemo:
+    """The draw matrix is memoized per (seed, runs, draw count)."""
+
+    def test_results_do_not_depend_on_call_order(self, route_2ap, route_4ap, route_8ap):
+        """A, then points that differ from it in route length, seed, run count
+        or rates only, then A again: each equals run_trip on its own
+        realizations, and A's two results are equal."""
+        prediction._draw_matrix.cache_clear()
+        a = make_spec(route_4ap, runs=30, seed=0, scenario_id="A")
+        points = [
+            a,
+            replace(a, scenario_id="B", route=route_8ap),  # more draws per run
+            replace(a, scenario_id="B2", route=route_2ap),  # fewer
+            replace(a, scenario_id="C", seed=7),
+            replace(a, scenario_id="D", runs=17),
+            replace(a, scenario_id="D2", runs=45),
+            replace(a, scenario_id="E", mobile_factor=0.5,
+                    errors=ErrorSpec(0.3, 0.1)),  # the same draws as A
+            a,
+        ]
+        results = []
+        for spec in points:
+            assert all(o.offload_pct.shape == (spec.runs,)
+                       for o in scenario_outcomes(spec).values())
+            assert_runs_equal_single_trips(spec)
+            results.append(run_scenario(spec))
+        assert results[-1] == results[0]
+
+    def test_memoized_draws_are_read_only(self, route_4ap):
+        spec = make_spec(route_4ap, runs=5, seed=3)
+        batch = prediction.realize_batch(spec.scaled_route(), spec.errors, 3, 5)
+        draws = prediction._draw_matrix(3, 5, prediction._draw_count(route_4ap))
+        assert draws.shape == (prediction._draw_count(route_4ap), 5)
+        with pytest.raises(ValueError):
+            draws[0, 0] = 0.0
+        # the batch is the caller's own: new arrays, not views of the memo
+        assert batch.duration.flags.writeable
+        assert not np.shares_memory(batch.duration, draws)
+
+    def test_figures_draw_each_matrix_once(self, monkeypatch):
+        """All 20 recipes in one process, in a shuffled order, use seed 0 and
+        120 runs on three route layouts: 360 seeds and draw rows in all."""
+        calls = collections.Counter()
+
+        def counted(name):
+            fn = getattr(prediction, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        for name in ("_draws", "derive_run_seed"):
+            monkeypatch.setattr(prediction, name, counted(name))
+        prediction._draw_matrix.cache_clear()
+        order = list(RECIPES)
+        random.Random(8).shuffle(order)
+        points = 0
+        for name in order:
+            sweep = load_sweep(str(bundled_recipe_path(name)))
+            points += len(run_sweep(sweep))
+        assert points == 82
+        assert calls == {"_draws": 360, "derive_run_seed": 360}
 
 
 class TestSweep:

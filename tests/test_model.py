@@ -2,20 +2,16 @@ import math
 
 import pytest
 
-from offloadsim.config import load_snr_table
 from offloadsim.model import (
     AccessKind,
     EnergyModel,
     RouteProfile,
     RouteSegment,
-    SnrBand,
     TrafficClass,
     TransferTask,
     mb_to_mbit,
     mbit_to_mb,
     scale_route,
-    snr_to_throughput,
-    validate_snr_table,
 )
 
 
@@ -110,44 +106,6 @@ class TestUnits:
             mb_to_mbit(-1.0)
         with pytest.raises(ValueError):
             mbit_to_mb(-8.0)
-
-
-class TestSnrLookup:
-    @pytest.mark.parametrize(
-        "snr,expected",
-        [
-            (-45.0, (19.90, 15.87)),
-            (-75.0, (17.23, 9.46)),
-            (-95.0, (16.16, 6.81)),
-            # a boundary value belongs to the band naming it as upper bound
-            (-60.0, (17.76, 10.13)),
-            (-50.0, (18.30, 11.86)),
-        ],
-    )
-    def test_default_table(self, snr, expected):
-        table = load_snr_table()
-        assert snr_to_throughput(snr, table) == expected
-
-    def test_monotone_in_snr(self):
-        table = load_snr_table()
-        grid = [x / 2 for x in range(-240, 1)]
-        pairs = [snr_to_throughput(s, table) for s in grid]
-        for (w1, a1), (w2, a2) in zip(pairs, pairs[1:]):
-            assert w2 >= w1
-            assert a2 >= a1
-
-    def test_gap_in_table_rejected(self):
-        bands = (
-            SnrBand(None, -80.0, 10.0, 5.0),
-            SnrBand(-70.0, None, 12.0, 6.0),
-        )
-        with pytest.raises(ValueError):
-            validate_snr_table(bands)
-
-    def test_bounded_ends_rejected(self):
-        bands = (SnrBand(-90.0, -80.0, 10.0, 5.0),)
-        with pytest.raises(ValueError):
-            validate_snr_table(bands)
 
 
 class TestScaleRoute:

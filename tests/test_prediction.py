@@ -15,6 +15,7 @@ from offloadsim.prediction import (
     HotspotForecast,
     PredictionProfile,
     build_prediction,
+    derive_run_seed,
     realize_batch,
     realize_route,
 )
@@ -421,15 +422,16 @@ class TestRealizeRoute:
                         assert type(getattr(g, f)) is type(getattr(w, f))
 
     def test_batch_equals_single_realizations(self, default_route):
-        """Column k of realize_batch is realize_route with seed k, exactly."""
+        """Column k of realize_batch is realize_route with run k's seed, exactly."""
         rng = np.random.default_rng(25)
         routes = [random_route(rng) for _ in range(40)] + edge_routes(rng) + [default_route]
         for route in routes:
             errors = ErrorSpec(float(rng.uniform(0, 0.5)), float(rng.uniform(0, 0.9)))
-            seeds = [int(s) for s in rng.integers(1 << 62, size=4)]
-            batch = realize_batch(route, errors, seeds)
+            base = int(rng.integers(1 << 62))
+            batch = realize_batch(route, errors, base, 4)
             assert batch.route is route and batch.runs == 4
-            for k, seed in enumerate(seeds):
+            for k in range(4):
+                seed = derive_run_seed(base, k)
                 single = realize_route(route, dataclasses.replace(errors, seed=seed))
                 assert batch.end[-1, k] == single.total_time
                 for i, seg in enumerate(single.segments):
