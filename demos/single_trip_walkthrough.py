@@ -11,7 +11,7 @@ from offloadsim import (
     Policy,
     TransferTask,
     build_prediction,
-    plan_exit_delay_tolerant,
+    plan_exit,
     realize_route,
     run_trip,
     scale_route,
@@ -38,17 +38,18 @@ def main():
     ]:
         pred = build_prediction(nominal, now, errors, use_local_rate=True,
                                 horizon=task.delay_threshold)
-        plan, cache = plan_exit_delay_tolerant(
-            max(0.0, task.size_mb - received), task.delay_threshold - now, pred,
-            received_prefix_mb=received,
+        rate, _, cache = plan_exit(
+            Policy.PREFETCH_DELAY_TOLERANT, max(0.0, task.size_mb - received),
+            task.delay_threshold - now, pred, received,
         )
-        line = (f"  t={now:5.1f}s ({label:18s}) mobile rate {plan.mobile_rate:5.3f} Mbit/s")
-        if cache is not None and cache.amount_mb > 0:
-            line += (f", stage {cache.amount_mb:5.2f} MB at offset "
-                     f"{cache.offset_mb:6.2f} MB for hotspot {cache.hotspot_index}")
+        line = f"  t={now:5.1f}s ({label:18s}) mobile rate {rate:5.3f} Mbit/s"
+        if cache is not None and cache[1] > 0:
+            index, amount, offset = cache
+            line += (f", stage {amount:5.2f} MB at offset "
+                     f"{offset:6.2f} MB for hotspot {index}")
         print(line)
         # assume the pessimistic delivery to move the walkthrough forward
-        received += plan.mobile_rate * pred.time_to_next_wifi / 8
+        received += rate * pred.time_to_next_wifi / 8
         if pred.hotspots:
             received += pred.hotspots[0].rate_min * pred.hotspots[0].duration_min / 8
         received = min(received, task.size_mb)

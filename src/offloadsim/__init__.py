@@ -38,22 +38,16 @@ from .model import (
     RouteSegment,
     TrafficClass,
     TransferTask,
-    mb_to_mbit,
-    mbit_to_mb,
     scale_route,
 )
 from .oracle import AgreementReport, StepOutcome, compare_runs, run_trip_stepped
 from .policies import (
-    CachePlan,
     Channel,
     EntryAction,
     Policy,
     PolicyClassMismatch,
-    TransferPlan,
     plan_entry,
     plan_exit,
-    plan_exit_delay_sensitive,
-    plan_exit_delay_tolerant,
 )
 from .prediction import (
     ErrorSpec,
@@ -72,7 +66,6 @@ __all__ = [
     "AgreementReport",
     "AggregateResult",
     "BatchOutcome",
-    "CachePlan",
     "Channel",
     "EnergyBreakdown",
     "EnergyModel",
@@ -92,7 +85,6 @@ __all__ = [
     "StepOutcome",
     "SweepSpec",
     "TrafficClass",
-    "TransferPlan",
     "TransferState",
     "TransferTask",
     "WifiVisit",
@@ -102,12 +94,8 @@ __all__ = [
     "compare_runs",
     "derive_run_seed",
     "integrate_transfer",
-    "mb_to_mbit",
-    "mbit_to_mb",
     "plan_entry",
     "plan_exit",
-    "plan_exit_delay_sensitive",
-    "plan_exit_delay_tolerant",
     "realize_batch",
     "realize_route",
     "relative_gain",

@@ -79,6 +79,19 @@ def parse_integer(value: Any, label: str) -> int:
         raise ConfigError(f"{label}: expected an integer, got {value!r}") from exc
 
 
+def json_object(value: Any, label: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{label}: expected a JSON object, got {value!r}")
+    return value
+
+
+def json_array(value: Any, label: str) -> list:
+    """A list: iterating a string would read it one character at a time."""
+    if not isinstance(value, list):
+        raise ConfigError(f"{label}: expected a JSON array, got {value!r}")
+    return value
+
+
 def parse_policy(name: str) -> Policy:
     try:
         return _POLICY_BY_NAME[name]
@@ -149,13 +162,13 @@ def scenario_from_dict(data: dict, label: str = "scenario") -> ScenarioSpec:
         route_id = data.get("route", "4ap")
         route = load_route(route_id)
 
-        factors = data.get("rate_factors", {})
+        factors = json_object(data.get("rate_factors", {}), f"{label}.rate_factors")
         mobile_f = parse_factor(factors.get("mobile", "1/3"), f"{label}.rate_factors.mobile")
         wifi_f = parse_factor(factors.get("wifi", "1/3"), f"{label}.rate_factors.wifi")
         back_f = parse_factor(factors.get("backhaul", "1/3"), f"{label}.rate_factors.backhaul")
         scale_route(route, mobile_f, wifi_f, back_f)  # a bad factor fails here, not mid-run
 
-        task_d = data["task"]
+        task_d = json_object(data["task"], f"{label}.task")
         klass = _CLASS_BY_NAME.get(task_d.get("class", "delay-tolerant"))
         if klass is None:
             raise ConfigError(
@@ -168,15 +181,17 @@ def scenario_from_dict(data: dict, label: str = "scenario") -> ScenarioSpec:
             traffic_class=klass,
         )
 
-        err_d = data.get("errors", {})
+        err_d = json_object(data.get("errors", {}), f"{label}.errors")
         errors = ErrorSpec(
             time_error=float(err_d.get("time_error", 0.10)),
             throughput_error=float(err_d.get("throughput_error", 0.20)),
         )
 
-        policies = tuple(parse_policy(p) for p in data["policies"])
+        policies = tuple(parse_policy(p)
+                         for p in json_array(data["policies"], f"{label}.policies"))
         energy = energy_from_dict(data["energy"]) if "energy" in data else EnergyModel()
-        metrics = tuple(data["metrics"]) if "metrics" in data else None
+        metrics = (tuple(json_array(data["metrics"], f"{label}.metrics"))
+                   if "metrics" in data else None)
 
         return ScenarioSpec(
             scenario_id=str(data.get("scenario_id", label)),
@@ -201,12 +216,15 @@ def scenario_from_dict(data: dict, label: str = "scenario") -> ScenarioSpec:
 
 def sweep_from_dict(data: dict, label: str = "sweep") -> SweepSpec:
     try:
-        base = scenario_from_dict(data["scenario"], label=f"{label}.scenario")
-        sweep_d = data["sweep"]
+        base = scenario_from_dict(json_object(data["scenario"], f"{label}.scenario"),
+                                  label=f"{label}.scenario")
+        sweep_d = json_object(data["sweep"], f"{label}.sweep")
         values = tuple(
-            parse_factor(v, f"{label}.sweep.values") for v in sweep_d["values"]
+            parse_factor(v, f"{label}.sweep.values")
+            for v in json_array(sweep_d["values"], f"{label}.sweep.values")
         )
-        metrics = tuple(data["metrics"]) if "metrics" in data else base.metrics
+        metrics = (tuple(json_array(data["metrics"], f"{label}.metrics"))
+                   if "metrics" in data else base.metrics)
         sweep = SweepSpec(
             base=base,
             parameter=str(sweep_d["parameter"]),

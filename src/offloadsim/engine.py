@@ -9,8 +9,11 @@ crossing.
 :func:`run_trip` executes one trip.  :func:`run_batch` executes many
 realizations of one nominal route at once, with each run's state held in
 numpy arrays; it is what a Monte-Carlo scenario uses, and its results equal
-:func:`run_trip`'s bit for bit.  One trip stays on the scalar path because
-a numpy operation on one element costs several times a float operation.
+:func:`run_trip`'s bit for bit.  Both loops plan through the same
+:func:`~offloadsim.policies.plan_exit` and
+:func:`~offloadsim.policies.plan_entry`, on floats and on arrays.  One trip
+stays on the scalar path because a numpy operation on one element costs
+several times a float operation.
 """
 
 from __future__ import annotations
@@ -29,16 +32,12 @@ from .model import (
     TransferTask,
 )
 from .policies import (
-    CachePlan,
     Channel,
     Floats,
     Policy,
     PolicyClassMismatch,
-    TransferPlan,
     plan_entry,
-    plan_entry_batch,
     plan_exit,
-    plan_exit_batch,
 )
 from .prediction import ErrorSpec, RealizedBatch, build_prediction
 
@@ -204,14 +203,6 @@ def _window_mobile_rate(route: RouteProfile, index: int) -> float:
     return 0.0 if j is None else route.segments[j].mobile_rate
 
 
-def _mobile_rate_in_use(policy: Policy, plan: TransferPlan, channel_rate: float) -> float:
-    """Rate-limited policies transfer at their planned rate capped by the
-    channel; maximum-throughput policies use whatever the channel realizes."""
-    if policy.rate_limited:
-        return min(plan.mobile_rate, channel_rate)
-    return channel_rate
-
-
 def run_trip(
     route_realized: RouteProfile,
     route_nominal: RouteProfile,
@@ -224,9 +215,11 @@ def run_trip(
 
     Plans are (re)built at the route start and at every realized hotspot
     exit, always from the nominal route (the planner sees predictions, never
-    the realization).  During mobile coverage the node transfers at the
-    planned rate capped by the realized channel; inside hotspots it runs the
-    policy's entry actions against the realized dwell.
+    the realization).  During mobile coverage (and, for mobile-only,
+    through the WiFi windows, at the nearest mobile segment's rate) a
+    rate-limited policy transfers at its planned rate capped by the realized
+    channel, the others at whatever the channel realizes; inside hotspots
+    the node runs the policy's entry steps against the realized dwell.
     """
     _check_same_structure(route_realized, route_nominal)
     if not policy.admits(task.traffic_class):
@@ -238,11 +231,11 @@ def run_trip(
     horizon = None if math.isinf(deadline) else deadline
     state = TransferState(size_mb=task.size_mb)
     visits: list[WifiVisit] = []
-    caches: dict[int, CachePlan] = {}
+    caches: dict[int, tuple[float, float]] = {}  # offset, amount
     cache_provisioned = 0.0
     infeasible = False
 
-    def replan(now_nominal: float, now_realized: float) -> TransferPlan:
+    def replan(now_nominal: float, now_realized: float) -> float:
         nonlocal cache_provisioned, infeasible
         pred = build_prediction(
             route_nominal,
@@ -251,20 +244,16 @@ def run_trip(
             use_local_rate=policy.prefetches,
             horizon=horizon,
         )
-        plan, cache = plan_exit(
-            policy,
-            state.remaining,
-            deadline - now_realized if not math.isinf(deadline) else math.inf,
-            pred,
-            received_prefix_mb=state.prefix,
-        )
-        infeasible = infeasible or plan.infeasible
-        if cache is not None and cache.amount_mb > 0 and cache.hotspot_index is not None:
-            caches[cache.hotspot_index] = cache
-            cache_provisioned += cache.amount_mb
-        return plan
+        rate, flagged, cache = plan_exit(
+            policy, state.remaining, deadline - now_realized, pred, state.prefix)
+        infeasible = infeasible or flagged
+        if cache is not None and cache[1] > 0:
+            index, amount, offset = cache
+            caches[index] = (offset, amount)
+            cache_provisioned += amount
+        return rate
 
-    plan = replan(0.0, 0.0)
+    plan_rate = replan(0.0, 0.0)
 
     for i, (seg, seg_nom) in enumerate(zip(route_realized.segments,
                                            route_nominal.segments)):
@@ -272,32 +261,31 @@ def run_trip(
             break
         t0 = seg.start_time
         if seg.kind is AccessKind.MOBILE:
-            rate = _mobile_rate_in_use(policy, plan, seg.mobile_rate)
-            if rate > 0:
-                integrate_transfer(state, rate, seg.duration, Channel.MOBILE, now=t0)
-        elif policy is Policy.MOBILE_ONLY:
-            # Stays on the mobile network through the WiFi window; the rate
-            # there is inherited from the nearest mobile segment.
-            rate = _mobile_rate_in_use(policy, plan,
-                                       _window_mobile_rate(route_realized, i))
+            mobile_rate = seg.mobile_rate
+        else:
+            mobile_rate = _window_mobile_rate(route_realized, i)
+        if seg.kind is AccessKind.MOBILE or policy is Policy.MOBILE_ONLY:
+            rate = min(plan_rate, mobile_rate) if policy.rate_limited else mobile_rate
             if rate > 0:
                 integrate_transfer(state, rate, seg.duration, Channel.MOBILE, now=t0)
         else:
-            actions = plan_entry(
+            steps = plan_entry(
                 policy,
                 state.prefix,
                 caches.get(seg.hotspot_index),
                 local_rate=seg.wifi_local_rate,
                 backhaul_rate=seg.backhaul_rate,
-                mobile_rate=_window_mobile_rate(route_realized, i),
+                mobile_rate=mobile_rate,
                 size_mb=task.size_mb,
             )
             budget = seg.duration
             cursor = t0
             busy = 0.0
-            for action in actions:
+            for taken, action in steps:
                 if budget <= 1e-12 or state.complete:
                     break
+                if not taken:
+                    continue
                 used = integrate_transfer(
                     state,
                     action.rate,
@@ -313,7 +301,7 @@ def run_trip(
             leave = state.completion_time if state.complete else seg.end_time
             visits.append(WifiVisit(entry_time=t0, leave_time=leave, busy_seconds=busy))
         if seg.kind is AccessKind.WIFI and not state.complete:
-            plan = replan(seg_nom.end_time, seg.end_time)
+            plan_rate = replan(seg_nom.end_time, seg.end_time)
 
     completed = state.complete
     transfer_delay = state.completion_time if completed else route_realized.total_time
@@ -421,7 +409,7 @@ def run_batch(
         nonlocal plan_rate, infeasible, cache_provisioned
         pred = build_prediction(route, now_nominal, errors,
                                 use_local_rate=policy.prefetches, horizon=horizon)
-        plan_rate, flagged, cache = plan_exit_batch(
+        plan_rate, flagged, cache = plan_exit(
             policy, np.maximum(0.0, size - state.prefix), deadline - now_realized,
             pred, state.prefix)
         infeasible = infeasible | (runs & flagged)
@@ -451,7 +439,7 @@ def run_batch(
             state.integrate(runs & (rate > 0), rate, batch.duration[i], Channel.MOBILE,
                             t0, size)
         else:
-            steps = plan_entry_batch(
+            steps = plan_entry(
                 policy,
                 state.prefix,
                 caches.get(seg.hotspot_index),
@@ -465,7 +453,7 @@ def run_batch(
             busy = np.zeros(n)
             for taken, action in steps:
                 used = state.integrate(
-                    (runs if taken is None else runs & taken) & (budget > 1e-12),
+                    runs & taken & (budget > 1e-12),
                     action.rate,
                     budget,
                     action.channel,

@@ -9,14 +9,6 @@ together and each policy runs over all of them in one batched pass
 package needs no statistics library.  Per-run seeds are derived from the
 scenario seed with a stable hash, so adding a policy or rerunning a sweep
 never reshuffles the realizations.
-
-A realization's draws depend only on the scenario seed, the run index and
-the route's draw count (see :func:`offloadsim.prediction.realize_batch`).
-So the draw matrix is memoized per ``(seed, runs, draw count)``: the sweep
-points of a figure that keep the seed, run count and route layout reuse one
-matrix, and only the first point derives the seeds and draws.  The memo
-holds the same read-only numbers a fresh draw would give, so no result can
-change with the order in which points run.
 """
 
 from __future__ import annotations

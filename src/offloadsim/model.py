@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Optional
 
 MBIT_PER_MB = 8.0
 
@@ -30,20 +30,6 @@ class TrafficClass(Enum):
 def _positive_finite(x: Optional[float]) -> bool:
     """True for a real number above zero; False for None, NaN and infinity."""
     return x is not None and math.isfinite(x) and x > 0
-
-
-def mb_to_mbit(x: float) -> float:
-    """Megabytes to megabits (1 MB = 8 Mbit). Requires x >= 0."""
-    if x < 0:
-        raise ValueError(f"negative data amount: {x}")
-    return x * MBIT_PER_MB
-
-
-def mbit_to_mb(x: float) -> float:
-    """Megabits to megabytes. Requires x >= 0."""
-    if x < 0:
-        raise ValueError(f"negative data amount: {x}")
-    return x / MBIT_PER_MB
 
 
 @dataclass(frozen=True)
@@ -133,10 +119,6 @@ class RouteProfile:
         indices = [s.hotspot_index for s in self.segments if s.is_wifi]
         if indices != sorted(set(indices)):
             raise ValueError(f"hotspot indices must be strictly increasing: {indices}")
-
-    @classmethod
-    def from_segments(cls, segments: Sequence[RouteSegment]) -> "RouteProfile":
-        return cls(tuple(segments), sum(s.duration for s in segments))
 
     @property
     def hotspots(self) -> tuple[RouteSegment, ...]:

@@ -75,26 +75,22 @@ def run_trip_stepped(
     horizon = None if math.isinf(deadline) else deadline
     prefix = 0.0
     totals = {Channel.MOBILE: 0.0, Channel.WIFI_LOCAL: 0.0, Channel.WIFI_BACKHAUL: 0.0}
-    caches: dict[int, object] = {}
+    caches: dict[int, tuple[float, float]] = {}  # offset, amount
     completion: Optional[float] = None
 
-    def replan(now_nominal: float, now_realized: float) -> object:
+    def replan(now_nominal: float, now_realized: float) -> float:
         pred = build_prediction(
             route_nominal, now_nominal, errors,
             use_local_rate=policy.prefetches, horizon=horizon,
         )
-        plan, cache = plan_exit(
-            policy,
-            max(0.0, size - prefix),
-            deadline - now_realized if not math.isinf(deadline) else math.inf,
-            pred,
-            received_prefix_mb=prefix,
-        )
-        if cache is not None and cache.amount_mb > 0 and cache.hotspot_index is not None:
-            caches[cache.hotspot_index] = cache
-        return plan
+        rate, _, cache = plan_exit(
+            policy, max(0.0, size - prefix), deadline - now_realized, pred, prefix)
+        if cache is not None and cache[1] > 0:
+            index, amount, offset = cache
+            caches[index] = (offset, amount)
+        return rate
 
-    plan = replan(0.0, 0.0)
+    plan_rate = replan(0.0, 0.0)
 
     for i, (seg, seg_nom) in enumerate(zip(route_realized.segments,
                                            route_nominal.segments)):
@@ -104,26 +100,25 @@ def run_trip_stepped(
         # Phase list: (channel, rate, fill-up-to position). The prefix is
         # contiguous, so each phase just extends it toward its limit.
         if seg.kind is AccessKind.MOBILE:
-            rate = (min(plan.mobile_rate, seg.mobile_rate)
+            rate = (min(plan_rate, seg.mobile_rate)
                     if policy.rate_limited else seg.mobile_rate)
             phases = [(Channel.MOBILE, rate, size)]
         elif policy is Policy.MOBILE_ONLY:
             window = _window_mobile_rate(route_realized, i)
-            rate = min(plan.mobile_rate, window) if policy.rate_limited else window
+            rate = min(plan_rate, window) if policy.rate_limited else window
             phases = [(Channel.MOBILE, rate, size)]
         else:
             cache = caches.get(seg.hotspot_index) if policy.prefetches else None
             if cache is not None:
+                offset, amount = cache
                 if policy.hole_channel is Channel.MOBILE:
                     hole_rate = _window_mobile_rate(route_realized, i)
-                    hole = (Channel.MOBILE, hole_rate, min(cache.offset_mb, size))
+                    hole = (Channel.MOBILE, hole_rate, min(offset, size))
                 else:
-                    hole = (Channel.WIFI_BACKHAUL, seg.backhaul_rate,
-                            min(cache.offset_mb, size))
+                    hole = (Channel.WIFI_BACKHAUL, seg.backhaul_rate, min(offset, size))
                 phases = [
                     hole,
-                    (Channel.WIFI_LOCAL, seg.wifi_local_rate,
-                     min(cache.offset_mb + cache.amount_mb, size)),
+                    (Channel.WIFI_LOCAL, seg.wifi_local_rate, min(offset + amount, size)),
                     (Channel.WIFI_BACKHAUL, seg.backhaul_rate, size),
                 ]
             else:
@@ -175,7 +170,7 @@ def run_trip_stepped(
             k += 1
 
         if completion is None and seg.kind is AccessKind.WIFI:
-            plan = replan(seg_nom.end_time, seg.end_time)
+            plan_rate = replan(seg_nom.end_time, seg.end_time)
 
     return StepOutcome(
         mobile_mb=totals[Channel.MOBILE],

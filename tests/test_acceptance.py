@@ -28,7 +28,7 @@ from offloadsim.metrics import (
 from offloadsim.oracle import compare_runs, run_trip_stepped
 from offloadsim.policies import Policy
 from offloadsim.prediction import ErrorSpec, build_prediction, realize_route
-from offloadsim.policies import plan_exit_delay_sensitive, plan_exit_delay_tolerant
+from offloadsim.policies import plan_exit
 
 PF, PRED, NP = (Policy.PREFETCH_DELAY_TOLERANT,
                 Policy.PREDICTION_ONLY_DELAY_TOLERANT,
@@ -204,13 +204,11 @@ def test_c8_property_suite():
             pred = build_prediction(route, 0.0, errors, use_local_rate=True)
             if pred.hotspots:
                 prefix = float(rng.uniform(0, 5))
-                plan, cache = plan_exit_delay_tolerant(
-                    size, route.total_time, pred, received_prefix_mb=prefix)
-                assert cache.offset_mb - prefix == pytest.approx(
-                    plan.mobile_rate * pred.time_to_next_wifi / 8, abs=1e-9)
-                plan, cache = plan_exit_delay_sensitive(size, prefix, pred)
-                assert cache.offset_mb - prefix == pytest.approx(
-                    plan.mobile_rate * pred.time_to_next_wifi / 8, abs=1e-9)
+                for policy in (PF, DS):
+                    rate, _, (_, _, offset) = plan_exit(
+                        policy, size, route.total_time, pred, prefix)
+                    assert offset - prefix == pytest.approx(
+                        rate * pred.time_to_next_wifi / 8, abs=1e-9)
 
         # zero-error deadline + size monotonicity for the planned policies
         if route.n_hotspots and route.mobile_time() > 0:

@@ -25,6 +25,19 @@ from offloadsim.policies import Policy
 
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
 
+# (recipe, section, key, value) cases of test_bad_input_file_exits_2 that put
+# a field of the wrong JSON type in a scenario or sweep file
+WRONG_JSON_TYPE = [
+    (None, None, "task", [60]),
+    (None, None, "rate_factors", "1/3"),
+    (None, None, "errors", "0.1"),
+    ("fig2a", None, "scenario", [1]),
+    (None, None, "policies", "mobile-only"),
+    (None, None, "metrics", "offload_pct"),
+    ("fig2a", None, "metrics", "offload_pct"),
+    ("fig2a", "sweep", "values", "1/3"),
+]
+
 
 class TestLoaders:
     def test_bundled_routes(self):
@@ -236,15 +249,20 @@ class TestCli:
         ("4ap", None, "hotspot_index", 1.5),
         ("4ap", None, "hotspot_index", True),
         ("fig3d", "sweep", "values", [2, 2.5]),
-    ], ids=["policy-twice", "scenario-metric", "sweep-metric", "sweep-base-metric",
-            "scenario-negative-seed", "sweep-base-negative-seed",
-            "scenario-fractional-seed", "scenario-fractional-runs", "scenario-bool-runs",
-            "scenario-bool-seed", "scenario-infinite-runs", "sweep-base-fractional-runs",
-            "route-fractional-hotspot-index", "route-bool-hotspot-index",
-            "sweep-fractional-hotspot-count"])
+    ] + WRONG_JSON_TYPE,
+        ids=["policy-twice", "scenario-metric", "sweep-metric", "sweep-base-metric",
+             "scenario-negative-seed", "sweep-base-negative-seed",
+             "scenario-fractional-seed", "scenario-fractional-runs", "scenario-bool-runs",
+             "scenario-bool-seed", "scenario-infinite-runs", "sweep-base-fractional-runs",
+             "route-fractional-hotspot-index", "route-bool-hotspot-index",
+             "sweep-fractional-hotspot-count", "scenario-task-array",
+             "scenario-rate-factors-string", "scenario-errors-string", "sweep-scenario-array",
+             "scenario-policies-string", "scenario-metrics-string", "sweep-metrics-string",
+             "sweep-values-string"])
     def test_bad_input_file_exits_2(self, tmp_path, capsys, recipe, section, key, value):
-        """A policy listed twice, an unknown metric name, a negative seed, or a
-        count, seed or hotspot index that is not a whole number fails at load."""
+        """A policy listed twice, an unknown metric name, a negative seed, a
+        count, seed or hotspot index that is not a whole number, or a field
+        of the wrong JSON type fails at load."""
         data = json.loads(bundled_scenario_path("scenario_dt_default").read_text())
         if recipe == "4ap":  # a copy of the route, its first hotspot changed
             route = json.loads(bundled_scenario_path("route_4ap").read_text())
@@ -261,6 +279,8 @@ class TestCli:
         captured = capsys.readouterr()
         err = captured.err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
+        if (recipe, section, key, value) in WRONG_JSON_TYPE:
+            assert f"{key}: expected a JSON" in err[0]
         assert captured.out == ""
 
     def test_run_malformed_scenario_exits_2(self, tmp_path, capsys):

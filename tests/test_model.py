@@ -9,8 +9,6 @@ from offloadsim.model import (
     RouteSegment,
     TrafficClass,
     TransferTask,
-    mb_to_mbit,
-    mbit_to_mb,
     scale_route,
 )
 
@@ -93,19 +91,6 @@ class TestRouteProfile:
         for route in (route_4ap, route_8ap):
             assert sum(s.duration for s in route.hotspots) == pytest.approx(72.0)
         assert route_4ap.mobile_time() == pytest.approx(197.0)
-
-
-class TestUnits:
-    @pytest.mark.parametrize("mb,mbit", [(0.0, 0.0), (1.0, 8.0), (60.0, 480.0)])
-    def test_mb_to_mbit(self, mb, mbit):
-        assert mb_to_mbit(mb) == mbit
-        assert mbit_to_mb(mbit) == mb
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            mb_to_mbit(-1.0)
-        with pytest.raises(ValueError):
-            mbit_to_mb(-8.0)
 
 
 class TestScaleRoute:

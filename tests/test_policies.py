@@ -3,20 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_route
+from conftest import edge_routes, make_task, random_route
+from offloadsim import engine, oracle, policies
 from offloadsim.model import scale_route
-from offloadsim.policies import (
-    CachePlan,
-    Channel,
-    Policy,
-    plan_entry,
-    plan_exit,
-    plan_exit_delay_sensitive,
-    plan_exit_delay_tolerant,
-)
-from offloadsim.prediction import ErrorSpec, build_prediction
+from offloadsim.policies import Channel, Policy, plan_entry, plan_exit
+from offloadsim.prediction import ErrorSpec, build_prediction, realize_batch, realize_route
 
 ZERO = ErrorSpec(0.0, 0.0)
+PREFETCH_DT = Policy.PREFETCH_DELAY_TOLERANT
+PREFETCH_DS = Policy.PREFETCH_DELAY_SENSITIVE
 
 
 @pytest.fixture(scope="module")
@@ -34,41 +29,36 @@ class TestDelayTolerantPlan:
         # 60 MB over the one-third-scaled route, full 269 s budget:
         # pessimistic WiFi carries 50.1525 MB in 72 s, the mobile stream the
         # rest over 197 s.
-        plan, cache = plan_exit_delay_tolerant(60.0, 269.0, pred_local_t0)
-        assert plan.mobile_rate == pytest.approx(78.78 / 197, rel=1e-12)
-        assert not plan.infeasible
-        assert cache.hotspot_index == 1
-        assert cache.amount_mb == pytest.approx(16.16 / 3 * 18 / 8, rel=1e-12)
-        assert cache.offset_mb == pytest.approx(plan.mobile_rate * 18 / 8, rel=1e-12)
+        rate, infeasible, (index, amount, offset) = plan_exit(
+            PREFETCH_DT, 60.0, 269.0, pred_local_t0)
+        assert rate == pytest.approx(78.78 / 197, rel=1e-12)
+        assert not infeasible
+        assert index == 1
+        assert amount == pytest.approx(16.16 / 3 * 18 / 8, rel=1e-12)
+        assert offset == pytest.approx(rate * 18 / 8, rel=1e-12)
 
     def test_wifi_covers_everything(self, pred_local_t0):
-        plan, cache = plan_exit_delay_tolerant(30.0, 269.0, pred_local_t0)
-        assert plan.mobile_rate == 0.0
-        assert cache.offset_mb == 0.0
+        rate, _, (_, _, offset) = plan_exit(PREFETCH_DT, 30.0, 269.0, pred_local_t0)
+        assert rate == 0.0
+        assert offset == 0.0
 
     def test_nothing_left(self, pred_local_t0):
-        plan, cache = plan_exit_delay_tolerant(
-            0.0, 100.0, pred_local_t0, received_prefix_mb=60.0
-        )
-        assert plan.mobile_rate == 0.0
-        assert cache.amount_mb == 0.0  # truncated at the object end
+        rate, _, (_, amount, _) = plan_exit(PREFETCH_DT, 0.0, 100.0, pred_local_t0, 60.0)
+        assert rate == 0.0
+        assert amount == 0.0  # truncated at the object end
 
     def test_oversized_object_clamps_and_flags(self, pred_local_t0):
-        plan, _ = plan_exit_delay_tolerant(1e4, 269.0, pred_local_t0)
-        assert plan.infeasible
+        rate, infeasible, _ = plan_exit(PREFETCH_DT, 1e4, 269.0, pred_local_t0)
+        assert infeasible
         # cap is the lowest mobile rate on the horizon (4.58/3)
-        assert plan.mobile_rate == pytest.approx(4.58 / 3, rel=1e-12)
+        assert rate == pytest.approx(4.58 / 3, rel=1e-12)
 
     def test_time_budget_floor(self, pred_local_t0):
         # WiFi time estimate exceeds the whole budget: denominator floored,
         # rate clamps instead of dividing by zero
-        plan, _ = plan_exit_delay_tolerant(60.0, 10.0, pred_local_t0)
-        assert plan.infeasible
-        assert plan.mobile_rate == pytest.approx(4.58 / 3, rel=1e-12)
-
-    def test_negative_remaining_rejected(self, pred_local_t0):
-        with pytest.raises(ValueError):
-            plan_exit_delay_tolerant(-1.0, 100.0, pred_local_t0)
+        rate, infeasible, _ = plan_exit(PREFETCH_DT, 60.0, 10.0, pred_local_t0)
+        assert infeasible
+        assert rate == pytest.approx(4.58 / 3, rel=1e-12)
 
 
 PREDICTION_ONLY = Policy.PREDICTION_ONLY_DELAY_TOLERANT
@@ -76,13 +66,13 @@ PREDICTION_ONLY = Policy.PREDICTION_ONLY_DELAY_TOLERANT
 
 class TestPredictionOnlyPlan:
     def test_default_scenario_rate(self, pred_backhaul_t0):
-        plan, cache = plan_exit(PREDICTION_ONLY, 60.0, 269.0, pred_backhaul_t0)
-        assert plan.mobile_rate == pytest.approx(281.94 / 197, rel=1e-12)
+        rate, _, cache = plan_exit(PREDICTION_ONLY, 60.0, 269.0, pred_backhaul_t0)
+        assert rate == pytest.approx(281.94 / 197, rel=1e-12)
         assert cache is None
 
     def test_zero_remaining(self, pred_backhaul_t0):
-        plan, _ = plan_exit(PREDICTION_ONLY, 0.0, 269.0, pred_backhaul_t0)
-        assert plan.mobile_rate == 0.0
+        rate, _, _ = plan_exit(PREDICTION_ONLY, 0.0, 269.0, pred_backhaul_t0)
+        assert rate == 0.0
 
     def test_matches_prefetch_when_backhaul_equals_local(self, route_4ap):
         # collapse the local rates onto the backhaul rates: both planners see
@@ -91,24 +81,24 @@ class TestPredictionOnlyPlan:
         # wifi_factor shrank local below backhaul, so backhaul == local now
         pred_l = build_prediction(equal, 0.0, ZERO, use_local_rate=True)
         pred_b = build_prediction(equal, 0.0, ZERO, use_local_rate=False)
-        p1, _ = plan_exit_delay_tolerant(60.0, 269.0, pred_l)
-        p2, _ = plan_exit(PREDICTION_ONLY, 60.0, 269.0, pred_b)
-        assert p1.mobile_rate == pytest.approx(p2.mobile_rate, rel=1e-12)
+        r1, _, _ = plan_exit(PREFETCH_DT, 60.0, 269.0, pred_l)
+        r2, _, _ = plan_exit(PREDICTION_ONLY, 60.0, 269.0, pred_b)
+        assert r1 == pytest.approx(r2, rel=1e-12)
 
 
 class TestDelaySensitivePlan:
     def test_exit_after_first_hotspot(self, default_route):
         pred = build_prediction(default_route, 36.0, ZERO, use_local_rate=True)
-        plan, cache = plan_exit_delay_sensitive(40.0, 10.0, pred)
+        rate, _, (index, _, offset) = plan_exit(PREFETCH_DS, 40.0, math.inf, pred, 10.0)
         # requests the mobile rate of the upcoming gap
-        assert plan.mobile_rate == pytest.approx(4.58 / 3, rel=1e-12)
-        assert cache.offset_mb == pytest.approx(10.0 + 10.305, abs=1e-9)
-        assert cache.hotspot_index == 2
+        assert rate == pytest.approx(4.58 / 3, rel=1e-12)
+        assert offset == pytest.approx(10.0 + 10.305, abs=1e-9)
+        assert index == 2
 
     def test_rate_independent_of_size_and_prefix(self, default_route):
         pred = build_prediction(default_route, 36.0, ZERO, use_local_rate=True)
         rates = {
-            plan_exit_delay_sensitive(r, p, pred)[0].mobile_rate
+            plan_exit(PREFETCH_DS, r, math.inf, pred, p)[0]
             for r, p in ((1.0, 0.0), (500.0, 0.0), (40.0, 25.0))
         }
         assert len(rates) == 1
@@ -116,13 +106,14 @@ class TestDelaySensitivePlan:
     def test_zero_gap_keeps_prefix(self, default_route):
         pred = build_prediction(default_route, 18.0, ZERO, use_local_rate=True)
         assert pred.time_to_next_wifi == 0.0
-        _, cache = plan_exit_delay_sensitive(40.0, 20.0, pred)
-        assert cache.offset_mb == pytest.approx(20.0)
+        _, _, (_, _, offset) = plan_exit(PREFETCH_DS, 40.0, math.inf, pred, 20.0)
+        assert offset == pytest.approx(20.0)
 
     def test_no_hotspots_left(self, default_route):
         pred = build_prediction(default_route, 260.0, ZERO, use_local_rate=True)
-        _, cache = plan_exit_delay_sensitive(5.0, 55.0, pred)
-        assert cache.amount_mb == 0.0
+        assert not pred.hotspots
+        _, _, cache = plan_exit(PREFETCH_DS, 5.0, math.inf, pred, 55.0)
+        assert cache is None  # nothing to stage
 
 
 class TestCacheTruncation:
@@ -139,16 +130,15 @@ class TestCacheTruncation:
                 continue
             prefix = float(rng.uniform(0, 30))
             remaining = float(rng.uniform(0, 40))
-            _, cache = plan_exit_delay_tolerant(
-                remaining, route.total_time - now, pred, received_prefix_mb=prefix
-            )
+            _, _, (_, amount, offset) = plan_exit(
+                PREFETCH_DT, remaining, route.total_time - now, pred, prefix)
             top = pred.hotspots[0]
-            assert cache.amount_mb <= top.rate_max * top.duration_max / 8 + 1e-9
-            assert cache.offset_mb + cache.amount_mb <= prefix + remaining + 1e-9
+            assert amount <= top.rate_max * top.duration_max / 8 + 1e-9
+            assert offset + amount <= prefix + remaining + 1e-9
 
     def test_offset_identity(self):
-        # CachePlan.offset - prefix == mobile_rate * time_to_next_wifi / 8,
-        # for every prefetching planner
+        # cache offset - prefix == mobile rate * time_to_next_wifi / 8, for
+        # every prefetching policy
         rng = np.random.default_rng(8)
         for _ in range(300):
             route = random_route(rng)
@@ -159,14 +149,11 @@ class TestCacheTruncation:
             if not pred.hotspots:
                 continue
             prefix = float(rng.uniform(0, 10))
-            plan, cache = plan_exit_delay_tolerant(
-                50.0, route.total_time, pred, received_prefix_mb=prefix
-            )
-            gap = plan.mobile_rate * pred.time_to_next_wifi / 8
-            assert cache.offset_mb - prefix == pytest.approx(gap, abs=1e-12)
-            plan, cache = plan_exit_delay_sensitive(50.0, prefix, pred)
-            gap = plan.mobile_rate * pred.time_to_next_wifi / 8
-            assert cache.offset_mb - prefix == pytest.approx(gap, abs=1e-12)
+            for policy in (PREFETCH_DT, PREFETCH_DS):
+                rate, _, (_, _, offset) = plan_exit(
+                    policy, 50.0, route.total_time, pred, prefix)
+                gap = rate * pred.time_to_next_wifi / 8
+                assert offset - prefix == pytest.approx(gap, abs=1e-12)
 
 
 def remaining_mobile_time(route, now):
@@ -204,20 +191,19 @@ class TestPlanIdempotence:
                                         horizon=deadline)
                 if remaining_mobile_time(route, now) <= 1e-9:
                     break  # pure-WiFi horizon: the mobile rate is moot (0/0)
-                plan, _ = plan_exit_delay_tolerant(
-                    size - received, deadline - now, pred, received_prefix_mb=received
-                )
-                if plan.infeasible or plan.mobile_rate == 0.0:
+                rate, infeasible, _ = plan_exit(
+                    PREFETCH_DT, size - received, deadline - now, pred, received)
+                if infeasible or rate == 0.0:
                     feasible = False
                     break
                 if first_rate is None:
-                    first_rate = plan.mobile_rate
+                    first_rate = rate
                 else:
                     # float accumulation across replans; exact in real arithmetic
-                    assert plan.mobile_rate == pytest.approx(first_rate, rel=1e-6)
+                    assert rate == pytest.approx(first_rate, rel=1e-6)
                 # deliver exactly what the plan assumed: the planned mobile
                 # bytes up to the hotspot, then the pessimistic WiFi amount
-                received += plan.mobile_rate * pred.time_to_next_wifi / 8
+                received += rate * pred.time_to_next_wifi / 8
                 first = pred.hotspots[0]
                 received += first.rate_min * first.duration_min / 8
                 now = hs.end_time
@@ -226,17 +212,22 @@ class TestPlanIdempotence:
         assert checked >= 30  # the loop exercised real multi-hotspot cases
 
 
-PREFETCH_DT = Policy.PREFETCH_DELAY_TOLERANT
+def taken_actions(steps):
+    """The entry steps one trip takes, in order."""
+    return [action for taken, action in steps if taken]
 
 
 class TestPlanEntry:
+    # offset 10 MB, amount 5 MB
+    CACHE = (10.0, 5.0)
+
     def test_exact_arrival_skips_gap_fetch(self):
-        actions = plan_entry(PREFETCH_DT, 10.0, CachePlan(1, 5.0, 10.0), 16.0, 8.0, 0.0, 60.0)
+        actions = taken_actions(plan_entry(PREFETCH_DT, 10.0, self.CACHE, 16.0, 8.0, 0.0, 60.0))
         assert [a.channel for a in actions] == [Channel.WIFI_LOCAL, Channel.WIFI_BACKHAUL]
         assert actions[0].window_hi == 15.0
 
     def test_early_arrival_repairs_gap_first(self):
-        actions = plan_entry(PREFETCH_DT, 7.0, CachePlan(1, 5.0, 10.0), 16.0, 8.0, 0.0, 60.0)
+        actions = taken_actions(plan_entry(PREFETCH_DT, 7.0, self.CACHE, 16.0, 8.0, 0.0, 60.0))
         assert [a.channel for a in actions] == [
             Channel.WIFI_BACKHAUL, Channel.WIFI_LOCAL, Channel.WIFI_BACKHAUL,
         ]
@@ -244,14 +235,14 @@ class TestPlanEntry:
         assert actions[-1].window_hi == 60.0
 
     def test_no_cache_is_pure_backhaul(self):
-        actions = plan_entry(PREFETCH_DT, 0.0, None, 16.0, 8.0, 0.0, 60.0)
+        actions = taken_actions(plan_entry(PREFETCH_DT, 0.0, None, 16.0, 8.0, 0.0, 60.0))
         assert len(actions) == 1
         assert actions[0].channel is Channel.WIFI_BACKHAUL
         assert actions[0].window_hi == 60.0
 
     def test_delay_sensitive_hole_goes_to_mobile(self):
-        actions = plan_entry(Policy.PREFETCH_DELAY_SENSITIVE, 7.0,
-                             CachePlan(1, 5.0, 10.0), 16.0, 8.0, 1.5, 60.0)
+        actions = taken_actions(plan_entry(PREFETCH_DS, 7.0, self.CACHE,
+                                           16.0, 8.0, 1.5, 60.0))
         assert [a.channel for a in actions] == [
             Channel.MOBILE, Channel.WIFI_LOCAL, Channel.WIFI_BACKHAUL,
         ]
@@ -263,25 +254,166 @@ class TestPolicyDispatch:
     """plan_exit and plan_entry follow each policy's row of the table."""
 
     def test_mobile_only(self, pred_local_t0):
-        plan, cache = plan_exit(Policy.MOBILE_ONLY, 60.0, math.inf, pred_local_t0)
-        assert plan.mobile_rate == pred_local_t0.max_mobile_rate
+        rate, _, cache = plan_exit(Policy.MOBILE_ONLY, 60.0, math.inf, pred_local_t0)
+        assert rate == pred_local_t0.max_mobile_rate
         assert cache is None
         assert plan_entry(Policy.MOBILE_ONLY, 0.0, None, 16.0, 8.0, 1.5, 60.0) == []
 
     def test_prediction_only_entry_is_backhaul(self):
         # a non-prefetching policy fetches from the origin even if handed a cache
-        actions = plan_entry(PREDICTION_ONLY, 7.0, CachePlan(1, 5.0, 10.0),
-                             16.0, 8.0, 1.5, 60.0)
+        actions = taken_actions(plan_entry(PREDICTION_ONLY, 7.0, TestPlanEntry.CACHE,
+                                           16.0, 8.0, 1.5, 60.0))
         assert [a.channel for a in actions] == [Channel.WIFI_BACKHAUL]
-
-    def test_route_start_matches_exit_arithmetic(self, pred_local_t0):
-        via_table, cache = plan_exit(PREFETCH_DT, 60.0, 269.0, pred_local_t0)
-        direct, direct_cache = plan_exit_delay_tolerant(60.0, 269.0, pred_local_t0)
-        assert via_table.mobile_rate == direct.mobile_rate
-        assert cache == direct_cache
 
     def test_delay_sensitive_always_max_rate(self, default_route):
         for now in (0.0, 36.0, 108.0):
             pred = build_prediction(default_route, now, ZERO, use_local_rate=True)
-            plan, _ = plan_exit(Policy.PREFETCH_DELAY_SENSITIVE, 50.0, math.inf, pred)
-            assert plan.mobile_rate == pred.max_mobile_rate
+            rate, _, _ = plan_exit(PREFETCH_DS, 50.0, math.inf, pred)
+            assert rate == pred.max_mobile_rate
+
+
+def element(value, k, n):
+    """Run k's entry of a planner output that may be one value for all runs."""
+    return np.broadcast_to(value, (n,))[k]
+
+
+class TestFloatsMatchArrays:
+    """The planners on a batch's arrays give, run by run, what they give on
+    that run's floats; on floats they return floats and bools, not numpy
+    scalars (the single-trip path uses no ufuncs)."""
+
+    N = 8
+
+    def forecasts(self):
+        rng = np.random.default_rng(31)
+        routes = [random_route(rng) for _ in range(40)]
+        routes += [r for _ in range(2) for r in edge_routes(rng)]
+        for route in routes:
+            errors = ErrorSpec(float(rng.uniform(0, 0.4)), float(rng.uniform(0, 0.8)))
+            # the route start and every hotspot exit, the last with no hotspot left
+            for now in [0.0] + [h.end_time for h in route.hotspots]:
+                for local in (True, False):
+                    for horizon in (None, route.total_time * 0.7):
+                        yield route, build_prediction(route, now, errors,
+                                                      use_local_rate=local,
+                                                      horizon=horizon)
+
+    def exit_inputs(self, route, rng, size):
+        n = self.N
+        prefix = rng.uniform(0.0, size, n)
+        prefix[0] = size  # zero remaining
+        remaining = np.maximum(0.0, size - prefix)
+        remaining[1] = 1e4  # oversized: infeasible for the rate-limited policies
+        time_left = rng.uniform(1.0, route.total_time, n)
+        time_left[2] = math.inf  # no deadline
+        return remaining, time_left, prefix
+
+    def test_plan_exit(self):
+        rng = np.random.default_rng(32)
+        n, seen = self.N, {"infeasible": 0, "cache": 0, "no hotspot": 0, "amount 0": 0}
+        for route, pred in self.forecasts():
+            remaining, time_left, prefix = self.exit_inputs(route, rng, 60.0)
+            for policy in Policy:
+                rate_a, flag_a, cache_a = plan_exit(policy, remaining, time_left, pred, prefix)
+                for k in range(n):
+                    rate, flag, cache = plan_exit(policy, float(remaining[k]),
+                                                  float(time_left[k]), pred, float(prefix[k]))
+                    assert type(rate) is float and type(flag) is bool
+                    assert rate == element(rate_a, k, n)
+                    assert flag == element(flag_a, k, n)
+                    seen["infeasible"] += flag
+                    if cache_a is None:
+                        assert cache is None
+                        seen["no hotspot"] += policy.prefetches
+                        continue
+                    index, amount, offset = cache
+                    assert type(index) is int and index == cache_a[0]
+                    assert type(amount) is float and amount == cache_a[1][k]
+                    assert type(offset) is float and offset == cache_a[2][k]
+                    seen["cache"] += 1
+                    seen["amount 0"] += amount == 0.0
+        assert min(seen.values()) > 0, seen
+
+    def test_plan_entry(self):
+        rng = np.random.default_rng(33)
+        n, size = self.N, 60.0
+        seen = {"hole": 0, "exact arrival": 0, "amount 0": 0, "no hole rate": 0}
+        for route, pred in self.forecasts():
+            remaining, time_left, prefix = self.exit_inputs(route, rng, size)
+            _, _, planned = plan_exit(Policy.PREFETCH_DELAY_TOLERANT, remaining,
+                                      time_left, pred, prefix)
+            if planned is None:
+                continue
+            _, amount, offset = planned
+            amount = amount.copy()
+            amount[3] = 0.0
+            # arrive exactly at the offset, short of it, or past it
+            at_entry = offset + rng.uniform(-5.0, 5.0, n)
+            at_entry[4] = offset[4]
+            at_entry = np.clip(at_entry, 0.0, size)
+            local = rng.uniform(2.0, 20.0, n)
+            backhaul = local * rng.uniform(0.3, 1.0, n)
+            mobile = rng.uniform(0.0, 10.0, n)
+            mobile[5] = 0.0
+            backhaul[6] = 0.0
+            for policy in Policy:
+                for cache in ((offset, amount), None):
+                    steps_a = plan_entry(policy, at_entry, cache, local, backhaul,
+                                         mobile, size)
+                    for k in range(n):
+                        one = None if cache is None else (float(offset[k]), float(amount[k]))
+                        steps = plan_entry(policy, float(at_entry[k]), one, float(local[k]),
+                                           float(backhaul[k]), float(mobile[k]), size)
+                        assert len(steps) == len(steps_a)
+                        for (taken, action), (taken_a, action_a) in zip(steps, steps_a):
+                            assert type(taken) is bool
+                            assert taken == element(taken_a, k, n)
+                            assert action.channel is action_a.channel
+                            assert type(action.rate) is float
+                            assert action.rate == element(action_a.rate, k, n)
+                            assert type(action.window_hi) is float
+                            assert action.window_hi == element(action_a.window_hi, k, n)
+                        if one is not None and policy.prefetches:
+                            seen["hole"] += steps[0][0]
+                            seen["exact arrival"] += at_entry[k] == offset[k] and amount[k] > 0
+                            seen["amount 0"] += amount[k] == 0.0
+                            seen["no hole rate"] += steps[0][1].rate == 0.0
+        assert min(seen.values()) > 0, seen
+
+
+class TestOnePlanner:
+    def test_trip_batch_and_oracle_share_the_planners(self, monkeypatch, default_route,
+                                                      default_errors):
+        """run_trip, run_batch and run_trip_stepped all plan through the one
+        policies.plan_exit; the engine's two loops also share plan_entry."""
+        assert engine.plan_exit is policies.plan_exit
+        assert oracle.plan_exit is policies.plan_exit
+        assert engine.plan_entry is policies.plan_entry
+        calls = []
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for module in (engine, oracle):
+            monkeypatch.setattr(module, "plan_exit", counted(policies.plan_exit))
+        monkeypatch.setattr(engine, "plan_entry", counted(policies.plan_entry))
+
+        task = make_task(60.0)
+        realized = realize_route(default_route, default_errors)
+        batch = realize_batch(default_route, default_errors, 0, 3)
+        runs = {
+            "run_trip": lambda p: engine.run_trip(realized, default_route, task, p,
+                                                  default_errors),
+            "run_batch": lambda p: engine.run_batch(batch, task, p, default_errors),
+            "run_trip_stepped": lambda p: oracle.run_trip_stepped(
+                realized, default_route, task, p, default_errors, dt=0.5),
+        }
+        for name, run in runs.items():
+            calls.clear()
+            run(PREFETCH_DT)
+            assert "plan_exit" in calls, name
+            if name != "run_trip_stepped":  # the oracle keeps its own phase list
+                assert "plan_entry" in calls, name
