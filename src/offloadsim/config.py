@@ -61,12 +61,22 @@ def _read_bundled(name: str) -> Any:
 
 def parse_factor(value: Union[str, int, float], label: str = "factor") -> float:
     """Accept 0.5, 1, or fraction strings like "1/3"."""
-    try:
-        if isinstance(value, str):
+    if isinstance(value, str):
+        try:
             return float(Fraction(value))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ConfigError(f"{label}: cannot parse rate factor {value!r}") from exc
+    return parse_float(value, label)
+
+
+def parse_float(value: Any, label: str) -> float:
+    """A number: ``float`` would read true as 1.0."""
+    if isinstance(value, bool):
+        raise ConfigError(f"{label}: expected a number, got {value!r}")
+    try:
         return float(value)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(f"{label}: cannot parse rate factor {value!r}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{label}: expected a number, got {value!r}") from exc
 
 
 def parse_integer(value: Any, label: str) -> int:
@@ -82,6 +92,13 @@ def parse_integer(value: Any, label: str) -> int:
 def json_object(value: Any, label: str) -> dict:
     if not isinstance(value, dict):
         raise ConfigError(f"{label}: expected a JSON object, got {value!r}")
+    return value
+
+
+def json_string(value: Any, label: str) -> str:
+    """A string: ``str`` would turn any value into one, and a list is no key."""
+    if not isinstance(value, str):
+        raise ConfigError(f"{label}: expected a JSON string, got {value!r}")
     return value
 
 
@@ -105,29 +122,17 @@ def route_from_dict(data: dict, label: str = "route") -> RouteProfile:
     try:
         segments = []
         for i, seg in enumerate(data["segments"]):
+            at = f"{label}.segments[{i}]"
             kind = AccessKind(seg["kind"])
-            if kind is AccessKind.MOBILE:
-                segments.append(
-                    RouteSegment(
-                        kind=kind,
-                        start_time=float(seg["start_time"]),
-                        duration=float(seg["duration"]),
-                        mobile_rate=float(seg["mobile_rate"]),
-                    )
-                )
-            else:
-                segments.append(
-                    RouteSegment(
-                        kind=kind,
-                        start_time=float(seg["start_time"]),
-                        duration=float(seg["duration"]),
-                        wifi_local_rate=float(seg["wifi_local_rate"]),
-                        backhaul_rate=float(seg["backhaul_rate"]),
-                        hotspot_index=parse_integer(
-                            seg["hotspot_index"], f"{label}.segments[{i}].hotspot_index"),
-                    )
-                )
-        return RouteProfile(tuple(segments), float(data["total_time"]))
+            names = ("start_time", "duration") + (
+                ("mobile_rate",) if kind is AccessKind.MOBILE
+                else ("wifi_local_rate", "backhaul_rate"))
+            fields = {name: parse_float(seg[name], f"{at}.{name}") for name in names}
+            if kind is AccessKind.WIFI:
+                fields["hotspot_index"] = parse_integer(seg["hotspot_index"],
+                                                        f"{at}.hotspot_index")
+            segments.append(RouteSegment(kind=kind, **fields))
+        return RouteProfile(tuple(segments), parse_float(data["total_time"], f"{label}.total_time"))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"{label}: {exc}") from exc
 
@@ -145,21 +150,19 @@ def load_energy_model(path: Optional[str] = None) -> EnergyModel:
     return energy_from_dict(data)
 
 
-def energy_from_dict(data: dict) -> EnergyModel:
+def energy_from_dict(data: dict, label: str = "energy model") -> EnergyModel:
+    names = ("mobile_transfer_j_per_mb", "wifi_transfer_j_per_mb", "wifi_idle_w",
+             "wifi_preactivation_s")
     try:
-        return EnergyModel(
-            mobile_transfer_j_per_mb=float(data["mobile_transfer_j_per_mb"]),
-            wifi_transfer_j_per_mb=float(data["wifi_transfer_j_per_mb"]),
-            wifi_idle_w=float(data["wifi_idle_w"]),
-            wifi_preactivation_s=float(data["wifi_preactivation_s"]),
-        )
+        return EnergyModel(**{name: parse_float(data[name], f"{label}.{name}")
+                              for name in names})
     except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"energy model: {exc}") from exc
+        raise ConfigError(f"{label}: {exc}") from exc
 
 
 def scenario_from_dict(data: dict, label: str = "scenario") -> ScenarioSpec:
     try:
-        route_id = data.get("route", "4ap")
+        route_id = json_string(data.get("route", "4ap"), f"{label}.route")
         route = load_route(route_id)
 
         factors = json_object(data.get("rate_factors", {}), f"{label}.rate_factors")
@@ -169,34 +172,37 @@ def scenario_from_dict(data: dict, label: str = "scenario") -> ScenarioSpec:
         scale_route(route, mobile_f, wifi_f, back_f)  # a bad factor fails here, not mid-run
 
         task_d = json_object(data["task"], f"{label}.task")
-        klass = _CLASS_BY_NAME.get(task_d.get("class", "delay-tolerant"))
+        klass = _CLASS_BY_NAME.get(
+            json_string(task_d.get("class", "delay-tolerant"), f"{label}.task.class"))
         if klass is None:
             raise ConfigError(
                 f"{label}.task.class: expected one of {sorted(_CLASS_BY_NAME)}"
             )
-        threshold = float(task_d.get("delay_threshold_s", route.total_time))
         task = TransferTask(
-            size_mb=float(task_d["size_mb"]),
-            delay_threshold=threshold,
+            size_mb=parse_float(task_d["size_mb"], f"{label}.task.size_mb"),
+            delay_threshold=parse_float(task_d.get("delay_threshold_s", route.total_time),
+                                        f"{label}.task.delay_threshold_s"),
             traffic_class=klass,
         )
 
         err_d = json_object(data.get("errors", {}), f"{label}.errors")
         errors = ErrorSpec(
-            time_error=float(err_d.get("time_error", 0.10)),
-            throughput_error=float(err_d.get("throughput_error", 0.20)),
+            time_error=parse_float(err_d.get("time_error", 0.10), f"{label}.errors.time_error"),
+            throughput_error=parse_float(err_d.get("throughput_error", 0.20),
+                                         f"{label}.errors.throughput_error"),
         )
 
         policies = tuple(parse_policy(p)
                          for p in json_array(data["policies"], f"{label}.policies"))
-        energy = energy_from_dict(data["energy"]) if "energy" in data else EnergyModel()
+        energy = (energy_from_dict(data["energy"], f"{label}.energy")
+                  if "energy" in data else EnergyModel())
         metrics = (tuple(json_array(data["metrics"], f"{label}.metrics"))
                    if "metrics" in data else None)
 
         return ScenarioSpec(
-            scenario_id=str(data.get("scenario_id", label)),
+            scenario_id=json_string(data.get("scenario_id", label), f"{label}.scenario_id"),
             route=route,
-            route_id=str(route_id),
+            route_id=route_id,
             task=task,
             policies=policies,
             mobile_factor=mobile_f,

@@ -8,13 +8,20 @@ analytic engine.
 
 Each segment is still ``ceil(duration / dt)`` steps taken in order; no step
 is solved in closed form.  Most steps are *plain*: a full step inside one
-phase that moves ``rate * h / 8`` MB and ends neither the phase nor the
-object.  A run of plain steps is advanced with ``np.cumsum`` in chunks of at
-most ``STEP_CHUNK`` steps, testing each step with the scalar step's own float
-expressions.  ``cumsum`` adds in sequence, so every step performs the same
-float addition as the scalar step, and the result is bit for bit that of the
-step-by-step loop.  Every other step (a phase end, the completion, a step
-that carries time into the next phase) runs the scalar step.
+phase that moves ``cap = rate * h / 8`` MB and ends neither the phase nor the
+object.  ``_advance`` does ``k`` plain additions ``x += cap`` (to the prefix
+and to the channel total) bit for bit in a few operations per binade.  In a
+binade floats are ``u`` apart, and a step from that grid that stays inside
+adds ``cap`` rounded to a multiple of ``u``, the same from every point; a tie
+(an odd multiple of ``u/2``) rounds to even, after which every point is even
+and the amount is fixed too.  So after one step inside a binade, the next
+gives an exact ``d = (x + cap) - x`` and the steps up to the top are one
+exact ``x += j * d`` (a step landing on the top rounds to it from either
+side).  The plain steps come first in a run, as the prefix only grows; their
+count is estimated from the distance to the phase's limit and confirmed with
+the scalar step's own rule.  Every other step (a phase end, the completion, a
+step that carries time into the next phase) runs the scalar step, and a
+segment's steps end once its phases are done.
 """
 
 from __future__ import annotations
@@ -23,17 +30,12 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from .model import MBIT_PER_MB, AccessKind, RouteProfile, TransferTask
 from .policies import Channel, Policy, PolicyClassMismatch, plan_exit
 from .prediction import ErrorSpec, build_prediction
 from .engine import RunOutcome, _check_same_structure, _window_mobile_rate
 
 DEFAULT_DT = 0.01
-
-# Most plain steps one cumsum advances; bounds the march's memory for any dt.
-STEP_CHUNK = 4096
 
 # Tolerances for engine/oracle agreement: bytes relative to the object size,
 # completion time absolute.
@@ -128,26 +130,17 @@ def run_trip_stepped(
         h = seg.duration / n_steps
         ai = 0
         k = 0
-        while k < n_steps:
-            if ai < len(phases):
-                # Plain steps (see the module docstring): each leaves at most
-                # 1e-15 s of the step over and ends neither phase nor object.
-                channel, rate, limit = phases[ai]
-                cap = rate * h / MBIT_PER_MB
-                if rate > 0 and h - cap * MBIT_PER_MB / rate <= 1e-15:
-                    run = np.full(min(STEP_CHUNK, n_steps - k) + 1, cap)
-                    run[0] = prefix
-                    pos = np.cumsum(run)
-                    need = min(limit, size) - pos[:-1]
-                    plain = (need > 1e-15) & (cap < need - 1e-15) & (size - pos[1:] > 1e-12)
-                    m = len(plain) if plain.all() else int(plain.argmin())
-                    if m:
-                        prefix = float(pos[m])
-                        run[0] = totals[channel]
-                        totals[channel] = float(np.cumsum(run[:m + 1])[m])
-                        k += m
-                        if m == len(plain):
-                            continue
+        while k < n_steps and ai < len(phases):
+            # Plain steps (see the module docstring): each leaves at most
+            # 1e-15 s of the step over and ends neither phase nor object.
+            channel, rate, limit = phases[ai]
+            cap = rate * h / MBIT_PER_MB
+            if rate > 0 and h - cap * MBIT_PER_MB / rate <= 1e-15:
+                m, prefix = _plain_steps(prefix, cap, min(limit, size), size, n_steps - k)
+                totals[channel] = _advance(totals[channel], cap, m)
+                k += m
+                if k == n_steps:
+                    break
             rem = h
             while rem > 1e-15 and ai < len(phases):
                 channel, rate, limit = phases[ai]
@@ -178,6 +171,47 @@ def run_trip_stepped(
         wifi_backhaul_mb=totals[Channel.WIFI_BACKHAUL],
         completion_time=completion,
     )
+
+
+def _advance(x: float, c: float, k: int) -> float:
+    """``x`` after ``k`` steps of ``x += c`` (``x, c >= 0``), bit for bit, in
+    a few operations per binade crossed (see the module docstring)."""
+    settled = False  # x ended a step that began in x's binade
+    ex = math.frexp(x)[1]
+    while k > 0:
+        y = x + c
+        k -= 1
+        if y == x:
+            return x
+        ey = math.frexp(y)[1]
+        inside = x > 0 and ey == ex
+        if inside and settled:
+            d = y - x
+            j = min(k, int((math.ldexp(1.0, ey) - y) / d))
+            y += j * d
+            k -= j
+        x, ex, settled = y, ey, inside
+    return x
+
+
+def _plain_steps(prefix: float, cap: float, end: float, size: float,
+                 most: int) -> tuple[int, float]:
+    """How many of the next ``most`` full steps moving ``cap`` toward ``end``
+    are plain, and the prefix after them; by bisection if the estimate fails."""
+    def plain(p: float) -> bool:
+        need = end - p
+        return need > 1e-15 and cap < need - 1e-15 and size - (p + cap) > 1e-12
+
+    m = int(min(most, max(0.0, (end - prefix) / cap))) if cap > 0 else most
+    last = _advance(prefix, cap, m - 1) if m else prefix
+    at = last + cap if m else prefix
+    if (m and not plain(last)) or (m < most and plain(at)):
+        lo, hi = 0, most
+        while lo < hi:
+            mid = (lo + hi) // 2
+            lo, hi = (mid + 1, hi) if plain(_advance(prefix, cap, mid)) else (lo, mid)
+        m, at = lo, _advance(prefix, cap, lo)
+    return m, at
 
 
 @dataclass(frozen=True)

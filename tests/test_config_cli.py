@@ -36,6 +36,22 @@ WRONG_JSON_TYPE = [
     (None, None, "metrics", "offload_pct"),
     ("fig2a", None, "metrics", "offload_pct"),
     ("fig2a", "sweep", "values", "1/3"),
+    (None, None, "scenario_id", [1]),
+    (None, None, "route", [1]),
+    (None, "task", "class", ["a"]),
+]
+
+# cases of test_bad_input_file_exits_2 that put true or false in a number field
+BOOLEAN_NUMBER = [
+    (None, "task", "size_mb", True),
+    (None, "task", "delay_threshold_s", True),
+    (None, "errors", "time_error", False),
+    (None, "errors", "throughput_error", True),
+    (None, "rate_factors", "mobile", True),
+    (None, None, "energy", {"mobile_transfer_j_per_mb": True, "wifi_transfer_j_per_mb": 5.0,
+                            "wifi_idle_w": 1.0, "wifi_preactivation_s": 1.0}),
+    ("4ap", None, "backhaul_rate", True),
+    ("fig3a", "sweep", "values", [0.5, True]),
 ]
 
 
@@ -249,7 +265,7 @@ class TestCli:
         ("4ap", None, "hotspot_index", 1.5),
         ("4ap", None, "hotspot_index", True),
         ("fig3d", "sweep", "values", [2, 2.5]),
-    ] + WRONG_JSON_TYPE,
+    ] + WRONG_JSON_TYPE + BOOLEAN_NUMBER,
         ids=["policy-twice", "scenario-metric", "sweep-metric", "sweep-base-metric",
              "scenario-negative-seed", "sweep-base-negative-seed",
              "scenario-fractional-seed", "scenario-fractional-runs", "scenario-bool-runs",
@@ -258,11 +274,16 @@ class TestCli:
              "sweep-fractional-hotspot-count", "scenario-task-array",
              "scenario-rate-factors-string", "scenario-errors-string", "sweep-scenario-array",
              "scenario-policies-string", "scenario-metrics-string", "sweep-metrics-string",
-             "sweep-values-string"])
+             "sweep-values-string", "scenario-id-array", "scenario-route-array",
+             "scenario-task-class-array", "scenario-bool-size", "scenario-bool-threshold",
+             "scenario-bool-time-error", "scenario-bool-throughput-error",
+             "scenario-bool-rate-factor", "scenario-bool-energy", "route-bool-rate",
+             "sweep-bool-value"])
     def test_bad_input_file_exits_2(self, tmp_path, capsys, recipe, section, key, value):
         """A policy listed twice, an unknown metric name, a negative seed, a
-        count, seed or hotspot index that is not a whole number, or a field
-        of the wrong JSON type fails at load."""
+        count, seed or hotspot index that is not a whole number, a field of
+        the wrong JSON type, or true or false for a number fails at load,
+        naming the field."""
         data = json.loads(bundled_scenario_path("scenario_dt_default").read_text())
         if recipe == "4ap":  # a copy of the route, its first hotspot changed
             route = json.loads(bundled_scenario_path("route_4ap").read_text())
@@ -281,6 +302,8 @@ class TestCli:
         assert len(err) == 1 and err[0].startswith("error: ")
         if (recipe, section, key, value) in WRONG_JSON_TYPE:
             assert f"{key}: expected a JSON" in err[0]
+        if (recipe, section, key, value) in BOOLEAN_NUMBER:
+            assert f"{key}" in err[0] and "expected a number, got " in err[0]
         assert captured.out == ""
 
     def test_run_malformed_scenario_exits_2(self, tmp_path, capsys):

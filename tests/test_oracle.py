@@ -9,7 +9,7 @@ from offloadsim.config import bundled_recipe_path, bundled_scenario_path, load_s
 from offloadsim.engine import _check_same_structure, _window_mobile_rate, run_trip
 from offloadsim.metrics import apply_sweep_value, derive_run_seed
 from offloadsim.model import MBIT_PER_MB, AccessKind, RouteProfile, RouteSegment, scale_route
-from offloadsim.oracle import STEP_CHUNK, StepOutcome, compare_runs, run_trip_stepped
+from offloadsim.oracle import StepOutcome, _advance, compare_runs, run_trip_stepped
 from offloadsim.policies import Channel, Policy, PolicyClassMismatch, plan_exit
 from offloadsim.prediction import ErrorSpec, build_prediction, realize_route
 
@@ -171,6 +171,62 @@ def test_figure_sweep_point_agreement(spec):
             assert report.within(spec.task.size_mb), (k, policy, report)
 
 
+# -- the exact advance against a plain x += c loop ----------------------------
+
+def _advance_cases(kind, rng):
+    """(x, c, k) triples of one kind: 5 long runs, else 60."""
+    def ulp_tie(x, parity):
+        f = 2 * int(rng.integers(0, 1 << 20)) + parity
+        return (f + 0.5) * math.ulp(x)
+
+    def start():
+        return float(rng.uniform(0.01, 100.0))
+
+    def steps():
+        return int(rng.integers(1, 3000))
+
+    cases = []
+    for _ in range(5 if kind == "long" else 60):
+        if kind == "tie-even":
+            x = start()
+            cases.append((x, ulp_tie(x, 0), steps()))
+        elif kind == "tie-odd":
+            x = start()
+            cases.append((x, ulp_tie(x, 1), steps()))
+        elif kind == "stall":
+            x = start()
+            c = math.ulp(x) * float(rng.choice([0.5, rng.uniform(0.0, 0.5)]))
+            cases.append((x, c, steps()))
+        elif kind == "c-above-x":
+            x = start()
+            cases.append((x, x * float(rng.uniform(1.0, 50.0)), steps()))
+        elif kind == "zero":
+            cases.append((0.0, float(rng.uniform(1e-6, 10.0)), steps()))
+        elif kind == "power-of-two":
+            x = 2.0 ** int(rng.integers(-10, 10))
+            c = (ulp_tie(x, int(rng.integers(2))) if rng.uniform() < 0.5
+                 else x * float(rng.uniform(1e-6, 0.1)))
+            cases.append((x, c, steps()))
+        else:  # "long": many binade crossings
+            x = float(rng.choice([0.0, rng.uniform(0.0, 1e-3)]))
+            cases.append((x, float(rng.uniform(1e-4, 1.0)), int(rng.integers(50_000, 100_001))))
+    return cases
+
+
+@pytest.mark.parametrize("kind", ["tie-even", "tie-odd", "stall", "c-above-x", "zero",
+                                  "power-of-two", "long"])
+def test_advance_equals_step_loop(kind):
+    """``_advance`` is bit for bit the loop it replaces, for ties (rounding
+    to even up or down), stalls, steps larger than ``x``, ``x = 0``, starts on
+    a power of two and runs of up to 10**5 steps through many binades."""
+    rng = np.random.default_rng(sum(map(ord, kind)))
+    for x, c, k in _advance_cases(kind, rng):
+        y = x
+        for _ in range(k):
+            y += c
+        assert _advance(x, c, k) == y, (x.hex(), c.hex(), k)
+
+
 # -- the batched march against the step-by-step loop --------------------------
 
 def reference_stepped(route_realized, route_nominal, task, policy, errors, dt=0.01):
@@ -309,9 +365,10 @@ def test_march_equals_reference_on_random_routes():
                                errors, dt)
 
 
-def test_march_equals_reference_across_chunks():
-    """A mobile stretch of more than two batch chunks of plain steps, with
-    the object completing inside it, after it, or never."""
+def test_march_equals_reference_across_binades():
+    """A long mobile stretch of plain steps, with the object completing
+    inside it, after it, or never; the prefix and the mobile total climb
+    from 0 through more than ten binades inside the first segment."""
     route = RouteProfile((
         RouteSegment(kind=AccessKind.MOBILE, start_time=0.0, duration=100.0,
                      mobile_rate=4.0),
@@ -320,11 +377,38 @@ def test_march_equals_reference_across_chunks():
     ), 130.0)
     errors = ErrorSpec(0.05, 0.2, seed=3)
     realized = realize_route(route, errors)
-    assert realized.segments[0].duration / 0.01 > 2 * STEP_CHUNK
+    cap = realized.segments[0].mobile_rate * 0.01 / MBIT_PER_MB
+    assert math.frexp(30.0)[1] - math.frexp(cap)[1] > 10
     for size in (30.0, 60.0, 200.0):
         for sensitive in (False, True):
             assert_march_equal(realized, route, make_task(size, 130.0, sensitive),
                                errors, 0.01)
+
+
+@pytest.mark.parametrize("k", [146458524467327, 146458524467329])
+def test_march_equals_reference_when_a_step_is_a_tie(k):
+    """A step of ``k`` (odd) half ulps of [0.5, 1), so every step from a
+    prefix in that binade is a tie, rounded down or up to even.  The prefix
+    enters the binade on an odd point, where the first step rounds to a
+    different amount than every later one."""
+    dt = 2.0 ** -7  # exact, and 10 s is a whole number of steps
+    rate = k * 2.0 ** -44  # one step moves k * 2**-54 MB, exactly
+    route = RouteProfile((
+        RouteSegment(kind=AccessKind.MOBILE, start_time=0.0, duration=10.0,
+                     mobile_rate=rate),
+        RouteSegment(kind=AccessKind.WIFI, start_time=10.0, duration=10.0,
+                     wifi_local_rate=rate, backhaul_rate=rate, hotspot_index=1),
+    ), 20.0)
+    errors = ErrorSpec(0.0, 0.0, seed=1)
+    realized = realize_route(route, errors)
+    cap = realized.segments[0].mobile_rate * dt / MBIT_PER_MB
+    assert cap == k * math.ulp(0.5) / 2
+    # Steps below 0.5 are exact, so the prefix enters at 62 * cap = 31 * k ulps.
+    assert math.ceil(0.5 / cap) == 62
+    for size in (0.75, 5.0, 30.0):
+        for sensitive in (False, True):
+            assert_march_equal(realized, route, make_task(size, 20.0, sensitive),
+                               errors, dt)
 
 
 def test_march_equals_reference_near_completion():
