@@ -10,10 +10,7 @@ from .engine import (
     BatchOutcome,
     EnergyBreakdown,
     RunOutcome,
-    TransferState,
-    WifiVisit,
     account_energy,
-    integrate_transfer,
     run_batch,
     run_trip,
 )
@@ -85,15 +82,12 @@ __all__ = [
     "StepOutcome",
     "SweepSpec",
     "TrafficClass",
-    "TransferState",
     "TransferTask",
-    "WifiVisit",
     "account_energy",
     "build_prediction",
     "ci_halfwidth",
     "compare_runs",
     "derive_run_seed",
-    "integrate_transfer",
     "plan_entry",
     "plan_exit",
     "realize_batch",

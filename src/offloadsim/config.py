@@ -70,8 +70,8 @@ def parse_factor(value: Union[str, int, float], label: str = "factor") -> float:
 
 
 def parse_float(value: Any, label: str) -> float:
-    """A number: ``float`` would read true as 1.0."""
-    if isinstance(value, bool):
+    """A JSON number: ``float`` would read true as 1.0 and "60" as 60.0."""
+    if isinstance(value, (bool, str)):
         raise ConfigError(f"{label}: expected a number, got {value!r}")
     try:
         return float(value)
@@ -80,8 +80,10 @@ def parse_float(value: Any, label: str) -> float:
 
 
 def parse_integer(value: Any, label: str) -> int:
-    """A whole number: ``int`` would truncate 3.7 to 3 and read true as 1."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+    """A whole JSON number: ``int`` would truncate 3.7 to 3 and read true as 1
+    and "7" as 7."""
+    if isinstance(value, (bool, str)) or (isinstance(value, float)
+                                          and not value.is_integer()):
         raise ConfigError(f"{label}: expected an integer, got {value!r}")
     try:
         return int(value)
@@ -107,6 +109,12 @@ def json_array(value: Any, label: str) -> list:
     if not isinstance(value, list):
         raise ConfigError(f"{label}: expected a JSON array, got {value!r}")
     return value
+
+
+def json_strings(value: Any, label: str) -> tuple[str, ...]:
+    """A list of strings; a bad entry is named by its index."""
+    return tuple(json_string(v, f"{label}[{i}]")
+                 for i, v in enumerate(json_array(value, label)))
 
 
 def parse_policy(name: str) -> Policy:
@@ -193,10 +201,10 @@ def scenario_from_dict(data: dict, label: str = "scenario") -> ScenarioSpec:
         )
 
         policies = tuple(parse_policy(p)
-                         for p in json_array(data["policies"], f"{label}.policies"))
+                         for p in json_strings(data["policies"], f"{label}.policies"))
         energy = (energy_from_dict(data["energy"], f"{label}.energy")
                   if "energy" in data else EnergyModel())
-        metrics = (tuple(json_array(data["metrics"], f"{label}.metrics"))
+        metrics = (json_strings(data["metrics"], f"{label}.metrics")
                    if "metrics" in data else None)
 
         return ScenarioSpec(
@@ -229,11 +237,11 @@ def sweep_from_dict(data: dict, label: str = "sweep") -> SweepSpec:
             parse_factor(v, f"{label}.sweep.values")
             for v in json_array(sweep_d["values"], f"{label}.sweep.values")
         )
-        metrics = (tuple(json_array(data["metrics"], f"{label}.metrics"))
+        metrics = (json_strings(data["metrics"], f"{label}.metrics")
                    if "metrics" in data else base.metrics)
         sweep = SweepSpec(
             base=base,
-            parameter=str(sweep_d["parameter"]),
+            parameter=json_string(sweep_d["parameter"], f"{label}.sweep.parameter"),
             values=values,
             metrics=metrics,
         )

@@ -1,10 +1,15 @@
 """Brute-force time-stepped trip simulator, used to cross-check the engine.
 
-Same event rules and planners as :mod:`offloadsim.engine`, but the transfer
-integration is a forward time march with a fixed step instead of closed-form
-phase algebra, over its own received prefix and its own phase list for each
-segment.  Agreement between the two is the correctness check for the
-analytic engine.
+Same event rules as :mod:`offloadsim.engine`, but the transfer integration
+is a forward time march with a fixed step instead of closed-form fills, over
+its own received prefix and its own phase list for each hotspot.  It shares
+:func:`~offloadsim.prediction.build_prediction` and
+:func:`~offloadsim.policies.plan_exit` with the engine, so agreement between
+the two checks the byte integration, the completion crossings, the phase
+order and the hotspot phase list the oracle builds itself (in place of
+:func:`~offloadsim.policies.plan_entry`).  It does not check the planning or
+the forecasts: ``tests/test_policies.py`` checks the planners, and
+``reference_forecast`` in ``tests/test_prediction.py`` the forecasts.
 
 Each segment is still ``ceil(duration / dt)`` steps taken in order; no step
 is solved in closed form.  Most steps are *plain*: a full step inside one
@@ -33,7 +38,7 @@ from typing import Optional
 from .model import MBIT_PER_MB, AccessKind, RouteProfile, TransferTask
 from .policies import Channel, Policy, PolicyClassMismatch, plan_exit
 from .prediction import ErrorSpec, build_prediction
-from .engine import RunOutcome, _check_same_structure, _window_mobile_rate
+from .engine import RunOutcome, _check_same_structure, _window_mobile_segment
 
 DEFAULT_DT = 0.01
 
@@ -171,6 +176,13 @@ def run_trip_stepped(
         wifi_backhaul_mb=totals[Channel.WIFI_BACKHAUL],
         completion_time=completion,
     )
+
+
+def _window_mobile_rate(route: RouteProfile, index: int) -> float:
+    """Mobile rate available while inside WiFi segment ``index`` (0 when the
+    route has no mobile segment)."""
+    j = _window_mobile_segment(route, index)
+    return 0.0 if j is None else route.segments[j].mobile_rate
 
 
 def _advance(x: float, c: float, k: int) -> float:

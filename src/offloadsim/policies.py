@@ -15,18 +15,21 @@ still-running mobile stream finish it), then the cached range, then the
 rest of the object from the origin for whatever dwell time is left.
 
 Both planners are closed forms applied elementwise.  They take floats for
-one trip (:func:`~offloadsim.engine.run_trip`, the oracle) or arrays with
-one entry per run for a batch (:func:`~offloadsim.engine.run_batch`): the
-runs of a batch share the nominal forecast but each carries its own prefix
-and clock.  The float operations are the same, in the same order, either
-way, so each run's plan equals the single trip's bit for bit.
+one trip (the engine's trip loop in its float form, and the oracle) or
+arrays with one entry per run for a batch (the same loop in its array form):
+the runs of a batch share the nominal forecast but each carries its own
+prefix and clock.  :func:`elementwise` picks the operations of either form
+for the planners and the engine alike.  The float operations are the same,
+in the same order, either way, so each run's plan equals the single trip's
+bit for bit.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -111,13 +114,35 @@ def _pessimistic_wifi(pred: PredictionProfile) -> tuple[float, float]:
     return data_mb, seconds
 
 
+class Elementwise(NamedTuple):
+    """The elementwise operations of one form: floats for one trip, numpy
+    arrays with one entry per run for a batch.  ``zeros(like, dtype=float)``
+    is 0.0 or False, or an array of them shaped like ``like``."""
+
+    where: Callable
+    any: Callable
+    all: Callable
+    not_: Callable
+    zeros: Callable
+    minimum: Callable
+    maximum: Callable
 
 
-def _min_max(x: Floats) -> tuple:
-    """``np.minimum``/``np.maximum`` for arrays; ``min``/``max`` for floats,
-    where a ufunc costs several times a float operation.  Both pick the same
-    value, so a trip's plan equals its run's plan in a batch bit for bit."""
-    return (np.minimum, np.maximum) if isinstance(x, np.ndarray) else (min, max)
+# A ufunc on one element costs several times a float operation, so one trip
+# runs on plain Python.  Both forms pick the same values in the same order,
+# so a trip's results equal its run's in a batch bit for bit.  An array's
+# ``any`` is a count of its true entries, which is as truthy and about three
+# times cheaper than ``ndarray.any``.
+_FLOAT_OPS = Elementwise(lambda condition, x, y: x if condition else y, bool, bool,
+                         operator.not_, lambda like, dtype=float: dtype(0), min, max)
+_ARRAY_OPS = Elementwise(np.where, np.count_nonzero, np.ndarray.all, np.logical_not,
+                         lambda like, dtype=float: np.zeros(np.shape(like), dtype),
+                         np.minimum, np.maximum)
+
+
+def elementwise(x: Floats) -> Elementwise:
+    """The operations for ``x``'s form: arrays if it is one, else floats."""
+    return _ARRAY_OPS if isinstance(x, np.ndarray) else _FLOAT_OPS
 
 
 def plan_exit(
@@ -145,16 +170,16 @@ def plan_exit(
     mobile stream delivers across the gap), and the hotspot stages the next
     ``amount`` MB from there, never past the object end (amount 0: no cache).
     """
-    minimum, maximum = _min_max(remaining_mb)
+    ops = elementwise(remaining_mb)
     if policy.rate_limited:
         wifi_mb, wifi_s = _pessimistic_wifi(pred)
-        data_mobile = maximum(0.0, remaining_mb - wifi_mb)
-        time_mobile = maximum(T_MOBILE_FLOOR, time_left - wifi_s)
+        data_mobile = ops.maximum(0.0, remaining_mb - wifi_mb)
+        time_mobile = ops.maximum(T_MOBILE_FLOOR, time_left - wifi_s)
         raw = data_mobile * MBIT_PER_MB / time_mobile
         # The same rate must hold through every remaining mobile stretch, so
         # the cap is the lowest rate on the horizon, not the next gap's best.
         cap = pred.sustainable_mobile_rate
-        rate = minimum(maximum(raw, 0.0), cap)
+        rate = ops.minimum(ops.maximum(raw, 0.0), cap)
         infeasible = raw > cap
     else:
         rate, infeasible = pred.max_mobile_rate, False
@@ -163,8 +188,8 @@ def plan_exit(
     size_mb = received_prefix_mb + remaining_mb
     offset = received_prefix_mb + rate * pred.time_to_next_wifi / MBIT_PER_MB
     nxt = pred.hotspots[0]
-    amount = maximum(0.0, minimum(nxt.rate_max * nxt.duration_max / MBIT_PER_MB,
-                                  size_mb - offset))
+    amount = ops.maximum(0.0, ops.minimum(nxt.rate_max * nxt.duration_max / MBIT_PER_MB,
+                                          size_mb - offset))
     return rate, infeasible, (nxt.hotspot_index, amount, offset)
 
 
@@ -194,15 +219,15 @@ def plan_entry(
     origin = (True, EntryAction(Channel.WIFI_BACKHAUL, backhaul_rate, size_mb))
     if not policy.prefetches or cache is None:
         return [origin]
-    minimum, _ = _min_max(prefix_mb)
+    ops = elementwise(prefix_mb)
     offset, amount = cache
     cached = amount > 0
-    hole_end = minimum(offset, size_mb)
+    hole_end = ops.minimum(offset, size_mb)
     hole_rate = mobile_rate if policy.hole_channel is Channel.MOBILE else backhaul_rate
     return [
         (cached & (prefix_mb < hole_end) & (hole_rate > 0),
          EntryAction(policy.hole_channel, hole_rate, hole_end)),
         (cached, EntryAction(Channel.WIFI_LOCAL, local_rate,
-                             minimum(offset + amount, size_mb))),
+                             ops.minimum(offset + amount, size_mb))),
         origin,
     ]

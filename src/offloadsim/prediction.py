@@ -33,6 +33,7 @@ from __future__ import annotations
 import functools
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
@@ -335,6 +336,18 @@ class RealizedBatch:
     @property
     def runs(self) -> int:
         return self.start.shape[1]
+
+    @functools.cached_property
+    def segments(self) -> tuple[SimpleNamespace, ...]:
+        """Row i of each array under the :class:`RouteSegment` attribute
+        names (``start_time``, ``duration``, ``end_time`` and the rates):
+        segment i of every realization, built once per batch."""
+        return tuple(
+            SimpleNamespace(start_time=s, duration=d, end_time=e, mobile_rate=m,
+                            wifi_local_rate=w, backhaul_rate=b)
+            for s, d, e, m, w, b in zip(self.start, self.duration, self.end,
+                                        self.mobile_rate, self.wifi_local_rate,
+                                        self.backhaul_rate))
 
 
 def realize_batch(route: RouteProfile, errors: ErrorSpec, seed: int,

@@ -54,6 +54,23 @@ BOOLEAN_NUMBER = [
     ("fig3a", "sweep", "values", [0.5, True]),
 ]
 
+# cases of test_bad_input_file_exits_2 that put a JSON string of digits in a
+# number field, or a non-string entry in a list of names, and the dotted
+# field path the error must name ("input" is the file's stem)
+NAMED_FIELD = [
+    ((None, None, "seed", "7"), "input.seed: expected an integer"),
+    ((None, None, "runs", "3"), "input.runs: expected an integer"),
+    ((None, "task", "size_mb", "60"), "input.task.size_mb: expected a number"),
+    ((None, "errors", "time_error", "0.1"), "input.errors.time_error: expected a number"),
+    (("4ap", None, "hotspot_index", "1"), "route.json.segments[1].hotspot_index: expected an"),
+    (("4ap", None, "backhaul_rate", "1"), "route.json.segments[1].backhaul_rate: expected a"),
+    (("fig2a", "scenario", "seed", "7"), "input.scenario.seed: expected an integer"),
+    ((None, None, "policies", ["prefetch-dt", 1]), "input.policies[1]: expected a JSON string"),
+    ((None, None, "metrics", [1]), "input.metrics[0]: expected a JSON string"),
+    (("fig2a", None, "metrics", [1]), "input.metrics[0]: expected a JSON string"),
+    (("fig2a", "sweep", "parameter", [1]), "input.sweep.parameter: expected a JSON string"),
+]
+
 
 class TestLoaders:
     def test_bundled_routes(self):
@@ -265,7 +282,7 @@ class TestCli:
         ("4ap", None, "hotspot_index", 1.5),
         ("4ap", None, "hotspot_index", True),
         ("fig3d", "sweep", "values", [2, 2.5]),
-    ] + WRONG_JSON_TYPE + BOOLEAN_NUMBER,
+    ] + WRONG_JSON_TYPE + BOOLEAN_NUMBER + [case for case, _ in NAMED_FIELD],
         ids=["policy-twice", "scenario-metric", "sweep-metric", "sweep-base-metric",
              "scenario-negative-seed", "sweep-base-negative-seed",
              "scenario-fractional-seed", "scenario-fractional-runs", "scenario-bool-runs",
@@ -278,12 +295,15 @@ class TestCli:
              "scenario-task-class-array", "scenario-bool-size", "scenario-bool-threshold",
              "scenario-bool-time-error", "scenario-bool-throughput-error",
              "scenario-bool-rate-factor", "scenario-bool-energy", "route-bool-rate",
-             "sweep-bool-value"])
+             "sweep-bool-value", "scenario-string-seed", "scenario-string-runs",
+             "scenario-string-size", "scenario-string-time-error", "route-string-hotspot-index",
+             "route-string-rate", "sweep-base-string-seed", "scenario-policy-number",
+             "scenario-metric-number", "sweep-metric-number", "sweep-parameter-array"])
     def test_bad_input_file_exits_2(self, tmp_path, capsys, recipe, section, key, value):
         """A policy listed twice, an unknown metric name, a negative seed, a
         count, seed or hotspot index that is not a whole number, a field of
-        the wrong JSON type, or true or false for a number fails at load,
-        naming the field."""
+        the wrong JSON type, true or false or a string of digits for a number,
+        or a non-string name in a list fails at load, naming the field."""
         data = json.loads(bundled_scenario_path("scenario_dt_default").read_text())
         if recipe == "4ap":  # a copy of the route, its first hotspot changed
             route = json.loads(bundled_scenario_path("route_4ap").read_text())
@@ -304,6 +324,9 @@ class TestCli:
             assert f"{key}: expected a JSON" in err[0]
         if (recipe, section, key, value) in BOOLEAN_NUMBER:
             assert f"{key}" in err[0] and "expected a number, got " in err[0]
+        for case, named in NAMED_FIELD:
+            if case == (recipe, section, key, value):
+                assert named in err[0], err[0]
         assert captured.out == ""
 
     def test_run_malformed_scenario_exits_2(self, tmp_path, capsys):

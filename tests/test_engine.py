@@ -2,13 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import make_task, random_route
-from offloadsim.engine import (
-    TransferState,
-    WifiVisit,
-    account_energy,
-    integrate_transfer,
-    run_trip,
-)
+from offloadsim.engine import _ByteState, account_energy, run_trip
 from offloadsim.model import (
     AccessKind,
     EnergyModel,
@@ -32,40 +26,68 @@ def policies_for(task):
 
 
 class TestIntegrateTransfer:
+    """Transfer integration by the one fill step, on one trip's floats and
+    on a batch's arrays."""
+
     def test_unit_arithmetic(self):
-        state = TransferState(size_mb=100.0)
-        used = integrate_transfer(state, 8.0, 10.0, Channel.MOBILE, now=0.0)
-        assert used == pytest.approx(10.0)
+        state = _ByteState(100.0, 0.0)
+        used = state.fill(True, 8.0, 10.0, Channel.MOBILE, 0.0, 100.0)
+        assert type(used) is float and used == pytest.approx(10.0)
         assert state.mobile_mb == pytest.approx(10.0)
         assert state.prefix == pytest.approx(10.0)
+        assert state.complete is False
 
     def test_crossing_interpolation(self):
-        state = TransferState(size_mb=1.0)
-        used = integrate_transfer(state, 8.0, 10.0, Channel.WIFI_LOCAL, now=5.0)
+        state = _ByteState(1.0, 0.0)
+        used = state.fill(True, 8.0, 10.0, Channel.WIFI_LOCAL, 5.0, 1.0)
         assert used == pytest.approx(1.0)
+        assert state.complete is True
         assert state.completion_time == pytest.approx(6.0)
         assert state.wifi_local_mb == pytest.approx(1.0)
 
     def test_zero_rate_moves_nothing(self):
-        state = TransferState(size_mb=10.0)
-        assert integrate_transfer(state, 0.0, 10.0, Channel.MOBILE, now=0.0) == 0.0
+        state = _ByteState(10.0, 0.0)
+        assert state.fill(True, 0.0, 10.0, Channel.MOBILE, 0.0, 10.0) == 0.0
         assert state.prefix == 0.0
 
     def test_window_bounds_fill(self):
         """A fill stops at its target; a target at or below the prefix moves
         nothing in no time."""
-        state = TransferState(size_mb=100.0)
-        used = integrate_transfer(state, 8.0, 100.0, Channel.WIFI_LOCAL, now=0.0,
-                                  window_hi=20.0)
+        state = _ByteState(100.0, 0.0)
+        used = state.fill(True, 8.0, 100.0, Channel.WIFI_LOCAL, 0.0, 20.0)
         assert used == pytest.approx(20.0)
         assert state.prefix == pytest.approx(20.0)
         assert state.wifi_local_mb == pytest.approx(20.0)
         assert not state.complete
         for target in (20.0, 10.0):
-            assert integrate_transfer(state, 8.0, 100.0, Channel.WIFI_BACKHAUL,
-                                      now=20.0, window_hi=target) == 0.0
+            assert state.fill(True, 8.0, 100.0, Channel.WIFI_BACKHAUL, 20.0, target) == 0.0
         assert state.wifi_backhaul_mb == 0.0
         assert state.prefix == pytest.approx(20.0)
+
+    def test_array_runs_equal_float_trips(self):
+        """Each run of an array fill equals the float fill on its own values:
+        a partial fill, a zero rate, a completion, a run left out, a run
+        already at its target, and a fill with no time."""
+        runs = np.array([True, True, True, False, True, True])
+        rate = np.array([8.0, 0.0, 80.0, 8.0, 8.0, 8.0])
+        seconds = np.array([5.0, 5.0, 5.0, 5.0, 5.0, 0.0])
+        now = np.array([0.0, 1.0, 2.0, 3.0, 4.0, 5.0])
+        hi = np.array([10.0, 10.0, 10.0, 10.0, 0.0, 10.0])
+        state = _ByteState(10.0, now)
+        used = state.fill(runs, rate, seconds, Channel.WIFI_BACKHAUL, now, hi)
+        assert list(state.complete) == [False, False, True, False, False, False]
+        assert state.completion_time[2] == pytest.approx(3.0)
+        for k in range(len(runs)):
+            one = _ByteState(10.0, 0.0)
+            used_one = one.fill(bool(runs[k]), float(rate[k]), float(seconds[k]),
+                                Channel.WIFI_BACKHAUL, float(now[k]), float(hi[k]))
+            assert used[k] == used_one
+            assert state.prefix[k] == one.prefix
+            assert state.wifi_backhaul_mb[k] == one.wifi_backhaul_mb
+            assert state.complete[k] == one.complete
+            if one.complete:
+                assert state.completion_time[k] == one.completion_time
+        assert not state.mobile_mb.any() and not state.wifi_local_mb.any()
 
 
 class TestRunTripAnchors:
@@ -271,23 +293,21 @@ class TestEnergyAccounting:
         assert out.energy_j == pytest.approx(6000.0, abs=1e-6)
         assert out.energy.wifi_idle_j == 0.0
 
+    # a visit is (still transferring, entry, leave, busy seconds)
     def test_idle_window_with_no_wifi_bytes(self):
         model = EnergyModel()
-        visit = WifiVisit(entry_time=50.0, leave_time=68.0, busy_seconds=0.0)
-        energy = account_energy([visit], 0.0, 0.0, model, stop_time=269.0)
+        energy = account_energy([(True, 50.0, 68.0, 0.0)], 0.0, 0.0, model, stop_time=269.0)
         assert energy.wifi_idle_j == pytest.approx(0.77 * (20 + 18))
         assert energy.total_j == energy.wifi_idle_j
 
     def test_preactivation_clipped_at_trip_start(self):
         model = EnergyModel()
-        visit = WifiVisit(entry_time=10.0, leave_time=30.0, busy_seconds=0.0)
-        energy = account_energy([visit], 0.0, 0.0, model, stop_time=100.0)
+        energy = account_energy([(True, 10.0, 30.0, 0.0)], 0.0, 0.0, model, stop_time=100.0)
         assert energy.wifi_idle_j == pytest.approx(0.77 * 30)
 
     def test_interface_off_after_completion(self):
         model = EnergyModel()
-        visit = WifiVisit(entry_time=50.0, leave_time=68.0, busy_seconds=4.0)
-        energy = account_energy([visit], 0.0, 0.0, model, stop_time=60.0)
+        energy = account_energy([(True, 50.0, 68.0, 4.0)], 0.0, 0.0, model, stop_time=60.0)
         assert energy.wifi_idle_j == pytest.approx(0.77 * (30 - 4))
 
     def test_empty_trip(self):

@@ -232,7 +232,8 @@ class TestRunScenario:
 
     def test_runs_equal_single_trips(self, route_2ap, route_4ap, route_8ap):
         """Each run of a scenario equals run_trip on its own realization, with
-        no tolerance, so every policy of a run saw the same realized route."""
+        no tolerance, so every policy of a run saw the same realized route and
+        the trip loop's array form agrees with its float form."""
         rng = np.random.default_rng(41)
         in_hotspot = 0
         cases = [(route, 1 / 3, 8) for route in (route_2ap, route_4ap, route_8ap)]

@@ -6,10 +6,16 @@ import pytest
 
 from conftest import RECIPES, edge_routes, make_task, random_route
 from offloadsim.config import bundled_recipe_path, bundled_scenario_path, load_scenario, load_sweep
-from offloadsim.engine import _check_same_structure, _window_mobile_rate, run_trip
+from offloadsim.engine import _check_same_structure, run_trip
 from offloadsim.metrics import apply_sweep_value, derive_run_seed
 from offloadsim.model import MBIT_PER_MB, AccessKind, RouteProfile, RouteSegment, scale_route
-from offloadsim.oracle import StepOutcome, _advance, compare_runs, run_trip_stepped
+from offloadsim.oracle import (
+    StepOutcome,
+    _advance,
+    _window_mobile_rate,
+    compare_runs,
+    run_trip_stepped,
+)
 from offloadsim.policies import Channel, Policy, PolicyClassMismatch, plan_exit
 from offloadsim.prediction import ErrorSpec, build_prediction, realize_route
 

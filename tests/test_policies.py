@@ -385,7 +385,7 @@ class TestOnePlanner:
     def test_trip_batch_and_oracle_share_the_planners(self, monkeypatch, default_route,
                                                       default_errors):
         """run_trip, run_batch and run_trip_stepped all plan through the one
-        policies.plan_exit; the engine's two loops also share plan_entry."""
+        policies.plan_exit; run_trip and run_batch also through plan_entry."""
         assert engine.plan_exit is policies.plan_exit
         assert oracle.plan_exit is policies.plan_exit
         assert engine.plan_entry is policies.plan_entry
@@ -417,3 +417,47 @@ class TestOnePlanner:
             assert "plan_exit" in calls, name
             if name != "run_trip_stepped":  # the oracle keeps its own phase list
                 assert "plan_entry" in calls, name
+
+    def test_trip_and_batch_enter_the_one_loop(self, monkeypatch, default_route,
+                                              default_errors):
+        """run_trip and run_batch are thin entry points: each runs the trip
+        loop engine._run once, and both move bytes through the one fill
+        step."""
+        calls = []
+
+        def counted(fn, name):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(engine, "_run", counted(engine._run, "_run"))
+        monkeypatch.setattr(engine._ByteState, "fill",
+                            counted(engine._ByteState.fill, "fill"))
+        task = make_task(60.0)
+        realized = realize_route(default_route, default_errors)
+        batch = realize_batch(default_route, default_errors, 0, 3)
+        engine.run_trip(realized, default_route, task, PREFETCH_DT, default_errors)
+        assert calls.count("_run") == 1 and calls.count("fill") > 0
+        calls.clear()
+        engine.run_batch(batch, task, PREFETCH_DT, default_errors)
+        assert calls.count("_run") == 1 and calls.count("fill") > 0
+
+    def test_float_form_runs_no_array_operation(self, monkeypatch, default_route,
+                                                default_errors):
+        """With every array operation swapped for one that raises, run_trip
+        still runs every policy of both classes, and run_batch fails."""
+        def fail(*args, **kwargs):
+            raise AssertionError("array operation on the float form")
+
+        monkeypatch.setattr(policies, "_ARRAY_OPS",
+                            policies.Elementwise(*[fail] * len(policies.Elementwise._fields)))
+        realized = realize_route(default_route, default_errors)
+        for sensitive in (False, True):
+            task = make_task(60.0, sensitive=sensitive)
+            for policy in Policy:
+                if policy.admits(task.traffic_class):
+                    engine.run_trip(realized, default_route, task, policy, default_errors)
+        batch = realize_batch(default_route, default_errors, 0, 3)
+        with pytest.raises(AssertionError, match="array operation"):
+            engine.run_batch(batch, make_task(60.0), PREFETCH_DT, default_errors)
