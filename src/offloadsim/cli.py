@@ -58,7 +58,7 @@ def _apply_overrides(spec: ScenarioSpec, args: argparse.Namespace) -> ScenarioSp
     """Apply command-line overrides; a value the model rejects is a ConfigError."""
     try:
         if args.policy:
-            spec = replace(spec, policies=tuple(config.parse_policy(p)
+            spec = replace(spec, policies=tuple(config.parse_policy(p, "--policy")
                                                 for p in args.policy.split(",")))
         if args.runs is not None:
             spec = replace(spec, runs=args.runs)

@@ -13,7 +13,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Any, Optional, Union
 
-from .metrics import ScenarioSpec, SweepSpec, apply_sweep_value
+from .metrics import METRICS, SWEEPABLE, ScenarioSpec, SweepSpec, apply_sweep_value
 from .model import (
     AccessKind,
     EnergyModel,
@@ -111,19 +111,22 @@ def json_array(value: Any, label: str) -> list:
     return value
 
 
-def json_strings(value: Any, label: str) -> tuple[str, ...]:
-    """A list of strings; a bad entry is named by its index."""
-    return tuple(json_string(v, f"{label}[{i}]")
+def parse_name(value: Any, label: str, names, kind: str) -> str:
+    """A string from ``names``; an unknown one is named by its field."""
+    name = json_string(value, label)
+    if name not in names:
+        raise ConfigError(f"{label}: unknown {kind} {name!r}; expected one of {sorted(names)}")
+    return name
+
+
+def parse_names(value: Any, label: str, names, kind: str) -> tuple[str, ...]:
+    """A list of strings from ``names``; a bad entry is named by its index."""
+    return tuple(parse_name(v, f"{label}[{i}]", names, kind)
                  for i, v in enumerate(json_array(value, label)))
 
 
-def parse_policy(name: str) -> Policy:
-    try:
-        return _POLICY_BY_NAME[name]
-    except KeyError:
-        raise ConfigError(
-            f"unknown policy {name!r}; expected one of {sorted(_POLICY_BY_NAME)}"
-        ) from None
+def parse_policy(name: Any, label: str = "policy") -> Policy:
+    return _POLICY_BY_NAME[parse_name(name, label, _POLICY_BY_NAME, "policy")]
 
 
 def route_from_dict(data: dict, label: str = "route") -> RouteProfile:
@@ -200,11 +203,11 @@ def scenario_from_dict(data: dict, label: str = "scenario") -> ScenarioSpec:
                                          f"{label}.errors.throughput_error"),
         )
 
-        policies = tuple(parse_policy(p)
-                         for p in json_strings(data["policies"], f"{label}.policies"))
+        policies = tuple(_POLICY_BY_NAME[p] for p in parse_names(
+            data["policies"], f"{label}.policies", _POLICY_BY_NAME, "policy"))
         energy = (energy_from_dict(data["energy"], f"{label}.energy")
                   if "energy" in data else EnergyModel())
-        metrics = (json_strings(data["metrics"], f"{label}.metrics")
+        metrics = (parse_names(data["metrics"], f"{label}.metrics", METRICS, "metric")
                    if "metrics" in data else None)
 
         return ScenarioSpec(
@@ -237,11 +240,12 @@ def sweep_from_dict(data: dict, label: str = "sweep") -> SweepSpec:
             parse_factor(v, f"{label}.sweep.values")
             for v in json_array(sweep_d["values"], f"{label}.sweep.values")
         )
-        metrics = (json_strings(data["metrics"], f"{label}.metrics")
+        metrics = (parse_names(data["metrics"], f"{label}.metrics", METRICS, "metric")
                    if "metrics" in data else base.metrics)
         sweep = SweepSpec(
             base=base,
-            parameter=json_string(sweep_d["parameter"], f"{label}.sweep.parameter"),
+            parameter=parse_name(sweep_d["parameter"], f"{label}.sweep.parameter",
+                                 SWEEPABLE, "sweep parameter"),
             values=values,
             metrics=metrics,
         )

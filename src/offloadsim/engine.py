@@ -15,7 +15,9 @@ once per call from the input kind
 same, in the same order, in both forms, so run k of a batch equals
 :func:`run_trip` on realization k bit for bit.  Both plan through the same
 :func:`~offloadsim.policies.plan_exit` and
-:func:`~offloadsim.policies.plan_entry`.
+:func:`~offloadsim.policies.plan_entry`.  Only a policy that reads a plan, a
+rate-limited or a prefetching one, replans; the others never build a
+forecast.
 """
 
 from __future__ import annotations
@@ -220,6 +222,9 @@ def _run(
     provisioned = ops.zeros(end)
     caches: dict[int, tuple[Floats, Floats]] = {}  # offset, amount
     visits = []  # (runs inside, entry, leave, busy seconds) per hotspot
+    # only a rate-limited policy reads the planned rate and only a
+    # prefetching one the caches; for the others a plan changes nothing
+    plans = policy.rate_limited or policy.prefetches
 
     def replan(now_nominal: float, now_realized: Floats) -> None:
         nonlocal plan_rate, infeasible, provisioned
@@ -239,7 +244,8 @@ def _run(
                                  ops.where(kept, amount, old_amount))
                 provisioned = provisioned + ops.where(kept, amount, 0.0)
 
-    replan(0.0, 0.0)
+    if plans:
+        replan(0.0, 0.0)
 
     for i, (seg, seg_nom) in enumerate(zip(segments, nominal.segments)):
         runs = ops.not_(state.complete)
@@ -272,7 +278,7 @@ def _run(
                 budget = budget - used
             leave = ops.where(state.complete, state.completion_time, seg.end_time)
             visits.append((runs, t0, leave, busy))
-        if wifi and not ops.all(state.complete):
+        if wifi and plans and not ops.all(state.complete):
             replan(seg_nom.end_time, seg.end_time)
 
     completed = state.complete
@@ -302,9 +308,10 @@ def run_trip(
 ) -> RunOutcome:
     """Execute one trip under ``policy`` and return the realized outcome.
 
-    Plans are (re)built at the route start and at every realized hotspot
-    exit, always from the nominal route (the planner sees predictions, never
-    the realization).  During mobile coverage (and, for mobile-only,
+    A rate-limited or prefetching policy (re)plans at the route start and
+    at every realized hotspot exit, always from the nominal route (the
+    planner sees predictions, never the realization); the other policies
+    read no plan and make none.  During mobile coverage (and, for mobile-only,
     through the WiFi windows, at the nearest mobile segment's rate) a
     rate-limited policy transfers at its planned rate capped by the realized
     channel, the others at whatever the channel realizes; inside hotspots

@@ -1,10 +1,10 @@
 """Transfer policies: one table of per-policy traits and two planners.
 
 Plans are made at the route start and whenever the node leaves a hotspot
-(:func:`plan_exit`).  Delay-tolerant planning sizes the mobile rate so that
-the pessimistic WiFi forecast plus the mobile stream finish exactly at the
-deadline; the maximum-throughput policies just request the full predicted
-mobile rate.  Prefetching policies additionally decide how much of the
+(:func:`plan_exit`), for the policies that read them.  Delay-tolerant
+planning sizes the mobile rate so that the pessimistic WiFi forecast plus
+the mobile stream finish exactly at the deadline; the maximum-throughput
+policies just request the full predicted mobile rate.  Prefetching policies additionally decide how much of the
 object to push into the next hotspot's cache and at which object offset.
 
 The received bytes are always one prefix of the object, so on entering a
@@ -27,7 +27,6 @@ bit for bit.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, NamedTuple, Optional, Union
 
@@ -60,7 +59,8 @@ class Policy(Enum):
     realizes, and their plan's mobile_rate is the nominal prediction that
     sizes the cache offset.  ``prefetches`` stages part of the object in the
     next hotspot's cache, and ``hole_channel`` is the channel that fills the
-    hole below a cached offset.
+    hole below a cached offset.  A policy that neither rate-limits nor
+    prefetches reads no plan, so the engine makes none for it.
     """
 
     # (cli name, admitted class, rate-limited, prefetches, hole channel)
@@ -97,8 +97,7 @@ class PolicyClassMismatch(ValueError):
 Floats = Union[float, np.ndarray]
 
 
-@dataclass(frozen=True)
-class EntryAction:
+class EntryAction(NamedTuple):
     """One fetch step inside a hotspot: extend the received prefix up to
     ``window_hi`` at ``rate`` over ``channel``."""
 

@@ -17,7 +17,9 @@ found by one bisect; the mobile rates before the next hotspot and before
 ``hi`` are each a run of consecutive mobile segments, found by two more.
 So a new forecast costs five bisects and three slices, not a scan of the
 route, and only the first forecast per error pair, rate kind and ``hi``
-walks the hotspots.
+walks the hotspots.  A forecast reads the horizon only through ``hi``, so
+its memo key holds ``hi`` too: no horizon and every horizon at or past the
+route end share one forecast.
 
 Realizations draw uniform(-1, 1) numbers, one generator per run seeded with
 :func:`derive_run_seed` of the base seed and the run index.  A batch's draw
@@ -34,7 +36,7 @@ import functools
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from types import SimpleNamespace
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -78,8 +80,7 @@ class HotspotForecast:
             raise ValueError("forecast bounds must satisfy min <= max")
 
 
-@dataclass(frozen=True)
-class PredictionProfile:
+class PredictionProfile(NamedTuple):
     """Everything a planner may consult when (re)planning at a hotspot exit.
 
     ``max_mobile_rate`` is the highest nominal mobile rate expected before
@@ -184,8 +185,9 @@ def build_prediction(
     before it.
 
     The result does not depend on ``errors.seed``.  The most recently seen
-    route is indexed once (see the module docstring): a repeated call returns
-    the forecast it returned before, and a new one costs a few bisects and
+    route is indexed once (see the module docstring): a call with the same
+    ``now``, errors, rate kind and horizon clipped to the route end returns
+    the forecast returned before, and a new one costs a few bisects and
     slices of the index, plus one walk over the hotspots the first time its
     errors, rate kind and clipped horizon come up.
     """
@@ -195,7 +197,8 @@ def build_prediction(
     index = _memo
     if index is None or index.route is not route:
         index = _memo = _RouteIndex(route)
-    key = (now, errors.time_error, errors.throughput_error, use_local_rate, horizon)
+    hi = route.total_time if horizon is None else min(horizon, route.total_time)
+    key = (now, errors.time_error, errors.throughput_error, use_local_rate, hi)
     pred = index.predictions.get(key)
     if pred is None:
         pred = index.predictions[key] = _forecast(index, *key)
@@ -208,11 +211,11 @@ def _forecast(
     time_error: float,
     throughput_error: float,
     use_local_rate: bool,
-    horizon: Optional[float],
+    hi: float,
 ) -> PredictionProfile:
-    """The forecast behind :func:`build_prediction`, read from the index."""
+    """The forecast behind :func:`build_prediction` up to the clipped
+    horizon ``hi``, read from the index."""
     route = index.route
-    hi = route.total_time if horizon is None else min(horizon, route.total_time)
     key = (time_error, throughput_error, use_local_rate, hi)
     ahead = index.hotspot_forecasts.get(key)
     if ahead is None:

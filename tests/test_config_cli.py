@@ -55,8 +55,9 @@ BOOLEAN_NUMBER = [
 ]
 
 # cases of test_bad_input_file_exits_2 that put a JSON string of digits in a
-# number field, or a non-string entry in a list of names, and the dotted
-# field path the error must name ("input" is the file's stem)
+# number field, or a non-string or unknown entry in a list of names, or an
+# unknown sweep parameter, and the dotted field path the error must name
+# ("input" is the file's stem)
 NAMED_FIELD = [
     ((None, None, "seed", "7"), "input.seed: expected an integer"),
     ((None, None, "runs", "3"), "input.runs: expected an integer"),
@@ -69,6 +70,15 @@ NAMED_FIELD = [
     ((None, None, "metrics", [1]), "input.metrics[0]: expected a JSON string"),
     (("fig2a", None, "metrics", [1]), "input.metrics[0]: expected a JSON string"),
     (("fig2a", "sweep", "parameter", [1]), "input.sweep.parameter: expected a JSON string"),
+    ((None, None, "policies", ["prefetch-dt", "bogus"]),
+     "input.policies[1]: unknown policy 'bogus'; "),
+    ((None, None, "metrics", ["offload_pct", "energy_j", "bogus"]),
+     "input.metrics[2]: unknown metric 'bogus'; "),
+    (("fig2a", None, "metrics", ["bogus"]), "input.metrics[0]: unknown metric 'bogus'; "),
+    (("fig2a", "scenario", "metrics", ["offload_pct", "bogus"]),
+     "input.scenario.metrics[1]: unknown metric 'bogus'; "),
+    (("fig2a", "sweep", "parameter", "bogus"),
+     "input.sweep.parameter: unknown sweep parameter 'bogus'; "),
 ]
 
 
@@ -298,12 +308,15 @@ class TestCli:
              "sweep-bool-value", "scenario-string-seed", "scenario-string-runs",
              "scenario-string-size", "scenario-string-time-error", "route-string-hotspot-index",
              "route-string-rate", "sweep-base-string-seed", "scenario-policy-number",
-             "scenario-metric-number", "sweep-metric-number", "sweep-parameter-array"])
+             "scenario-metric-number", "sweep-metric-number", "sweep-parameter-array",
+             "scenario-unknown-policy", "scenario-unknown-metric", "sweep-unknown-metric",
+             "sweep-base-unknown-metric", "sweep-unknown-parameter"])
     def test_bad_input_file_exits_2(self, tmp_path, capsys, recipe, section, key, value):
         """A policy listed twice, an unknown metric name, a negative seed, a
         count, seed or hotspot index that is not a whole number, a field of
         the wrong JSON type, true or false or a string of digits for a number,
-        or a non-string name in a list fails at load, naming the field."""
+        a non-string or unknown name in a list, or an unknown sweep parameter
+        fails at load, naming the field."""
         data = json.loads(bundled_scenario_path("scenario_dt_default").read_text())
         if recipe == "4ap":  # a copy of the route, its first hotspot changed
             route = json.loads(bundled_scenario_path("route_4ap").read_text())
@@ -389,6 +402,13 @@ class TestCli:
         code = self.run_cli("run", "--scenario", "dt-default",
                             "--policy", "warp-drive")
         assert code == 2
+
+    def test_unknown_policy_override_names_the_option(self, capsys):
+        assert self.run_cli("run", "--scenario", "dt-default", "--policy", "bogus") == 2
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: --policy: unknown policy 'bogus'; ")
+        assert captured.out == ""
 
     @pytest.mark.parametrize("argv", [
         ("run", "--scenario", "dt-default", "--runs", "0"),

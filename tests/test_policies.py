@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ from conftest import edge_routes, make_task, random_route
 from offloadsim import engine, oracle, policies
 from offloadsim.model import scale_route
 from offloadsim.policies import Channel, Policy, plan_entry, plan_exit
-from offloadsim.prediction import ErrorSpec, build_prediction, realize_batch, realize_route
+from offloadsim.prediction import (ErrorSpec, build_prediction, derive_run_seed,
+                                  realize_batch, realize_route)
 
 ZERO = ErrorSpec(0.0, 0.0)
 PREFETCH_DT = Policy.PREFETCH_DELAY_TOLERANT
@@ -461,3 +463,52 @@ class TestOnePlanner:
         batch = realize_batch(default_route, default_errors, 0, 3)
         with pytest.raises(AssertionError, match="array operation"):
             engine.run_batch(batch, make_task(60.0), PREFETCH_DT, default_errors)
+
+    def test_only_planning_policies_build_forecasts(self, monkeypatch, default_route):
+        """no-prediction and mobile-only read no plan and build no forecast.
+        Every other policy builds one at the start and one at each hotspot
+        exit it reaches before completing; a batch, one at each exit that
+        some run reaches before completing."""
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return build_prediction(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "build_prediction", counted)
+        planless = (Policy.NO_PREDICTION_OFFLOAD, Policy.MOBILE_ONLY)
+        errors = ErrorSpec(0.10, 0.20)
+        seed, runs = 5, 4
+        rng = np.random.default_rng(42)
+        reached = set()  # (exits reached, hotspots) of every planning trip
+        for route in [default_route] + [random_route(rng, n_segments=10) for _ in range(12)]:
+            capacity = sum(s.duration * (s.backhaul_rate if s.is_wifi else s.mobile_rate)
+                           for s in route.segments) / 8
+            batch = realize_batch(route, errors, seed, runs)
+            trips = [realize_route(route, replace(errors, seed=derive_run_seed(seed, k)))
+                     for k in range(runs)]
+            for share in (0.3, 0.8, 3.0):
+                for sensitive in (False, True):
+                    task = make_task(share * capacity, threshold=0.9 * route.total_time,
+                                     sensitive=sensitive)
+                    for policy in filter(lambda p: p.admits(task.traffic_class), Policy):
+                        exits = []
+                        for trip in trips:
+                            calls.clear()
+                            outcome = engine.run_trip(trip, route, task, policy, errors)
+                            ends = [s.end_time for s in trip.segments if s.is_wifi]
+                            if outcome.completed:
+                                ends = [e for e in ends if e < outcome.completion_time]
+                            exits.append(len(ends))
+                            want = 0 if policy in planless else 1 + len(ends)
+                            assert len(calls) == want, (policy, want)
+                            if policy not in planless:
+                                reached.add((len(ends), route.n_hotspots))
+                        calls.clear()
+                        engine.run_batch(batch, task, policy, errors)
+                        want = 0 if policy in planless else 1 + max(exits)
+                        assert len(calls) == want, (policy, want)
+        # trips that reach no exit, some exits and every exit, all checked
+        assert any(n == 0 < h for n, h in reached)
+        assert any(0 < n < h for n, h in reached)
+        assert any(0 < n == h for n, h in reached)

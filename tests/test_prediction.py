@@ -27,9 +27,11 @@ def replan_times(route):
 
 
 def assert_fields_equal(a, b):
+    """Same type and every field equal: a dataclass's fields or a NamedTuple's."""
     assert type(a) is type(b)
-    for f in dataclasses.fields(a):
-        assert getattr(a, f.name) == getattr(b, f.name), f.name
+    names = a._fields if isinstance(a, tuple) else [f.name for f in dataclasses.fields(a)]
+    for name in names:
+        assert getattr(a, name) == getattr(b, name), name
 
 
 def reference_mobile_rates_in(route: RouteProfile, now: float,
@@ -226,6 +228,27 @@ class TestForecastMemo:
                                                    errors.throughput_error, local, h)
                         assert again is first
                         assert_forecast_equal(first, fresh)
+
+    def test_horizons_at_or_past_the_route_end_share_one_forecast(self):
+        """No horizon, the route end and a horizon past it clip to the same
+        horizon, so they get one forecast object, equal to the scan's; a
+        horizon inside the route gets its own."""
+        rng = np.random.default_rng(24)
+        for route in [random_route(rng) for _ in range(40)] + edge_routes(rng):
+            te, re = float(rng.uniform(0, 0.5)), float(rng.uniform(0, 0.9))
+            errors = ErrorSpec(te, re)
+            inside = float(rng.uniform(0.3, 0.9)) * route.total_time
+            for now in replan_times(route):
+                for local in (True, False):
+                    shared = build_prediction(route, now, errors, local, None)
+                    for h in (route.total_time, 1.5 * route.total_time):
+                        assert build_prediction(route, now, errors, local, h) is shared
+                    assert_forecast_equal(
+                        shared, reference_forecast(route, now, te, re, local, None))
+                    own = build_prediction(route, now, errors, local, inside)
+                    assert own is not shared
+                    assert_forecast_equal(
+                        own, reference_forecast(route, now, te, re, local, inside))
 
     def test_alternating_routes_get_their_own_forecast(self):
         rng = np.random.default_rng(23)
