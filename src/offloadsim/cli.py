@@ -57,7 +57,7 @@ def _resolve_input(arg: str) -> str:
 def _apply_overrides(spec: ScenarioSpec, args: argparse.Namespace) -> ScenarioSpec:
     """Apply command-line overrides; a value the model rejects is a ConfigError."""
     try:
-        if args.policy:
+        if args.policy is not None:
             spec = replace(spec, policies=tuple(config.parse_policy(p, "--policy")
                                                 for p in args.policy.split(",")))
         if args.runs is not None:

@@ -7,6 +7,7 @@ result figure under ``data/recipes``.
 
 from __future__ import annotations
 
+import functools
 import json
 from fractions import Fraction
 from importlib import resources
@@ -148,11 +149,17 @@ def route_from_dict(data: dict, label: str = "route") -> RouteProfile:
         raise ConfigError(f"{label}: {exc}") from exc
 
 
+@functools.cache
+def _bundled_route(key: str) -> RouteProfile:
+    """A bundled route, parsed once per process (routes are frozen)."""
+    return route_from_dict(_read_bundled(_BUNDLED_ROUTES[key]), label=key)
+
+
 def load_route(key_or_path: str) -> RouteProfile:
-    """Load a bundled route by key ('4ap', '2ap', '8ap') or any JSON path."""
+    """Load a bundled route by key ('4ap', '2ap', '8ap') or any JSON path;
+    a path is read again on every call."""
     if key_or_path in _BUNDLED_ROUTES:
-        data = _read_bundled(_BUNDLED_ROUTES[key_or_path])
-        return route_from_dict(data, label=key_or_path)
+        return _bundled_route(key_or_path)
     return route_from_dict(_read_json(key_or_path, "route"), label=key_or_path)
 
 

@@ -18,6 +18,10 @@ same, in the same order, in both forms, so run k of a batch equals
 :func:`~offloadsim.policies.plan_entry`.  Only a policy that reads a plan, a
 rate-limited or a prefetching one, replans; the others never build a
 forecast.
+
+A run finishes once per trip, so the byte state records a completion only
+in the fill where one happens, and keeps the mask of runs still
+transferring (``pending``) for the loop, its replans and its fills to read.
 """
 
 from __future__ import annotations
@@ -93,6 +97,11 @@ class _ByteState:
 
     Every fetch step extends one received prefix of the object: a hotspot's
     hole is filled before its cache is drained, so no gap is ever left.
+
+    ``pending`` is ``not complete``: the runs still transferring.  A fill
+    writes ``completion_time``, ``complete`` and ``pending`` only when a run
+    finishes in it, and then replaces them, never changing one in place,
+    since the trip loop keeps the mask each hotspot visit saw.
     """
 
     def __init__(self, size_mb: float, like: Floats) -> None:
@@ -104,6 +113,7 @@ class _ByteState:
         self.wifi_backhaul_mb = ops.zeros(like)
         self.completion_time = ops.zeros(like)  # read only where complete
         self.complete = ops.zeros(like, bool)
+        self.pending = ops.not_(self.complete)
 
     def fill(self, runs, rate: Floats, max_seconds: Floats, channel: Channel,
              now: Floats, hi: Floats) -> Floats:
@@ -114,7 +124,7 @@ class _ByteState:
         finishes mid-way."""
         ops = self.ops
         need = hi - self.prefix
-        go = runs & ops.not_(self.complete) & (rate != 0) & (max_seconds != 0) & (need > 0)
+        go = runs & self.pending & (rate != 0) & (max_seconds != 0) & (need > 0)
         if not ops.any(go):
             return 0.0
         rate = ops.where(go, rate, 1.0)  # no division by zero in runs left out
@@ -128,9 +138,11 @@ class _ByteState:
         else:
             self.wifi_backhaul_mb = self.wifi_backhaul_mb + moved
         done = go & (moved >= missing - _BYTE_EPS)
-        self.completion_time = ops.where(done, now + missing * MBIT_PER_MB / rate,
-                                         self.completion_time)
-        self.complete = self.complete | done
+        if ops.any(done):
+            self.completion_time = ops.where(done, now + missing * MBIT_PER_MB / rate,
+                                             self.completion_time)
+            self.complete = self.complete | done
+            self.pending = ops.not_(self.complete)
         return moved * MBIT_PER_MB / rate
 
 
@@ -228,7 +240,7 @@ def _run(
 
     def replan(now_nominal: float, now_realized: Floats) -> None:
         nonlocal plan_rate, infeasible, provisioned
-        runs = ops.not_(state.complete)
+        runs = state.pending
         pred = build_prediction(nominal, now_nominal, errors,
                                 use_local_rate=policy.prefetches, horizon=horizon)
         plan_rate, flagged, cache = plan_exit(
@@ -248,7 +260,7 @@ def _run(
         replan(0.0, 0.0)
 
     for i, (seg, seg_nom) in enumerate(zip(segments, nominal.segments)):
-        runs = ops.not_(state.complete)
+        runs = state.pending
         if not ops.any(runs):
             break
         t0 = seg.start_time
@@ -260,7 +272,7 @@ def _run(
             mobile_rate = seg.mobile_rate
         if not wifi or policy is Policy.MOBILE_ONLY:
             rate = ops.minimum(plan_rate, mobile_rate) if policy.rate_limited else mobile_rate
-            state.fill(runs & (rate > 0), rate, seg.duration, Channel.MOBILE, t0, size)
+            state.fill(runs, rate, seg.duration, Channel.MOBILE, t0, size)
         else:
             steps = plan_entry(policy, state.prefix, caches.get(seg_nom.hotspot_index),
                                local_rate=seg.wifi_local_rate,
@@ -278,7 +290,7 @@ def _run(
                 budget = budget - used
             leave = ops.where(state.complete, state.completion_time, seg.end_time)
             visits.append((runs, t0, leave, busy))
-        if wifi and plans and not ops.all(state.complete):
+        if wifi and plans and ops.any(state.pending):
             replan(seg_nom.end_time, seg.end_time)
 
     completed = state.complete

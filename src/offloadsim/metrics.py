@@ -4,7 +4,10 @@ Each run draws one realized route and evaluates every policy on that same
 realization (paired comparison), then metrics are aggregated into means with
 Student-t 95% confidence intervals.  A scenario's realizations are drawn
 together and each policy runs over all of them in one batched pass
-(:func:`offloadsim.engine.run_batch`).  The t quantile comes from
+(:func:`offloadsim.engine.run_batch`), and the scenario is aggregated in
+one pass: every policy's metric arrays are stacked as the rows of one array,
+and the means and CIs are taken along its last axis, each row bit for bit
+as its own 1-D array would give them.  The t quantile comes from
 ``t_quantile_975``, a standard-library Newton solve on the t tail, so the
 package needs no statistics library.  Per-run seeds are derived from the
 scenario seed with a stable hash, so adding a policy or rerunning a sweep
@@ -123,16 +126,22 @@ def t_quantile_975(df: int) -> float:
     return t
 
 
-def ci_halfwidth(samples: Sequence[float]) -> float:
-    """Two-sided 95% confidence half-width, Student-t: t(0.975, n-1) s/sqrt(n)."""
-    n = len(samples)
+def ci_halfwidth(samples: Union[Sequence[float], np.ndarray]) -> Union[float, np.ndarray]:
+    """Two-sided 95% confidence half-width, Student-t: t(0.975, n-1) s/sqrt(n).
+
+    The samples lie along the last axis: a float for one sequence, one
+    half-width per row for a 2-D array, each equal to the 1-D call on that
+    row.  A row whose samples are all equal gets exactly 0, not a
+    float-noise std.
+    """
+    samples = np.asarray(samples, dtype=float)
+    n = samples.shape[-1]
     if n < 2:
         raise InsufficientSamples(f"need at least 2 samples, got {n}")
-    samples = np.asarray(samples, dtype=float)
-    if samples.min() == samples.max():  # exact, not a float-noise std
-        return 0.0
-    s = float(np.std(samples, ddof=1))
-    return t_quantile_975(n - 1) * s / math.sqrt(n)
+    s = np.std(samples, axis=-1, ddof=1)
+    half = np.where(samples.min(axis=-1) == samples.max(axis=-1), 0.0,
+                    t_quantile_975(n - 1) * s / math.sqrt(n))
+    return float(half) if samples.ndim == 1 else half
 
 
 def relative_gain(a_mean: float, b_mean: float, lower_is_better: bool = False) -> float:
@@ -233,16 +242,15 @@ def scenario_outcomes(spec: ScenarioSpec) -> dict[Policy, BatchOutcome]:
 def run_scenario(spec: ScenarioSpec) -> AggregateResult:
     """Run every policy over ``spec.runs`` paired realizations and aggregate."""
     outcomes = scenario_outcomes(spec)
-    summaries = {}
-    for p, outcome in outcomes.items():
-        summaries[p] = {}
-        for m in METRICS:
-            vals = getattr(outcome, _METRIC_FIELDS[m])
-            summaries[p][m] = MetricSummary(
-                mean=float(np.mean(vals)),
-                ci95=ci_halfwidth(vals) if len(vals) >= 2 else 0.0,
-                n=len(vals),
-            )
+    # one C-contiguous row per (policy, metric): each row reduces as the
+    # 1-D array would, so one pass gives every mean and CI bit for bit
+    rows = np.array([getattr(o, _METRIC_FIELDS[m]) for o in outcomes.values()
+                     for m in METRICS])
+    n = rows.shape[1]
+    cis = ci_halfwidth(rows).tolist() if n >= 2 else [0.0] * len(rows)
+    stats = iter(zip(np.mean(rows, axis=1).tolist(), cis))
+    summaries = {p: {m: MetricSummary(*next(stats), n=n) for m in METRICS}
+                 for p in outcomes}
     return AggregateResult(
         scenario_id=spec.scenario_id,
         summaries=summaries,

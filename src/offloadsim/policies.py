@@ -108,9 +108,12 @@ class EntryAction(NamedTuple):
 
 def _pessimistic_wifi(pred: PredictionProfile) -> tuple[float, float]:
     """Lower-bound WiFi bytes (MB) and seconds over the remaining hotspots."""
-    data_mb = sum(h.rate_min * h.duration_min for h in pred.hotspots) / MBIT_PER_MB
-    seconds = sum(h.duration_min for h in pred.hotspots)
-    return data_mb, seconds
+    # left to right: builtin sum() of floats is compensated from Python 3.12 on
+    data = seconds = 0.0
+    for h in pred.hotspots:
+        data += h.rate_min * h.duration_min
+        seconds += h.duration_min
+    return data / MBIT_PER_MB, seconds
 
 
 class Elementwise(NamedTuple):
@@ -120,7 +123,6 @@ class Elementwise(NamedTuple):
 
     where: Callable
     any: Callable
-    all: Callable
     not_: Callable
     zeros: Callable
     minimum: Callable
@@ -132,9 +134,9 @@ class Elementwise(NamedTuple):
 # so a trip's results equal its run's in a batch bit for bit.  An array's
 # ``any`` is a count of its true entries, which is as truthy and about three
 # times cheaper than ``ndarray.any``.
-_FLOAT_OPS = Elementwise(lambda condition, x, y: x if condition else y, bool, bool,
+_FLOAT_OPS = Elementwise(lambda condition, x, y: x if condition else y, bool,
                          operator.not_, lambda like, dtype=float: dtype(0), min, max)
-_ARRAY_OPS = Elementwise(np.where, np.count_nonzero, np.ndarray.all, np.logical_not,
+_ARRAY_OPS = Elementwise(np.where, np.count_nonzero, np.logical_not,
                          lambda like, dtype=float: np.zeros(np.shape(like), dtype),
                          np.minimum, np.maximum)
 

@@ -87,6 +87,19 @@ class TestLoaders:
         for key, n in (("2ap", 2), ("4ap", 4), ("8ap", 8)):
             assert load_route(key).n_hotspots == n
 
+    def test_bundled_route_is_parsed_once(self):
+        assert load_route("4ap") is load_route("4ap")
+
+    def test_route_file_is_read_on_every_call(self, tmp_path):
+        path = tmp_path / "route.json"
+        rates = []
+        for rate in (4.0, 9.0):
+            path.write_text(json.dumps({"segments": [{"kind": "mobile", "start_time": 0,
+                                                      "duration": 10, "mobile_rate": rate}],
+                                        "total_time": 10}))
+            rates.append(load_route(str(path)).segments[0].mobile_rate)
+        assert rates == [4.0, 9.0]
+
     def test_missing_route_file(self):
         with pytest.raises(ConfigError):
             load_route("/no/such/file.json")
@@ -408,6 +421,14 @@ class TestCli:
         captured = capsys.readouterr()
         err = captured.err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: --policy: unknown policy 'bogus'; ")
+        assert captured.out == ""
+
+    def test_empty_policy_override_exits_2(self, capsys):
+        assert self.run_cli("run", "--scenario", "dt-default", "--runs", "2",
+                            "--policy", "") == 2
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: --policy: unknown policy ''; ")
         assert captured.out == ""
 
     @pytest.mark.parametrize("argv", [

@@ -89,6 +89,34 @@ class TestIntegrateTransfer:
                 assert state.completion_time[k] == one.completion_time
         assert not state.mobile_mb.any() and not state.wifi_local_mb.any()
 
+    def test_pending_is_not_complete(self):
+        """After every float or array fill, ``pending`` is ``not complete``.
+        A fill that finishes no run leaves the masks and completion times as
+        they were; one that does replaces the mask, so a mask read earlier
+        keeps its runs, and writes completion times only where runs
+        finished."""
+        state = _ByteState(10.0, 0.0)
+        assert state.pending is True
+        state.fill(True, 8.0, 5.0, Channel.MOBILE, 0.0, 10.0)
+        assert state.pending is True and state.completion_time == 0.0
+        state.fill(True, 8.0, 10.0, Channel.MOBILE, 5.0, 10.0)
+        assert state.pending is False and state.complete is True
+        assert state.completion_time == pytest.approx(10.0)
+
+        now = np.zeros(4)
+        state = _ByteState(10.0, now)
+        pending, completion_time = state.pending, state.completion_time
+        state.fill(np.array([True, True, False, True]), np.array([8.0, 8.0, 8.0, 0.0]),
+                   5.0, Channel.MOBILE, now, 10.0)
+        assert state.pending is pending and state.completion_time is completion_time
+        state.fill(np.array([True, False, True, True]), np.array([80.0, 8.0, 8.0, 8.0]),
+                   5.0, Channel.MOBILE, now, 10.0)
+        assert list(pending) == [True] * 4
+        assert list(state.complete) == [True, False, False, False]
+        assert list(state.pending) == list(~state.complete)
+        assert state.completion_time[0] == pytest.approx(0.5)
+        assert list(state.completion_time[1:]) == [0.0] * 3
+
 
 class TestRunTripAnchors:
     """Zero-error trips whose outcomes were worked out by hand from the

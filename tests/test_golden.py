@@ -1,10 +1,10 @@
-"""The float path against the benchmark's golden digests.
+"""Every workload's jobs against the benchmark's golden digests.
 
-The figure and cli-run digests check the batch path (``test_config_cli``).
-These recompute two digests of one-trip runs through ``perfbench/jobs.py``'s
-own job functions: every chunk digest of random-trips bank seed 0 and the
-verdict digest of oracle-check bank seed 0.  Nothing under ``perfbench/`` is
-written.
+These recompute digests through ``perfbench/jobs.py``'s own job functions,
+as the benchmark runs them: every chunk digest of random-trips bank seed 0
+and the verdict digest of oracle-check bank seed 0 (the float path), and
+every figure recipe, one ``run_sweep`` per sweep point, and both cli-run
+scenarios (the batch path).  Nothing under ``perfbench/`` is written.
 """
 
 import importlib
@@ -54,3 +54,19 @@ def test_oracle_check_bank_0_matches_golden(jobs, golden):
     assert ops[-1][0] == "verdicts/0"
     attempted, failed, messages = jobs.check("oracle-check", ops, golden)
     assert attempted == len(ops) and failed == 0, messages
+
+
+def test_figures_work_matches_golden(jobs, golden):
+    _, requested, ops, _, _ = jobs.figures_work(jobs.setup("figures"), 0)
+    assert sorted(name for name, _, _ in ops) == sorted(jobs.RECIPES)
+    assert requested > 0
+    attempted, failed, messages = jobs.check("figures", ops, golden)
+    assert attempted == len(jobs.RECIPES) and failed == 0, messages
+
+
+def test_cli_work_matches_golden(jobs, golden, tmp_path, capsys):
+    _, _, ops, _, _ = jobs.cli_work(jobs.setup("cli-run"), 0, tmp_path)
+    capsys.readouterr()  # the command's table
+    assert [name for name, _, _ in ops] == list(jobs.SCENARIOS)
+    attempted, failed, messages = jobs.check("cli-run", ops, golden)
+    assert attempted == len(jobs.SCENARIOS) and failed == 0, messages

@@ -14,7 +14,8 @@ import pytest
 import offloadsim
 from conftest import RECIPES, edge_routes, make_task, random_route
 from offloadsim import prediction
-from offloadsim.config import bundled_recipe_path, load_sweep
+from offloadsim.config import (bundled_recipe_path, bundled_scenario_path, load_scenario,
+                               load_sweep)
 from offloadsim.engine import run_trip
 from offloadsim.metrics import (
     METRICS,
@@ -103,10 +104,29 @@ class TestCiHalfwidth:
         widths = [ci_halfwidth(rng.normal(0, 1, size=120)) for _ in range(100)]
         assert np.mean(widths) == pytest.approx(1.96 / math.sqrt(120), rel=0.15)
 
-    @pytest.mark.parametrize("samples", [[], [1.0]])
+    @pytest.mark.parametrize("samples", [[], [1.0], np.zeros((3, 1)), np.zeros((2, 0))])
     def test_insufficient_samples(self, samples):
         with pytest.raises(InsufficientSamples):
             ci_halfwidth(samples)
+
+    def test_float_for_one_dimension(self):
+        assert type(ci_halfwidth([0.0, 1.0])) is float
+        assert type(ci_halfwidth(np.array([4.2, 4.2]))) is float
+
+    @pytest.mark.parametrize("runs", [2, 3, 120, 1000])
+    def test_rows_equal_one_dimensional_calls(self, runs):
+        """Along the last axis: each row of a 2-D input gets exactly the 1-D
+        call's value, constant rows 0.0, for arrays and for nested lists
+        alike (1000 samples exercise numpy's blocked summation)."""
+        rng = np.random.default_rng(runs)
+        rows = np.vstack([rng.normal(50.0, 9.0, (3, runs)), np.full((1, runs), 4.2),
+                          rng.uniform(0.0, 1e4, (2, runs))])
+        want = [ci_halfwidth(row) for row in rows]
+        assert want[3] == 0.0
+        for samples in (rows, rows.tolist()):
+            got = ci_halfwidth(samples)
+            assert got.shape == (len(rows),)
+            assert got.tolist() == want
 
 
 # t(0.975, df) to 30 significant digits, computed with mpmath 1.3.0 as the
@@ -257,6 +277,25 @@ class TestRunScenario:
                     errors=errors, runs=runs, seed=case)
                 assert_runs_equal_single_trips(spec)
         assert in_hotspot >= 10
+
+    @pytest.mark.parametrize("name", ["scenario_dt_default", "scenario_ds_default"])
+    @pytest.mark.parametrize("runs", [1, 2, 120])
+    def test_summaries_equal_one_dimensional_aggregates(self, name, runs):
+        """The one-pass aggregation gives, for every policy and metric, the
+        mean and CI of that metric's own 1-D array, bit for bit."""
+        spec = replace(load_scenario(str(bundled_scenario_path(name))), runs=runs)
+        outcomes = scenario_outcomes(spec)
+        result = run_scenario(spec)
+        for p in spec.policies:
+            for m, field in (("offload_pct", "offload_pct"),
+                             ("transfer_delay_s", "transfer_delay"),
+                             ("energy_j", "energy_j"), ("cache_mb", "cache_bytes_used")):
+                vals = getattr(outcomes[p], field)
+                s = result.summaries[p][m]
+                assert type(s.mean) is float and type(s.ci95) is float
+                assert s.mean == float(np.mean(vals)), (name, p, m)
+                assert s.ci95 == (ci_halfwidth(vals) if runs >= 2 else 0.0), (name, p, m)
+                assert s.n == runs
 
     def test_ci_shrinks_with_sqrt_n(self, route_4ap):
         small = run_scenario(make_spec(route_4ap, runs=120))

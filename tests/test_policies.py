@@ -8,8 +8,9 @@ from conftest import edge_routes, make_task, random_route
 from offloadsim import engine, oracle, policies
 from offloadsim.model import scale_route
 from offloadsim.policies import Channel, Policy, plan_entry, plan_exit
-from offloadsim.prediction import (ErrorSpec, build_prediction, derive_run_seed,
-                                  realize_batch, realize_route)
+from offloadsim.prediction import (ErrorSpec, HotspotForecast, PredictionProfile,
+                                  build_prediction, derive_run_seed, realize_batch,
+                                  realize_route)
 
 ZERO = ErrorSpec(0.0, 0.0)
 PREFETCH_DT = Policy.PREFETCH_DELAY_TOLERANT
@@ -61,6 +62,19 @@ class TestDelayTolerantPlan:
         rate, infeasible, _ = plan_exit(PREFETCH_DT, 60.0, 10.0, pred_local_t0)
         assert infeasible
         assert rate == pytest.approx(4.58 / 3, rel=1e-12)
+
+    def test_wifi_forecast_sums_left_to_right(self, monkeypatch):
+        """The pessimistic WiFi volume is summed left to right whatever the
+        Python version: ten 0.1 Mbit windows make 0.9999999999999999 Mbit,
+        which leaves the mobile stream 1.4e-17 MB.  A compensated sum (the
+        builtin from Python 3.12 on; math.fsum shadows it here) must not
+        change the plan."""
+        hotspots = tuple(HotspotForecast(i, 1.0, 1.0, 0.1, 0.1) for i in range(10))
+        pred = PredictionProfile(hotspots, 5.0, 100.0, 100.0)
+        want = plan_exit(PREFETCH_DT, 0.125, 100.0, pred)
+        assert want[0] > 0.0
+        monkeypatch.setattr(policies, "sum", math.fsum, raising=False)
+        assert plan_exit(PREFETCH_DT, 0.125, 100.0, pred) == want
 
 
 PREDICTION_ONLY = Policy.PREDICTION_ONLY_DELAY_TOLERANT
