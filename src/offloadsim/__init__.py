@@ -7,7 +7,6 @@ energy; the metrics layer runs paired Monte-Carlo comparisons.
 """
 
 from .engine import (
-    BatchOutcome,
     EnergyBreakdown,
     RunOutcome,
     account_energy,
@@ -62,7 +61,6 @@ __all__ = [
     "AccessKind",
     "AgreementReport",
     "AggregateResult",
-    "BatchOutcome",
     "Channel",
     "EnergyBreakdown",
     "EnergyModel",

@@ -55,23 +55,22 @@ def _resolve_input(arg: str) -> str:
 
 
 def _apply_overrides(spec: ScenarioSpec, args: argparse.Namespace) -> ScenarioSpec:
-    """Apply command-line overrides; a value the model rejects is a ConfigError."""
-    try:
-        if args.policy is not None:
-            spec = replace(spec, policies=tuple(config.parse_policy(p, "--policy")
-                                                for p in args.policy.split(",")))
-        if args.runs is not None:
-            spec = replace(spec, runs=args.runs)
-        if args.seed is not None:
-            spec = replace(spec, seed=args.seed)
-        errors = spec.errors
-        if args.time_error is not None:
-            errors = replace(errors, time_error=args.time_error)
-        if args.thr_error is not None:
-            errors = replace(errors, throughput_error=args.thr_error)
-        return replace(spec, errors=errors)
-    except ValueError as exc:
-        raise ConfigError(f"override: {exc}") from exc
+    """Apply command-line overrides; a value the model rejects is named by its
+    option."""
+    if args.policy is not None:
+        spec = config.checked("--policy", replace, spec, policies=tuple(
+            config.parse_policy(p, "--policy") for p in args.policy.split(",")))
+    if args.runs is not None:
+        spec = config.checked("--runs", replace, spec, runs=args.runs)
+    if args.seed is not None:
+        spec = config.checked("--seed", replace, spec, seed=args.seed)
+    if args.time_error is not None:
+        spec = replace(spec, errors=config.checked("--time-error", replace, spec.errors,
+                                                   time_error=args.time_error))
+    if args.thr_error is not None:
+        spec = replace(spec, errors=config.checked("--thr-error", replace, spec.errors,
+                                                   throughput_error=args.thr_error))
+    return spec
 
 
 def _print_summary(results: Sequence[AggregateResult]) -> None:

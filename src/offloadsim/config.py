@@ -3,27 +3,27 @@
 Bundled under ``offloadsim/data``: three route layouts (``2ap``, ``4ap``,
 ``8ap``), the energy model, two default scenarios, and one sweep recipe per
 result figure under ``data/recipes``.
+
+Every JSON object is read by :class:`_Object`: each value is parsed under its
+dotted path (``dt-default.task.size_mb``), a value the model rejects is named
+by the path of its object, and a key nothing reads is an error, except the
+free-text notes ``comment``, ``figure`` and ``name``.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
-from typing import Any, Optional, Union
+from typing import Any, Callable, Optional, Union
 
-from .metrics import METRICS, SWEEPABLE, ScenarioSpec, SweepSpec, apply_sweep_value
-from .model import (
-    AccessKind,
-    EnergyModel,
-    RouteProfile,
-    RouteSegment,
-    TrafficClass,
-    TransferTask,
-    scale_route,
-)
+from .metrics import (HOTSPOT_COUNTS, METRICS, SWEEPABLE, ScenarioSpec, SweepSpec,
+                      apply_sweep_value)
+from .model import (AccessKind, EnergyModel, RouteProfile, RouteSegment, TrafficClass,
+                    TransferTask, scale_route)
 from .policies import Policy
 from .prediction import ErrorSpec
 
@@ -32,16 +32,9 @@ class ConfigError(Exception):
     """A configuration file is missing, malformed, or inconsistent."""
 
 
-_BUNDLED_ROUTES = {"2ap": "route_2ap.json", "4ap": "route_4ap.json",
-                   "8ap": "route_8ap.json"}
-
-_POLICY_BY_NAME = {p.cli_name: p for p in Policy}
-
-_CLASS_BY_NAME = {c.value: c for c in TrafficClass}
-
-
-def _data_file(name: str):
-    return resources.files("offloadsim.data").joinpath(name)
+_BUNDLED_ROUTES = {f"{n}ap" for n in HOTSPOT_COUNTS}
+_NOTES = frozenset({"comment", "figure", "name"})  # free text, never read
+_REQUIRED = object()
 
 
 def _read_json(source: Union[str, Path], label: str) -> Any:
@@ -51,13 +44,49 @@ def _read_json(source: Union[str, Path], label: str) -> Any:
         raise ConfigError(f"{label}: cannot read {source}: {exc}") from exc
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer literal past int's digit limit
         raise ConfigError(f"{label}: invalid JSON in {source}: {exc}") from exc
 
 
-def _read_bundled(name: str) -> Any:
-    with resources.as_file(_data_file(name)) as path:
-        return _read_json(path, name)
+def checked(path: str, make: Callable, *args, **kwargs) -> Any:
+    """``make(*args, **kwargs)``; a ValueError it raises is named by ``path``."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
+class _Object:
+    """A JSON object read under its dotted ``path``."""
+
+    def __init__(self, data: Any, path: str) -> None:
+        if not isinstance(data, dict):
+            raise ConfigError(f"{path}: expected a JSON object, got {data!r}")
+        self.data, self.path, self.read = data, path, set(_NOTES)
+
+    def get(self, key: str, parse: Callable[[Any, str], Any], default: Any = _REQUIRED) -> Any:
+        """``parse(value, path)`` of the value at ``key``, or of the JSON value
+        ``default`` when the key is absent.  With no default the key is
+        required; with default None an absent key reads as None."""
+        self.read.add(key)
+        path = f"{self.path}.{key}"
+        if key in self.data:
+            return parse(self.data[key], path)
+        if default is _REQUIRED:
+            raise ConfigError(f"{path}: missing key")
+        return None if default is None else parse(default, path)
+
+    def done(self) -> None:
+        """Reject the first key nothing read: a misspelt key is not ignored."""
+        unknown = sorted(self.data.keys() - self.read)
+        if unknown:
+            raise ConfigError(f"{self.path}.{unknown[0]}: unknown key")
+
+    def build(self, make: Callable, *args, **kwargs) -> Any:
+        """The model object ``make(*args, **kwargs)``, once every key is read;
+        a value the model rejects is named by this object's path."""
+        self.done()
+        return checked(self.path, make, *args, **kwargs)
 
 
 def parse_factor(value: Union[str, int, float], label: str = "factor") -> float:
@@ -65,37 +94,28 @@ def parse_factor(value: Union[str, int, float], label: str = "factor") -> float:
     if isinstance(value, str):
         try:
             return float(Fraction(value))
-        except (ValueError, ZeroDivisionError) as exc:
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:
             raise ConfigError(f"{label}: cannot parse rate factor {value!r}") from exc
     return parse_float(value, label)
 
 
 def parse_float(value: Any, label: str) -> float:
     """A JSON number: ``float`` would read true as 1.0 and "60" as 60.0."""
-    if isinstance(value, (bool, str)):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{label}: expected a number, got {value!r}")
     try:
         return float(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{label}: expected a number, got {value!r}") from exc
+    except OverflowError as exc:  # an integer literal past the float range
+        raise ConfigError(f"{label}: number out of the float range") from exc
 
 
 def parse_integer(value: Any, label: str) -> int:
     """A whole JSON number: ``int`` would truncate 3.7 to 3 and read true as 1
     and "7" as 7."""
-    if isinstance(value, (bool, str)) or (isinstance(value, float)
-                                          and not value.is_integer()):
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or isinstance(value, float) and not value.is_integer()):
         raise ConfigError(f"{label}: expected an integer, got {value!r}")
-    try:
-        return int(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{label}: expected an integer, got {value!r}") from exc
-
-
-def json_object(value: Any, label: str) -> dict:
-    if not isinstance(value, dict):
-        raise ConfigError(f"{label}: expected a JSON object, got {value!r}")
-    return value
+    return int(value)
 
 
 def json_string(value: Any, label: str) -> str:
@@ -105,199 +125,157 @@ def json_string(value: Any, label: str) -> str:
     return value
 
 
-def json_array(value: Any, label: str) -> list:
-    """A list: iterating a string would read it one character at a time."""
-    if not isinstance(value, list):
-        raise ConfigError(f"{label}: expected a JSON array, got {value!r}")
-    return value
+def _choice(by_name: dict, kind: str) -> Callable[[Any, str], Any]:
+    """A parser of a string that names one of ``by_name``'s values."""
+    def parse(value: Any, label: str) -> Any:
+        name = json_string(value, label)
+        if name not in by_name:
+            raise ConfigError(f"{label}: unknown {kind} {name!r}; "
+                              f"expected one of {sorted(by_name)}")
+        return by_name[name]
+    return parse
 
 
-def parse_name(value: Any, label: str, names, kind: str) -> str:
-    """A string from ``names``; an unknown one is named by its field."""
-    name = json_string(value, label)
-    if name not in names:
-        raise ConfigError(f"{label}: unknown {kind} {name!r}; expected one of {sorted(names)}")
-    return name
+def _array(parse: Callable[[Any, str], Any]) -> Callable[[Any, str], tuple]:
+    """A parser of a JSON array whose entries ``parse`` reads, each under its
+    index: iterating a string would read it one character at a time."""
+    def parse_all(value: Any, label: str) -> tuple:
+        if not isinstance(value, list):
+            raise ConfigError(f"{label}: expected a JSON array, got {value!r}")
+        return tuple(parse(v, f"{label}[{i}]") for i, v in enumerate(value))
+    return parse_all
 
 
-def parse_names(value: Any, label: str, names, kind: str) -> tuple[str, ...]:
-    """A list of strings from ``names``; a bad entry is named by its index."""
-    return tuple(parse_name(v, f"{label}[{i}]", names, kind)
-                 for i, v in enumerate(json_array(value, label)))
+_policy = _choice({p.cli_name: p for p in Policy}, "policy")
+_metrics = _array(_choice({m: m for m in METRICS}, "metric"))
 
 
 def parse_policy(name: Any, label: str = "policy") -> Policy:
-    return _POLICY_BY_NAME[parse_name(name, label, _POLICY_BY_NAME, "policy")]
+    return _policy(name, label)
 
 
-def route_from_dict(data: dict, label: str = "route") -> RouteProfile:
-    try:
-        segments = []
-        for i, seg in enumerate(data["segments"]):
-            at = f"{label}.segments[{i}]"
-            kind = AccessKind(seg["kind"])
-            names = ("start_time", "duration") + (
-                ("mobile_rate",) if kind is AccessKind.MOBILE
-                else ("wifi_local_rate", "backhaul_rate"))
-            fields = {name: parse_float(seg[name], f"{at}.{name}") for name in names}
-            if kind is AccessKind.WIFI:
-                fields["hotspot_index"] = parse_integer(seg["hotspot_index"],
-                                                        f"{at}.hotspot_index")
-            segments.append(RouteSegment(kind=kind, **fields))
-        return RouteProfile(tuple(segments), parse_float(data["total_time"], f"{label}.total_time"))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"{label}: {exc}") from exc
+def _segment(data: Any, path: str) -> RouteSegment:
+    obj = _Object(data, path)
+    kind = obj.get("kind", _choice({k.value: k for k in AccessKind}, "segment kind"))
+    names = ("start_time", "duration") + (
+        ("mobile_rate",) if kind is AccessKind.MOBILE
+        else ("wifi_local_rate", "backhaul_rate"))
+    fields = {name: obj.get(name, parse_float) for name in names}
+    if kind is AccessKind.WIFI:
+        fields["hotspot_index"] = obj.get("hotspot_index", parse_integer)
+    return obj.build(RouteSegment, kind=kind, **fields)
+
+
+def _route_file(data: Any, path: str) -> RouteProfile:
+    obj = _Object(data, path)
+    return obj.build(RouteProfile, obj.get("segments", _array(_segment)),
+                     obj.get("total_time", parse_float))
 
 
 @functools.cache
 def _bundled_route(key: str) -> RouteProfile:
     """A bundled route, parsed once per process (routes are frozen)."""
-    return route_from_dict(_read_bundled(_BUNDLED_ROUTES[key]), label=key)
+    return _route_file(_read_json(bundled_scenario_path(f"route_{key}"), key), key)
+
+
+def _route(ref: Any, label: str) -> RouteProfile:
+    """The bundled route ``ref`` names, or the route file at path ``ref``;
+    ``label`` names the reference."""
+    if json_string(ref, label) in _BUNDLED_ROUTES:
+        return _bundled_route(ref)
+    return _route_file(_read_json(ref, label), ref)
 
 
 def load_route(key_or_path: str) -> RouteProfile:
     """Load a bundled route by key ('4ap', '2ap', '8ap') or any JSON path;
     a path is read again on every call."""
-    if key_or_path in _BUNDLED_ROUTES:
-        return _bundled_route(key_or_path)
-    return route_from_dict(_read_json(key_or_path, "route"), label=key_or_path)
+    return _route(key_or_path, "route")
+
+
+def _energy(data: Any, path: str) -> EnergyModel:
+    obj = _Object(data, path)
+    return obj.build(EnergyModel, **{f.name: obj.get(f.name, parse_float)
+                                     for f in dataclasses.fields(EnergyModel)})
 
 
 def load_energy_model(path: Optional[str] = None) -> EnergyModel:
-    data = _read_bundled("energy.json") if path is None else _read_json(path, "energy model")
-    return energy_from_dict(data)
+    source = bundled_scenario_path("energy") if path is None else path
+    return _energy(_read_json(source, "energy model"), "energy model")
 
 
-def energy_from_dict(data: dict, label: str = "energy model") -> EnergyModel:
-    names = ("mobile_transfer_j_per_mb", "wifi_transfer_j_per_mb", "wifi_idle_w",
-             "wifi_preactivation_s")
-    try:
-        return EnergyModel(**{name: parse_float(data[name], f"{label}.{name}")
-                              for name in names})
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"{label}: {exc}") from exc
+def _scenario(data: Any, path: str) -> ScenarioSpec:
+    obj = _Object(data, path)
+    route_id = obj.get("route", json_string, "4ap")
+    route = _route(route_id, f"{path}.route")
+    rates = obj.get("rate_factors", _Object, {})
+    factors = {f"{name}_factor": rates.get(name, parse_factor, "1/3")
+               for name in ("mobile", "wifi", "backhaul")}
+    rates.build(scale_route, route, **factors)  # a bad factor fails here, not mid-run
+    task_d = obj.get("task", _Object)
+    task = task_d.build(
+        TransferTask, size_mb=task_d.get("size_mb", parse_float),
+        delay_threshold=task_d.get("delay_threshold_s", parse_float, route.total_time),
+        traffic_class=task_d.get("class", _choice({c.value: c for c in TrafficClass},
+                                                  "traffic class"), "delay-tolerant"))
+    err_d = obj.get("errors", _Object, {})
+    errors = err_d.build(ErrorSpec, time_error=err_d.get("time_error", parse_float, 0.10),
+                         throughput_error=err_d.get("throughput_error", parse_float, 0.20))
+    return obj.build(
+        ScenarioSpec,
+        scenario_id=obj.get("scenario_id", json_string, path),
+        route=route,
+        route_id=route_id,
+        task=task,
+        policies=obj.get("policies", _array(_policy)),
+        **factors,
+        errors=errors,
+        runs=obj.get("runs", parse_integer, 120),
+        seed=obj.get("seed", parse_integer, 0),
+        energy=obj.get("energy", _energy, None) or EnergyModel(),
+        metrics=obj.get("metrics", _metrics, None),
+    )
 
 
-def scenario_from_dict(data: dict, label: str = "scenario") -> ScenarioSpec:
-    try:
-        route_id = json_string(data.get("route", "4ap"), f"{label}.route")
-        route = load_route(route_id)
+def _sweep(data: Any, path: str) -> SweepSpec:
+    obj = _Object(data, path)
+    base = obj.get("scenario", _scenario)
+    metrics = obj.get("metrics", _metrics, None)
+    axis = obj.get("sweep", _Object)
+    obj.done()
+    parameter = axis.get("parameter", _choice({p: p for p in SWEEPABLE}, "sweep parameter"))
 
-        factors = json_object(data.get("rate_factors", {}), f"{label}.rate_factors")
-        mobile_f = parse_factor(factors.get("mobile", "1/3"), f"{label}.rate_factors.mobile")
-        wifi_f = parse_factor(factors.get("wifi", "1/3"), f"{label}.rate_factors.wifi")
-        back_f = parse_factor(factors.get("backhaul", "1/3"), f"{label}.rate_factors.backhaul")
-        scale_route(route, mobile_f, wifi_f, back_f)  # a bad factor fails here, not mid-run
+    def point(value: Any, label: str) -> float:  # a bad point fails here, not mid-sweep
+        value = parse_factor(value, label)
+        checked(label, lambda: apply_sweep_value(base, parameter, value).scaled_route())
+        return value
 
-        task_d = json_object(data["task"], f"{label}.task")
-        klass = _CLASS_BY_NAME.get(
-            json_string(task_d.get("class", "delay-tolerant"), f"{label}.task.class"))
-        if klass is None:
-            raise ConfigError(
-                f"{label}.task.class: expected one of {sorted(_CLASS_BY_NAME)}"
-            )
-        task = TransferTask(
-            size_mb=parse_float(task_d["size_mb"], f"{label}.task.size_mb"),
-            delay_threshold=parse_float(task_d.get("delay_threshold_s", route.total_time),
-                                        f"{label}.task.delay_threshold_s"),
-            traffic_class=klass,
-        )
-
-        err_d = json_object(data.get("errors", {}), f"{label}.errors")
-        errors = ErrorSpec(
-            time_error=parse_float(err_d.get("time_error", 0.10), f"{label}.errors.time_error"),
-            throughput_error=parse_float(err_d.get("throughput_error", 0.20),
-                                         f"{label}.errors.throughput_error"),
-        )
-
-        policies = tuple(_POLICY_BY_NAME[p] for p in parse_names(
-            data["policies"], f"{label}.policies", _POLICY_BY_NAME, "policy"))
-        energy = (energy_from_dict(data["energy"], f"{label}.energy")
-                  if "energy" in data else EnergyModel())
-        metrics = (parse_names(data["metrics"], f"{label}.metrics", METRICS, "metric")
-                   if "metrics" in data else None)
-
-        return ScenarioSpec(
-            scenario_id=json_string(data.get("scenario_id", label), f"{label}.scenario_id"),
-            route=route,
-            route_id=route_id,
-            task=task,
-            policies=policies,
-            mobile_factor=mobile_f,
-            wifi_factor=wifi_f,
-            backhaul_factor=back_f,
-            errors=errors,
-            runs=parse_integer(data.get("runs", 120), f"{label}.runs"),
-            seed=parse_integer(data.get("seed", 0), f"{label}.seed"),
-            energy=energy,
-            metrics=metrics,
-        )
-    except ConfigError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"{label}: {exc}") from exc
-
-
-def sweep_from_dict(data: dict, label: str = "sweep") -> SweepSpec:
-    try:
-        base = scenario_from_dict(json_object(data["scenario"], f"{label}.scenario"),
-                                  label=f"{label}.scenario")
-        sweep_d = json_object(data["sweep"], f"{label}.sweep")
-        values = tuple(
-            parse_factor(v, f"{label}.sweep.values")
-            for v in json_array(sweep_d["values"], f"{label}.sweep.values")
-        )
-        metrics = (parse_names(data["metrics"], f"{label}.metrics", METRICS, "metric")
-                   if "metrics" in data else base.metrics)
-        sweep = SweepSpec(
-            base=base,
-            parameter=parse_name(sweep_d["parameter"], f"{label}.sweep.parameter",
-                                 SWEEPABLE, "sweep parameter"),
-            values=values,
-            metrics=metrics,
-        )
-        for v in values:  # a bad point fails here, not mid-sweep
-            apply_sweep_value(base, sweep.parameter, v).scaled_route()
-        return sweep
-    except ConfigError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"{label}: {exc}") from exc
+    return axis.build(SweepSpec, base=base, parameter=parameter,
+                      values=axis.get("values", _array(point)),
+                      metrics=base.metrics if metrics is None else metrics)
 
 
 def load_scenario(path: str) -> ScenarioSpec:
-    data = _read_json(path, "scenario")
-    if not isinstance(data, dict):
-        raise ConfigError(f"scenario: {path} must contain a JSON object")
-    return scenario_from_dict(data, label=Path(path).stem)
+    return _scenario(_read_json(path, "scenario"), Path(path).stem)
 
 
 def load_sweep(path: str) -> SweepSpec:
-    data = _read_json(path, "sweep")
-    if not isinstance(data, dict) or "sweep" not in data:
-        raise ConfigError(f"sweep: {path} must contain a JSON object with a 'sweep' key")
-    return sweep_from_dict(data, label=Path(path).stem)
+    return _sweep(_read_json(path, "sweep"), Path(path).stem)
 
 
 def load_experiment(path: str) -> Union[ScenarioSpec, SweepSpec]:
     """Load either kind of file; sweep files carry a 'sweep' key."""
     data = _read_json(path, "experiment")
-    if not isinstance(data, dict):
-        raise ConfigError(f"experiment: {path} must contain a JSON object")
-    label = Path(path).stem
-    if "sweep" in data:
-        return sweep_from_dict(data, label=label)
-    return scenario_from_dict(data, label=label)
+    parse = _sweep if isinstance(data, dict) and "sweep" in data else _scenario
+    return parse(data, Path(path).stem)
 
 
 def bundled_recipe_path(name: str) -> Path:
     """Filesystem path of a bundled sweep recipe, e.g. 'fig2a'."""
-    fname = name if name.endswith(".json") else f"{name}.json"
-    with resources.as_file(_data_file(f"recipes/{fname}")) as path:
-        return Path(path)
+    return bundled_scenario_path(f"recipes/{name}")
 
 
 def bundled_scenario_path(name: str) -> Path:
+    """Filesystem path of a bundled data file, e.g. 'scenario_dt_default'."""
     fname = name if name.endswith(".json") else f"{name}.json"
-    with resources.as_file(_data_file(fname)) as path:
+    with resources.as_file(resources.files("offloadsim.data").joinpath(fname)) as path:
         return Path(path)

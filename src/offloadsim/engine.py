@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -56,39 +56,29 @@ class EnergyBreakdown:
 
 @dataclass(frozen=True)
 class RunOutcome:
-    """Realized result of one trip: byte split, timing, energy."""
+    """Realized result of one trip, or of every run of a batch (one entry
+    per run in each field): byte split, timing, energy."""
 
-    offload_pct: float
-    transfer_delay: float
-    deadline_met: bool
-    completed: bool
+    offload_pct: Floats
+    transfer_delay: Floats
+    deadline_met: Union[bool, np.ndarray]
+    completed: Union[bool, np.ndarray]
     energy: EnergyBreakdown
-    mobile_mb: float
-    wifi_local_mb: float
-    wifi_backhaul_mb: float
-    cache_bytes_used: float
-    plan_infeasible: bool
-    completion_time: Optional[float]
+    mobile_mb: Floats
+    wifi_local_mb: Floats
+    wifi_backhaul_mb: Floats
+    cache_bytes_used: Floats
+    plan_infeasible: Union[bool, np.ndarray]
 
     @property
-    def energy_j(self) -> float:
+    def energy_j(self) -> Floats:
         return self.energy.total_j
 
-
-@dataclass(frozen=True)
-class BatchOutcome:
-    """Realized results of one policy over a batch of runs: one entry per
-    run in each field, which is the :class:`RunOutcome` field of that name."""
-
-    offload_pct: np.ndarray
-    transfer_delay: np.ndarray
-    deadline_met: np.ndarray
-    energy_j: np.ndarray
-    mobile_mb: np.ndarray
-    wifi_local_mb: np.ndarray
-    wifi_backhaul_mb: np.ndarray
-    cache_bytes_used: np.ndarray
-    plan_infeasible: np.ndarray
+    @property
+    def completion_time(self) -> Optional[Floats]:
+        """When the object was complete: the transfer delay, or None (in
+        each run of a batch) where it never was."""
+        return elementwise(self.completed).where(self.completed, self.transfer_delay, None)
 
 
 class _ByteState:
@@ -207,17 +197,16 @@ def _run(
     policy: Policy,
     errors: ErrorSpec,
     energy_model: EnergyModel,
-) -> tuple[_ByteState, dict]:
+) -> RunOutcome:
     """The trip loop, on one trip or on every run of a batch.
 
     ``segments`` are the realized segments, each with the
     :class:`~offloadsim.model.RouteSegment` attributes ``start_time``,
     ``duration``, ``end_time`` and the rates: floats for one trip, one entry
     per run for a batch.  ``end`` is the realized route end, in the same
-    form.  Returns the final byte state and the outcome fields that
-    :class:`RunOutcome` and :class:`BatchOutcome` share (with ``energy`` as
-    an :class:`EnergyBreakdown`).  The rules are :func:`run_trip`'s; in a
-    batch each branch is a mask over the runs still transferring.
+    form.  The outcome's fields are in that form too.  The rules are
+    :func:`run_trip`'s; in a batch each branch is a mask over the runs still
+    transferring.
     """
     if not policy.admits(task.traffic_class):
         raise PolicyClassMismatch(
@@ -296,10 +285,11 @@ def _run(
     completed = state.complete
     transfer_delay = ops.where(completed, state.completion_time, end)
     wifi_mb = state.wifi_local_mb + state.wifi_backhaul_mb
-    return state, dict(
+    return RunOutcome(
         offload_pct=ops.minimum(100.0, wifi_mb / size * 100.0),
         transfer_delay=transfer_delay,
         deadline_met=completed & (transfer_delay <= deadline + _DEADLINE_EPS),
+        completed=completed,
         energy=account_energy(visits, state.mobile_mb, wifi_mb, energy_model,
                               transfer_delay),
         mobile_mb=state.mobile_mb,
@@ -330,13 +320,8 @@ def run_trip(
     the node runs the policy's entry steps against the realized dwell.
     """
     _check_same_structure(route_realized, route_nominal)
-    state, fields = _run(route_realized.segments, route_realized.total_time,
-                         route_nominal, task, policy, errors, energy_model)
-    return RunOutcome(
-        **fields,
-        completed=state.complete,
-        completion_time=state.completion_time if state.complete else None,
-    )
+    return _run(route_realized.segments, route_realized.total_time, route_nominal, task,
+                policy, errors, energy_model)
 
 
 def run_batch(
@@ -345,15 +330,14 @@ def run_batch(
     policy: Policy,
     errors: ErrorSpec,
     energy_model: EnergyModel = EnergyModel(),
-) -> BatchOutcome:
-    """Execute every realization of ``batch`` under ``policy``.
+) -> RunOutcome:
+    """Execute every realization of ``batch`` under ``policy``; each field of
+    the outcome holds one entry per run.
 
     Run k's outcome equals, bit for bit, :func:`run_trip` on realization k
     and ``batch.route``: the same loop moves all runs together, on
     ``batch.segments``, one row of the batch's arrays per segment.  A
     forecast is built once per replan point for the whole batch.
     """
-    _, fields = _run(batch.segments, batch.end[-1], batch.route, task, policy, errors,
-                     energy_model)
-    energy = fields.pop("energy")
-    return BatchOutcome(**fields, energy_j=energy.total_j)
+    return _run(batch.segments, batch.end[-1], batch.route, task, policy, errors,
+                energy_model)

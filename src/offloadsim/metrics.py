@@ -25,7 +25,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .engine import BatchOutcome, run_batch
+from .engine import RunOutcome, run_batch
 from .model import EnergyModel, RouteProfile, TransferTask, scale_route
 from .policies import Policy
 # derive_run_seed is defined beside the draws it seeds and stays public here
@@ -33,7 +33,7 @@ from .prediction import ErrorSpec, derive_run_seed, realize_batch  # noqa: F401
 
 METRICS = ("offload_pct", "transfer_delay_s", "energy_j", "cache_mb")
 
-# the BatchOutcome field behind each metric
+# the RunOutcome field behind each metric
 _METRIC_FIELDS = {"offload_pct": "offload_pct", "transfer_delay_s": "transfer_delay",
                   "energy_j": "energy_j", "cache_mb": "cache_bytes_used"}
 
@@ -42,6 +42,8 @@ CSV_COLUMNS = ("scenario_id", "policy", "metric", "mean", "ci95", "n",
 
 SWEEPABLE = ("size_mb", "mobile_factor", "wifi_factor", "backhaul_factor",
              "time_error", "throughput_error", "hotspot_count")
+
+HOTSPOT_COUNTS = (2, 4, 8)  # the bundled route layouts, route_<n>ap.json
 
 
 class InsufficientSamples(ValueError):
@@ -228,7 +230,7 @@ class AggregateResult:
         return self.summaries[policy][metric].mean
 
 
-def scenario_outcomes(spec: ScenarioSpec) -> dict[Policy, BatchOutcome]:
+def scenario_outcomes(spec: ScenarioSpec) -> dict[Policy, RunOutcome]:
     """Every policy's outcome on each of ``spec.runs`` paired realizations.
 
     Run k is drawn with seed ``derive_run_seed(spec.seed, k)``, and every
@@ -299,8 +301,8 @@ def apply_sweep_value(spec: ScenarioSpec, parameter: str, value: float) -> Scena
     if parameter == "hotspot_count":
         from .config import load_route  # deferred: config builds on these types
 
-        if not float(value).is_integer():  # int() would run 2.5 as 2
-            raise ValueError(f"hotspot_count must be a whole number, got {value:g}")
+        if value not in HOTSPOT_COUNTS:  # any other key would be read as a file path
+            raise ValueError(f"hotspot_count must be one of {HOTSPOT_COUNTS}, got {value:g}")
         key = f"{int(value)}ap"
         return replace(spec, scenario_id=sid, route=load_route(key), route_id=key)
     raise ValueError(f"unknown sweep parameter {parameter!r}")
