@@ -6,13 +6,7 @@ the engine integrates the realized transfer and accounts bytes, delay, and
 energy; the metrics layer runs paired Monte-Carlo comparisons.
 """
 
-from .engine import (
-    EnergyBreakdown,
-    RunOutcome,
-    account_energy,
-    run_batch,
-    run_trip,
-)
+from .engine import EnergyBreakdown, RunOutcome, run_batch, run_trip
 from .metrics import (
     AggregateResult,
     InsufficientSamples,
@@ -81,7 +75,6 @@ __all__ = [
     "SweepSpec",
     "TrafficClass",
     "TransferTask",
-    "account_energy",
     "build_prediction",
     "ci_halfwidth",
     "compare_runs",

@@ -12,6 +12,7 @@ success, 1 when an oracle check fails, 2 on configuration errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import replace
@@ -99,26 +100,19 @@ def _write_output(results, metrics, out: Optional[str]) -> None:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    spec = config.load_experiment(_resolve_input(args.scenario))
+    """``run`` takes a scenario or a sweep file, ``sweep`` only a sweep file."""
+    if args.command == "sweep":
+        spec = config.load_sweep(_resolve_input(args.sweep))
+    else:
+        spec = config.load_experiment(_resolve_input(args.scenario))
     if isinstance(spec, SweepSpec):
         spec = replace(spec, base=_apply_overrides(spec.base, args))
         results = run_sweep(spec)
-        metrics = spec.metrics
     else:
         spec = _apply_overrides(spec, args)
         results = [run_scenario(spec)]
-        metrics = spec.metrics
     _print_summary(results)
-    _write_output(results, metrics, args.out)
-    return 0
-
-
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    sweep = config.load_sweep(_resolve_input(args.sweep))
-    sweep = replace(sweep, base=_apply_overrides(sweep.base, args))
-    results = run_sweep(sweep)
-    _print_summary(results)
-    _write_output(results, sweep.metrics, args.out)
+    _write_output(results, spec.metrics, args.out)
     return 0
 
 
@@ -169,6 +163,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="throughput error fraction override")
 
 
+@functools.cache  # parse_args keeps no state between calls
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="offloadsim",
@@ -186,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--sweep", required=True, help="sweep JSON or bundled name")
     p_sweep.add_argument("--out", help="CSV output path")
     _add_common(p_sweep)
-    p_sweep.set_defaults(func=_cmd_sweep)
+    p_sweep.set_defaults(func=_cmd_run)
 
     p_oracle = sub.add_parser(
         "oracle-check",

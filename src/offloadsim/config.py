@@ -205,8 +205,7 @@ def load_energy_model(path: Optional[str] = None) -> EnergyModel:
 
 def _scenario(data: Any, path: str) -> ScenarioSpec:
     obj = _Object(data, path)
-    route_id = obj.get("route", json_string, "4ap")
-    route = _route(route_id, f"{path}.route")
+    route = _route(obj.get("route", json_string, "4ap"), f"{path}.route")
     rates = obj.get("rate_factors", _Object, {})
     factors = {f"{name}_factor": rates.get(name, parse_factor, "1/3")
                for name in ("mobile", "wifi", "backhaul")}
@@ -224,7 +223,6 @@ def _scenario(data: Any, path: str) -> ScenarioSpec:
         ScenarioSpec,
         scenario_id=obj.get("scenario_id", json_string, path),
         route=route,
-        route_id=route_id,
         task=task,
         policies=obj.get("policies", _array(_policy)),
         **factors,

@@ -22,6 +22,13 @@ forecast.
 A run finishes once per trip, so the byte state records a completion only
 in the fill where one happens, and keeps the mask of runs still
 transferring (``pending``) for the loop, its replans and its fills to read.
+
+Energy is priced in the same loop: per-MB transfer costs on the bytes each
+channel moved, plus WiFi idle power.  At each hotspot visit the loop adds
+the seconds the WiFi interface was on but not transferring: from
+``wifi_preactivation_s`` before the entry (never before the trip start)
+until the hotspot is left or the object is complete, minus the WiFi-busy
+seconds.
 """
 
 from __future__ import annotations
@@ -57,7 +64,8 @@ class EnergyBreakdown:
 @dataclass(frozen=True)
 class RunOutcome:
     """Realized result of one trip, or of every run of a batch (one entry
-    per run in each field): byte split, timing, energy."""
+    per run in each field): byte split, timing, and the energy the trip loop
+    priced (see the module docstring)."""
 
     offload_pct: Floats
     transfer_delay: Floats
@@ -136,37 +144,6 @@ class _ByteState:
         return moved * MBIT_PER_MB / rate
 
 
-def account_energy(
-    visits: Sequence[tuple],
-    mobile_mb: Floats,
-    wifi_mb: Floats,
-    model: EnergyModel,
-    stop_time: Floats,
-) -> EnergyBreakdown:
-    """Price a trip, or every run of a batch: flat per-MB transfer costs plus
-    WiFi idle power.
-
-    ``visits`` holds ``(inside, entry, leave, busy)`` for each hotspot the
-    trip entered: whether it (or which runs of the batch) was still
-    transferring there, the entry time, the time the hotspot was left or the
-    transfer finished, and the transfer-busy seconds.  The WiFi interface is
-    on from ``preactivation`` seconds before each entry (never before the
-    trip start) until the hotspot is left or ``stop_time``; idle time is
-    that window minus the busy seconds inside it.
-    """
-    ops = elementwise(stop_time)
-    idle_s = ops.zeros(stop_time)
-    for inside, entry, leave, busy in visits:
-        on_start = ops.maximum(0.0, entry - model.wifi_preactivation_s)
-        on_end = ops.minimum(leave, stop_time)
-        idle_s = idle_s + ops.where(inside, ops.maximum(0.0, (on_end - on_start) - busy), 0.0)
-    return EnergyBreakdown(
-        mobile_j=model.mobile_transfer_j_per_mb * mobile_mb,
-        wifi_transfer_j=model.wifi_transfer_j_per_mb * wifi_mb,
-        wifi_idle_j=model.wifi_idle_w * idle_s,
-    )
-
-
 def _check_same_structure(realized: RouteProfile, nominal: RouteProfile) -> None:
     if len(realized.segments) != len(nominal.segments):
         raise ValueError("realized and nominal routes differ in segment count")
@@ -222,7 +199,7 @@ def _run(
     infeasible = ops.zeros(end, bool)
     provisioned = ops.zeros(end)
     caches: dict[int, tuple[Floats, Floats]] = {}  # offset, amount
-    visits = []  # (runs inside, entry, leave, busy seconds) per hotspot
+    idle_s = zero  # seconds the WiFi interface is on but not transferring
     # only a rate-limited policy reads the planned rate and only a
     # prefetching one the caches; for the others a plan changes nothing
     plans = policy.rate_limited or policy.prefetches
@@ -278,7 +255,8 @@ def _run(
                 cursor = cursor + used
                 budget = budget - used
             leave = ops.where(state.complete, state.completion_time, seg.end_time)
-            visits.append((runs, t0, leave, busy))
+            on = ops.maximum(0.0, t0 - energy_model.wifi_preactivation_s)
+            idle_s = idle_s + ops.where(runs, ops.maximum(0.0, (leave - on) - busy), 0.0)
         if wifi and plans and ops.any(state.pending):
             replan(seg_nom.end_time, seg.end_time)
 
@@ -290,8 +268,11 @@ def _run(
         transfer_delay=transfer_delay,
         deadline_met=completed & (transfer_delay <= deadline + _DEADLINE_EPS),
         completed=completed,
-        energy=account_energy(visits, state.mobile_mb, wifi_mb, energy_model,
-                              transfer_delay),
+        energy=EnergyBreakdown(
+            mobile_j=energy_model.mobile_transfer_j_per_mb * state.mobile_mb,
+            wifi_transfer_j=energy_model.wifi_transfer_j_per_mb * wifi_mb,
+            wifi_idle_j=energy_model.wifi_idle_w * idle_s,
+        ),
         mobile_mb=state.mobile_mb,
         wifi_local_mb=state.wifi_local_mb,
         wifi_backhaul_mb=state.wifi_backhaul_mb,
@@ -334,10 +315,11 @@ def run_batch(
     """Execute every realization of ``batch`` under ``policy``; each field of
     the outcome holds one entry per run.
 
-    Run k's outcome equals, bit for bit, :func:`run_trip` on realization k
-    and ``batch.route``: the same loop moves all runs together, on
-    ``batch.segments``, one row of the batch's arrays per segment.  A
-    forecast is built once per replan point for the whole batch.
+    Run k's outcome, energy included, equals, bit for bit, :func:`run_trip`
+    on realization k and ``batch.route``: the same loop moves all runs
+    together, on ``batch.segments``, one row per segment, and the route end
+    is the last row's ``end_time``.  A forecast is built once per replan
+    point for the whole batch.
     """
-    return _run(batch.segments, batch.end[-1], batch.route, task, policy, errors,
-                energy_model)
+    return _run(batch.segments, batch.segments[-1].end_time, batch.route, task, policy,
+                errors, energy_model)

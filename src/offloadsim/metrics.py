@@ -172,7 +172,6 @@ class ScenarioSpec:
 
     scenario_id: str
     route: RouteProfile
-    route_id: str
     task: TransferTask
     policies: tuple[Policy, ...]
     mobile_factor: float = 1.0 / 3.0
@@ -303,8 +302,7 @@ def apply_sweep_value(spec: ScenarioSpec, parameter: str, value: float) -> Scena
 
         if value not in HOTSPOT_COUNTS:  # any other key would be read as a file path
             raise ValueError(f"hotspot_count must be one of {HOTSPOT_COUNTS}, got {value:g}")
-        key = f"{int(value)}ap"
-        return replace(spec, scenario_id=sid, route=load_route(key), route_id=key)
+        return replace(spec, scenario_id=sid, route=load_route(f"{int(value)}ap"))
     raise ValueError(f"unknown sweep parameter {parameter!r}")
 
 

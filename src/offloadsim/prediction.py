@@ -321,36 +321,17 @@ def realize_route(route: RouteProfile, errors: ErrorSpec) -> RouteProfile:
 
 @dataclass(frozen=True)
 class RealizedBatch:
-    """Realizations of one nominal route, one column per run.
+    """Realizations of one nominal route, one entry per run.
 
-    Row i of each (segments x runs) array is segment i of every realization;
-    a rate the segment's kind does not carry is 0.  ``end`` is each
-    segment's realized end time, ``end[-1]`` the realized total time.
+    ``segments[i]`` is segment i of every realization, under the
+    :class:`RouteSegment` attribute names (``start_time``, ``duration``,
+    ``end_time`` and the rates), each an array with one entry per run; a
+    rate the segment's kind does not carry is 0.  The last row's
+    ``end_time`` is each run's realized total time.
     """
 
     route: RouteProfile
-    start: np.ndarray
-    duration: np.ndarray
-    end: np.ndarray
-    mobile_rate: np.ndarray
-    wifi_local_rate: np.ndarray
-    backhaul_rate: np.ndarray
-
-    @property
-    def runs(self) -> int:
-        return self.start.shape[1]
-
-    @functools.cached_property
-    def segments(self) -> tuple[SimpleNamespace, ...]:
-        """Row i of each array under the :class:`RouteSegment` attribute
-        names (``start_time``, ``duration``, ``end_time`` and the rates):
-        segment i of every realization, built once per batch."""
-        return tuple(
-            SimpleNamespace(start_time=s, duration=d, end_time=e, mobile_rate=m,
-                            wifi_local_rate=w, backhaul_rate=b)
-            for s, d, e, m, w, b in zip(self.start, self.duration, self.end,
-                                        self.mobile_rate, self.wifi_local_rate,
-                                        self.backhaul_rate))
+    segments: tuple[SimpleNamespace, ...]
 
 
 def realize_batch(route: RouteProfile, errors: ErrorSpec, seed: int,
@@ -387,12 +368,9 @@ def realize_batch(route: RouteProfile, errors: ErrorSpec, seed: int,
                           ("rate", rate), ("backhaul rate", backhaul[wifi])):
         if not np.all(np.isfinite(values) & (values > 0)):
             raise ValueError(f"realized {label} must be positive and finite")
-    return RealizedBatch(
-        route=route,
-        start=start,
-        duration=duration,
-        end=end,
-        mobile_rate=np.where(wifi[:, None], 0.0, rate),
-        wifi_local_rate=np.where(wifi[:, None], rate, 0.0),
-        backhaul_rate=backhaul,
-    )
+    rows = zip(start, duration, end, np.where(wifi[:, None], 0.0, rate),
+               np.where(wifi[:, None], rate, 0.0), backhaul)
+    return RealizedBatch(route, tuple(
+        SimpleNamespace(start_time=s, duration=d, end_time=e, mobile_rate=m,
+                        wifi_local_rate=w, backhaul_rate=b)
+        for s, d, e, m, w, b in rows))

@@ -403,6 +403,16 @@ class TestCli:
         assert rows[0] == "scenario_id,policy,metric,mean,ci95,n,infeasible_count"
         assert any("fig6a@size_mb=30" in r for r in rows)
 
+    def test_sweep_command_rejects_scenario_file(self, capsys):
+        """``run`` takes either file kind; ``sweep`` needs the sweep's
+        ``scenario`` key."""
+        assert self.run_cli("sweep", "--sweep", "dt-default") == 2
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert err[0].endswith(".scenario: missing key")
+        assert captured.out == ""
+
     def test_policy_override(self, tmp_path):
         out = tmp_path / "one.csv"
         code = self.run_cli("run", "--scenario", "dt-default", "--runs", "2",

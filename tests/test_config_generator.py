@@ -13,7 +13,6 @@ are the inputs README documents as valid: a string of digits where a rate
 factor or sweep value may be a fraction string, and any ``scenario_id``.
 """
 
-import functools
 import json
 import shutil
 import sys
@@ -83,13 +82,6 @@ def variants(path, key, value, hotspot_values):
         yield "1e400", "path"
     if hotspot_values and ".sweep.values[" in path:
         yield 3, "path"  # ./3ap exists: the count must not be read as a file path
-
-
-@pytest.fixture(autouse=True)
-def one_parser(monkeypatch):
-    """Build the argument parser once: a fresh one per run would be most of
-    the test's time, and parse_args keeps no state between calls."""
-    monkeypatch.setattr(cli, "build_parser", functools.cache(cli.build_parser))
 
 
 def run_cli(argv):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import make_task, random_route
-from offloadsim.engine import _ByteState, account_energy, run_trip
+from offloadsim.engine import EnergyBreakdown, _ByteState, run_trip
 from offloadsim.model import (
     AccessKind,
     EnergyModel,
@@ -321,26 +321,54 @@ class TestEnergyAccounting:
         assert out.energy_j == pytest.approx(6000.0, abs=1e-6)
         assert out.energy.wifi_idle_j == 0.0
 
-    # a visit is (still transferring, entry, leave, busy seconds)
-    def test_idle_window_with_no_wifi_bytes(self):
-        model = EnergyModel()
-        energy = account_energy([(True, 50.0, 68.0, 0.0)], 0.0, 0.0, model, stop_time=269.0)
-        assert energy.wifi_idle_j == pytest.approx(0.77 * (20 + 18))
-        assert energy.total_j == energy.wifi_idle_j
+    # Hand-built routes at 8 Mbit/s (1 MB/s) on every mobile segment and
+    # backhaul, run under no-prediction, which fetches from the origin for
+    # the whole dwell.  The interface is on from 20 s before each entry.
+    @staticmethod
+    def route(*spans):
+        """Segments over consecutive ``(kind, duration)`` spans."""
+        segments, t, hotspot = [], 0.0, 0
+        for kind, duration in spans:
+            if kind is AccessKind.WIFI:
+                hotspot += 1
+                segments.append(RouteSegment(kind, t, duration, wifi_local_rate=16.0,
+                                             backhaul_rate=8.0, hotspot_index=hotspot))
+            else:
+                segments.append(RouteSegment(kind, t, duration, mobile_rate=8.0))
+            t += duration
+        return RouteProfile(tuple(segments), t)
 
-    def test_preactivation_clipped_at_trip_start(self):
-        model = EnergyModel()
-        energy = account_energy([(True, 10.0, 30.0, 0.0)], 0.0, 0.0, model, stop_time=100.0)
-        assert energy.wifi_idle_j == pytest.approx(0.77 * 30)
+    def energy(self, route, size_mb, zero_errors):
+        out = run_trip(route, route, make_task(size_mb, threshold=route.total_time),
+                       Policy.NO_PREDICTION_OFFLOAD, zero_errors)
+        assert out.completed
+        return out.energy
 
-    def test_interface_off_after_completion(self):
-        model = EnergyModel()
-        energy = account_energy([(True, 50.0, 68.0, 4.0)], 0.0, 0.0, model, stop_time=60.0)
-        assert energy.wifi_idle_j == pytest.approx(0.77 * (30 - 4))
+    def test_idle_window(self, zero_errors):
+        # on over [30, 68), busy 18 s: 50 MB mobile, 18 MB WiFi, 132 MB mobile
+        route = self.route((AccessKind.MOBILE, 50.0), (AccessKind.WIFI, 18.0),
+                           (AccessKind.MOBILE, 201.0))
+        assert self.energy(route, 200.0, zero_errors) == EnergyBreakdown(
+            mobile_j=100.0 * 182.0, wifi_transfer_j=5.0 * 18.0, wifi_idle_j=0.77 * 20.0)
 
-    def test_empty_trip(self):
-        energy = account_energy([], 0.0, 0.0, EnergyModel(), stop_time=0.0)
-        assert energy.total_j == 0.0
+    def test_preactivation_clipped_at_trip_start(self, zero_errors):
+        # entry at 10 s: on over [0, 30), not [-10, 30), busy 20 s
+        route = self.route((AccessKind.MOBILE, 10.0), (AccessKind.WIFI, 20.0),
+                           (AccessKind.MOBILE, 70.0))
+        assert self.energy(route, 80.0, zero_errors) == EnergyBreakdown(
+            mobile_j=100.0 * 60.0, wifi_transfer_j=5.0 * 20.0, wifi_idle_j=0.77 * 10.0)
+
+    def test_interface_off_after_completion(self, zero_errors):
+        # the object is done 4 s into the hotspot: on over [30, 54), not [30, 68)
+        route = self.route((AccessKind.MOBILE, 50.0), (AccessKind.WIFI, 18.0),
+                           (AccessKind.MOBILE, 201.0))
+        assert self.energy(route, 54.0, zero_errors) == EnergyBreakdown(
+            mobile_j=100.0 * 50.0, wifi_transfer_j=5.0 * 4.0, wifi_idle_j=0.77 * 20.0)
+
+    def test_trip_without_hotspot(self, zero_errors):
+        route = self.route((AccessKind.MOBILE, 100.0))
+        assert self.energy(route, 60.0, zero_errors) == EnergyBreakdown(
+            mobile_j=100.0 * 60.0, wifi_transfer_j=0.0, wifi_idle_j=0.0)
 
     def test_breakdown_components(self, default_route, default_errors):
         realized = realize_route(default_route, default_errors)

@@ -44,7 +44,6 @@ def make_spec(route, runs=40, seed=0, time_error=0.10, throughput_error=0.20,
     return ScenarioSpec(
         scenario_id=scenario_id,
         route=route,
-        route_id="4ap",
         task=make_task(size),
         policies=policies,
         errors=ErrorSpec(time_error, throughput_error),
@@ -271,8 +270,8 @@ class TestRunScenario:
             for sensitive in (False, True):
                 task = make_task(size, threshold=threshold, sensitive=sensitive)
                 spec = ScenarioSpec(
-                    scenario_id=f"case{case}", route=route, route_id="random",
-                    task=task, policies=tuple(p for p in Policy if p.admits(task.traffic_class)),
+                    scenario_id=f"case{case}", route=route, task=task,
+                    policies=tuple(p for p in Policy if p.admits(task.traffic_class)),
                     mobile_factor=factor, wifi_factor=factor, backhaul_factor=factor,
                     errors=errors, runs=runs, seed=case)
                 assert_runs_equal_single_trips(spec)
@@ -357,8 +356,10 @@ class TestDrawMemo:
         with pytest.raises(ValueError):
             draws[0, 0] = 0.0
         # the batch is the caller's own: new arrays, not views of the memo
-        assert batch.duration.flags.writeable
-        assert not np.shares_memory(batch.duration, draws)
+        for row in batch.segments:
+            for values in vars(row).values():
+                assert values.flags.writeable
+                assert not np.shares_memory(values, draws)
 
     def test_figures_draw_each_matrix_once(self, monkeypatch):
         """All 20 recipes in one process, in a shuffled order, use seed 0 and

@@ -452,16 +452,17 @@ class TestRealizeRoute:
             errors = ErrorSpec(float(rng.uniform(0, 0.5)), float(rng.uniform(0, 0.9)))
             base = int(rng.integers(1 << 62))
             batch = realize_batch(route, errors, base, 4)
-            assert batch.route is route and batch.runs == 4
+            assert batch.route is route and len(batch.segments) == len(route.segments)
+            assert all(row.start_time.shape == (4,) for row in batch.segments)
             for k in range(4):
                 seed = derive_run_seed(base, k)
                 single = realize_route(route, dataclasses.replace(errors, seed=seed))
-                assert batch.end[-1, k] == single.total_time
-                for i, seg in enumerate(single.segments):
-                    assert (batch.start[i, k], batch.duration[i, k], batch.end[i, k]) == (
+                assert batch.segments[-1].end_time[k] == single.total_time
+                for row, seg in zip(batch.segments, single.segments):
+                    assert (row.start_time[k], row.duration[k], row.end_time[k]) == (
                         seg.start_time, seg.duration, seg.end_time)
-                    assert (batch.mobile_rate[i, k], batch.wifi_local_rate[i, k],
-                            batch.backhaul_rate[i, k]) == (
+                    assert (row.mobile_rate[k], row.wifi_local_rate[k],
+                            row.backhaul_rate[k]) == (
                         seg.mobile_rate or 0.0, seg.wifi_local_rate or 0.0,
                         seg.backhaul_rate or 0.0)
 
