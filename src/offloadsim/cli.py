@@ -26,6 +26,7 @@ from .metrics import (
     AggregateResult,
     ScenarioSpec,
     SweepSpec,
+    apply_sweep_value,
     derive_run_seed,
     render_csv,
     run_scenario,
@@ -61,16 +62,15 @@ def _apply_overrides(spec: ScenarioSpec, args: argparse.Namespace) -> ScenarioSp
     if args.policy is not None:
         spec = config.checked("--policy", replace, spec, policies=tuple(
             config.parse_policy(p, "--policy") for p in args.policy.split(",")))
-    if args.runs is not None:
+    if getattr(args, "runs", None) is not None:  # oracle-check takes no --runs
         spec = config.checked("--runs", replace, spec, runs=args.runs)
     if args.seed is not None:
         spec = config.checked("--seed", replace, spec, seed=args.seed)
-    if args.time_error is not None:
-        spec = replace(spec, errors=config.checked("--time-error", replace, spec.errors,
-                                                   time_error=args.time_error))
-    if args.thr_error is not None:
-        spec = replace(spec, errors=config.checked("--thr-error", replace, spec.errors,
-                                                   throughput_error=args.thr_error))
+    for option, field, value in (("--time-error", "time_error", args.time_error),
+                                 ("--thr-error", "throughput_error", args.thr_error)):
+        if value is not None:  # the scenario rejects errors its route cannot take
+            errors = config.checked(option, replace, spec.errors, **{field: value})
+            spec = config.checked(option, replace, spec, errors=errors)
     return spec
 
 
@@ -92,13 +92,6 @@ def _print_summary(results: Sequence[AggregateResult]) -> None:
             )
 
 
-def _write_output(results, metrics, out: Optional[str]) -> None:
-    text = render_csv(results, metrics)
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
-        print(f"wrote {out}")
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
     """``run`` takes a scenario or a sweep file, ``sweep`` only a sweep file."""
     if args.command == "sweep":
@@ -107,12 +100,17 @@ def _cmd_run(args: argparse.Namespace) -> int:
         spec = config.load_experiment(_resolve_input(args.scenario))
     if isinstance(spec, SweepSpec):
         spec = replace(spec, base=_apply_overrides(spec.base, args))
+        for v in spec.values:  # an override can make a point unrealizable: fail before any run
+            config.checked(f"{spec.base.scenario_id}@{spec.parameter}={v:g}",
+                           apply_sweep_value, spec.base, spec.parameter, v)
         results = run_sweep(spec)
     else:
         spec = _apply_overrides(spec, args)
         results = [run_scenario(spec)]
     _print_summary(results)
-    _write_output(results, spec.metrics, args.out)
+    if args.out:
+        Path(args.out).write_text(render_csv(results, spec.metrics), encoding="utf-8")
+        print(f"wrote {args.out}")
     return 0
 
 
@@ -155,7 +153,6 @@ def _cmd_oracle_check(args: argparse.Namespace) -> int:
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--policy", help="comma-separated policy list override")
-    parser.add_argument("--runs", type=int, help="Monte-Carlo runs override")
     parser.add_argument("--seed", type=int, help="base seed override")
     parser.add_argument("--time-error", type=float, dest="time_error",
                         help="time error fraction override")
@@ -171,17 +168,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="run one scenario file")
-    p_run.add_argument("--scenario", required=True, help="scenario JSON or bundled name")
-    p_run.add_argument("--out", help="CSV output path")
-    _add_common(p_run)
-    p_run.set_defaults(func=_cmd_run)
-
-    p_sweep = sub.add_parser("sweep", help="run a parameter sweep recipe")
-    p_sweep.add_argument("--sweep", required=True, help="sweep JSON or bundled name")
-    p_sweep.add_argument("--out", help="CSV output path")
-    _add_common(p_sweep)
-    p_sweep.set_defaults(func=_cmd_run)
+    for command, option, about in (("run", "--scenario", "run one scenario file"),
+                                   ("sweep", "--sweep", "run a parameter sweep recipe")):
+        p_run = sub.add_parser(command, help=about)
+        p_run.add_argument(option, required=True, help=f"{option[2:]} JSON or bundled name")
+        p_run.add_argument("--out", help="CSV output path")
+        _add_common(p_run)
+        p_run.add_argument("--runs", type=int, help="Monte-Carlo runs override")
+        p_run.set_defaults(func=_cmd_run)
 
     p_oracle = sub.add_parser(
         "oracle-check",

@@ -238,6 +238,8 @@ def _sweep(data: Any, path: str) -> SweepSpec:
     obj = _Object(data, path)
     base = obj.get("scenario", _scenario)
     metrics = obj.get("metrics", _metrics, None)
+    if metrics is not None:  # the recipe's list replaces its scenario's
+        base = dataclasses.replace(base, metrics=metrics)
     axis = obj.get("sweep", _Object)
     obj.done()
     parameter = axis.get("parameter", _choice({p: p for p in SWEEPABLE}, "sweep parameter"))
@@ -248,8 +250,7 @@ def _sweep(data: Any, path: str) -> SweepSpec:
         return value
 
     return axis.build(SweepSpec, base=base, parameter=parameter,
-                      values=axis.get("values", _array(point)),
-                      metrics=base.metrics if metrics is None else metrics)
+                      values=axis.get("values", _array(point)))
 
 
 def load_scenario(path: str) -> ScenarioSpec:

@@ -21,7 +21,7 @@ import functools
 import io
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -31,19 +31,19 @@ from .policies import Policy
 # derive_run_seed is defined beside the draws it seeds and stays public here
 from .prediction import ErrorSpec, derive_run_seed, realize_batch  # noqa: F401
 
-METRICS = ("offload_pct", "transfer_delay_s", "energy_j", "cache_mb")
-
-# the RunOutcome field behind each metric
+# each output metric, in CSV row order, and the RunOutcome field behind it
 _METRIC_FIELDS = {"offload_pct": "offload_pct", "transfer_delay_s": "transfer_delay",
                   "energy_j": "energy_j", "cache_mb": "cache_bytes_used"}
+METRICS = tuple(_METRIC_FIELDS)
 
 CSV_COLUMNS = ("scenario_id", "policy", "metric", "mean", "ci95", "n",
                "infeasible_count")
 
-SWEEPABLE = ("size_mb", "mobile_factor", "wifi_factor", "backhaul_factor",
-             "time_error", "throughput_error", "hotspot_count")
-
 HOTSPOT_COUNTS = (2, 4, 8)  # the bundled route layouts, route_<n>ap.json
+
+# A batch holds about 1 kB per run on the 8-hotspot layout (its draws and
+# realized rows), so this many runs stay near 100 MB.
+MAX_RUNS = 100_000
 
 
 class InsufficientSamples(ValueError):
@@ -160,15 +160,10 @@ def relative_gain(a_mean: float, b_mean: float, lower_is_better: bool = False) -
     return (a_mean - b_mean) / b_mean * 100.0
 
 
-def _check_metrics(metrics: Optional[Sequence[str]]) -> None:
-    unknown = [m for m in metrics or () if m not in METRICS]
-    if unknown:
-        raise ValueError(f"unknown metric {unknown[0]!r}; expected one of {METRICS}")
-
-
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """One Monte-Carlo experiment: route, rates, task, errors, policies."""
+    """One Monte-Carlo experiment: route, rates, task, errors, policies, and
+    the output metrics its CSV rows show (None: all of them)."""
 
     scenario_id: str
     route: RouteProfile
@@ -185,8 +180,8 @@ class ScenarioSpec:
 
     def __post_init__(self) -> None:
         # a single run is allowed (its CI is reported as zero-width)
-        if self.runs < 1:
-            raise ValueError(f"runs must be >= 1, got {self.runs}")
+        if not 1 <= self.runs <= MAX_RUNS:
+            raise ValueError(f"runs must be in [1, {MAX_RUNS}], got {self.runs}")
         if self.seed < 0:  # SeedSequence takes non-negative entropy only
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not self.policies:
@@ -194,12 +189,30 @@ class ScenarioSpec:
         for i, p in enumerate(self.policies):
             if p in self.policies[:i]:
                 raise ValueError(f"policy {p.cli_name} is listed twice")
-        _check_metrics(self.metrics)
+        unknown = [m for m in self.metrics or () if m not in METRICS]
+        if unknown:
+            raise ValueError(f"unknown metric {unknown[0]!r}; expected one of {METRICS}")
         for p in self.policies:
             if not p.admits(self.task.traffic_class):
                 raise ValueError(
                     f"policy {p.cli_name} cannot serve {self.task.traffic_class.value}"
                 )
+        # A realized value is a scaled one, as scaled_route computes it, times
+        # 1 + e u with u in [-1, 1); rounding is monotone, so 1 -/+ e bound it.
+        te, re = self.errors.time_error, self.errors.throughput_error
+        for i, seg in enumerate(self.route.segments):
+            if seg.is_wifi:
+                local = seg.wifi_local_rate * self.wifi_factor
+                back = min(seg.backhaul_rate * self.backhaul_factor, local)
+                drawn = [("wifi local rate", local, re), ("backhaul rate", back, re)]
+            else:
+                drawn = [("mobile rate", seg.mobile_rate * self.mobile_factor, re)]
+            for name, value, error in [("duration", seg.duration, te), *drawn]:
+                if not (value * (1 - error) > 0 and value * (1 + error) < math.inf):
+                    raise ValueError(f"segment {i}: a realized {name} leaves (0, inf) "
+                                     f"at error {error}")
+        if not self.route.total_time * (1 + te) < math.inf:
+            raise ValueError(f"the realized total time overflows at time error {te}")
 
     def scaled_route(self) -> RouteProfile:
         return scale_route(
@@ -261,6 +274,28 @@ def run_scenario(spec: ScenarioSpec) -> AggregateResult:
     )
 
 
+def _hotspot_layout(spec: ScenarioSpec, count: float) -> dict:
+    from .config import load_route  # deferred: config builds on these types
+
+    if count not in HOTSPOT_COUNTS:  # any other key would be read as a file path
+        raise ValueError(f"hotspot_count must be one of {HOTSPOT_COUNTS}, got {count:g}")
+    return {"route": load_route(f"{int(count)}ap")}
+
+
+# each sweepable parameter and the fields a sweep point at value v replaces
+# in the base scenario s
+_SWEEP_AXES = {
+    "size_mb": lambda s, v: {"task": replace(s.task, size_mb=v)},
+    "mobile_factor": lambda s, v: {"mobile_factor": v},
+    "wifi_factor": lambda s, v: {"wifi_factor": v},
+    "backhaul_factor": lambda s, v: {"backhaul_factor": v},
+    "time_error": lambda s, v: {"errors": replace(s.errors, time_error=v)},
+    "throughput_error": lambda s, v: {"errors": replace(s.errors, throughput_error=v)},
+    "hotspot_count": _hotspot_layout,
+}
+SWEEPABLE = tuple(_SWEEP_AXES)
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """A scenario re-run across the values of one swept parameter."""
@@ -268,7 +303,6 @@ class SweepSpec:
     base: ScenarioSpec
     parameter: str
     values: tuple[float, ...]
-    metrics: Optional[tuple[str, ...]] = None
 
     def __post_init__(self) -> None:
         if self.parameter not in SWEEPABLE:
@@ -277,33 +311,19 @@ class SweepSpec:
             )
         if not self.values:
             raise ValueError("sweep needs at least one value")
-        _check_metrics(self.metrics)
+
+    @property
+    def metrics(self) -> Optional[tuple[str, ...]]:
+        """The metrics of the CSV rows: the base scenario's."""
+        return self.base.metrics
 
 
 def apply_sweep_value(spec: ScenarioSpec, parameter: str, value: float) -> ScenarioSpec:
     """Derive the scenario for one sweep point; ids become 'base@param=value'."""
-    sid = f"{spec.scenario_id}@{parameter}={value:g}"
-    if parameter == "size_mb":
-        return replace(spec, scenario_id=sid, task=replace(spec.task, size_mb=float(value)))
-    if parameter == "mobile_factor":
-        return replace(spec, scenario_id=sid, mobile_factor=float(value))
-    if parameter == "wifi_factor":
-        return replace(spec, scenario_id=sid, wifi_factor=float(value))
-    if parameter == "backhaul_factor":
-        return replace(spec, scenario_id=sid, backhaul_factor=float(value))
-    if parameter == "time_error":
-        return replace(spec, scenario_id=sid,
-                       errors=replace(spec.errors, time_error=float(value)))
-    if parameter == "throughput_error":
-        return replace(spec, scenario_id=sid,
-                       errors=replace(spec.errors, throughput_error=float(value)))
-    if parameter == "hotspot_count":
-        from .config import load_route  # deferred: config builds on these types
-
-        if value not in HOTSPOT_COUNTS:  # any other key would be read as a file path
-            raise ValueError(f"hotspot_count must be one of {HOTSPOT_COUNTS}, got {value:g}")
-        return replace(spec, scenario_id=sid, route=load_route(f"{int(value)}ap"))
-    raise ValueError(f"unknown sweep parameter {parameter!r}")
+    if parameter not in _SWEEP_AXES:
+        raise ValueError(f"unknown sweep parameter {parameter!r}")
+    return replace(spec, scenario_id=f"{spec.scenario_id}@{parameter}={value:g}",
+                   **_SWEEP_AXES[parameter](spec, float(value)))
 
 
 def run_sweep(sweep: SweepSpec) -> list[AggregateResult]:
@@ -313,41 +333,18 @@ def run_sweep(sweep: SweepSpec) -> list[AggregateResult]:
     ]
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.10g}"
-
-
-def result_rows(
-    result: AggregateResult, metrics: Optional[Sequence[str]] = None
-) -> Iterable[tuple[str, ...]]:
-    """Rows in the fixed CSV column order; one per (policy, metric)."""
+def render_csv(results: Sequence[AggregateResult],
+               metrics: Optional[Sequence[str]] = None) -> str:
+    """Deterministic CSV text: one row per result, policy and metric (all
+    metrics unless ``metrics`` names some), in the fixed column order."""
     keep = tuple(metrics) if metrics else METRICS
-    for p in result.policies:
-        for m in keep:
-            s = result.summaries[p][m]
-            yield (
-                result.scenario_id,
-                p.cli_name,
-                m,
-                _fmt(s.mean),
-                _fmt(s.ci95),
-                str(s.n),
-                str(result.infeasible[p]),
-            )
-
-
-def render_csv(
-    results: Union[AggregateResult, Sequence[AggregateResult]],
-    metrics: Optional[Sequence[str]] = None,
-) -> str:
-    """Deterministic CSV text for one or many aggregate results."""
-    if isinstance(results, AggregateResult):
-        results = [results]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     for r in results:
-        for row in result_rows(r, metrics):
-            writer.writerow(row)
+        for p in r.policies:
+            for m in keep:
+                s = r.summaries[p][m]
+                writer.writerow((r.scenario_id, p.cli_name, m, f"{s.mean:.10g}",
+                                 f"{s.ci95:.10g}", s.n, r.infeasible[p]))
     return buf.getvalue()
-

@@ -57,28 +57,28 @@ class Policy(Enum):
     both).  A ``rate_limited`` policy deliberately underuses the mobile
     channel at its planned rate; the others ride whatever rate the channel
     realizes, and their plan's mobile_rate is the nominal prediction that
-    sizes the cache offset.  ``prefetches`` stages part of the object in the
-    next hotspot's cache, and ``hole_channel`` is the channel that fills the
-    hole below a cached offset.  A policy that neither rate-limits nor
-    prefetches reads no plan, so the engine makes none for it.
+    sizes the cache offset.  A policy with a ``hole_channel`` ``prefetches``:
+    it stages part of the object in the next hotspot's cache, and that
+    channel fills the hole below the cached offset.  A policy that neither
+    rate-limits nor prefetches reads no plan, so the engine makes none for it.
     """
 
-    # (cli name, admitted class, rate-limited, prefetches, hole channel)
-    PREFETCH_DELAY_TOLERANT = ("prefetch-dt", _DT, True, True, Channel.WIFI_BACKHAUL)
-    PREDICTION_ONLY_DELAY_TOLERANT = ("prediction-dt", _DT, True, False, None)
-    NO_PREDICTION_OFFLOAD = ("no-prediction", None, False, False, None)
-    PREFETCH_DELAY_SENSITIVE = ("prefetch-ds", _DS, False, True, Channel.MOBILE)
-    MOBILE_ONLY = ("mobile-only", None, False, False, None)
+    # (cli name, admitted class, rate-limited, hole channel)
+    PREFETCH_DELAY_TOLERANT = ("prefetch-dt", _DT, True, Channel.WIFI_BACKHAUL)
+    PREDICTION_ONLY_DELAY_TOLERANT = ("prediction-dt", _DT, True, None)
+    NO_PREDICTION_OFFLOAD = ("no-prediction", None, False, None)
+    PREFETCH_DELAY_SENSITIVE = ("prefetch-ds", _DS, False, Channel.MOBILE)
+    MOBILE_ONLY = ("mobile-only", None, False, None)
 
     def __new__(cls, cli_name: str, admitted_class: Optional[TrafficClass],
-                rate_limited: bool, prefetches: bool,
-                hole_channel: Optional[Channel]) -> "Policy":
+                rate_limited: bool, hole_channel: Optional[Channel]) -> "Policy":
         member = object.__new__(cls)
         member._value_ = cli_name
         member.admitted_class = admitted_class
         member.rate_limited = rate_limited
-        member.prefetches = prefetches
         member.hole_channel = hole_channel
+        # a plain attribute, not a property: the trip loop reads it at every replan
+        member.prefetches = hole_channel is not None
         return member
 
     @property

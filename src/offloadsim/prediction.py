@@ -65,19 +65,15 @@ class ErrorSpec:
             )
 
 
-@dataclass(frozen=True)
-class HotspotForecast:
-    """Duration and rate bounds for one future hotspot, as the planner sees it."""
+class HotspotForecast(NamedTuple):
+    """Duration and rate bounds for one future hotspot, as the planner sees it:
+    ``1 ∓ e`` times a positive nominal value, e in [0, 1), so min <= max."""
 
     hotspot_index: int
     duration_min: float
     duration_max: float
     rate_min: float
     rate_max: float
-
-    def __post_init__(self) -> None:
-        if self.duration_min > self.duration_max or self.rate_min > self.rate_max:
-            raise ValueError("forecast bounds must satisfy min <= max")
 
 
 class PredictionProfile(NamedTuple):

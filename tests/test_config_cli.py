@@ -20,7 +20,7 @@ from offloadsim.config import (
 )
 from offloadsim.metrics import ScenarioSpec, SweepSpec, render_csv, run_sweep
 from offloadsim.oracle import AgreementReport
-from offloadsim.model import TrafficClass
+from offloadsim.model import EnergyModel, TrafficClass
 from offloadsim.policies import Policy
 
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
@@ -119,8 +119,9 @@ class TestLoaders:
             load_route(str(bad))
 
     def test_energy_defaults(self):
-        model = load_energy_model()
-        assert model.mobile_transfer_j_per_mb == 100.0
+        """energy.json lists the defaults a scenario without ``energy`` runs."""
+        assert load_energy_model() == EnergyModel()
+        assert EnergyModel().mobile_transfer_j_per_mb == 100.0
 
     def test_energy_from_custom_file(self, tmp_path):
         energy = tmp_path / "energy.json"
@@ -177,8 +178,9 @@ class TestRecipes:
         assert len(sweep.values) >= 3
 
     def test_recipe_grids_match_defaults(self):
-        sizes = load_sweep(str(bundled_recipe_path("fig2a"))).values
-        assert sizes == (30.0, 40.0, 50.0, 60.0, 70.0)
+        fig2a = load_sweep(str(bundled_recipe_path("fig2a")))
+        assert fig2a.values == (30.0, 40.0, 50.0, 60.0, 70.0)
+        assert fig2a.metrics == fig2a.base.metrics == ("offload_pct",)
         errors = load_sweep(str(bundled_recipe_path("fig4a"))).values
         assert errors == (0.10, 0.20, 0.30, 0.40)
         thr = load_sweep(str(bundled_recipe_path("fig4b"))).values
@@ -353,6 +355,42 @@ class TestCli:
         for case, named in NAMED_FIELD:
             if case == (recipe, section, key, value):
                 assert named in err[0], err[0]
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("argv,throughput_error,mobile_factor,sweep", [
+        (("run", "--runs", "3"), 0.2, "1", None),
+        (("oracle-check", "--seeds", "1"), 0.2, "1", None),
+        (("run", "--runs", "3", "--thr-error", "0.2"), 0.0, "1", None),
+        (("run", "--runs", "3"), 0.0, "1",
+         {"parameter": "throughput_error", "values": [0, 0.2]}),
+        (("sweep", "--runs", "3", "--thr-error", "0.2"), 0.0, "1/3",
+         {"parameter": "mobile_factor", "values": ["1/3", 1]}),
+    ], ids=["run", "oracle-check", "thr-error-override", "sweep-point",
+            "thr-error-override-sweep-point"])
+    def test_route_that_overflows_when_perturbed_exits_2(self, tmp_path, capsys, argv,
+                                                         throughput_error, mobile_factor,
+                                                         sweep):
+        """Mobile rates of 1.7e308 are finite, but 1.2 times them is not: a
+        throughput error of 0.2 at mobile factor 1 is rejected before any draw."""
+        route = json.loads(bundled_scenario_path("route_4ap").read_text())
+        for seg in route["segments"]:
+            if seg["kind"] == "mobile":
+                seg["mobile_rate"] = 1.7e308
+        (tmp_path / "route.json").write_text(json.dumps(route))
+        data = json.loads(bundled_scenario_path("scenario_dt_default").read_text())
+        data.update(route=str(tmp_path / "route.json"),
+                    rate_factors={"mobile": mobile_factor, "wifi": "1", "backhaul": "1"})
+        data["errors"]["throughput_error"] = throughput_error
+        if sweep is not None:
+            data = {"scenario": data, "sweep": sweep}
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(data))
+        option = "--sweep" if argv[0] == "sweep" else "--scenario"
+        assert self.run_cli(argv[0], option, str(path), *argv[1:]) == 2
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "mobile rate leaves (0, inf)" in err[0]
         assert captured.out == ""
 
     def test_run_malformed_scenario_exits_2(self, tmp_path, capsys):

@@ -162,7 +162,7 @@ OVERRIDES = [
     (("run", "--scenario", "dt-default"), "--policy",
      ["7", "true", "null", "[1]", "{}", "-1", "2.5", ""]),
     (("run", "--scenario", "dt-default"), "--runs",
-     ["true", "null", "[1]", "{}", "-1", "2.5", "0"]),
+     ["true", "null", "[1]", "{}", "-1", "2.5", "0", "100001"]),
     (("run", "--scenario", "dt-default"), "--seed",
      ["true", "null", "[1]", "{}", "-1", "2.5", "1e400"]),
     (("run", "--scenario", "dt-default"), "--time-error",
@@ -173,11 +173,15 @@ OVERRIDES = [
      ["true", "null", "[1]", "{}", "-1", "2.5", "0"]),
     (("oracle-check", "--scenario", "ds-default"), "--dt",
      ["true", "null", "[1]", "{}", "-1", "1e400", "nan", "0"]),
+    (("oracle-check", "--scenario", "ds-default"), "--runs", ["3"]),  # reads no runs
 ]
+# each row is named by its option, and a repeated option also by its command
+IDS = []
+for command, option, _ in OVERRIDES:
+    IDS.append(f"{command[0]}{option}" if option in IDS else option)
 
 
-@pytest.mark.parametrize("command,option,values", OVERRIDES,
-                         ids=[option for _, option, _ in OVERRIDES])
+@pytest.mark.parametrize("command,option,values", OVERRIDES, ids=IDS)
 def test_every_malformed_override_exits_2_naming_its_option(command, option, values,
                                                             capsys):
     failures = []

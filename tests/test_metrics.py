@@ -420,8 +420,8 @@ class TestCsv:
     def test_fixed_columns_and_determinism(self, route_4ap):
         spec = make_spec(route_4ap, runs=4)
         result = run_scenario(spec)
-        text = render_csv(result)
-        again = render_csv(run_scenario(spec))
+        text = render_csv([result])
+        again = render_csv([run_scenario(spec)])
         assert text == again
         header = text.splitlines()[0]
         assert header == "scenario_id,policy,metric,mean,ci95,n,infeasible_count"
@@ -430,7 +430,7 @@ class TestCsv:
 
     def test_metric_filter(self, route_4ap):
         spec = make_spec(route_4ap, runs=4)
-        text = render_csv(run_scenario(spec), metrics=("offload_pct",))
+        text = render_csv([run_scenario(spec)], metrics=("offload_pct",))
         rows = text.splitlines()[1:]
         assert len(rows) == len(spec.policies)
         assert all(",offload_pct," in r for r in rows)
