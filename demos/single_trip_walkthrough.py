@@ -1,9 +1,13 @@
 #!/usr/bin/env python3
 """Walk through one delay-tolerant trip, event by event.
 
-Loads the bundled 4-hotspot drive at the default one-third rate scaling,
-plans at the route start and at every hotspot exit the way the engine does,
-and prints what each plan decides before showing the realized outcome.
+Loads the bundled 4-hotspot drive at the default one-third rate scaling and
+plans on the nominal timeline at the route start and at every hotspot exit.
+Between plans it moves the received prefix forward by a guessed pessimistic
+delivery (the planned mobile rate up to the next hotspot, then that
+hotspot's minimum rate over its minimum dwell), not by what the engine
+delivers, so the plans printed are illustrations, not the engine's own.  It
+then runs one realized trip through the engine and prints that outcome.
 """
 
 from offloadsim import (

@@ -6,7 +6,7 @@
 
 Scenario and sweep arguments take a JSON path or the name of a bundled file
 (``dt-default``, ``ds-default``, ``fig2a`` ... ``fig9b``).  Exit codes: 0 on
-success, 1 when an oracle check fails, 2 on configuration errors.
+success, 1 when an oracle check fails, 2 on a configuration error or an unwritable ``--out``.
 """
 
 from __future__ import annotations
@@ -30,35 +30,29 @@ from .metrics import (
     derive_run_seed,
     render_csv,
     run_scenario,
-    run_sweep,
 )
 from .oracle import DEFAULT_DT, compare_runs, run_trip_stepped
 from .prediction import realize_route
 
 
 def _resolve_input(arg: str) -> str:
-    """Accept a filesystem path or the bare name of a bundled file."""
+    """Accept a filesystem path or a bundled name, with or without ``.json``."""
     if Path(arg).exists():
         return arg
-    stem = arg[:-5] if arg.endswith(".json") else arg
-    for candidate in (
-        f"scenario_{stem.replace('-', '_')}",
-        stem.replace("-", "_"),
-        stem,
-    ):
-        for finder in (config.bundled_scenario_path, config.bundled_recipe_path):
-            try:
-                path = finder(candidate)
-            except (FileNotFoundError, ConfigError):
-                continue
-            if path.exists():
-                return str(path)
-    raise ConfigError(f"no such scenario or sweep file: {arg}")
+    data = config.bundled_scenario_path("scenario_dt_default").parent
+    bundled = {"dt-default": data / "scenario_dt_default.json",
+               "ds-default": data / "scenario_ds_default.json",
+               **{path.stem: path for path in (data / "recipes").glob("*.json")}}
+    path = bundled.get(arg.removesuffix(".json"))
+    if path is None:
+        raise ConfigError(f"no such scenario or sweep file: {arg}")
+    return str(path)
 
 
-def _apply_overrides(spec: ScenarioSpec, args: argparse.Namespace) -> ScenarioSpec:
-    """Apply command-line overrides; a value the model rejects is named by its
-    option."""
+def _apply_overrides(spec: ScenarioSpec, args: argparse.Namespace,
+                     swept: Optional[str] = None) -> ScenarioSpec:
+    """Apply command-line overrides; a value the model rejects, or one for the
+    parameter ``swept`` that every sweep point replaces, is named by its option."""
     if args.policy is not None:
         spec = config.checked("--policy", replace, spec, policies=tuple(
             config.parse_policy(p, "--policy") for p in args.policy.split(",")))
@@ -68,6 +62,8 @@ def _apply_overrides(spec: ScenarioSpec, args: argparse.Namespace) -> ScenarioSp
         spec = config.checked("--seed", replace, spec, seed=args.seed)
     for option, field, value in (("--time-error", "time_error", args.time_error),
                                  ("--thr-error", "throughput_error", args.thr_error)):
+        if value is not None and field == swept:
+            raise ConfigError(f"{option}: {spec.scenario_id} sweeps {field}")
         if value is not None:  # the scenario rejects errors its route cannot take
             errors = config.checked(option, replace, spec.errors, **{field: value})
             spec = config.checked(option, replace, spec, errors=errors)
@@ -99,17 +95,21 @@ def _cmd_run(args: argparse.Namespace) -> int:
     else:
         spec = config.load_experiment(_resolve_input(args.scenario))
     if isinstance(spec, SweepSpec):
-        spec = replace(spec, base=_apply_overrides(spec.base, args))
-        for v in spec.values:  # an override can make a point unrealizable: fail before any run
-            config.checked(f"{spec.base.scenario_id}@{spec.parameter}={v:g}",
-                           apply_sweep_value, spec.base, spec.parameter, v)
-        results = run_sweep(spec)
+        # every point is built once, named by its id, and checked before any run
+        base = _apply_overrides(spec.base, args, swept=spec.parameter)
+        points = [config.checked(f"{base.scenario_id}@{spec.parameter}={v:g}",
+                                 apply_sweep_value, base, spec.parameter, v)
+                  for v in spec.values]
     else:
-        spec = _apply_overrides(spec, args)
-        results = [run_scenario(spec)]
+        base = _apply_overrides(spec, args)
+        points = [base]
+    results = [run_scenario(point) for point in points]
     _print_summary(results)
     if args.out:
-        Path(args.out).write_text(render_csv(results, spec.metrics), encoding="utf-8")
+        try:
+            Path(args.out).write_text(render_csv(results, base.metrics), encoding="utf-8")
+        except OSError as exc:
+            raise ConfigError(f"--out: {exc}") from exc
         print(f"wrote {args.out}")
     return 0
 
@@ -119,8 +119,11 @@ def _cmd_oracle_check(args: argparse.Namespace) -> int:
     spec = _apply_overrides(spec, args)
     if args.seeds < 1:
         raise ConfigError(f"--seeds must be >= 1, got {args.seeds}")
-    if not (args.dt > 0 and math.isfinite(args.dt)):
-        raise ConfigError(f"--dt must be positive and finite, got {args.dt}")
+    # a realized segment lasts at most its nominal duration times 1 + time_error
+    longest = max(s.duration for s in spec.route.segments) * (1 + spec.errors.time_error)
+    if not (0 < args.dt < math.inf and longest / args.dt < math.inf):
+        raise ConfigError(f"--dt must be positive and finite, and so must "
+                          f"{longest:g} s / dt; got {args.dt}")
     nominal = spec.scaled_route()
     dt = args.dt
     worst_bytes = 0.0

@@ -246,7 +246,7 @@ def _sweep(data: Any, path: str) -> SweepSpec:
 
     def point(value: Any, label: str) -> float:  # a bad point fails here, not mid-sweep
         value = parse_factor(value, label)
-        checked(label, lambda: apply_sweep_value(base, parameter, value).scaled_route())
+        checked(label, apply_sweep_value, base, parameter, value)
         return value
 
     return axis.build(SweepSpec, base=base, parameter=parameter,

@@ -20,7 +20,7 @@ import csv
 import functools
 import io
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -177,6 +177,7 @@ class ScenarioSpec:
     seed: int = 0
     energy: EnergyModel = EnergyModel()
     metrics: Optional[tuple[str, ...]] = None
+    _scaled: RouteProfile = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         # a single run is allowed (its CI is reported as zero-width)
@@ -197,16 +198,15 @@ class ScenarioSpec:
                 raise ValueError(
                     f"policy {p.cli_name} cannot serve {self.task.traffic_class.value}"
                 )
-        # A realized value is a scaled one, as scaled_route computes it, times
-        # 1 + e u with u in [-1, 1); rounding is monotone, so 1 -/+ e bound it.
+        # scale_route checks the factors; a realized value is a scaled one times
+        # 1 + e u with u in [-1, 1), and rounding is monotone, so 1 -/+ e bound it
+        object.__setattr__(self, "_scaled", scale_route(
+            self.route, self.mobile_factor, self.wifi_factor, self.backhaul_factor))
         te, re = self.errors.time_error, self.errors.throughput_error
-        for i, seg in enumerate(self.route.segments):
-            if seg.is_wifi:
-                local = seg.wifi_local_rate * self.wifi_factor
-                back = min(seg.backhaul_rate * self.backhaul_factor, local)
-                drawn = [("wifi local rate", local, re), ("backhaul rate", back, re)]
-            else:
-                drawn = [("mobile rate", seg.mobile_rate * self.mobile_factor, re)]
+        for i, seg in enumerate(self._scaled.segments):
+            drawn = ([("wifi local rate", seg.wifi_local_rate, re),
+                      ("backhaul rate", seg.backhaul_rate, re)] if seg.is_wifi
+                     else [("mobile rate", seg.mobile_rate, re)])
             for name, value, error in [("duration", seg.duration, te), *drawn]:
                 if not (value * (1 - error) > 0 and value * (1 + error) < math.inf):
                     raise ValueError(f"segment {i}: a realized {name} leaves (0, inf) "
@@ -215,12 +215,8 @@ class ScenarioSpec:
             raise ValueError(f"the realized total time overflows at time error {te}")
 
     def scaled_route(self) -> RouteProfile:
-        return scale_route(
-            self.route,
-            mobile_factor=self.mobile_factor,
-            wifi_factor=self.wifi_factor,
-            backhaul_factor=self.backhaul_factor,
-        )
+        """The route at this scenario's rate factors, built once."""
+        return self._scaled
 
 
 @dataclass(frozen=True)
@@ -235,7 +231,6 @@ class AggregateResult:
     scenario_id: str
     summaries: dict[Policy, dict[str, MetricSummary]]
     infeasible: dict[Policy, int]
-    runs: int
     policies: tuple[Policy, ...]
 
     def mean(self, policy: Policy, metric: str) -> float:
@@ -269,7 +264,6 @@ def run_scenario(spec: ScenarioSpec) -> AggregateResult:
         scenario_id=spec.scenario_id,
         summaries=summaries,
         infeasible={p: int(np.count_nonzero(~o.deadline_met)) for p, o in outcomes.items()},
-        runs=spec.runs,
         policies=spec.policies,
     )
 

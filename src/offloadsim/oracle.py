@@ -69,8 +69,10 @@ def run_trip_stepped(
     dt: float = DEFAULT_DT,
 ) -> StepOutcome:
     """March through the realized route in steps of at most ``dt`` seconds."""
-    if not (dt > 0 and math.isfinite(dt)):
-        raise ValueError(f"dt must be positive and finite, got {dt}")
+    longest = max(s.duration for s in route_realized.segments)
+    if not (0 < dt < math.inf and longest / dt < math.inf):  # the step count too
+        raise ValueError(f"dt must be positive and finite, and so must "
+                         f"{longest:g} s / dt; got {dt}")
     _check_same_structure(route_realized, route_nominal)
     if not policy.admits(task.traffic_class):
         raise PolicyClassMismatch(

@@ -422,6 +422,20 @@ class TestCli:
     def test_missing_file_exits_2(self):
         assert self.run_cli("run", "--scenario", "no-such-thing") == 2
 
+    @pytest.mark.parametrize("name", ["energy", "route-4ap", "dt_default",
+                                      "scenario_dt_default", "recipes/fig2a"])
+    def test_only_documented_bundled_names_resolve(self, name, capsys):
+        """The bundled names are dt-default, ds-default and the recipes; any
+        other bundled file is an unknown name."""
+        assert self.run_cli("run", "--scenario", name, "--runs", "2") == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"error: no such scenario or sweep file: {name}"]
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("name", ["dt-default.json", "ds-default", "fig9b.json"])
+    def test_bundled_name_takes_an_optional_json_suffix(self, name):
+        assert self.run_cli("run", "--scenario", name, "--runs", "2") == 0
+
     def test_run_accepts_sweep_recipe(self, tmp_path):
         out = tmp_path / "fig2a.csv"
         code = self.run_cli("run", "--scenario", "fig2a", "--runs", "2",

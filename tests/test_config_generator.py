@@ -172,8 +172,12 @@ OVERRIDES = [
     (("oracle-check", "--scenario", "ds-default"), "--seeds",
      ["true", "null", "[1]", "{}", "-1", "2.5", "0"]),
     (("oracle-check", "--scenario", "ds-default"), "--dt",
-     ["true", "null", "[1]", "{}", "-1", "1e400", "nan", "0"]),
+     ["true", "null", "[1]", "{}", "-1", "1e400", "nan", "0", "1e-320"]),
     (("oracle-check", "--scenario", "ds-default"), "--runs", ["3"]),  # reads no runs
+    (("run", "--scenario", "dt-default", "--runs", "2"), "--out", ["no/such/dir/x.csv", "."]),
+    # an error override of the swept parameter, which every point replaces
+    (("sweep", "--sweep", "fig4a"), "--time-error", ["0.5"]),
+    (("run", "--scenario", "fig4b"), "--thr-error", ["0.7"]),
 ]
 # each row is named by its option, and a repeated option also by its command
 IDS = []

@@ -17,6 +17,7 @@ from offloadsim import prediction
 from offloadsim.config import (bundled_recipe_path, bundled_scenario_path, load_scenario,
                                load_sweep)
 from offloadsim.engine import run_trip
+from offloadsim.model import scale_route
 from offloadsim.metrics import (
     METRICS,
     InsufficientSamples,
@@ -307,6 +308,17 @@ class TestRunScenario:
     def test_run_count_floor(self, route_4ap):
         with pytest.raises(ValueError):
             make_spec(route_4ap, runs=0)
+
+    def test_scaled_route_is_built_once(self, route_4ap):
+        """The spec keeps the route scale_route builds at its factors; a
+        replaced factor gets a route of its own, and the route takes no part
+        in equality or hashing."""
+        spec = make_spec(route_4ap)
+        assert spec.scaled_route() is spec.scaled_route()
+        assert spec.scaled_route() == scale_route(route_4ap, 1 / 3, 1 / 3, 1 / 3)
+        faster = replace(spec, mobile_factor=1.0)
+        assert faster.scaled_route() == scale_route(route_4ap, 1.0, 1 / 3, 1 / 3)
+        assert replace(spec) == spec and hash(replace(spec)) == hash(spec)
 
     def test_single_run_reports_zero_ci(self, route_4ap):
         result = run_scenario(make_spec(route_4ap, runs=1))

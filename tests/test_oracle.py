@@ -150,8 +150,8 @@ def test_smaller_step_never_worse(default_route):
 
 def test_invalid_dt_rejected(default_route, zero_errors):
     realized = realize_route(default_route, zero_errors)
-    for dt in (0.0, -1.0, math.inf, math.nan):
-        with pytest.raises(ValueError):
+    for dt in (0.0, -1.0, math.inf, math.nan, 1e-320):  # 1e-320: the step count overflows
+        with pytest.raises(ValueError, match="dt"):
             run_trip_stepped(realized, default_route, make_task(60.0),
                              Policy.NO_PREDICTION_OFFLOAD, zero_errors, dt=dt)
 
