@@ -6,7 +6,7 @@ the engine integrates the realized transfer and accounts bytes, delay, and
 energy; the metrics layer runs paired Monte-Carlo comparisons.
 """
 
-from .engine import EnergyBreakdown, RunOutcome, run_batch, run_trip
+from .engine import EnergyBreakdown, RunOutcome, run_batch, run_policies, run_trip
 from .metrics import (
     AggregateResult,
     InsufficientSamples,
@@ -86,6 +86,7 @@ __all__ = [
     "relative_gain",
     "render_csv",
     "run_batch",
+    "run_policies",
     "run_scenario",
     "run_sweep",
     "run_trip",

@@ -23,7 +23,7 @@ from typing import Any, Callable, Optional, Union
 from .metrics import (HOTSPOT_COUNTS, METRICS, SWEEPABLE, ScenarioSpec, SweepSpec,
                       apply_sweep_value)
 from .model import (AccessKind, EnergyModel, RouteProfile, RouteSegment, TrafficClass,
-                    TransferTask, scale_route)
+                    TransferTask, check_rate_factors)
 from .policies import Policy
 from .prediction import ErrorSpec
 
@@ -203,13 +203,13 @@ def load_energy_model(path: Optional[str] = None) -> EnergyModel:
     return _energy(_read_json(source, "energy model"), "energy model")
 
 
-def _scenario(data: Any, path: str) -> ScenarioSpec:
+def _scenario(data: Any, path: str, recipe_metrics: Optional[tuple] = None) -> ScenarioSpec:
     obj = _Object(data, path)
     route = _route(obj.get("route", json_string, "4ap"), f"{path}.route")
     rates = obj.get("rate_factors", _Object, {})
     factors = {f"{name}_factor": rates.get(name, parse_factor, "1/3")
                for name in ("mobile", "wifi", "backhaul")}
-    rates.build(scale_route, route, **factors)  # a bad factor fails here, not mid-run
+    rates.build(check_rate_factors, **factors)  # named here; the spec scales the route
     task_d = obj.get("task", _Object)
     task = task_d.build(
         TransferTask, size_mb=task_d.get("size_mb", parse_float),
@@ -219,6 +219,7 @@ def _scenario(data: Any, path: str) -> ScenarioSpec:
     err_d = obj.get("errors", _Object, {})
     errors = err_d.build(ErrorSpec, time_error=err_d.get("time_error", parse_float, 0.10),
                          throughput_error=err_d.get("throughput_error", parse_float, 0.20))
+    metrics = obj.get("metrics", _metrics, None)  # a recipe's list replaces this one
     return obj.build(
         ScenarioSpec,
         scenario_id=obj.get("scenario_id", json_string, path),
@@ -230,16 +231,14 @@ def _scenario(data: Any, path: str) -> ScenarioSpec:
         runs=obj.get("runs", parse_integer, 120),
         seed=obj.get("seed", parse_integer, 0),
         energy=obj.get("energy", _energy, None) or EnergyModel(),
-        metrics=obj.get("metrics", _metrics, None),
+        metrics=recipe_metrics if recipe_metrics is not None else metrics,
     )
 
 
 def _sweep(data: Any, path: str) -> SweepSpec:
     obj = _Object(data, path)
-    base = obj.get("scenario", _scenario)
     metrics = obj.get("metrics", _metrics, None)
-    if metrics is not None:  # the recipe's list replaces its scenario's
-        base = dataclasses.replace(base, metrics=metrics)
+    base = obj.get("scenario", lambda value, label: _scenario(value, label, metrics))
     axis = obj.get("sweep", _Object)
     obj.done()
     parameter = axis.get("parameter", _choice({p: p for p in SWEEPABLE}, "sweep parameter"))

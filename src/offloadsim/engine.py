@@ -6,22 +6,20 @@ and the per-channel accounting, and prices the energy spent.  Transfers are
 fluid: bytes moved = rate x time, with exact interpolation of the completion
 crossing.
 
-One trip loop serves both entry points.  :func:`run_trip` executes one
+One trip loop serves every entry point.  :func:`run_trip` executes one
 realized route on floats; :func:`run_batch` executes many realizations of
-one nominal route at once, with each run's state held in numpy arrays, and
-is what a Monte-Carlo scenario uses.  The elementwise operations are chosen
-once per call from the input kind
-(:func:`~offloadsim.policies.elementwise`), and the float operations are the
-same, in the same order, in both forms, so run k of a batch equals
-:func:`run_trip` on realization k bit for bit.  Both plan through the same
-:func:`~offloadsim.policies.plan_exit` and
+one nominal route at once, one numpy column per run; :func:`run_policies`,
+what a Monte-Carlo scenario uses, runs P policies in one pass over P blocks
+of the same runs.  A trait the policies do not share (rate limiting,
+prefetching, entering hotspots) is a mask over the columns, and a masked
+step is skipped where no column takes it; with one policy (P = 1) the traits
+are bools.  The elementwise operations are chosen once per call from the
+input kind (:func:`~offloadsim.policies.elementwise`), and each column goes
+through :func:`run_trip`'s float operations in the same order, so run k of
+policy p equals :func:`run_trip` on realization k bit for bit.  All plan
+through the same :func:`~offloadsim.policies.plan_exit` and
 :func:`~offloadsim.policies.plan_entry`.  Only a policy that reads a plan, a
-rate-limited or a prefetching one, replans; the others never build a
-forecast.
-
-A run finishes once per trip, so the byte state records a completion only
-in the fill where one happens, and keeps the mask of runs still
-transferring (``pending``) for the loop, its replans and its fills to read.
+rate-limited or a prefetching one, replans; the others never build a forecast.
 
 Energy is priced in the same loop: per-MB transfer costs on the bytes each
 channel moved, plus WiFi idle power.  At each hotspot visit the loop adds
@@ -41,7 +39,7 @@ import numpy as np
 
 from .model import MBIT_PER_MB, AccessKind, EnergyModel, RouteProfile, TransferTask
 from .policies import (Channel, Floats, Policy, PolicyClassMismatch, elementwise,
-                       plan_entry, plan_exit)
+                       plan_entry, plan_exit, policy_columns)
 from .prediction import ErrorSpec, RealizedBatch, build_prediction
 
 _BYTE_EPS = 1e-9  # MB; completion slack for float round-off
@@ -116,13 +114,13 @@ class _ByteState:
     def fill(self, runs, rate: Floats, max_seconds: Floats, channel: Channel,
              now: Floats, hi: Floats) -> Floats:
         """Extend the received prefix toward ``hi`` (at most the object size)
-        for up to ``max_seconds`` at ``rate`` over ``channel``, in the runs
-        selected by ``runs``; returns the seconds spent, 0 in the runs left
-        out.  The completion time is interpolated exactly where the object
-        finishes mid-way."""
+        for up to ``max_seconds`` (positive in the runs selected by ``runs``)
+        at ``rate`` over ``channel``, in those runs; returns the seconds
+        spent, 0 in the runs left out.  The completion time is interpolated
+        exactly where the object finishes mid-way."""
         ops = self.ops
         need = hi - self.prefix
-        go = runs & self.pending & (rate != 0) & (max_seconds != 0) & (need > 0)
+        go = runs & self.pending & (rate != 0) & (need > 0)
         if not ops.any(go):
             return 0.0
         rate = ops.where(go, rate, 1.0)  # no division by zero in runs left out
@@ -171,24 +169,24 @@ def _run(
     end: Floats,
     nominal: RouteProfile,
     task: TransferTask,
-    policy: Policy,
+    policies: Sequence[Policy],
     errors: ErrorSpec,
     energy_model: EnergyModel,
 ) -> RunOutcome:
-    """The trip loop, on one trip or on every run of a batch.
+    """The trip loop, on one trip or on every column of a batch.
 
     ``segments`` are the realized segments, each with the
     :class:`~offloadsim.model.RouteSegment` attributes ``start_time``,
     ``duration``, ``end_time`` and the rates: floats for one trip, one entry
-    per run for a batch.  ``end`` is the realized route end, in the same
-    form.  The outcome's fields are in that form too.  The rules are
-    :func:`run_trip`'s; in a batch each branch is a mask over the runs still
-    transferring.
+    per column for a batch.  ``end`` is the realized route end, in the same
+    form, and so are the outcome's fields; each of several ``policies`` owns
+    an equal block of the columns.  The rules are :func:`run_trip`'s; in a
+    batch each branch is a mask over the columns still transferring.
     """
-    if not policy.admits(task.traffic_class):
-        raise PolicyClassMismatch(
-            f"{policy.cli_name} cannot serve {task.traffic_class.value} traffic"
-        )
+    for p in policies:
+        if not p.admits(task.traffic_class):
+            raise PolicyClassMismatch(f"{p.cli_name} cannot serve "
+                                      f"{task.traffic_class.value} traffic")
     size = task.size_mb
     deadline = task.effective_deadline()
     horizon = None if math.isinf(deadline) else deadline
@@ -200,18 +198,24 @@ def _run(
     provisioned = ops.zeros(end)
     caches: dict[int, tuple[Floats, Floats]] = {}  # offset, amount
     idle_s = zero  # seconds the WiFi interface is on but not transferring
+    policy = policies[0] if len(policies) == 1 else policy_columns(policies, len(end))
+    limited, prefetches, associates = policy.rate_limited, policy.prefetches, policy.associates
     # only a rate-limited policy reads the planned rate and only a
     # prefetching one the caches; for the others a plan changes nothing
-    plans = policy.rate_limited or policy.prefetches
+    plans = limited is not False or prefetches is not False
+    # beside prefetching columns, a rate-limited one that does not plans on backhaul rates
+    two_forecasts = not isinstance(prefetches, bool) and ops.any(limited & ~prefetches) > 0
 
     def replan(now_nominal: float, now_realized: Floats) -> None:
         nonlocal plan_rate, infeasible, provisioned
         runs = state.pending
         pred = build_prediction(nominal, now_nominal, errors,
-                                use_local_rate=policy.prefetches, horizon=horizon)
+                                use_local_rate=prefetches is not False, horizon=horizon)
+        backhaul_pred = (build_prediction(nominal, now_nominal, errors, use_local_rate=False,
+                                          horizon=horizon) if two_forecasts else None)
         plan_rate, flagged, cache = plan_exit(
             policy, ops.maximum(0.0, size - state.prefix), deadline - now_realized,
-            pred, state.prefix)
+            pred, state.prefix, backhaul_pred)
         infeasible = infeasible | (runs & flagged)
         if cache is not None:
             index, amount, offset = cache
@@ -236,10 +240,12 @@ def _run(
             mobile_rate = zero if j is None else segments[j].mobile_rate
         else:
             mobile_rate = seg.mobile_rate
-        if not wifi or policy is Policy.MOBILE_ONLY:
-            rate = ops.minimum(plan_rate, mobile_rate) if policy.rate_limited else mobile_rate
-            state.fill(runs, rate, seg.duration, Channel.MOBILE, t0, size)
-        else:
+        if not wifi or associates is not True:  # in a hotspot, the mobile-only columns
+            rate = mobile_rate if limited is False else ops.pick(
+                limited, ops.minimum(plan_rate, mobile_rate), mobile_rate)
+            state.fill(runs if not wifi or associates is False else runs & ~associates,
+                       rate, seg.duration, Channel.MOBILE, t0, size)
+        if wifi and associates is not False:
             steps = plan_entry(policy, state.prefix, caches.get(seg_nom.hotspot_index),
                                local_rate=seg.wifi_local_rate,
                                backhaul_rate=seg.backhaul_rate,
@@ -256,7 +262,8 @@ def _run(
                 budget = budget - used
             leave = ops.where(state.complete, state.completion_time, seg.end_time)
             on = ops.maximum(0.0, t0 - energy_model.wifi_preactivation_s)
-            idle_s = idle_s + ops.where(runs, ops.maximum(0.0, (leave - on) - busy), 0.0)
+            idle_s = idle_s + ops.where(runs & associates,
+                                        ops.maximum(0.0, (leave - on) - busy), 0.0)
         if wifi and plans and ops.any(state.pending):
             replan(seg_nom.end_time, seg.end_time)
 
@@ -302,7 +309,7 @@ def run_trip(
     """
     _check_same_structure(route_realized, route_nominal)
     return _run(route_realized.segments, route_realized.total_time, route_nominal, task,
-                policy, errors, energy_model)
+                (policy,), errors, energy_model)
 
 
 def run_batch(
@@ -312,14 +319,31 @@ def run_batch(
     errors: ErrorSpec,
     energy_model: EnergyModel = EnergyModel(),
 ) -> RunOutcome:
-    """Execute every realization of ``batch`` under ``policy``; each field of
-    the outcome holds one entry per run.
-
-    Run k's outcome, energy included, equals, bit for bit, :func:`run_trip`
-    on realization k and ``batch.route``: the same loop moves all runs
-    together, on ``batch.segments``, one row per segment, and the route end
-    is the last row's ``end_time``.  A forecast is built once per replan
-    point for the whole batch.
-    """
-    return _run(batch.segments, batch.segments[-1].end_time, batch.route, task, policy,
+    """Execute every realization of ``batch`` under ``policy``, all runs
+    together on ``batch.segments``; each field of the outcome holds one entry
+    per run, and run k's equals :func:`run_trip` on realization k bit for bit.
+    A forecast is built once per replan point for the whole batch."""
+    return _run(batch.segments, batch.segments[-1].end_time, batch.route, task, (policy,),
                 errors, energy_model)
+
+
+def run_policies(
+    batch: RealizedBatch,
+    task: TransferTask,
+    policies: Sequence[Policy],
+    errors: ErrorSpec,
+    energy_model: EnergyModel = EnergyModel(),
+) -> dict[Policy, RunOutcome]:
+    """Execute policy p of ``policies`` on block p of ``batch``, all in one pass;
+    each outcome, a view of its block, equals :func:`run_batch` bit for bit."""
+    if batch.blocks != len(policies):
+        raise ValueError(f"{len(policies)} policies need as many blocks, got {batch.blocks}")
+    out = _run(batch.segments, batch.segments[-1].end_time, batch.route, task,
+               tuple(policies), errors, energy_model)
+    runs = len(out.completed) // len(policies)
+
+    def cut(x, k: int):  # an outcome or its energy, every array cut to block k
+        return type(x)(**{name: cut(v, k) if isinstance(v, EnergyBreakdown)
+                          else v[k * runs:(k + 1) * runs] for name, v in vars(x).items()})
+
+    return {p: cut(out, k) for k, p in enumerate(policies)}

@@ -3,9 +3,9 @@
 Each run draws one realized route and evaluates every policy on that same
 realization (paired comparison), then metrics are aggregated into means with
 Student-t 95% confidence intervals.  A scenario's realizations are drawn
-together and each policy runs over all of them in one batched pass
-(:func:`offloadsim.engine.run_batch`), and the scenario is aggregated in
-one pass: every policy's metric arrays are stacked as the rows of one array,
+together, one block of columns per policy, all its policies run in one pass
+of the trip loop (:func:`offloadsim.engine.run_policies`), and it is
+aggregated in one pass: every policy's metric arrays are stacked as the rows of one array,
 and the means and CIs are taken along its last axis, each row bit for bit
 as its own 1-D array would give them.  The t quantile comes from
 ``t_quantile_975``, a standard-library Newton solve on the t tail, so the
@@ -25,9 +25,9 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .engine import RunOutcome, run_batch
-from .model import EnergyModel, RouteProfile, TransferTask, scale_route
-from .policies import Policy
+from .engine import RunOutcome, run_policies
+from .model import MBIT_PER_MB, EnergyModel, RouteProfile, TransferTask, scale_route
+from .policies import T_MOBILE_FLOOR, Policy
 # derive_run_seed is defined beside the draws it seeds and stays public here
 from .prediction import ErrorSpec, derive_run_seed, realize_batch  # noqa: F401
 
@@ -203,6 +203,9 @@ class ScenarioSpec:
         object.__setattr__(self, "_scaled", scale_route(
             self.route, self.mobile_factor, self.wifi_factor, self.backhaul_factor))
         te, re = self.errors.time_error, self.errors.throughput_error
+        longest = self.route.total_time * (1 + te)  # no realized total time is longer
+        if not longest < math.inf:
+            raise ValueError(f"the realized total time overflows at time error {te}")
         for i, seg in enumerate(self._scaled.segments):
             drawn = ([("wifi local rate", seg.wifi_local_rate, re),
                       ("backhaul rate", seg.backhaul_rate, re)] if seg.is_wifi
@@ -211,8 +214,19 @@ class ScenarioSpec:
                 if not (value * (1 - error) > 0 and value * (1 + error) < math.inf):
                     raise ValueError(f"segment {i}: a realized {name} leaves (0, inf) "
                                      f"at error {error}")
-        if not self.route.total_time * (1 + te) < math.inf:
-            raise ValueError(f"the realized total time overflows at time error {te}")
+                if name != "duration" and not value * (1 + error) * longest < math.inf:
+                    raise ValueError(f"segment {i}: a realized {name} times the realized "
+                                     "total time overflows")  # the bytes it moves
+        size = self.task.size_mb
+        for product, message in [
+                (size * MBIT_PER_MB / T_MOBILE_FLOOR, f"task.size_mb {size:g} in Mbit over "
+                 f"the planner's {T_MOBILE_FLOOR:g} s time floor overflows"),
+                *((getattr(self.energy, f) * x, f"energy.{f} times {of} overflows")
+                  for f, x, of in [("mobile_transfer_j_per_mb", size, "task.size_mb"),
+                                   ("wifi_transfer_j_per_mb", size, "task.size_mb"),
+                                   ("wifi_idle_w", longest, "the realized total time")])]:
+            if not product < math.inf:
+                raise ValueError(message)
 
     def scaled_route(self) -> RouteProfile:
         """The route at this scenario's rate factors, built once."""
@@ -241,11 +255,11 @@ def scenario_outcomes(spec: ScenarioSpec) -> dict[Policy, RunOutcome]:
     """Every policy's outcome on each of ``spec.runs`` paired realizations.
 
     Run k is drawn with seed ``derive_run_seed(spec.seed, k)``, and every
-    policy runs over the same realizations, all at once.
+    policy runs over the same realizations, each over its block of one pass.
     """
-    batch = realize_batch(spec.scaled_route(), spec.errors, spec.seed, spec.runs)
-    return {p: run_batch(batch, spec.task, p, spec.errors, spec.energy)
-            for p in spec.policies}
+    batch = realize_batch(spec.scaled_route(), spec.errors, spec.seed, spec.runs,
+                          len(spec.policies))
+    return run_policies(batch, spec.task, spec.policies, spec.errors, spec.energy)
 
 
 def run_scenario(spec: ScenarioSpec) -> AggregateResult:

@@ -132,6 +132,13 @@ class RouteProfile:
         return sum(s.duration for s in self.segments if not s.is_wifi)
 
 
+def check_rate_factors(mobile_factor: float, wifi_factor: float, backhaul_factor: float) -> None:
+    for name, f in (("mobile", mobile_factor), ("wifi", wifi_factor),
+                    ("backhaul", backhaul_factor)):
+        if not _positive_finite(f):
+            raise ValueError(f"{name} factor must be positive and finite, got {f}")
+
+
 def scale_route(
     route: RouteProfile,
     mobile_factor: float = 1.0,
@@ -144,10 +151,7 @@ def scale_route(
     backhaul path cannot outrun the radio link it shares), so extreme factor
     combinations still produce a valid route.
     """
-    for name, f in (("mobile", mobile_factor), ("wifi", wifi_factor),
-                    ("backhaul", backhaul_factor)):
-        if not _positive_finite(f):
-            raise ValueError(f"{name} factor must be positive and finite, got {f}")
+    check_rate_factors(mobile_factor, wifi_factor, backhaul_factor)
     out = []
     for seg in route.segments:
         if seg.is_wifi:

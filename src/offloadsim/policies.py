@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import operator
 from enum import Enum
-from typing import Callable, NamedTuple, Optional, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -63,20 +63,21 @@ class Policy(Enum):
     rate-limits nor prefetches reads no plan, so the engine makes none for it.
     """
 
-    # (cli name, admitted class, rate-limited, hole channel)
-    PREFETCH_DELAY_TOLERANT = ("prefetch-dt", _DT, True, Channel.WIFI_BACKHAUL)
-    PREDICTION_ONLY_DELAY_TOLERANT = ("prediction-dt", _DT, True, None)
-    NO_PREDICTION_OFFLOAD = ("no-prediction", None, False, None)
-    PREFETCH_DELAY_SENSITIVE = ("prefetch-ds", _DS, False, Channel.MOBILE)
-    MOBILE_ONLY = ("mobile-only", None, False, None)
+    # (cli name, admitted class, rate-limited, hole channel, associates: fetches in hotspots)
+    PREFETCH_DELAY_TOLERANT = ("prefetch-dt", _DT, True, Channel.WIFI_BACKHAUL, True)
+    PREDICTION_ONLY_DELAY_TOLERANT = ("prediction-dt", _DT, True, None, True)
+    NO_PREDICTION_OFFLOAD = ("no-prediction", None, False, None, True)
+    PREFETCH_DELAY_SENSITIVE = ("prefetch-ds", _DS, False, Channel.MOBILE, True)
+    MOBILE_ONLY = ("mobile-only", None, False, None, False)
 
-    def __new__(cls, cli_name: str, admitted_class: Optional[TrafficClass],
-                rate_limited: bool, hole_channel: Optional[Channel]) -> "Policy":
+    def __new__(cls, cli_name: str, admitted_class: Optional[TrafficClass], rate_limited: bool,
+                hole_channel: Optional[Channel], associates: bool) -> "Policy":
         member = object.__new__(cls)
         member._value_ = cli_name
         member.admitted_class = admitted_class
         member.rate_limited = rate_limited
         member.hole_channel = hole_channel
+        member.associates = associates
         # a plain attribute, not a property: the trip loop reads it at every replan
         member.prefetches = hole_channel is not None
         return member
@@ -95,6 +96,27 @@ class PolicyClassMismatch(ValueError):
 
 # One trip's value, or one value per run of a batch.
 Floats = Union[float, np.ndarray]
+Bools = Union[bool, np.ndarray]
+
+
+class PolicyColumns(NamedTuple):
+    """A batch's policies, each over its block of columns, read like one Policy: a
+    shared trait is a bool, any other a mask (both sides of its branch are computed
+    and each column picks its own); of one traffic class, they share a hole channel."""
+
+    rate_limited: Bools
+    prefetches: Bools
+    associates: Bools
+    hole_channel: Optional[Channel]
+
+
+def policy_columns(policies: Sequence[Policy], columns: int) -> PolicyColumns:
+    """The traits of ``policies`` over ``columns``, policy p over the p-th equal block."""
+    def trait(name: str) -> Bools:
+        v = [getattr(p, name) for p in policies]
+        return v[0] if len(set(v)) == 1 else np.repeat(v, columns // len(v))
+    return PolicyColumns(trait("rate_limited"), trait("prefetches"), trait("associates"),
+                         next((p.hole_channel for p in policies if p.prefetches), None))
 
 
 class EntryAction(NamedTuple):
@@ -128,6 +150,10 @@ class Elementwise(NamedTuple):
     minimum: Callable
     maximum: Callable
 
+    def pick(self, mask: Bools, x: Floats, y: Floats) -> Floats:
+        """``x`` where ``mask``, else ``y``; a bool picks with no array operation."""
+        return x if mask is True else y if mask is False else self.where(mask, x, y)
+
 
 # A ufunc on one element costs several times a float operation, so one trip
 # runs on plain Python.  Both forms pick the same values in the same order,
@@ -147,12 +173,13 @@ def elementwise(x: Floats) -> Elementwise:
 
 
 def plan_exit(
-    policy: Policy,
+    policy: Union[Policy, PolicyColumns],
     remaining_mb: Floats,
     time_left: Floats,
     pred: PredictionProfile,
     received_prefix_mb: Floats = 0.0,
-) -> tuple[Floats, Union[bool, np.ndarray], Optional[tuple[int, Floats, Floats]]]:
+    backhaul_pred: Optional[PredictionProfile] = None,
+) -> tuple[Floats, Bools, Optional[tuple[int, Floats, Floats]]]:
     """Plan at the route start or a hotspot exit: ``(rate, infeasible, cache)``.
 
     ``rate`` is the mobile rate until the next exit.  Rate-limited policies
@@ -163,62 +190,69 @@ def plan_exit(
     (a cached hotspot serves at its local WiFi rate) and backhaul-rate
     bounds otherwise.  The other policies request the full predicted mobile
     rate and are never infeasible; for a batch, their rate and flag are one
-    value for every run.
+    value for every run.  In column form the rate-limited columns that do not
+    prefetch read ``backhaul_pred`` where ``pred`` has local-rate bounds.
 
     ``cache`` is None unless the policy prefetches and a hotspot remains;
     then it is ``(hotspot_index, amount, offset)``: the node expects to have
     reached object position ``offset`` on arrival (its prefix plus what the
     mobile stream delivers across the gap), and the hotspot stages the next
-    ``amount`` MB from there, never past the object end (amount 0: no cache).
+    ``amount`` MB from there, never past the object end (amount 0: no cache,
+    as in every column that does not prefetch).
     """
     ops = elementwise(remaining_mb)
-    if policy.rate_limited:
+    limited, prefetches = policy.rate_limited, policy.prefetches
+    rate, infeasible = pred.max_mobile_rate, False
+    if limited is not False:
         wifi_mb, wifi_s = _pessimistic_wifi(pred)
+        if backhaul_pred is not None:
+            origin_mb, origin_s = _pessimistic_wifi(backhaul_pred)
+            wifi_mb = ops.where(prefetches, wifi_mb, origin_mb)
+            wifi_s = ops.where(prefetches, wifi_s, origin_s)
         data_mobile = ops.maximum(0.0, remaining_mb - wifi_mb)
         time_mobile = ops.maximum(T_MOBILE_FLOOR, time_left - wifi_s)
         raw = data_mobile * MBIT_PER_MB / time_mobile
         # The same rate must hold through every remaining mobile stretch, so
         # the cap is the lowest rate on the horizon, not the next gap's best.
         cap = pred.sustainable_mobile_rate
-        rate = ops.minimum(ops.maximum(raw, 0.0), cap)
-        infeasible = raw > cap
-    else:
-        rate, infeasible = pred.max_mobile_rate, False
-    if not policy.prefetches or not pred.hotspots:
+        rate = ops.pick(limited, ops.minimum(ops.maximum(raw, 0.0), cap), rate)
+        infeasible = raw > cap if limited is True else limited & (raw > cap)
+    if prefetches is False or not pred.hotspots:
         return rate, infeasible, None
     size_mb = received_prefix_mb + remaining_mb
     offset = received_prefix_mb + rate * pred.time_to_next_wifi / MBIT_PER_MB
     nxt = pred.hotspots[0]
     amount = ops.maximum(0.0, ops.minimum(nxt.rate_max * nxt.duration_max / MBIT_PER_MB,
                                           size_mb - offset))
-    return rate, infeasible, (nxt.hotspot_index, amount, offset)
+    return rate, infeasible, (nxt.hotspot_index, ops.pick(prefetches, amount, 0.0), offset)
 
 
 def plan_entry(
-    policy: Policy,
+    policy: Union[Policy, PolicyColumns],
     prefix_mb: Floats,
     cache: Optional[tuple[Floats, Floats]],
     local_rate: Floats,
     backhaul_rate: Floats,
     mobile_rate: Floats,
     size_mb: float,
-) -> list[tuple[Union[bool, np.ndarray], EntryAction]]:
+) -> list[tuple[Bools, EntryAction]]:
     """Ordered fetch steps for the dwell time in one hotspot, each with
     whether it is taken: a bool for one trip, a mask over a batch's runs
-    (True for the origin fetch, which every run takes).
+    (True for the origin fetch, or the columns that associate).
 
     ``cache`` is the hotspot's staged ``(offset, amount)`` or None.  With a
     cache: (1) fill the hole below the cached offset over the policy's hole
     channel (``mobile_rate`` is the mobile throughput reachable inside the
     hotspot), (2) drain the cached range at the local rate, (3) keep
     fetching from the origin with the remaining dwell.  Steps (1) and (2)
-    are not taken where the amount is 0.  Without a cache, the whole dwell
-    is an origin fetch; mobile-only never associates.
+    are not taken where the amount is 0, as in a column that does not
+    prefetch.  Without a cache, the whole dwell is an origin fetch;
+    mobile-only never associates.
     """
-    if policy is Policy.MOBILE_ONLY:
+    if policy.associates is False:
         return []
-    origin = (True, EntryAction(Channel.WIFI_BACKHAUL, backhaul_rate, size_mb))
-    if not policy.prefetches or cache is None:
+    origin = (policy.associates, EntryAction(Channel.WIFI_BACKHAUL, backhaul_rate, size_mb))
+    if policy.prefetches is False or cache is None:
         return [origin]
     ops = elementwise(prefix_mb)
     offset, amount = cache

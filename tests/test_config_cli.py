@@ -357,30 +357,56 @@ class TestCli:
                 assert named in err[0], err[0]
         assert captured.out == ""
 
-    @pytest.mark.parametrize("argv,throughput_error,mobile_factor,sweep", [
-        (("run", "--runs", "3"), 0.2, "1", None),
-        (("oracle-check", "--seeds", "1"), 0.2, "1", None),
-        (("run", "--runs", "3", "--thr-error", "0.2"), 0.0, "1", None),
+    # a route whose mobile rates are 1.7e308 Mbit/s, its times divided by 1000
+    # so that the rate times the trip time is finite; edits of dt-default
+    SHORT = {"rate": 1.7e308, "seconds": 1e-3}
+    LEAVES = "mobile rate leaves (0, inf)"
+
+    @pytest.mark.parametrize("argv,throughput_error,mobile_factor,sweep,edit,named", [
+        (("run", "--runs", "3"), 0.2, "1", None, SHORT, LEAVES),
+        (("oracle-check", "--seeds", "1"), 0.2, "1", None, SHORT, LEAVES),
+        (("run", "--runs", "3", "--thr-error", "0.2"), 0.0, "1", None, SHORT, LEAVES),
         (("run", "--runs", "3"), 0.0, "1",
-         {"parameter": "throughput_error", "values": [0, 0.2]}),
+         {"parameter": "throughput_error", "values": [0, 0.2]}, SHORT, LEAVES),
         (("sweep", "--runs", "3", "--thr-error", "0.2"), 0.0, "1/3",
-         {"parameter": "mobile_factor", "values": ["1/3", 1]}),
+         {"parameter": "mobile_factor", "values": ["1/3", 1]}, SHORT, LEAVES),
+        (("run", "--runs", "3"), 0.0, "1/3", None, {"rate": 1.7e308},
+         "mobile rate times the realized total time overflows"),
+        (("run", "--runs", "3"), 0.2, "1/3", None, {"task": {"size_mb": 1e308}},
+         "task.size_mb 1e+308 in Mbit"),
+        (("run", "--runs", "3"), 0.2, "1/3", None,
+         {"energy": {"mobile_transfer_j_per_mb": 1e307}},
+         "energy.mobile_transfer_j_per_mb times task.size_mb overflows"),
     ], ids=["run", "oracle-check", "thr-error-override", "sweep-point",
-            "thr-error-override-sweep-point"])
+            "thr-error-override-sweep-point", "rate-times-trip-time", "size-in-mbit",
+            "energy-price-times-size"])
     def test_route_that_overflows_when_perturbed_exits_2(self, tmp_path, capsys, argv,
                                                          throughput_error, mobile_factor,
-                                                         sweep):
+                                                         sweep, edit, named):
         """Mobile rates of 1.7e308 are finite, but 1.2 times them is not: a
-        throughput error of 0.2 at mobile factor 1 is rejected before any draw."""
-        route = json.loads(bundled_scenario_path("route_4ap").read_text())
-        for seg in route["segments"]:
-            if seg["kind"] == "mobile":
-                seg["mobile_rate"] = 1.7e308
-        (tmp_path / "route.json").write_text(json.dumps(route))
+        throughput error of 0.2 at mobile factor 1 is rejected before any draw.
+        So is a scenario whose trip loop would overflow at any error: the
+        largest realized rate times the realized trip time, the object size in
+        Mbit, or an energy price times the size."""
         data = json.loads(bundled_scenario_path("scenario_dt_default").read_text())
-        data.update(route=str(tmp_path / "route.json"),
-                    rate_factors={"mobile": mobile_factor, "wifi": "1", "backhaul": "1"})
+        if "rate" in edit:
+            route = json.loads(bundled_scenario_path("route_4ap").read_text())
+            scale = edit.get("seconds", 1.0)
+            route["total_time"] *= scale
+            for seg in route["segments"]:
+                seg["start_time"] *= scale
+                seg["duration"] *= scale
+                if seg["kind"] == "mobile":
+                    seg["mobile_rate"] = edit["rate"]
+            (tmp_path / "route.json").write_text(json.dumps(route))
+            data["route"] = str(tmp_path / "route.json")
+            data["rate_factors"] = {"mobile": mobile_factor, "wifi": "1", "backhaul": "1"}
+        data["rate_factors"]["mobile"] = mobile_factor
         data["errors"]["throughput_error"] = throughput_error
+        data["task"].update(edit.get("task", {}))
+        if "energy" in edit:
+            energy = json.loads(bundled_scenario_path("energy").read_text())
+            data["energy"] = dict(energy, **edit["energy"])
         if sweep is not None:
             data = {"scenario": data, "sweep": sweep}
         path = tmp_path / "input.json"
@@ -390,7 +416,7 @@ class TestCli:
         captured = capsys.readouterr()
         err = captured.err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
-        assert "mobile rate leaves (0, inf)" in err[0]
+        assert named in err[0], err[0]
         assert captured.out == ""
 
     def test_run_malformed_scenario_exits_2(self, tmp_path, capsys):

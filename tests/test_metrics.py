@@ -16,7 +16,7 @@ from conftest import RECIPES, edge_routes, make_task, random_route
 from offloadsim import prediction
 from offloadsim.config import (bundled_recipe_path, bundled_scenario_path, load_scenario,
                                load_sweep)
-from offloadsim.engine import run_trip
+from offloadsim.engine import run_batch, run_policies, run_trip
 from offloadsim.model import scale_route
 from offloadsim.metrics import (
     METRICS,
@@ -320,6 +320,28 @@ class TestRunScenario:
         assert faster.scaled_route() == scale_route(route_4ap, 1.0, 1 / 3, 1 / 3)
         assert replace(spec) == spec and hash(replace(spec)) == hash(spec)
 
+    @pytest.mark.parametrize("name,built", [("dt-default", 1), ("fig2a", 6)])
+    def test_loading_scales_each_route_once(self, monkeypatch, name, built):
+        """Loading builds each scenario's scaled route once: dt-default its
+        own, fig2a its base and each of its 5 points; no throwaway route
+        checks the rate factors, and a recipe's metrics list goes into its
+        base as the base is built."""
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return scale_route(*args, **kwargs)
+
+        for module in list(sys.modules.values()):  # every module that calls it
+            if module.__name__.startswith("offloadsim") \
+                    and getattr(module, "scale_route", None) is scale_route:
+                monkeypatch.setattr(module, "scale_route", counted)
+        if name == "fig2a":
+            load_sweep(str(bundled_recipe_path(name)))
+        else:
+            load_scenario(str(bundled_scenario_path("scenario_dt_default")))
+        assert len(calls) == built
+
     def test_single_run_reports_zero_ci(self, route_4ap):
         result = run_scenario(make_spec(route_4ap, runs=1))
         for p in DT_POLICIES:
@@ -397,6 +419,62 @@ class TestDrawMemo:
             points += len(run_sweep(sweep))
         assert points == 82
         assert calls == {"_draws": 360, "derive_run_seed": 360}
+
+
+# every per-run field of a RunOutcome, and of its energy
+OUTCOME_FIELDS = ("offload_pct", "transfer_delay", "mobile_mb", "wifi_local_mb",
+                  "wifi_backhaul_mb", "cache_bytes_used", "completed", "deadline_met",
+                  "plan_infeasible")
+ENERGY_FIELDS = ("mobile_j", "wifi_transfer_j", "wifi_idle_j")
+
+
+def assert_outcomes_equal(got, want, label):
+    for name in OUTCOME_FIELDS:
+        assert (getattr(got, name) == getattr(want, name)).all(), (label, name)
+    for name in ENERGY_FIELDS:
+        assert (getattr(got.energy, name) == getattr(want.energy, name)).all(), (label, name)
+
+
+class TestColumnPass:
+    """A scenario runs its policies in one pass, each over its own block of
+    the batch's columns; every block equals its policy's own run_batch."""
+
+    def test_every_figure_point_equals_single_policy_batches(self):
+        points = 0
+        for name in RECIPES:
+            sweep = load_sweep(str(bundled_recipe_path(name)))
+            for value in sweep.values:
+                spec = apply_sweep_value(sweep.base, sweep.parameter, value)
+                outcomes = scenario_outcomes(spec)
+                assert tuple(outcomes) == spec.policies
+                batch = prediction.realize_batch(spec.scaled_route(), spec.errors,
+                                                 spec.seed, spec.runs)
+                for p, got in outcomes.items():
+                    assert got.offload_pct.shape == (spec.runs,)
+                    want = run_batch(batch, spec.task, p, spec.errors, spec.energy)
+                    assert_outcomes_equal(got, want, (spec.scenario_id, p))
+                points += 1
+        assert points == 82
+
+    def test_blocks_are_views_of_one_pass(self, route_4ap):
+        outcomes = list(scenario_outcomes(make_spec(route_4ap, runs=7)).values())
+        whole = outcomes[0].offload_pct.base
+        assert whole is not None and whole.shape == (21,)
+        assert all(o.offload_pct.base is whole for o in outcomes)
+
+    def test_policies_need_one_block_each(self, default_route, default_errors):
+        batch = prediction.realize_batch(default_route, default_errors, 0, 6, blocks=2)
+        with pytest.raises(ValueError, match="3 policies need as many blocks, got 2"):
+            run_policies(batch, make_task(60.0), DT_POLICIES, default_errors)
+
+    def test_blocks_realize_the_same_runs(self, route_8ap):
+        """Each block of a tiled batch holds the one-block batch's rows."""
+        errors = ErrorSpec(0.3, 0.4)
+        one = prediction.realize_batch(route_8ap, errors, 4, 9)
+        three = prediction.realize_batch(route_8ap, errors, 4, 9, blocks=3)
+        for row, tiled in zip(one.segments, three.segments):
+            for name, values in vars(row).items():
+                assert (getattr(tiled, name) == np.tile(values, 3)).all(), name
 
 
 class TestSweep:
