@@ -2,11 +2,14 @@
 
     offloadsim run --scenario dt-default --out run.csv
     offloadsim sweep --sweep fig2a --out fig2a.csv
+    offloadsim figures --out figures/
     offloadsim oracle-check --scenario ds-default --seeds 50
 
 Scenario and sweep arguments take a JSON path or the name of a bundled file
-(``dt-default``, ``ds-default``, ``fig2a`` ... ``fig9b``).  Exit codes: 0 on
-success, 1 when an oracle check fails, 2 on a configuration error or an unwritable ``--out``.
+(``dt-default``, ``ds-default``, ``fig2a`` ... ``fig9b``).  ``figures`` writes
+every bundled recipe's CSV, ``<name>.csv``, into one directory, each the bytes
+``sweep --sweep <name>`` writes.  Exit codes: 0 on success, 1 when an oracle
+check fails, 2 on a configuration error or an unwritable ``--out``.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import math
 import sys
 from dataclasses import replace
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 from . import config
 from .config import ConfigError
@@ -30,9 +33,16 @@ from .metrics import (
     derive_run_seed,
     render_csv,
     run_scenario,
+    run_sweep,
 )
 from .oracle import DEFAULT_DT, compare_runs, run_trip_stepped
 from .prediction import realize_route
+
+
+def _recipes() -> dict[str, Path]:
+    """Every bundled sweep recipe by name, in name order."""
+    data = config.bundled_scenario_path("scenario_dt_default").parent
+    return {path.stem: path for path in sorted((data / "recipes").glob("*.json"))}
 
 
 def _resolve_input(arg: str) -> str:
@@ -41,8 +51,7 @@ def _resolve_input(arg: str) -> str:
         return arg
     data = config.bundled_scenario_path("scenario_dt_default").parent
     bundled = {"dt-default": data / "scenario_dt_default.json",
-               "ds-default": data / "scenario_ds_default.json",
-               **{path.stem: path for path in (data / "recipes").glob("*.json")}}
+               "ds-default": data / "scenario_ds_default.json", **_recipes()}
     path = bundled.get(arg.removesuffix(".json"))
     if path is None:
         raise ConfigError(f"no such scenario or sweep file: {arg}")
@@ -106,11 +115,29 @@ def _cmd_run(args: argparse.Namespace) -> int:
     results = [run_scenario(point) for point in points]
     _print_summary(results)
     if args.out:
-        try:
-            Path(args.out).write_text(render_csv(results, base.metrics), encoding="utf-8")
-        except OSError as exc:
-            raise ConfigError(f"--out: {exc}") from exc
-        print(f"wrote {args.out}")
+        _write_out(args.out, render_csv(results, base.metrics))
+    return 0
+
+
+def _write_out(path: Union[str, Path], text: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"--out: {exc}") from exc
+    print(f"wrote {path}")
+
+
+def _cmd_figures(args: argparse.Namespace) -> int:
+    """Every bundled recipe in one process: a scenario that several recipes
+    share (the same sweep point shown for another metric) runs once."""
+    out = Path(args.out)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--out: {exc}") from exc
+    for name, path in _recipes().items():
+        sweep = config.load_sweep(str(path))
+        _write_out(out / f"{name}.csv", render_csv(run_sweep(sweep), sweep.metrics))
     return 0
 
 
@@ -179,6 +206,10 @@ def build_parser() -> argparse.ArgumentParser:
         _add_common(p_run)
         p_run.add_argument("--runs", type=int, help="Monte-Carlo runs override")
         p_run.set_defaults(func=_cmd_run)
+
+    p_figures = sub.add_parser("figures", help="write every bundled recipe's CSV")
+    p_figures.add_argument("--out", required=True, help="output directory")
+    p_figures.set_defaults(func=_cmd_figures)
 
     p_oracle = sub.add_parser(
         "oracle-check",

@@ -12,6 +12,18 @@ as its own 1-D array would give them.  The t quantile comes from
 package needs no statistics library.  Per-run seeds are derived from the
 scenario seed with a stable hash, so adding a policy or rerunning a sweep
 never reshuffles the realizations.
+
+``run_scenario`` runs each distinct scenario once per process.  Its result
+depends on every compared :class:`ScenarioSpec` field but ``scenario_id`` and
+``metrics``, so those fields' values (read from ``dataclasses.fields``; a
+field added later joins the key by itself) key a small LRU of aggregates:
+each policy's :class:`MetricSummary` values and miss count, never the
+per-run outcome arrays, which ``scenario_outcomes`` hands out fresh and
+writable on every call.  A hit builds a new :class:`AggregateResult` with the
+caller's id and new dicts, equal with ``==`` to a fresh run.  A scenario
+also shares the scaled route of the one built before it when its route and
+rate factors are the same (a size or error sweep point and its base), and
+with it that route's forecast index.
 """
 
 from __future__ import annotations
@@ -20,7 +32,7 @@ import csv
 import functools
 import io
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -44,6 +56,11 @@ HOTSPOT_COUNTS = (2, 4, 8)  # the bundled route layouts, route_<n>ap.json
 # A batch holds about 1 kB per run on the 8-hotspot layout (its draws and
 # realized rows), so this many runs stay near 100 MB.
 MAX_RUNS = 100_000
+
+
+# Rows of up to MAX_RUNS samples no larger than this in magnitude square and
+# sum in np.std without overflow (2^500 is about 3.3e150).
+_STD_SAFE_PEAK = 2.0 ** 500
 
 
 class InsufficientSamples(ValueError):
@@ -140,9 +157,16 @@ def ci_halfwidth(samples: Union[Sequence[float], np.ndarray]) -> Union[float, np
     n = samples.shape[-1]
     if n < 2:
         raise InsufficientSamples(f"need at least 2 samples, got {n}")
-    s = np.std(samples, axis=-1, ddof=1)
-    half = np.where(samples.min(axis=-1) == samples.max(axis=-1), 0.0,
-                    t_quantile_975(n - 1) * s / math.sqrt(n))
+    lo, hi = samples.min(axis=-1), samples.max(axis=-1)
+    peak = np.maximum(-lo, hi)
+    if np.any(peak > _STD_SAFE_PEAK):
+        # std squares the deviations: a row this large first gets an exact
+        # power-of-two scale to near 1, and its std is scaled back
+        k = np.where(peak > _STD_SAFE_PEAK, np.frexp(peak)[1], 0)
+        s = np.ldexp(np.std(np.ldexp(samples, -k[..., None]), axis=-1, ddof=1), k)
+    else:
+        s = np.std(samples, axis=-1, ddof=1)
+    half = np.where(lo == hi, 0.0, t_quantile_975(n - 1) * s / math.sqrt(n))
     return float(half) if samples.ndim == 1 else half
 
 
@@ -158,6 +182,22 @@ def relative_gain(a_mean: float, b_mean: float, lower_is_better: bool = False) -
     if lower_is_better:
         return (b_mean - a_mean) / b_mean * 100.0
     return (a_mean - b_mean) / b_mean * 100.0
+
+
+# The most recently scaled route: (route, factors, scaled route).  The route
+# is compared by identity and held here, so its id cannot be reused while it
+# is; routes are frozen, so the scaled route never goes stale.
+_last_scaled: Optional[tuple[RouteProfile, tuple[float, float, float], RouteProfile]] = None
+
+
+def _scale(route: RouteProfile, factors: tuple[float, float, float]) -> RouteProfile:
+    """``scale_route`` at ``factors``, reusing the last result for the same
+    route object and factors (a size or error sweep point and its base)."""
+    global _last_scaled
+    last = _last_scaled
+    if last is None or last[0] is not route or last[1] != factors:
+        last = _last_scaled = (route, factors, scale_route(route, *factors))
+    return last[2]
 
 
 @dataclass(frozen=True)
@@ -200,8 +240,8 @@ class ScenarioSpec:
                 )
         # scale_route checks the factors; a realized value is a scaled one times
         # 1 + e u with u in [-1, 1), and rounding is monotone, so 1 -/+ e bound it
-        object.__setattr__(self, "_scaled", scale_route(
-            self.route, self.mobile_factor, self.wifi_factor, self.backhaul_factor))
+        object.__setattr__(self, "_scaled", _scale(
+            self.route, (self.mobile_factor, self.wifi_factor, self.backhaul_factor)))
         te, re = self.errors.time_error, self.errors.throughput_error
         longest = self.route.total_time * (1 + te)  # no realized total time is longer
         if not longest < math.inf:
@@ -262,8 +302,18 @@ def scenario_outcomes(spec: ScenarioSpec) -> dict[Policy, RunOutcome]:
     return run_policies(batch, spec.task, spec.policies, spec.errors, spec.energy)
 
 
-def run_scenario(spec: ScenarioSpec) -> AggregateResult:
-    """Run every policy over ``spec.runs`` paired realizations and aggregate."""
+# Every compared field but the id and the output metrics decides a
+# scenario's aggregate; their values key the memo of run_scenario.
+_KEY_FIELDS = tuple(f.name for f in fields(ScenarioSpec)
+                    if f.compare and f.name not in ("scenario_id", "metrics"))
+AGGREGATES_KEPT = 64  # the 20 figure recipes hold 44 distinct scenarios
+
+# one (summaries in METRICS order, deadline misses) per policy
+_Aggregate = tuple[tuple[tuple[MetricSummary, ...], int], ...]
+_aggregates: dict[tuple, _Aggregate] = {}  # least recently used first
+
+
+def _aggregate(spec: ScenarioSpec) -> _Aggregate:
     outcomes = scenario_outcomes(spec)
     # one C-contiguous row per (policy, metric): each row reduces as the
     # 1-D array would, so one pass gives every mean and CI bit for bit
@@ -272,12 +322,28 @@ def run_scenario(spec: ScenarioSpec) -> AggregateResult:
     n = rows.shape[1]
     cis = ci_halfwidth(rows).tolist() if n >= 2 else [0.0] * len(rows)
     stats = iter(zip(np.mean(rows, axis=1).tolist(), cis))
-    summaries = {p: {m: MetricSummary(*next(stats), n=n) for m in METRICS}
-                 for p in outcomes}
+    return tuple((tuple(MetricSummary(*next(stats), n=n) for _ in METRICS),
+                  int(np.count_nonzero(~o.deadline_met))) for o in outcomes.values())
+
+
+def run_scenario(spec: ScenarioSpec) -> AggregateResult:
+    """Run every policy over ``spec.runs`` paired realizations and aggregate.
+
+    A scenario equal to one of the last ``AGGREGATES_KEPT`` in every field but
+    ``scenario_id`` and ``metrics`` is not run again: its result is rebuilt
+    from the memoized aggregate, with new dicts.
+    """
+    key = tuple(getattr(spec, name) for name in _KEY_FIELDS)
+    per_policy = _aggregates.pop(key, None)  # reinserted last: the most recent
+    if per_policy is None:
+        per_policy = _aggregate(spec)
+        if len(_aggregates) >= AGGREGATES_KEPT:
+            del _aggregates[next(iter(_aggregates))]
+    _aggregates[key] = per_policy
     return AggregateResult(
         scenario_id=spec.scenario_id,
-        summaries=summaries,
-        infeasible={p: int(np.count_nonzero(~o.deadline_met)) for p, o in outcomes.items()},
+        summaries={p: dict(zip(METRICS, s)) for p, (s, _) in zip(spec.policies, per_policy)},
+        infeasible={p: misses for p, (_, misses) in zip(spec.policies, per_policy)},
         policies=spec.policies,
     )
 

@@ -1,7 +1,11 @@
+import dataclasses
 import hashlib
 import json
+import math
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import RECIPES
@@ -18,7 +22,8 @@ from offloadsim.config import (
     parse_factor,
     parse_policy,
 )
-from offloadsim.metrics import ScenarioSpec, SweepSpec, render_csv, run_sweep
+from offloadsim.metrics import (ScenarioSpec, SweepSpec, ci_halfwidth, render_csv,
+                                run_sweep, scenario_outcomes)
 from offloadsim.oracle import AgreementReport
 from offloadsim.model import EnergyModel, TrafficClass
 from offloadsim.policies import Policy
@@ -218,6 +223,53 @@ class TestCli:
         assert out1.read_bytes() == out2.read_bytes()
         summary = capsys.readouterr().out
         assert "prefetch-dt" in summary
+
+    def test_figures_writes_every_recipe_csv(self, tmp_path, capsys):
+        """One process writes all 20 recipe CSVs, each the bytes ``sweep``
+        writes for it (the golden digests of run_sweep's CSVs)."""
+        golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+        out = tmp_path / "figures"
+        assert self.run_cli("figures", "--out", str(out)) == 0
+        assert sorted(p.name for p in out.iterdir()) == sorted(f"{n}.csv" for n in RECIPES)
+        for name in RECIPES:
+            digest = hashlib.sha256((out / f"{name}.csv").read_bytes()).hexdigest()
+            assert digest == golden[f"figures:{name}"], name
+        assert capsys.readouterr().out.splitlines() == [
+            f"wrote {out / f'{n}.csv'}" for n in sorted(RECIPES)]
+
+    @pytest.mark.parametrize("sub", ["", "sub"])
+    def test_figures_unwritable_out_exits_2(self, tmp_path, capsys, sub):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert self.run_cli("figures", "--out", str(blocker / sub)) == 2
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: --out: ")
+        assert captured.out == ""
+
+    def test_huge_energy_price_aggregates_without_overflow(self, tmp_path, capsys):
+        """Energies near 1e162 J square past the float range in np.std; the
+        run exits 0 with no warning, and each CI is 2^k times that of its
+        row scaled by 2^-k."""
+        data = json.loads(bundled_scenario_path("scenario_dt_default").read_text())
+        data["energy"] = {**dataclasses.asdict(load_energy_model()),
+                          "mobile_transfer_j_per_mb": 1e160}
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(data))
+        out = tmp_path / "huge.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert self.run_cli("run", "--scenario", str(path), "--runs", "10",
+                                "--out", str(out)) == 0
+        spec = dataclasses.replace(load_scenario(str(path)), runs=10)
+        rows = {tuple(r.split(",")[1:3]): r.split(",")[4]
+                for r in out.read_text().splitlines()[1:]}
+        for policy, outcome in scenario_outcomes(spec).items():
+            energy = outcome.energy_j
+            k = int(np.frexp(np.abs(energy).max())[1])
+            ci = np.ldexp(ci_halfwidth(np.ldexp(energy, -k)), k)
+            assert 1e150 < ci < math.inf
+            assert rows[policy.cli_name, "energy_j"] == f"{ci:.10g}"
 
     def test_single_deterministic_run(self, tmp_path):
         out = tmp_path / "single.csv"

@@ -4,7 +4,8 @@ import os
 import random
 import subprocess
 import sys
-from dataclasses import replace
+import warnings
+from dataclasses import fields, replace
 from decimal import Decimal
 from pathlib import Path
 
@@ -13,14 +14,15 @@ import pytest
 
 import offloadsim
 from conftest import RECIPES, edge_routes, make_task, random_route
-from offloadsim import prediction
+from offloadsim import metrics, prediction
 from offloadsim.config import (bundled_recipe_path, bundled_scenario_path, load_scenario,
                                load_sweep)
 from offloadsim.engine import run_batch, run_policies, run_trip
-from offloadsim.model import scale_route
+from offloadsim.model import EnergyModel, RouteProfile, scale_route
 from offloadsim.metrics import (
     METRICS,
     InsufficientSamples,
+    MetricSummary,
     ScenarioSpec,
     SweepSpec,
     apply_sweep_value,
@@ -127,6 +129,23 @@ class TestCiHalfwidth:
             got = ci_halfwidth(samples)
             assert got.shape == (len(rows),)
             assert got.tolist() == want
+
+    def test_huge_rows_are_scaled_by_a_power_of_two(self):
+        """A row too large to square in np.std is scaled by an exact power of
+        two to near 1 first: no overflow, and its half-width is 2^k times the
+        scaled row's, as the 1-D call gives it; a row that needs no scale
+        keeps its own value."""
+        rng = np.random.default_rng(5)
+        huge = rng.uniform(1.0, 2.0, (50, 120)) * 10.0 ** rng.uniform(151, 300, (50, 1))
+        huge[::2] *= -1.0
+        small = rng.uniform(1.0, 2.0, 120)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = ci_halfwidth(np.vstack([huge, small]))
+            k = np.frexp(np.abs(huge).max(axis=1))[1]
+            want = np.ldexp(ci_halfwidth(np.ldexp(huge, -k[:, None])), k)
+            assert got[:-1].tolist() == want.tolist() == [ci_halfwidth(r) for r in huge]
+        assert np.isfinite(got).all() and got[-1] == ci_halfwidth(small)
 
 
 # t(0.975, df) to 30 significant digits, computed with mpmath 1.3.0 as the
@@ -320,12 +339,13 @@ class TestRunScenario:
         assert faster.scaled_route() == scale_route(route_4ap, 1.0, 1 / 3, 1 / 3)
         assert replace(spec) == spec and hash(replace(spec)) == hash(spec)
 
-    @pytest.mark.parametrize("name,built", [("dt-default", 1), ("fig2a", 6)])
+    @pytest.mark.parametrize("name,built", [("dt-default", 1), ("fig2a", 1)])
     def test_loading_scales_each_route_once(self, monkeypatch, name, built):
         """Loading builds each scenario's scaled route once: dt-default its
-        own, fig2a its base and each of its 5 points; no throwaway route
-        checks the rate factors, and a recipe's metrics list goes into its
-        base as the base is built."""
+        own, fig2a its base's, which its 5 size points share; no throwaway
+        route checks the rate factors, and a recipe's metrics list goes into
+        its base as the base is built."""
+        monkeypatch.setattr(metrics, "_last_scaled", None)  # no earlier test's route
         calls = []
 
         def counted(*args, **kwargs):
@@ -341,6 +361,21 @@ class TestRunScenario:
         else:
             load_scenario(str(bundled_scenario_path("scenario_dt_default")))
         assert len(calls) == built
+
+    @pytest.mark.parametrize("parameter,value,shared", [
+        ("size_mb", 30, True), ("time_error", 0.3, True), ("throughput_error", 0.4, True),
+        ("mobile_factor", 0.5, False), ("backhaul_factor", 1.0, False),
+        ("hotspot_count", 8, False)])
+    def test_sweep_points_share_the_scaled_route(self, route_4ap, parameter, value,
+                                                 shared):
+        """A point whose parameter leaves the rates alone reuses its base's
+        scaled route object (and so its forecast index); any other point
+        gets its own."""
+        base = make_spec(route_4ap)
+        point = apply_sweep_value(base, parameter, value)
+        assert (point.scaled_route() is base.scaled_route()) == shared
+        assert point.scaled_route() == scale_route(point.route, point.mobile_factor,
+                                                   point.wifi_factor, point.backhaul_factor)
 
     def test_single_run_reports_zero_ci(self, route_4ap):
         result = run_scenario(make_spec(route_4ap, runs=1))
@@ -411,6 +446,7 @@ class TestDrawMemo:
         for name in ("_draws", "derive_run_seed"):
             monkeypatch.setattr(prediction, name, counted(name))
         prediction._draw_matrix.cache_clear()
+        metrics._aggregates.clear()  # no earlier test's aggregates
         order = list(RECIPES)
         random.Random(8).shuffle(order)
         points = 0
@@ -419,6 +455,123 @@ class TestDrawMemo:
             points += len(run_sweep(sweep))
         assert points == 82
         assert calls == {"_draws": 360, "derive_run_seed": 360}
+
+
+def figure_points():
+    return [apply_sweep_value(sweep.base, sweep.parameter, value)
+            for sweep in (load_sweep(str(bundled_recipe_path(name))) for name in RECIPES)
+            for value in sweep.values]
+
+
+class TestAggregateMemo:
+    """run_scenario runs each distinct scenario once per process, keyed by
+    every compared field but scenario_id and metrics, and hands back results
+    equal to fresh runs."""
+
+    @staticmethod
+    def fresh(spec):
+        metrics._aggregates.clear()
+        return run_scenario(spec)
+
+    @pytest.fixture
+    def ran(self, monkeypatch):
+        """The specs that reach the trip loop, in call order."""
+        specs = []
+
+        def counted(spec):
+            specs.append(spec)
+            return scenario_outcomes(spec)
+
+        monkeypatch.setattr(metrics, "scenario_outcomes", counted)
+        metrics._aggregates.clear()
+        return specs
+
+    def test_figure_points_equal_fresh_runs(self):
+        """All 82 figure points, twice in shuffled orders through the memo,
+        each equal to its own memo-free run; 44 of them are distinct."""
+        points = figure_points()
+        assert len(points) == 82
+        want = [self.fresh(spec) for spec in points]
+        metrics._aggregates.clear()
+        for seed in (1, 2):
+            order = list(range(len(points)))
+            random.Random(seed).shuffle(order)
+            for i in order:
+                got = run_scenario(points[i])
+                assert got == want[i], points[i].scenario_id
+                assert render_csv([got]) == render_csv([want[i]])
+            assert len(metrics._aggregates) == 44
+
+    def test_results_do_not_share_dicts(self, route_4ap):
+        spec = make_spec(route_4ap, runs=5)
+        want = self.fresh(spec)
+        first = run_scenario(spec)
+        p = spec.policies[0]
+        first.summaries[p]["offload_pct"] = MetricSummary(-1.0, -1.0, 0)
+        del first.summaries[spec.policies[1]]
+        first.infeasible[p] = 99
+        first.infeasible.clear()
+        again = run_scenario(spec)
+        assert again == want and again.summaries is not first.summaries
+
+    def test_every_keyed_field_misses_and_id_or_metrics_hit(self, route_4ap, route_8ap,
+                                                            ran):
+        base = make_spec(route_4ap, runs=4)
+        misses = [
+            replace(base, seed=1),
+            replace(base, runs=5),
+            replace(base, policies=base.policies[::-1]),
+            replace(base, task=make_task(61.0)),
+            replace(base, errors=ErrorSpec(0.15, 0.20)),
+            replace(base, errors=ErrorSpec(0.10, 0.25)),
+            replace(base, mobile_factor=0.5),
+            replace(base, wifi_factor=0.5),
+            replace(base, backhaul_factor=0.5),
+            replace(base, energy=EnergyModel(mobile_transfer_j_per_mb=90.0)),
+            replace(base, route=route_8ap),
+        ]
+        hits = [
+            replace(base, scenario_id="other"),
+            replace(base, metrics=("offload_pct",)),
+            replace(base, route=RouteProfile(route_4ap.segments, route_4ap.total_time)),
+        ]
+        # the key is every compared field but the id and the output metrics,
+        # and the misses change each of them
+        keyed = {f.name for f in fields(ScenarioSpec) if f.compare} - {"scenario_id",
+                                                                        "metrics"}
+        assert set(metrics._KEY_FIELDS) == keyed
+        assert {f for spec in misses for f in keyed
+                if getattr(spec, f) != getattr(base, f)} == keyed
+        want = run_scenario(base)
+        for spec in hits:
+            got = run_scenario(spec)
+            assert got.scenario_id == spec.scenario_id and got.policies == spec.policies
+            assert replace(got, scenario_id=base.scenario_id) == want
+        assert ran == [base]
+        for spec in misses:
+            got = run_scenario(spec)
+            assert ran[-1] is spec
+            assert got.policies == spec.policies
+        assert len(ran) == 1 + len(misses)
+        assert run_scenario(replace(base, policies=base.policies[::-1])) \
+            == self.fresh(replace(base, policies=base.policies[::-1]))
+
+    def test_memo_is_bounded_lru(self, route_2ap, ran):
+        kept = metrics.AGGREGATES_KEPT
+        assert kept >= 64
+        specs = [make_spec(route_2ap, runs=2, seed=seed, policies=DT_POLICIES[:1])
+                 for seed in range(kept + 2)]
+        for spec in specs[:kept]:
+            run_scenario(spec)
+        run_scenario(specs[0])  # now the most recent
+        for spec in specs[kept:]:
+            run_scenario(spec)
+        assert len(metrics._aggregates) == kept and len(ran) == kept + 2
+        run_scenario(specs[0])  # kept: used after the others
+        assert len(ran) == kept + 2
+        run_scenario(specs[1])  # evicted: the least recently used
+        assert ran[-1] is specs[1] and len(ran) == kept + 3
+        assert len(metrics._aggregates) == kept
 
 
 # every per-run field of a RunOutcome, and of its energy
