@@ -6,7 +6,7 @@ the engine integrates the realized transfer and accounts bytes, delay, and
 energy; the metrics layer runs paired Monte-Carlo comparisons.
 """
 
-from .engine import EnergyBreakdown, RunOutcome, run_batch, run_policies, run_trip
+from .engine import EnergyBreakdown, RunOutcome, run_policies, run_trip
 from .metrics import (
     AggregateResult,
     InsufficientSamples,
@@ -85,7 +85,6 @@ __all__ = [
     "realize_route",
     "relative_gain",
     "render_csv",
-    "run_batch",
     "run_policies",
     "run_scenario",
     "run_sweep",

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -35,7 +34,7 @@ from .metrics import (
     run_scenario,
     run_sweep,
 )
-from .oracle import DEFAULT_DT, compare_runs, run_trip_stepped
+from .oracle import DEFAULT_DT, check_dt, compare_runs, run_trip_stepped
 from .prediction import realize_route
 
 
@@ -148,9 +147,7 @@ def _cmd_oracle_check(args: argparse.Namespace) -> int:
         raise ConfigError(f"--seeds must be >= 1, got {args.seeds}")
     # a realized segment lasts at most its nominal duration times 1 + time_error
     longest = max(s.duration for s in spec.route.segments) * (1 + spec.errors.time_error)
-    if not (0 < args.dt < math.inf and longest / args.dt < math.inf):
-        raise ConfigError(f"--dt must be positive and finite, and so must "
-                          f"{longest:g} s / dt; got {args.dt}")
+    config.checked("--dt", check_dt, args.dt, longest)
     nominal = spec.scaled_route()
     dt = args.dt
     worst_bytes = 0.0

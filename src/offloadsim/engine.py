@@ -6,18 +6,19 @@ and the per-channel accounting, and prices the energy spent.  Transfers are
 fluid: bytes moved = rate x time, with exact interpolation of the completion
 crossing.
 
-One trip loop serves every entry point.  :func:`run_trip` executes one
-realized route on floats; :func:`run_batch` executes many realizations of
-one nominal route at once, one numpy column per run; :func:`run_policies`,
-what a Monte-Carlo scenario uses, runs P policies in one pass over P blocks
-of the same runs.  A trait the policies do not share (rate limiting,
-prefetching, entering hotspots) is a mask over the columns, and a masked
-step is skipped where no column takes it; with one policy (P = 1) the traits
-are bools.  The elementwise operations are chosen once per call from the
-input kind (:func:`~offloadsim.policies.elementwise`), and each column goes
-through :func:`run_trip`'s float operations in the same order, so run k of
-policy p equals :func:`run_trip` on realization k bit for bit.  All plan
-through the same :func:`~offloadsim.policies.plan_exit` and
+One trip loop serves both entry points.  :func:`run_trip` executes one
+realized route on floats; :func:`run_policies`, what a Monte-Carlo scenario
+uses, executes many realizations of one nominal route under P policies in
+one pass, one numpy entry per run.  With one policy every per-run value is a
+``(runs,)`` array; with P > 1 it is ``(P, runs)``, policy p in row p, and the
+realized rows, ``(runs,)`` each, broadcast along the policy axis.  A trait
+the policies do not share (rate limiting, prefetching, entering hotspots) is
+a ``(P, 1)`` mask, and a masked step is skipped where no row takes it; with
+one policy the traits are bools.  The elementwise operations are chosen once
+per call from the input kind (:func:`~offloadsim.policies.elementwise`), and
+each entry goes through :func:`run_trip`'s float operations in the same
+order, so run k of policy p equals :func:`run_trip` on realization k bit for
+bit.  Both plan through the same :func:`~offloadsim.policies.plan_exit` and
 :func:`~offloadsim.policies.plan_entry`.  Only a policy that reads a plan, a
 rate-limited or a prefetching one, replans; the others never build a forecast.
 
@@ -38,8 +39,8 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .model import MBIT_PER_MB, AccessKind, EnergyModel, RouteProfile, TransferTask
-from .policies import (Channel, Floats, Policy, PolicyClassMismatch, elementwise,
-                       plan_entry, plan_exit, policy_columns)
+from .policies import (Channel, Floats, Policy, check_admitted, elementwise, plan_entry,
+                       plan_exit, policy_columns)
 from .prediction import ErrorSpec, RealizedBatch, build_prediction
 
 _BYTE_EPS = 1e-9  # MB; completion slack for float round-off
@@ -61,9 +62,9 @@ class EnergyBreakdown:
 
 @dataclass(frozen=True)
 class RunOutcome:
-    """Realized result of one trip, or of every run of a batch (one entry
-    per run in each field): byte split, timing, and the energy the trip loop
-    priced (see the module docstring)."""
+    """Realized result of one trip, or of every run of a batch under one
+    policy (one entry per run in each field): byte split, timing, and the
+    energy the trip loop priced (see the module docstring)."""
 
     offload_pct: Floats
     transfer_delay: Floats
@@ -89,7 +90,7 @@ class RunOutcome:
 
 class _ByteState:
     """Byte accounting of one trip (floats) or of every run of a batch
-    (arrays, one entry per run), in the form of ``like``.
+    (arrays, one entry per run and policy), in the form of ``like``.
 
     Every fetch step extends one received prefix of the object: a hotspot's
     hole is filled before its cache is drained, so no gap is ever left.
@@ -173,37 +174,37 @@ def _run(
     errors: ErrorSpec,
     energy_model: EnergyModel,
 ) -> RunOutcome:
-    """The trip loop, on one trip or on every column of a batch.
+    """The trip loop, on one trip or on every run of a batch.
 
     ``segments`` are the realized segments, each with the
     :class:`~offloadsim.model.RouteSegment` attributes ``start_time``,
     ``duration``, ``end_time`` and the rates: floats for one trip, one entry
-    per column for a batch.  ``end`` is the realized route end, in the same
-    form, and so are the outcome's fields; each of several ``policies`` owns
-    an equal block of the columns.  The rules are :func:`run_trip`'s; in a
-    batch each branch is a mask over the columns still transferring.
+    per run for a batch.  ``end`` is the realized route end, in the same
+    form, and so are the outcome's fields for one policy; for P > 1 they are
+    ``(P, runs)``, policy p in row p.  The rules are :func:`run_trip`'s; in a
+    batch each branch is a mask over the runs still transferring.
     """
-    for p in policies:
-        if not p.admits(task.traffic_class):
-            raise PolicyClassMismatch(f"{p.cli_name} cannot serve "
-                                      f"{task.traffic_class.value} traffic")
+    check_admitted(policies, task.traffic_class)
     size = task.size_mb
     deadline = task.effective_deadline()
     horizon = None if math.isinf(deadline) else deadline
-    state = _ByteState(size, end)
+    if len(policies) == 1:
+        policy, like = policies[0], end
+    else:
+        policy, like = policy_columns(policies), np.broadcast_to(end, (len(policies), len(end)))
+    state = _ByteState(size, like)
     ops = state.ops
-    zero = ops.zeros(end)
+    zero = ops.zeros(like)
     plan_rate: Floats = 0.0
-    infeasible = ops.zeros(end, bool)
-    provisioned = ops.zeros(end)
+    infeasible = ops.zeros(like, bool)
+    provisioned = ops.zeros(like)
     caches: dict[int, tuple[Floats, Floats]] = {}  # offset, amount
     idle_s = zero  # seconds the WiFi interface is on but not transferring
-    policy = policies[0] if len(policies) == 1 else policy_columns(policies, len(end))
     limited, prefetches, associates = policy.rate_limited, policy.prefetches, policy.associates
     # only a rate-limited policy reads the planned rate and only a
     # prefetching one the caches; for the others a plan changes nothing
     plans = limited is not False or prefetches is not False
-    # beside prefetching columns, a rate-limited one that does not plans on backhaul rates
+    # beside prefetching rows, a rate-limited one that does not plans on backhaul rates
     two_forecasts = not isinstance(prefetches, bool) and ops.any(limited & ~prefetches) > 0
 
     def replan(now_nominal: float, now_realized: Floats) -> None:
@@ -240,7 +241,7 @@ def _run(
             mobile_rate = zero if j is None else segments[j].mobile_rate
         else:
             mobile_rate = seg.mobile_rate
-        if not wifi or associates is not True:  # in a hotspot, the mobile-only columns
+        if not wifi or associates is not True:  # in a hotspot, the mobile-only rows
             rate = mobile_rate if limited is False else ops.pick(
                 limited, ops.minimum(plan_rate, mobile_rate), mobile_rate)
             state.fill(runs if not wifi or associates is False else runs & ~associates,
@@ -312,21 +313,6 @@ def run_trip(
                 (policy,), errors, energy_model)
 
 
-def run_batch(
-    batch: RealizedBatch,
-    task: TransferTask,
-    policy: Policy,
-    errors: ErrorSpec,
-    energy_model: EnergyModel = EnergyModel(),
-) -> RunOutcome:
-    """Execute every realization of ``batch`` under ``policy``, all runs
-    together on ``batch.segments``; each field of the outcome holds one entry
-    per run, and run k's equals :func:`run_trip` on realization k bit for bit.
-    A forecast is built once per replan point for the whole batch."""
-    return _run(batch.segments, batch.segments[-1].end_time, batch.route, task, (policy,),
-                errors, energy_model)
-
-
 def run_policies(
     batch: RealizedBatch,
     task: TransferTask,
@@ -334,16 +320,19 @@ def run_policies(
     errors: ErrorSpec,
     energy_model: EnergyModel = EnergyModel(),
 ) -> dict[Policy, RunOutcome]:
-    """Execute policy p of ``policies`` on block p of ``batch``, all in one pass;
-    each outcome, a view of its block, equals :func:`run_batch` bit for bit."""
-    if batch.blocks != len(policies):
-        raise ValueError(f"{len(policies)} policies need as many blocks, got {batch.blocks}")
+    """Execute every realization of ``batch`` under each of ``policies``, all
+    in one pass; each field of an outcome holds one entry per run, and run k's
+    equals :func:`run_trip` on realization k bit for bit, whatever other
+    policies share the pass.  With several policies, each outcome is a view
+    of its row of the pass's ``(P, runs)`` arrays.  A forecast is built once
+    per replan point for the whole batch."""
     out = _run(batch.segments, batch.segments[-1].end_time, batch.route, task,
                tuple(policies), errors, energy_model)
-    runs = len(out.completed) // len(policies)
+    if len(policies) == 1:
+        return {policies[0]: out}
 
-    def cut(x, k: int):  # an outcome or its energy, every array cut to block k
-        return type(x)(**{name: cut(v, k) if isinstance(v, EnergyBreakdown)
-                          else v[k * runs:(k + 1) * runs] for name, v in vars(x).items()})
+    def row(x, p: int):  # an outcome or its energy, every array cut to row p
+        return type(x)(**{name: row(v, p) if isinstance(v, EnergyBreakdown) else v[p]
+                          for name, v in vars(x).items()})
 
-    return {p: cut(out, k) for k, p in enumerate(policies)}
+    return {policy: row(out, p) for p, policy in enumerate(policies)}

@@ -3,11 +3,15 @@
 Each run draws one realized route and evaluates every policy on that same
 realization (paired comparison), then metrics are aggregated into means with
 Student-t 95% confidence intervals.  A scenario's realizations are drawn
-together, one block of columns per policy, all its policies run in one pass
-of the trip loop (:func:`offloadsim.engine.run_policies`), and it is
-aggregated in one pass: every policy's metric arrays are stacked as the rows of one array,
-and the means and CIs are taken along its last axis, each row bit for bit
-as its own 1-D array would give them.  The t quantile comes from
+together, once, and all its policies run over them in one pass of the trip
+loop (:func:`offloadsim.engine.run_policies`), policy p in row p of its
+``(P, runs)`` arrays.  It is aggregated in one pass: every policy's metric
+arrays are stacked as the rows of one array, and the means and CIs are taken
+along its last axis, each row bit for bit as its own 1-D array would give
+them.  Each row is first divided by the power of two that brings its peak
+magnitude into [0.5, 1), and its mean and CI are scaled back, so no sum or
+square overflows; outside the subnormal range a power of two commutes with
+every rounding, so the scaling changes no digit.  The t quantile comes from
 ``t_quantile_975``, a standard-library Newton solve on the t tail, so the
 package needs no statistics library.  Per-run seeds are derived from the
 scenario seed with a stable hash, so adding a policy or rerunning a sweep
@@ -39,7 +43,7 @@ import numpy as np
 
 from .engine import RunOutcome, run_policies
 from .model import MBIT_PER_MB, EnergyModel, RouteProfile, TransferTask, scale_route
-from .policies import T_MOBILE_FLOOR, Policy
+from .policies import T_MOBILE_FLOOR, Policy, check_admitted
 # derive_run_seed is defined beside the draws it seeds and stays public here
 from .prediction import ErrorSpec, derive_run_seed, realize_batch  # noqa: F401
 
@@ -56,11 +60,6 @@ HOTSPOT_COUNTS = (2, 4, 8)  # the bundled route layouts, route_<n>ap.json
 # A batch holds about 1 kB per run on the 8-hotspot layout (its draws and
 # realized rows), so this many runs stay near 100 MB.
 MAX_RUNS = 100_000
-
-
-# Rows of up to MAX_RUNS samples no larger than this in magnitude square and
-# sum in np.std without overflow (2^500 is about 3.3e150).
-_STD_SAFE_PEAK = 2.0 ** 500
 
 
 class InsufficientSamples(ValueError):
@@ -145,28 +144,32 @@ def t_quantile_975(df: int) -> float:
     return t
 
 
+def _scaled(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``samples`` with each row (along the last axis) divided by 2^k, and k:
+    the power of two that brings the row's peak magnitude into [0.5, 1), so its
+    sum and squares cannot overflow (k = 0 for a row of zeros or a non-finite
+    peak)."""
+    k = np.frexp(np.abs(samples).max(axis=-1))[1]
+    return np.ldexp(samples, -k[..., None]), k
+
+
 def ci_halfwidth(samples: Union[Sequence[float], np.ndarray]) -> Union[float, np.ndarray]:
     """Two-sided 95% confidence half-width, Student-t: t(0.975, n-1) s/sqrt(n).
 
     The samples lie along the last axis: a float for one sequence, one
     half-width per row for a 2-D array, each equal to the 1-D call on that
     row.  A row whose samples are all equal gets exactly 0, not a
-    float-noise std.
+    float-noise std.  The half-width is taken on the row scaled by a power of
+    two (see the module docstring) and scaled back.
     """
     samples = np.asarray(samples, dtype=float)
     n = samples.shape[-1]
     if n < 2:
         raise InsufficientSamples(f"need at least 2 samples, got {n}")
-    lo, hi = samples.min(axis=-1), samples.max(axis=-1)
-    peak = np.maximum(-lo, hi)
-    if np.any(peak > _STD_SAFE_PEAK):
-        # std squares the deviations: a row this large first gets an exact
-        # power-of-two scale to near 1, and its std is scaled back
-        k = np.where(peak > _STD_SAFE_PEAK, np.frexp(peak)[1], 0)
-        s = np.ldexp(np.std(np.ldexp(samples, -k[..., None]), axis=-1, ddof=1), k)
-    else:
-        s = np.std(samples, axis=-1, ddof=1)
-    half = np.where(lo == hi, 0.0, t_quantile_975(n - 1) * s / math.sqrt(n))
+    scaled, k = _scaled(samples)
+    s = np.std(scaled, axis=-1, ddof=1)
+    constant = scaled.min(axis=-1) == scaled.max(axis=-1)
+    half = np.ldexp(np.where(constant, 0.0, t_quantile_975(n - 1) * s / math.sqrt(n)), k)
     return float(half) if samples.ndim == 1 else half
 
 
@@ -233,11 +236,7 @@ class ScenarioSpec:
         unknown = [m for m in self.metrics or () if m not in METRICS]
         if unknown:
             raise ValueError(f"unknown metric {unknown[0]!r}; expected one of {METRICS}")
-        for p in self.policies:
-            if not p.admits(self.task.traffic_class):
-                raise ValueError(
-                    f"policy {p.cli_name} cannot serve {self.task.traffic_class.value}"
-                )
+        check_admitted(self.policies, self.task.traffic_class)
         # scale_route checks the factors; a realized value is a scaled one times
         # 1 + e u with u in [-1, 1), and rounding is monotone, so 1 -/+ e bound it
         object.__setattr__(self, "_scaled", _scale(
@@ -295,10 +294,9 @@ def scenario_outcomes(spec: ScenarioSpec) -> dict[Policy, RunOutcome]:
     """Every policy's outcome on each of ``spec.runs`` paired realizations.
 
     Run k is drawn with seed ``derive_run_seed(spec.seed, k)``, and every
-    policy runs over the same realizations, each over its block of one pass.
+    policy runs over the same realizations, each in its row of one pass.
     """
-    batch = realize_batch(spec.scaled_route(), spec.errors, spec.seed, spec.runs,
-                          len(spec.policies))
+    batch = realize_batch(spec.scaled_route(), spec.errors, spec.seed, spec.runs)
     return run_policies(batch, spec.task, spec.policies, spec.errors, spec.energy)
 
 
@@ -320,8 +318,10 @@ def _aggregate(spec: ScenarioSpec) -> _Aggregate:
     rows = np.array([getattr(o, _METRIC_FIELDS[m]) for o in outcomes.values()
                      for m in METRICS])
     n = rows.shape[1]
+    scaled, k = _scaled(rows)
+    means = np.ldexp(np.mean(scaled, axis=1), k).tolist()
     cis = ci_halfwidth(rows).tolist() if n >= 2 else [0.0] * len(rows)
-    stats = iter(zip(np.mean(rows, axis=1).tolist(), cis))
+    stats = iter(zip(means, cis))
     return tuple((tuple(MetricSummary(*next(stats), n=n) for _ in METRICS),
                   int(np.count_nonzero(~o.deadline_met))) for o in outcomes.values())
 

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .model import MBIT_PER_MB, AccessKind, RouteProfile, TransferTask
-from .policies import Channel, Policy, PolicyClassMismatch, plan_exit
+from .policies import Channel, Policy, check_admitted, plan_exit
 from .prediction import ErrorSpec, build_prediction
 from .engine import RunOutcome, _check_same_structure, _window_mobile_segment
 
@@ -60,6 +60,14 @@ class StepOutcome:
         return self.completion_time is not None
 
 
+def check_dt(dt: float, longest: float) -> None:
+    """Reject a step ``dt`` that is not positive and finite, or whose step
+    count over a segment of ``longest`` seconds overflows."""
+    if not (0 < dt < math.inf and longest / dt < math.inf):
+        raise ValueError(f"dt must be positive and finite, and so must "
+                         f"{longest:g} s / dt; got {dt}")
+
+
 def run_trip_stepped(
     route_realized: RouteProfile,
     route_nominal: RouteProfile,
@@ -69,15 +77,9 @@ def run_trip_stepped(
     dt: float = DEFAULT_DT,
 ) -> StepOutcome:
     """March through the realized route in steps of at most ``dt`` seconds."""
-    longest = max(s.duration for s in route_realized.segments)
-    if not (0 < dt < math.inf and longest / dt < math.inf):  # the step count too
-        raise ValueError(f"dt must be positive and finite, and so must "
-                         f"{longest:g} s / dt; got {dt}")
+    check_dt(dt, max(s.duration for s in route_realized.segments))
     _check_same_structure(route_realized, route_nominal)
-    if not policy.admits(task.traffic_class):
-        raise PolicyClassMismatch(
-            f"{policy.cli_name} cannot serve {task.traffic_class.value} traffic"
-        )
+    check_admitted((policy,), task.traffic_class)
 
     size = task.size_mb
     deadline = task.effective_deadline()

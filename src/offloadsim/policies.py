@@ -94,15 +94,24 @@ class PolicyClassMismatch(ValueError):
     """Policy cannot serve the task's traffic class."""
 
 
+def check_admitted(policies: Sequence[Policy], traffic_class: TrafficClass) -> None:
+    """Raise :class:`PolicyClassMismatch` for the first of ``policies`` that
+    cannot serve ``traffic_class``."""
+    for p in policies:
+        if not p.admits(traffic_class):
+            raise PolicyClassMismatch(f"{p.cli_name} cannot serve {traffic_class.value} traffic")
+
+
 # One trip's value, or one value per run of a batch.
 Floats = Union[float, np.ndarray]
 Bools = Union[bool, np.ndarray]
 
 
 class PolicyColumns(NamedTuple):
-    """A batch's policies, each over its block of columns, read like one Policy: a
-    shared trait is a bool, any other a mask (both sides of its branch are computed
-    and each column picks its own); of one traffic class, they share a hole channel."""
+    """A batch's policies, policy p over row p of its ``(P, runs)`` arrays, read
+    like one Policy: a shared trait is a bool, any other a ``(P, 1)`` mask that
+    broadcasts along the runs (both sides of its branch are computed and each row
+    picks its own); of one traffic class, they share a hole channel."""
 
     rate_limited: Bools
     prefetches: Bools
@@ -110,11 +119,11 @@ class PolicyColumns(NamedTuple):
     hole_channel: Optional[Channel]
 
 
-def policy_columns(policies: Sequence[Policy], columns: int) -> PolicyColumns:
-    """The traits of ``policies`` over ``columns``, policy p over the p-th equal block."""
+def policy_columns(policies: Sequence[Policy]) -> PolicyColumns:
+    """The traits of ``policies``, policy p's in row p."""
     def trait(name: str) -> Bools:
         v = [getattr(p, name) for p in policies]
-        return v[0] if len(set(v)) == 1 else np.repeat(v, columns // len(v))
+        return v[0] if len(set(v)) == 1 else np.array(v)[:, None]
     return PolicyColumns(trait("rate_limited"), trait("prefetches"), trait("associates"),
                          next((p.hole_channel for p in policies if p.prefetches), None))
 
@@ -190,15 +199,15 @@ def plan_exit(
     (a cached hotspot serves at its local WiFi rate) and backhaul-rate
     bounds otherwise.  The other policies request the full predicted mobile
     rate and are never infeasible; for a batch, their rate and flag are one
-    value for every run.  In column form the rate-limited columns that do not
-    prefetch read ``backhaul_pred`` where ``pred`` has local-rate bounds.
+    value for every run.  With several policies, the rate-limited rows that do
+    not prefetch read ``backhaul_pred`` where ``pred`` has local-rate bounds.
 
     ``cache`` is None unless the policy prefetches and a hotspot remains;
     then it is ``(hotspot_index, amount, offset)``: the node expects to have
     reached object position ``offset`` on arrival (its prefix plus what the
     mobile stream delivers across the gap), and the hotspot stages the next
     ``amount`` MB from there, never past the object end (amount 0: no cache,
-    as in every column that does not prefetch).
+    as in every row that does not prefetch).
     """
     ops = elementwise(remaining_mb)
     limited, prefetches = policy.rate_limited, policy.prefetches
@@ -238,14 +247,14 @@ def plan_entry(
 ) -> list[tuple[Bools, EntryAction]]:
     """Ordered fetch steps for the dwell time in one hotspot, each with
     whether it is taken: a bool for one trip, a mask over a batch's runs
-    (True for the origin fetch, or the columns that associate).
+    (True for the origin fetch, or the rows of the policies that associate).
 
     ``cache`` is the hotspot's staged ``(offset, amount)`` or None.  With a
     cache: (1) fill the hole below the cached offset over the policy's hole
     channel (``mobile_rate`` is the mobile throughput reachable inside the
     hotspot), (2) drain the cached range at the local rate, (3) keep
     fetching from the origin with the remaining dwell.  Steps (1) and (2)
-    are not taken where the amount is 0, as in a column that does not
+    are not taken where the amount is 0, as in a row that does not
     prefetch.  Without a cache, the whole dwell is an origin fetch;
     mobile-only never associates.
     """

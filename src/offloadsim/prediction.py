@@ -321,31 +321,29 @@ class RealizedBatch:
 
     ``segments[i]`` is segment i of every realization, under the
     :class:`RouteSegment` attribute names (``start_time``, ``duration``,
-    ``end_time`` and the rates), each an array with one entry per column; a
-    rate the segment's kind does not carry is 0.  The last row's
-    ``end_time`` is each column's realized total time.  The columns are
-    ``blocks`` copies of the same runs, side by side.
+    ``end_time`` and the rates), each a ``(runs,)`` array; a rate the
+    segment's kind does not carry is 0.  The last row's ``end_time`` is each
+    run's realized total time.  One batch serves any number of policies: the
+    trip loop broadcasts its rows along the policy axis.
     """
 
     route: RouteProfile
     segments: tuple[SimpleNamespace, ...]
-    blocks: int = 1
 
 
 def realize_batch(route: RouteProfile, errors: ErrorSpec, seed: int,
-                  runs: int, blocks: int = 1) -> RealizedBatch:
-    """Draw ``runs`` realizations of ``route`` from base seed ``seed``, all at once,
-    in ``blocks`` copies side by side: column ``b * runs + k`` holds run k.
+                  runs: int) -> RealizedBatch:
+    """Draw ``runs`` realizations of ``route`` from base seed ``seed``, all at once.
 
     Run k holds, bit for bit, the values of
     ``realize_route(route, replace(errors, seed=derive_run_seed(seed, k)))``:
     the same draws in the same order go through the same float operations,
     and a start time is the running sum of the durations before it.
     ``errors.seed`` is not used.  The draws are read from the memo above,
-    which holds the same numbers a fresh draw would give, tiled per block.
+    which holds the same numbers a fresh draw would give.
     """
     te, re = errors.time_error, errors.throughput_error
-    draws = np.tile(_draw_matrix(seed, runs, _draw_count(route)), blocks)
+    draws = _draw_matrix(seed, runs, _draw_count(route))
     wifi = np.array([seg.is_wifi for seg in route.segments])
     # draw row of each segment's duration; its first rate follows it, and a
     # WiFi segment's backhaul rate follows that
@@ -372,4 +370,4 @@ def realize_batch(route: RouteProfile, errors: ErrorSpec, seed: int,
     return RealizedBatch(route, tuple(
         SimpleNamespace(start_time=s, duration=d, end_time=e, mobile_rate=m,
                         wifi_local_rate=w, backhaul_rate=b)
-        for s, d, e, m, w, b in rows), blocks)
+        for s, d, e, m, w, b in rows))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from offloadsim import metrics, prediction
 from offloadsim.config import load_route
 from offloadsim.model import (
     AccessKind,
@@ -38,6 +39,17 @@ def route_8ap():
 def default_route(route_4ap):
     """The 4-hotspot route at the default one-third rate scaling."""
     return scale_route(route_4ap, 1 / 3, 1 / 3, 1 / 3)
+
+
+@pytest.fixture
+def fresh_memos():
+    """Every process-wide memo emptied, so that no earlier test serves this
+    one: the scenario aggregates, the last scaled route, the draw matrices and
+    the forecast index."""
+    metrics._aggregates.clear()
+    metrics._last_scaled = None
+    prediction._draw_matrix.cache_clear()
+    prediction._memo = None
 
 
 @pytest.fixture

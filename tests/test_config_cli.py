@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import RECIPES
-from offloadsim import cli, prediction
+from offloadsim import cli
 from offloadsim.config import (
     ConfigError,
     bundled_recipe_path,
@@ -271,6 +271,31 @@ class TestCli:
             assert 1e150 < ci < math.inf
             assert rows[policy.cli_name, "energy_j"] == f"{ci:.10g}"
 
+    def test_huge_energy_price_means_without_overflow(self, tmp_path):
+        """At 1e305 J/MB, 120 energies near 6e306 J sum past the float range
+        in np.mean; the run exits 0 with no warning, and every mean is finite
+        and 2^k times that of its row scaled by 2^-k."""
+        data = json.loads(bundled_scenario_path("scenario_dt_default").read_text())
+        data["energy"] = {**dataclasses.asdict(load_energy_model()),
+                          "mobile_transfer_j_per_mb": 1e305}
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(data))
+        out = tmp_path / "huge.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert self.run_cli("run", "--scenario", str(path), "--out", str(out)) == 0
+        spec = load_scenario(str(path))
+        assert spec.runs == 120
+        rows = [r.split(",") for r in out.read_text().splitlines()[1:]]
+        assert all(math.isfinite(float(r[3])) for r in rows)
+        means = {(r[1], r[2]): r[3] for r in rows}
+        for policy, outcome in scenario_outcomes(spec).items():
+            energy = outcome.energy_j
+            k = int(np.frexp(np.abs(energy).max())[1])
+            mean = np.ldexp(np.mean(np.ldexp(energy, -k)), k)
+            assert 1e306 < mean < math.inf
+            assert means[policy.cli_name, "energy_j"] == f"{mean:.10g}"
+
     def test_single_deterministic_run(self, tmp_path):
         out = tmp_path / "single.csv"
         code = self.run_cli("run", "--scenario", "dt-default", "--runs", "1",
@@ -297,12 +322,12 @@ class TestCli:
         assert self.run_cli("run", "--scenario", scenario, "--out", str(out)) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == golden[f"cli-run:{scenario}"]
 
-    def test_figures_match_golden_in_reverse_order(self):
-        """All 20 recipes in one process, last first: every point after the
-        first of its route layout reads the memoized draws, and every CSV
-        still matches its digest."""
+    def test_figures_match_golden_in_reverse_order(self, fresh_memos):
+        """All 20 recipes in one process, last first, with every memo empty at
+        the start: each distinct point runs, every point after the first of
+        its route layout reads the memoized draws, and every CSV still
+        matches its digest."""
         golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
-        prediction._draw_matrix.cache_clear()
         for name in reversed(RECIPES):
             sweep = load_sweep(str(bundled_recipe_path(name)))
             text = render_csv(run_sweep(sweep), sweep.metrics)

@@ -17,7 +17,7 @@ from conftest import RECIPES, edge_routes, make_task, random_route
 from offloadsim import metrics, prediction
 from offloadsim.config import (bundled_recipe_path, bundled_scenario_path, load_scenario,
                                load_sweep)
-from offloadsim.engine import run_batch, run_policies, run_trip
+from offloadsim.engine import run_policies, run_trip
 from offloadsim.model import EnergyModel, RouteProfile, scale_route
 from offloadsim.metrics import (
     METRICS,
@@ -340,12 +340,11 @@ class TestRunScenario:
         assert replace(spec) == spec and hash(replace(spec)) == hash(spec)
 
     @pytest.mark.parametrize("name,built", [("dt-default", 1), ("fig2a", 1)])
-    def test_loading_scales_each_route_once(self, monkeypatch, name, built):
+    def test_loading_scales_each_route_once(self, monkeypatch, fresh_memos, name, built):
         """Loading builds each scenario's scaled route once: dt-default its
         own, fig2a its base's, which its 5 size points share; no throwaway
         route checks the rate factors, and a recipe's metrics list goes into
         its base as the base is built."""
-        monkeypatch.setattr(metrics, "_last_scaled", None)  # no earlier test's route
         calls = []
 
         def counted(*args, **kwargs):
@@ -392,11 +391,11 @@ class TestRunScenario:
 class TestDrawMemo:
     """The draw matrix is memoized per (seed, runs, draw count)."""
 
-    def test_results_do_not_depend_on_call_order(self, route_2ap, route_4ap, route_8ap):
+    def test_results_do_not_depend_on_call_order(self, fresh_memos, route_2ap, route_4ap,
+                                                 route_8ap):
         """A, then points that differ from it in route length, seed, run count
         or rates only, then A again: each equals run_trip on its own
         realizations, and A's two results are equal."""
-        prediction._draw_matrix.cache_clear()
         a = make_spec(route_4ap, runs=30, seed=0, scenario_id="A")
         points = [
             a,
@@ -430,7 +429,7 @@ class TestDrawMemo:
                 assert values.flags.writeable
                 assert not np.shares_memory(values, draws)
 
-    def test_figures_draw_each_matrix_once(self, monkeypatch):
+    def test_figures_draw_each_matrix_once(self, monkeypatch, fresh_memos):
         """All 20 recipes in one process, in a shuffled order, use seed 0 and
         120 runs on three route layouts: 360 seeds and draw rows in all."""
         calls = collections.Counter()
@@ -445,8 +444,6 @@ class TestDrawMemo:
 
         for name in ("_draws", "derive_run_seed"):
             monkeypatch.setattr(prediction, name, counted(name))
-        prediction._draw_matrix.cache_clear()
-        metrics._aggregates.clear()  # no earlier test's aggregates
         order = list(RECIPES)
         random.Random(8).shuffle(order)
         points = 0
@@ -474,7 +471,7 @@ class TestAggregateMemo:
         return run_scenario(spec)
 
     @pytest.fixture
-    def ran(self, monkeypatch):
+    def ran(self, monkeypatch, fresh_memos):
         """The specs that reach the trip loop, in call order."""
         specs = []
 
@@ -483,7 +480,6 @@ class TestAggregateMemo:
             return scenario_outcomes(spec)
 
         monkeypatch.setattr(metrics, "scenario_outcomes", counted)
-        metrics._aggregates.clear()
         return specs
 
     def test_figure_points_equal_fresh_runs(self):
@@ -589,8 +585,9 @@ def assert_outcomes_equal(got, want, label):
 
 
 class TestColumnPass:
-    """A scenario runs its policies in one pass, each over its own block of
-    the batch's columns; every block equals its policy's own run_batch."""
+    """A scenario runs its policies in one pass over its one batch, policy p
+    in row p of the pass's (P, runs) arrays; every row equals its policy's
+    own single-policy run_policies on the same batch."""
 
     def test_every_figure_point_equals_single_policy_batches(self):
         points = 0
@@ -604,30 +601,32 @@ class TestColumnPass:
                                                  spec.seed, spec.runs)
                 for p, got in outcomes.items():
                     assert got.offload_pct.shape == (spec.runs,)
-                    want = run_batch(batch, spec.task, p, spec.errors, spec.energy)
+                    want = run_policies(batch, spec.task, (p,), spec.errors, spec.energy)[p]
                     assert_outcomes_equal(got, want, (spec.scenario_id, p))
                 points += 1
         assert points == 82
 
     def test_blocks_are_views_of_one_pass(self, route_4ap):
+        """Each policy's outcome is a view of its row of one (P, runs) array."""
         outcomes = list(scenario_outcomes(make_spec(route_4ap, runs=7)).values())
         whole = outcomes[0].offload_pct.base
-        assert whole is not None and whole.shape == (21,)
+        assert whole is not None and whole.shape == (3, 7)
         assert all(o.offload_pct.base is whole for o in outcomes)
+        assert [o.offload_pct.shape for o in outcomes] == [(7,)] * 3
 
-    def test_policies_need_one_block_each(self, default_route, default_errors):
-        batch = prediction.realize_batch(default_route, default_errors, 0, 6, blocks=2)
-        with pytest.raises(ValueError, match="3 policies need as many blocks, got 2"):
-            run_policies(batch, make_task(60.0), DT_POLICIES, default_errors)
+    def test_realized_rows_hold_each_run_once(self, monkeypatch, route_4ap):
+        """A 3-policy scenario realizes (runs,) rows, not one copy per policy."""
+        batches = []
 
-    def test_blocks_realize_the_same_runs(self, route_8ap):
-        """Each block of a tiled batch holds the one-block batch's rows."""
-        errors = ErrorSpec(0.3, 0.4)
-        one = prediction.realize_batch(route_8ap, errors, 4, 9)
-        three = prediction.realize_batch(route_8ap, errors, 4, 9, blocks=3)
-        for row, tiled in zip(one.segments, three.segments):
-            for name, values in vars(row).items():
-                assert (getattr(tiled, name) == np.tile(values, 3)).all(), name
+        def kept(*args):
+            batches.append(prediction.realize_batch(*args))
+            return batches[-1]
+
+        monkeypatch.setattr(metrics, "realize_batch", kept)
+        scenario_outcomes(make_spec(route_4ap, runs=7))
+        (batch,) = batches
+        for row in batch.segments:
+            assert all(values.shape == (7,) for values in vars(row).values())
 
 
 class TestSweep:

@@ -400,8 +400,8 @@ class TestFloatsMatchArrays:
 class TestOnePlanner:
     def test_trip_batch_and_oracle_share_the_planners(self, monkeypatch, default_route,
                                                       default_errors):
-        """run_trip, run_batch and run_trip_stepped all plan through the one
-        policies.plan_exit; run_trip and run_batch also through plan_entry."""
+        """run_trip, run_policies and run_trip_stepped all plan through the one
+        policies.plan_exit; run_trip and run_policies also through plan_entry."""
         assert engine.plan_exit is policies.plan_exit
         assert oracle.plan_exit is policies.plan_exit
         assert engine.plan_entry is policies.plan_entry
@@ -423,7 +423,7 @@ class TestOnePlanner:
         runs = {
             "run_trip": lambda p: engine.run_trip(realized, default_route, task, p,
                                                   default_errors),
-            "run_batch": lambda p: engine.run_batch(batch, task, p, default_errors),
+            "run_policies": lambda p: engine.run_policies(batch, task, (p,), default_errors),
             "run_trip_stepped": lambda p: oracle.run_trip_stepped(
                 realized, default_route, task, p, default_errors, dt=0.5),
         }
@@ -436,7 +436,7 @@ class TestOnePlanner:
 
     def test_trip_and_batch_enter_the_one_loop(self, monkeypatch, default_route,
                                               default_errors):
-        """run_trip and run_batch are thin entry points: each runs the trip
+        """run_trip and run_policies are thin entry points: each runs the trip
         loop engine._run once, and both move bytes through the one fill
         step."""
         calls = []
@@ -456,13 +456,13 @@ class TestOnePlanner:
         engine.run_trip(realized, default_route, task, PREFETCH_DT, default_errors)
         assert calls.count("_run") == 1 and calls.count("fill") > 0
         calls.clear()
-        engine.run_batch(batch, task, PREFETCH_DT, default_errors)
+        engine.run_policies(batch, task, (PREFETCH_DT,), default_errors)
         assert calls.count("_run") == 1 and calls.count("fill") > 0
 
     def test_float_form_runs_no_array_operation(self, monkeypatch, default_route,
                                                 default_errors):
         """With every array operation swapped for one that raises, run_trip
-        still runs every policy of both classes, and run_batch fails."""
+        still runs every policy of both classes, and run_policies fails."""
         def fail(*args, **kwargs):
             raise AssertionError("array operation on the float form")
 
@@ -476,7 +476,7 @@ class TestOnePlanner:
                     engine.run_trip(realized, default_route, task, policy, default_errors)
         batch = realize_batch(default_route, default_errors, 0, 3)
         with pytest.raises(AssertionError, match="array operation"):
-            engine.run_batch(batch, make_task(60.0), PREFETCH_DT, default_errors)
+            engine.run_policies(batch, make_task(60.0), (PREFETCH_DT,), default_errors)
 
     def test_only_planning_policies_build_forecasts(self, monkeypatch, default_route):
         """no-prediction and mobile-only read no plan and build no forecast.
@@ -519,7 +519,7 @@ class TestOnePlanner:
                             if policy not in planless:
                                 reached.add((len(ends), route.n_hotspots))
                         calls.clear()
-                        engine.run_batch(batch, task, policy, errors)
+                        engine.run_policies(batch, task, (policy,), errors)
                         want = 0 if policy in planless else 1 + max(exits)
                         assert len(calls) == want, (policy, want)
         # trips that reach no exit, some exits and every exit, all checked

@@ -1,11 +1,11 @@
-"""Property search: a batch's policies as column blocks of one pass.
+"""Property search: a batch's policies as the rows of one pass.
 
 Over random routes (WiFi-only and one-segment routes among them), errors,
 objects and run counts, every admissible ordered subset of the policies runs
-in one :func:`run_policies` pass.  Each policy's block must equal, field by
-field with ``==``, its own single-policy :func:`run_batch`, whatever the
-other policies and their order; and run k of that batch must equal
-:func:`run_trip` on realization k.  The search is derandomized with a fixed
+over one batch in one :func:`run_policies` pass.  Each policy's row must
+equal, field by field with ``==``, its own single-policy pass on the same
+batch, whatever the other policies and their order; and run k of that pass
+must equal :func:`run_trip` on realization k.  The search is derandomized with a fixed
 example budget, so the test is deterministic.
 """
 
@@ -15,7 +15,7 @@ from dataclasses import replace
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from offloadsim.engine import run_batch, run_policies, run_trip
+from offloadsim.engine import run_policies, run_trip
 from offloadsim.model import AccessKind, RouteProfile, RouteSegment, TrafficClass, TransferTask
 from offloadsim.policies import Policy
 from offloadsim.prediction import ErrorSpec, derive_run_seed, realize_batch, realize_route
@@ -63,8 +63,8 @@ def trips(draw):
 def test_each_block_equals_its_own_batch_in_any_company_and_order(trip):
     route, task, errors, seed, runs = trip
     admitted = [p for p in Policy if p.admits(task.traffic_class)]
-    one = realize_batch(route, errors, seed, runs)
-    own = {p: run_batch(one, task, p, errors) for p in admitted}
+    batch = realize_batch(route, errors, seed, runs)
+    own = {p: run_policies(batch, task, (p,), errors)[p] for p in admitted}
     k = seed % runs
     realized = realize_route(route, replace(errors, seed=derive_run_seed(seed, k)))
     for p in admitted:
@@ -74,7 +74,6 @@ def test_each_block_equals_its_own_batch_in_any_company_and_order(trip):
         for name in ENERGY_FIELDS:
             assert getattr(trip_k.energy, name) == getattr(own[p].energy, name)[k], (p, name)
     for size in range(1, len(admitted) + 1):
-        batch = realize_batch(route, errors, seed, runs, blocks=size)
         for policies in itertools.permutations(admitted, size):
             outcomes = run_policies(batch, task, policies, errors)
             assert tuple(outcomes) == policies

@@ -332,7 +332,7 @@ class TestForecastIndex:
                         checked += 1
         assert checked > 40_000
 
-    def test_one_index_per_route(self, monkeypatch):
+    def test_one_index_per_route(self, monkeypatch, fresh_memos):
         """All five policies on one route, through every replan, index the
         route once and walk its hotspots at most once per key."""
         builds = collections.Counter()
@@ -357,7 +357,6 @@ class TestForecastIndex:
         monkeypatch.setattr(prediction, "_RouteIndex", index)
         monkeypatch.setattr(prediction, "_hotspot_forecasts", walk)
         monkeypatch.setattr(prediction, "_forecast", forecast)
-        monkeypatch.setattr(prediction, "_memo", None)
         rng = np.random.default_rng(28)
         route = random_route(rng, n_segments=32)
         while route.n_hotspots < 8:
