@@ -43,7 +43,7 @@ from .policies import (Channel, Floats, Policy, check_admitted, elementwise, pla
                        plan_exit, policy_columns)
 from .prediction import ErrorSpec, RealizedBatch, build_prediction
 
-_BYTE_EPS = 1e-9  # MB; completion slack for float round-off
+_BYTE_SLACK = 2.0 ** -40  # of the object size; completion slack for float round-off
 _DEADLINE_EPS = 1e-9  # s
 
 
@@ -134,7 +134,7 @@ class _ByteState:
             self.wifi_local_mb = self.wifi_local_mb + moved
         else:
             self.wifi_backhaul_mb = self.wifi_backhaul_mb + moved
-        done = go & (moved >= missing - _BYTE_EPS)
+        done = go & (moved >= missing - _BYTE_SLACK * self.size_mb)
         if ops.any(done):
             self.completion_time = ops.where(done, now + missing * MBIT_PER_MB / rate,
                                              self.completion_time)

@@ -8,12 +8,13 @@ loop (:func:`offloadsim.engine.run_policies`), policy p in row p of its
 ``(P, runs)`` arrays.  It is aggregated in one pass: every policy's metric
 arrays are stacked as the rows of one array, and the means and CIs are taken
 along its last axis, each row bit for bit as its own 1-D array would give
-them.  Each row is first divided by the power of two that brings its peak
-magnitude into [0.5, 1), and its mean and CI are scaled back, so no sum or
-square overflows; outside the subnormal range a power of two commutes with
-every rounding, so the scaling changes no digit.  The t quantile comes from
-``t_quantile_975``, a standard-library Newton solve on the t tail, so the
-package needs no statistics library.  Per-run seeds are derived from the
+them.  Each row is divided once by the power of two that brings its peak
+magnitude into [0.5, 1), and its mean and CI are both taken on that scaled
+row and scaled back, so no sum or square overflows; outside the subnormal
+range a power of two commutes with every rounding, so the scaling changes no
+digit.  ``ci_halfwidth`` takes its half-widths the same way.  The t quantile
+comes from ``t_quantile_975``, a standard-library Newton solve on the t tail,
+so the package needs no statistics library.  Per-run seeds are derived from the
 scenario seed with a stable hash, so adding a policy or rerunning a sweep
 never reshuffles the realizations.
 
@@ -144,13 +145,20 @@ def t_quantile_975(df: int) -> float:
     return t
 
 
-def _scaled(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``samples`` with each row (along the last axis) divided by 2^k, and k:
-    the power of two that brings the row's peak magnitude into [0.5, 1), so its
-    sum and squares cannot overflow (k = 0 for a row of zeros or a non-finite
-    peak)."""
+def _means_and_cis(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's mean and CI half-width (samples along the last axis), both
+    taken on the row divided once by the 2^k that brings its peak magnitude
+    into [0.5, 1) (k = 0 for a row of zeros or a non-finite peak) and scaled
+    back.  A row of equal samples, or of one, gets a half-width of exactly 0."""
+    n = samples.shape[-1]
     k = np.frexp(np.abs(samples).max(axis=-1))[1]
-    return np.ldexp(samples, -k[..., None]), k
+    scaled = np.ldexp(samples, -k[..., None])
+    means = np.ldexp(np.mean(scaled, axis=-1), k)
+    if n < 2:
+        return means, np.zeros_like(means)
+    s = np.std(scaled, axis=-1, ddof=1)
+    constant = scaled.min(axis=-1) == scaled.max(axis=-1)
+    return means, np.ldexp(np.where(constant, 0.0, t_quantile_975(n - 1) * s / math.sqrt(n)), k)
 
 
 def ci_halfwidth(samples: Union[Sequence[float], np.ndarray]) -> Union[float, np.ndarray]:
@@ -158,18 +166,14 @@ def ci_halfwidth(samples: Union[Sequence[float], np.ndarray]) -> Union[float, np
 
     The samples lie along the last axis: a float for one sequence, one
     half-width per row for a 2-D array, each equal to the 1-D call on that
-    row.  A row whose samples are all equal gets exactly 0, not a
-    float-noise std.  The half-width is taken on the row scaled by a power of
-    two (see the module docstring) and scaled back.
+    row.  A row whose samples are all equal gets exactly 0, not a float-noise
+    std.  The rows are scaled as in the module docstring.
     """
     samples = np.asarray(samples, dtype=float)
     n = samples.shape[-1]
     if n < 2:
         raise InsufficientSamples(f"need at least 2 samples, got {n}")
-    scaled, k = _scaled(samples)
-    s = np.std(scaled, axis=-1, ddof=1)
-    constant = scaled.min(axis=-1) == scaled.max(axis=-1)
-    half = np.ldexp(np.where(constant, 0.0, t_quantile_975(n - 1) * s / math.sqrt(n)), k)
+    half = _means_and_cis(samples)[1]
     return float(half) if samples.ndim == 1 else half
 
 
@@ -312,16 +316,15 @@ _aggregates: dict[tuple, _Aggregate] = {}  # least recently used first
 
 
 def _aggregate(spec: ScenarioSpec) -> _Aggregate:
+    """Each policy's summaries and misses.  One C-contiguous row per (policy,
+    metric), reduced as the 1-D array would be and scaled once for both its
+    mean and CI, so one pass gives every mean and CI bit for bit."""
     outcomes = scenario_outcomes(spec)
-    # one C-contiguous row per (policy, metric): each row reduces as the
-    # 1-D array would, so one pass gives every mean and CI bit for bit
     rows = np.array([getattr(o, _METRIC_FIELDS[m]) for o in outcomes.values()
                      for m in METRICS])
     n = rows.shape[1]
-    scaled, k = _scaled(rows)
-    means = np.ldexp(np.mean(scaled, axis=1), k).tolist()
-    cis = ci_halfwidth(rows).tolist() if n >= 2 else [0.0] * len(rows)
-    stats = iter(zip(means, cis))
+    means, cis = _means_and_cis(rows)
+    stats = iter(zip(means.tolist(), cis.tolist()))
     return tuple((tuple(MetricSummary(*next(stats), n=n) for _ in METRICS),
                   int(np.count_nonzero(~o.deadline_met))) for o in outcomes.values())
 

@@ -27,7 +27,11 @@ matrix depends only on ``(seed, runs, draw count)``, so it is memoized under
 that key in a small LRU of read-only arrays: every later batch with the same
 key (a figure's sweep points vary the rates, sizes and errors, not the
 seed) skips the seeding and drawing and gets the numbers a fresh draw would
-give, bit for bit.
+give, bit for bit.  One loop, :func:`_realized`, turns draws into realized
+segments: on floats for :func:`realize_route`, on ``(runs,)`` rows for
+:func:`realize_batch`.  So run k of a batch equals the single realization
+with run k's seed bit for bit by construction, not by a second copy of the
+formulas kept in step.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .model import AccessKind, RouteProfile, RouteSegment
+from .model import RouteProfile, RouteSegment
 
 
 @dataclass(frozen=True)
@@ -270,49 +274,45 @@ def _draw_count(route: RouteProfile) -> int:
     return sum(3 if seg.is_wifi else 2 for seg in route.segments)
 
 
-def realize_route(route: RouteProfile, errors: ErrorSpec) -> RouteProfile:
-    """Draw one perturbed realization of a nominal route.
+def _realized(route: RouteProfile, errors: ErrorSpec, draws, start, minimum):
+    """Each segment of a realization of ``route``, in order, as ``(segment,
+    start, duration, end, rates)``, the rates keyed by their
+    :class:`RouteSegment` names; the next segment starts at ``end``.
 
-    Segment durations and rates are drawn uniformly and independently from
-    their error intervals; start times are rebuilt cumulatively.  The draw is
-    deterministic for a given ``errors.seed``.  A drawn backhaul rate is
-    capped at the drawn local rate, same physical constraint as in
-    :func:`offloadsim.model.scale_route`.
+    The values are floats for one realization (a list of draws, ``start``
+    0.0, :func:`min`) and ``(runs,)`` arrays for a batch (the rows of a draw
+    matrix, ``start`` zeros, :func:`numpy.minimum`).  A drawn backhaul rate
+    is capped at the drawn local rate, as in :func:`~offloadsim.model.scale_route`.
     """
     te, re = errors.time_error, errors.throughput_error
-    draw = iter(_draws(errors.seed, _draw_count(route)).tolist()).__next__
+    draw = iter(draws).__next__
 
-    def jitter(value: float, err: float) -> float:
+    def jitter(value: float, err: float):
         return value * (1.0 + err * draw())
 
-    out = []
-    cursor = 0.0
     for seg in route.segments:
-        dur = jitter(seg.duration, te)
+        duration = jitter(seg.duration, te)
         if seg.is_wifi:
             local = jitter(seg.wifi_local_rate, re)
-            back = min(jitter(seg.backhaul_rate, re), local)
-            out.append(
-                RouteSegment(
-                    kind=AccessKind.WIFI,
-                    start_time=cursor,
-                    duration=dur,
-                    wifi_local_rate=local,
-                    backhaul_rate=back,
-                    hotspot_index=seg.hotspot_index,
-                )
-            )
+            rates = {"wifi_local_rate": local,
+                     "backhaul_rate": minimum(jitter(seg.backhaul_rate, re), local)}
         else:
-            out.append(
-                RouteSegment(
-                    kind=AccessKind.MOBILE,
-                    start_time=cursor,
-                    duration=dur,
-                    mobile_rate=jitter(seg.mobile_rate, re),
-                )
-            )
-        cursor += dur
-    return RouteProfile(tuple(out), cursor)
+            rates = {"mobile_rate": jitter(seg.mobile_rate, re)}
+        end = start + duration
+        yield seg, start, duration, end, rates
+        start = end
+
+
+def realize_route(route: RouteProfile, errors: ErrorSpec) -> RouteProfile:
+    """Draw one perturbed realization of a nominal route: every duration and
+    rate uniformly and independently from its error interval, deterministic
+    for a given ``errors.seed``."""
+    segments = []
+    for seg, start, duration, end, rates in _realized(
+            route, errors, _draws(errors.seed, _draw_count(route)).tolist(), 0.0, min):
+        segments.append(RouteSegment(seg.kind, start, duration,
+                                     hotspot_index=seg.hotspot_index, **rates))
+    return RouteProfile(tuple(segments), end)
 
 
 @dataclass(frozen=True)
@@ -322,9 +322,10 @@ class RealizedBatch:
     ``segments[i]`` is segment i of every realization, under the
     :class:`RouteSegment` attribute names (``start_time``, ``duration``,
     ``end_time`` and the rates), each a ``(runs,)`` array; a rate the
-    segment's kind does not carry is 0.  The last row's ``end_time`` is each
-    run's realized total time.  One batch serves any number of policies: the
-    trip loop broadcasts its rows along the policy axis.
+    segment's kind does not carry is 0.  Row i's ``end_time`` is row i + 1's
+    ``start_time`` array, and the last row's is each run's realized total
+    time.  One batch serves any number of policies: the trip loop broadcasts
+    its rows along the policy axis.
     """
 
     route: RouteProfile
@@ -337,37 +338,24 @@ def realize_batch(route: RouteProfile, errors: ErrorSpec, seed: int,
 
     Run k holds, bit for bit, the values of
     ``realize_route(route, replace(errors, seed=derive_run_seed(seed, k)))``:
-    the same draws in the same order go through the same float operations,
-    and a start time is the running sum of the durations before it.
-    ``errors.seed`` is not used.  The draws are read from the memo above,
-    which holds the same numbers a fresh draw would give.
+    both come from :func:`_realized` on the same draws.  ``errors.seed`` is
+    not used.  The draws are read from the memo above.  A realized value
+    outside (0, inf) raises ``ValueError``, as in :class:`RouteSegment`.
     """
-    te, re = errors.time_error, errors.throughput_error
-    draws = _draw_matrix(seed, runs, _draw_count(route))
-    wifi = np.array([seg.is_wifi for seg in route.segments])
-    # draw row of each segment's duration; its first rate follows it, and a
-    # WiFi segment's backhaul rate follows that
-    first = np.cumsum([0] + [3 if w else 2 for w in wifi[:-1]])
-    rate_nominal = np.array([seg.wifi_local_rate if seg.is_wifi else seg.mobile_rate
-                             for seg in route.segments])
-    duration = (np.array([seg.duration for seg in route.segments])[:, None]
-                * (1.0 + te * draws[first]))
-    rate = rate_nominal[:, None] * (1.0 + re * draws[first + 1])
-    backhaul = np.zeros_like(rate)
-    back_nominal = np.array([seg.backhaul_rate for seg in route.segments if seg.is_wifi])
-    backhaul[wifi] = np.minimum(back_nominal[:, None] * (1.0 + re * draws[first[wifi] + 2]),
-                                rate[wifi])
-    end = np.cumsum(duration, axis=0)
-    start = np.zeros_like(end)
-    start[1:] = end[:-1]
-    # RouteSegment's range checks, for every run at once
-    for label, values in (("duration", duration), ("end time", end),
-                          ("rate", rate), ("backhaul rate", backhaul[wifi])):
-        if not np.all(np.isfinite(values) & (values > 0)):
-            raise ValueError(f"realized {label} must be positive and finite")
-    rows = zip(start, duration, end, np.where(wifi[:, None], 0.0, rate),
-               np.where(wifi[:, None], rate, 0.0), backhaul)
-    return RealizedBatch(route, tuple(
-        SimpleNamespace(start_time=s, duration=d, end_time=e, mobile_rate=m,
-                        wifi_local_rate=w, backhaul_rate=b)
-        for s, d, e, m, w, b in rows))
+    segments = []
+    checked = []
+    # an overflow is caught by the range check below, not warned of
+    with np.errstate(over="ignore", invalid="ignore"):
+        for seg, start, duration, end, rates in _realized(
+                route, errors, _draw_matrix(seed, runs, _draw_count(route)),
+                np.zeros(runs), np.minimum):
+            segments.append(SimpleNamespace(
+                start_time=start, duration=duration, end_time=end,
+                **{name: rates[name] if name in rates else np.zeros(runs)
+                   for name in ("mobile_rate", "wifi_local_rate", "backhaul_rate")}))
+            checked += [duration, end, *rates.values()]
+    checked = np.array(checked)
+    if not np.all(np.isfinite(checked) & (checked > 0)):
+        raise ValueError("realized durations, end times and rates must be positive "
+                         "and finite")
+    return RealizedBatch(route, tuple(segments))

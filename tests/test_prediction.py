@@ -471,3 +471,17 @@ class TestRealizeRoute:
             route = random_route(rng)
             realized = realize_route(route, ErrorSpec(0.40, 0.80, seed=int(rng.integers(1 << 30))))
             assert realized.total_time > 0
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_realization_raises_value_error(self):
+        """A 1.5e308 s segment at time error 0.5 overflows in the runs whose
+        draw exceeds about 0.4 (seed 4 for one realization; several of the 8
+        runs of base seed 0).  Both paths raise their ValueError, and the batch
+        warns of no overflow before it."""
+        route = RouteProfile((RouteSegment(AccessKind.MOBILE, 0.0, 1.5e308, mobile_rate=1.0),),
+                             1.5e308)
+        errors = ErrorSpec(0.5, 0.0, seed=4)
+        with pytest.raises(ValueError, match="duration must be positive and finite"):
+            realize_route(route, errors)
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            realize_batch(route, errors, 0, 8)
