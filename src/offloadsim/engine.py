@@ -38,10 +38,10 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .model import MBIT_PER_MB, AccessKind, EnergyModel, RouteProfile, TransferTask
+from .model import MBIT_PER_MB, EnergyModel, RouteProfile, TransferTask
 from .policies import (Channel, Floats, Policy, check_admitted, elementwise, plan_entry,
                        plan_exit, policy_columns)
-from .prediction import ErrorSpec, RealizedBatch, build_prediction
+from .prediction import ErrorSpec, RealizedBatch, _route_index, build_prediction
 
 _BYTE_SLACK = 2.0 ** -40  # of the object size; completion slack for float round-off
 _DEADLINE_EPS = 1e-9  # s
@@ -151,20 +151,6 @@ def _check_same_structure(realized: RouteProfile, nominal: RouteProfile) -> None
             raise ValueError("realized and nominal routes differ in structure")
 
 
-def _window_mobile_segment(route: RouteProfile, index: int) -> Optional[int]:
-    """The mobile segment whose rate is available while inside WiFi segment
-    ``index``: the nearest one, preceding first, else following; None when
-    the route has none."""
-    segments = route.segments
-    for j in range(index - 1, -1, -1):
-        if segments[j].kind is AccessKind.MOBILE:
-            return j
-    for j in range(index + 1, len(segments)):
-        if segments[j].kind is AccessKind.MOBILE:
-            return j
-    return None
-
-
 def _run(
     segments: Sequence,
     end: Floats,
@@ -230,17 +216,13 @@ def _run(
     if plans:
         replan(0.0, 0.0)
 
-    for i, (seg, seg_nom) in enumerate(zip(segments, nominal.segments)):
+    index = _route_index(nominal)
+    for seg, seg_nom, wifi, j in zip(segments, nominal.segments, index.wifi, index.window):
         runs = state.pending
         if not ops.any(runs):
             break
         t0 = seg.start_time
-        wifi = seg_nom.kind is AccessKind.WIFI
-        if wifi:
-            j = _window_mobile_segment(nominal, i)
-            mobile_rate = zero if j is None else segments[j].mobile_rate
-        else:
-            mobile_rate = seg.mobile_rate
+        mobile_rate = zero if j is None else segments[j].mobile_rate
         if not wifi or associates is not True:  # in a hotspot, the mobile-only rows
             rate = mobile_rate if limited is False else ops.pick(
                 limited, ops.minimum(plan_rate, mobile_rate), mobile_rate)
@@ -303,10 +285,12 @@ def run_trip(
     at every realized hotspot exit, always from the nominal route (the
     planner sees predictions, never the realization); the other policies
     read no plan and make none.  During mobile coverage (and, for mobile-only,
-    through the WiFi windows, at the nearest mobile segment's rate) a
-    rate-limited policy transfers at its planned rate capped by the realized
-    channel, the others at whatever the channel realizes; inside hotspots
-    the node runs the policy's entry steps against the realized dwell.
+    through the WiFi windows, at the realized rate of the nearest mobile
+    segment, preceding first, else following, as the nominal route's index
+    records it; at 0 on a route without one) a rate-limited policy transfers
+    at its planned rate capped by the realized channel, the others at
+    whatever the channel realizes; inside hotspots the node runs the
+    policy's entry steps against the realized dwell.
     """
     _check_same_structure(route_realized, route_nominal)
     return _run(route_realized.segments, route_realized.total_time, route_nominal, task,

@@ -6,8 +6,10 @@ its own received prefix and its own phase list for each hotspot.  It shares
 :func:`~offloadsim.prediction.build_prediction` and
 :func:`~offloadsim.policies.plan_exit` with the engine, so agreement between
 the two checks the byte integration, the completion crossings, the phase
-order and the hotspot phase list the oracle builds itself (in place of
-:func:`~offloadsim.policies.plan_entry`).  It does not check the planning or
+order, the hotspot phase list the oracle builds itself (in place of
+:func:`~offloadsim.policies.plan_entry`) and the mobile rate of each WiFi
+window, which it finds by its own scan (in place of the engine's route
+index).  It does not check the planning or
 the forecasts: ``tests/test_policies.py`` checks the planners, and
 ``reference_forecast`` in ``tests/test_prediction.py`` the forecasts.
 
@@ -38,7 +40,7 @@ from typing import Optional
 from .model import MBIT_PER_MB, AccessKind, RouteProfile, TransferTask
 from .policies import Channel, Policy, check_admitted, plan_exit
 from .prediction import ErrorSpec, build_prediction
-from .engine import RunOutcome, _check_same_structure, _window_mobile_segment
+from .engine import RunOutcome, _check_same_structure
 
 DEFAULT_DT = 0.01
 
@@ -180,6 +182,20 @@ def run_trip_stepped(
         wifi_backhaul_mb=totals[Channel.WIFI_BACKHAUL],
         completion_time=completion,
     )
+
+
+def _window_mobile_segment(route: RouteProfile, index: int) -> Optional[int]:
+    """The mobile segment whose rate is available while inside WiFi segment
+    ``index``: the nearest one, preceding first, else following; None when
+    the route has none."""
+    segments = route.segments
+    for j in range(index - 1, -1, -1):
+        if segments[j].kind is AccessKind.MOBILE:
+            return j
+    for j in range(index + 1, len(segments)):
+        if segments[j].kind is AccessKind.MOBILE:
+            return j
+    return None
 
 
 def _window_mobile_rate(route: RouteProfile, index: int) -> float:

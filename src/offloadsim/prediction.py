@@ -5,21 +5,30 @@ plus symmetric uncertainty bounds derived from the configured error
 fractions; the engine separately executes against an independently drawn
 realization of the same route.
 
-Forecasts are read from an index of the nominal route, built on the route's
-first forecast and memoized with the forecasts it has served.  It holds the
-mobile segments' start times, end times and rates as lists sorted by time (a
-:class:`RouteProfile` is ordered), and, per ``(time_error,
-throughput_error, use_local_rate, hi)``, the tuple of every hotspot's
-forecast up to the clipped horizon ``hi`` with the hotspots' start times
-beside it.  A hotspot's forecast depends on ``hi`` but not on the replan
+Every trip on a nominal route, and every forecast of it, reads one index of
+the route, built on its first realization, trip or forecast.  For the trip
+loop and the realizations it holds each segment's kind, the mobile segment
+whose rate is available during it (its window), the hotspots and the draw
+count.  For forecasts it holds the mobile segments' start and end times as
+lists sorted by time (a :class:`RouteProfile` is ordered), tables of the
+largest and smallest nominal mobile rate over every run of 2**k consecutive
+mobile segments, and, per ``(time_error, throughput_error, use_local_rate,
+hi)``, one walk over the hotspots: the tuple of every hotspot's forecast up
+to the clipped horizon ``hi``, the hotspots' start times beside it, and
+where the mobile segments before each of those starts, the route end and
+``hi`` stop.  A hotspot's forecast depends on ``hi`` but not on the replan
 time ``now``, so the hotspots ahead of ``now`` are a suffix of that tuple,
-found by one bisect; the mobile rates before the next hotspot and before
-``hi`` are each a run of consecutive mobile segments, found by two more.
-So a new forecast costs five bisects and three slices, not a scan of the
-route, and only the first forecast per error pair, rate kind and ``hi``
-walks the hotspots.  A forecast reads the horizon only through ``hi``, so
-its memo key holds ``hi`` too: no horizon and every horizon at or past the
-route end share one forecast.
+found by one bisect; the mobile segments not ended by ``now`` start at a
+second bisect, and the mobile rates before the next hotspot and before
+``hi`` are runs from there to a stop of the walk, whose largest and smallest
+rate are each the extreme of two table entries.  So any forecast costs two
+bisects and a few reads, not a scan of the route, and only the first per
+error pair, rate kind and ``hi`` walks the hotspots.  The forecasts at the
+times a trip replans (0 and every hotspot's end) are memoized, so their
+number is bounded by the route; a forecast at any other time is built anew.
+A forecast reads the horizon only through ``hi``, so its memo key holds
+``hi`` too: no horizon and every horizon at or past the route end share one
+forecast.
 
 Realizations draw uniform(-1, 1) numbers, one generator per run seeded with
 :func:`derive_run_seed` of the base seed and the run index.  A batch's draw
@@ -44,7 +53,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .model import RouteProfile, RouteSegment
+from .model import AccessKind, RouteProfile, RouteSegment
 
 
 @dataclass(frozen=True)
@@ -98,73 +107,123 @@ class PredictionProfile(NamedTuple):
 
 
 class _RouteIndex:
-    """What forecasts of one nominal route share; see the module docstring.
+    """What every trip and forecast on one nominal route shares; see the
+    module docstring.
 
-    ``hotspot_forecasts`` maps ``(time_error, throughput_error,
-    use_local_rate, hi)`` to ``(starts, forecasts)``; ``predictions`` maps
-    :func:`build_prediction`'s key to the forecast it returned.
+    Per segment, ``wifi`` flags a WiFi segment and ``window`` names the
+    mobile segment whose rate is available during it: the segment itself
+    when mobile; for a WiFi segment the nearest mobile one, preceding first,
+    else following; None when the route has none.  ``walks`` maps
+    ``(time_error, throughput_error, use_local_rate, hi)`` to what
+    :func:`_walk` returns; ``predictions`` maps :func:`build_prediction`'s key
+    to the forecast it returned, at the replan times only.
     """
 
-    __slots__ = ("route", "mobile_start", "mobile_end", "mobile_rate",
-                 "hotspot_forecasts", "predictions")
+    __slots__ = ("route", "wifi", "window", "hotspots", "draw_count", "replans",
+                 "mobile_start", "mobile_end", "rate_max", "rate_min", "walks",
+                 "predictions")
 
     def __init__(self, route: RouteProfile) -> None:
-        mobile = [s for s in route.segments if not s.is_wifi]
+        segments = route.segments
+        wifi_kind = AccessKind.WIFI
         self.route = route
-        self.mobile_start = [s.start_time for s in mobile]
-        self.mobile_end = [s.end_time for s in mobile]
-        self.mobile_rate = [s.mobile_rate for s in mobile]
-        self.hotspot_forecasts: dict = {}
+        self.wifi = wifi = tuple([seg.kind is wifi_kind for seg in segments])
+        window = []
+        last = next((i for i, w in enumerate(wifi) if not w), None)
+        for i, w in enumerate(wifi):
+            if not w:
+                last = i
+            window.append(last)
+        self.window = tuple(window)
+        self.hotspots = tuple([seg for seg, w in zip(segments, wifi) if w])
+        # drawn per segment: duration, then local and backhaul rate or the mobile rate
+        self.draw_count = 2 * len(segments) + len(self.hotspots)
+        self.replans = frozenset([0.0, *(seg.end_time for seg in self.hotspots)])
+        mobile = [seg for seg, w in zip(segments, wifi) if not w]
+        self.mobile_start = [seg.start_time for seg in mobile]
+        self.mobile_end = [seg.end_time for seg in mobile]
+        rates = [seg.mobile_rate for seg in mobile]
+        self.rate_max, self.rate_min = _range_tables(rates)
+        self.walks: dict = {}
         self.predictions: dict = {}
 
-    def mobile_rates_in(self, now: float, window_end: float) -> list[float]:
-        """Nominal mobile rates in [now, window_end); falls back to the
-        remaining route, then the whole route, when the window has none."""
-        first = bisect_right(self.mobile_end, now + 1e-12)
-        stop = bisect_left(self.mobile_start, window_end - 1e-12)
-        if first < stop:
-            return self.mobile_rate[first:stop]
-        if first < len(self.mobile_rate):
-            return self.mobile_rate[first:]
-        return self.mobile_rate
+
+def _range_tables(values: list[float]) -> tuple[list[list[float]], list[list[float]]]:
+    """Row k of the first table holds the maximum of ``values[i:i + 2**k]``
+    at i, and of the second the minimum, so that the extreme of any
+    non-empty run is that of two rows' entries (see :func:`_extreme`)."""
+    highs, lows = [values], [values]
+    width = 1
+    while 2 * width <= len(values):
+        high, low = highs[-1], lows[-1]
+        highs.append([b if b > a else a for a, b in zip(high, high[width:])])
+        lows.append([b if b < a else a for a, b in zip(low, low[width:])])
+        width *= 2
+    return highs, lows
 
 
-def _hotspot_forecasts(
-    route: RouteProfile,
+def _extreme(rows: list[list[float]], pick, first: int, stop: int) -> float:
+    """``pick`` over the nominal mobile rates in ``[first, stop)``; falls
+    back to those from ``first`` on, then to all of them, when the run is
+    empty, and to 0.0 when the route has none."""
+    if first >= stop:
+        n = len(rows[0])
+        if not n:
+            return 0.0
+        first, stop = (first, n) if first < n else (0, n)
+    k = (stop - first).bit_length() - 1
+    row = rows[k]
+    return pick(row[first], row[stop - (1 << k)])
+
+
+def _walk(
+    index: _RouteIndex,
     time_error: float,
     throughput_error: float,
     use_local_rate: bool,
     hi: float,
-) -> tuple[list[float], tuple[HotspotForecast, ...]]:
-    """Every hotspot usable before ``hi`` and its start time, in route order."""
+) -> tuple[list[float], tuple[HotspotForecast, ...], list[int], int]:
+    """Every hotspot usable before ``hi``, in route order: its start time and
+    forecast; the count of mobile segments starting before each of those
+    starts and before the route end (each within 1e-12 s), bounding the run
+    of mobile rates before the next hotspot; and that count before ``hi``,
+    bounding the horizon's run."""
     te, re = time_error, throughput_error
     starts = []
     forecasts = []
-    for seg in route.hotspots:
+    for seg in index.hotspots:
         usable = min(seg.end_time, hi) - seg.start_time
         if usable <= 1e-12:
             continue
         rate = seg.wifi_local_rate if use_local_rate else seg.backhaul_rate
         starts.append(seg.start_time)
-        forecasts.append(
-            HotspotForecast(
-                hotspot_index=seg.hotspot_index,
-                duration_min=(1 - te) * usable,
-                duration_max=(1 + te) * usable,
-                rate_min=(1 - re) * rate,
-                rate_max=(1 + re) * rate,
-            )
-        )
-    return starts, tuple(forecasts)
+        # fields in order (index, duration min and max, rate min and max):
+        # a call by position builds a NamedTuple in about half the time
+        forecasts.append(HotspotForecast(seg.hotspot_index, (1 - te) * usable,
+                                         (1 + te) * usable, (1 - re) * rate, (1 + re) * rate))
+    mobile_start = index.mobile_start
+    stops = [bisect_left(mobile_start, t - 1e-12) for t in starts]
+    stops.append(bisect_left(mobile_start, index.route.total_time - 1e-12))
+    return starts, tuple(forecasts), stops, bisect_left(mobile_start, hi - 1e-12)
 
 
 # The index of the most recent nominal route.  A forecast depends on the
 # route, the replan time, the two error magnitudes, the rate kind and the
 # horizon, never on the run seed, so every realization of a route reuses the
-# index.  The route is compared by identity and held by the index, so its id
-# cannot be reused while the index lives; a new route starts a new index.
-# Routes are frozen, so nothing held goes stale.
+# index, and so does every trip on it.  The route is compared by identity
+# and held by the index, so its id cannot be reused while the index lives; a
+# new route starts a new index.  Routes are frozen, so nothing held goes
+# stale.
 _memo: Optional[_RouteIndex] = None
+
+
+def _route_index(route: RouteProfile) -> _RouteIndex:
+    """The index of ``route``, built if ``route`` is not the most recent one."""
+    global _memo
+    index = _memo
+    if index is None or index.route is not route:
+        index = _memo = _RouteIndex(route)
+    return index
 
 
 def build_prediction(
@@ -185,23 +244,23 @@ def build_prediction(
     before it.
 
     The result does not depend on ``errors.seed``.  The most recently seen
-    route is indexed once (see the module docstring): a call with the same
-    ``now``, errors, rate kind and horizon clipped to the route end returns
-    the forecast returned before, and a new one costs a few bisects and
-    slices of the index, plus one walk over the hotspots the first time its
-    errors, rate kind and clipped horizon come up.
+    route is indexed once (see the module docstring): at a replan time (0 or
+    a hotspot's end), a call with the same ``now``, errors, rate kind and
+    horizon clipped to the route end returns the forecast returned before,
+    and any other forecast costs a few bisects and reads of the index, plus
+    one walk over the hotspots the first time its errors, rate kind and
+    clipped horizon come up.
     """
-    global _memo
     if not -1e-9 <= now <= route.total_time + 1e-6:  # NaN fails too
         raise ValueError(f"now={now} outside route [0, {route.total_time}]")
-    index = _memo
-    if index is None or index.route is not route:
-        index = _memo = _RouteIndex(route)
+    index = _route_index(route)
     hi = route.total_time if horizon is None else min(horizon, route.total_time)
     key = (now, errors.time_error, errors.throughput_error, use_local_rate, hi)
     pred = index.predictions.get(key)
     if pred is None:
-        pred = index.predictions[key] = _forecast(index, *key)
+        pred = _forecast(index, *key)
+        if now in index.replans:
+            index.predictions[key] = pred
     return pred
 
 
@@ -215,29 +274,20 @@ def _forecast(
 ) -> PredictionProfile:
     """The forecast behind :func:`build_prediction` up to the clipped
     horizon ``hi``, read from the index."""
-    route = index.route
     key = (time_error, throughput_error, use_local_rate, hi)
-    ahead = index.hotspot_forecasts.get(key)
-    if ahead is None:
-        ahead = index.hotspot_forecasts[key] = _hotspot_forecasts(route, *key)
-    starts, forecasts = ahead
+    walk = index.walks.get(key)
+    if walk is None:
+        walk = index.walks[key] = _walk(index, *key)
+    starts, forecasts, stops, horizon_stop = walk
     # the first hotspot not started before now (within 1e-9 s)
     cut = bisect_left(starts, now - 1e-9)
-
-    if cut == len(starts):
-        time_to_next = 0.0
-        gap_end = route.total_time
-    else:
-        time_to_next = max(0.0, starts[cut] - now)
-        gap_end = starts[cut]
-
-    gap_rates = index.mobile_rates_in(now, gap_end)
-    horizon_rates = index.mobile_rates_in(now, hi)
-    return PredictionProfile(
-        hotspots=forecasts[cut:],
-        time_to_next_wifi=time_to_next,
-        max_mobile_rate=max(gap_rates) if gap_rates else 0.0,
-        sustainable_mobile_rate=min(horizon_rates) if horizon_rates else 0.0,
+    # the first mobile segment not ended by now (within 1e-12 s)
+    first = bisect_right(index.mobile_end, now + 1e-12)
+    return PredictionProfile(  # by position, as in _walk
+        forecasts[cut:],  # hotspots
+        0.0 if cut == len(starts) else max(0.0, starts[cut] - now),  # time_to_next_wifi
+        _extreme(index.rate_max, max, first, stops[cut]),  # max_mobile_rate
+        _extreme(index.rate_min, min, first, horizon_stop),  # sustainable_mobile_rate
     )
 
 
@@ -249,7 +299,7 @@ def derive_run_seed(base_seed: int, run_index: int) -> int:
 
 def _draws(seed: int, n: int) -> np.ndarray:
     """The ``n`` uniform(-1, 1) draws of one realization of a route with
-    ``_draw_count(route) == n``.  One vector draw equals the same number of
+    ``n`` draws per realization.  One vector draw equals the same number of
     scalar draws from the generator, bit for bit."""
     return np.random.default_rng(seed).uniform(-1.0, 1.0, size=n)
 
@@ -268,15 +318,9 @@ def _draw_matrix(seed: int, runs: int, n: int) -> np.ndarray:
     return draws
 
 
-def _draw_count(route: RouteProfile) -> int:
-    """Draws per realization, consumed in segment order as duration, then
-    local and backhaul rate (WiFi) or mobile rate."""
-    return sum(3 if seg.is_wifi else 2 for seg in route.segments)
-
-
-def _realized(route: RouteProfile, errors: ErrorSpec, draws, start, minimum):
-    """Each segment of a realization of ``route``, in order, as ``(segment,
-    start, duration, end, rates)``, the rates keyed by their
+def _realized(index: _RouteIndex, errors: ErrorSpec, draws, start, minimum):
+    """Each segment of a realization of the indexed route, in order, as
+    ``(segment, start, duration, end, rates)``, the rates keyed by their
     :class:`RouteSegment` names; the next segment starts at ``end``.
 
     The values are floats for one realization (a list of draws, ``start``
@@ -290,9 +334,9 @@ def _realized(route: RouteProfile, errors: ErrorSpec, draws, start, minimum):
     def jitter(value: float, err: float):
         return value * (1.0 + err * draw())
 
-    for seg in route.segments:
+    for seg, wifi in zip(index.route.segments, index.wifi):
         duration = jitter(seg.duration, te)
-        if seg.is_wifi:
+        if wifi:
             local = jitter(seg.wifi_local_rate, re)
             rates = {"wifi_local_rate": local,
                      "backhaul_rate": minimum(jitter(seg.backhaul_rate, re), local)}
@@ -307,9 +351,10 @@ def realize_route(route: RouteProfile, errors: ErrorSpec) -> RouteProfile:
     """Draw one perturbed realization of a nominal route: every duration and
     rate uniformly and independently from its error interval, deterministic
     for a given ``errors.seed``."""
+    index = _route_index(route)
     segments = []
     for seg, start, duration, end, rates in _realized(
-            route, errors, _draws(errors.seed, _draw_count(route)).tolist(), 0.0, min):
+            index, errors, _draws(errors.seed, index.draw_count).tolist(), 0.0, min):
         segments.append(RouteSegment(seg.kind, start, duration,
                                      hotspot_index=seg.hotspot_index, **rates))
     return RouteProfile(tuple(segments), end)
@@ -322,10 +367,10 @@ class RealizedBatch:
     ``segments[i]`` is segment i of every realization, under the
     :class:`RouteSegment` attribute names (``start_time``, ``duration``,
     ``end_time`` and the rates), each a ``(runs,)`` array; a rate the
-    segment's kind does not carry is 0.  Row i's ``end_time`` is row i + 1's
-    ``start_time`` array, and the last row's is each run's realized total
-    time.  One batch serves any number of policies: the trip loop broadcasts
-    its rows along the policy axis.
+    segment's kind does not carry is the batch's one read-only row of zeros.
+    Row i's ``end_time`` is row i + 1's ``start_time`` array, and the last
+    row's is each run's realized total time.  One batch serves any number of
+    policies: the trip loop broadcasts its rows along the policy axis.
     """
 
     route: RouteProfile
@@ -342,16 +387,19 @@ def realize_batch(route: RouteProfile, errors: ErrorSpec, seed: int,
     not used.  The draws are read from the memo above.  A realized value
     outside (0, inf) raises ``ValueError``, as in :class:`RouteSegment`.
     """
+    index = _route_index(route)
+    zeros = np.zeros(runs)
+    zeros.flags.writeable = False
     segments = []
     checked = []
     # an overflow is caught by the range check below, not warned of
     with np.errstate(over="ignore", invalid="ignore"):
         for seg, start, duration, end, rates in _realized(
-                route, errors, _draw_matrix(seed, runs, _draw_count(route)),
+                index, errors, _draw_matrix(seed, runs, index.draw_count),
                 np.zeros(runs), np.minimum):
             segments.append(SimpleNamespace(
                 start_time=start, duration=duration, end_time=end,
-                **{name: rates[name] if name in rates else np.zeros(runs)
+                **{name: rates[name] if name in rates else zeros
                    for name in ("mobile_rate", "wifi_local_rate", "backhaul_rate")}))
             checked += [duration, end, *rates.values()]
     checked = np.array(checked)

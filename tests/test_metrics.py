@@ -419,14 +419,16 @@ class TestDrawMemo:
     def test_memoized_draws_are_read_only(self, route_4ap):
         spec = make_spec(route_4ap, runs=5, seed=3)
         batch = prediction.realize_batch(spec.scaled_route(), spec.errors, 3, 5)
-        draws = prediction._draw_matrix(3, 5, prediction._draw_count(route_4ap))
-        assert draws.shape == (prediction._draw_count(route_4ap), 5)
+        n = prediction._route_index(route_4ap).draw_count
+        draws = prediction._draw_matrix(3, 5, n)
+        assert draws.shape == (n, 5)
         with pytest.raises(ValueError):
             draws[0, 0] = 0.0
-        # the batch is the caller's own: new arrays, not views of the memo
-        for row in batch.segments:
-            for values in vars(row).values():
-                assert values.flags.writeable
+        # the batch is the caller's own: new arrays, not views of the memo;
+        # only the batch's row of zeros for absent rates is read-only
+        for row, seg in zip(batch.segments, route_4ap.segments):
+            for name, values in vars(row).items():
+                assert values.flags.writeable is (getattr(seg, name) is not None)
                 assert not np.shares_memory(values, draws)
 
     def test_figures_draw_each_matrix_once(self, monkeypatch, fresh_memos):

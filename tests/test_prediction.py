@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import edge_routes, make_task, random_route
-from offloadsim import prediction
+from offloadsim import oracle, prediction
 from offloadsim.engine import run_trip
 from offloadsim.model import AccessKind, RouteProfile, RouteSegment, scale_route
 from offloadsim.policies import Policy
@@ -332,30 +332,58 @@ class TestForecastIndex:
                         checked += 1
         assert checked > 40_000
 
+    def test_overlapping_segments_equal_reference(self):
+        """Segments may start up to 1e-6 s off their predecessor's end, so a
+        mobile segment can end after the next hotspot starts and a forecast
+        in between reads mobile rates on both sides of that hotspot: every
+        field still equals the full scan's."""
+        rng = np.random.default_rng(31)
+        checked = 0
+        for i in range(60):
+            route = random_route(rng, n_segments=int(rng.integers(3, 12)))
+            shifts = [0.0, *rng.uniform(-5e-7, 5e-7, len(route.segments) - 1).tolist()]
+            route = RouteProfile(tuple(dataclasses.replace(seg, start_time=seg.start_time + d)
+                                       for seg, d in zip(route.segments, shifts)),
+                                 route.total_time)
+            te, re = self.ERROR_PAIRS[i % len(self.ERROR_PAIRS)]
+            nows = forecast_times(route, rng)
+            for prev, seg in zip(route.segments, route.segments[1:]):
+                nows += [0.5 * (prev.end_time + seg.start_time), seg.start_time + 2e-9]
+            nows = [t for t in nows if -1e-9 <= t <= route.total_time]
+            for local in (True, False):
+                for h in forecast_horizons(route, rng):
+                    for now in nows:
+                        assert_forecast_equal(
+                            build_prediction(route, now, ErrorSpec(te, re), local, h),
+                            reference_forecast(route, now, te, re, local, h))
+                        checked += 1
+        assert checked > 10_000
+
     def test_one_index_per_route(self, monkeypatch, fresh_memos):
         """All five policies on one route, through every replan, index the
-        route once and walk its hotspots at most once per key."""
+        route once, walk its hotspots at most once per key and build no
+        forecast twice for one key and time."""
         builds = collections.Counter()
         walks = collections.Counter()
         forecasts = collections.Counter()
         real_index = prediction._RouteIndex
-        real_walk = prediction._hotspot_forecasts
+        real_walk = prediction._walk
         real_forecast = prediction._forecast
 
         def index(route):
             builds[id(route)] += 1
             return real_index(route)
 
-        def walk(route, *key):
-            walks[id(route), key] += 1
-            return real_walk(route, *key)
+        def walk(index, *key):
+            walks[id(index.route), key] += 1
+            return real_walk(index, *key)
 
         def forecast(index, *key):
-            forecasts[key] += 1
+            forecasts[id(index.route), key] += 1
             return real_forecast(index, *key)
 
         monkeypatch.setattr(prediction, "_RouteIndex", index)
-        monkeypatch.setattr(prediction, "_hotspot_forecasts", walk)
+        monkeypatch.setattr(prediction, "_walk", walk)
         monkeypatch.setattr(prediction, "_forecast", forecast)
         rng = np.random.default_rng(28)
         route = random_route(rng, n_segments=32)
@@ -375,6 +403,46 @@ class TestForecastIndex:
         assert walks and max(walks.values()) == 1
         assert max(forecasts.values()) == 1
         assert sum(forecasts.values()) > 2 * route.n_hotspots
+
+
+class TestRouteIndex:
+    def test_window_equals_oracle_scan(self):
+        """Each WiFi segment's window in the index is the oracle's own scan's
+        (the nearest mobile segment, preceding first, else following; None
+        on a WiFi-only route), and a mobile segment's window is itself."""
+        rng = np.random.default_rng(29)
+        routes = [random_route(rng) for _ in range(200)] + edge_routes(rng)
+        seen = collections.Counter()
+        for route in routes:
+            index = prediction._route_index(route)
+            wifi = [seg.is_wifi for seg in route.segments]
+            assert index.wifi == tuple(wifi)
+            for i, w in enumerate(wifi):
+                assert index.window[i] == (oracle._window_mobile_segment(route, i)
+                                           if w else i)
+            seen["wifi first"] += wifi[0]
+            seen["wifi last"] += wifi[-1]
+            seen["adjacent mobile"] += any(not a and not b for a, b in zip(wifi, wifi[1:]))
+            seen["wifi only"] += all(wifi)
+        assert min(seen.values()) > 0
+
+    def test_memo_keeps_replan_times_only(self, fresh_memos):
+        """Forecasts at many distinct times leave the memo holding one per
+        replan time asked for, and each equals the full scan's."""
+        rng = np.random.default_rng(30)
+        route = random_route(rng, n_segments=35)
+        while route.n_hotspots < 8:
+            route = random_route(rng, n_segments=35)
+        errors = ErrorSpec(0.10, 0.20)
+        nows = [float(t) for t in rng.uniform(0, route.total_time, size=3000)]
+        nows += replan_times(route)
+        for now in nows:
+            for local in (True, False):
+                assert_forecast_equal(build_prediction(route, now, errors, local),
+                                      reference_forecast(route, now, 0.10, 0.20, local, None))
+        index = prediction._memo
+        assert index.route is route
+        assert len(index.predictions) == 2 * len(set(replan_times(route)))
 
 
 class TestRealizeRoute:
@@ -464,6 +532,19 @@ class TestRealizeRoute:
                             row.backhaul_rate[k]) == (
                         seg.mobile_rate or 0.0, seg.wifi_local_rate or 0.0,
                         seg.backhaul_rate or 0.0)
+
+    def test_absent_rates_share_one_read_only_zeros_row(self, default_route):
+        batch = realize_batch(default_route, ErrorSpec(0.10, 0.20), 0, 4)
+        absent = [getattr(row, name)
+                  for row, seg in zip(batch.segments, default_route.segments)
+                  for name in ("mobile_rate", "wifi_local_rate", "backhaul_rate")
+                  if getattr(seg, name) is None]
+        assert len(absent) == 2 * len(default_route.segments) - default_route.n_hotspots
+        zeros = absent[0]
+        assert all(row is zeros for row in absent)
+        assert not zeros.flags.writeable and zeros.tolist() == [0.0] * 4
+        with pytest.raises(ValueError):
+            zeros[0] = 1.0
 
     def test_random_routes_survive_realization(self):
         rng = np.random.default_rng(99)
