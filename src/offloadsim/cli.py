@@ -84,16 +84,11 @@ def _print_summary(results: Sequence[AggregateResult]) -> None:
     print("-" * len(header))
     for res in results:
         for p in res.policies:
-            off = res.summaries[p]["offload_pct"]
-            dly = res.summaries[p]["transfer_delay_s"]
-            enr = res.summaries[p]["energy_j"]
-            print(
-                f"{res.scenario_id:<34} {p.cli_name:<14} "
-                f"{off.mean:>7.2f}±{off.ci95:<4.2f} "
-                f"{dly.mean:>7.2f}±{dly.ci95:<4.2f} "
-                f"{enr.mean:>7.1f}±{enr.ci95:<4.1f} "
-                f"{res.infeasible[p]:>5d}"
-            )
+            off, dly, enr = (res.summaries[p][m]
+                             for m in ("offload_pct", "transfer_delay_s", "energy_j"))
+            print(f"{res.scenario_id:<34} {p.cli_name:<14} {off.mean:>7.2f}±{off.ci95:<4.2f} "
+                  f"{dly.mean:>7.2f}±{dly.ci95:<4.2f} {enr.mean:>7.1f}±{enr.ci95:<4.1f} "
+                  f"{res.infeasible[p]:>5d}")
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -150,14 +145,12 @@ def _cmd_oracle_check(args: argparse.Namespace) -> int:
     config.checked("--dt", check_dt, args.dt, longest)
     nominal = spec.scaled_route()
     dt = args.dt
-    worst_bytes = 0.0
-    worst_time = 0.0
+    worst_bytes = worst_time = 0.0
     failures = 0
     for k in range(args.seeds):
         err_k = replace(spec.errors, seed=derive_run_seed(spec.seed, k))
         realized = realize_route(nominal, err_k)
-        seed_bytes = 0.0
-        seed_time = 0.0
+        seed_bytes = seed_time = 0.0
         ok = True
         for p in spec.policies:
             analytic = run_trip(realized, nominal, spec.task, p, err_k, spec.energy)

@@ -147,7 +147,18 @@ def _array(parse: Callable[[Any, str], Any]) -> Callable[[Any, str], tuple]:
 
 
 _policy = _choice({p.cli_name: p for p in Policy}, "policy")
-_metrics = _array(_choice({m: m for m in METRICS}, "metric"))
+_metric_names = _array(_choice({m: m for m in METRICS}, "metric"))
+
+
+def _metrics(value: Any, label: str) -> tuple:
+    """Output metrics, at least one (none reads as all) and each once."""
+    names = _metric_names(value, label)
+    if not names:
+        raise ConfigError(f"{label}: expected at least one metric")
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise ConfigError(f"{label}[{i}]: metric {name} is listed twice")
+    return names
 
 
 def parse_policy(name: Any, label: str = "policy") -> Policy:

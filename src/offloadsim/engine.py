@@ -8,17 +8,17 @@ crossing.
 
 One trip loop serves both entry points.  :func:`run_trip` executes one
 realized route on floats; :func:`run_policies`, what a Monte-Carlo scenario
-uses, executes many realizations of one nominal route under P policies in
-one pass, one numpy entry per run.  With one policy every per-run value is a
-``(runs,)`` array; with P > 1 it is ``(P, runs)``, policy p in row p, and the
-realized rows, ``(runs,)`` each, broadcast along the policy axis.  A trait
-the policies do not share (rate limiting, prefetching, entering hotspots) is
-a ``(P, 1)`` mask, and a masked step is skipped where no row takes it; with
-one policy the traits are bools.  The elementwise operations are chosen once
-per call from the input kind (:func:`~offloadsim.policies.elementwise`), and
-each entry goes through :func:`run_trip`'s float operations in the same
-order, so run k of policy p equals :func:`run_trip` on realization k bit for
-bit.  Both plan through the same :func:`~offloadsim.policies.plan_exit` and
+uses, executes many realizations of one nominal route under P >= 1 policies
+in one pass: every per-run value is a ``(P, runs)`` array, policy p in row
+p, and the realized rows, ``(runs,)`` each, broadcast along the policy axis.
+A trait the policies do not share (rate limiting, prefetching, entering
+hotspots) is a ``(P, 1)`` mask, and a masked step is skipped where no row
+takes it; a shared trait, and so every trait of one policy, is a bool.  The
+elementwise operations are chosen once per call from the input kind
+(:func:`~offloadsim.policies.elementwise`), and each entry goes through
+:func:`run_trip`'s float operations in the same order, so run k of policy p
+equals :func:`run_trip` on realization k bit for bit.  Both plan through the
+same :func:`~offloadsim.policies.plan_exit` and
 :func:`~offloadsim.policies.plan_entry`.  Only a policy that reads a plan, a
 rate-limited or a prefetching one, replans; the others never build a forecast.
 
@@ -32,15 +32,14 @@ seconds.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from .model import MBIT_PER_MB, EnergyModel, RouteProfile, TransferTask
-from .policies import (Channel, Floats, Policy, check_admitted, elementwise, plan_entry,
-                       plan_exit, policy_columns)
+from .policies import (Channel, Floats, Policy, PolicyColumns, check_admitted, elementwise,
+                       plan_entry, plan_exit, policy_columns)
 from .prediction import ErrorSpec, RealizedBatch, _route_index, build_prediction
 
 _BYTE_SLACK = 2.0 ** -40  # of the object size; completion slack for float round-off
@@ -156,7 +155,7 @@ def _run(
     end: Floats,
     nominal: RouteProfile,
     task: TransferTask,
-    policies: Sequence[Policy],
+    policy: Union[Policy, PolicyColumns],
     errors: ErrorSpec,
     energy_model: EnergyModel,
 ) -> RunOutcome:
@@ -164,26 +163,20 @@ def _run(
 
     ``segments`` are the realized segments, each with the
     :class:`~offloadsim.model.RouteSegment` attributes ``start_time``,
-    ``duration``, ``end_time`` and the rates: floats for one trip, one entry
-    per run for a batch.  ``end`` is the realized route end, in the same
-    form, and so are the outcome's fields for one policy; for P > 1 they are
-    ``(P, runs)``, policy p in row p.  The rules are :func:`run_trip`'s; in a
-    batch each branch is a mask over the runs still transferring.
+    ``duration``, ``end_time`` and its kind's rates: floats for one trip,
+    ``(runs,)`` arrays for a batch.  ``end``, the realized route end, has the
+    outcome's form: a float beside a :class:`Policy`, or ``(P, runs)`` beside
+    :func:`policy_columns` of P policies.  The rules are :func:`run_trip`'s;
+    in a batch each branch is a mask over the runs still transferring.
     """
-    check_admitted(policies, task.traffic_class)
     size = task.size_mb
     deadline = task.effective_deadline()
-    horizon = None if math.isinf(deadline) else deadline
-    if len(policies) == 1:
-        policy, like = policies[0], end
-    else:
-        policy, like = policy_columns(policies), np.broadcast_to(end, (len(policies), len(end)))
-    state = _ByteState(size, like)
+    state = _ByteState(size, end)
     ops = state.ops
-    zero = ops.zeros(like)
+    zero = ops.zeros(end)
     plan_rate: Floats = 0.0
-    infeasible = ops.zeros(like, bool)
-    provisioned = ops.zeros(like)
+    infeasible = ops.zeros(end, bool)
+    provisioned = ops.zeros(end)
     caches: dict[int, tuple[Floats, Floats]] = {}  # offset, amount
     idle_s = zero  # seconds the WiFi interface is on but not transferring
     limited, prefetches, associates = policy.rate_limited, policy.prefetches, policy.associates
@@ -197,9 +190,9 @@ def _run(
         nonlocal plan_rate, infeasible, provisioned
         runs = state.pending
         pred = build_prediction(nominal, now_nominal, errors,
-                                use_local_rate=prefetches is not False, horizon=horizon)
+                                use_local_rate=prefetches is not False, horizon=deadline)
         backhaul_pred = (build_prediction(nominal, now_nominal, errors, use_local_rate=False,
-                                          horizon=horizon) if two_forecasts else None)
+                                          horizon=deadline) if two_forecasts else None)
         plan_rate, flagged, cache = plan_exit(
             policy, ops.maximum(0.0, size - state.prefix), deadline - now_realized,
             pred, state.prefix, backhaul_pred)
@@ -293,8 +286,9 @@ def run_trip(
     policy's entry steps against the realized dwell.
     """
     _check_same_structure(route_realized, route_nominal)
+    check_admitted((policy,), task.traffic_class)
     return _run(route_realized.segments, route_realized.total_time, route_nominal, task,
-                (policy,), errors, energy_model)
+                policy, errors, energy_model)
 
 
 def run_policies(
@@ -305,15 +299,15 @@ def run_policies(
     energy_model: EnergyModel = EnergyModel(),
 ) -> dict[Policy, RunOutcome]:
     """Execute every realization of ``batch`` under each of ``policies``, all
-    in one pass; each field of an outcome holds one entry per run, and run k's
-    equals :func:`run_trip` on realization k bit for bit, whatever other
-    policies share the pass.  With several policies, each outcome is a view
-    of its row of the pass's ``(P, runs)`` arrays.  A forecast is built once
-    per replan point for the whole batch."""
-    out = _run(batch.segments, batch.segments[-1].end_time, batch.route, task,
-               tuple(policies), errors, energy_model)
-    if len(policies) == 1:
-        return {policies[0]: out}
+    in one pass over ``(P, runs)`` arrays; each policy's outcome is a view of
+    its row, one entry per run in each field, and run k's equals
+    :func:`run_trip` on realization k bit for bit, whatever other policies
+    share the pass.  A forecast is built once per replan point for the whole
+    batch."""
+    check_admitted(policies, task.traffic_class)
+    end = batch.segments[-1].end_time
+    out = _run(batch.segments, np.broadcast_to(end, (len(policies), len(end))), batch.route,
+               task, policy_columns(policies), errors, energy_model)
 
     def row(x, p: int):  # an outcome or its energy, every array cut to row p
         return type(x)(**{name: row(v, p) if isinstance(v, EnergyBreakdown) else v[p]

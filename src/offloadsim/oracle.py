@@ -85,7 +85,6 @@ def run_trip_stepped(
 
     size = task.size_mb
     deadline = task.effective_deadline()
-    horizon = None if math.isinf(deadline) else deadline
     prefix = 0.0
     totals = {Channel.MOBILE: 0.0, Channel.WIFI_LOCAL: 0.0, Channel.WIFI_BACKHAUL: 0.0}
     caches: dict[int, tuple[float, float]] = {}  # offset, amount
@@ -94,7 +93,7 @@ def run_trip_stepped(
     def replan(now_nominal: float, now_realized: float) -> float:
         pred = build_prediction(
             route_nominal, now_nominal, errors,
-            use_local_rate=policy.prefetches, horizon=horizon,
+            use_local_rate=policy.prefetches, horizon=deadline,
         )
         rate, _, cache = plan_exit(
             policy, max(0.0, size - prefix), deadline - now_realized, pred, prefix)

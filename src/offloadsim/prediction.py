@@ -25,7 +25,8 @@ rate are each the extreme of two table entries.  So any forecast costs two
 bisects and a few reads, not a scan of the route, and only the first per
 error pair, rate kind and ``hi`` walks the hotspots.  The forecasts at the
 times a trip replans (0 and every hotspot's end) are memoized, so their
-number is bounded by the route; a forecast at any other time is built anew.
+number per key is bounded by the route, and a key past the
+``FORECAST_KEYS_KEPT``-th empties both memos; any other forecast is built anew.
 A forecast reads the horizon only through ``hi``, so its memo key holds
 ``hi`` too: no horizon and every horizon at or past the route end share one
 forecast.
@@ -215,6 +216,7 @@ def _walk(
 # new route starts a new index.  Routes are frozen, so nothing held goes
 # stale.
 _memo: Optional[_RouteIndex] = None
+FORECAST_KEYS_KEPT = 64  # walks per route index; a figure recipe puts at most 14 on one
 
 
 def _route_index(route: RouteProfile) -> _RouteIndex:
@@ -241,7 +243,7 @@ def build_prediction(
 
     ``horizon`` truncates the forecast at a deadline: hotspots starting at or
     after it are dropped and a window straddling it only counts the part
-    before it.
+    before it.  None, inf or any horizon past the route end truncates nothing.
 
     The result does not depend on ``errors.seed``.  The most recently seen
     route is indexed once (see the module docstring): at a replan time (0 or
@@ -277,6 +279,9 @@ def _forecast(
     key = (time_error, throughput_error, use_local_rate, hi)
     walk = index.walks.get(key)
     if walk is None:
+        if len(index.walks) >= FORECAST_KEYS_KEPT:  # a sweep of horizons, say
+            index.walks.clear()
+            index.predictions.clear()
         walk = index.walks[key] = _walk(index, *key)
     starts, forecasts, stops, horizon_stop = walk
     # the first hotspot not started before now (within 1e-9 s)
@@ -366,10 +371,10 @@ class RealizedBatch:
 
     ``segments[i]`` is segment i of every realization, under the
     :class:`RouteSegment` attribute names (``start_time``, ``duration``,
-    ``end_time`` and the rates), each a ``(runs,)`` array; a rate the
-    segment's kind does not carry is the batch's one read-only row of zeros.
-    Row i's ``end_time`` is row i + 1's ``start_time`` array, and the last
-    row's is each run's realized total time.  One batch serves any number of
+    ``end_time`` and only the rates the segment's kind carries; any other
+    raises ``AttributeError``), each a ``(runs,)`` array.  Row i's
+    ``end_time`` is row i + 1's ``start_time`` array, and the last row's is
+    each run's realized total time.  One batch serves any number of
     policies: the trip loop broadcasts its rows along the policy axis.
     """
 
@@ -388,8 +393,6 @@ def realize_batch(route: RouteProfile, errors: ErrorSpec, seed: int,
     outside (0, inf) raises ``ValueError``, as in :class:`RouteSegment`.
     """
     index = _route_index(route)
-    zeros = np.zeros(runs)
-    zeros.flags.writeable = False
     segments = []
     checked = []
     # an overflow is caught by the range check below, not warned of
@@ -397,10 +400,8 @@ def realize_batch(route: RouteProfile, errors: ErrorSpec, seed: int,
         for seg, start, duration, end, rates in _realized(
                 index, errors, _draw_matrix(seed, runs, index.draw_count),
                 np.zeros(runs), np.minimum):
-            segments.append(SimpleNamespace(
-                start_time=start, duration=duration, end_time=end,
-                **{name: rates[name] if name in rates else zeros
-                   for name in ("mobile_rate", "wifi_local_rate", "backhaul_rate")}))
+            segments.append(SimpleNamespace(start_time=start, duration=duration, end_time=end,
+                                            **rates))
             checked += [duration, end, *rates.values()]
     checked = np.array(checked)
     if not np.all(np.isfinite(checked) & (checked > 0)):

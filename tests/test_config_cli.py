@@ -84,6 +84,15 @@ NAMED_FIELD = [
      "input.scenario.metrics[1]: unknown metric 'bogus'; "),
     (("fig2a", "sweep", "parameter", "bogus"),
      "input.sweep.parameter: unknown sweep parameter 'bogus'; "),
+    ((None, None, "metrics", ["offload_pct", "energy_j", "offload_pct"]),
+     "input.metrics[2]: metric offload_pct is listed twice"),
+    (("fig2a", None, "metrics", ["offload_pct", "offload_pct"]),
+     "input.metrics[1]: metric offload_pct is listed twice"),
+    (("fig2a", "scenario", "metrics", ["energy_j", "energy_j"]),
+     "input.scenario.metrics[1]: metric energy_j is listed twice"),
+    ((None, None, "metrics", []), "input.metrics: expected at least one metric"),
+    (("fig2a", None, "metrics", []), "input.metrics: expected at least one metric"),
+    (("fig2a", "scenario", "metrics", []), "input.scenario.metrics: expected at least one"),
 ]
 
 
@@ -402,9 +411,12 @@ class TestCli:
              "route-string-rate", "sweep-base-string-seed", "scenario-policy-number",
              "scenario-metric-number", "sweep-metric-number", "sweep-parameter-array",
              "scenario-unknown-policy", "scenario-unknown-metric", "sweep-unknown-metric",
-             "sweep-base-unknown-metric", "sweep-unknown-parameter"])
+             "sweep-base-unknown-metric", "sweep-unknown-parameter", "scenario-metric-twice",
+             "sweep-metric-twice", "sweep-base-metric-twice", "scenario-no-metric",
+             "sweep-no-metric", "sweep-base-no-metric"])
     def test_bad_input_file_exits_2(self, tmp_path, capsys, recipe, section, key, value):
-        """A policy listed twice, an unknown metric name, a negative seed, a
+        """A policy or metric listed twice, an empty metrics list (it would
+        read as every metric), an unknown metric name, a negative seed, a
         count, seed or hotspot index that is not a whole number, a field of
         the wrong JSON type, true or false or a string of digits for a number,
         a non-string or unknown name in a list, or an unknown sweep parameter

@@ -5,7 +5,9 @@ sweep parameter, each route file and energy.json (notes left out), and puts
 a value of the wrong kind there: a digit string, a boolean, null, a list, an
 object, a negative number, a fraction where an integer is due, an integer
 literal past the float range where a float is due, and a hotspot count with
-no bundled layout.  It also adds a misspelt copy of every key.  Each variant
+no bundled layout.  It also adds a misspelt copy of every key.  Every
+scenario it walks also carries the optional keys no bundled file sets:
+``task.delay_threshold_s`` and a scenario-level ``metrics``.  Each variant
 runs through the CLI in-process and must exit 2 with one ``error:`` line
 that begins with the value's dotted path, or, for a negative number the
 model rejects, with the path of the object that holds it.  The exceptions
@@ -56,6 +58,12 @@ def walk(value, path, holder=None):
         yield at, owner, value, key
         if isinstance(child, (dict, list)):
             yield from walk(child, at, owner)
+
+
+def with_optional_keys(scenario):
+    """Give ``scenario`` the optional keys that no bundled file sets."""
+    scenario["task"]["delay_threshold_s"] = 250
+    scenario["metrics"] = ["offload_pct", "energy_j"]
 
 
 def variants(path, key, value, hotspot_values):
@@ -127,6 +135,7 @@ def test_every_malformed_value_exits_2_naming_its_field(name, tmp_path, monkeypa
             else bundled_recipe_path(name)
         doc = top = load(path)
         root = "input"
+        with_optional_keys(doc if name.startswith("scenario") else doc["scenario"])
     hotspot_values = doc.get("sweep", {}).get("parameter") == "hotspot_count"
 
     def run(expect, named):

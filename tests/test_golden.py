@@ -1,10 +1,11 @@
 """Every workload's jobs against the benchmark's golden digests.
 
 These recompute digests through ``perfbench/jobs.py``'s own job functions,
-as the benchmark runs them: every chunk digest of random-trips bank seed 0
-and the verdict digest of oracle-check bank seed 0 (the float path), and
-every figure recipe, one ``run_sweep`` per sweep point, and both cli-run
-scenarios (the batch path).  Nothing under ``perfbench/`` is written.
+as the benchmark runs them: every chunk digest of random-trips and the
+verdict digest of oracle-check on each of the 16 bank seeds (the float path),
+and every figure recipe, one ``run_sweep`` per sweep point, and both cli-run
+scenarios (the batch path); 422 digests in all, every one in
+``perfbench/golden.json``.  Nothing under ``perfbench/`` is written.
 """
 
 import importlib
@@ -15,6 +16,7 @@ from pathlib import Path
 import pytest
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+BANK_SEEDS = range(16)  # jobs.BANK: a job's seed picks bank seed seed % 16
 
 
 class Untimed:
@@ -41,17 +43,29 @@ def golden():
     return json.loads((PERFBENCH / "golden.json").read_text(encoding="utf-8"))
 
 
-def test_random_trips_bank_0_matches_golden(jobs, golden):
-    _, requested, ops, _, _ = jobs.random_trips_work(jobs.setup("random-trips"), 0)
+def test_every_bank_seed_has_golden_digests(jobs, golden):
+    assert list(BANK_SEEDS) == list(range(jobs.BANK))
+    chunks = jobs.ROUTES_PER_JOB // jobs.ROUTES_PER_CHUNK
+    want = ({f"random-trips:{b}/{c}" for b in BANK_SEEDS for c in range(chunks)}
+            | {f"oracle-check:verdicts/{b}" for b in BANK_SEEDS}
+            | {f"figures:{name}" for name in jobs.RECIPES}
+            | {f"cli-run:{name}" for name in jobs.SCENARIOS})
+    assert set(golden) == want and len(want) == 422
+
+
+@pytest.mark.parametrize("bank_seed", BANK_SEEDS)
+def test_random_trips_bank_matches_golden(jobs, golden, bank_seed):
+    _, requested, ops, _, _ = jobs.random_trips_work(jobs.setup("random-trips"), bank_seed)
     assert requested == jobs.ROUTES_PER_JOB * jobs.TRIPS_PER_ROUTE
     assert len(ops) == jobs.ROUTES_PER_JOB // jobs.ROUTES_PER_CHUNK
     attempted, failed, messages = jobs.check("random-trips", ops, golden)
     assert attempted == requested and failed == 0, messages
 
 
-def test_oracle_check_bank_0_matches_golden(jobs, golden):
-    _, _, ops, _, _ = jobs.oracle_work(jobs.setup("oracle-check"), 0)
-    assert ops[-1][0] == "verdicts/0"
+@pytest.mark.parametrize("bank_seed", BANK_SEEDS)
+def test_oracle_check_bank_matches_golden(jobs, golden, bank_seed):
+    _, _, ops, _, _ = jobs.oracle_work(jobs.setup("oracle-check"), bank_seed)
+    assert ops[-1][0] == f"verdicts/{bank_seed}"
     attempted, failed, messages = jobs.check("oracle-check", ops, golden)
     assert attempted == len(ops) and failed == 0, messages
 

@@ -444,6 +444,23 @@ class TestRouteIndex:
         assert index.route is route
         assert len(index.predictions) == 2 * len(set(replan_times(route)))
 
+    def test_forecast_keys_are_bounded(self, route_8ap, fresh_memos):
+        """20,000 forecasts at time 0 with distinct horizons on one route
+        leave at most FORECAST_KEYS_KEPT walks and forecasts in its index, and
+        each answer still equals the full scan's."""
+        route = scale_route(route_8ap, 1 / 3, 1 / 3, 1 / 3)
+        errors = ErrorSpec(0.10, 0.20)
+        kept = prediction.FORECAST_KEYS_KEPT
+        horizons = np.linspace(1.0, route.total_time, 20_000).tolist()
+        for i, horizon in enumerate(horizons):
+            got = build_prediction(route, 0.0, errors, horizon=horizon)
+            if i % 97 == 0 or i == len(horizons) - 1:
+                assert_forecast_equal(
+                    got, reference_forecast(route, 0.0, 0.10, 0.20, True, horizon))
+            index = prediction._memo
+            assert len(index.walks) <= kept and len(index.predictions) <= kept
+        assert index.route is route and len(index.walks) == 20_000 % kept
+
 
 class TestRealizeRoute:
     def test_zero_errors_identity(self, default_route):
@@ -512,7 +529,8 @@ class TestRealizeRoute:
                         assert type(getattr(g, f)) is type(getattr(w, f))
 
     def test_batch_equals_single_realizations(self, default_route):
-        """Column k of realize_batch is realize_route with run k's seed, exactly."""
+        """Column k of realize_batch is realize_route with run k's seed, exactly,
+        and a row carries the rates its segment carries, no others."""
         rng = np.random.default_rng(25)
         routes = [random_route(rng) for _ in range(40)] + edge_routes(rng) + [default_route]
         for route in routes:
@@ -528,23 +546,13 @@ class TestRealizeRoute:
                 for row, seg in zip(batch.segments, single.segments):
                     assert (row.start_time[k], row.duration[k], row.end_time[k]) == (
                         seg.start_time, seg.duration, seg.end_time)
-                    assert (row.mobile_rate[k], row.wifi_local_rate[k],
-                            row.backhaul_rate[k]) == (
-                        seg.mobile_rate or 0.0, seg.wifi_local_rate or 0.0,
-                        seg.backhaul_rate or 0.0)
-
-    def test_absent_rates_share_one_read_only_zeros_row(self, default_route):
-        batch = realize_batch(default_route, ErrorSpec(0.10, 0.20), 0, 4)
-        absent = [getattr(row, name)
-                  for row, seg in zip(batch.segments, default_route.segments)
-                  for name in ("mobile_rate", "wifi_local_rate", "backhaul_rate")
-                  if getattr(seg, name) is None]
-        assert len(absent) == 2 * len(default_route.segments) - default_route.n_hotspots
-        zeros = absent[0]
-        assert all(row is zeros for row in absent)
-        assert not zeros.flags.writeable and zeros.tolist() == [0.0] * 4
-        with pytest.raises(ValueError):
-            zeros[0] = 1.0
+                    rates = [name for name in ("mobile_rate", "wifi_local_rate",
+                                               "backhaul_rate")
+                             if getattr(seg, name) is not None]
+                    assert [getattr(row, name)[k] for name in rates] == [
+                        getattr(seg, name) for name in rates]
+                    assert vars(row).keys() == {"start_time", "duration", "end_time",
+                                                *rates}
 
     def test_random_routes_survive_realization(self):
         rng = np.random.default_rng(99)
