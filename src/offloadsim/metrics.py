@@ -25,10 +25,10 @@ field added later joins the key by itself) key a small LRU of aggregates:
 each policy's :class:`MetricSummary` values and miss count, never the
 per-run outcome arrays, which ``scenario_outcomes`` hands out fresh and
 writable on every call.  A hit builds a new :class:`AggregateResult` with the
-caller's id and new dicts, equal with ``==`` to a fresh run.  A scenario
-also shares the scaled route of the one built before it when its route and
-rate factors are the same (a size or error sweep point and its base), and
-with it that route's forecast index.
+caller's id and new dicts, equal with ``==`` to a fresh run.  Scenarios
+with the same route object and rate factors (a size or error sweep point and
+its base, or two recipes on one layout) share one scaled route, kept in a
+small LRU, and with it that route's forecast index.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from .engine import RunOutcome, run_policies
 from .model import MBIT_PER_MB, EnergyModel, RouteProfile, TransferTask, scale_route
 from .policies import T_MOBILE_FLOOR, Policy, check_admitted
 # derive_run_seed is defined beside the draws it seeds and stays public here
-from .prediction import ErrorSpec, derive_run_seed, realize_batch  # noqa: F401
+from .prediction import ErrorSpec, derive_run_seed, realize_batch, recall  # noqa: F401
 
 # each output metric, in CSV row order, and the RunOutcome field behind it
 _METRIC_FIELDS = {"offload_pct": "offload_pct", "transfer_delay_s": "transfer_delay",
@@ -191,20 +191,32 @@ def relative_gain(a_mean: float, b_mean: float, lower_is_better: bool = False) -
     return (a_mean - b_mean) / b_mean * 100.0
 
 
-# The most recently scaled route: (route, factors, scaled route).  The route
-# is compared by identity and held here, so its id cannot be reused while it
-# is; routes are frozen, so the scaled route never goes stale.
-_last_scaled: Optional[tuple[RouteProfile, tuple[float, float, float], RouteProfile]] = None
+# The scaled routes of the most recent (route, factors) keys, each entry
+# (route, scaled route).  The route is keyed by identity and held in its
+# entry, so its id cannot be reused while the entry lives; routes are frozen,
+# so no scaled route goes stale.
+SCALED_ROUTES_KEPT = 16  # the 20 figure recipes hold 12 distinct pairs
+_scaled_routes: dict[tuple[int, tuple[float, float, float]],
+                     tuple[RouteProfile, RouteProfile]] = {}  # least recently used first
 
 
 def _scale(route: RouteProfile, factors: tuple[float, float, float]) -> RouteProfile:
-    """``scale_route`` at ``factors``, reusing the last result for the same
-    route object and factors (a size or error sweep point and its base)."""
-    global _last_scaled
-    last = _last_scaled
-    if last is None or last[0] is not route or last[1] != factors:
-        last = _last_scaled = (route, factors, scale_route(route, *factors))
-    return last[2]
+    """``scale_route`` at ``factors``, built once per route object and
+    factors while the LRU above keeps it."""
+    return recall(_scaled_routes, (id(route), factors), SCALED_ROUTES_KEPT,
+                  lambda: (route, scale_route(route, *factors)))[1]
+
+
+def check_metrics(names: Sequence[str]) -> None:
+    """An output metric list names at least one metric, each known and once;
+    ``ValueError`` otherwise.  Only None, not an empty list, means all."""
+    if not names:
+        raise ValueError("expected at least one metric")
+    for i, name in enumerate(names):
+        if name not in METRICS:
+            raise ValueError(f"unknown metric {name!r}; expected one of {METRICS}")
+        if name in names[:i]:
+            raise ValueError(f"metric {name} is listed twice")
 
 
 @dataclass(frozen=True)
@@ -237,9 +249,8 @@ class ScenarioSpec:
         for i, p in enumerate(self.policies):
             if p in self.policies[:i]:
                 raise ValueError(f"policy {p.cli_name} is listed twice")
-        unknown = [m for m in self.metrics or () if m not in METRICS]
-        if unknown:
-            raise ValueError(f"unknown metric {unknown[0]!r}; expected one of {METRICS}")
+        if self.metrics is not None:
+            check_metrics(self.metrics)
         check_admitted(self.policies, self.task.traffic_class)
         # scale_route checks the factors; a realized value is a scaled one times
         # 1 + e u with u in [-1, 1), and rounding is monotone, so 1 -/+ e bound it
@@ -337,12 +348,7 @@ def run_scenario(spec: ScenarioSpec) -> AggregateResult:
     from the memoized aggregate, with new dicts.
     """
     key = tuple(getattr(spec, name) for name in _KEY_FIELDS)
-    per_policy = _aggregates.pop(key, None)  # reinserted last: the most recent
-    if per_policy is None:
-        per_policy = _aggregate(spec)
-        if len(_aggregates) >= AGGREGATES_KEPT:
-            del _aggregates[next(iter(_aggregates))]
-    _aggregates[key] = per_policy
+    per_policy = recall(_aggregates, key, AGGREGATES_KEPT, lambda: _aggregate(spec))
     return AggregateResult(
         scenario_id=spec.scenario_id,
         summaries={p: dict(zip(METRICS, s)) for p, (s, _) in zip(spec.policies, per_policy)},
@@ -413,8 +419,9 @@ def run_sweep(sweep: SweepSpec) -> list[AggregateResult]:
 def render_csv(results: Sequence[AggregateResult],
                metrics: Optional[Sequence[str]] = None) -> str:
     """Deterministic CSV text: one row per result, policy and metric (all
-    metrics unless ``metrics`` names some), in the fixed column order."""
-    keep = tuple(metrics) if metrics else METRICS
+    metrics when ``metrics`` is None), in the fixed column order."""
+    keep = METRICS if metrics is None else tuple(metrics)
+    check_metrics(keep)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)

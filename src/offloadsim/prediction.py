@@ -32,25 +32,26 @@ A forecast reads the horizon only through ``hi``, so its memo key holds
 forecast.
 
 Realizations draw uniform(-1, 1) numbers, one generator per run seeded with
-:func:`derive_run_seed` of the base seed and the run index.  A batch's draw
-matrix depends only on ``(seed, runs, draw count)``, so it is memoized under
-that key in a small LRU of read-only arrays: every later batch with the same
-key (a figure's sweep points vary the rates, sizes and errors, not the
-seed) skips the seeding and drawing and gets the numbers a fresh draw would
-give, bit for bit.  One loop, :func:`_realized`, turns draws into realized
-segments: on floats for :func:`realize_route`, on ``(runs,)`` rows for
-:func:`realize_batch`.  So run k of a batch equals the single realization
-with run k's seed bit for bit by construction, not by a second copy of the
-formulas kept in step.
+:func:`derive_run_seed` of the base seed and the run index.  A batch reads
+the first draws of each run, as many as its route's draw count, so every
+batch with one ``(seed, runs)`` reads prefixes of the same streams.  A small
+LRU keeps, per ``(seed, runs)``, the rows drawn so far (read-only) and each
+run's generator state after them; a batch wanting more rows draws only the
+missing ones, from the saved states, which is what one longer draw gives, bit
+for bit.  So the figures' three route layouts seed their runs once.
+
+One loop, :func:`_realized`, turns draws into realized segments: on floats
+for :func:`realize_route`, on ``(runs,)`` rows for :func:`realize_batch`.  So
+run k of a batch equals the single realization with run k's seed bit for bit
+by construction, not by a second copy of the formulas kept in step.
 """
 
 from __future__ import annotations
 
-import functools
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from types import SimpleNamespace
-from typing import NamedTuple, Optional
+from typing import Any, Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -309,18 +310,63 @@ def _draws(seed: int, n: int) -> np.ndarray:
     return np.random.default_rng(seed).uniform(-1.0, 1.0, size=n)
 
 
-# The draw matrices of the most recent (seed, runs, draw count) keys.  The
-# draws of a batch depend on nothing else: not on the route's durations or
-# rates, the errors, the task or the policies.  So the sweep points of a
-# figure share one matrix per route layout.  The arrays are read-only, and
-# realize_batch only reads them, so a shared entry cannot change.
-@functools.lru_cache(maxsize=8)
-def _draw_matrix(seed: int, runs: int, n: int) -> np.ndarray:
-    """Column k holds the ``n`` draws of run k, seeded
-    ``derive_run_seed(seed, k)``, for k < ``runs``."""
-    draws = np.stack([_draws(derive_run_seed(seed, k), n) for k in range(runs)], axis=1)
+def recall(memo: dict, key, kept: int, make: Callable[[], Any]) -> Any:
+    """``memo[key]``, from ``make()`` when absent; ``memo`` is an LRU of at
+    most ``kept`` entries, a dict in recency order (least recent first)."""
+    value = memo.pop(key, None)
+    if value is None:
+        value = make()
+        if len(memo) >= kept:
+            del memo[next(iter(memo))]
+    memo[key] = value
+    return value
+
+
+def _drawn(draws: np.ndarray, generators, n: int) -> tuple[np.ndarray, list]:
+    """``draws`` with the rows up to ``n`` drawn from ``generators``, one per
+    run, as a new read-only array (a prefix handed out before stays valid),
+    and each run's PCG64 state after them as ``(state, inc)``: about 160 B a
+    run, where a kept generator costs about 2 KB."""
+    columns, states = [], []
+    for generator in generators:
+        columns.append(generator.uniform(-1.0, 1.0, size=n - len(draws)))
+        state = generator.bit_generator.state["state"]
+        states.append((state["state"], state["inc"]))
+    draws = np.concatenate([draws, np.stack(columns, axis=1)])
     draws.flags.writeable = False
-    return draws
+    return draws, states
+
+
+def _continued(states: list):
+    """A generator continued from each saved ``(state, inc)``, in turn."""
+    bits = np.random.PCG64(0)
+    generator = np.random.Generator(bits)
+    for state, inc in states:
+        # uniform draws never leave a buffered 32-bit half
+        bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                      "has_uint32": 0, "uinteger": 0}
+        yield generator
+
+
+# The draws and generator states of the most recent (seed, runs) keys.  The
+# draws of a batch depend on nothing else and its draw count: not on the
+# route's durations or rates, the errors, the task or the policies.  So every
+# sweep point of every figure shares one entry.  The arrays are read-only,
+# and realize_batch only reads them, so a shared prefix cannot change.
+DRAW_STREAMS_KEPT = 4
+_draw_streams: dict[tuple[int, int], tuple[np.ndarray, list]] = {}  # least recent first
+
+
+def _draw_matrix(seed: int, runs: int, n: int) -> np.ndarray:
+    """Column k holds the first ``n`` draws of run k, seeded
+    ``derive_run_seed(seed, k)``, for k < ``runs``: a read-only array."""
+    key = (seed, runs)
+    draws, states = recall(_draw_streams, key, DRAW_STREAMS_KEPT, lambda: _drawn(
+        np.empty((0, runs)),
+        (np.random.default_rng(derive_run_seed(seed, k)) for k in range(runs)), n))
+    if len(draws) < n:
+        draws, states = _draw_streams[key] = _drawn(draws, _continued(states), n)
+    return draws[:n]
 
 
 def _realized(index: _RouteIndex, errors: ErrorSpec, draws, start, minimum):
@@ -389,9 +435,12 @@ def realize_batch(route: RouteProfile, errors: ErrorSpec, seed: int,
     Run k holds, bit for bit, the values of
     ``realize_route(route, replace(errors, seed=derive_run_seed(seed, k)))``:
     both come from :func:`_realized` on the same draws.  ``errors.seed`` is
-    not used.  The draws are read from the memo above.  A realized value
-    outside (0, inf) raises ``ValueError``, as in :class:`RouteSegment`.
+    not used.  The draws are read from the memo above.  A ``runs`` that is
+    not a whole number of at least 1, or a realized value outside (0, inf),
+    raises ``ValueError``, as in :class:`RouteSegment`.
     """
+    if isinstance(runs, bool) or not isinstance(runs, (int, np.integer)) or runs < 1:
+        raise ValueError(f"runs must be an integer >= 1, got {runs!r}")
     index = _route_index(route)
     segments = []
     checked = []

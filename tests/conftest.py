@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from offloadsim import metrics, prediction
+from offloadsim import engine, metrics, prediction
 from offloadsim.config import load_route
 from offloadsim.model import (
     AccessKind,
@@ -44,12 +44,13 @@ def default_route(route_4ap):
 @pytest.fixture
 def fresh_memos():
     """Every process-wide memo emptied, so that no earlier test serves this
-    one: the scenario aggregates, the last scaled route, the draw matrices and
-    the forecast index."""
+    one: the scenario aggregates, the scaled routes, the draw streams, the
+    forecast index and the last checked pair of routes."""
     metrics._aggregates.clear()
-    metrics._last_scaled = None
-    prediction._draw_matrix.cache_clear()
+    metrics._scaled_routes.clear()
+    prediction._draw_streams.clear()
     prediction._memo = None
+    engine._checked = None
 
 
 @pytest.fixture

@@ -197,6 +197,19 @@ class TestRunTripValidation:
             run_trip(realized, route_2ap, make_task(50.0),
                      Policy.NO_PREDICTION_OFFLOAD, zero_errors)
 
+    def test_structure_mismatch_after_a_checked_pair(self, default_route, route_2ap,
+                                                     zero_errors):
+        """A pair is checked once, but a mismatched pair right after a
+        matching one still raises, whichever route of the pair changed."""
+        realized = realize_route(default_route, zero_errors)
+        other = realize_route(route_2ap, zero_errors)
+        for pair in [(realized, route_2ap), (other, default_route)]:
+            for _ in range(2):
+                run_trip(realized, default_route, make_task(50.0),
+                         Policy.NO_PREDICTION_OFFLOAD, zero_errors)
+            with pytest.raises(ValueError, match="routes differ in"):
+                run_trip(*pair, make_task(50.0), Policy.NO_PREDICTION_OFFLOAD, zero_errors)
+
 
 class TestConservation:
     def test_channel_totals_sum_to_received(self, default_route):

@@ -55,6 +55,21 @@ def make_spec(route, runs=40, seed=0, time_error=0.10, throughput_error=0.20,
     )
 
 
+def count_scale_route(monkeypatch) -> list:
+    """The argument tuples of every later scale_route call by the package."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return scale_route(*args, **kwargs)
+
+    for module in list(sys.modules.values()):  # every module that calls it
+        if module.__name__.startswith("offloadsim") \
+                and getattr(module, "scale_route", None) is scale_route:
+            monkeypatch.setattr(module, "scale_route", counted)
+    return calls
+
+
 def assert_runs_equal_single_trips(spec):
     """run_scenario's per-run outcomes and its aggregates against run_trip on
     ``realize_route(nominal, replace(errors, seed=derive_run_seed(seed, k)))``."""
@@ -345,16 +360,7 @@ class TestRunScenario:
         own, fig2a its base's, which its 5 size points share; no throwaway
         route checks the rate factors, and a recipe's metrics list goes into
         its base as the base is built."""
-        calls = []
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return scale_route(*args, **kwargs)
-
-        for module in list(sys.modules.values()):  # every module that calls it
-            if module.__name__.startswith("offloadsim") \
-                    and getattr(module, "scale_route", None) is scale_route:
-                monkeypatch.setattr(module, "scale_route", counted)
+        calls = count_scale_route(monkeypatch)
         if name == "fig2a":
             load_sweep(str(bundled_recipe_path(name)))
         else:
@@ -389,7 +395,8 @@ class TestRunScenario:
 
 
 class TestDrawMemo:
-    """The draw matrix is memoized per (seed, runs, draw count)."""
+    """The draws are memoized per (seed, runs), as a prefix of each run's
+    stream."""
 
     def test_results_do_not_depend_on_call_order(self, fresh_memos, route_2ap, route_4ap,
                                                  route_8ap):
@@ -432,19 +439,16 @@ class TestDrawMemo:
 
     def test_figures_draw_each_matrix_once(self, monkeypatch, fresh_memos):
         """All 20 recipes in one process, in a shuffled order, use seed 0 and
-        120 runs on three route layouts: 360 seeds and draw rows in all."""
+        120 runs on three route layouts: each run is seeded once, and its 40
+        draws (the 8-hotspot layout's count) are drawn once, which the 2- and
+        4-hotspot layouts read a prefix of."""
         calls = collections.Counter()
 
-        def counted(name):
-            fn = getattr(prediction, name)
+        def counted(*args):
+            calls["derive_run_seed"] += 1
+            return derive_run_seed(*args)
 
-            def wrapper(*args):
-                calls[name] += 1
-                return fn(*args)
-            return wrapper
-
-        for name in ("_draws", "derive_run_seed"):
-            monkeypatch.setattr(prediction, name, counted(name))
+        monkeypatch.setattr(prediction, "derive_run_seed", counted)
         order = list(RECIPES)
         random.Random(8).shuffle(order)
         points = 0
@@ -452,7 +456,22 @@ class TestDrawMemo:
             sweep = load_sweep(str(bundled_recipe_path(name)))
             points += len(run_sweep(sweep))
         assert points == 82
-        assert calls == {"_draws": 360, "derive_run_seed": 360}
+        assert calls == {"derive_run_seed": 120}
+        assert [(key, draws.shape) for key, (draws, _)
+                in prediction._draw_streams.items()] == [((0, 120), (40, 120))]
+
+    @pytest.mark.parametrize("seed", [3, 8])
+    def test_figures_scale_each_route_once(self, monkeypatch, fresh_memos, seed):
+        """Loading and running all 20 recipes in one process, in any order,
+        builds each of their 12 distinct (route, rate factors) pairs once."""
+        calls = count_scale_route(monkeypatch)
+        order = list(RECIPES)
+        random.Random(seed).shuffle(order)
+        sweeps = [load_sweep(str(bundled_recipe_path(name))) for name in order]
+        for sweep in sweeps:
+            for value in sweep.values:  # as perfbench runs them: one point at a time
+                run_sweep(replace(sweep, values=(value,)))
+        assert len(calls) == len({(id(args[0]), args[1:]) for args in calls}) == 12
 
 
 def figure_points():
@@ -669,6 +688,22 @@ class TestCsv:
         header = text.splitlines()[0]
         assert header == "scenario_id,policy,metric,mean,ci95,n,infeasible_count"
         rows = text.splitlines()[1:]
+        assert len(rows) == len(spec.policies) * len(METRICS)
+
+    @pytest.mark.parametrize("names,message", [
+        ((), "expected at least one metric"),
+        (("offload_pct", "offload_pct"), "metric offload_pct is listed twice"),
+        (("energy_j", "bogus"), "unknown metric 'bogus'")])
+    def test_metric_list_rule(self, route_4ap, names, message):
+        """A spec and render_csv take one rule for a metric list: at least one
+        metric, each known and once.  Only None means every metric."""
+        spec = make_spec(route_4ap, runs=3)
+        with pytest.raises(ValueError, match=message):
+            replace(spec, metrics=names)
+        result = run_scenario(spec)
+        with pytest.raises(ValueError, match=message):
+            render_csv([result], names)
+        rows = render_csv([result], None).splitlines()[1:]
         assert len(rows) == len(spec.policies) * len(METRICS)
 
     def test_metric_filter(self, route_4ap):

@@ -554,6 +554,14 @@ class TestRealizeRoute:
                     assert vars(row).keys() == {"start_time", "duration", "end_time",
                                                 *rates}
 
+    @pytest.mark.parametrize("runs", [0, -3, 2.0, True, "2", None])
+    def test_batch_rejects_a_bad_run_count(self, default_route, fresh_memos, runs):
+        """A run count that is no whole number of at least 1 is named before
+        any draw is made or kept."""
+        with pytest.raises(ValueError, match="runs must be an integer >= 1"):
+            realize_batch(default_route, ErrorSpec(0.1, 0.2), 0, runs)
+        assert not prediction._draw_streams
+
     def test_random_routes_survive_realization(self):
         rng = np.random.default_rng(99)
         for _ in range(50):
