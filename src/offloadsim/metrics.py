@@ -46,7 +46,8 @@ from .engine import RunOutcome, run_policies
 from .model import MBIT_PER_MB, EnergyModel, RouteProfile, TransferTask, scale_route
 from .policies import T_MOBILE_FLOOR, Policy, check_admitted
 # derive_run_seed is defined beside the draws it seeds and stays public here
-from .prediction import ErrorSpec, derive_run_seed, realize_batch, recall  # noqa: F401
+from .prediction import (ErrorSpec, derive_run_seed, is_integer, realize_batch,  # noqa: F401
+                         recall)
 
 # each output metric, in CSV row order, and the RunOutcome field behind it
 _METRIC_FIELDS = {"offload_pct": "offload_pct", "transfer_delay_s": "transfer_delay",
@@ -239,6 +240,9 @@ class ScenarioSpec:
     _scaled: RouteProfile = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
+        for name in ("runs", "seed"):  # derive_run_seed would truncate a fraction
+            if not is_integer(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         # a single run is allowed (its CI is reported as zero-width)
         if not 1 <= self.runs <= MAX_RUNS:
             raise ValueError(f"runs must be in [1, {MAX_RUNS}], got {self.runs}")

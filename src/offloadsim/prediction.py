@@ -322,6 +322,11 @@ def recall(memo: dict, key, kept: int, make: Callable[[], Any]) -> Any:
     return value
 
 
+def is_integer(value) -> bool:
+    """An int or a numpy integer, but not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _drawn(draws: np.ndarray, generators, n: int) -> tuple[np.ndarray, list]:
     """``draws`` with the rows up to ``n`` drawn from ``generators``, one per
     run, as a new read-only array (a prefix handed out before stays valid),
@@ -439,7 +444,7 @@ def realize_batch(route: RouteProfile, errors: ErrorSpec, seed: int,
     not a whole number of at least 1, or a realized value outside (0, inf),
     raises ``ValueError``, as in :class:`RouteSegment`.
     """
-    if isinstance(runs, bool) or not isinstance(runs, (int, np.integer)) or runs < 1:
+    if not is_integer(runs) or runs < 1:
         raise ValueError(f"runs must be an integer >= 1, got {runs!r}")
     index = _route_index(route)
     segments = []

@@ -343,6 +343,16 @@ class TestRunScenario:
         with pytest.raises(ValueError):
             make_spec(route_4ap, runs=0)
 
+    @pytest.mark.parametrize("name,value", [("runs", 3.0), ("runs", True), ("seed", 0.9),
+                                            ("seed", 1.0), ("seed", False)])
+    def test_run_count_and_seed_are_integers(self, route_4ap, fresh_memos, name, value):
+        """A fractional seed would run as its integer part, and a float run
+        count would be served by the memoized aggregate of its integer twin."""
+        spec = make_spec(route_4ap, runs=3)
+        run_scenario(spec)
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            replace(spec, **{name: value})
+
     def test_scaled_route_is_built_once(self, route_4ap):
         """The spec keeps the route scale_route builds at its factors; a
         replaced factor gets a route of its own, and the route takes no part
