@@ -441,11 +441,13 @@ def realize_batch(route: RouteProfile, errors: ErrorSpec, seed: int,
     ``realize_route(route, replace(errors, seed=derive_run_seed(seed, k)))``:
     both come from :func:`_realized` on the same draws.  ``errors.seed`` is
     not used.  The draws are read from the memo above.  A ``runs`` that is
-    not a whole number of at least 1, or a realized value outside (0, inf),
-    raises ``ValueError``, as in :class:`RouteSegment`.
+    not an integer of at least 1, a ``seed`` that is not a non-negative
+    integer, or a realized value outside (0, inf) raises ``ValueError``.
     """
     if not is_integer(runs) or runs < 1:
         raise ValueError(f"runs must be an integer >= 1, got {runs!r}")
+    if not is_integer(seed) or seed < 0:  # derive_run_seed would truncate a fraction
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
     index = _route_index(route)
     segments = []
     checked = []

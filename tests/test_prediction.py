@@ -554,12 +554,16 @@ class TestRealizeRoute:
                     assert vars(row).keys() == {"start_time", "duration", "end_time",
                                                 *rates}
 
-    @pytest.mark.parametrize("runs", [0, -3, 2.0, True, "2", None])
-    def test_batch_rejects_a_bad_run_count(self, default_route, fresh_memos, runs):
-        """A run count that is no whole number of at least 1 is named before
-        any draw is made or kept."""
-        with pytest.raises(ValueError, match="runs must be an integer >= 1"):
-            realize_batch(default_route, ErrorSpec(0.1, 0.2), 0, runs)
+    @pytest.mark.parametrize("name,value", [
+        ("runs", 0), ("runs", -3), ("runs", 2.0), ("runs", True), ("runs", "2"), ("runs", None),
+        ("seed", 0.9), ("seed", -1), ("seed", False)])
+    def test_batch_rejects_a_bad_run_count_or_seed(self, default_route, fresh_memos, name,
+                                                   value):
+        """A run count that is no integer of at least 1, or a seed that is no
+        non-negative integer, is named before any draw is made or kept."""
+        args = {"seed": 0, "runs": 3, name: value}
+        with pytest.raises(ValueError, match=f"{name} must be an integer >= "):
+            realize_batch(default_route, ErrorSpec(0.1, 0.2), **args)
         assert not prediction._draw_streams
 
     def test_random_routes_survive_realization(self):
