@@ -13,11 +13,12 @@ from offloadsim.engine import run_trip
 from offloadsim.policies import Policy
 from offloadsim.prediction import ErrorSpec, _draws, derive_run_seed, realize_route
 
-from test_metrics import DT_POLICIES, make_spec
+from test_metrics import make_spec
 
 
-def fill_every_memo(route_4ap):
-    """One scenario run and one trip: every process-wide memo holds an entry."""
+def test_fresh_memos_empties_each_memo(route_4ap, request):
+    """After one scenario run and one trip every process-wide memo holds an
+    entry, and the fixture empties each."""
     spec = make_spec(route_4ap, runs=3)
     metrics.run_scenario(spec)
     nominal = spec.scaled_route()
@@ -25,21 +26,15 @@ def fill_every_memo(route_4ap):
              Policy.PREFETCH_DELAY_TOLERANT, spec.errors)
     assert metrics._aggregates and metrics._scaled_routes and prediction._draw_streams
     assert prediction._memo is not None and engine._checked is not None
-
-
-def test_fresh_memos_empties_each_memo(route_4ap, request):
-    fill_every_memo(route_4ap)
     request.getfixturevalue("fresh_memos")
     assert not metrics._aggregates and not metrics._scaled_routes
     assert not prediction._draw_streams
     assert prediction._memo is None and engine._checked is None
 
 
-# each LRU memo, its bound, and a call that puts key i in it
+# each LRU memo, its bound, and a call that puts key i in it (the aggregate
+# memo's bound is tested in test_metrics.TestAggregateMemo)
 LRU_MEMOS = {
-    "aggregates": (lambda: metrics._aggregates, metrics.AGGREGATES_KEPT,
-                   lambda route, i: metrics.run_scenario(
-                       make_spec(route, runs=2, seed=i, policies=DT_POLICIES[:1]))),
     "scaled routes": (lambda: metrics._scaled_routes, metrics.SCALED_ROUTES_KEPT,
                       lambda route, i: metrics._scale(route, (1.0, 1.0, 1 / (i + 1)))),
     "draw streams": (lambda: prediction._draw_streams, prediction.DRAW_STREAMS_KEPT,
