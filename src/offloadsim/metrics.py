@@ -46,7 +46,7 @@ from .engine import RunOutcome, run_policies
 from .model import MBIT_PER_MB, EnergyModel, RouteProfile, TransferTask, scale_route
 from .policies import T_MOBILE_FLOOR, Policy, check_admitted
 # derive_run_seed is defined beside the draws it seeds and stays public here
-from .prediction import (ErrorSpec, derive_run_seed, is_integer, realize_batch,  # noqa: F401
+from .prediction import (ErrorSpec, check_integer, derive_run_seed, realize_batch,  # noqa: F401
                          recall)
 
 # each output metric, in CSV row order, and the RunOutcome field behind it
@@ -240,14 +240,12 @@ class ScenarioSpec:
     _scaled: RouteProfile = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        for name in ("runs", "seed"):  # derive_run_seed would truncate a fraction
-            if not is_integer(getattr(self, name)):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        # a single run is allowed (its CI is reported as zero-width)
-        if not 1 <= self.runs <= MAX_RUNS:
+        # a float run count would be served by the memoized aggregate of its
+        # integer twin; a single run is allowed (its CI is reported as zero-width)
+        check_integer("runs", self.runs, 1)
+        check_integer("seed", self.seed)
+        if self.runs > MAX_RUNS:
             raise ValueError(f"runs must be in [1, {MAX_RUNS}], got {self.runs}")
-        if self.seed < 0:  # SeedSequence takes non-negative entropy only
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not self.policies:
             raise ValueError("scenario needs at least one policy")
         for i, p in enumerate(self.policies):

@@ -31,14 +31,21 @@ A forecast reads the horizon only through ``hi``, so its memo key holds
 ``hi`` too: no horizon and every horizon at or past the route end share one
 forecast.
 
-Realizations draw uniform(-1, 1) numbers, one generator per run seeded with
-:func:`derive_run_seed` of the base seed and the run index.  A batch reads
-the first draws of each run, as many as its route's draw count, so every
-batch with one ``(seed, runs)`` reads prefixes of the same streams.  A small
-LRU keeps, per ``(seed, runs)``, the rows drawn so far (read-only) and each
-run's generator state after them; a batch wanting more rows draws only the
-missing ones, from the saved states, which is what one longer draw gives, bit
-for bit.  So the figures' three route layouts seed their runs once.
+Realizations draw uniform(-1, 1) numbers.  Run k of base seed s reads the
+stream of ``numpy.random.default_rng(derive_run_seed(s, k))``, where
+:func:`derive_run_seed` is the first 64-bit word of
+``SeedSequence(entropy=(s, k))``.  :func:`realize_route` draws its one
+stream through numpy.  A batch computes all its runs' streams at once,
+without ``numpy.random`` and bit for bit: SeedSequence's hashing, PCG64's
+seeding, its 128-bit LCG step (jumped r steps ahead for row r), its XSL-RR
+output and numpy's conversion to uniform(-1, 1), as integer arithmetic on
+uint64 arrays.  A batch reads the first draws of each run, as many as
+its route's draw count, so every batch with one ``(seed, runs)`` reads
+prefixes of the same streams.  A small LRU keeps, per ``(seed, runs)``, the
+rows drawn so far (read-only) and each run's PCG64 state after them (four
+uint64 words); a batch wanting more rows computes only the missing ones,
+from the saved states.  So the figures' three route layouts seed their runs
+once.
 
 One loop, :func:`_realized`, turns draws into realized segments: on floats
 for :func:`realize_route`, on ``(runs,)`` rows for :func:`realize_batch`.  So
@@ -78,6 +85,7 @@ class ErrorSpec:
             raise ValueError(
                 f"throughput_error must be in [0, 1), got {self.throughput_error}"
             )
+        check_integer("seed", self.seed)
 
 
 class HotspotForecast(NamedTuple):
@@ -297,16 +305,10 @@ def _forecast(
     )
 
 
-def derive_run_seed(base_seed: int, run_index: int) -> int:
-    """Stable per-run seed: SeedSequence entropy (base_seed, run_index)."""
-    ss = np.random.SeedSequence(entropy=(int(base_seed), int(run_index)))
-    return int(ss.generate_state(1, np.uint64)[0])
-
-
 def _draws(seed: int, n: int) -> np.ndarray:
     """The ``n`` uniform(-1, 1) draws of one realization of a route with
-    ``n`` draws per realization.  One vector draw equals the same number of
-    scalar draws from the generator, bit for bit."""
+    ``n`` draws per realization, from numpy's generator.  One vector draw
+    equals the same number of scalar draws from it, bit for bit."""
     return np.random.default_rng(seed).uniform(-1.0, 1.0, size=n)
 
 
@@ -322,55 +324,144 @@ def recall(memo: dict, key, kept: int, make: Callable[[], Any]) -> Any:
     return value
 
 
-def is_integer(value) -> bool:
-    """An int or a numpy integer, but not a bool."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+def check_integer(name: str, value, least: int = 0) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is an int or a
+    numpy integer, not a bool, of at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
-def _drawn(draws: np.ndarray, generators, n: int) -> tuple[np.ndarray, list]:
-    """``draws`` with the rows up to ``n`` drawn from ``generators``, one per
-    run, as a new read-only array (a prefix handed out before stays valid),
-    and each run's PCG64 state after them as ``(state, inc)``: about 160 B a
-    run, where a kept generator costs about 2 KB."""
-    columns, states = [], []
-    for generator in generators:
-        columns.append(generator.uniform(-1.0, 1.0, size=n - len(draws)))
-        state = generator.bit_generator.state["state"]
-        states.append((state["state"], state["inc"]))
-    draws = np.concatenate([draws, np.stack(columns, axis=1)])
-    draws.flags.writeable = False
-    return draws, states
+# numpy's SeedSequence (a pool of four 32-bit words, no spawn key) and PCG64,
+# as integer arithmetic that runs on Python ints and on uint64 arrays alike:
+# every 32-bit result is masked, and a 64-bit array wraps as the C code does.
+_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_BLOCK = 1 << 16  # states per broadcast pass of _uniforms, bounding its temporaries
 
 
-def _continued(states: list):
-    """A generator continued from each saved ``(state, inc)``, in turn."""
-    bits = np.random.PCG64(0)
-    generator = np.random.Generator(bits)
-    for state, inc in states:
-        # uniform draws never leave a buffered 32-bit half
-        bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                      "has_uint32": 0, "uinteger": 0}
-        yield generator
+def _words32(n: int) -> list[int]:
+    """SeedSequence's 32-bit words of the int ``n`` >= 0, least significant
+    first; [0] for 0."""
+    return [(n >> shift) & _M32 for shift in range(0, max(n.bit_length(), 1), 32)]
 
 
-# The draws and generator states of the most recent (seed, runs) keys.  The
+def _seed_words(entropy: list, n: int) -> list:
+    """The first ``n`` 32-bit words ``SeedSequence`` generates from the
+    ``entropy`` words, each a Python int or a uint64 array of them.  Zero
+    words past the last nonzero one change nothing while there are at most
+    four, as the pool is padded with zeros."""
+    h, mult = 0x43B0D7E5, 0x931E8875
+
+    def hashmix(value):
+        nonlocal h
+        value = value ^ h
+        h = (h * mult) & _M32
+        value = (value * h) & _M32
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        value = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+        return value ^ (value >> 16)
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    h, mult = 0x8B51F9DD, 0x58F38DED  # the output hash
+    return [hashmix(pool[i % 4]) for i in range(n)]
+
+
+def derive_run_seed(base_seed: int, run_index: int) -> int:
+    """Stable per-run seed: the first 64-bit word of
+    ``numpy.random.SeedSequence(entropy=(base_seed, run_index))``.  A
+    negative or non-integer argument raises ``ValueError``."""
+    check_integer("base_seed", base_seed)
+    check_integer("run_index", run_index)
+    lo, hi = _seed_words(_words32(int(base_seed)) + _words32(int(run_index)), 2)
+    return lo | (hi << 32)
+
+
+def _mul128(ah, al, bh, bl):
+    """``(ah, al) * (bh, bl)`` mod 2**128 on (high, low) uint64 limbs."""
+    a1, a0 = al >> 32, al & _M32
+    b1, b0 = bl >> 32, bl & _M32
+    p01, p10 = a0 * b1, a1 * b0
+    mid = ((a0 * b0) >> 32) + (p01 & _M32) + (p10 & _M32)
+    return a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32) + ah * bl + al * bh, al * bl
+
+
+def _add128(ah, al, bh, bl):
+    """``(ah, al) + (bh, bl)`` mod 2**128 on (high, low) uint64 limbs."""
+    lo = al + bl
+    return ah + bh + (lo < al), lo
+
+
+def _seeded(seed: int, runs: int) -> np.ndarray:
+    """The PCG64 state of ``default_rng(derive_run_seed(seed, k))`` for each
+    run k < ``runs``, as the rows (state high, state low, increment high,
+    increment low) of a (4, runs) uint64 array."""
+    k = np.arange(runs, dtype=np.uint64)  # one 32-bit word each below 2**32 runs
+    # each run seed as two words (a zero high word hashes as the one it would
+    # drop), then the four 64-bit words PCG64 seeds from
+    w = _seed_words(_seed_words(_words32(int(seed)) + [k], 2), 8)
+    s_hi, s_lo, q_hi, q_lo = [w[i] | (w[i + 1] << 32) for i in range(0, 8, 2)]
+    inc_hi, inc_lo = (q_hi << 1) | (q_lo >> 63), (q_lo << 1) | 1
+    # state 0, a step (to inc), add the initial state, a step
+    hi, lo = _add128(inc_hi, inc_lo, s_hi, s_lo)
+    hi, lo = _add128(*_mul128(hi, lo, _PCG_MULT >> 64, _PCG_MULT & _M64), inc_hi, inc_lo)
+    return np.stack([hi, lo, inc_hi, inc_lo])
+
+
+def _uniforms(state: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The next ``n`` uniform(-1, 1) draws of each run from its PCG64 state
+    (as :func:`_seeded` gives it), as an (n, runs) array, and the state after
+    them.  The state r steps on is ``M**r * state + (M**(r-1) + ... + 1) *
+    increment`` for the LCG multiplier M, so a pass computes rows at once."""
+    s_hi, s_lo, inc_hi, inc_lo = state
+    rows = max(1, min(n, _BLOCK // len(s_hi)))
+    jumps, a, c = [], 1, 0
+    for _ in range(rows):
+        a, c = (a * _PCG_MULT) & _M128, (c * _PCG_MULT + 1) & _M128
+        jumps.append((a >> 64, a & _M64, c >> 64, c & _M64))
+    a_hi, a_lo, c_hi, c_lo = np.array(jumps, dtype=np.uint64).T[:, :, None]
+    c_hi, c_lo = _mul128(c_hi, c_lo, inc_hi, inc_lo)
+    blocks = []
+    for start in range(0, n, rows):
+        m = min(rows, n - start)
+        hi, lo = _add128(*_mul128(a_hi[:m], a_lo[:m], s_hi, s_lo), c_hi[:m], c_lo[:m])
+        s_hi, s_lo = hi[-1], lo[-1]
+        x, rot = hi ^ lo, hi >> 58  # XSL-RR output, then numpy's uniform(-1, 1)
+        x = (x >> rot) | (x << ((64 - rot) & 63))
+        blocks.append(-1.0 + 2.0 * ((x >> 11) * 2.0 ** -53))
+    return np.concatenate(blocks), np.stack([s_hi, s_lo, inc_hi, inc_lo])
+
+
+# The draws and PCG64 states of the most recent (seed, runs) keys.  The
 # draws of a batch depend on nothing else and its draw count: not on the
 # route's durations or rates, the errors, the task or the policies.  So every
 # sweep point of every figure shares one entry.  The arrays are read-only,
 # and realize_batch only reads them, so a shared prefix cannot change.
 DRAW_STREAMS_KEPT = 4
-_draw_streams: dict[tuple[int, int], tuple[np.ndarray, list]] = {}  # least recent first
+_draw_streams: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}  # least recent first
 
 
 def _draw_matrix(seed: int, runs: int, n: int) -> np.ndarray:
     """Column k holds the first ``n`` draws of run k, seeded
-    ``derive_run_seed(seed, k)``, for k < ``runs``: a read-only array."""
+    ``derive_run_seed(seed, k)``, for k < ``runs``: a read-only array.  A
+    longer request computes only the missing rows, from the kept states, into
+    a new array, so a prefix handed out before stays valid."""
     key = (seed, runs)
-    draws, states = recall(_draw_streams, key, DRAW_STREAMS_KEPT, lambda: _drawn(
-        np.empty((0, runs)),
-        (np.random.default_rng(derive_run_seed(seed, k)) for k in range(runs)), n))
+    draws, state = recall(_draw_streams, key, DRAW_STREAMS_KEPT,
+                          lambda: (np.empty((0, runs)), _seeded(seed, runs)))
     if len(draws) < n:
-        draws, states = _draw_streams[key] = _drawn(draws, _continued(states), n)
+        more, state = _uniforms(state, n - len(draws))
+        draws = np.concatenate([draws, more])
+        draws.flags.writeable = False
+        _draw_streams[key] = draws, state
     return draws[:n]
 
 
@@ -444,10 +535,8 @@ def realize_batch(route: RouteProfile, errors: ErrorSpec, seed: int,
     not an integer of at least 1, a ``seed`` that is not a non-negative
     integer, or a realized value outside (0, inf) raises ``ValueError``.
     """
-    if not is_integer(runs) or runs < 1:
-        raise ValueError(f"runs must be an integer >= 1, got {runs!r}")
-    if not is_integer(seed) or seed < 0:  # derive_run_seed would truncate a fraction
-        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
+    check_integer("runs", runs, 1)
+    check_integer("seed", seed)
     index = _route_index(route)
     segments = []
     checked = []

@@ -449,16 +449,17 @@ class TestDrawMemo:
 
     def test_figures_draw_each_matrix_once(self, monkeypatch, fresh_memos):
         """All 20 recipes in one process, in a shuffled order, use seed 0 and
-        120 runs on three route layouts: each run is seeded once, and its 40
-        draws (the 8-hotspot layout's count) are drawn once, which the 2- and
-        4-hotspot layouts read a prefix of."""
+        120 runs on three route layouts: the 120 runs are seeded in one call,
+        and their 40 draws each (the 8-hotspot layout's count) are drawn once,
+        which the 2- and 4-hotspot layouts read a prefix of."""
         calls = collections.Counter()
+        seeded = prediction._seeded
 
-        def counted(*args):
-            calls["derive_run_seed"] += 1
-            return derive_run_seed(*args)
+        def counted(seed, runs):
+            calls[seed, runs] += 1
+            return seeded(seed, runs)
 
-        monkeypatch.setattr(prediction, "derive_run_seed", counted)
+        monkeypatch.setattr(prediction, "_seeded", counted)
         order = list(RECIPES)
         random.Random(8).shuffle(order)
         points = 0
@@ -466,7 +467,7 @@ class TestDrawMemo:
             sweep = load_sweep(str(bundled_recipe_path(name)))
             points += len(run_sweep(sweep))
         assert points == 82
-        assert calls == {"derive_run_seed": 120}
+        assert calls == {(0, 120): 1}
         assert [(key, draws.shape) for key, (draws, _)
                 in prediction._draw_streams.items()] == [((0, 120), (40, 120))]
 

@@ -142,6 +142,16 @@ class TestErrorSpec:
         with pytest.raises(ValueError):
             ErrorSpec(**{field: value})
 
+    @pytest.mark.parametrize("seed", [True, False, 1.0, 0.9, -1, "1", None])
+    def test_seed_is_a_non_negative_integer(self, seed):
+        """A bool once ran as 0 or 1, and a float failed inside numpy."""
+        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+            ErrorSpec(0.1, 0.2, seed=seed)
+
+    def test_seed_takes_any_non_negative_integer(self):
+        assert ErrorSpec(seed=np.int64(3)).seed == 3
+        assert ErrorSpec(seed=2 ** 64 - 1).seed == 2 ** 64 - 1
+
 
 class TestBuildPrediction:
     def test_zero_errors_equal_nominal(self, default_route, zero_errors):
