@@ -18,17 +18,18 @@ so the package needs no statistics library.  Per-run seeds are derived from the
 scenario seed with a stable hash, so adding a policy or rerunning a sweep
 never reshuffles the realizations.
 
-``run_scenario`` runs each distinct scenario once per process.  Its result
-depends on every compared :class:`ScenarioSpec` field but ``scenario_id`` and
-``metrics``, so those fields' values (read from ``dataclasses.fields``; a
-field added later joins the key by itself) key a small LRU of aggregates:
-each policy's :class:`MetricSummary` values and miss count, never the
-per-run outcome arrays, which ``scenario_outcomes`` hands out fresh and
-writable on every call.  A hit builds a new :class:`AggregateResult` with the
-caller's id and new dicts, equal with ``==`` to a fresh run.  Scenarios
-with the same route object and rate factors (a size or error sweep point and
-its base, or two recipes on one layout) share one scaled route, kept in a
-small LRU, and with it that route's forecast index.
+Two memos here are ``functools.lru_cache`` on the pure functions they cache,
+as in :mod:`offloadsim.prediction`, each holding only immutable values.
+``_scale`` keeps the scaled route of each ``(route, rate factors)`` pair,
+keyed by the route's value, so the points of a sweep that leave the rates
+alone, and recipes on one layout, share a scaled route and with it the
+route's forecast index.  ``_aggregate`` keeps each policy's
+:class:`MetricSummary` values and miss count per :class:`ScenarioSpec`, whose
+equality ignores ``scenario_id`` and ``metrics``: so ``run_scenario`` runs
+each distinct scenario once per process, and a hit builds a new
+:class:`AggregateResult` with the caller's id and new dicts, equal with
+``==`` to a fresh run.  The per-run outcome arrays are never cached:
+``scenario_outcomes`` hands them out fresh and writable on every call.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import csv
 import functools
 import io
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -46,8 +47,7 @@ from .engine import RunOutcome, run_policies
 from .model import MBIT_PER_MB, EnergyModel, RouteProfile, TransferTask, scale_route
 from .policies import T_MOBILE_FLOOR, Policy, check_admitted
 # derive_run_seed is defined beside the draws it seeds and stays public here
-from .prediction import (ErrorSpec, check_integer, derive_run_seed, realize_batch,  # noqa: F401
-                         recall)
+from .prediction import ErrorSpec, check_integer, derive_run_seed, realize_batch  # noqa: F401
 
 # each output metric, in CSV row order, and the RunOutcome field behind it
 _METRIC_FIELDS = {"offload_pct": "offload_pct", "transfer_delay_s": "transfer_delay",
@@ -192,20 +192,10 @@ def relative_gain(a_mean: float, b_mean: float, lower_is_better: bool = False) -
     return (a_mean - b_mean) / b_mean * 100.0
 
 
-# The scaled routes of the most recent (route, factors) keys, each entry
-# (route, scaled route).  The route is keyed by identity and held in its
-# entry, so its id cannot be reused while the entry lives; routes are frozen,
-# so no scaled route goes stale.
-SCALED_ROUTES_KEPT = 16  # the 20 figure recipes hold 12 distinct pairs
-_scaled_routes: dict[tuple[int, tuple[float, float, float]],
-                     tuple[RouteProfile, RouteProfile]] = {}  # least recently used first
-
-
+@functools.lru_cache(maxsize=16)  # the 20 figure recipes hold 12 distinct pairs
 def _scale(route: RouteProfile, factors: tuple[float, float, float]) -> RouteProfile:
-    """``scale_route`` at ``factors``, built once per route object and
-    factors while the LRU above keeps it."""
-    return recall(_scaled_routes, (id(route), factors), SCALED_ROUTES_KEPT,
-                  lambda: (route, scale_route(route, *factors)))[1]
+    """``scale_route`` at ``factors``."""
+    return scale_route(route, *factors)
 
 
 def check_metrics(names: Sequence[str]) -> None:
@@ -223,9 +213,10 @@ def check_metrics(names: Sequence[str]) -> None:
 @dataclass(frozen=True)
 class ScenarioSpec:
     """One Monte-Carlo experiment: route, rates, task, errors, policies, and
-    the output metrics its CSV rows show (None: all of them)."""
+    the output metrics its CSV rows show (None: all of them).  Equality and
+    hashing ignore ``scenario_id`` and ``metrics``, which change no result."""
 
-    scenario_id: str
+    scenario_id: str = field(compare=False)
     route: RouteProfile
     task: TransferTask
     policies: tuple[Policy, ...]
@@ -236,7 +227,7 @@ class ScenarioSpec:
     runs: int = 120
     seed: int = 0
     energy: EnergyModel = EnergyModel()
-    metrics: Optional[tuple[str, ...]] = None
+    metrics: Optional[tuple[str, ...]] = field(default=None, compare=False)
     _scaled: RouteProfile = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -246,14 +237,9 @@ class ScenarioSpec:
         check_integer("seed", self.seed)
         if self.runs > MAX_RUNS:
             raise ValueError(f"runs must be in [1, {MAX_RUNS}], got {self.runs}")
-        if not self.policies:
-            raise ValueError("scenario needs at least one policy")
-        for i, p in enumerate(self.policies):
-            if p in self.policies[:i]:
-                raise ValueError(f"policy {p.cli_name} is listed twice")
+        check_admitted(self.policies, self.task.traffic_class)
         if self.metrics is not None:
             check_metrics(self.metrics)
-        check_admitted(self.policies, self.task.traffic_class)
         # scale_route checks the factors; a realized value is a scaled one times
         # 1 + e u with u in [-1, 1), and rounding is monotone, so 1 -/+ e bound it
         object.__setattr__(self, "_scaled", _scale(
@@ -317,17 +303,11 @@ def scenario_outcomes(spec: ScenarioSpec) -> dict[Policy, RunOutcome]:
     return run_policies(batch, spec.task, spec.policies, spec.errors, spec.energy)
 
 
-# Every compared field but the id and the output metrics decides a
-# scenario's aggregate; their values key the memo of run_scenario.
-_KEY_FIELDS = tuple(f.name for f in fields(ScenarioSpec)
-                    if f.compare and f.name not in ("scenario_id", "metrics"))
-AGGREGATES_KEPT = 64  # the 20 figure recipes hold 44 distinct scenarios
-
 # one (summaries in METRICS order, deadline misses) per policy
 _Aggregate = tuple[tuple[tuple[MetricSummary, ...], int], ...]
-_aggregates: dict[tuple, _Aggregate] = {}  # least recently used first
 
 
+@functools.lru_cache(maxsize=64)  # the 20 figure recipes hold 44 distinct scenarios
 def _aggregate(spec: ScenarioSpec) -> _Aggregate:
     """Each policy's summaries and misses.  One C-contiguous row per (policy,
     metric), reduced as the 1-D array would be and scaled once for both its
@@ -345,12 +325,11 @@ def _aggregate(spec: ScenarioSpec) -> _Aggregate:
 def run_scenario(spec: ScenarioSpec) -> AggregateResult:
     """Run every policy over ``spec.runs`` paired realizations and aggregate.
 
-    A scenario equal to one of the last ``AGGREGATES_KEPT`` in every field but
-    ``scenario_id`` and ``metrics`` is not run again: its result is rebuilt
-    from the memoized aggregate, with new dicts.
+    A scenario equal to a recent one (equality ignores ``scenario_id`` and
+    ``metrics``) is not run again: its result is rebuilt from the cached
+    aggregate, with new dicts.
     """
-    key = tuple(getattr(spec, name) for name in _KEY_FIELDS)
-    per_policy = recall(_aggregates, key, AGGREGATES_KEPT, lambda: _aggregate(spec))
+    per_policy = _aggregate(spec)
     return AggregateResult(
         scenario_id=spec.scenario_id,
         summaries={p: dict(zip(METRICS, s)) for p, (s, _) in zip(spec.policies, per_policy)},

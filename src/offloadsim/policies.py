@@ -95,9 +95,14 @@ class PolicyClassMismatch(ValueError):
 
 
 def check_admitted(policies: Sequence[Policy], traffic_class: TrafficClass) -> None:
-    """Raise :class:`PolicyClassMismatch` for the first of ``policies`` that
+    """Raise ``ValueError`` unless ``policies`` names at least one policy,
+    each once, and :class:`PolicyClassMismatch` for the first of them that
     cannot serve ``traffic_class``."""
-    for p in policies:
+    if not policies:
+        raise ValueError("scenario needs at least one policy")
+    for i, p in enumerate(policies):
+        if p in policies[:i]:
+            raise ValueError(f"policy {p.cli_name} is listed twice")
         if not p.admits(traffic_class):
             raise PolicyClassMismatch(f"{p.cli_name} cannot serve {traffic_class.value} traffic")
 

@@ -10,26 +10,27 @@ the route, built on its first realization, trip or forecast.  For the trip
 loop and the realizations it holds each segment's kind, the mobile segment
 whose rate is available during it (its window), the hotspots and the draw
 count.  For forecasts it holds the mobile segments' start and end times as
-lists sorted by time (a :class:`RouteProfile` is ordered), tables of the
+lists sorted by time (a :class:`RouteProfile` is ordered), and tables of the
 largest and smallest nominal mobile rate over every run of 2**k consecutive
-mobile segments, and, per ``(time_error, throughput_error, use_local_rate,
-hi)``, one walk over the hotspots: the tuple of every hotspot's forecast up
-to the clipped horizon ``hi``, the hotspots' start times beside it, and
-where the mobile segments before each of those starts, the route end and
-``hi`` stop.  A hotspot's forecast depends on ``hi`` but not on the replan
-time ``now``, so the hotspots ahead of ``now`` are a suffix of that tuple,
-found by one bisect; the mobile segments not ended by ``now`` start at a
-second bisect, and the mobile rates before the next hotspot and before
-``hi`` are runs from there to a stop of the walk, whose largest and smallest
-rate are each the extreme of two table entries.  So any forecast costs two
-bisects and a few reads, not a scan of the route, and only the first per
-error pair, rate kind and ``hi`` walks the hotspots.  The forecasts at the
-times a trip replans (0 and every hotspot's end) are memoized, so their
-number per key is bounded by the route, and a key past the
-``FORECAST_KEYS_KEPT``-th empties both memos; any other forecast is built anew.
-A forecast reads the horizon only through ``hi``, so its memo key holds
-``hi`` too: no horizon and every horizon at or past the route end share one
-forecast.
+mobile segments.  :func:`_walk` goes over the hotspots once per index, error
+pair, rate kind and clipped horizon ``hi``: every hotspot's forecast up to
+``hi``, the hotspots' start times beside it, and where the mobile segments
+before each of those starts, the route end and ``hi`` stop.  A hotspot's
+forecast depends on ``hi`` but not on the replan time ``now``, so the
+hotspots ahead of ``now`` are a suffix of that tuple, found by one bisect;
+the mobile segments not ended by ``now`` start at a second bisect, and the
+mobile rates before the next hotspot and before ``hi`` are runs from there
+to a stop of the walk, whose largest and smallest rate are each the extreme
+of two table entries.  So any forecast costs two bisects and a few reads,
+not a scan of the route.  A forecast reads the horizon only through ``hi``,
+so no horizon and every horizon at or past the route end share one.
+
+Every memo here is a ``functools.lru_cache`` on the pure function it
+caches, keyed by that function's arguments, and every cached value is
+immutable: a tuple, a NamedTuple or a read-only array.  :func:`_walk` and
+:func:`_forecast` are keyed by the index object, so the route is keyed by
+identity while its entries live.  The one exception is the index itself
+(``_memo``), kept for the most recent route by identity.
 
 Realizations draw uniform(-1, 1) numbers.  Run k of base seed s reads the
 stream of ``numpy.random.default_rng(derive_run_seed(s, k))``, where
@@ -39,13 +40,8 @@ stream through numpy.  A batch computes all its runs' streams at once,
 without ``numpy.random`` and bit for bit: SeedSequence's hashing, PCG64's
 seeding, its 128-bit LCG step (jumped r steps ahead for row r), its XSL-RR
 output and numpy's conversion to uniform(-1, 1), as integer arithmetic on
-uint64 arrays.  A batch reads the first draws of each run, as many as
-its route's draw count, so every batch with one ``(seed, runs)`` reads
-prefixes of the same streams.  A small LRU keeps, per ``(seed, runs)``, the
-rows drawn so far (read-only) and each run's PCG64 state after them (four
-uint64 words); a batch wanting more rows computes only the missing ones,
-from the saved states.  So the figures' three route layouts seed their runs
-once.
+uint64 arrays.  The draw matrix of each ``(seed, runs, draw count)`` is
+cached, so the figures' three route layouts draw their runs once each.
 
 One loop, :func:`_realized`, turns draws into realized segments: on floats
 for :func:`realize_route`, on ``(runs,)`` rows for :func:`realize_batch`.  So
@@ -55,10 +51,12 @@ by construction, not by a second copy of the formulas kept in step.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
 from types import SimpleNamespace
-from typing import Any, Callable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -123,15 +121,12 @@ class _RouteIndex:
     Per segment, ``wifi`` flags a WiFi segment and ``window`` names the
     mobile segment whose rate is available during it: the segment itself
     when mobile; for a WiFi segment the nearest mobile one, preceding first,
-    else following; None when the route has none.  ``walks`` maps
-    ``(time_error, throughput_error, use_local_rate, hi)`` to what
-    :func:`_walk` returns; ``predictions`` maps :func:`build_prediction`'s key
-    to the forecast it returned, at the replan times only.
+    else following; None when the route has none.  An index hashes by
+    identity, which keys :func:`_walk` and :func:`_forecast`.
     """
 
-    __slots__ = ("route", "wifi", "window", "hotspots", "draw_count", "replans",
-                 "mobile_start", "mobile_end", "rate_max", "rate_min", "walks",
-                 "predictions")
+    __slots__ = ("route", "wifi", "window", "hotspots", "draw_count", "mobile_start",
+                 "mobile_end", "rate_max", "rate_min")
 
     def __init__(self, route: RouteProfile) -> None:
         segments = route.segments
@@ -148,14 +143,11 @@ class _RouteIndex:
         self.hotspots = tuple([seg for seg, w in zip(segments, wifi) if w])
         # drawn per segment: duration, then local and backhaul rate or the mobile rate
         self.draw_count = 2 * len(segments) + len(self.hotspots)
-        self.replans = frozenset([0.0, *(seg.end_time for seg in self.hotspots)])
         mobile = [seg for seg, w in zip(segments, wifi) if not w]
         self.mobile_start = [seg.start_time for seg in mobile]
         self.mobile_end = [seg.end_time for seg in mobile]
         rates = [seg.mobile_rate for seg in mobile]
         self.rate_max, self.rate_min = _range_tables(rates)
-        self.walks: dict = {}
-        self.predictions: dict = {}
 
 
 def _range_tables(values: list[float]) -> tuple[list[list[float]], list[list[float]]]:
@@ -186,13 +178,14 @@ def _extreme(rows: list[list[float]], pick, first: int, stop: int) -> float:
     return pick(row[first], row[stop - (1 << k)])
 
 
+@lru_cache(maxsize=64)  # the 20 figure recipes walk 49-57 keys, by order
 def _walk(
     index: _RouteIndex,
     time_error: float,
     throughput_error: float,
     use_local_rate: bool,
     hi: float,
-) -> tuple[list[float], tuple[HotspotForecast, ...], list[int], int]:
+) -> tuple[tuple[float, ...], tuple[HotspotForecast, ...], tuple[int, ...], int]:
     """Every hotspot usable before ``hi``, in route order: its start time and
     forecast; the count of mobile segments starting before each of those
     starts and before the route end (each within 1e-12 s), bounding the run
@@ -214,18 +207,16 @@ def _walk(
     mobile_start = index.mobile_start
     stops = [bisect_left(mobile_start, t - 1e-12) for t in starts]
     stops.append(bisect_left(mobile_start, index.route.total_time - 1e-12))
-    return starts, tuple(forecasts), stops, bisect_left(mobile_start, hi - 1e-12)
+    return (tuple(starts), tuple(forecasts), tuple(stops),
+            bisect_left(mobile_start, hi - 1e-12))
 
 
-# The index of the most recent nominal route.  A forecast depends on the
-# route, the replan time, the two error magnitudes, the rate kind and the
-# horizon, never on the run seed, so every realization of a route reuses the
-# index, and so does every trip on it.  The route is compared by identity
-# and held by the index, so its id cannot be reused while the index lives; a
-# new route starts a new index.  Routes are frozen, so nothing held goes
-# stale.
+# The index of the most recent nominal route, kept by identity: hashing a
+# route by value costs 4.8 us on the scaled 8-hotspot layout and 10.3 us on a
+# 35-segment route, against about 2.1 us for a whole forecast.  A forecast
+# never depends on the run seed, so every realization of a route and every
+# trip on it reuses the index.  Routes are frozen, so nothing held goes stale.
 _memo: Optional[_RouteIndex] = None
-FORECAST_KEYS_KEPT = 64  # walks per route index; a figure recipe puts at most 14 on one
 
 
 def _route_index(route: RouteProfile) -> _RouteIndex:
@@ -252,29 +243,24 @@ def build_prediction(
 
     ``horizon`` truncates the forecast at a deadline: hotspots starting at or
     after it are dropped and a window straddling it only counts the part
-    before it.  None, inf or any horizon past the route end truncates nothing.
+    before it.  None, inf or any horizon past the route end truncates
+    nothing; a NaN one raises ``ValueError``.
 
     The result does not depend on ``errors.seed``.  The most recently seen
-    route is indexed once (see the module docstring): at a replan time (0 or
-    a hotspot's end), a call with the same ``now``, errors, rate kind and
-    horizon clipped to the route end returns the forecast returned before,
-    and any other forecast costs a few bisects and reads of the index, plus
-    one walk over the hotspots the first time its errors, rate kind and
-    clipped horizon come up.
+    route is indexed once, and a forecast is cached per index, ``now``,
+    errors, rate kind and horizon clipped to the route end (see the module
+    docstring).
     """
     if not -1e-9 <= now <= route.total_time + 1e-6:  # NaN fails too
         raise ValueError(f"now={now} outside route [0, {route.total_time}]")
-    index = _route_index(route)
+    if horizon is not None and math.isnan(horizon):
+        raise ValueError("horizon must not be NaN")
     hi = route.total_time if horizon is None else min(horizon, route.total_time)
-    key = (now, errors.time_error, errors.throughput_error, use_local_rate, hi)
-    pred = index.predictions.get(key)
-    if pred is None:
-        pred = _forecast(index, *key)
-        if now in index.replans:
-            index.predictions[key] = pred
-    return pred
+    return _forecast(_route_index(route), now, errors.time_error, errors.throughput_error,
+                     use_local_rate, hi)
 
 
+@lru_cache(maxsize=512)  # the 20 figure recipes build 247-287 forecasts, by order
 def _forecast(
     index: _RouteIndex,
     now: float,
@@ -285,14 +271,8 @@ def _forecast(
 ) -> PredictionProfile:
     """The forecast behind :func:`build_prediction` up to the clipped
     horizon ``hi``, read from the index."""
-    key = (time_error, throughput_error, use_local_rate, hi)
-    walk = index.walks.get(key)
-    if walk is None:
-        if len(index.walks) >= FORECAST_KEYS_KEPT:  # a sweep of horizons, say
-            index.walks.clear()
-            index.predictions.clear()
-        walk = index.walks[key] = _walk(index, *key)
-    starts, forecasts, stops, horizon_stop = walk
+    starts, forecasts, stops, horizon_stop = _walk(index, time_error, throughput_error,
+                                                   use_local_rate, hi)
     # the first hotspot not started before now (within 1e-9 s)
     cut = bisect_left(starts, now - 1e-9)
     # the first mobile segment not ended by now (within 1e-12 s)
@@ -310,18 +290,6 @@ def _draws(seed: int, n: int) -> np.ndarray:
     ``n`` draws per realization, from numpy's generator.  One vector draw
     equals the same number of scalar draws from it, bit for bit."""
     return np.random.default_rng(seed).uniform(-1.0, 1.0, size=n)
-
-
-def recall(memo: dict, key, kept: int, make: Callable[[], Any]) -> Any:
-    """``memo[key]``, from ``make()`` when absent; ``memo`` is an LRU of at
-    most ``kept`` entries, a dict in recency order (least recent first)."""
-    value = memo.pop(key, None)
-    if value is None:
-        value = make()
-        if len(memo) >= kept:
-            del memo[next(iter(memo))]
-    memo[key] = value
-    return value
 
 
 def check_integer(name: str, value, least: int = 0) -> None:
@@ -440,29 +408,14 @@ def _uniforms(state: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(blocks), np.stack([s_hi, s_lo, inc_hi, inc_lo])
 
 
-# The draws and PCG64 states of the most recent (seed, runs) keys.  The
-# draws of a batch depend on nothing else and its draw count: not on the
-# route's durations or rates, the errors, the task or the policies.  So every
-# sweep point of every figure shares one entry.  The arrays are read-only,
-# and realize_batch only reads them, so a shared prefix cannot change.
-DRAW_STREAMS_KEPT = 4
-_draw_streams: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}  # least recent first
-
-
+@lru_cache(maxsize=4)  # the figure recipes draw 3 shapes, one per route layout
 def _draw_matrix(seed: int, runs: int, n: int) -> np.ndarray:
     """Column k holds the first ``n`` draws of run k, seeded
-    ``derive_run_seed(seed, k)``, for k < ``runs``: a read-only array.  A
-    longer request computes only the missing rows, from the kept states, into
-    a new array, so a prefix handed out before stays valid."""
-    key = (seed, runs)
-    draws, state = recall(_draw_streams, key, DRAW_STREAMS_KEPT,
-                          lambda: (np.empty((0, runs)), _seeded(seed, runs)))
-    if len(draws) < n:
-        more, state = _uniforms(state, n - len(draws))
-        draws = np.concatenate([draws, more])
-        draws.flags.writeable = False
-        _draw_streams[key] = draws, state
-    return draws[:n]
+    ``derive_run_seed(seed, k)``, for k < ``runs``: a read-only array, so
+    every batch that reads it shares it."""
+    draws = _uniforms(_seeded(seed, runs), n)[0]
+    draws.flags.writeable = False
+    return draws
 
 
 def _realized(index: _RouteIndex, errors: ErrorSpec, draws, start, minimum):
@@ -531,7 +484,7 @@ def realize_batch(route: RouteProfile, errors: ErrorSpec, seed: int,
     Run k holds, bit for bit, the values of
     ``realize_route(route, replace(errors, seed=derive_run_seed(seed, k)))``:
     both come from :func:`_realized` on the same draws.  ``errors.seed`` is
-    not used.  The draws are read from the memo above.  A ``runs`` that is
+    not used.  The draws are read from a cache.  A ``runs`` that is
     not an integer of at least 1, a ``seed`` that is not a non-negative
     integer, or a realized value outside (0, inf) raises ``ValueError``.
     """

@@ -41,14 +41,21 @@ def default_route(route_4ap):
     return scale_route(route_4ap, 1 / 3, 1 / 3, 1 / 3)
 
 
+def memo_caches():
+    """Every ``lru_cache`` and ``cache`` in ``metrics`` and ``prediction``,
+    found by its ``cache_clear``, so that a cache added later is found too."""
+    found = {id(f): f for module in (metrics, prediction) for f in vars(module).values()
+             if callable(getattr(f, "cache_clear", None))}
+    return list(found.values())
+
+
 @pytest.fixture
 def fresh_memos():
     """Every process-wide memo emptied, so that no earlier test serves this
-    one: the scenario aggregates, the scaled routes, the draw streams, the
-    forecast index and the last checked pair of routes."""
-    metrics._aggregates.clear()
-    metrics._scaled_routes.clear()
-    prediction._draw_streams.clear()
+    one: each cache :func:`memo_caches` finds, the forecast index and the
+    last checked pair of routes."""
+    for cache in memo_caches():
+        cache.cache_clear()
     prediction._memo = None
     engine._checked = None
 

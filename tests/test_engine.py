@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import make_task, random_route
-from offloadsim.engine import EnergyBreakdown, _ByteState, run_trip
+from offloadsim.engine import EnergyBreakdown, _ByteState, run_policies, run_trip
+from offloadsim.metrics import ScenarioSpec
 from offloadsim.model import (
     AccessKind,
     EnergyModel,
@@ -12,7 +13,7 @@ from offloadsim.model import (
     scale_route,
 )
 from offloadsim.policies import Channel, Policy, PolicyClassMismatch
-from offloadsim.prediction import ErrorSpec, realize_route
+from offloadsim.prediction import ErrorSpec, realize_batch, realize_route
 
 ALL_POLICIES = tuple(Policy)
 DT_POLICIES = (Policy.PREFETCH_DELAY_TOLERANT, Policy.PREDICTION_ONLY_DELAY_TOLERANT,
@@ -190,6 +191,20 @@ class TestRunTripValidation:
             with pytest.raises(PolicyClassMismatch):
                 run_trip(realized, default_route, make_task(50.0, sensitive=sensitive),
                          policy, zero_errors)
+
+    @pytest.mark.parametrize("policies,message", [
+        ((), "scenario needs at least one policy"),
+        ((Policy.MOBILE_ONLY, Policy.MOBILE_ONLY), "policy mobile-only is listed twice")])
+    def test_each_policy_once(self, default_route, zero_errors, policies, message):
+        """A batch pass, like a scenario, takes at least one policy and each
+        once: no policy failed inside numpy, and one listed twice ran two
+        rows but returned one entry."""
+        task = make_task(50.0)
+        with pytest.raises(ValueError, match=message):
+            run_policies(realize_batch(default_route, zero_errors, 0, 3), task, policies,
+                         zero_errors)
+        with pytest.raises(ValueError, match=message):
+            ScenarioSpec("s", default_route, task, policies)
 
     def test_structure_mismatch(self, default_route, route_2ap, zero_errors):
         realized = realize_route(default_route, zero_errors)

@@ -405,8 +405,7 @@ class TestRunScenario:
 
 
 class TestDrawMemo:
-    """The draws are memoized per (seed, runs), as a prefix of each run's
-    stream."""
+    """The draws are cached per (seed, runs, draw count)."""
 
     def test_results_do_not_depend_on_call_order(self, fresh_memos, route_2ap, route_4ap,
                                                  route_8ap):
@@ -447,29 +446,36 @@ class TestDrawMemo:
                 assert values.flags.writeable
                 assert not np.shares_memory(values, draws)
 
-    def test_figures_draw_each_matrix_once(self, monkeypatch, fresh_memos):
-        """All 20 recipes in one process, in a shuffled order, use seed 0 and
-        120 runs on three route layouts: the 120 runs are seeded in one call,
-        and their 40 draws each (the 8-hotspot layout's count) are drawn once,
-        which the 2- and 4-hotspot layouts read a prefix of."""
-        calls = collections.Counter()
-        seeded = prediction._seeded
-
-        def counted(seed, runs):
-            calls[seed, runs] += 1
-            return seeded(seed, runs)
-
-        monkeypatch.setattr(prediction, "_seeded", counted)
+    def test_figures_fill_each_cache_once_per_key(self, fresh_memos):
+        """All 20 recipes in one process, from empty caches, in a shuffled
+        order: each cache misses once per distinct key and evicts nothing,
+        so each bound holds the recipes whole.  They hold 44 distinct
+        scenarios, 12 (route, rate factors) pairs and 3 draw shapes (seed 0
+        and 120 runs on the 2-, 4- and 8-hotspot layouts); the forecast
+        caches, keyed by the route index, which a route rebuilds when another
+        came between, walk 49-57 keys and build 247-287 forecasts, by order."""
         order = list(RECIPES)
         random.Random(8).shuffle(order)
-        points = 0
-        for name in order:
-            sweep = load_sweep(str(bundled_recipe_path(name)))
-            points += len(run_sweep(sweep))
-        assert points == 82
-        assert calls == {(0, 120): 1}
-        assert [(key, draws.shape) for key, (draws, _)
-                in prediction._draw_streams.items()] == [((0, 120), (40, 120))]
+        sweeps = [load_sweep(str(bundled_recipe_path(name))) for name in order]
+        for sweep in sweeps:
+            run_sweep(sweep)
+        bases = [sweep.base for sweep in sweeps]
+        points = [apply_sweep_value(s.base, s.parameter, v) for s in sweeps for v in s.values]
+        assert len(points) == 82
+        keys = {
+            metrics._aggregate: set(points),
+            metrics._scale: {(s.route, (s.mobile_factor, s.wifi_factor, s.backhaul_factor))
+                             for s in bases + points},
+            prediction._draw_matrix: {(s.seed, s.runs, 2 * len(s.route.segments)
+                                       + s.route.n_hotspots) for s in points},
+        }
+        assert [len(k) for k in keys.values()] == [44, 12, 3]
+        for cache, distinct in keys.items():
+            info = cache.cache_info()
+            assert info.misses == info.currsize == len(distinct), cache.__name__
+        for cache in (prediction._walk, prediction._forecast):
+            info = cache.cache_info()
+            assert info.misses == info.currsize, cache.__name__
 
     @pytest.mark.parametrize("seed", [3, 8])
     def test_figures_scale_each_route_once(self, monkeypatch, fresh_memos, seed):
@@ -498,7 +504,7 @@ class TestAggregateMemo:
 
     @staticmethod
     def fresh(spec):
-        metrics._aggregates.clear()
+        metrics._aggregate.cache_clear()
         return run_scenario(spec)
 
     @pytest.fixture
@@ -519,7 +525,7 @@ class TestAggregateMemo:
         points = figure_points()
         assert len(points) == 82
         want = [self.fresh(spec) for spec in points]
-        metrics._aggregates.clear()
+        metrics._aggregate.cache_clear()
         for seed in (1, 2):
             order = list(range(len(points)))
             random.Random(seed).shuffle(order)
@@ -527,7 +533,7 @@ class TestAggregateMemo:
                 got = run_scenario(points[i])
                 assert got == want[i], points[i].scenario_id
                 assert render_csv([got]) == render_csv([want[i]])
-            assert len(metrics._aggregates) == 44
+            assert metrics._aggregate.cache_info().currsize == 44
 
     def test_results_do_not_share_dicts(self, route_4ap):
         spec = make_spec(route_4ap, runs=5)
@@ -562,11 +568,10 @@ class TestAggregateMemo:
             replace(base, metrics=("offload_pct",)),
             replace(base, route=RouteProfile(route_4ap.segments, route_4ap.total_time)),
         ]
-        # the key is every compared field but the id and the output metrics,
-        # and the misses change each of them
-        keyed = {f.name for f in fields(ScenarioSpec) if f.compare} - {"scenario_id",
-                                                                        "metrics"}
-        assert set(metrics._KEY_FIELDS) == keyed
+        # the key is every compared field, the id and the output metrics are
+        # not compared, and the misses change each keyed field
+        keyed = {f.name for f in fields(ScenarioSpec) if f.compare}
+        assert not keyed & {"scenario_id", "metrics", "_scaled"}
         assert {f for spec in misses for f in keyed
                 if getattr(spec, f) != getattr(base, f)} == keyed
         want = run_scenario(base)
@@ -584,7 +589,7 @@ class TestAggregateMemo:
             == self.fresh(replace(base, policies=base.policies[::-1]))
 
     def test_memo_is_bounded_lru(self, route_2ap, ran):
-        kept = metrics.AGGREGATES_KEPT
+        kept = metrics._aggregate.cache_parameters()["maxsize"]
         assert kept >= 64
         specs = [make_spec(route_2ap, runs=2, seed=seed, policies=DT_POLICIES[:1])
                  for seed in range(kept + 2)]
@@ -593,12 +598,12 @@ class TestAggregateMemo:
         run_scenario(specs[0])  # now the most recent
         for spec in specs[kept:]:
             run_scenario(spec)
-        assert len(metrics._aggregates) == kept and len(ran) == kept + 2
+        assert metrics._aggregate.cache_info().currsize == kept and len(ran) == kept + 2
         run_scenario(specs[0])  # kept: used after the others
         assert len(ran) == kept + 2
         run_scenario(specs[1])  # evicted: the least recently used
         assert ran[-1] is specs[1] and len(ran) == kept + 3
-        assert len(metrics._aggregates) == kept
+        assert metrics._aggregate.cache_info().currsize == kept
 
 
 # every per-run field of a RunOutcome, and of its energy

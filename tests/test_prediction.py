@@ -213,6 +213,14 @@ class TestBuildPrediction:
             build_prediction(default_route, now, zero_errors)
 
 
+    def test_nan_horizon(self, default_route, zero_errors, fresh_memos):
+        """A NaN horizon would clip to NaN, forecast as no horizon does and
+        cache a key no later call can hit."""
+        with pytest.raises(ValueError, match="horizon"):
+            build_prediction(default_route, 0.0, zero_errors, horizon=float("nan"))
+        assert prediction._forecast.cache_info().currsize == 0
+
+
 class TestForecastMemo:
     def test_seed_does_not_change_forecast(self):
         rng = np.random.default_rng(21)
@@ -374,27 +382,13 @@ class TestForecastIndex:
         route once, walk its hotspots at most once per key and build no
         forecast twice for one key and time."""
         builds = collections.Counter()
-        walks = collections.Counter()
-        forecasts = collections.Counter()
         real_index = prediction._RouteIndex
-        real_walk = prediction._walk
-        real_forecast = prediction._forecast
 
         def index(route):
             builds[id(route)] += 1
             return real_index(route)
 
-        def walk(index, *key):
-            walks[id(index.route), key] += 1
-            return real_walk(index, *key)
-
-        def forecast(index, *key):
-            forecasts[id(index.route), key] += 1
-            return real_forecast(index, *key)
-
         monkeypatch.setattr(prediction, "_RouteIndex", index)
-        monkeypatch.setattr(prediction, "_walk", walk)
-        monkeypatch.setattr(prediction, "_forecast", forecast)
         rng = np.random.default_rng(28)
         route = random_route(rng, n_segments=32)
         while route.n_hotspots < 8:
@@ -410,9 +404,9 @@ class TestForecastIndex:
             task = sensitive if policy is Policy.PREFETCH_DELAY_SENSITIVE else tolerant
             run_trip(realized, route, task, policy, errors)
         assert builds == {id(route): 1}
-        assert walks and max(walks.values()) == 1
-        assert max(forecasts.values()) == 1
-        assert sum(forecasts.values()) > 2 * route.n_hotspots
+        walks, forecasts = prediction._walk.cache_info(), prediction._forecast.cache_info()
+        assert 0 < walks.misses == walks.currsize  # nothing walked twice, or evicted
+        assert forecasts.misses == forecasts.currsize > 2 * route.n_hotspots
 
 
 class TestRouteIndex:
@@ -436,40 +430,23 @@ class TestRouteIndex:
             seen["wifi only"] += all(wifi)
         assert min(seen.values()) > 0
 
-    def test_memo_keeps_replan_times_only(self, fresh_memos):
-        """Forecasts at many distinct times leave the memo holding one per
-        replan time asked for, and each equals the full scan's."""
-        rng = np.random.default_rng(30)
-        route = random_route(rng, n_segments=35)
-        while route.n_hotspots < 8:
-            route = random_route(rng, n_segments=35)
-        errors = ErrorSpec(0.10, 0.20)
-        nows = [float(t) for t in rng.uniform(0, route.total_time, size=3000)]
-        nows += replan_times(route)
-        for now in nows:
-            for local in (True, False):
-                assert_forecast_equal(build_prediction(route, now, errors, local),
-                                      reference_forecast(route, now, 0.10, 0.20, local, None))
-        index = prediction._memo
-        assert index.route is route
-        assert len(index.predictions) == 2 * len(set(replan_times(route)))
-
     def test_forecast_keys_are_bounded(self, route_8ap, fresh_memos):
         """20,000 forecasts at time 0 with distinct horizons on one route
-        leave at most FORECAST_KEYS_KEPT walks and forecasts in its index, and
-        each answer still equals the full scan's."""
+        leave each forecast cache full but within its bound, and each answer
+        still equals the full scan's."""
         route = scale_route(route_8ap, 1 / 3, 1 / 3, 1 / 3)
         errors = ErrorSpec(0.10, 0.20)
-        kept = prediction.FORECAST_KEYS_KEPT
+        caches = (prediction._walk, prediction._forecast)
         horizons = np.linspace(1.0, route.total_time, 20_000).tolist()
         for i, horizon in enumerate(horizons):
             got = build_prediction(route, 0.0, errors, horizon=horizon)
             if i % 97 == 0 or i == len(horizons) - 1:
                 assert_forecast_equal(
                     got, reference_forecast(route, 0.0, 0.10, 0.20, True, horizon))
-            index = prediction._memo
-            assert len(index.walks) <= kept and len(index.predictions) <= kept
-        assert index.route is route and len(index.walks) == 20_000 % kept
+        for cache in caches:
+            info = cache.cache_info()
+            assert info.currsize == info.maxsize < info.misses == len(horizons)
+        assert prediction._memo.route is route
 
 
 class TestRealizeRoute:
@@ -574,7 +551,7 @@ class TestRealizeRoute:
         args = {"seed": 0, "runs": 3, name: value}
         with pytest.raises(ValueError, match=f"{name} must be an integer >= "):
             realize_batch(default_route, ErrorSpec(0.1, 0.2), **args)
-        assert not prediction._draw_streams
+        assert prediction._draw_matrix.cache_info().currsize == 0
 
     def test_random_routes_survive_realization(self):
         rng = np.random.default_rng(99)
