@@ -1,4 +1,3 @@
-import collections
 import math
 import os
 import random
