@@ -18,8 +18,9 @@ so the package needs no statistics library.  Per-run seeds are derived from the
 scenario seed with a stable hash, so adding a policy or rerunning a sweep
 never reshuffles the realizations.
 
-Two memos here are ``functools.lru_cache`` on the pure functions they cache,
-as in :mod:`offloadsim.prediction`, each holding only immutable values.
+Besides ``t_quantile_975``, two memos here are ``functools.lru_cache`` on the
+pure functions they cache, as in :mod:`offloadsim.prediction`, each holding
+only immutable values.
 ``_scale`` keeps the scaled route of each ``(route, rate factors)`` pair,
 keyed by the route's value, so the points of a sweep that leave the rates
 alone, and recipes on one layout, share a scaled route and with it the

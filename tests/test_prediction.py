@@ -212,7 +212,6 @@ class TestBuildPrediction:
         with pytest.raises(ValueError):
             build_prediction(default_route, now, zero_errors)
 
-
     def test_nan_horizon(self, default_route, zero_errors, fresh_memos):
         """A NaN horizon would clip to NaN, forecast as no horizon does and
         cache a key no later call can hit."""
