@@ -40,8 +40,7 @@ def main():
     for now, label in [(0.0, "route start")] + [
         (h.end_time, f"leaving hotspot {h.hotspot_index}") for h in nominal.hotspots
     ]:
-        pred = build_prediction(nominal, now, errors, use_local_rate=True,
-                                horizon=task.delay_threshold)
+        pred = build_prediction(nominal, now, errors, horizon=task.delay_threshold)
         rate, _, cache = plan_exit(
             Policy.PREFETCH_DELAY_TOLERANT, max(0.0, task.size_mb - received),
             task.delay_threshold - now, pred, received,
@@ -55,7 +54,7 @@ def main():
         # assume the pessimistic delivery to move the walkthrough forward
         received += rate * pred.time_to_next_wifi / 8
         if pred.hotspots:
-            received += pred.hotspots[0].rate_min * pred.hotspots[0].duration_min / 8
+            received += pred.hotspots[0].local_min * pred.hotspots[0].duration_min / 8
         received = min(received, task.size_mb)
 
     print()

@@ -21,6 +21,8 @@ equals :func:`run_trip` on realization k bit for bit.  Both plan through the
 same :func:`~offloadsim.policies.plan_exit` and
 :func:`~offloadsim.policies.plan_entry`.  Only a policy that reads a plan, a
 rate-limited or a prefetching one, replans; the others never build a forecast.
+A replan point builds one forecast, which bounds both WiFi rates, for every
+policy of the pass: the planner picks the rate each plans on.
 
 Energy is priced in the same loop: per-MB transfer costs on the bytes each
 channel moved, plus WiFi idle power.  At each hotspot visit the loop adds
@@ -194,19 +196,13 @@ def _run(
     # only a rate-limited policy reads the planned rate and only a
     # prefetching one the caches; for the others a plan changes nothing
     plans = limited is not False or prefetches is not False
-    # beside prefetching rows, a rate-limited one that does not plans on backhaul rates
-    two_forecasts = not isinstance(prefetches, bool) and ops.any(limited & ~prefetches) > 0
 
     def replan(now_nominal: float, now_realized: Floats) -> None:
         nonlocal plan_rate, infeasible, provisioned
         runs = state.pending
-        pred = build_prediction(nominal, now_nominal, errors,
-                                use_local_rate=prefetches is not False, horizon=deadline)
-        backhaul_pred = (build_prediction(nominal, now_nominal, errors, use_local_rate=False,
-                                          horizon=deadline) if two_forecasts else None)
         plan_rate, flagged, cache = plan_exit(
             policy, ops.maximum(0.0, size - state.prefix), deadline - now_realized,
-            pred, state.prefix, backhaul_pred)
+            build_prediction(nominal, now_nominal, errors, horizon=deadline), state.prefix)
         infeasible = infeasible | (runs & flagged)
         if cache is not None:
             index, amount, offset = cache
@@ -313,8 +309,8 @@ def run_policies(
     in one pass over ``(P, runs)`` arrays; each policy's outcome is a view of
     its row, one entry per run in each field, and run k's equals
     :func:`run_trip` on realization k bit for bit, whatever other policies
-    share the pass.  A forecast is built once per replan point for the whole
-    batch."""
+    share the pass.  One forecast is built per replan point for the whole
+    batch and every policy in it."""
     check_admitted(policies, task.traffic_class)
     end = batch.segments[-1].end_time
     out = _run(batch.segments, np.broadcast_to(end, (len(policies), len(end))), batch.route,

@@ -172,7 +172,7 @@ def ci_halfwidth(samples: Union[Sequence[float], np.ndarray]) -> Union[float, np
     std.  The rows are scaled as in the module docstring.
     """
     samples = np.asarray(samples, dtype=float)
-    n = samples.shape[-1]
+    n = samples.shape[-1] if samples.ndim else 1
     if n < 2:
         raise InsufficientSamples(f"need at least 2 samples, got {n}")
     half = _means_and_cis(samples)[1]
@@ -184,9 +184,10 @@ def relative_gain(a_mean: float, b_mean: float, lower_is_better: bool = False) -
 
     For higher-is-better metrics (offload): (a - b) / b * 100.  For
     lower-is-better ones (delay, energy): (b - a) / b * 100, so a positive
-    number always means ``a`` wins.
+    number always means ``a`` wins.  A baseline that is not positive and
+    finite raises ``ValueError``.
     """
-    if b_mean <= 0:
+    if not 0 < b_mean < math.inf:  # NaN fails too
         raise ValueError(f"baseline mean must be positive, got {b_mean}")
     if lower_is_better:
         return (b_mean - a_mean) / b_mean * 100.0

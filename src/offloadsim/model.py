@@ -60,6 +60,8 @@ class RouteSegment:
                 raise ValueError("mobile segment needs a positive, finite mobile_rate")
             if self.wifi_local_rate is not None or self.backhaul_rate is not None:
                 raise ValueError("mobile segment must not carry WiFi rates")
+            if self.hotspot_index is not None:
+                raise ValueError("mobile segment must not carry a hotspot_index")
         else:
             if not _positive_finite(self.wifi_local_rate):
                 raise ValueError("wifi segment needs a positive, finite wifi_local_rate")

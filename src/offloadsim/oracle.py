@@ -4,14 +4,15 @@ Same event rules as :mod:`offloadsim.engine`, but the transfer integration
 is a forward time march with a fixed step instead of closed-form fills, over
 its own received prefix and its own phase list for each hotspot.  It shares
 :func:`~offloadsim.prediction.build_prediction` and
-:func:`~offloadsim.policies.plan_exit` with the engine, so agreement between
-the two checks the byte integration, the completion crossings, the phase
-order, the hotspot phase list the oracle builds itself (in place of
+:func:`~offloadsim.policies.plan_exit` with the engine, one forecast per
+replan point whose WiFi rate the planner picks, so agreement between the two
+checks the byte integration, the completion crossings, the phase order, the
+hotspot phase list the oracle builds itself (in place of
 :func:`~offloadsim.policies.plan_entry`) and the mobile rate of each WiFi
 window, which it finds by its own scan (in place of the engine's route
-index).  It does not check the planning or
-the forecasts: ``tests/test_policies.py`` checks the planners, and
-``reference_forecast`` in ``tests/test_prediction.py`` the forecasts.
+index).  It does not check the planning or the forecasts:
+``tests/test_policies.py`` checks the planners, and ``reference_forecast``
+in ``tests/test_prediction.py`` the forecasts.
 
 Each segment is still ``ceil(duration / dt)`` steps taken in order; no step
 is solved in closed form.  Most steps are *plain*: a full step inside one
@@ -91,10 +92,7 @@ def run_trip_stepped(
     completion: Optional[float] = None
 
     def replan(now_nominal: float, now_realized: float) -> float:
-        pred = build_prediction(
-            route_nominal, now_nominal, errors,
-            use_local_rate=policy.prefetches, horizon=deadline,
-        )
+        pred = build_prediction(route_nominal, now_nominal, errors, horizon=deadline)
         rate, _, cache = plan_exit(
             policy, max(0.0, size - prefix), deadline - now_realized, pred, prefix)
         if cache is not None and cache[1] > 0:

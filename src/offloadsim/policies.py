@@ -142,16 +142,6 @@ class EntryAction(NamedTuple):
     window_hi: Floats
 
 
-def _pessimistic_wifi(pred: PredictionProfile) -> tuple[float, float]:
-    """Lower-bound WiFi bytes (MB) and seconds over the remaining hotspots."""
-    # left to right: builtin sum() of floats is compensated from Python 3.12 on
-    data = seconds = 0.0
-    for h in pred.hotspots:
-        data += h.rate_min * h.duration_min
-        seconds += h.duration_min
-    return data / MBIT_PER_MB, seconds
-
-
 class Elementwise(NamedTuple):
     """The elementwise operations of one form: floats for one trip, numpy
     arrays with one entry per run for a batch.  ``zeros(like, dtype=float)``
@@ -186,13 +176,27 @@ def elementwise(x: Floats) -> Elementwise:
     return _ARRAY_OPS if isinstance(x, np.ndarray) else _FLOAT_OPS
 
 
+def _pessimistic_wifi(pred: PredictionProfile, prefetches: Bools) -> tuple[Floats, float]:
+    """Lower-bound WiFi bytes (MB) and seconds over the remaining hotspots, at
+    the local rate where ``prefetches`` (a cached hotspot serves at it) and at
+    the backhaul rate elsewhere: both sums only for a ``(P, 1)`` mask."""
+    # left to right: builtin sum() of floats is compensated from Python 3.12 on
+    local = backhaul = seconds = 0.0
+    for h in pred.hotspots:
+        if prefetches is not False:
+            local += h.local_min * h.duration_min
+        if prefetches is not True:
+            backhaul += h.backhaul_min * h.duration_min
+        seconds += h.duration_min
+    return _ARRAY_OPS.pick(prefetches, local, backhaul) / MBIT_PER_MB, seconds
+
+
 def plan_exit(
     policy: Union[Policy, PolicyColumns],
     remaining_mb: Floats,
     time_left: Floats,
     pred: PredictionProfile,
     received_prefix_mb: Floats = 0.0,
-    backhaul_pred: Optional[PredictionProfile] = None,
 ) -> tuple[Floats, Bools, Optional[tuple[int, Floats, Floats]]]:
     """Plan at the route start or a hotspot exit: ``(rate, infeasible, cache)``.
 
@@ -200,12 +204,11 @@ def plan_exit(
     size it so that the pessimistic WiFi forecast plus the mobile stream
     finish the ``remaining_mb`` at the deadline, clamped to the lowest
     mobile rate on the horizon; ``infeasible`` flags the plans that needed
-    more.  ``pred`` must carry local-rate bounds when the policy prefetches
-    (a cached hotspot serves at its local WiFi rate) and backhaul-rate
-    bounds otherwise.  The other policies request the full predicted mobile
-    rate and are never infeasible; for a batch, their rate and flag are one
-    value for every run.  With several policies, the rate-limited rows that do
-    not prefetch read ``backhaul_pred`` where ``pred`` has local-rate bounds.
+    more.  A prefetching policy plans on the hotspots' local WiFi rate (a
+    cached hotspot serves at it), any other on their backhaul rate: this is
+    the one place that choice is made.  The other policies request the full
+    predicted mobile rate and are never infeasible; for a batch, their rate
+    and flag are one value for every run.
 
     ``cache`` is None unless the policy prefetches and a hotspot remains;
     then it is ``(hotspot_index, amount, offset)``: the node expects to have
@@ -218,11 +221,7 @@ def plan_exit(
     limited, prefetches = policy.rate_limited, policy.prefetches
     rate, infeasible = pred.max_mobile_rate, False
     if limited is not False:
-        wifi_mb, wifi_s = _pessimistic_wifi(pred)
-        if backhaul_pred is not None:
-            origin_mb, origin_s = _pessimistic_wifi(backhaul_pred)
-            wifi_mb = ops.where(prefetches, wifi_mb, origin_mb)
-            wifi_s = ops.where(prefetches, wifi_s, origin_s)
+        wifi_mb, wifi_s = _pessimistic_wifi(pred, prefetches)
         data_mobile = ops.maximum(0.0, remaining_mb - wifi_mb)
         time_mobile = ops.maximum(T_MOBILE_FLOOR, time_left - wifi_s)
         raw = data_mobile * MBIT_PER_MB / time_mobile
@@ -236,7 +235,7 @@ def plan_exit(
     size_mb = received_prefix_mb + remaining_mb
     offset = received_prefix_mb + rate * pred.time_to_next_wifi / MBIT_PER_MB
     nxt = pred.hotspots[0]
-    amount = ops.maximum(0.0, ops.minimum(nxt.rate_max * nxt.duration_max / MBIT_PER_MB,
+    amount = ops.maximum(0.0, ops.minimum(nxt.local_max * nxt.duration_max / MBIT_PER_MB,
                                           size_mb - offset))
     return rate, infeasible, (nxt.hotspot_index, ops.pick(prefetches, amount, 0.0), offset)
 

@@ -13,9 +13,9 @@ count.  For forecasts it holds the mobile segments' start and end times as
 lists sorted by time (a :class:`RouteProfile` is ordered), and tables of the
 largest and smallest nominal mobile rate over every run of 2**k consecutive
 mobile segments.  :func:`_walk` goes over the hotspots once per index, error
-pair, rate kind and clipped horizon ``hi``: every hotspot's forecast up to
-``hi``, the hotspots' start times beside it, and where the mobile segments
-before each of those starts, the route end and ``hi`` stop.  A hotspot's
+pair and clipped horizon ``hi``: every hotspot's forecast up to ``hi``, the
+hotspots' start times beside it, and where the mobile segments before each
+of those starts, the route end and ``hi`` stop.  A hotspot's
 forecast depends on ``hi`` but not on the replan time ``now``, so the
 hotspots ahead of ``now`` are a suffix of that tuple, found by one bisect;
 the mobile segments not ended by ``now`` start at a second bisect, and the
@@ -88,13 +88,17 @@ class ErrorSpec:
 
 class HotspotForecast(NamedTuple):
     """Duration and rate bounds for one future hotspot, as the planner sees it:
-    ``1 ∓ e`` times a positive nominal value, e in [0, 1), so min <= max."""
+    ``1 ∓ e`` times a positive nominal value, e in [0, 1), so min <= max.  It
+    bounds both WiFi rates, the local (cache) one and the backhaul one; which
+    of them a policy plans on is the planner's choice."""
 
     hotspot_index: int
     duration_min: float
     duration_max: float
-    rate_min: float
-    rate_max: float
+    local_min: float
+    local_max: float
+    backhaul_min: float
+    backhaul_max: float
 
 
 class PredictionProfile(NamedTuple):
@@ -178,12 +182,11 @@ def _extreme(rows: list[list[float]], pick, first: int, stop: int) -> float:
     return pick(row[first], row[stop - (1 << k)])
 
 
-@lru_cache(maxsize=64)  # the 20 figure recipes walk 49-57 keys, by order
+@lru_cache(maxsize=64)  # the 20 figure recipes walk 30-38 keys, by order
 def _walk(
     index: _RouteIndex,
     time_error: float,
     throughput_error: float,
-    use_local_rate: bool,
     hi: float,
 ) -> tuple[tuple[float, ...], tuple[HotspotForecast, ...], tuple[int, ...], int]:
     """Every hotspot usable before ``hi``, in route order: its start time and
@@ -198,12 +201,14 @@ def _walk(
         usable = min(seg.end_time, hi) - seg.start_time
         if usable <= 1e-12:
             continue
-        rate = seg.wifi_local_rate if use_local_rate else seg.backhaul_rate
+        local, backhaul = seg.wifi_local_rate, seg.backhaul_rate
         starts.append(seg.start_time)
-        # fields in order (index, duration min and max, rate min and max):
-        # a call by position builds a NamedTuple in about half the time
-        forecasts.append(HotspotForecast(seg.hotspot_index, (1 - te) * usable,
-                                         (1 + te) * usable, (1 - re) * rate, (1 + re) * rate))
+        # fields in order (index, then min and max of the duration, local and
+        # backhaul rate): a call by position builds a NamedTuple in about
+        # half the time
+        forecasts.append(HotspotForecast(seg.hotspot_index, (1 - te) * usable, (1 + te) * usable,
+                                         (1 - re) * local, (1 + re) * local,
+                                         (1 - re) * backhaul, (1 + re) * backhaul))
     mobile_start = index.mobile_start
     stops = [bisect_left(mobile_start, t - 1e-12) for t in starts]
     stops.append(bisect_left(mobile_start, index.route.total_time - 1e-12))
@@ -232,14 +237,12 @@ def build_prediction(
     route: RouteProfile,
     now: float,
     errors: ErrorSpec,
-    use_local_rate: bool = True,
     horizon: Optional[float] = None,
 ) -> PredictionProfile:
     """Forecast the remaining hotspots of the nominal route from time ``now``.
 
-    ``use_local_rate`` selects which WiFi rate the bounds describe: the
-    local-cache rate (prefetching schemes) or the backhaul rate (the
-    prediction-only scheme, which always fetches from the origin).
+    Each hotspot's forecast bounds both its local (cache) and its backhaul
+    rate, so one forecast serves every policy at a replan point.
 
     ``horizon`` truncates the forecast at a deadline: hotspots starting at or
     after it are dropped and a window straddling it only counts the part
@@ -248,31 +251,27 @@ def build_prediction(
 
     The result does not depend on ``errors.seed``.  The most recently seen
     route is indexed once, and a forecast is cached per index, ``now``,
-    errors, rate kind and horizon clipped to the route end (see the module
-    docstring).
+    errors and horizon clipped to the route end (see the module docstring).
     """
     if not -1e-9 <= now <= route.total_time + 1e-6:  # NaN fails too
         raise ValueError(f"now={now} outside route [0, {route.total_time}]")
     if horizon is not None and math.isnan(horizon):
         raise ValueError("horizon must not be NaN")
     hi = route.total_time if horizon is None else min(horizon, route.total_time)
-    return _forecast(_route_index(route), now, errors.time_error, errors.throughput_error,
-                     use_local_rate, hi)
+    return _forecast(_route_index(route), now, errors.time_error, errors.throughput_error, hi)
 
 
-@lru_cache(maxsize=512)  # the 20 figure recipes build 247-287 forecasts, by order
+@lru_cache(maxsize=512)  # the 20 figure recipes build 150-190 forecasts, by order
 def _forecast(
     index: _RouteIndex,
     now: float,
     time_error: float,
     throughput_error: float,
-    use_local_rate: bool,
     hi: float,
 ) -> PredictionProfile:
     """The forecast behind :func:`build_prediction` up to the clipped
     horizon ``hi``, read from the index."""
-    starts, forecasts, stops, horizon_stop = _walk(index, time_error, throughput_error,
-                                                   use_local_rate, hi)
+    starts, forecasts, stops, horizon_stop = _walk(index, time_error, throughput_error, hi)
     # the first hotspot not started before now (within 1e-9 s)
     cut = bisect_left(starts, now - 1e-9)
     # the first mobile segment not ended by now (within 1e-12 s)

@@ -125,6 +125,12 @@ class TestCiHalfwidth:
         with pytest.raises(InsufficientSamples):
             ci_halfwidth(samples)
 
+    def test_one_number_is_one_sample(self):
+        """A 0-d input has no last axis: it once raised a bare IndexError."""
+        for sample in (5.0, np.float64(5.0), np.array(5.0)):
+            with pytest.raises(InsufficientSamples, match="need at least 2 samples, got 1"):
+                ci_halfwidth(sample)
+
     def test_float_for_one_dimension(self):
         assert type(ci_halfwidth([0.0, 1.0])) is float
         assert type(ci_halfwidth(np.array([4.2, 4.2]))) is float
@@ -248,6 +254,12 @@ class TestRelativeGain:
     def test_zero_baseline_guarded(self):
         with pytest.raises(ValueError):
             relative_gain(1.0, 0.0)
+
+    @pytest.mark.parametrize("baseline", [math.nan, math.inf, -math.inf, -1.0])
+    def test_baseline_not_positive_and_finite(self, baseline):
+        """A NaN or infinite baseline once returned NaN."""
+        with pytest.raises(ValueError, match="baseline mean must be positive"):
+            relative_gain(1.0, baseline)
 
 
 class TestDeriveRunSeed:
@@ -452,7 +464,7 @@ class TestDrawMemo:
         scenarios, 12 (route, rate factors) pairs and 3 draw shapes (seed 0
         and 120 runs on the 2-, 4- and 8-hotspot layouts); the forecast
         caches, keyed by the route index, which a route rebuilds when another
-        came between, walk 49-57 keys and build 247-287 forecasts, by order."""
+        came between, walk 30-38 keys and build 150-190 forecasts, by order."""
         order = list(RECIPES)
         random.Random(8).shuffle(order)
         sweeps = [load_sweep(str(bundled_recipe_path(name))) for name in order]

@@ -57,6 +57,13 @@ class TestRouteSegment:
             RouteSegment(AccessKind.MOBILE, 0.0, 10.0, mobile_rate=5.0,
                          wifi_local_rate=10.0)
 
+    @pytest.mark.parametrize("index", [3, 0, -1])
+    def test_mobile_rejects_a_hotspot_index(self, index):
+        """A mobile segment's index was once kept, carried into realized
+        routes and compared by the structure check."""
+        with pytest.raises(ValueError, match="hotspot_index"):
+            RouteSegment(AccessKind.MOBILE, 0, 1, mobile_rate=1, hotspot_index=index)
+
 
 class TestRouteProfile:
     def test_contiguity_enforced(self):

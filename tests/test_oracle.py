@@ -332,10 +332,7 @@ def reference_stepped(route_realized, route_nominal, task, policy, errors, dt=0.
     completion = None
 
     def replan(now_nominal, now_realized):
-        pred = build_prediction(
-            route_nominal, now_nominal, errors,
-            use_local_rate=policy.prefetches, horizon=horizon,
-        )
+        pred = build_prediction(route_nominal, now_nominal, errors, horizon=horizon)
         rate, _, cache = plan_exit(
             policy, max(0.0, size - prefix), deadline - now_realized, pred, prefix)
         if cache is not None and cache[1] > 0:

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from conftest import edge_routes, make_task, random_route
-from offloadsim import engine, oracle, policies
+from offloadsim import engine, oracle, policies, prediction
+from offloadsim.config import bundled_scenario_path, load_scenario
 from offloadsim.model import scale_route
 from offloadsim.policies import Channel, Policy, plan_entry, plan_exit
 from offloadsim.prediction import (ErrorSpec, HotspotForecast, PredictionProfile,
@@ -18,48 +19,43 @@ PREFETCH_DS = Policy.PREFETCH_DELAY_SENSITIVE
 
 
 @pytest.fixture(scope="module")
-def pred_local_t0(default_route):
-    return build_prediction(default_route, 0.0, ZERO, use_local_rate=True)
-
-
-@pytest.fixture(scope="module")
-def pred_backhaul_t0(default_route):
-    return build_prediction(default_route, 0.0, ZERO, use_local_rate=False)
+def pred_t0(default_route):
+    return build_prediction(default_route, 0.0, ZERO)
 
 
 class TestDelayTolerantPlan:
-    def test_default_scenario_rate(self, pred_local_t0):
+    def test_default_scenario_rate(self, pred_t0):
         # 60 MB over the one-third-scaled route, full 269 s budget:
         # pessimistic WiFi carries 50.1525 MB in 72 s, the mobile stream the
         # rest over 197 s.
         rate, infeasible, (index, amount, offset) = plan_exit(
-            PREFETCH_DT, 60.0, 269.0, pred_local_t0)
+            PREFETCH_DT, 60.0, 269.0, pred_t0)
         assert rate == pytest.approx(78.78 / 197, rel=1e-12)
         assert not infeasible
         assert index == 1
         assert amount == pytest.approx(16.16 / 3 * 18 / 8, rel=1e-12)
         assert offset == pytest.approx(rate * 18 / 8, rel=1e-12)
 
-    def test_wifi_covers_everything(self, pred_local_t0):
-        rate, _, (_, _, offset) = plan_exit(PREFETCH_DT, 30.0, 269.0, pred_local_t0)
+    def test_wifi_covers_everything(self, pred_t0):
+        rate, _, (_, _, offset) = plan_exit(PREFETCH_DT, 30.0, 269.0, pred_t0)
         assert rate == 0.0
         assert offset == 0.0
 
-    def test_nothing_left(self, pred_local_t0):
-        rate, _, (_, amount, _) = plan_exit(PREFETCH_DT, 0.0, 100.0, pred_local_t0, 60.0)
+    def test_nothing_left(self, pred_t0):
+        rate, _, (_, amount, _) = plan_exit(PREFETCH_DT, 0.0, 100.0, pred_t0, 60.0)
         assert rate == 0.0
         assert amount == 0.0  # truncated at the object end
 
-    def test_oversized_object_clamps_and_flags(self, pred_local_t0):
-        rate, infeasible, _ = plan_exit(PREFETCH_DT, 1e4, 269.0, pred_local_t0)
+    def test_oversized_object_clamps_and_flags(self, pred_t0):
+        rate, infeasible, _ = plan_exit(PREFETCH_DT, 1e4, 269.0, pred_t0)
         assert infeasible
         # cap is the lowest mobile rate on the horizon (4.58/3)
         assert rate == pytest.approx(4.58 / 3, rel=1e-12)
 
-    def test_time_budget_floor(self, pred_local_t0):
+    def test_time_budget_floor(self, pred_t0):
         # WiFi time estimate exceeds the whole budget: denominator floored,
         # rate clamps instead of dividing by zero
-        rate, infeasible, _ = plan_exit(PREFETCH_DT, 60.0, 10.0, pred_local_t0)
+        rate, infeasible, _ = plan_exit(PREFETCH_DT, 60.0, 10.0, pred_t0)
         assert infeasible
         assert rate == pytest.approx(4.58 / 3, rel=1e-12)
 
@@ -69,7 +65,7 @@ class TestDelayTolerantPlan:
         which leaves the mobile stream 1.4e-17 MB.  A compensated sum (the
         builtin from Python 3.12 on; math.fsum shadows it here) must not
         change the plan."""
-        hotspots = tuple(HotspotForecast(i, 1.0, 1.0, 0.1, 0.1) for i in range(10))
+        hotspots = tuple(HotspotForecast(i, 1.0, 1.0, 0.1, 0.1, 0.1, 0.1) for i in range(10))
         pred = PredictionProfile(hotspots, 5.0, 100.0, 100.0)
         want = plan_exit(PREFETCH_DT, 0.125, 100.0, pred)
         assert want[0] > 0.0
@@ -81,13 +77,13 @@ PREDICTION_ONLY = Policy.PREDICTION_ONLY_DELAY_TOLERANT
 
 
 class TestPredictionOnlyPlan:
-    def test_default_scenario_rate(self, pred_backhaul_t0):
-        rate, _, cache = plan_exit(PREDICTION_ONLY, 60.0, 269.0, pred_backhaul_t0)
+    def test_default_scenario_rate(self, pred_t0):
+        rate, _, cache = plan_exit(PREDICTION_ONLY, 60.0, 269.0, pred_t0)
         assert rate == pytest.approx(281.94 / 197, rel=1e-12)
         assert cache is None
 
-    def test_zero_remaining(self, pred_backhaul_t0):
-        rate, _, _ = plan_exit(PREDICTION_ONLY, 0.0, 269.0, pred_backhaul_t0)
+    def test_zero_remaining(self, pred_t0):
+        rate, _, _ = plan_exit(PREDICTION_ONLY, 0.0, 269.0, pred_t0)
         assert rate == 0.0
 
     def test_matches_prefetch_when_backhaul_equals_local(self, route_4ap):
@@ -95,16 +91,15 @@ class TestPredictionOnlyPlan:
         # the same capacity and must produce the same mobile rate
         equal = scale_route(route_4ap, wifi_factor=1e-9, backhaul_factor=1 / 3)
         # wifi_factor shrank local below backhaul, so backhaul == local now
-        pred_l = build_prediction(equal, 0.0, ZERO, use_local_rate=True)
-        pred_b = build_prediction(equal, 0.0, ZERO, use_local_rate=False)
-        r1, _, _ = plan_exit(PREFETCH_DT, 60.0, 269.0, pred_l)
-        r2, _, _ = plan_exit(PREDICTION_ONLY, 60.0, 269.0, pred_b)
+        pred = build_prediction(equal, 0.0, ZERO)
+        r1, _, _ = plan_exit(PREFETCH_DT, 60.0, 269.0, pred)
+        r2, _, _ = plan_exit(PREDICTION_ONLY, 60.0, 269.0, pred)
         assert r1 == pytest.approx(r2, rel=1e-12)
 
 
 class TestDelaySensitivePlan:
     def test_exit_after_first_hotspot(self, default_route):
-        pred = build_prediction(default_route, 36.0, ZERO, use_local_rate=True)
+        pred = build_prediction(default_route, 36.0, ZERO)
         rate, _, (index, _, offset) = plan_exit(PREFETCH_DS, 40.0, math.inf, pred, 10.0)
         # requests the mobile rate of the upcoming gap
         assert rate == pytest.approx(4.58 / 3, rel=1e-12)
@@ -112,7 +107,7 @@ class TestDelaySensitivePlan:
         assert index == 2
 
     def test_rate_independent_of_size_and_prefix(self, default_route):
-        pred = build_prediction(default_route, 36.0, ZERO, use_local_rate=True)
+        pred = build_prediction(default_route, 36.0, ZERO)
         rates = {
             plan_exit(PREFETCH_DS, r, math.inf, pred, p)[0]
             for r, p in ((1.0, 0.0), (500.0, 0.0), (40.0, 25.0))
@@ -120,13 +115,13 @@ class TestDelaySensitivePlan:
         assert len(rates) == 1
 
     def test_zero_gap_keeps_prefix(self, default_route):
-        pred = build_prediction(default_route, 18.0, ZERO, use_local_rate=True)
+        pred = build_prediction(default_route, 18.0, ZERO)
         assert pred.time_to_next_wifi == 0.0
         _, _, (_, _, offset) = plan_exit(PREFETCH_DS, 40.0, math.inf, pred, 20.0)
         assert offset == pytest.approx(20.0)
 
     def test_no_hotspots_left(self, default_route):
-        pred = build_prediction(default_route, 260.0, ZERO, use_local_rate=True)
+        pred = build_prediction(default_route, 260.0, ZERO)
         assert not pred.hotspots
         _, _, cache = plan_exit(PREFETCH_DS, 5.0, math.inf, pred, 55.0)
         assert cache is None  # nothing to stage
@@ -141,7 +136,7 @@ class TestCacheTruncation:
                 continue
             errors = ErrorSpec(float(rng.uniform(0, 0.4)), float(rng.uniform(0, 0.8)))
             now = float(rng.uniform(0, route.total_time * 0.8))
-            pred = build_prediction(route, now, errors, use_local_rate=True)
+            pred = build_prediction(route, now, errors)
             if not pred.hotspots:
                 continue
             prefix = float(rng.uniform(0, 30))
@@ -149,7 +144,7 @@ class TestCacheTruncation:
             _, _, (_, amount, offset) = plan_exit(
                 PREFETCH_DT, remaining, route.total_time - now, pred, prefix)
             top = pred.hotspots[0]
-            assert amount <= top.rate_max * top.duration_max / 8 + 1e-9
+            assert amount <= top.local_max * top.duration_max / 8 + 1e-9
             assert offset + amount <= prefix + remaining + 1e-9
 
     def test_offset_identity(self):
@@ -160,8 +155,7 @@ class TestCacheTruncation:
             route = random_route(rng)
             if route.n_hotspots == 0:
                 continue
-            pred = build_prediction(route, 0.0, ErrorSpec(0.1, 0.2),
-                                    use_local_rate=True)
+            pred = build_prediction(route, 0.0, ErrorSpec(0.1, 0.2))
             if not pred.hotspots:
                 continue
             prefix = float(rng.uniform(0, 10))
@@ -203,8 +197,7 @@ class TestPlanIdempotence:
             for hs in hotspots:
                 if size - received <= 1e-6:  # assumed delivery already done
                     break
-                pred = build_prediction(route, now, errors, use_local_rate=True,
-                                        horizon=deadline)
+                pred = build_prediction(route, now, errors, horizon=deadline)
                 if remaining_mobile_time(route, now) <= 1e-9:
                     break  # pure-WiFi horizon: the mobile rate is moot (0/0)
                 rate, infeasible, _ = plan_exit(
@@ -221,7 +214,7 @@ class TestPlanIdempotence:
                 # bytes up to the hotspot, then the pessimistic WiFi amount
                 received += rate * pred.time_to_next_wifi / 8
                 first = pred.hotspots[0]
-                received += first.rate_min * first.duration_min / 8
+                received += first.local_min * first.duration_min / 8
                 now = hs.end_time
             if feasible and first_rate is not None:
                 checked += 1
@@ -269,9 +262,9 @@ class TestPlanEntry:
 class TestPolicyDispatch:
     """plan_exit and plan_entry follow each policy's row of the table."""
 
-    def test_mobile_only(self, pred_local_t0):
-        rate, _, cache = plan_exit(Policy.MOBILE_ONLY, 60.0, math.inf, pred_local_t0)
-        assert rate == pred_local_t0.max_mobile_rate
+    def test_mobile_only(self, pred_t0):
+        rate, _, cache = plan_exit(Policy.MOBILE_ONLY, 60.0, math.inf, pred_t0)
+        assert rate == pred_t0.max_mobile_rate
         assert cache is None
         assert plan_entry(Policy.MOBILE_ONLY, 0.0, None, 16.0, 8.0, 1.5, 60.0) == []
 
@@ -283,7 +276,7 @@ class TestPolicyDispatch:
 
     def test_delay_sensitive_always_max_rate(self, default_route):
         for now in (0.0, 36.0, 108.0):
-            pred = build_prediction(default_route, now, ZERO, use_local_rate=True)
+            pred = build_prediction(default_route, now, ZERO)
             rate, _, _ = plan_exit(PREFETCH_DS, 50.0, math.inf, pred)
             assert rate == pred.max_mobile_rate
 
@@ -308,11 +301,8 @@ class TestFloatsMatchArrays:
             errors = ErrorSpec(float(rng.uniform(0, 0.4)), float(rng.uniform(0, 0.8)))
             # the route start and every hotspot exit, the last with no hotspot left
             for now in [0.0] + [h.end_time for h in route.hotspots]:
-                for local in (True, False):
-                    for horizon in (None, route.total_time * 0.7):
-                        yield route, build_prediction(route, now, errors,
-                                                      use_local_rate=local,
-                                                      horizon=horizon)
+                for horizon in (None, route.total_time * 0.7):
+                    yield route, build_prediction(route, now, errors, horizon=horizon)
 
     def exit_inputs(self, route, rng, size):
         n = self.N
@@ -526,3 +516,37 @@ class TestOnePlanner:
         assert any(n == 0 < h for n, h in reached)
         assert any(0 < n < h for n, h in reached)
         assert any(0 < n == h for n, h in reached)
+
+    def test_mixed_batch_builds_one_forecast_per_replan_point(self, monkeypatch):
+        """dt-default runs prefetch-dt (local rates), prediction-dt (backhaul
+        rates) and no-prediction in one batch: it builds one forecast at the
+        start and one at each nominal hotspot exit it reaches, never two."""
+        spec = load_scenario(str(bundled_scenario_path("scenario_dt_default")))
+        route = spec.scaled_route()
+        nows = []
+
+        def counted(*args, **kwargs):
+            nows.append(args[1])
+            return build_prediction(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "build_prediction", counted)
+        batch = realize_batch(route, spec.errors, spec.seed, spec.runs)
+        engine.run_policies(batch, spec.task, spec.policies, spec.errors)
+        assert len(nows) > 1
+        assert nows == [0.0] + [h.end_time for h in route.hotspots][:len(nows) - 1]
+
+    def test_prefetch_and_prediction_only_share_every_forecast(self, fresh_memos):
+        """A prefetch-dt and a prediction-dt trip on one dt-default realization
+        build one forecast per replan time between them: the second trip
+        builds none at a time the first already forecast."""
+        spec = load_scenario(str(bundled_scenario_path("scenario_dt_default")))
+        route = spec.scaled_route()
+        realized = realize_route(route, replace(spec.errors, seed=derive_run_seed(0, 0)))
+        times = set()
+        for policy in (PREFETCH_DT, PREDICTION_ONLY):
+            outcome = engine.run_trip(realized, route, spec.task, policy, spec.errors)
+            exits = [nom.end_time for nom, seg in zip(route.hotspots, realized.hotspots)
+                     if not outcome.completed or seg.end_time < outcome.completion_time]
+            times.update([0.0] + exits)
+        assert len(times) > 1
+        assert prediction._forecast.cache_info().misses == len(times)

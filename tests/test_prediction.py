@@ -57,7 +57,6 @@ def reference_forecast(
     now: float,
     time_error: float,
     throughput_error: float,
-    use_local_rate: bool,
     horizon: Optional[float],
 ) -> PredictionProfile:
     """Reference forecast: the scan over every segment that the route index
@@ -75,14 +74,15 @@ def reference_forecast(
             continue
         if first_start is None:
             first_start = seg.start_time
-        rate = seg.wifi_local_rate if use_local_rate else seg.backhaul_rate
         forecasts.append(
             HotspotForecast(
                 hotspot_index=seg.hotspot_index,
                 duration_min=(1 - te) * usable,
                 duration_max=(1 + te) * usable,
-                rate_min=(1 - re) * rate,
-                rate_max=(1 + re) * rate,
+                local_min=(1 - re) * seg.wifi_local_rate,
+                local_max=(1 + re) * seg.wifi_local_rate,
+                backhaul_min=(1 - re) * seg.backhaul_rate,
+                backhaul_max=(1 + re) * seg.backhaul_rate,
             )
         )
 
@@ -155,29 +155,30 @@ class TestErrorSpec:
 
 class TestBuildPrediction:
     def test_zero_errors_equal_nominal(self, default_route, zero_errors):
-        pred = build_prediction(default_route, 0.0, zero_errors, use_local_rate=True)
+        pred = build_prediction(default_route, 0.0, zero_errors)
         assert len(pred.hotspots) == 4
         for fc, seg in zip(pred.hotspots, default_route.hotspots):
             assert fc.duration_min == fc.duration_max == seg.duration
-            assert fc.rate_min == fc.rate_max == seg.wifi_local_rate
+            assert fc.local_min == fc.local_max == seg.wifi_local_rate
+            assert fc.backhaul_min == fc.backhaul_max == seg.backhaul_rate
 
     def test_bounds_with_errors(self, route_4ap):
         # second hotspot of the one-third-scaled route, seen from t = 36 s
         route = scale_route(route_4ap, wifi_factor=1 / 3)
         errors = ErrorSpec(time_error=0.10, throughput_error=0.20)
-        pred = build_prediction(route, 36.0, errors, use_local_rate=True)
+        pred = build_prediction(route, 36.0, errors)
         first = pred.hotspots[0]
         assert first.hotspot_index == 2
         assert first.duration_min == pytest.approx(16.2, abs=1e-12)
         assert first.duration_max == pytest.approx(19.8, abs=1e-12)
-        assert first.rate_min == pytest.approx(4.464, abs=1e-12)
-        assert first.rate_max == pytest.approx(6.696, abs=1e-12)
+        assert first.local_min == pytest.approx(4.464, abs=1e-12)
+        assert first.local_max == pytest.approx(6.696, abs=1e-12)
 
     def test_backhaul_bounds(self, default_route, default_errors):
-        pred = build_prediction(default_route, 0.0, default_errors,
-                                use_local_rate=False)
+        pred = build_prediction(default_route, 0.0, default_errors)
         seg = default_route.hotspots[0]
-        assert pred.hotspots[0].rate_min == pytest.approx(0.8 * seg.backhaul_rate)
+        assert pred.hotspots[0].backhaul_min == pytest.approx(0.8 * seg.backhaul_rate)
+        assert pred.hotspots[0].backhaul_max == pytest.approx(1.2 * seg.backhaul_rate)
 
     def test_gap_and_horizon_quantities(self, default_route, zero_errors):
         pred = build_prediction(default_route, 0.0, zero_errors)
@@ -237,14 +238,13 @@ class TestForecastMemo:
                                seed=int(rng.integers(1 << 30)))
             horizon = float(rng.uniform(0.3, 1.2)) * route.total_time
             for now in replan_times(route):
-                for local in (True, False):
-                    for h in (None, horizon):
-                        first = build_prediction(route, now, errors, local, h)
-                        again = build_prediction(route, now, errors, local, h)
-                        fresh = reference_forecast(route, now, errors.time_error,
-                                                   errors.throughput_error, local, h)
-                        assert again is first
-                        assert_forecast_equal(first, fresh)
+                for h in (None, horizon):
+                    first = build_prediction(route, now, errors, h)
+                    again = build_prediction(route, now, errors, h)
+                    fresh = reference_forecast(route, now, errors.time_error,
+                                               errors.throughput_error, h)
+                    assert again is first
+                    assert_forecast_equal(first, fresh)
 
     def test_horizons_at_or_past_the_route_end_share_one_forecast(self):
         """No horizon, the route end and a horizon past it clip to the same
@@ -256,16 +256,13 @@ class TestForecastMemo:
             errors = ErrorSpec(te, re)
             inside = float(rng.uniform(0.3, 0.9)) * route.total_time
             for now in replan_times(route):
-                for local in (True, False):
-                    shared = build_prediction(route, now, errors, local, None)
-                    for h in (route.total_time, 1.5 * route.total_time):
-                        assert build_prediction(route, now, errors, local, h) is shared
-                    assert_forecast_equal(
-                        shared, reference_forecast(route, now, te, re, local, None))
-                    own = build_prediction(route, now, errors, local, inside)
-                    assert own is not shared
-                    assert_forecast_equal(
-                        own, reference_forecast(route, now, te, re, local, inside))
+                shared = build_prediction(route, now, errors, None)
+                for h in (route.total_time, 1.5 * route.total_time):
+                    assert build_prediction(route, now, errors, h) is shared
+                assert_forecast_equal(shared, reference_forecast(route, now, te, re, None))
+                own = build_prediction(route, now, errors, inside)
+                assert own is not shared
+                assert_forecast_equal(own, reference_forecast(route, now, te, re, inside))
 
     def test_alternating_routes_get_their_own_forecast(self):
         rng = np.random.default_rng(23)
@@ -281,7 +278,7 @@ class TestForecastMemo:
             other = RouteProfile(route.segments[:i] + (faster,) + route.segments[i + 1:],
                                  route.total_time)
             twin = RouteProfile(route.segments, route.total_time)  # equal, not identical
-            want = {id(r): reference_forecast(r, 0.0, 0.10, 0.20, True, None)
+            want = {id(r): reference_forecast(r, 0.0, 0.10, 0.20, None)
                     for r in (route, other, twin)}
             assert want[id(route)] != want[id(other)]
             for r in (route, other, route, twin, other, twin, route):
@@ -340,13 +337,13 @@ class TestForecastIndex:
             te, re = self.ERROR_PAIRS[i % len(self.ERROR_PAIRS)]
             errors = ErrorSpec(te, re)
             nows = forecast_times(route, rng)
-            for local in (True, False):
-                for h in forecast_horizons(route, rng):
-                    for now in nows:
-                        got = build_prediction(route, now, errors, local, h)
-                        want = reference_forecast(route, now, te, re, local, h)
-                        assert_forecast_equal(got, want)
-                        checked += 1
+            # two draws of horizons per route; each forecast bounds both WiFi rates
+            for h in forecast_horizons(route, rng) + forecast_horizons(route, rng):
+                for now in nows:
+                    got = build_prediction(route, now, errors, h)
+                    want = reference_forecast(route, now, te, re, h)
+                    assert_forecast_equal(got, want)
+                    checked += 1
         assert checked > 40_000
 
     def test_overlapping_segments_equal_reference(self):
@@ -367,13 +364,12 @@ class TestForecastIndex:
             for prev, seg in zip(route.segments, route.segments[1:]):
                 nows += [0.5 * (prev.end_time + seg.start_time), seg.start_time + 2e-9]
             nows = [t for t in nows if -1e-9 <= t <= route.total_time]
-            for local in (True, False):
-                for h in forecast_horizons(route, rng):
-                    for now in nows:
-                        assert_forecast_equal(
-                            build_prediction(route, now, ErrorSpec(te, re), local, h),
-                            reference_forecast(route, now, te, re, local, h))
-                        checked += 1
+            for h in forecast_horizons(route, rng) + forecast_horizons(route, rng):
+                for now in nows:
+                    assert_forecast_equal(
+                        build_prediction(route, now, ErrorSpec(te, re), h),
+                        reference_forecast(route, now, te, re, h))
+                    checked += 1
         assert checked > 10_000
 
     def test_one_index_per_route(self, monkeypatch, fresh_memos):
@@ -441,7 +437,7 @@ class TestRouteIndex:
             got = build_prediction(route, 0.0, errors, horizon=horizon)
             if i % 97 == 0 or i == len(horizons) - 1:
                 assert_forecast_equal(
-                    got, reference_forecast(route, 0.0, 0.10, 0.20, True, horizon))
+                    got, reference_forecast(route, 0.0, 0.10, 0.20, horizon))
         for cache in caches:
             info = cache.cache_info()
             assert info.currsize == info.maxsize < info.misses == len(horizons)
