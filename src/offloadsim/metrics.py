@@ -22,15 +22,16 @@ Besides ``t_quantile_975``, two memos here are ``functools.lru_cache`` on the
 pure functions they cache, as in :mod:`offloadsim.prediction`, each holding
 only immutable values.
 ``_scale`` keeps the scaled route of each ``(route, rate factors)`` pair,
-keyed by the route's value, so the points of a sweep that leave the rates
-alone, and recipes on one layout, share a scaled route and with it the
-route's forecast index.  ``_aggregate`` keeps each policy's
-:class:`MetricSummary` values and miss count per :class:`ScenarioSpec`, whose
-equality ignores ``scenario_id`` and ``metrics``: so ``run_scenario`` runs
-each distinct scenario once per process, and a hit builds a new
-:class:`AggregateResult` with the caller's id and new dicts, equal with
-``==`` to a fresh run.  The per-run outcome arrays are never cached:
-``scenario_outcomes`` hands them out fresh and writable on every call.
+keyed by the route's value, which a route hashes once, so the points of a
+sweep that leave the rates alone, and recipes on one layout, share a scaled
+route; :meth:`ScenarioSpec.scaled_route` reads it there.  ``_aggregate``
+keeps each policy's :class:`MetricSummary` values and miss count per
+:class:`ScenarioSpec`, whose equality ignores ``scenario_id`` and
+``metrics``: so ``run_scenario`` runs each distinct scenario once per
+process, and a hit builds a new :class:`AggregateResult` with the caller's
+id and new dicts, equal with ``==`` to a fresh run.  The per-run outcome
+arrays are never cached: ``scenario_outcomes`` hands them out fresh and
+writable on every call.
 """
 
 from __future__ import annotations
@@ -230,7 +231,6 @@ class ScenarioSpec:
     seed: int = 0
     energy: EnergyModel = EnergyModel()
     metrics: Optional[tuple[str, ...]] = field(default=None, compare=False)
-    _scaled: RouteProfile = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         # a float run count would be served by the memoized aggregate of its
@@ -244,13 +244,12 @@ class ScenarioSpec:
             check_metrics(self.metrics)
         # scale_route checks the factors; a realized value is a scaled one times
         # 1 + e u with u in [-1, 1), and rounding is monotone, so 1 -/+ e bound it
-        object.__setattr__(self, "_scaled", _scale(
-            self.route, (self.mobile_factor, self.wifi_factor, self.backhaul_factor)))
+        scaled = self.scaled_route()
         te, re = self.errors.time_error, self.errors.throughput_error
         longest = self.route.total_time * (1 + te)  # no realized total time is longer
         if not longest < math.inf:
             raise ValueError(f"the realized total time overflows at time error {te}")
-        for i, seg in enumerate(self._scaled.segments):
+        for i, seg in enumerate(scaled.segments):
             drawn = ([("wifi local rate", seg.wifi_local_rate, re),
                       ("backhaul rate", seg.backhaul_rate, re)] if seg.is_wifi
                      else [("mobile rate", seg.mobile_rate, re)])
@@ -273,8 +272,9 @@ class ScenarioSpec:
                 raise ValueError(message)
 
     def scaled_route(self) -> RouteProfile:
-        """The route at this scenario's rate factors, built once."""
-        return self._scaled
+        """The route at this scenario's rate factors, built once per
+        (route, rate factors) pair while it is cached."""
+        return _scale(self.route, (self.mobile_factor, self.wifi_factor, self.backhaul_factor))
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ megabytes (1 MB = 10^6 bytes = 8 Mbit).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Optional
 
@@ -122,6 +122,20 @@ class RouteProfile:
         if indices != sorted(set(indices)):
             raise ValueError(f"hotspot indices must be strictly increasing: {indices}")
 
+    def __hash__(self) -> int:
+        # A route keys every memo, and hashing 35 segments by value takes about
+        # 10 us, so it is hashed once, on first use.
+        try:
+            return self._hash
+        except AttributeError:
+            object.__setattr__(self, "_hash", hash((self.segments, self.total_time)))
+            return self._hash
+
+    def __reduce__(self):
+        # Pickled and copied as its fields, never with the cached hash: enum
+        # hashes, and so a route's, change with PYTHONHASHSEED.
+        return RouteProfile, (self.segments, self.total_time)
+
     @property
     def hotspots(self) -> tuple[RouteSegment, ...]:
         return tuple(s for s in self.segments if s.is_wifi)
@@ -158,26 +172,10 @@ def scale_route(
     for seg in route.segments:
         if seg.is_wifi:
             local = seg.wifi_local_rate * wifi_factor
-            back = min(seg.backhaul_rate * backhaul_factor, local)
-            out.append(
-                RouteSegment(
-                    kind=seg.kind,
-                    start_time=seg.start_time,
-                    duration=seg.duration,
-                    wifi_local_rate=local,
-                    backhaul_rate=back,
-                    hotspot_index=seg.hotspot_index,
-                )
-            )
+            out.append(replace(seg, wifi_local_rate=local,
+                               backhaul_rate=min(seg.backhaul_rate * backhaul_factor, local)))
         else:
-            out.append(
-                RouteSegment(
-                    kind=seg.kind,
-                    start_time=seg.start_time,
-                    duration=seg.duration,
-                    mobile_rate=seg.mobile_rate * mobile_factor,
-                )
-            )
+            out.append(replace(seg, mobile_rate=seg.mobile_rate * mobile_factor))
     return RouteProfile(tuple(out), route.total_time)
 
 

@@ -27,10 +27,9 @@ so no horizon and every horizon at or past the route end share one.
 
 Every memo here is a ``functools.lru_cache`` on the pure function it
 caches, keyed by that function's arguments, and every cached value is
-immutable: a tuple, a NamedTuple or a read-only array.  :func:`_walk` and
-:func:`_forecast` are keyed by the index object, so the route is keyed by
-identity while its entries live.  The one exception is the index itself
-(``_memo``), kept for the most recent route by identity.
+immutable: a tuple, a NamedTuple or a read-only array.  The index is keyed
+by the route's value, which a route hashes once, on first use;
+:func:`_walk` and :func:`_forecast` are keyed by the index object.
 
 Realizations draw uniform(-1, 1) numbers.  Run k of base seed s reads the
 stream of ``numpy.random.default_rng(derive_run_seed(s, k))``, where
@@ -182,7 +181,7 @@ def _extreme(rows: list[list[float]], pick, first: int, stop: int) -> float:
     return pick(row[first], row[stop - (1 << k)])
 
 
-@lru_cache(maxsize=64)  # the 20 figure recipes walk 30-38 keys, by order
+@lru_cache(maxsize=64)  # the 20 figure recipes walk 18 keys, in any order
 def _walk(
     index: _RouteIndex,
     time_error: float,
@@ -216,21 +215,10 @@ def _walk(
             bisect_left(mobile_start, hi - 1e-12))
 
 
-# The index of the most recent nominal route, kept by identity: hashing a
-# route by value costs 4.8 us on the scaled 8-hotspot layout and 10.3 us on a
-# 35-segment route, against about 2.1 us for a whole forecast.  A forecast
-# never depends on the run seed, so every realization of a route and every
-# trip on it reuses the index.  Routes are frozen, so nothing held goes stale.
-_memo: Optional[_RouteIndex] = None
-
-
+@lru_cache(maxsize=16)  # the 20 figure recipes index 12 routes
 def _route_index(route: RouteProfile) -> _RouteIndex:
-    """The index of ``route``, built if ``route`` is not the most recent one."""
-    global _memo
-    index = _memo
-    if index is None or index.route is not route:
-        index = _memo = _RouteIndex(route)
-    return index
+    """The index of ``route``, built on its first use."""
+    return _RouteIndex(route)
 
 
 def build_prediction(
@@ -249,9 +237,9 @@ def build_prediction(
     before it.  None, inf or any horizon past the route end truncates
     nothing; a NaN one raises ``ValueError``.
 
-    The result does not depend on ``errors.seed``.  The most recently seen
-    route is indexed once, and a forecast is cached per index, ``now``,
-    errors and horizon clipped to the route end (see the module docstring).
+    The result does not depend on ``errors.seed``.  A route is indexed
+    once, and a forecast is cached per index, ``now``, errors and horizon
+    clipped to the route end (see the module docstring).
     """
     if not -1e-9 <= now <= route.total_time + 1e-6:  # NaN fails too
         raise ValueError(f"now={now} outside route [0, {route.total_time}]")
@@ -261,7 +249,7 @@ def build_prediction(
     return _forecast(_route_index(route), now, errors.time_error, errors.throughput_error, hi)
 
 
-@lru_cache(maxsize=512)  # the 20 figure recipes build 150-190 forecasts, by order
+@lru_cache(maxsize=512)  # the 20 figure recipes build 92 forecasts, in any order
 def _forecast(
     index: _RouteIndex,
     now: float,

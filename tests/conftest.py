@@ -49,15 +49,19 @@ def memo_caches():
     return list(found.values())
 
 
-@pytest.fixture
-def fresh_memos():
-    """Every process-wide memo emptied, so that no earlier test serves this
-    one: each cache :func:`memo_caches` finds, the forecast index and the
-    last checked pair of routes."""
+def clear_memos():
+    """Empty every process-wide memo, so that no earlier call serves a later
+    one: each cache :func:`memo_caches` finds, and the last checked pair of
+    routes."""
     for cache in memo_caches():
         cache.cache_clear()
-    prediction._memo = None
     engine._checked = None
+
+
+@pytest.fixture
+def fresh_memos():
+    """Every process-wide memo emptied before the test (:func:`clear_memos`)."""
+    clear_memos()
 
 
 @pytest.fixture

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from offloadsim import engine, metrics, prediction
 from offloadsim.engine import run_trip
+from offloadsim.model import scale_route
 from offloadsim.policies import Policy
 from offloadsim.prediction import ErrorSpec, _draws, derive_run_seed, realize_route
 
@@ -19,21 +20,22 @@ from test_metrics import make_spec
 
 
 def test_fresh_memos_empties_each_memo(route_4ap, request):
-    """After one scenario run and one trip every cache the fixture finds, and
-    both identity slots, hold an entry, and the fixture empties each."""
+    """After one scenario run and one trip every cache the fixture finds, the
+    route index among them, and the identity slot hold an entry, and the
+    fixture empties each."""
     spec = make_spec(route_4ap, runs=3)
     metrics.run_scenario(spec)
     nominal = spec.scaled_route()
     run_trip(realize_route(nominal, ErrorSpec(0.1, 0.2, seed=1)), nominal, spec.task,
              Policy.PREFETCH_DELAY_TOLERANT, spec.errors)
     caches = memo_caches()
-    assert {"_scale", "_aggregate", "_draw_matrix", "_walk", "_forecast"} <= {
+    assert {"_scale", "_aggregate", "_draw_matrix", "_route_index", "_walk", "_forecast"} <= {
         cache.__name__ for cache in caches}
     assert all(cache.cache_info().currsize for cache in caches)
-    assert prediction._memo is not None and engine._checked is not None
+    assert engine._checked is not None
     request.getfixturevalue("fresh_memos")
     assert not any(cache.cache_info().currsize for cache in caches)
-    assert prediction._memo is None and engine._checked is None
+    assert engine._checked is None
 
 
 # caches with a bound to test, and a call that puts key i in each (the
@@ -42,6 +44,8 @@ LRU_MEMOS = {
     "scaled routes": (metrics._scale,
                       lambda route, i: metrics._scale(route, (1.0, 1.0, 1 / (i + 1)))),
     "draw streams": (prediction._draw_matrix, lambda route, i: prediction._draw_matrix(i, 2, 3)),
+    "route indexes": (prediction._route_index,
+                      lambda route, i: prediction._route_index(scale_route(route, i + 1))),
 }
 
 
@@ -61,12 +65,6 @@ def test_each_memo_stays_within_its_bound(fresh_memos, route_2ap, name):
     assert cache.cache_info().misses == misses
     put(route_2ap, 1)  # evicted: the least recently used
     assert cache.cache_info().misses == misses + 1
-
-
-def test_route_index_holds_one_route(fresh_memos, route_2ap, route_4ap):
-    for route in (route_2ap, route_4ap):
-        prediction._route_index(route)
-        assert prediction._memo.route is route
 
 
 def test_draw_memo_costs_little_per_run(fresh_memos):

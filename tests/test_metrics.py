@@ -12,12 +12,12 @@ import numpy as np
 import pytest
 
 import offloadsim
-from conftest import RECIPES, edge_routes, make_task, random_route
+from conftest import RECIPES, clear_memos, edge_routes, make_task, random_route
 from offloadsim import metrics, prediction
 from offloadsim.config import (bundled_recipe_path, bundled_scenario_path, load_scenario,
                                load_sweep)
 from offloadsim.engine import run_policies, run_trip
-from offloadsim.model import EnergyModel, RouteProfile, scale_route
+from offloadsim.model import AccessKind, EnergyModel, RouteProfile, RouteSegment, scale_route
 from offloadsim.metrics import (
     METRICS,
     InsufficientSamples,
@@ -365,9 +365,8 @@ class TestRunScenario:
             replace(spec, **{name: value})
 
     def test_scaled_route_is_built_once(self, route_4ap):
-        """The spec keeps the route scale_route builds at its factors; a
-        replaced factor gets a route of its own, and the route takes no part
-        in equality or hashing."""
+        """The spec's scaled route is the one scale_route builds at its
+        factors, built once; a replaced factor gets a route of its own."""
         spec = make_spec(route_4ap)
         assert spec.scaled_route() is spec.scaled_route()
         assert spec.scaled_route() == scale_route(route_4ap, 1 / 3, 1 / 3, 1 / 3)
@@ -395,8 +394,7 @@ class TestRunScenario:
     def test_sweep_points_share_the_scaled_route(self, route_4ap, parameter, value,
                                                  shared):
         """A point whose parameter leaves the rates alone reuses its base's
-        scaled route object (and so its forecast index); any other point
-        gets its own."""
+        scaled route object; any other point gets its own."""
         base = make_spec(route_4ap)
         point = apply_sweep_value(base, parameter, value)
         assert (point.scaled_route() is base.scaled_route()) == shared
@@ -457,36 +455,62 @@ class TestDrawMemo:
                 assert values.flags.writeable
                 assert not np.shares_memory(values, draws)
 
-    def test_figures_fill_each_cache_once_per_key(self, fresh_memos):
-        """All 20 recipes in one process, from empty caches, in a shuffled
-        order: each cache misses once per distinct key and evicts nothing,
-        so each bound holds the recipes whole.  They hold 44 distinct
-        scenarios, 12 (route, rate factors) pairs and 3 draw shapes (seed 0
-        and 120 runs on the 2-, 4- and 8-hotspot layouts); the forecast
-        caches, keyed by the route index, which a route rebuilds when another
-        came between, walk 30-38 keys and build 150-190 forecasts, by order."""
-        order = list(RECIPES)
-        random.Random(8).shuffle(order)
-        sweeps = [load_sweep(str(bundled_recipe_path(name))) for name in order]
-        for sweep in sweeps:
-            run_sweep(sweep)
-        bases = [sweep.base for sweep in sweeps]
-        points = [apply_sweep_value(s.base, s.parameter, v) for s in sweeps for v in s.values]
-        assert len(points) == 82
-        keys = {
-            metrics._aggregate: set(points),
-            metrics._scale: {(s.route, (s.mobile_factor, s.wifi_factor, s.backhaul_factor))
-                             for s in bases + points},
-            prediction._draw_matrix: {(s.seed, s.runs, 2 * len(s.route.segments)
-                                       + s.route.n_hotspots) for s in points},
-        }
-        assert [len(k) for k in keys.values()] == [44, 12, 3]
-        for cache, distinct in keys.items():
-            info = cache.cache_info()
-            assert info.misses == info.currsize == len(distinct), cache.__name__
-        for cache in (prediction._walk, prediction._forecast):
-            info = cache.cache_info()
-            assert info.misses == info.currsize, cache.__name__
+    def test_figures_fill_each_cache_once_per_key(self):
+        """All 20 recipes in one process, from empty caches, in recipe order
+        and in two shuffled ones: each cache misses once per distinct key and
+        evicts nothing, so each bound holds the recipes whole.  They hold 44
+        distinct scenarios, 12 (route, rate factors) pairs, so 12 route
+        indexes, and 3 draw shapes (seed 0 and 120 runs on the 2-, 4- and
+        8-hotspot layouts); the forecast caches walk 18 keys and build 92
+        forecasts, in any order."""
+        for shuffle in (None, 8, 3):
+            clear_memos()
+            order = list(RECIPES)
+            if shuffle is not None:
+                random.Random(shuffle).shuffle(order)
+            sweeps = [load_sweep(str(bundled_recipe_path(name))) for name in order]
+            for sweep in sweeps:
+                run_sweep(sweep)
+            bases = [sweep.base for sweep in sweeps]
+            points = [apply_sweep_value(s.base, s.parameter, v)
+                      for s in sweeps for v in s.values]
+            assert len(points) == 82
+            pairs = {(s.route, (s.mobile_factor, s.wifi_factor, s.backhaul_factor))
+                     for s in bases + points}
+            keys = {
+                metrics._aggregate: len(set(points)),
+                metrics._scale: len(pairs),
+                prediction._route_index: len({scale_route(r, *f) for r, f in pairs}),
+                prediction._draw_matrix: len({(s.seed, s.runs, 2 * len(s.route.segments)
+                                               + s.route.n_hotspots) for s in points}),
+                prediction._walk: 18,
+                prediction._forecast: 92,
+            }
+            assert list(keys.values())[:4] == [44, 12, 12, 3]
+            for cache, distinct in keys.items():
+                info = cache.cache_info()
+                assert info.misses == info.currsize == distinct, (shuffle, cache.__name__)
+
+    def test_a_second_load_hashes_no_segment(self, monkeypatch):
+        """Once the 20 recipes are loaded and run, loading and running them
+        again hashes no route segment: each route hashes its value once."""
+        def load_and_run():
+            for name in RECIPES:
+                run_sweep(load_sweep(str(bundled_recipe_path(name))))
+
+        load_and_run()
+        hashed = []
+        segment_hash = RouteSegment.__hash__
+
+        def counted(seg):
+            hashed.append(seg)
+            return segment_hash(seg)
+
+        monkeypatch.setattr(RouteSegment, "__hash__", counted)
+        hash(RouteSegment(AccessKind.MOBILE, 0.0, 1.0, mobile_rate=1.0))
+        assert len(hashed) == 1  # the counter counts
+        load_and_run()
+        assert len(hashed) == 1
 
     @pytest.mark.parametrize("seed", [3, 8])
     def test_figures_scale_each_route_once(self, monkeypatch, fresh_memos, seed):
@@ -582,7 +606,7 @@ class TestAggregateMemo:
         # the key is every compared field, the id and the output metrics are
         # not compared, and the misses change each keyed field
         keyed = {f.name for f in fields(ScenarioSpec) if f.compare}
-        assert not keyed & {"scenario_id", "metrics", "_scaled"}
+        assert not keyed & {"scenario_id", "metrics"}
         assert {f for spec in misses for f in keyed
                 if getattr(spec, f) != getattr(base, f)} == keyed
         want = run_scenario(base)

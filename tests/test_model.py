@@ -1,7 +1,16 @@
+import copy
+import dataclasses
 import math
+import os
+import pickle
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+import offloadsim
 from offloadsim.model import (
     AccessKind,
     EnergyModel,
@@ -98,6 +107,48 @@ class TestRouteProfile:
         for route in (route_4ap, route_8ap):
             assert sum(s.duration for s in route.hotspots) == pytest.approx(72.0)
         assert route_4ap.mobile_time() == pytest.approx(197.0)
+
+
+class TestRouteHash:
+    """A route hashes its value once; no copy or pickle carries that hash."""
+
+    def test_copies_and_replacements_hash_as_fresh_routes(self, route_8ap):
+        route = scale_route(route_8ap, 0.5, 0.5, 0.5)
+        h = hash(route)
+        assert hash(route) == h == hash(RouteProfile(route.segments, route.total_time))
+        for same in (copy.copy(route), copy.deepcopy(route), dataclasses.replace(route),
+                     pickle.loads(pickle.dumps(route))):
+            assert same == route and hash(same) == h
+        head = route.segments[0]
+        shorter = dataclasses.replace(route, segments=(head,), total_time=head.duration)
+        assert hash(shorter) == hash(RouteProfile((head,), head.duration)) != h
+
+    def test_a_pickled_route_hashes_as_one_built_under_another_seed(self, tmp_path):
+        """Enum hashes, and so a route's, change with PYTHONHASHSEED: a route
+        hashed and pickled under one seed, loaded under another, hashes as
+        an equal route built there."""
+        code = textwrap.dedent("""
+            import pickle, sys
+            from offloadsim.config import load_route
+            path, mode = sys.argv[1:]
+            route = load_route("4ap")
+            if mode == "dump":
+                with open(path, "wb") as f:
+                    pickle.dump((hash(route), route), f)
+            else:
+                with open(path, "rb") as f:
+                    there, loaded = pickle.load(f)
+                assert loaded == route and hash(loaded) == hash(route) != there
+                assert {route: "built"}[loaded] == "built"
+                print("ok")
+        """)
+        src = str(Path(offloadsim.__file__).resolve().parents[1])
+        path = str(tmp_path / "route.pickle")
+        outs = [subprocess.run([sys.executable, "-c", code, path, mode],
+                               env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed),
+                               capture_output=True, text=True, check=True).stdout
+                for mode, seed in (("dump", "1"), ("load", "2"))]
+        assert outs[1].strip() == "ok"
 
 
 class TestScaleRoute:

@@ -427,8 +427,8 @@ class TestRouteIndex:
 
     def test_forecast_keys_are_bounded(self, route_8ap, fresh_memos):
         """20,000 forecasts at time 0 with distinct horizons on one route
-        leave each forecast cache full but within its bound, and each answer
-        still equals the full scan's."""
+        leave each forecast cache full but within its bound, index the route
+        once, and each answer still equals the full scan's."""
         route = scale_route(route_8ap, 1 / 3, 1 / 3, 1 / 3)
         errors = ErrorSpec(0.10, 0.20)
         caches = (prediction._walk, prediction._forecast)
@@ -441,7 +441,9 @@ class TestRouteIndex:
         for cache in caches:
             info = cache.cache_info()
             assert info.currsize == info.maxsize < info.misses == len(horizons)
-        assert prediction._memo.route is route
+        info = prediction._route_index.cache_info()
+        assert info.misses == info.currsize == 1
+        assert prediction._route_index(route).route is route
 
 
 class TestRealizeRoute:
