@@ -136,7 +136,10 @@ def _cmd_figures(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle_check(args: argparse.Namespace) -> int:
-    spec = config.load_scenario(_resolve_input(args.scenario))
+    spec = config.load_experiment(_resolve_input(args.scenario))
+    if isinstance(spec, SweepSpec):
+        raise ConfigError(f"--scenario: {args.scenario} is a sweep; "
+                          "oracle-check takes one scenario")
     spec = _apply_overrides(spec, args)
     if args.seeds < 1:
         raise ConfigError(f"--seeds must be >= 1, got {args.seeds}")

@@ -21,8 +21,9 @@ equals :func:`run_trip` on realization k bit for bit.  Both plan through the
 same :func:`~offloadsim.policies.plan_exit` and
 :func:`~offloadsim.policies.plan_entry`.  Only a policy that reads a plan, a
 rate-limited or a prefetching one, replans; the others never build a forecast.
-A replan point builds one forecast, which bounds both WiFi rates, for every
-policy of the pass: the planner picks the rate each plans on.
+A replan point reads one forecast, named by the count of hotspots passed and
+bounding both WiFi rates, for every policy of the pass: the planner picks the
+rate each plans on.
 
 Energy is priced in the same loop: per-MB transfer costs on the bytes each
 channel moved, plus WiFi idle power.  At each hotspot visit the loop adds
@@ -144,23 +145,12 @@ class _ByteState:
         return moved * MBIT_PER_MB / rate
 
 
-# The (realized, nominal) pair checked last, held so that neither id can be
-# reused while it is kept: the policies of one realization check it once.
-# Checking a 32-segment pair costs 2.4 us, finding it kept 0.1 us.  Routes
-# are frozen, so a checked pair stays checked.
-_checked: Optional[tuple[RouteProfile, RouteProfile]] = None
-
-
 def _check_same_structure(realized: RouteProfile, nominal: RouteProfile) -> None:
-    global _checked
-    if _checked is not None and _checked[0] is realized and _checked[1] is nominal:
-        return
     if len(realized.segments) != len(nominal.segments):
         raise ValueError("realized and nominal routes differ in segment count")
     for r, n in zip(realized.segments, nominal.segments):
         if r.kind is not n.kind or r.hotspot_index != n.hotspot_index:
             raise ValueError("realized and nominal routes differ in structure")
-    _checked = (realized, nominal)
 
 
 def _run(
@@ -197,12 +187,12 @@ def _run(
     # prefetching one the caches; for the others a plan changes nothing
     plans = limited is not False or prefetches is not False
 
-    def replan(now_nominal: float, now_realized: Floats) -> None:
+    def replan(passed: int, now: Floats) -> None:
         nonlocal plan_rate, infeasible, provisioned
         runs = state.pending
         plan_rate, flagged, cache = plan_exit(
-            policy, ops.maximum(0.0, size - state.prefix), deadline - now_realized,
-            build_prediction(nominal, now_nominal, errors, horizon=deadline), state.prefix)
+            policy, ops.maximum(0.0, size - state.prefix), deadline - now,
+            build_prediction(nominal, passed, errors, horizon=deadline), state.prefix)
         infeasible = infeasible | (runs & flagged)
         if cache is not None:
             index, amount, offset = cache
@@ -214,9 +204,10 @@ def _run(
                 provisioned = provisioned + ops.where(kept, amount, 0.0)
 
     if plans:
-        replan(0.0, 0.0)
+        replan(0, 0.0)
 
     index = _route_index(nominal)
+    passed = 0  # hotspots left so far
     for seg, seg_nom, wifi, j in zip(segments, nominal.segments, index.wifi, index.window):
         runs = state.pending
         if not ops.any(runs):
@@ -247,8 +238,10 @@ def _run(
             on = ops.maximum(0.0, t0 - energy_model.wifi_preactivation_s)
             idle_s = idle_s + ops.where(runs & associates,
                                         ops.maximum(0.0, (leave - on) - busy), 0.0)
-        if wifi and plans and ops.any(state.pending):
-            replan(seg_nom.end_time, seg.end_time)
+        if wifi:
+            passed += 1
+            if plans and ops.any(state.pending):
+                replan(passed, seg.end_time)
 
     completed = state.complete
     transfer_delay = ops.where(completed, state.completion_time, end)
@@ -282,9 +275,10 @@ def run_trip(
     """Execute one trip under ``policy`` and return the realized outcome.
 
     A rate-limited or prefetching policy (re)plans at the route start and
-    at every realized hotspot exit, always from the nominal route (the
-    planner sees predictions, never the realization); the other policies
-    read no plan and make none.  During mobile coverage (and, for mobile-only,
+    at every realized hotspot exit, on the nominal route's forecast for the
+    count of hotspots passed (the planner sees predictions, never the
+    realization) and the realized time left; the other policies read no
+    plan and make none.  During mobile coverage (and, for mobile-only,
     through the WiFi windows, at the realized rate of the nearest mobile
     segment, preceding first, else following, as the nominal route's index
     records it; at 0 on a route without one) a rate-limited policy transfers

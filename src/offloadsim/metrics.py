@@ -233,6 +233,10 @@ class ScenarioSpec:
     metrics: Optional[tuple[str, ...]] = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
+        # a list would pass every check below and fail to hash in the memo
+        object.__setattr__(self, "policies", tuple(self.policies))
+        if self.metrics is not None:
+            object.__setattr__(self, "metrics", tuple(self.metrics))
         # a float run count would be served by the memoized aggregate of its
         # integer twin; a single run is allowed (its CI is reported as zero-width)
         check_integer("runs", self.runs, 1)

@@ -106,7 +106,7 @@ class RouteProfile:
                     "(segments must be contiguous)"
                 )
             # the contiguity slack must not let a segment start or end before
-            # its predecessor: forecasts bisect the start and end times
+            # its predecessor: a route is a timeline read in order
             if seg.start_time < start or seg.end_time < end:
                 raise ValueError(
                     f"segment {i} [{seg.start_time}, {seg.end_time}) starts or ends "

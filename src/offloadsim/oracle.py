@@ -5,7 +5,8 @@ is a forward time march with a fixed step instead of closed-form fills, over
 its own received prefix and its own phase list for each hotspot.  It shares
 :func:`~offloadsim.prediction.build_prediction` and
 :func:`~offloadsim.policies.plan_exit` with the engine, one forecast per
-replan point whose WiFi rate the planner picks, so agreement between the two
+replan point, named by the count of hotspots passed, whose WiFi rate the
+planner picks, so agreement between the two
 checks the byte integration, the completion crossings, the phase order, the
 hotspot phase list the oracle builds itself (in place of
 :func:`~offloadsim.policies.plan_entry`) and the mobile rate of each WiFi
@@ -91,19 +92,18 @@ def run_trip_stepped(
     caches: dict[int, tuple[float, float]] = {}  # offset, amount
     completion: Optional[float] = None
 
-    def replan(now_nominal: float, now_realized: float) -> float:
-        pred = build_prediction(route_nominal, now_nominal, errors, horizon=deadline)
-        rate, _, cache = plan_exit(
-            policy, max(0.0, size - prefix), deadline - now_realized, pred, prefix)
+    def replan(passed: int, now: float) -> float:
+        pred = build_prediction(route_nominal, passed, errors, horizon=deadline)
+        rate, _, cache = plan_exit(policy, max(0.0, size - prefix), deadline - now, pred, prefix)
         if cache is not None and cache[1] > 0:
             index, amount, offset = cache
             caches[index] = (offset, amount)
         return rate
 
-    plan_rate = replan(0.0, 0.0)
+    plan_rate = replan(0, 0.0)
+    passed = 0  # hotspots left so far
 
-    for i, (seg, seg_nom) in enumerate(zip(route_realized.segments,
-                                           route_nominal.segments)):
+    for i, seg in enumerate(route_realized.segments):
         if completion is not None:
             break
 
@@ -171,7 +171,8 @@ def run_trip_stepped(
             k += 1
 
         if completion is None and seg.kind is AccessKind.WIFI:
-            plan_rate = replan(seg_nom.end_time, seg.end_time)
+            passed += 1
+            plan_rate = replan(passed, seg.end_time)
 
     return StepOutcome(
         mobile_mb=totals[Channel.MOBILE],

@@ -6,30 +6,26 @@ fractions; the engine separately executes against an independently drawn
 realization of the same route.
 
 Every trip on a nominal route, and every forecast of it, reads one index of
-the route, built on its first realization, trip or forecast.  For the trip
-loop and the realizations it holds each segment's kind, the mobile segment
-whose rate is available during it (its window), the hotspots and the draw
-count.  For forecasts it holds the mobile segments' start and end times as
-lists sorted by time (a :class:`RouteProfile` is ordered), and tables of the
-largest and smallest nominal mobile rate over every run of 2**k consecutive
-mobile segments.  :func:`_walk` goes over the hotspots once per index, error
-pair and clipped horizon ``hi``: every hotspot's forecast up to ``hi``, the
-hotspots' start times beside it, and where the mobile segments before each
-of those starts, the route end and ``hi`` stop.  A hotspot's
-forecast depends on ``hi`` but not on the replan time ``now``, so the
-hotspots ahead of ``now`` are a suffix of that tuple, found by one bisect;
-the mobile segments not ended by ``now`` start at a second bisect, and the
-mobile rates before the next hotspot and before ``hi`` are runs from there
-to a stop of the walk, whose largest and smallest rate are each the extreme
-of two table entries.  So any forecast costs two bisects and a few reads,
-not a scan of the route.  A forecast reads the horizon only through ``hi``,
-so no horizon and every horizon at or past the route end share one.
+the route, built on its first realization, trip or forecast.  It holds each
+segment's kind, the mobile segment whose rate is available during it (its
+window), the hotspots and the draw count.
+
+A node forecasts only where it replans: at the route start and at each
+hotspot exit, so a forecast is named by the count of hotspots passed.
+:func:`_walk` builds all of a route's forecasts at once, per index, error
+pair and clipped horizon ``hi``, in one scan from the route end.  The scan
+keeps the hotspots usable before ``hi`` ahead of its position, the start of
+the nearest, the highest mobile rate before it, the highest and lowest to the
+route end, and the lowest of the mobile segments starting before ``hi``; at
+each hotspot, and at the start, it emits the forecast of a node just past
+that point.  A forecast reads the horizon only through ``hi``, so no horizon
+and every horizon at or past the route end share one.
 
 Every memo here is a ``functools.lru_cache`` on the pure function it
 caches, keyed by that function's arguments, and every cached value is
 immutable: a tuple, a NamedTuple or a read-only array.  The index is keyed
 by the route's value, which a route hashes once, on first use;
-:func:`_walk` and :func:`_forecast` are keyed by the index object.
+:func:`_walk` is keyed by the index object.
 
 Realizations draw uniform(-1, 1) numbers.  Run k of base seed s reads the
 stream of ``numpy.random.default_rng(derive_run_seed(s, k))``, where
@@ -51,7 +47,6 @@ by construction, not by a second copy of the formulas kept in step.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from types import SimpleNamespace
@@ -125,11 +120,10 @@ class _RouteIndex:
     mobile segment whose rate is available during it: the segment itself
     when mobile; for a WiFi segment the nearest mobile one, preceding first,
     else following; None when the route has none.  An index hashes by
-    identity, which keys :func:`_walk` and :func:`_forecast`.
+    identity, which keys :func:`_walk`.
     """
 
-    __slots__ = ("route", "wifi", "window", "hotspots", "draw_count", "mobile_start",
-                 "mobile_end", "rate_max", "rate_min")
+    __slots__ = ("route", "wifi", "window", "hotspots", "draw_count")
 
     def __init__(self, route: RouteProfile) -> None:
         segments = route.segments
@@ -146,39 +140,6 @@ class _RouteIndex:
         self.hotspots = tuple([seg for seg, w in zip(segments, wifi) if w])
         # drawn per segment: duration, then local and backhaul rate or the mobile rate
         self.draw_count = 2 * len(segments) + len(self.hotspots)
-        mobile = [seg for seg, w in zip(segments, wifi) if not w]
-        self.mobile_start = [seg.start_time for seg in mobile]
-        self.mobile_end = [seg.end_time for seg in mobile]
-        rates = [seg.mobile_rate for seg in mobile]
-        self.rate_max, self.rate_min = _range_tables(rates)
-
-
-def _range_tables(values: list[float]) -> tuple[list[list[float]], list[list[float]]]:
-    """Row k of the first table holds the maximum of ``values[i:i + 2**k]``
-    at i, and of the second the minimum, so that the extreme of any
-    non-empty run is that of two rows' entries (see :func:`_extreme`)."""
-    highs, lows = [values], [values]
-    width = 1
-    while 2 * width <= len(values):
-        high, low = highs[-1], lows[-1]
-        highs.append([b if b > a else a for a, b in zip(high, high[width:])])
-        lows.append([b if b < a else a for a, b in zip(low, low[width:])])
-        width *= 2
-    return highs, lows
-
-
-def _extreme(rows: list[list[float]], pick, first: int, stop: int) -> float:
-    """``pick`` over the nominal mobile rates in ``[first, stop)``; falls
-    back to those from ``first`` on, then to all of them, when the run is
-    empty, and to 0.0 when the route has none."""
-    if first >= stop:
-        n = len(rows[0])
-        if not n:
-            return 0.0
-        first, stop = (first, n) if first < n else (0, n)
-    k = (stop - first).bit_length() - 1
-    row = rows[k]
-    return pick(row[first], row[stop - (1 << k)])
 
 
 @lru_cache(maxsize=64)  # the 20 figure recipes walk 18 keys, in any order
@@ -187,32 +148,46 @@ def _walk(
     time_error: float,
     throughput_error: float,
     hi: float,
-) -> tuple[tuple[float, ...], tuple[HotspotForecast, ...], tuple[int, ...], int]:
-    """Every hotspot usable before ``hi``, in route order: its start time and
-    forecast; the count of mobile segments starting before each of those
-    starts and before the route end (each within 1e-12 s), bounding the run
-    of mobile rates before the next hotspot; and that count before ``hi``,
-    bounding the horizon's run."""
+) -> tuple[PredictionProfile, ...]:
+    """The forecast after each count of hotspots passed, from none to all of
+    them, up to the clipped horizon ``hi``: one scan of the route from its
+    end, which emits a forecast on reaching each hotspot and the start."""
     te, re = time_error, throughput_error
-    starts = []
-    forecasts = []
-    for seg in index.hotspots:
-        usable = min(seg.end_time, hi) - seg.start_time
-        if usable <= 1e-12:
+    rates = [seg.mobile_rate for seg, w in zip(index.route.segments, index.wifi) if not w]
+    most, least = max(rates, default=0.0), min(rates, default=0.0)  # the last fallbacks
+    ahead: tuple[HotspotForecast, ...] = ()  # the hotspots usable before hi
+    next_start = None  # the start of the nearest of them
+    # the highest mobile rate before it, and the highest and lowest to the
+    # route end; the lowest of those starting before hi (-inf or inf: none)
+    gap_max = rest_max = -math.inf
+    rest_min = horizon_min = math.inf
+    profiles = []
+
+    def profile(at: float) -> PredictionProfile:  # of a node at the scan's position, time at
+        high = gap_max if gap_max > -math.inf else rest_max if rest_max > -math.inf else most
+        low = horizon_min if horizon_min < math.inf else rest_min if rest_min < math.inf else least
+        return PredictionProfile(  # by position, as a HotspotForecast below
+            ahead, 0.0 if next_start is None else max(0.0, next_start - at), high, low)
+
+    for seg, wifi in zip(reversed(index.route.segments), reversed(index.wifi)):
+        if not wifi:
+            rate = seg.mobile_rate
+            gap_max, rest_max = max(gap_max, rate), max(rest_max, rate)
+            rest_min = min(rest_min, rate)
+            if seg.start_time < hi - 1e-12:
+                horizon_min = min(horizon_min, rate)
             continue
-        local, backhaul = seg.wifi_local_rate, seg.backhaul_rate
-        starts.append(seg.start_time)
-        # fields in order (index, then min and max of the duration, local and
-        # backhaul rate): a call by position builds a NamedTuple in about
-        # half the time
-        forecasts.append(HotspotForecast(seg.hotspot_index, (1 - te) * usable, (1 + te) * usable,
-                                         (1 - re) * local, (1 + re) * local,
-                                         (1 - re) * backhaul, (1 + re) * backhaul))
-    mobile_start = index.mobile_start
-    stops = [bisect_left(mobile_start, t - 1e-12) for t in starts]
-    stops.append(bisect_left(mobile_start, index.route.total_time - 1e-12))
-    return (tuple(starts), tuple(forecasts), tuple(stops),
-            bisect_left(mobile_start, hi - 1e-12))
+        profiles.append(profile(seg.end_time))  # the node has just left seg
+        usable = min(seg.end_time, hi) - seg.start_time
+        if usable > 1e-12:
+            local, backhaul = seg.wifi_local_rate, seg.backhaul_rate
+            # by position, fields in order: a NamedTuple builds in about half the time
+            ahead = (HotspotForecast(seg.hotspot_index, (1 - te) * usable, (1 + te) * usable,
+                                     (1 - re) * local, (1 + re) * local,
+                                     (1 - re) * backhaul, (1 + re) * backhaul),) + ahead
+            next_start, gap_max = seg.start_time, -math.inf
+    profiles.append(profile(0.0))
+    return tuple(reversed(profiles))
 
 
 @lru_cache(maxsize=16)  # the 20 figure recipes index 12 routes
@@ -223,11 +198,13 @@ def _route_index(route: RouteProfile) -> _RouteIndex:
 
 def build_prediction(
     route: RouteProfile,
-    now: float,
+    passed: int,
     errors: ErrorSpec,
     horizon: Optional[float] = None,
 ) -> PredictionProfile:
-    """Forecast the remaining hotspots of the nominal route from time ``now``.
+    """Forecast the rest of the nominal route for a node that has left
+    ``passed`` of its hotspots: 0 at the route start, then one more at each
+    hotspot exit.
 
     Each hotspot's forecast bounds both its local (cache) and its backhaul
     rate, so one forecast serves every policy at a replan point.
@@ -235,41 +212,21 @@ def build_prediction(
     ``horizon`` truncates the forecast at a deadline: hotspots starting at or
     after it are dropped and a window straddling it only counts the part
     before it.  None, inf or any horizon past the route end truncates
-    nothing; a NaN one raises ``ValueError``.
+    nothing; a NaN one raises ``ValueError``, and so does a ``passed`` that
+    is not an integer from 0 to the route's hotspot count.
 
     The result does not depend on ``errors.seed``.  A route is indexed
-    once, and a forecast is cached per index, ``now``, errors and horizon
-    clipped to the route end (see the module docstring).
+    once, and its forecasts are built together, once per index, errors and
+    horizon clipped to the route end (see the module docstring).
     """
-    if not -1e-9 <= now <= route.total_time + 1e-6:  # NaN fails too
-        raise ValueError(f"now={now} outside route [0, {route.total_time}]")
+    check_integer("passed", passed)
     if horizon is not None and math.isnan(horizon):
         raise ValueError("horizon must not be NaN")
+    index = _route_index(route)
+    if passed > len(index.hotspots):
+        raise ValueError(f"passed={passed} exceeds the route's {len(index.hotspots)} hotspots")
     hi = route.total_time if horizon is None else min(horizon, route.total_time)
-    return _forecast(_route_index(route), now, errors.time_error, errors.throughput_error, hi)
-
-
-@lru_cache(maxsize=512)  # the 20 figure recipes build 92 forecasts, in any order
-def _forecast(
-    index: _RouteIndex,
-    now: float,
-    time_error: float,
-    throughput_error: float,
-    hi: float,
-) -> PredictionProfile:
-    """The forecast behind :func:`build_prediction` up to the clipped
-    horizon ``hi``, read from the index."""
-    starts, forecasts, stops, horizon_stop = _walk(index, time_error, throughput_error, hi)
-    # the first hotspot not started before now (within 1e-9 s)
-    cut = bisect_left(starts, now - 1e-9)
-    # the first mobile segment not ended by now (within 1e-12 s)
-    first = bisect_right(index.mobile_end, now + 1e-12)
-    return PredictionProfile(  # by position, as in _walk
-        forecasts[cut:],  # hotspots
-        0.0 if cut == len(starts) else max(0.0, starts[cut] - now),  # time_to_next_wifi
-        _extreme(index.rate_max, max, first, stops[cut]),  # max_mobile_rate
-        _extreme(index.rate_min, min, first, horizon_stop),  # sustainable_mobile_rate
-    )
+    return _walk(index, errors.time_error, errors.throughput_error, hi)[passed]
 
 
 def _draws(seed: int, n: int) -> np.ndarray:

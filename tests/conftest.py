@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from offloadsim import engine, metrics, prediction
+from offloadsim import metrics, prediction
 from offloadsim.config import load_route
 from offloadsim.model import (
     AccessKind,
@@ -50,12 +50,10 @@ def memo_caches():
 
 
 def clear_memos():
-    """Empty every process-wide memo, so that no earlier call serves a later
-    one: each cache :func:`memo_caches` finds, and the last checked pair of
-    routes."""
+    """Empty every process-wide memo, each cache :func:`memo_caches` finds,
+    so that no earlier call serves a later one."""
     for cache in memo_caches():
         cache.cache_clear()
-    engine._checked = None
 
 
 @pytest.fixture

@@ -640,6 +640,15 @@ class TestCli:
         assert "worst over 3 seeds" in out
         assert "FAIL" not in out
 
+    def test_oracle_check_rejects_a_sweep(self, capsys):
+        """A bundled sweep name is offered, but oracle-check checks one
+        scenario: it says so on one line (it said a key was missing)."""
+        assert self.run_cli("oracle-check", "--scenario", "fig2a", "--seeds", "1") == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "error: --scenario: fig2a is a sweep; oracle-check takes one scenario"]
+        assert captured.out == ""
+
     def test_oracle_check_failure_exits_1(self, monkeypatch, capsys):
         monkeypatch.setattr(cli, "compare_runs",
                             lambda *args, **kwargs: AgreementReport(1e9, 0.0, False))

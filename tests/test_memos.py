@@ -8,11 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from offloadsim import engine, metrics, prediction
+from offloadsim import metrics, prediction
 from offloadsim.engine import run_trip
 from offloadsim.model import scale_route
 from offloadsim.policies import Policy
-from offloadsim.prediction import ErrorSpec, _draws, derive_run_seed, realize_route
+from offloadsim.prediction import (ErrorSpec, _draws, build_prediction, derive_run_seed,
+                                   realize_route)
 
 from conftest import memo_caches
 from test_draw_kernel import SEEDS
@@ -21,21 +22,18 @@ from test_metrics import make_spec
 
 def test_fresh_memos_empties_each_memo(route_4ap, request):
     """After one scenario run and one trip every cache the fixture finds, the
-    route index among them, and the identity slot hold an entry, and the
-    fixture empties each."""
+    route index among them, holds an entry, and the fixture empties each."""
     spec = make_spec(route_4ap, runs=3)
     metrics.run_scenario(spec)
     nominal = spec.scaled_route()
     run_trip(realize_route(nominal, ErrorSpec(0.1, 0.2, seed=1)), nominal, spec.task,
              Policy.PREFETCH_DELAY_TOLERANT, spec.errors)
     caches = memo_caches()
-    assert {"_scale", "_aggregate", "_draw_matrix", "_route_index", "_walk", "_forecast"} <= {
+    assert {"_scale", "_aggregate", "_draw_matrix", "_route_index", "_walk"} <= {
         cache.__name__ for cache in caches}
     assert all(cache.cache_info().currsize for cache in caches)
-    assert engine._checked is not None
     request.getfixturevalue("fresh_memos")
     assert not any(cache.cache_info().currsize for cache in caches)
-    assert engine._checked is None
 
 
 # caches with a bound to test, and a call that puts key i in each (the
@@ -46,6 +44,9 @@ LRU_MEMOS = {
     "draw streams": (prediction._draw_matrix, lambda route, i: prediction._draw_matrix(i, 2, 3)),
     "route indexes": (prediction._route_index,
                       lambda route, i: prediction._route_index(scale_route(route, i + 1))),
+    "forecast walks": (prediction._walk,
+                       lambda route, i: build_prediction(route, 0, ErrorSpec(),
+                                                         horizon=(i + 1) / 100)),
 }
 
 

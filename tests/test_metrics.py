@@ -364,6 +364,15 @@ class TestRunScenario:
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
             replace(spec, **{name: value})
 
+    def test_lists_become_tuples(self, route_4ap):
+        """Policies and metrics given as lists run, and equal the scenario
+        given tuples: a list failed to hash in the aggregate memo."""
+        spec = replace(make_spec(route_4ap, runs=3), policies=list(DT_POLICIES),
+                       metrics=["offload_pct", "energy_j"])
+        assert spec.policies == DT_POLICIES and spec.metrics == ("offload_pct", "energy_j")
+        assert run_scenario(spec).summaries == run_scenario(make_spec(route_4ap,
+                                                                      runs=3)).summaries
+
     def test_scaled_route_is_built_once(self, route_4ap):
         """The spec's scaled route is the one scale_route builds at its
         factors, built once; a replaced factor gets a route of its own."""
@@ -461,8 +470,8 @@ class TestDrawMemo:
         evicts nothing, so each bound holds the recipes whole.  They hold 44
         distinct scenarios, 12 (route, rate factors) pairs, so 12 route
         indexes, and 3 draw shapes (seed 0 and 120 runs on the 2-, 4- and
-        8-hotspot layouts); the forecast caches walk 18 keys and build 92
-        forecasts, in any order."""
+        8-hotspot layouts); the forecast cache walks 18 keys, each building
+        all of its route's forecasts, in any order."""
         for shuffle in (None, 8, 3):
             clear_memos()
             order = list(RECIPES)
@@ -484,7 +493,6 @@ class TestDrawMemo:
                 prediction._draw_matrix: len({(s.seed, s.runs, 2 * len(s.route.segments)
                                                + s.route.n_hotspots) for s in points}),
                 prediction._walk: 18,
-                prediction._forecast: 92,
             }
             assert list(keys.values())[:4] == [44, 12, 12, 3]
             for cache, distinct in keys.items():

@@ -331,19 +331,18 @@ def reference_stepped(route_realized, route_nominal, task, policy, errors, dt=0.
     caches = {}
     completion = None
 
-    def replan(now_nominal, now_realized):
-        pred = build_prediction(route_nominal, now_nominal, errors, horizon=horizon)
-        rate, _, cache = plan_exit(
-            policy, max(0.0, size - prefix), deadline - now_realized, pred, prefix)
+    def replan(passed, now):
+        pred = build_prediction(route_nominal, passed, errors, horizon=horizon)
+        rate, _, cache = plan_exit(policy, max(0.0, size - prefix), deadline - now, pred, prefix)
         if cache is not None and cache[1] > 0:
             index, amount, offset = cache
             caches[index] = (offset, amount)
         return rate
 
-    plan_rate = replan(0.0, 0.0)
+    plan_rate = replan(0, 0.0)
+    passed = 0
 
-    for i, (seg, seg_nom) in enumerate(zip(route_realized.segments,
-                                           route_nominal.segments)):
+    for i, seg in enumerate(route_realized.segments):
         if completion is not None:
             break
 
@@ -397,7 +396,8 @@ def reference_stepped(route_realized, route_nominal, task, policy, errors, dt=0.
                 break
 
         if completion is None and seg.kind is AccessKind.WIFI:
-            plan_rate = replan(seg_nom.end_time, seg.end_time)
+            passed += 1
+            plan_rate = replan(passed, seg.end_time)
 
     return StepOutcome(
         mobile_mb=totals[Channel.MOBILE],

@@ -7,7 +7,7 @@ import pytest
 from conftest import edge_routes, make_task, random_route
 from offloadsim import engine, oracle, policies, prediction
 from offloadsim.config import bundled_scenario_path, load_scenario
-from offloadsim.model import scale_route
+from offloadsim.model import RouteProfile, scale_route
 from offloadsim.policies import Channel, Policy, plan_entry, plan_exit
 from offloadsim.prediction import (ErrorSpec, HotspotForecast, PredictionProfile,
                                   build_prediction, derive_run_seed, realize_batch,
@@ -20,7 +20,7 @@ PREFETCH_DS = Policy.PREFETCH_DELAY_SENSITIVE
 
 @pytest.fixture(scope="module")
 def pred_t0(default_route):
-    return build_prediction(default_route, 0.0, ZERO)
+    return build_prediction(default_route, 0, ZERO)
 
 
 class TestDelayTolerantPlan:
@@ -91,7 +91,7 @@ class TestPredictionOnlyPlan:
         # the same capacity and must produce the same mobile rate
         equal = scale_route(route_4ap, wifi_factor=1e-9, backhaul_factor=1 / 3)
         # wifi_factor shrank local below backhaul, so backhaul == local now
-        pred = build_prediction(equal, 0.0, ZERO)
+        pred = build_prediction(equal, 0, ZERO)
         r1, _, _ = plan_exit(PREFETCH_DT, 60.0, 269.0, pred)
         r2, _, _ = plan_exit(PREDICTION_ONLY, 60.0, 269.0, pred)
         assert r1 == pytest.approx(r2, rel=1e-12)
@@ -99,7 +99,7 @@ class TestPredictionOnlyPlan:
 
 class TestDelaySensitivePlan:
     def test_exit_after_first_hotspot(self, default_route):
-        pred = build_prediction(default_route, 36.0, ZERO)
+        pred = build_prediction(default_route, 1, ZERO)
         rate, _, (index, _, offset) = plan_exit(PREFETCH_DS, 40.0, math.inf, pred, 10.0)
         # requests the mobile rate of the upcoming gap
         assert rate == pytest.approx(4.58 / 3, rel=1e-12)
@@ -107,7 +107,7 @@ class TestDelaySensitivePlan:
         assert index == 2
 
     def test_rate_independent_of_size_and_prefix(self, default_route):
-        pred = build_prediction(default_route, 36.0, ZERO)
+        pred = build_prediction(default_route, 1, ZERO)
         rates = {
             plan_exit(PREFETCH_DS, r, math.inf, pred, p)[0]
             for r, p in ((1.0, 0.0), (500.0, 0.0), (40.0, 25.0))
@@ -115,13 +115,16 @@ class TestDelaySensitivePlan:
         assert len(rates) == 1
 
     def test_zero_gap_keeps_prefix(self, default_route):
-        pred = build_prediction(default_route, 18.0, ZERO)
+        # the route from its first hotspot on: the node starts in a hotspot
+        route = RouteProfile(tuple(replace(s, start_time=s.start_time - 18.0)
+                                   for s in default_route.segments[1:]), 251.0)
+        pred = build_prediction(route, 0, ZERO)
         assert pred.time_to_next_wifi == 0.0
         _, _, (_, _, offset) = plan_exit(PREFETCH_DS, 40.0, math.inf, pred, 20.0)
         assert offset == pytest.approx(20.0)
 
     def test_no_hotspots_left(self, default_route):
-        pred = build_prediction(default_route, 260.0, ZERO)
+        pred = build_prediction(default_route, 4, ZERO)
         assert not pred.hotspots
         _, _, cache = plan_exit(PREFETCH_DS, 5.0, math.inf, pred, 55.0)
         assert cache is None  # nothing to stage
@@ -135,8 +138,9 @@ class TestCacheTruncation:
             if route.n_hotspots == 0:
                 continue
             errors = ErrorSpec(float(rng.uniform(0, 0.4)), float(rng.uniform(0, 0.8)))
-            now = float(rng.uniform(0, route.total_time * 0.8))
-            pred = build_prediction(route, now, errors)
+            passed = int(rng.integers(route.n_hotspots + 1))
+            now = route.hotspots[passed - 1].end_time if passed else 0.0
+            pred = build_prediction(route, passed, errors)
             if not pred.hotspots:
                 continue
             prefix = float(rng.uniform(0, 30))
@@ -155,7 +159,7 @@ class TestCacheTruncation:
             route = random_route(rng)
             if route.n_hotspots == 0:
                 continue
-            pred = build_prediction(route, 0.0, ErrorSpec(0.1, 0.2))
+            pred = build_prediction(route, 0, ErrorSpec(0.1, 0.2))
             if not pred.hotspots:
                 continue
             prefix = float(rng.uniform(0, 10))
@@ -194,10 +198,10 @@ class TestPlanIdempotence:
             now = 0.0
             first_rate = None
             feasible = True
-            for hs in hotspots:
+            for passed, hs in enumerate(hotspots):
                 if size - received <= 1e-6:  # assumed delivery already done
                     break
-                pred = build_prediction(route, now, errors, horizon=deadline)
+                pred = build_prediction(route, passed, errors, horizon=deadline)
                 if remaining_mobile_time(route, now) <= 1e-9:
                     break  # pure-WiFi horizon: the mobile rate is moot (0/0)
                 rate, infeasible, _ = plan_exit(
@@ -275,8 +279,8 @@ class TestPolicyDispatch:
         assert [a.channel for a in actions] == [Channel.WIFI_BACKHAUL]
 
     def test_delay_sensitive_always_max_rate(self, default_route):
-        for now in (0.0, 36.0, 108.0):
-            pred = build_prediction(default_route, now, ZERO)
+        for passed in (0, 1, 2):
+            pred = build_prediction(default_route, passed, ZERO)
             rate, _, _ = plan_exit(PREFETCH_DS, 50.0, math.inf, pred)
             assert rate == pred.max_mobile_rate
 
@@ -300,9 +304,9 @@ class TestFloatsMatchArrays:
         for route in routes:
             errors = ErrorSpec(float(rng.uniform(0, 0.4)), float(rng.uniform(0, 0.8)))
             # the route start and every hotspot exit, the last with no hotspot left
-            for now in [0.0] + [h.end_time for h in route.hotspots]:
+            for passed in range(route.n_hotspots + 1):
                 for horizon in (None, route.total_time * 0.7):
-                    yield route, build_prediction(route, now, errors, horizon=horizon)
+                    yield route, build_prediction(route, passed, errors, horizon=horizon)
 
     def exit_inputs(self, route, rng, size):
         n = self.N
@@ -520,33 +524,40 @@ class TestOnePlanner:
     def test_mixed_batch_builds_one_forecast_per_replan_point(self, monkeypatch):
         """dt-default runs prefetch-dt (local rates), prediction-dt (backhaul
         rates) and no-prediction in one batch: it builds one forecast at the
-        start and one at each nominal hotspot exit it reaches, never two."""
+        start and one at each hotspot exit it reaches, never two."""
         spec = load_scenario(str(bundled_scenario_path("scenario_dt_default")))
         route = spec.scaled_route()
-        nows = []
+        passed = []
 
         def counted(*args, **kwargs):
-            nows.append(args[1])
+            passed.append(args[1])
             return build_prediction(*args, **kwargs)
 
         monkeypatch.setattr(engine, "build_prediction", counted)
         batch = realize_batch(route, spec.errors, spec.seed, spec.runs)
         engine.run_policies(batch, spec.task, spec.policies, spec.errors)
-        assert len(nows) > 1
-        assert nows == [0.0] + [h.end_time for h in route.hotspots][:len(nows) - 1]
+        assert len(passed) > 1
+        assert passed == list(range(len(passed)))
 
-    def test_prefetch_and_prediction_only_share_every_forecast(self, fresh_memos):
+    def test_prefetch_and_prediction_only_share_every_forecast(self, monkeypatch,
+                                                               fresh_memos):
         """A prefetch-dt and a prediction-dt trip on one dt-default realization
-        build one forecast per replan time between them: the second trip
-        builds none at a time the first already forecast."""
+        share one walk of the route, so at each replan point both plan on the
+        same forecast object."""
         spec = load_scenario(str(bundled_scenario_path("scenario_dt_default")))
         route = spec.scaled_route()
         realized = realize_route(route, replace(spec.errors, seed=derive_run_seed(0, 0)))
-        times = set()
+        seen = {}
+
+        def counted(*args, **kwargs):
+            pred = build_prediction(*args, **kwargs)
+            seen.setdefault(args[1], []).append(pred)
+            return pred
+
+        monkeypatch.setattr(engine, "build_prediction", counted)
         for policy in (PREFETCH_DT, PREDICTION_ONLY):
-            outcome = engine.run_trip(realized, route, spec.task, policy, spec.errors)
-            exits = [nom.end_time for nom, seg in zip(route.hotspots, realized.hotspots)
-                     if not outcome.completed or seg.end_time < outcome.completion_time]
-            times.update([0.0] + exits)
-        assert len(times) > 1
-        assert prediction._forecast.cache_info().misses == len(times)
+            engine.run_trip(realized, route, spec.task, policy, spec.errors)
+        assert len(seen) > 1
+        assert all(pred is preds[0] for preds in seen.values() for pred in preds)
+        assert sum(len(preds) == 2 for preds in seen.values()) > 1
+        assert prediction._walk.cache_info().misses == 1

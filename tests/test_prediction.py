@@ -9,7 +9,7 @@ from conftest import edge_routes, make_task, random_route
 from offloadsim import oracle, prediction
 from offloadsim.engine import run_trip
 from offloadsim.model import AccessKind, RouteProfile, RouteSegment, scale_route
-from offloadsim.policies import Policy
+from offloadsim.policies import Policy, plan_exit
 from offloadsim.prediction import (
     ErrorSpec,
     HotspotForecast,
@@ -21,9 +21,10 @@ from offloadsim.prediction import (
 )
 
 
-def replan_times(route):
-    """The times a trip replans at: the start and every hotspot exit."""
-    return [0.0] + [s.end_time for s in route.segments if s.is_wifi]
+def replan_points(route):
+    """The counts of hotspots passed a trip replans at: 0 at the start, then
+    one more at each hotspot exit."""
+    return range(route.n_hotspots + 1)
 
 
 def assert_fields_equal(a, b):
@@ -34,46 +35,41 @@ def assert_fields_equal(a, b):
         assert getattr(a, name) == getattr(b, name), name
 
 
-def reference_mobile_rates_in(route: RouteProfile, now: float,
-                              window_end: float) -> list[float]:
-    """Nominal mobile rates in [now, window_end); falls back to the remaining
-    route, then the whole route, when the window has none."""
-    rates = [
-        s.mobile_rate for s in route.segments
-        if not s.is_wifi and s.end_time > now + 1e-12 and s.start_time < window_end - 1e-12
-    ]
-    if not rates:
-        rates = [
-            s.mobile_rate for s in route.segments
-            if not s.is_wifi and s.end_time > now + 1e-12
-        ]
-    if not rates:
-        rates = [s.mobile_rate for s in route.segments if not s.is_wifi]
-    return rates
+def mobile_rates(segments) -> list[float]:
+    return [s.mobile_rate for s in segments if not s.is_wifi]
 
 
 def reference_forecast(
     route: RouteProfile,
-    now: float,
+    passed: int,
     time_error: float,
     throughput_error: float,
     horizon: Optional[float],
 ) -> PredictionProfile:
-    """Reference forecast: the scan over every segment that the route index
-    replaced, less the fields no planner reads."""
+    """Reference forecast: a scan over every segment after the ``passed``-th
+    hotspot, where the node is, less the fields no planner reads.  The
+    mobile rates before the next usable hotspot, and those of segments
+    starting before the horizon, fall back to every mobile rate ahead, then
+    to the whole route's, when there are none."""
     hi = route.total_time if horizon is None else min(horizon, route.total_time)
     te, re = time_error, throughput_error
+    segments = route.segments
+    here, now = 0, 0.0
+    if passed:
+        here = [i for i, s in enumerate(segments) if s.is_wifi][passed - 1] + 1
+        now = segments[here - 1].end_time
+    rest = segments[here:]
 
     forecasts = []
-    first_start = None
-    for seg in route.segments:
-        if not seg.is_wifi or seg.start_time < now - 1e-9:
+    first = None  # the position in rest of the first usable hotspot
+    for i, seg in enumerate(rest):
+        if not seg.is_wifi:
             continue
         usable = min(seg.end_time, hi) - seg.start_time
         if usable <= 1e-12:
             continue
-        if first_start is None:
-            first_start = seg.start_time
+        if first is None:
+            first = i
         forecasts.append(
             HotspotForecast(
                 hotspot_index=seg.hotspot_index,
@@ -86,20 +82,15 @@ def reference_forecast(
             )
         )
 
-    if first_start is None:
-        time_to_next = 0.0
-        gap_end = route.total_time
-    else:
-        time_to_next = max(0.0, first_start - now)
-        gap_end = first_start
-
-    gap_rates = reference_mobile_rates_in(route, now, gap_end)
-    horizon_rates = reference_mobile_rates_in(route, now, hi)
+    time_to_next = 0.0 if first is None else max(0.0, rest[first].start_time - now)
+    fallback = mobile_rates(rest) or mobile_rates(segments) or [0.0]
+    gap_rates = mobile_rates(rest[:first]) or fallback
+    horizon_rates = mobile_rates(s for s in rest if s.start_time < hi - 1e-12) or fallback
     return PredictionProfile(
         hotspots=tuple(forecasts),
         time_to_next_wifi=time_to_next,
-        max_mobile_rate=max(gap_rates) if gap_rates else 0.0,
-        sustainable_mobile_rate=min(horizon_rates) if horizon_rates else 0.0,
+        max_mobile_rate=max(gap_rates),
+        sustainable_mobile_rate=min(horizon_rates),
     )
 
 
@@ -155,7 +146,7 @@ class TestErrorSpec:
 
 class TestBuildPrediction:
     def test_zero_errors_equal_nominal(self, default_route, zero_errors):
-        pred = build_prediction(default_route, 0.0, zero_errors)
+        pred = build_prediction(default_route, 0, zero_errors)
         assert len(pred.hotspots) == 4
         for fc, seg in zip(pred.hotspots, default_route.hotspots):
             assert fc.duration_min == fc.duration_max == seg.duration
@@ -163,10 +154,10 @@ class TestBuildPrediction:
             assert fc.backhaul_min == fc.backhaul_max == seg.backhaul_rate
 
     def test_bounds_with_errors(self, route_4ap):
-        # second hotspot of the one-third-scaled route, seen from t = 36 s
+        # second hotspot of the one-third-scaled route, seen on leaving the first
         route = scale_route(route_4ap, wifi_factor=1 / 3)
         errors = ErrorSpec(time_error=0.10, throughput_error=0.20)
-        pred = build_prediction(route, 36.0, errors)
+        pred = build_prediction(route, 1, errors)
         first = pred.hotspots[0]
         assert first.hotspot_index == 2
         assert first.duration_min == pytest.approx(16.2, abs=1e-12)
@@ -175,50 +166,74 @@ class TestBuildPrediction:
         assert first.local_max == pytest.approx(6.696, abs=1e-12)
 
     def test_backhaul_bounds(self, default_route, default_errors):
-        pred = build_prediction(default_route, 0.0, default_errors)
+        pred = build_prediction(default_route, 0, default_errors)
         seg = default_route.hotspots[0]
         assert pred.hotspots[0].backhaul_min == pytest.approx(0.8 * seg.backhaul_rate)
         assert pred.hotspots[0].backhaul_max == pytest.approx(1.2 * seg.backhaul_rate)
 
     def test_gap_and_horizon_quantities(self, default_route, zero_errors):
-        pred = build_prediction(default_route, 0.0, zero_errors)
+        pred = build_prediction(default_route, 0, zero_errors)
         assert pred.time_to_next_wifi == pytest.approx(18.0)
         assert pred.max_mobile_rate == pytest.approx(4.83 / 3)
         assert pred.sustainable_mobile_rate == pytest.approx(4.58 / 3)
 
-        pred36 = build_prediction(default_route, 36.0, zero_errors)
+        pred36 = build_prediction(default_route, 1, zero_errors)  # at 36 s
         assert pred36.time_to_next_wifi == pytest.approx(54.0)
         assert pred36.max_mobile_rate == pytest.approx(4.58 / 3)
 
     def test_no_hotspots_left(self, default_route, zero_errors):
-        pred = build_prediction(default_route, 260.0, zero_errors)
+        pred = build_prediction(default_route, 4, zero_errors)
         assert pred.hotspots == ()
         assert pred.time_to_next_wifi == 0.0
 
     def test_horizon_clips_windows(self, default_route, zero_errors):
         # deadline lands 9 s into the second hotspot window
-        pred = build_prediction(default_route, 0.0, zero_errors, horizon=99.0)
+        pred = build_prediction(default_route, 0, zero_errors, horizon=99.0)
         assert len(pred.hotspots) == 2
         assert pred.hotspots[1].duration_max == pytest.approx(9.0)
         # and drops hotspots past it entirely
-        pred = build_prediction(default_route, 0.0, zero_errors, horizon=80.0)
+        pred = build_prediction(default_route, 0, zero_errors, horizon=80.0)
         assert len(pred.hotspots) == 1
 
-    def test_now_out_of_range(self, default_route, zero_errors):
-        with pytest.raises(ValueError):
-            build_prediction(default_route, 300.0, zero_errors)
-
-    @pytest.mark.parametrize("now", [-1.0, float("nan")])
-    def test_now_negative_or_nan(self, default_route, zero_errors, now):
-        with pytest.raises(ValueError):
-            build_prediction(default_route, now, zero_errors)
+    @pytest.mark.parametrize("passed", [True, 1.0, float("nan"), -1, 5],
+                             ids=["True", "1.0", "nan", "-1", "5"])
+    def test_passed_is_a_hotspot_count(self, default_route, zero_errors, passed,
+                                       fresh_memos):
+        """The count of hotspots passed is an integer from 0 to the route's
+        4: a bool, a float, a negative count or one past the last hotspot
+        raises and caches nothing; a numpy integer is a count."""
+        with pytest.raises(ValueError, match="passed"):
+            build_prediction(default_route, passed, zero_errors)
+        assert prediction._walk.cache_info().currsize == 0
+        assert build_prediction(default_route, np.int64(4), zero_errors).hotspots == ()
 
     def test_nan_horizon(self, default_route, zero_errors, fresh_memos):
         """A NaN horizon would clip to NaN, forecast as no horizon does and
         cache a key no later call can hit."""
         with pytest.raises(ValueError, match="horizon"):
-            build_prediction(default_route, 0.0, zero_errors, horizon=float("nan"))
-        assert prediction._forecast.cache_info().currsize == 0
+            build_prediction(default_route, 0, zero_errors, horizon=float("nan"))
+        assert prediction._walk.cache_info().currsize == 0
+
+    def test_overlapped_next_hotspot_is_forecast(self):
+        """Hotspot 2 starts 5e-7 s before hotspot 1 ends, which a route
+        accepts: the forecast on leaving hotspot 1 lists hotspot 2 first, and
+        prefetch-dt stages its cache there."""
+        def seg(kind, start, end, rate, hotspot=None):
+            rates = ({"wifi_local_rate": rate, "backhaul_rate": rate / 2}
+                     if kind is AccessKind.WIFI else {"mobile_rate": rate})
+            return RouteSegment(kind, start, end - start, hotspot_index=hotspot, **rates)
+
+        route = RouteProfile((seg(AccessKind.MOBILE, 0.0, 10.0, 2.0),
+                              seg(AccessKind.WIFI, 10.0, 20.0, 8.0, 1),
+                              seg(AccessKind.WIFI, 20.0 - 5e-7, 30.0, 8.0, 2),
+                              seg(AccessKind.MOBILE, 30.0, 40.0, 2.0)), 40.0)
+        errors = ErrorSpec(0.10, 0.20)
+        pred = build_prediction(route, 1, errors)
+        assert [h.hotspot_index for h in pred.hotspots] == [2]
+        assert_forecast_equal(pred, reference_forecast(route, 1, 0.10, 0.20, None))
+        _, _, (index, amount, _) = plan_exit(Policy.PREFETCH_DELAY_TOLERANT, 50.0, 20.0,
+                                             pred, 10.0)
+        assert index == 2 and amount > 0
 
 
 class TestForecastMemo:
@@ -226,9 +241,9 @@ class TestForecastMemo:
         rng = np.random.default_rng(21)
         for route in [random_route(rng) for _ in range(40)] + edge_routes(rng):
             te, re = float(rng.uniform(0, 0.5)), float(rng.uniform(0, 0.9))
-            for now in replan_times(route):
-                a = build_prediction(route, now, ErrorSpec(te, re, seed=1))
-                b = build_prediction(route, now, ErrorSpec(te, re, seed=2))
+            for passed in replan_points(route):
+                a = build_prediction(route, passed, ErrorSpec(te, re, seed=1))
+                b = build_prediction(route, passed, ErrorSpec(te, re, seed=2))
                 assert_fields_equal(a, b)
 
     def test_memoized_equals_uncached(self):
@@ -237,11 +252,11 @@ class TestForecastMemo:
             errors = ErrorSpec(float(rng.uniform(0, 0.5)), float(rng.uniform(0, 0.9)),
                                seed=int(rng.integers(1 << 30)))
             horizon = float(rng.uniform(0.3, 1.2)) * route.total_time
-            for now in replan_times(route):
+            for passed in replan_points(route):
                 for h in (None, horizon):
-                    first = build_prediction(route, now, errors, h)
-                    again = build_prediction(route, now, errors, h)
-                    fresh = reference_forecast(route, now, errors.time_error,
+                    first = build_prediction(route, passed, errors, h)
+                    again = build_prediction(route, passed, errors, h)
+                    fresh = reference_forecast(route, passed, errors.time_error,
                                                errors.throughput_error, h)
                     assert again is first
                     assert_forecast_equal(first, fresh)
@@ -255,14 +270,14 @@ class TestForecastMemo:
             te, re = float(rng.uniform(0, 0.5)), float(rng.uniform(0, 0.9))
             errors = ErrorSpec(te, re)
             inside = float(rng.uniform(0.3, 0.9)) * route.total_time
-            for now in replan_times(route):
-                shared = build_prediction(route, now, errors, None)
+            for passed in replan_points(route):
+                shared = build_prediction(route, passed, errors, None)
                 for h in (route.total_time, 1.5 * route.total_time):
-                    assert build_prediction(route, now, errors, h) is shared
-                assert_forecast_equal(shared, reference_forecast(route, now, te, re, None))
-                own = build_prediction(route, now, errors, inside)
+                    assert build_prediction(route, passed, errors, h) is shared
+                assert_forecast_equal(shared, reference_forecast(route, passed, te, re, None))
+                own = build_prediction(route, passed, errors, inside)
                 assert own is not shared
-                assert_forecast_equal(own, reference_forecast(route, now, te, re, inside))
+                assert_forecast_equal(own, reference_forecast(route, passed, te, re, inside))
 
     def test_alternating_routes_get_their_own_forecast(self):
         rng = np.random.default_rng(23)
@@ -278,26 +293,12 @@ class TestForecastMemo:
             other = RouteProfile(route.segments[:i] + (faster,) + route.segments[i + 1:],
                                  route.total_time)
             twin = RouteProfile(route.segments, route.total_time)  # equal, not identical
-            want = {id(r): reference_forecast(r, 0.0, 0.10, 0.20, None)
+            want = {id(r): reference_forecast(r, 0, 0.10, 0.20, None)
                     for r in (route, other, twin)}
             assert want[id(route)] != want[id(other)]
             for r in (route, other, route, twin, other, twin, route):
-                assert build_prediction(r, 0.0, errors) == want[id(r)]
+                assert build_prediction(r, 0, errors) == want[id(r)]
             checked += 1
-
-
-def forecast_times(route, rng):
-    """Replan times, random times, each hotspot start and times 1e-9 s either
-    side of it (the hotspot cut), and times 1e-12 s either side of each mobile
-    segment's end (the mobile windows)."""
-    nows = set(replan_times(route))
-    nows.update(float(t) for t in rng.uniform(0, route.total_time, size=4))
-    for seg in route.segments:
-        if seg.is_wifi:
-            nows.update((seg.start_time - 1e-9, seg.start_time, seg.start_time + 1e-9))
-        else:
-            nows.update((seg.end_time - 1e-12, seg.end_time + 1e-12))
-    return sorted(t for t in nows if -1e-9 <= t <= route.total_time)
 
 
 def forecast_horizons(route, rng):
@@ -322,7 +323,8 @@ class TestForecastIndex:
     ERROR_PAIRS = ((0.0, 0.0), (0.10, 0.20), (0.35, 0.05), (0.49, 0.9))
 
     def test_equals_reference(self):
-        """Every field of every forecast equals the full scan's, with ==."""
+        """Every field of every replan point's forecast equals the scan's,
+        with ==."""
         rng = np.random.default_rng(27)
         routes = [random_route(rng) for _ in range(150)]
         routes += [random_route(rng, n_segments=int(rng.integers(28, 37)))
@@ -336,46 +338,41 @@ class TestForecastIndex:
         for i, route in enumerate(routes):
             te, re = self.ERROR_PAIRS[i % len(self.ERROR_PAIRS)]
             errors = ErrorSpec(te, re)
-            nows = forecast_times(route, rng)
             # two draws of horizons per route; each forecast bounds both WiFi rates
             for h in forecast_horizons(route, rng) + forecast_horizons(route, rng):
-                for now in nows:
-                    got = build_prediction(route, now, errors, h)
-                    want = reference_forecast(route, now, te, re, h)
+                for passed in replan_points(route):
+                    got = build_prediction(route, passed, errors, h)
+                    want = reference_forecast(route, passed, te, re, h)
                     assert_forecast_equal(got, want)
                     checked += 1
-        assert checked > 40_000
+        assert checked > 9_000
 
     def test_overlapping_segments_equal_reference(self):
         """Segments may start up to 1e-6 s off their predecessor's end, so a
-        mobile segment can end after the next hotspot starts and a forecast
-        in between reads mobile rates on both sides of that hotspot: every
-        field still equals the full scan's."""
+        hotspot can start before the one before it ends, or a mobile segment
+        end after the next hotspot starts: every field of every replan
+        point's forecast still equals the scan's, which goes by position."""
         rng = np.random.default_rng(31)
         checked = 0
-        for i in range(60):
+        for i in range(400):
             route = random_route(rng, n_segments=int(rng.integers(3, 12)))
             shifts = [0.0, *rng.uniform(-5e-7, 5e-7, len(route.segments) - 1).tolist()]
             route = RouteProfile(tuple(dataclasses.replace(seg, start_time=seg.start_time + d)
                                        for seg, d in zip(route.segments, shifts)),
                                  route.total_time)
             te, re = self.ERROR_PAIRS[i % len(self.ERROR_PAIRS)]
-            nows = forecast_times(route, rng)
-            for prev, seg in zip(route.segments, route.segments[1:]):
-                nows += [0.5 * (prev.end_time + seg.start_time), seg.start_time + 2e-9]
-            nows = [t for t in nows if -1e-9 <= t <= route.total_time]
             for h in forecast_horizons(route, rng) + forecast_horizons(route, rng):
-                for now in nows:
+                for passed in replan_points(route):
                     assert_forecast_equal(
-                        build_prediction(route, now, ErrorSpec(te, re), h),
-                        reference_forecast(route, now, te, re, h))
+                        build_prediction(route, passed, ErrorSpec(te, re), h),
+                        reference_forecast(route, passed, te, re, h))
                     checked += 1
-        assert checked > 10_000
+        assert checked > 30_000
 
     def test_one_index_per_route(self, monkeypatch, fresh_memos):
         """All five policies on one route, through every replan, index the
-        route once, walk its hotspots at most once per key and build no
-        forecast twice for one key and time."""
+        route once and walk it once per key: the delay-tolerant task's
+        horizon and the delay-sensitive task's none."""
         builds = collections.Counter()
         real_index = prediction._RouteIndex
 
@@ -399,9 +396,9 @@ class TestForecastIndex:
             task = sensitive if policy is Policy.PREFETCH_DELAY_SENSITIVE else tolerant
             run_trip(realized, route, task, policy, errors)
         assert builds == {id(route): 1}
-        walks, forecasts = prediction._walk.cache_info(), prediction._forecast.cache_info()
-        assert 0 < walks.misses == walks.currsize  # nothing walked twice, or evicted
-        assert forecasts.misses == forecasts.currsize > 2 * route.n_hotspots
+        walks = prediction._walk.cache_info()
+        assert walks.misses == walks.currsize == 2  # nothing walked twice, or evicted
+        assert walks.hits > 2 * route.n_hotspots
 
 
 class TestRouteIndex:
@@ -426,21 +423,19 @@ class TestRouteIndex:
         assert min(seen.values()) > 0
 
     def test_forecast_keys_are_bounded(self, route_8ap, fresh_memos):
-        """20,000 forecasts at time 0 with distinct horizons on one route
-        leave each forecast cache full but within its bound, index the route
-        once, and each answer still equals the full scan's."""
+        """20,000 forecasts at the start with distinct horizons on one route
+        leave the forecast cache full but within its bound, index the route
+        once, and each answer still equals the scan's."""
         route = scale_route(route_8ap, 1 / 3, 1 / 3, 1 / 3)
         errors = ErrorSpec(0.10, 0.20)
-        caches = (prediction._walk, prediction._forecast)
         horizons = np.linspace(1.0, route.total_time, 20_000).tolist()
         for i, horizon in enumerate(horizons):
-            got = build_prediction(route, 0.0, errors, horizon=horizon)
+            got = build_prediction(route, 0, errors, horizon=horizon)
             if i % 97 == 0 or i == len(horizons) - 1:
                 assert_forecast_equal(
-                    got, reference_forecast(route, 0.0, 0.10, 0.20, horizon))
-        for cache in caches:
-            info = cache.cache_info()
-            assert info.currsize == info.maxsize < info.misses == len(horizons)
+                    got, reference_forecast(route, 0, 0.10, 0.20, horizon))
+        info = prediction._walk.cache_info()
+        assert info.currsize == info.maxsize < info.misses == len(horizons)
         info = prediction._route_index.cache_info()
         assert info.misses == info.currsize == 1
         assert prediction._route_index(route).route is route
