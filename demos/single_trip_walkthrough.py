@@ -37,10 +37,11 @@ def main():
     # Recreate the planner's view at each decision point (nominal timeline).
     received = 0.0
     print("Planning points (what the node decides, from predictions only):")
-    for passed, (now, label) in enumerate([(0.0, "route start")] + [
+    points = [(0.0, "route start")] + [
         (h.end_time, f"leaving hotspot {h.hotspot_index}") for h in nominal.hotspots
-    ]):
-        pred = build_prediction(nominal, passed, errors, horizon=task.delay_threshold)
+    ]
+    forecasts = build_prediction(nominal, errors, horizon=task.delay_threshold)
+    for (now, label), pred in zip(points, forecasts):
         rate, _, cache = plan_exit(
             Policy.PREFETCH_DELAY_TOLERANT, max(0.0, task.size_mb - received),
             task.delay_threshold - now, pred, received,

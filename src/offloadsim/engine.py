@@ -21,9 +21,9 @@ equals :func:`run_trip` on realization k bit for bit.  Both plan through the
 same :func:`~offloadsim.policies.plan_exit` and
 :func:`~offloadsim.policies.plan_entry`.  Only a policy that reads a plan, a
 rate-limited or a prefetching one, replans; the others never build a forecast.
-A replan point reads one forecast, named by the count of hotspots passed and
-bounding both WiFi rates, for every policy of the pass: the planner picks the
-rate each plans on.
+A trip reads its forecasts in one call, one per count of hotspots passed,
+and each replan point reads the one for its count, bounding both WiFi rates,
+for every policy of the pass: the planner picks the rate each plans on.
 
 Energy is priced in the same loop: per-MB transfer costs on the bytes each
 channel moved, plus WiFi idle power.  At each hotspot visit the loop adds
@@ -192,7 +192,7 @@ def _run(
         runs = state.pending
         plan_rate, flagged, cache = plan_exit(
             policy, ops.maximum(0.0, size - state.prefix), deadline - now,
-            build_prediction(nominal, passed, errors, horizon=deadline), state.prefix)
+            forecasts[passed], state.prefix)
         infeasible = infeasible | (runs & flagged)
         if cache is not None:
             index, amount, offset = cache
@@ -204,6 +204,7 @@ def _run(
                 provisioned = provisioned + ops.where(kept, amount, 0.0)
 
     if plans:
+        forecasts = build_prediction(nominal, errors, horizon=deadline)
         replan(0, 0.0)
 
     index = _route_index(nominal)
@@ -276,9 +277,9 @@ def run_trip(
 
     A rate-limited or prefetching policy (re)plans at the route start and
     at every realized hotspot exit, on the nominal route's forecast for the
-    count of hotspots passed (the planner sees predictions, never the
-    realization) and the realized time left; the other policies read no
-    plan and make none.  During mobile coverage (and, for mobile-only,
+    count of hotspots passed, all read in one call (the planner sees
+    predictions, never the realization), and the realized time left; the
+    others never plan.  During mobile coverage (and, for mobile-only,
     through the WiFi windows, at the realized rate of the nearest mobile
     segment, preceding first, else following, as the nominal route's index
     records it; at 0 on a route without one) a rate-limited policy transfers
@@ -303,8 +304,8 @@ def run_policies(
     in one pass over ``(P, runs)`` arrays; each policy's outcome is a view of
     its row, one entry per run in each field, and run k's equals
     :func:`run_trip` on realization k bit for bit, whatever other policies
-    share the pass.  One forecast is built per replan point for the whole
-    batch and every policy in it."""
+    share the pass.  One call gives the forecasts of every replan point, for
+    the whole batch and every policy in it."""
     check_admitted(policies, task.traffic_class)
     end = batch.segments[-1].end_time
     out = _run(batch.segments, np.broadcast_to(end, (len(policies), len(end))), batch.route,

@@ -233,10 +233,14 @@ class ScenarioSpec:
     metrics: Optional[tuple[str, ...]] = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
-        # a list would pass every check below and fail to hash in the memo
-        object.__setattr__(self, "policies", tuple(self.policies))
+        p = self.policies  # a list would fail to hash in the memo; a string is one entry
+        object.__setattr__(self, "policies", (p,) if isinstance(p, str) else tuple(p))
         if self.metrics is not None:
             object.__setattr__(self, "metrics", tuple(self.metrics))
+        for name, kind in (("route", RouteProfile), ("task", TransferTask),
+                           ("errors", ErrorSpec), ("energy", EnergyModel)):
+            if not isinstance(getattr(self, name), kind):
+                raise ValueError(f"{name} must be {kind.__name__}, got {getattr(self, name)!r}")
         # a float run count would be served by the memoized aggregate of its
         # integer twin; a single run is allowed (its CI is reported as zero-width)
         check_integer("runs", self.runs, 1)

@@ -10,6 +10,7 @@ megabytes (1 MB = 10^6 bytes = 8 Mbit).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Optional
@@ -28,8 +29,8 @@ class TrafficClass(Enum):
 
 
 def _positive_finite(x: Optional[float]) -> bool:
-    """True for a real number above zero; False for None, NaN and infinity."""
-    return x is not None and math.isfinite(x) and x > 0
+    """True for a finite real number above zero; False for a bool or None."""
+    return isinstance(x, numbers.Real) and type(x) is not bool and math.isfinite(x) and x > 0
 
 
 @dataclass(frozen=True)

@@ -4,11 +4,11 @@ Same event rules as :mod:`offloadsim.engine`, but the transfer integration
 is a forward time march with a fixed step instead of closed-form fills, over
 its own received prefix and its own phase list for each hotspot.  It shares
 :func:`~offloadsim.prediction.build_prediction` and
-:func:`~offloadsim.policies.plan_exit` with the engine, one forecast per
-replan point, named by the count of hotspots passed, whose WiFi rate the
-planner picks, so agreement between the two
-checks the byte integration, the completion crossings, the phase order, the
-hotspot phase list the oracle builds itself (in place of
+:func:`~offloadsim.policies.plan_exit` with the engine (one forecast call
+per trip, read by the count of hotspots passed, and the planner's pick of
+WiFi rate), so agreement between the two checks the byte integration, the
+completion crossings, the phase order, the hotspot phase list the oracle
+builds itself (in place of
 :func:`~offloadsim.policies.plan_entry`) and the mobile rate of each WiFi
 window, which it finds by its own scan (in place of the engine's route
 index).  It does not check the planning or the forecasts:
@@ -93,13 +93,14 @@ def run_trip_stepped(
     completion: Optional[float] = None
 
     def replan(passed: int, now: float) -> float:
-        pred = build_prediction(route_nominal, passed, errors, horizon=deadline)
+        pred = forecasts[passed]
         rate, _, cache = plan_exit(policy, max(0.0, size - prefix), deadline - now, pred, prefix)
         if cache is not None and cache[1] > 0:
             index, amount, offset = cache
             caches[index] = (offset, amount)
         return rate
 
+    forecasts = build_prediction(route_nominal, errors, horizon=deadline)
     plan_rate = replan(0, 0.0)
     passed = 0  # hotspots left so far
 

@@ -95,12 +95,14 @@ class PolicyClassMismatch(ValueError):
 
 
 def check_admitted(policies: Sequence[Policy], traffic_class: TrafficClass) -> None:
-    """Raise ``ValueError`` unless ``policies`` names at least one policy,
-    each once, and :class:`PolicyClassMismatch` for the first of them that
-    cannot serve ``traffic_class``."""
+    """Raise ``ValueError`` unless ``policies`` names at least one
+    :class:`Policy`, each once, and :class:`PolicyClassMismatch` for the
+    first of them that cannot serve ``traffic_class``."""
     if not policies:
         raise ValueError("scenario needs at least one policy")
     for i, p in enumerate(policies):
+        if not isinstance(p, Policy):
+            raise ValueError(f"policies[{i}] must be a Policy, got {p!r}")
         if p in policies[:i]:
             raise ValueError(f"policy {p.cli_name} is listed twice")
         if not p.admits(traffic_class):

@@ -5,27 +5,25 @@ plus symmetric uncertainty bounds derived from the configured error
 fractions; the engine separately executes against an independently drawn
 realization of the same route.
 
-Every trip on a nominal route, and every forecast of it, reads one index of
-the route, built on its first realization, trip or forecast.  It holds each
-segment's kind, the mobile segment whose rate is available during it (its
-window), the hotspots and the draw count.
+Every trip on a nominal route reads one index of the route, built on its
+first realization or trip.  It holds each segment's kind, the mobile segment
+whose rate is available during it (its window) and the draw count.
 
 A node forecasts only where it replans: at the route start and at each
-hotspot exit, so a forecast is named by the count of hotspots passed.
-:func:`_walk` builds all of a route's forecasts at once, per index, error
-pair and clipped horizon ``hi``, in one scan from the route end.  The scan
-keeps the hotspots usable before ``hi`` ahead of its position, the start of
-the nearest, the highest mobile rate before it, the highest and lowest to the
-route end, and the lowest of the mobile segments starting before ``hi``; at
-each hotspot, and at the start, it emits the forecast of a node just past
-that point.  A forecast reads the horizon only through ``hi``, so no horizon
-and every horizon at or past the route end share one.
+hotspot exit.  So :func:`build_prediction` returns a route's forecasts as
+one tuple, element k for a node that has left k hotspots, which
+:func:`_walk` builds per route, error pair and clipped horizon ``hi`` in one
+scan from the route end.  The scan keeps the hotspots usable before ``hi``
+ahead of its position, the start of the nearest, the highest mobile rate
+before it, the highest and lowest to the route end, and the lowest of the
+mobile segments starting before ``hi``; at each hotspot, and at the start,
+it emits the forecast of a node just past that point.  No horizon and every
+horizon at or past the route end clip to one ``hi``.
 
 Every memo here is a ``functools.lru_cache`` on the pure function it
 caches, keyed by that function's arguments, and every cached value is
-immutable: a tuple, a NamedTuple or a read-only array.  The index is keyed
-by the route's value, which a route hashes once, on first use;
-:func:`_walk` is keyed by the index object.
+immutable: a tuple, a NamedTuple or a read-only array.  Routes are keyed by
+value, which a route hashes once, on first use.
 
 Realizations draw uniform(-1, 1) numbers.  Run k of base seed s reads the
 stream of ``numpy.random.default_rng(derive_run_seed(s, k))``, where
@@ -119,11 +117,10 @@ class _RouteIndex:
     Per segment, ``wifi`` flags a WiFi segment and ``window`` names the
     mobile segment whose rate is available during it: the segment itself
     when mobile; for a WiFi segment the nearest mobile one, preceding first,
-    else following; None when the route has none.  An index hashes by
-    identity, which keys :func:`_walk`.
+    else following; None when the route has none.
     """
 
-    __slots__ = ("route", "wifi", "window", "hotspots", "draw_count")
+    __slots__ = ("route", "wifi", "window", "draw_count")
 
     def __init__(self, route: RouteProfile) -> None:
         segments = route.segments
@@ -137,14 +134,13 @@ class _RouteIndex:
                 last = i
             window.append(last)
         self.window = tuple(window)
-        self.hotspots = tuple([seg for seg, w in zip(segments, wifi) if w])
         # drawn per segment: duration, then local and backhaul rate or the mobile rate
-        self.draw_count = 2 * len(segments) + len(self.hotspots)
+        self.draw_count = 2 * len(segments) + sum(wifi)
 
 
 @lru_cache(maxsize=64)  # the 20 figure recipes walk 18 keys, in any order
 def _walk(
-    index: _RouteIndex,
+    route: RouteProfile,
     time_error: float,
     throughput_error: float,
     hi: float,
@@ -153,7 +149,7 @@ def _walk(
     them, up to the clipped horizon ``hi``: one scan of the route from its
     end, which emits a forecast on reaching each hotspot and the start."""
     te, re = time_error, throughput_error
-    rates = [seg.mobile_rate for seg, w in zip(index.route.segments, index.wifi) if not w]
+    rates = [seg.mobile_rate for seg in route.segments if not seg.is_wifi]
     most, least = max(rates, default=0.0), min(rates, default=0.0)  # the last fallbacks
     ahead: tuple[HotspotForecast, ...] = ()  # the hotspots usable before hi
     next_start = None  # the start of the nearest of them
@@ -169,17 +165,17 @@ def _walk(
         return PredictionProfile(  # by position, as a HotspotForecast below
             ahead, 0.0 if next_start is None else max(0.0, next_start - at), high, low)
 
-    for seg, wifi in zip(reversed(index.route.segments), reversed(index.wifi)):
-        if not wifi:
+    for seg in reversed(route.segments):
+        if not seg.is_wifi:
             rate = seg.mobile_rate
             gap_max, rest_max = max(gap_max, rate), max(rest_max, rate)
             rest_min = min(rest_min, rate)
-            if seg.start_time < hi - 1e-12:
+            if seg.start_time < hi:
                 horizon_min = min(horizon_min, rate)
             continue
         profiles.append(profile(seg.end_time))  # the node has just left seg
         usable = min(seg.end_time, hi) - seg.start_time
-        if usable > 1e-12:
+        if usable > 0:
             local, backhaul = seg.wifi_local_rate, seg.backhaul_rate
             # by position, fields in order: a NamedTuple builds in about half the time
             ahead = (HotspotForecast(seg.hotspot_index, (1 - te) * usable, (1 + te) * usable,
@@ -198,35 +194,28 @@ def _route_index(route: RouteProfile) -> _RouteIndex:
 
 def build_prediction(
     route: RouteProfile,
-    passed: int,
     errors: ErrorSpec,
     horizon: Optional[float] = None,
-) -> PredictionProfile:
-    """Forecast the rest of the nominal route for a node that has left
-    ``passed`` of its hotspots: 0 at the route start, then one more at each
-    hotspot exit.
+) -> tuple[PredictionProfile, ...]:
+    """Forecast the rest of the nominal route at every replan point: element
+    k is the forecast for a node that has left k of its hotspots, from 0 at
+    the route start to all of them.
 
     Each hotspot's forecast bounds both its local (cache) and its backhaul
     rate, so one forecast serves every policy at a replan point.
 
-    ``horizon`` truncates the forecast at a deadline: hotspots starting at or
+    ``horizon`` truncates the forecasts at a deadline: hotspots starting at or
     after it are dropped and a window straddling it only counts the part
     before it.  None, inf or any horizon past the route end truncates
-    nothing; a NaN one raises ``ValueError``, and so does a ``passed`` that
-    is not an integer from 0 to the route's hotspot count.
+    nothing; a NaN one raises ``ValueError``.
 
-    The result does not depend on ``errors.seed``.  A route is indexed
-    once, and its forecasts are built together, once per index, errors and
-    horizon clipped to the route end (see the module docstring).
+    The result does not depend on ``errors.seed``, and it is cached (see
+    the module docstring).
     """
-    check_integer("passed", passed)
     if horizon is not None and math.isnan(horizon):
         raise ValueError("horizon must not be NaN")
-    index = _route_index(route)
-    if passed > len(index.hotspots):
-        raise ValueError(f"passed={passed} exceeds the route's {len(index.hotspots)} hotspots")
     hi = route.total_time if horizon is None else min(horizon, route.total_time)
-    return _walk(index, errors.time_error, errors.throughput_error, hi)[passed]
+    return _walk(route, errors.time_error, errors.throughput_error, hi)
 
 
 def _draws(seed: int, n: int) -> np.ndarray:

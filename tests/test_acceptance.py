@@ -201,7 +201,7 @@ def test_c8_property_suite():
 
         # offset identity at the route start, both prefetching planners
         if route.n_hotspots:
-            pred = build_prediction(route, 0, errors)
+            pred = build_prediction(route, errors)[0]
             if pred.hotspots:
                 prefix = float(rng.uniform(0, 5))
                 for policy in (PF, DS):

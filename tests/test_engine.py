@@ -12,6 +12,7 @@ from offloadsim.model import (
     TrafficClass,
     scale_route,
 )
+from offloadsim.oracle import run_trip_stepped
 from offloadsim.policies import Channel, Policy, PolicyClassMismatch
 from offloadsim.prediction import ErrorSpec, realize_batch, realize_route
 
@@ -205,6 +206,20 @@ class TestRunTripValidation:
                          zero_errors)
         with pytest.raises(ValueError, match=message):
             ScenarioSpec("s", default_route, task, policies)
+
+    def test_a_policy_name_is_not_a_policy(self, default_route, zero_errors):
+        """A trip, a batch and an oracle trip given a policy's name, not the
+        Policy, raise ValueError naming it; each raised AttributeError."""
+        realized = realize_route(default_route, zero_errors)
+        task = make_task(50.0)
+        message = r"policies\[0\] must be a Policy, got 'prefetch-dt'"
+        with pytest.raises(ValueError, match=message):
+            run_trip(realized, default_route, task, "prefetch-dt", zero_errors)
+        with pytest.raises(ValueError, match=message):
+            run_policies(realize_batch(default_route, zero_errors, 0, 3), task,
+                         ("prefetch-dt",), zero_errors)
+        with pytest.raises(ValueError, match=message):
+            run_trip_stepped(realized, default_route, task, "prefetch-dt", zero_errors)
 
     def test_structure_mismatch(self, default_route, route_2ap, zero_errors):
         """A realized route must have the nominal route's segment count, and

@@ -45,7 +45,7 @@ LRU_MEMOS = {
     "route indexes": (prediction._route_index,
                       lambda route, i: prediction._route_index(scale_route(route, i + 1))),
     "forecast walks": (prediction._walk,
-                       lambda route, i: build_prediction(route, 0, ErrorSpec(),
+                       lambda route, i: build_prediction(route, ErrorSpec(),
                                                          horizon=(i + 1) / 100)),
 }
 

@@ -373,6 +373,26 @@ class TestRunScenario:
         assert run_scenario(spec).summaries == run_scenario(make_spec(route_4ap,
                                                                       runs=3)).summaries
 
+    @pytest.mark.parametrize("name,value,message", [
+        ("policies", ("prefetch-dt",), r"policies\[0\] must be a Policy, got 'prefetch-dt'"),
+        ("policies", "prefetch-dt", r"policies\[0\] must be a Policy, got 'prefetch-dt'"),
+        ("policies", (None,), r"policies\[0\] must be a Policy, got None"),
+        ("task", {"size_mb": 60.0}, "task must be TransferTask, got {"),
+        ("errors", (0.1, 0.2), r"errors must be ErrorSpec, got \(0.1"),
+        ("energy", {}, "energy must be EnergyModel, got {"),
+        ("route", "4ap", "route must be RouteProfile, got .4ap"),
+        ("mobile_factor", "1/3", "mobile factor must be positive and finite"),
+        ("wifi_factor", True, "wifi factor must be positive and finite")],
+        ids=["policy-name", "policy-string", "policy-none", "task-dict", "errors-tuple",
+             "energy-dict", "route-name", "factor-string", "factor-bool"])
+    def test_mistyped_input_names_its_field(self, name, value, message):
+        """A value of the wrong type raises ValueError naming the field: it
+        raised AttributeError or TypeError from deep inside the checks, or
+        ran a bool as 1."""
+        spec = load_scenario(str(bundled_scenario_path("scenario_dt_default")))
+        with pytest.raises(ValueError, match=message):
+            replace(spec, **{name: value})
+
     def test_scaled_route_is_built_once(self, route_4ap):
         """The spec's scaled route is the one scale_route builds at its
         factors, built once; a replaced factor gets a route of its own."""

@@ -213,10 +213,11 @@ class TestTransferTask:
             TransferTask(size_mb=0.0, delay_threshold=100.0)
         with pytest.raises(ValueError):
             TransferTask(size_mb=10.0, delay_threshold=0.0)
-        for bad in (math.nan, math.inf):
-            with pytest.raises(ValueError):
+        # a bool ran as 1 MB or 1 s, and a string or a list raised TypeError
+        for bad in (math.nan, math.inf, True, "1", [1.0]):
+            with pytest.raises(ValueError, match="task size"):
                 TransferTask(size_mb=bad, delay_threshold=100.0)
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match="delay threshold"):
                 TransferTask(size_mb=10.0, delay_threshold=bad)
 
     def test_delay_sensitive_ignores_threshold(self):

@@ -331,9 +331,11 @@ def reference_stepped(route_realized, route_nominal, task, policy, errors, dt=0.
     caches = {}
     completion = None
 
+    forecasts = build_prediction(route_nominal, errors, horizon=horizon)
+
     def replan(passed, now):
-        pred = build_prediction(route_nominal, passed, errors, horizon=horizon)
-        rate, _, cache = plan_exit(policy, max(0.0, size - prefix), deadline - now, pred, prefix)
+        rate, _, cache = plan_exit(policy, max(0.0, size - prefix), deadline - now,
+                                   forecasts[passed], prefix)
         if cache is not None and cache[1] > 0:
             index, amount, offset = cache
             caches[index] = (offset, amount)

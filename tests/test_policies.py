@@ -20,7 +20,7 @@ PREFETCH_DS = Policy.PREFETCH_DELAY_SENSITIVE
 
 @pytest.fixture(scope="module")
 def pred_t0(default_route):
-    return build_prediction(default_route, 0, ZERO)
+    return build_prediction(default_route, ZERO)[0]
 
 
 class TestDelayTolerantPlan:
@@ -91,7 +91,7 @@ class TestPredictionOnlyPlan:
         # the same capacity and must produce the same mobile rate
         equal = scale_route(route_4ap, wifi_factor=1e-9, backhaul_factor=1 / 3)
         # wifi_factor shrank local below backhaul, so backhaul == local now
-        pred = build_prediction(equal, 0, ZERO)
+        pred = build_prediction(equal, ZERO)[0]
         r1, _, _ = plan_exit(PREFETCH_DT, 60.0, 269.0, pred)
         r2, _, _ = plan_exit(PREDICTION_ONLY, 60.0, 269.0, pred)
         assert r1 == pytest.approx(r2, rel=1e-12)
@@ -99,7 +99,7 @@ class TestPredictionOnlyPlan:
 
 class TestDelaySensitivePlan:
     def test_exit_after_first_hotspot(self, default_route):
-        pred = build_prediction(default_route, 1, ZERO)
+        pred = build_prediction(default_route, ZERO)[1]
         rate, _, (index, _, offset) = plan_exit(PREFETCH_DS, 40.0, math.inf, pred, 10.0)
         # requests the mobile rate of the upcoming gap
         assert rate == pytest.approx(4.58 / 3, rel=1e-12)
@@ -107,7 +107,7 @@ class TestDelaySensitivePlan:
         assert index == 2
 
     def test_rate_independent_of_size_and_prefix(self, default_route):
-        pred = build_prediction(default_route, 1, ZERO)
+        pred = build_prediction(default_route, ZERO)[1]
         rates = {
             plan_exit(PREFETCH_DS, r, math.inf, pred, p)[0]
             for r, p in ((1.0, 0.0), (500.0, 0.0), (40.0, 25.0))
@@ -118,13 +118,13 @@ class TestDelaySensitivePlan:
         # the route from its first hotspot on: the node starts in a hotspot
         route = RouteProfile(tuple(replace(s, start_time=s.start_time - 18.0)
                                    for s in default_route.segments[1:]), 251.0)
-        pred = build_prediction(route, 0, ZERO)
+        pred = build_prediction(route, ZERO)[0]
         assert pred.time_to_next_wifi == 0.0
         _, _, (_, _, offset) = plan_exit(PREFETCH_DS, 40.0, math.inf, pred, 20.0)
         assert offset == pytest.approx(20.0)
 
     def test_no_hotspots_left(self, default_route):
-        pred = build_prediction(default_route, 4, ZERO)
+        pred = build_prediction(default_route, ZERO)[4]
         assert not pred.hotspots
         _, _, cache = plan_exit(PREFETCH_DS, 5.0, math.inf, pred, 55.0)
         assert cache is None  # nothing to stage
@@ -140,7 +140,7 @@ class TestCacheTruncation:
             errors = ErrorSpec(float(rng.uniform(0, 0.4)), float(rng.uniform(0, 0.8)))
             passed = int(rng.integers(route.n_hotspots + 1))
             now = route.hotspots[passed - 1].end_time if passed else 0.0
-            pred = build_prediction(route, passed, errors)
+            pred = build_prediction(route, errors)[passed]
             if not pred.hotspots:
                 continue
             prefix = float(rng.uniform(0, 30))
@@ -159,7 +159,7 @@ class TestCacheTruncation:
             route = random_route(rng)
             if route.n_hotspots == 0:
                 continue
-            pred = build_prediction(route, 0, ErrorSpec(0.1, 0.2))
+            pred = build_prediction(route, ErrorSpec(0.1, 0.2))[0]
             if not pred.hotspots:
                 continue
             prefix = float(rng.uniform(0, 10))
@@ -198,10 +198,9 @@ class TestPlanIdempotence:
             now = 0.0
             first_rate = None
             feasible = True
-            for passed, hs in enumerate(hotspots):
+            for hs, pred in zip(hotspots, build_prediction(route, errors, horizon=deadline)):
                 if size - received <= 1e-6:  # assumed delivery already done
                     break
-                pred = build_prediction(route, passed, errors, horizon=deadline)
                 if remaining_mobile_time(route, now) <= 1e-9:
                     break  # pure-WiFi horizon: the mobile rate is moot (0/0)
                 rate, infeasible, _ = plan_exit(
@@ -279,8 +278,7 @@ class TestPolicyDispatch:
         assert [a.channel for a in actions] == [Channel.WIFI_BACKHAUL]
 
     def test_delay_sensitive_always_max_rate(self, default_route):
-        for passed in (0, 1, 2):
-            pred = build_prediction(default_route, passed, ZERO)
+        for pred in build_prediction(default_route, ZERO)[:3]:
             rate, _, _ = plan_exit(PREFETCH_DS, 50.0, math.inf, pred)
             assert rate == pred.max_mobile_rate
 
@@ -306,7 +304,7 @@ class TestFloatsMatchArrays:
             # the route start and every hotspot exit, the last with no hotspot left
             for passed in range(route.n_hotspots + 1):
                 for horizon in (None, route.total_time * 0.7):
-                    yield route, build_prediction(route, passed, errors, horizon=horizon)
+                    yield route, build_prediction(route, errors, horizon=horizon)[passed]
 
     def exit_inputs(self, route, rng, size):
         n = self.N
@@ -474,9 +472,8 @@ class TestOnePlanner:
 
     def test_only_planning_policies_build_forecasts(self, monkeypatch, default_route):
         """no-prediction and mobile-only read no plan and build no forecast.
-        Every other policy builds one at the start and one at each hotspot
-        exit it reaches before completing; a batch, one at each exit that
-        some run reaches before completing."""
+        Every other policy builds all its forecasts in one call, however
+        many hotspot exits it reaches before completing; so does a batch."""
         calls = []
 
         def counted(*args, **kwargs):
@@ -500,64 +497,108 @@ class TestOnePlanner:
                     task = make_task(share * capacity, threshold=0.9 * route.total_time,
                                      sensitive=sensitive)
                     for policy in filter(lambda p: p.admits(task.traffic_class), Policy):
-                        exits = []
+                        want = 0 if policy in planless else 1
                         for trip in trips:
                             calls.clear()
                             outcome = engine.run_trip(trip, route, task, policy, errors)
-                            ends = [s.end_time for s in trip.segments if s.is_wifi]
-                            if outcome.completed:
-                                ends = [e for e in ends if e < outcome.completion_time]
-                            exits.append(len(ends))
-                            want = 0 if policy in planless else 1 + len(ends)
-                            assert len(calls) == want, (policy, want)
+                            assert len(calls) == want, policy
                             if policy not in planless:
+                                ends = [s.end_time for s in trip.segments if s.is_wifi]
+                                if outcome.completed:
+                                    ends = [e for e in ends if e < outcome.completion_time]
                                 reached.add((len(ends), route.n_hotspots))
                         calls.clear()
                         engine.run_policies(batch, task, (policy,), errors)
-                        want = 0 if policy in planless else 1 + max(exits)
-                        assert len(calls) == want, (policy, want)
+                        assert len(calls) == want, policy
         # trips that reach no exit, some exits and every exit, all checked
         assert any(n == 0 < h for n, h in reached)
         assert any(0 < n < h for n, h in reached)
         assert any(0 < n == h for n, h in reached)
 
-    def test_mixed_batch_builds_one_forecast_per_replan_point(self, monkeypatch):
-        """dt-default runs prefetch-dt (local rates), prediction-dt (backhaul
-        rates) and no-prediction in one batch: it builds one forecast at the
-        start and one at each hotspot exit it reaches, never two."""
-        spec = load_scenario(str(bundled_scenario_path("scenario_dt_default")))
+    @pytest.mark.parametrize("scenario", ["scenario_dt_default", "scenario_ds_default"])
+    def test_one_forecast_call_per_trip(self, monkeypatch, scenario):
+        """On a default scenario each planning trip, a mixed batch and each
+        oracle trip call build_prediction once, for every replan point;
+        no-prediction and mobile-only trips call it never."""
+        spec = load_scenario(str(bundled_scenario_path(scenario)))
         route = spec.scaled_route()
-        passed = []
+        realized = realize_route(route, replace(spec.errors, seed=derive_run_seed(0, 0)))
+        calls = []
 
         def counted(*args, **kwargs):
-            passed.append(args[1])
-            return build_prediction(*args, **kwargs)
+            calls.append(build_prediction(*args, **kwargs))
+            return calls[-1]
 
         monkeypatch.setattr(engine, "build_prediction", counted)
+        monkeypatch.setattr(oracle, "build_prediction", counted)
+        planless = (Policy.NO_PREDICTION_OFFLOAD, Policy.MOBILE_ONLY)
+        admitted = [p for p in Policy if p.admits(spec.task.traffic_class)]
+        assert set(admitted) - set(planless)
+        for policy in admitted:
+            calls.clear()
+            engine.run_trip(realized, route, spec.task, policy, spec.errors)
+            assert len(calls) == (0 if policy in planless else 1), policy
+            calls.clear()
+            oracle.run_trip_stepped(realized, route, spec.task, policy, spec.errors)
+            assert len(calls) == 1, policy
+            assert len(calls[0]) == route.n_hotspots + 1
+        calls.clear()
+        engine.run_policies(realize_batch(route, spec.errors, spec.seed, spec.runs),
+                            spec.task, spec.policies, spec.errors)
+        assert len(calls) == 1
+
+    def test_mixed_batch_builds_one_forecast_per_replan_point(self, monkeypatch):
+        """dt-default runs prefetch-dt (local rates), prediction-dt (backhaul
+        rates) and no-prediction in one batch: it builds the forecasts in one
+        call, and each replan point plans on the next of them, the start on
+        the first and the k-th hotspot exit it reaches on element k."""
+        spec = load_scenario(str(bundled_scenario_path("scenario_dt_default")))
+        route = spec.scaled_route()
+        built, planned = [], []
+
+        def counted(*args, **kwargs):
+            built.append(build_prediction(*args, **kwargs))
+            return built[-1]
+
+        def recorded(policy, remaining, time_left, pred, prefix):
+            planned.append(pred)
+            return plan_exit(policy, remaining, time_left, pred, prefix)
+
+        monkeypatch.setattr(engine, "build_prediction", counted)
+        monkeypatch.setattr(engine, "plan_exit", recorded)
         batch = realize_batch(route, spec.errors, spec.seed, spec.runs)
         engine.run_policies(batch, spec.task, spec.policies, spec.errors)
-        assert len(passed) > 1
-        assert passed == list(range(len(passed)))
+        assert len(built) == 1
+        assert 1 < len(planned) <= len(built[0])
+        assert all(pred is want for pred, want in zip(planned, built[0]))
 
     def test_prefetch_and_prediction_only_share_every_forecast(self, monkeypatch,
                                                                fresh_memos):
         """A prefetch-dt and a prediction-dt trip on one dt-default realization
-        share one walk of the route, so at each replan point both plan on the
+        share one walk of the route: each builds its forecasts in one call,
+        both get the same tuple, and at each replan point both plan on the
         same forecast object."""
         spec = load_scenario(str(bundled_scenario_path("scenario_dt_default")))
         route = spec.scaled_route()
         realized = realize_route(route, replace(spec.errors, seed=derive_run_seed(0, 0)))
-        seen = {}
+        built, planned = [], {}
 
         def counted(*args, **kwargs):
-            pred = build_prediction(*args, **kwargs)
-            seen.setdefault(args[1], []).append(pred)
-            return pred
+            built.append(build_prediction(*args, **kwargs))
+            return built[-1]
+
+        def recorded(policy, remaining, time_left, pred, prefix):
+            planned.setdefault(policy, []).append(pred)
+            return plan_exit(policy, remaining, time_left, pred, prefix)
 
         monkeypatch.setattr(engine, "build_prediction", counted)
+        monkeypatch.setattr(engine, "plan_exit", recorded)
         for policy in (PREFETCH_DT, PREDICTION_ONLY):
             engine.run_trip(realized, route, spec.task, policy, spec.errors)
-        assert len(seen) > 1
-        assert all(pred is preds[0] for preds in seen.values() for pred in preds)
-        assert sum(len(preds) == 2 for preds in seen.values()) > 1
+        assert len(built) == 2 and built[0] is built[1]
+        for preds in planned.values():
+            assert all(pred is want for pred, want in zip(preds, built[0]))
+        both = list(zip(planned[PREFETCH_DT], planned[PREDICTION_ONLY]))
+        assert len(both) > 1
+        assert all(a is b for a, b in both)
         assert prediction._walk.cache_info().misses == 1

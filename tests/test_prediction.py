@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import edge_routes, make_task, random_route
-from offloadsim import oracle, prediction
+from offloadsim import engine, oracle, prediction
 from offloadsim.engine import run_trip
 from offloadsim.model import AccessKind, RouteProfile, RouteSegment, scale_route
 from offloadsim.policies import Policy, plan_exit
@@ -66,7 +66,7 @@ def reference_forecast(
         if not seg.is_wifi:
             continue
         usable = min(seg.end_time, hi) - seg.start_time
-        if usable <= 1e-12:
+        if usable <= 0:
             continue
         if first is None:
             first = i
@@ -85,7 +85,7 @@ def reference_forecast(
     time_to_next = 0.0 if first is None else max(0.0, rest[first].start_time - now)
     fallback = mobile_rates(rest) or mobile_rates(segments) or [0.0]
     gap_rates = mobile_rates(rest[:first]) or fallback
-    horizon_rates = mobile_rates(s for s in rest if s.start_time < hi - 1e-12) or fallback
+    horizon_rates = mobile_rates(s for s in rest if s.start_time < hi) or fallback
     return PredictionProfile(
         hotspots=tuple(forecasts),
         time_to_next_wifi=time_to_next,
@@ -94,11 +94,24 @@ def reference_forecast(
     )
 
 
+def reference_forecasts(route, time_error, throughput_error, horizon):
+    """The reference forecast at every replan point, in order."""
+    return tuple(reference_forecast(route, passed, time_error, throughput_error, horizon)
+                 for passed in replan_points(route))
+
+
 def assert_forecast_equal(got, want):
     assert_fields_equal(got, want)
     assert len(got.hotspots) == len(want.hotspots)
     for g, w in zip(got.hotspots, want.hotspots):
         assert_fields_equal(g, w)
+
+
+def assert_forecasts_equal(got, want):
+    """A route's forecast tuple equals ``want``'s, element by element."""
+    assert type(got) is tuple and len(got) == len(want)
+    for g, w in zip(got, want):
+        assert_forecast_equal(g, w)
 
 
 def realize_route_scalar(route, errors):
@@ -146,7 +159,7 @@ class TestErrorSpec:
 
 class TestBuildPrediction:
     def test_zero_errors_equal_nominal(self, default_route, zero_errors):
-        pred = build_prediction(default_route, 0, zero_errors)
+        pred = build_prediction(default_route, zero_errors)[0]
         assert len(pred.hotspots) == 4
         for fc, seg in zip(pred.hotspots, default_route.hotspots):
             assert fc.duration_min == fc.duration_max == seg.duration
@@ -157,7 +170,7 @@ class TestBuildPrediction:
         # second hotspot of the one-third-scaled route, seen on leaving the first
         route = scale_route(route_4ap, wifi_factor=1 / 3)
         errors = ErrorSpec(time_error=0.10, throughput_error=0.20)
-        pred = build_prediction(route, 1, errors)
+        pred = build_prediction(route, errors)[1]
         first = pred.hotspots[0]
         assert first.hotspot_index == 2
         assert first.duration_min == pytest.approx(16.2, abs=1e-12)
@@ -166,52 +179,41 @@ class TestBuildPrediction:
         assert first.local_max == pytest.approx(6.696, abs=1e-12)
 
     def test_backhaul_bounds(self, default_route, default_errors):
-        pred = build_prediction(default_route, 0, default_errors)
+        pred = build_prediction(default_route, default_errors)[0]
         seg = default_route.hotspots[0]
         assert pred.hotspots[0].backhaul_min == pytest.approx(0.8 * seg.backhaul_rate)
         assert pred.hotspots[0].backhaul_max == pytest.approx(1.2 * seg.backhaul_rate)
 
     def test_gap_and_horizon_quantities(self, default_route, zero_errors):
-        pred = build_prediction(default_route, 0, zero_errors)
+        pred, pred36 = build_prediction(default_route, zero_errors)[:2]  # at 0 and 36 s
         assert pred.time_to_next_wifi == pytest.approx(18.0)
         assert pred.max_mobile_rate == pytest.approx(4.83 / 3)
         assert pred.sustainable_mobile_rate == pytest.approx(4.58 / 3)
 
-        pred36 = build_prediction(default_route, 1, zero_errors)  # at 36 s
         assert pred36.time_to_next_wifi == pytest.approx(54.0)
         assert pred36.max_mobile_rate == pytest.approx(4.58 / 3)
 
     def test_no_hotspots_left(self, default_route, zero_errors):
-        pred = build_prediction(default_route, 4, zero_errors)
+        forecasts = build_prediction(default_route, zero_errors)
+        assert len(forecasts) == 5
+        pred = forecasts[4]
         assert pred.hotspots == ()
         assert pred.time_to_next_wifi == 0.0
 
     def test_horizon_clips_windows(self, default_route, zero_errors):
         # deadline lands 9 s into the second hotspot window
-        pred = build_prediction(default_route, 0, zero_errors, horizon=99.0)
+        pred = build_prediction(default_route, zero_errors, horizon=99.0)[0]
         assert len(pred.hotspots) == 2
         assert pred.hotspots[1].duration_max == pytest.approx(9.0)
         # and drops hotspots past it entirely
-        pred = build_prediction(default_route, 0, zero_errors, horizon=80.0)
+        pred = build_prediction(default_route, zero_errors, horizon=80.0)[0]
         assert len(pred.hotspots) == 1
-
-    @pytest.mark.parametrize("passed", [True, 1.0, float("nan"), -1, 5],
-                             ids=["True", "1.0", "nan", "-1", "5"])
-    def test_passed_is_a_hotspot_count(self, default_route, zero_errors, passed,
-                                       fresh_memos):
-        """The count of hotspots passed is an integer from 0 to the route's
-        4: a bool, a float, a negative count or one past the last hotspot
-        raises and caches nothing; a numpy integer is a count."""
-        with pytest.raises(ValueError, match="passed"):
-            build_prediction(default_route, passed, zero_errors)
-        assert prediction._walk.cache_info().currsize == 0
-        assert build_prediction(default_route, np.int64(4), zero_errors).hotspots == ()
 
     def test_nan_horizon(self, default_route, zero_errors, fresh_memos):
         """A NaN horizon would clip to NaN, forecast as no horizon does and
         cache a key no later call can hit."""
         with pytest.raises(ValueError, match="horizon"):
-            build_prediction(default_route, 0, zero_errors, horizon=float("nan"))
+            build_prediction(default_route, zero_errors, horizon=float("nan"))
         assert prediction._walk.cache_info().currsize == 0
 
     def test_overlapped_next_hotspot_is_forecast(self):
@@ -228,9 +230,10 @@ class TestBuildPrediction:
                               seg(AccessKind.WIFI, 20.0 - 5e-7, 30.0, 8.0, 2),
                               seg(AccessKind.MOBILE, 30.0, 40.0, 2.0)), 40.0)
         errors = ErrorSpec(0.10, 0.20)
-        pred = build_prediction(route, 1, errors)
+        forecasts = build_prediction(route, errors)
+        pred = forecasts[1]
         assert [h.hotspot_index for h in pred.hotspots] == [2]
-        assert_forecast_equal(pred, reference_forecast(route, 1, 0.10, 0.20, None))
+        assert_forecasts_equal(forecasts, reference_forecasts(route, 0.10, 0.20, None))
         _, _, (index, amount, _) = plan_exit(Policy.PREFETCH_DELAY_TOLERANT, 50.0, 20.0,
                                              pred, 10.0)
         assert index == 2 and amount > 0
@@ -241,10 +244,11 @@ class TestForecastMemo:
         rng = np.random.default_rng(21)
         for route in [random_route(rng) for _ in range(40)] + edge_routes(rng):
             te, re = float(rng.uniform(0, 0.5)), float(rng.uniform(0, 0.9))
-            for passed in replan_points(route):
-                a = build_prediction(route, passed, ErrorSpec(te, re, seed=1))
-                b = build_prediction(route, passed, ErrorSpec(te, re, seed=2))
-                assert_fields_equal(a, b)
+            a = build_prediction(route, ErrorSpec(te, re, seed=1))
+            b = build_prediction(route, ErrorSpec(te, re, seed=2))
+            assert len(a) == len(b) == route.n_hotspots + 1
+            for x, y in zip(a, b):
+                assert_fields_equal(x, y)
 
     def test_memoized_equals_uncached(self):
         rng = np.random.default_rng(22)
@@ -252,14 +256,13 @@ class TestForecastMemo:
             errors = ErrorSpec(float(rng.uniform(0, 0.5)), float(rng.uniform(0, 0.9)),
                                seed=int(rng.integers(1 << 30)))
             horizon = float(rng.uniform(0.3, 1.2)) * route.total_time
-            for passed in replan_points(route):
-                for h in (None, horizon):
-                    first = build_prediction(route, passed, errors, h)
-                    again = build_prediction(route, passed, errors, h)
-                    fresh = reference_forecast(route, passed, errors.time_error,
-                                               errors.throughput_error, h)
-                    assert again is first
-                    assert_forecast_equal(first, fresh)
+            for h in (None, horizon):
+                first = build_prediction(route, errors, h)
+                again = build_prediction(route, errors, h)
+                fresh = reference_forecasts(route, errors.time_error,
+                                            errors.throughput_error, h)
+                assert again is first
+                assert_forecasts_equal(first, fresh)
 
     def test_horizons_at_or_past_the_route_end_share_one_forecast(self):
         """No horizon, the route end and a horizon past it clip to the same
@@ -270,16 +273,17 @@ class TestForecastMemo:
             te, re = float(rng.uniform(0, 0.5)), float(rng.uniform(0, 0.9))
             errors = ErrorSpec(te, re)
             inside = float(rng.uniform(0.3, 0.9)) * route.total_time
-            for passed in replan_points(route):
-                shared = build_prediction(route, passed, errors, None)
-                for h in (route.total_time, 1.5 * route.total_time):
-                    assert build_prediction(route, passed, errors, h) is shared
-                assert_forecast_equal(shared, reference_forecast(route, passed, te, re, None))
-                own = build_prediction(route, passed, errors, inside)
-                assert own is not shared
-                assert_forecast_equal(own, reference_forecast(route, passed, te, re, inside))
+            shared = build_prediction(route, errors, None)
+            for h in (route.total_time, 1.5 * route.total_time):
+                assert build_prediction(route, errors, h) is shared
+            assert_forecasts_equal(shared, reference_forecasts(route, te, re, None))
+            own = build_prediction(route, errors, inside)
+            assert own is not shared
+            assert_forecasts_equal(own, reference_forecasts(route, te, re, inside))
 
     def test_alternating_routes_get_their_own_forecast(self):
+        """Forecasts are keyed by the route's value: a route that differs in
+        one rate gets its own, and an equal route the same tuple."""
         rng = np.random.default_rng(23)
         errors = ErrorSpec(0.10, 0.20)
         checked = 0
@@ -293,11 +297,12 @@ class TestForecastMemo:
             other = RouteProfile(route.segments[:i] + (faster,) + route.segments[i + 1:],
                                  route.total_time)
             twin = RouteProfile(route.segments, route.total_time)  # equal, not identical
-            want = {id(r): reference_forecast(r, 0, 0.10, 0.20, None)
+            want = {id(r): reference_forecasts(r, 0.10, 0.20, None)
                     for r in (route, other, twin)}
             assert want[id(route)] != want[id(other)]
             for r in (route, other, route, twin, other, twin, route):
-                assert build_prediction(r, 0, errors) == want[id(r)]
+                assert build_prediction(r, errors) == want[id(r)]
+            assert build_prediction(twin, errors) is build_prediction(route, errors)
             checked += 1
 
 
@@ -340,11 +345,9 @@ class TestForecastIndex:
             errors = ErrorSpec(te, re)
             # two draws of horizons per route; each forecast bounds both WiFi rates
             for h in forecast_horizons(route, rng) + forecast_horizons(route, rng):
-                for passed in replan_points(route):
-                    got = build_prediction(route, passed, errors, h)
-                    want = reference_forecast(route, passed, te, re, h)
-                    assert_forecast_equal(got, want)
-                    checked += 1
+                got = build_prediction(route, errors, h)
+                assert_forecasts_equal(got, reference_forecasts(route, te, re, h))
+                checked += len(got)
         assert checked > 9_000
 
     def test_overlapping_segments_equal_reference(self):
@@ -362,17 +365,17 @@ class TestForecastIndex:
                                  route.total_time)
             te, re = self.ERROR_PAIRS[i % len(self.ERROR_PAIRS)]
             for h in forecast_horizons(route, rng) + forecast_horizons(route, rng):
-                for passed in replan_points(route):
-                    assert_forecast_equal(
-                        build_prediction(route, passed, ErrorSpec(te, re), h),
-                        reference_forecast(route, passed, te, re, h))
-                    checked += 1
+                got = build_prediction(route, ErrorSpec(te, re), h)
+                assert_forecasts_equal(got, reference_forecasts(route, te, re, h))
+                checked += len(got)
         assert checked > 30_000
 
     def test_one_index_per_route(self, monkeypatch, fresh_memos):
         """All five policies on one route, through every replan, index the
         route once and walk it once per key: the delay-tolerant task's
-        horizon and the delay-sensitive task's none."""
+        horizon and the delay-sensitive task's none.  Each planning trip
+        reads its forecasts in one call, and the two delay-tolerant planning
+        trips share one tuple."""
         builds = collections.Counter()
         real_index = prediction._RouteIndex
 
@@ -380,7 +383,14 @@ class TestForecastIndex:
             builds[id(route)] += 1
             return real_index(route)
 
+        forecasts = collections.defaultdict(list)
+
+        def counted(*args, **kwargs):
+            forecasts[policy].append(build_prediction(*args, **kwargs))
+            return forecasts[policy][-1]
+
         monkeypatch.setattr(prediction, "_RouteIndex", index)
+        monkeypatch.setattr(engine, "build_prediction", counted)
         rng = np.random.default_rng(28)
         route = random_route(rng, n_segments=32)
         while route.n_hotspots < 8:
@@ -398,7 +408,51 @@ class TestForecastIndex:
         assert builds == {id(route): 1}
         walks = prediction._walk.cache_info()
         assert walks.misses == walks.currsize == 2  # nothing walked twice, or evicted
-        assert walks.hits > 2 * route.n_hotspots
+        planning = (Policy.PREFETCH_DELAY_TOLERANT, Policy.PREDICTION_ONLY_DELAY_TOLERANT,
+                    Policy.PREFETCH_DELAY_SENSITIVE)
+        assert set(forecasts) == set(planning)
+        assert all(len(calls) == 1 for calls in forecasts.values())
+        assert walks.hits == 1
+        assert forecasts[planning[0]][0] is forecasts[planning[1]][0]
+        assert len(forecasts[planning[0]][0]) == route.n_hotspots + 1
+
+
+def time_scaled(route: RouteProfile, factor: float) -> RouteProfile:
+    """``route`` with every start time, duration and the total time times
+    ``factor``; the rates are unchanged."""
+    return RouteProfile(tuple(dataclasses.replace(seg, start_time=seg.start_time * factor,
+                                                  duration=seg.duration * factor)
+                              for seg in route.segments), route.total_time * factor)
+
+
+class TestTimeScale:
+    @pytest.mark.parametrize("k", [-60, -50, -40, -20, 20, 40, 60])
+    def test_forecasts_scale_exactly(self, k, route_2ap, route_4ap, route_8ap):
+        """Times scaled by 2**k, horizon too, scale every time a forecast
+        holds by exactly 2**k and change nothing else: no absolute time
+        threshold decides what a forecast holds."""
+        factor = 2.0 ** k
+        rng = np.random.default_rng(33)
+        routes = [route_2ap, route_4ap, route_8ap] + [random_route(rng) for _ in range(40)]
+        checked = 0
+        for route in routes:
+            scaled = time_scaled(route, factor)
+            for te, re in ((0.0, 0.0), (0.10, 0.20), (0.49, 0.9)):
+                for share in (None, 0.5, 0.9):
+                    horizon = None if share is None else share * route.total_time
+                    errors = ErrorSpec(te, re)
+                    want = tuple(
+                        pred._replace(
+                            hotspots=tuple(h._replace(duration_min=h.duration_min * factor,
+                                                      duration_max=h.duration_max * factor)
+                                           for h in pred.hotspots),
+                            time_to_next_wifi=pred.time_to_next_wifi * factor)
+                        for pred in build_prediction(route, errors, horizon))
+                    got = build_prediction(scaled, errors,
+                                           None if horizon is None else horizon * factor)
+                    assert got == want, (route, te, re, share)
+                    checked += 1
+        assert checked == 387
 
 
 class TestRouteIndex:
@@ -423,22 +477,21 @@ class TestRouteIndex:
         assert min(seen.values()) > 0
 
     def test_forecast_keys_are_bounded(self, route_8ap, fresh_memos):
-        """20,000 forecasts at the start with distinct horizons on one route
-        leave the forecast cache full but within its bound, index the route
-        once, and each answer still equals the scan's."""
+        """20,000 forecast tuples with distinct horizons on one route leave
+        the forecast cache full but within its bound, index no route, and
+        each answer still equals the scan's."""
         route = scale_route(route_8ap, 1 / 3, 1 / 3, 1 / 3)
         errors = ErrorSpec(0.10, 0.20)
         horizons = np.linspace(1.0, route.total_time, 20_000).tolist()
         for i, horizon in enumerate(horizons):
-            got = build_prediction(route, 0, errors, horizon=horizon)
+            got = build_prediction(route, errors, horizon=horizon)
             if i % 97 == 0 or i == len(horizons) - 1:
-                assert_forecast_equal(
-                    got, reference_forecast(route, 0, 0.10, 0.20, horizon))
+                assert_forecasts_equal(
+                    got, reference_forecasts(route, 0.10, 0.20, horizon))
         info = prediction._walk.cache_info()
         assert info.currsize == info.maxsize < info.misses == len(horizons)
         info = prediction._route_index.cache_info()
-        assert info.misses == info.currsize == 1
-        assert prediction._route_index(route).route is route
+        assert info.misses == info.currsize == 0
 
 
 class TestRealizeRoute:
