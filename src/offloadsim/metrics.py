@@ -233,10 +233,11 @@ class ScenarioSpec:
     metrics: Optional[tuple[str, ...]] = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
-        p = self.policies  # a list would fail to hash in the memo; a string is one entry
-        object.__setattr__(self, "policies", (p,) if isinstance(p, str) else tuple(p))
-        if self.metrics is not None:
-            object.__setattr__(self, "metrics", tuple(self.metrics))
+        # a list would fail to hash in the memo; a lone name or policy is one entry
+        for name in ("policies", "metrics"):
+            v = getattr(self, name)
+            if v is not None:
+                object.__setattr__(self, name, (v,) if isinstance(v, (str, Policy)) else tuple(v))
         for name, kind in (("route", RouteProfile), ("task", TransferTask),
                            ("errors", ErrorSpec), ("energy", EnergyModel)):
             if not isinstance(getattr(self, name), kind):

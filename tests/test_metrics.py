@@ -373,17 +373,25 @@ class TestRunScenario:
         assert run_scenario(spec).summaries == run_scenario(make_spec(route_4ap,
                                                                       runs=3)).summaries
 
+    def test_a_lone_name_is_one_entry(self, route_4ap):
+        """A string or a bare Policy given as policies, and a string given as
+        metrics, is one entry: a string was split into its characters."""
+        spec = replace(make_spec(route_4ap, runs=3), policies=DT_POLICIES[0],
+                       metrics="offload_pct")
+        assert spec.policies == DT_POLICIES[:1] and spec.metrics == ("offload_pct",)
+
     @pytest.mark.parametrize("name,value,message", [
         ("policies", ("prefetch-dt",), r"policies\[0\] must be a Policy, got 'prefetch-dt'"),
         ("policies", "prefetch-dt", r"policies\[0\] must be a Policy, got 'prefetch-dt'"),
         ("policies", (None,), r"policies\[0\] must be a Policy, got None"),
+        ("metrics", "offload-pct", "unknown metric 'offload-pct'"),
         ("task", {"size_mb": 60.0}, "task must be TransferTask, got {"),
         ("errors", (0.1, 0.2), r"errors must be ErrorSpec, got \(0.1"),
         ("energy", {}, "energy must be EnergyModel, got {"),
         ("route", "4ap", "route must be RouteProfile, got .4ap"),
         ("mobile_factor", "1/3", "mobile factor must be positive and finite"),
         ("wifi_factor", True, "wifi factor must be positive and finite")],
-        ids=["policy-name", "policy-string", "policy-none", "task-dict", "errors-tuple",
+        ids=["policy-name", "policy-string", "policy-none", "metric-string", "task-dict", "errors-tuple",
              "energy-dict", "route-name", "factor-string", "factor-bool"])
     def test_mistyped_input_names_its_field(self, name, value, message):
         """A value of the wrong type raises ValueError naming the field: it

@@ -472,15 +472,22 @@ class TestOnePlanner:
 
     def test_only_planning_policies_build_forecasts(self, monkeypatch, default_route):
         """no-prediction and mobile-only read no plan and build no forecast.
-        Every other policy builds all its forecasts in one call, however
-        many hotspot exits it reaches before completing; so does a batch."""
-        calls = []
+        Every other policy builds all its forecasts in one call and plans
+        once at the start and once at each hotspot exit it reaches before
+        completing; a batch, once at each exit that some run reaches before
+        completing."""
+        calls, plans = [], []
 
         def counted(*args, **kwargs):
             calls.append(args)
             return build_prediction(*args, **kwargs)
 
+        def planned(*args, **kwargs):
+            plans.append(args)
+            return plan_exit(*args, **kwargs)
+
         monkeypatch.setattr(engine, "build_prediction", counted)
+        monkeypatch.setattr(engine, "plan_exit", planned)
         planless = (Policy.NO_PREDICTION_OFFLOAD, Policy.MOBILE_ONLY)
         errors = ErrorSpec(0.10, 0.20)
         seed, runs = 5, 4
@@ -498,18 +505,24 @@ class TestOnePlanner:
                                      sensitive=sensitive)
                     for policy in filter(lambda p: p.admits(task.traffic_class), Policy):
                         want = 0 if policy in planless else 1
+                        exits = []
                         for trip in trips:
                             calls.clear()
+                            plans.clear()
                             outcome = engine.run_trip(trip, route, task, policy, errors)
+                            ends = [s.end_time for s in trip.segments if s.is_wifi]
+                            if outcome.completed:
+                                ends = [e for e in ends if e < outcome.completion_time]
+                            exits.append(len(ends))
                             assert len(calls) == want, policy
+                            assert len(plans) == want * (1 + len(ends)), policy
                             if policy not in planless:
-                                ends = [s.end_time for s in trip.segments if s.is_wifi]
-                                if outcome.completed:
-                                    ends = [e for e in ends if e < outcome.completion_time]
                                 reached.add((len(ends), route.n_hotspots))
                         calls.clear()
+                        plans.clear()
                         engine.run_policies(batch, task, (policy,), errors)
                         assert len(calls) == want, policy
+                        assert len(plans) == want * (1 + max(exits)), policy
         # trips that reach no exit, some exits and every exit, all checked
         assert any(n == 0 < h for n, h in reached)
         assert any(0 < n < h for n, h in reached)
