@@ -28,9 +28,17 @@ class TrafficClass(Enum):
     DELAY_SENSITIVE = "delay-sensitive"
 
 
+def _real(x: object) -> bool:
+    """True for a real number other than a bool.  A float is told at once:
+    the ABC check costs about eight times as much."""
+    return type(x) is float or (isinstance(x, numbers.Real) and type(x) is not bool)
+
+
 def _positive_finite(x: Optional[float]) -> bool:
     """True for a finite real number above zero; False for a bool or None."""
-    return isinstance(x, numbers.Real) and type(x) is not bool and math.isfinite(x) and x > 0
+    if type(x) is float:
+        return 0.0 < x < math.inf
+    return _real(x) and math.isfinite(x) and x > 0
 
 
 @dataclass(frozen=True)
@@ -52,10 +60,14 @@ class RouteSegment:
     hotspot_index: Optional[int] = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.kind, AccessKind):
+            raise ValueError(f"segment kind must be an AccessKind, got {self.kind!r}")
         if not _positive_finite(self.duration):
             raise ValueError(f"segment duration must be positive and finite, got {self.duration}")
-        if not (math.isfinite(self.start_time) and self.start_time >= -1e-9):
-            raise ValueError(f"segment start_time must be finite and >= 0, got {self.start_time}")
+        start = self.start_time
+        if not (_real(start) and math.isfinite(start) and start >= -1e-9):
+            raise ValueError(f"segment start_time must be a finite real number >= 0, "
+                             f"got {start!r}")
         if self.kind is AccessKind.MOBILE:
             if not _positive_finite(self.mobile_rate):
                 raise ValueError("mobile segment needs a positive, finite mobile_rate")
@@ -194,6 +206,8 @@ class TransferTask:
     traffic_class: TrafficClass = TrafficClass.DELAY_TOLERANT
 
     def __post_init__(self) -> None:
+        if not isinstance(self.traffic_class, TrafficClass):
+            raise ValueError(f"traffic_class must be a TrafficClass, got {self.traffic_class!r}")
         if not _positive_finite(self.size_mb):
             raise ValueError(f"task size must be positive and finite, got {self.size_mb}")
         if not _positive_finite(self.delay_threshold):

@@ -19,16 +19,23 @@ Each segment is still ``ceil(duration / dt)`` steps taken in order; no step
 is solved in closed form.  Most steps are *plain*: a full step inside one
 phase that moves ``cap = rate * h / 8`` MB and ends neither the phase nor the
 object.  ``_advance`` does ``k`` plain additions ``x += cap`` (to the prefix
-and to the channel total) bit for bit in a few operations per binade.  In a
-binade floats are ``u`` apart, and a step from that grid that stays inside
-adds ``cap`` rounded to a multiple of ``u``, the same from every point; a tie
-(an odd multiple of ``u/2``) rounds to even, after which every point is even
-and the amount is fixed too.  So after one step inside a binade, the next
-gives an exact ``d = (x + cap) - x`` and the steps up to the top are one
-exact ``x += j * d`` (a step landing on the top rounds to it from either
-side).  The plain steps come first in a run, as the prefix only grows; their
-count is estimated from the distance to the phase's limit and confirmed with
-the scalar step's own rule.  Every other step (a phase end, the completion, a
+and to the channel total) bit for bit, taking each binade with three steps
+and one ``frexp``.  The ``frexp`` finds the binade's top ``2**e`` when a step
+enters it; a later step stays inside while its sum is below the top.  Inside
+a binade floats are ``u`` apart, and a step from that grid adds ``cap``
+rounded to a multiple of ``u``, the same from every point unless ``cap`` is a
+tie (an odd multiple of ``u/2``).  A tie rounds to even, so its amount
+depends on where the step starts: the step in may land on either parity, but
+a step inside ends on an even point, from which every step adds the same.
+The march does not tell ties apart, so in each binade it takes the step in
+and one step inside; the next step then gives the fixed, exact
+``d = (x + cap) - x``, and one exact ``x += j * d`` takes the steps up to the
+top (a step landing on the top rounds to it from either side).  A step that
+adds nothing is a stall, and so is every step after it.
+
+The plain steps come first in a run, as the prefix only grows; their count is
+estimated from the distance to the phase's limit and confirmed with the
+scalar step's own rule.  Every other step (a phase end, the completion, a
 step that carries time into the next phase) runs the scalar step, and a
 segment's steps end once its phases are done.
 """
@@ -50,6 +57,9 @@ DEFAULT_DT = 0.01
 # completion time absolute.
 BYTE_TOL_FRACTION = 0.001
 TIME_TOL_S = 0.05
+
+# A phase's channel, as the slot of the trip's totals that it fills.
+_MOBILE, _LOCAL, _BACKHAUL = 0, 1, 2
 
 
 @dataclass(frozen=True)
@@ -88,7 +98,7 @@ def run_trip_stepped(
     size = task.size_mb
     deadline = task.effective_deadline()
     prefix = 0.0
-    totals = {Channel.MOBILE: 0.0, Channel.WIFI_LOCAL: 0.0, Channel.WIFI_BACKHAUL: 0.0}
+    totals = [0.0, 0.0, 0.0]  # MB per slot: mobile, local WiFi, backhaul
     caches: dict[int, tuple[float, float]] = {}  # offset, amount
     completion: Optional[float] = None
 
@@ -108,32 +118,32 @@ def run_trip_stepped(
         if completion is not None:
             break
 
-        # Phase list: (channel, rate, fill-up-to position). The prefix is
+        # Phase list: (slot, rate, fill-up-to position). The prefix is
         # contiguous, so each phase just extends it toward its limit.
         if seg.kind is AccessKind.MOBILE:
             rate = (min(plan_rate, seg.mobile_rate)
                     if policy.rate_limited else seg.mobile_rate)
-            phases = [(Channel.MOBILE, rate, size)]
+            phases = [(_MOBILE, rate, size)]
         elif policy is Policy.MOBILE_ONLY:
             window = _window_mobile_rate(route_realized, i)
             rate = min(plan_rate, window) if policy.rate_limited else window
-            phases = [(Channel.MOBILE, rate, size)]
+            phases = [(_MOBILE, rate, size)]
         else:
             cache = caches.get(seg.hotspot_index) if policy.prefetches else None
             if cache is not None:
                 offset, amount = cache
                 if policy.hole_channel is Channel.MOBILE:
                     hole_rate = _window_mobile_rate(route_realized, i)
-                    hole = (Channel.MOBILE, hole_rate, min(offset, size))
+                    hole = (_MOBILE, hole_rate, min(offset, size))
                 else:
-                    hole = (Channel.WIFI_BACKHAUL, seg.backhaul_rate, min(offset, size))
+                    hole = (_BACKHAUL, seg.backhaul_rate, min(offset, size))
                 phases = [
                     hole,
-                    (Channel.WIFI_LOCAL, seg.wifi_local_rate, min(offset + amount, size)),
-                    (Channel.WIFI_BACKHAUL, seg.backhaul_rate, size),
+                    (_LOCAL, seg.wifi_local_rate, min(offset + amount, size)),
+                    (_BACKHAUL, seg.backhaul_rate, size),
                 ]
             else:
-                phases = [(Channel.WIFI_BACKHAUL, seg.backhaul_rate, size)]
+                phases = [(_BACKHAUL, seg.backhaul_rate, size)]
 
         n_steps = max(1, math.ceil(seg.duration / dt))
         h = seg.duration / n_steps
@@ -142,17 +152,17 @@ def run_trip_stepped(
         while k < n_steps and ai < len(phases):
             # Plain steps (see the module docstring): each leaves at most
             # 1e-15 s of the step over and ends neither phase nor object.
-            channel, rate, limit = phases[ai]
+            slot, rate, limit = phases[ai]
             cap = rate * h / MBIT_PER_MB
             if rate > 0 and h - cap * MBIT_PER_MB / rate <= 1e-15:
                 m, prefix = _plain_steps(prefix, cap, min(limit, size), size, n_steps - k)
-                totals[channel] = _advance(totals[channel], cap, m)
+                totals[slot] = _advance(totals[slot], cap, m)
                 k += m
                 if k == n_steps:
                     break
             rem = h
             while rem > 1e-15 and ai < len(phases):
-                channel, rate, limit = phases[ai]
+                slot, rate, limit = phases[ai]
                 need = min(limit, size) - prefix
                 if need <= 1e-15 or rate <= 0:
                     ai += 1
@@ -160,7 +170,7 @@ def run_trip_stepped(
                 cap = rate * rem / MBIT_PER_MB
                 moved = min(need, cap)
                 prefix += moved
-                totals[channel] += moved
+                totals[slot] += moved
                 rem -= moved * MBIT_PER_MB / rate
                 if moved >= need - 1e-15:
                     ai += 1
@@ -176,9 +186,9 @@ def run_trip_stepped(
             plan_rate = replan(passed, seg.end_time)
 
     return StepOutcome(
-        mobile_mb=totals[Channel.MOBILE],
-        wifi_local_mb=totals[Channel.WIFI_LOCAL],
-        wifi_backhaul_mb=totals[Channel.WIFI_BACKHAUL],
+        mobile_mb=totals[_MOBILE],
+        wifi_local_mb=totals[_LOCAL],
+        wifi_backhaul_mb=totals[_BACKHAUL],
         completion_time=completion,
     )
 
@@ -206,22 +216,28 @@ def _window_mobile_rate(route: RouteProfile, index: int) -> float:
 
 def _advance(x: float, c: float, k: int) -> float:
     """``x`` after ``k`` steps of ``x += c`` (``x, c >= 0``), bit for bit, in
-    a few operations per binade crossed (see the module docstring)."""
-    settled = False  # x ended a step that began in x's binade
-    ex = math.frexp(x)[1]
+    three steps and one ``frexp`` per binade crossed (see the module docstring)."""
+    # x's binade is [top/2, top); x = m * 2**e, so x / m is exactly top = 2**e
+    top = x / math.frexp(x)[0] if x > 0 else 0.0
+    settled = False  # x ended a step inside its binade
     while k > 0:
         y = x + c
         k -= 1
-        if y == x:
+        if y == x:  # a stall: every later step stalls too
             return x
-        ey = math.frexp(y)[1]
-        inside = x > 0 and ey == ex
-        if inside and settled:
-            d = y - x
-            j = min(k, int((math.ldexp(1.0, ey) - y) / d))
-            y += j * d
-            k -= j
-        x, ex, settled = y, ey, inside
+        if y < top:
+            if settled:
+                d = y - x
+                if top - y >= k * d:
+                    return y + k * d
+                n = (top - y) // d
+                y += n * d
+                k -= n  # a float from here on, still a whole number
+            settled = True
+        else:
+            top = y / math.frexp(y)[0]
+            settled = False
+        x = y
     return x
 
 

@@ -6,12 +6,15 @@ import pickle
 import subprocess
 import sys
 import textwrap
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import offloadsim
 from offloadsim.model import (
+    _positive_finite,
     AccessKind,
     EnergyModel,
     RouteProfile,
@@ -51,6 +54,19 @@ class TestRouteSegment:
                 mobile(0.0, bad, 5.0)
             with pytest.raises(ValueError):
                 mobile(bad, 10.0, 5.0)
+
+    def test_start_time_must_be_a_real_number(self):
+        # a string raised TypeError from math.isfinite, and True was kept
+        for bad in ("0", True, None, math.nan, -1.0):
+            with pytest.raises(ValueError, match="start_time"):
+                mobile(bad, 10.0, 5.0)
+        assert mobile(Fraction(0), 10.0, 5.0).start_time == 0
+
+    def test_kind_must_be_an_access_kind(self):
+        # a string kind was read as WiFi and failed on its rates
+        for bad in ("mobile", "wifi", None):
+            with pytest.raises(ValueError, match="kind"):
+                RouteSegment(bad, 0.0, 10.0, mobile_rate=5.0)
 
     def test_backhaul_cannot_exceed_local(self):
         with pytest.raises(ValueError):
@@ -220,8 +236,28 @@ class TestTransferTask:
             with pytest.raises(ValueError, match="delay threshold"):
                 TransferTask(size_mb=10.0, delay_threshold=bad)
 
+    def test_traffic_class_must_be_a_traffic_class(self):
+        # a string class reached the policy check and raised AttributeError
+        for bad in ("delay-tolerant", None):
+            with pytest.raises(ValueError, match="traffic_class"):
+                TransferTask(10.0, 100.0, bad)
+
     def test_delay_sensitive_ignores_threshold(self):
         task = TransferTask(50.0, 100.0, TrafficClass.DELAY_SENSITIVE)
         assert math.isinf(task.effective_deadline())
         task = TransferTask(50.0, 100.0, TrafficClass.DELAY_TOLERANT)
         assert task.effective_deadline() == 100.0
+
+
+def test_positive_finite_takes_a_float_by_its_fast_path():
+    """A float skips the ABC check and gets the same answer as any other
+    real number of its value; a bool, None or a string is never a number."""
+    floats = (1.0, 5e-324, 1.7976931348623157e308, 0.0, -0.0, -1.0,
+              math.nan, math.inf, -math.inf)
+    for x in floats:
+        expected = math.isfinite(x) and x > 0
+        assert _positive_finite(x) is expected, x
+        assert bool(_positive_finite(np.float64(x))) is expected, x
+    for x, expected in ((1, True), (Fraction(1, 3), True), (0, False), (-2, False),
+                        (True, False), (None, False), ("1.0", False)):
+        assert _positive_finite(x) is expected, x

@@ -290,6 +290,16 @@ def _advance_cases(kind, rng):
             c = (ulp_tie(x, int(rng.integers(2))) if rng.uniform() < 0.5
                  else x * float(rng.uniform(1e-6, 0.1)))
             cases.append((x, c, steps()))
+        elif kind == "subnormal":
+            # exact sums of multiples of 2**-1074, some into the normal range
+            x, c = (math.ldexp(float(rng.integers(0, 1 << int(rng.integers(1, 53)))), -1074)
+                    for _ in range(2))
+            cases.append((x, c or 5e-324, steps()))
+        elif kind == "binade-top":
+            # j steps from x land exactly on 2**e, then some go on past it
+            e, j = int(rng.integers(-10, 10)), steps()
+            c = math.ldexp(float(rng.integers(1, 1 << 20)), e - 53)
+            cases.append((2.0 ** e - j * c, c, j + int(rng.choice([0, rng.integers(1, 3000)]))))
         else:  # "long": many binade crossings
             x = float(rng.choice([0.0, rng.uniform(0.0, 1e-3)]))
             cases.append((x, float(rng.uniform(1e-4, 1.0)), int(rng.integers(50_000, 100_001))))
@@ -297,11 +307,12 @@ def _advance_cases(kind, rng):
 
 
 @pytest.mark.parametrize("kind", ["tie-even", "tie-odd", "stall", "c-above-x", "zero",
-                                  "power-of-two", "long"])
+                                  "power-of-two", "long", "subnormal", "binade-top"])
 def test_advance_equals_step_loop(kind):
     """``_advance`` is bit for bit the loop it replaces, for ties (rounding
     to even up or down), stalls, steps larger than ``x``, ``x = 0``, starts on
-    a power of two and runs of up to 10**5 steps through many binades."""
+    a power of two, runs of up to 10**5 steps through many binades, subnormal
+    ``x`` and ``c``, and runs that land exactly on a binade's top."""
     rng = np.random.default_rng(sum(map(ord, kind)))
     for x, c, k in _advance_cases(kind, rng):
         y = x
