@@ -34,11 +34,22 @@ def _real(x: object) -> bool:
     return type(x) is float or (isinstance(x, numbers.Real) and type(x) is not bool)
 
 
+def _finite(x: object) -> bool:
+    """True for a real number other than a bool that converts to a finite
+    float; False for an int too large to convert."""
+    if type(x) is float:
+        return -math.inf < x < math.inf
+    try:
+        return _real(x) and math.isfinite(x)
+    except OverflowError:
+        return False
+
+
 def _positive_finite(x: Optional[float]) -> bool:
     """True for a finite real number above zero; False for a bool or None."""
     if type(x) is float:
         return 0.0 < x < math.inf
-    return _real(x) and math.isfinite(x) and x > 0
+    return _finite(x) and x > 0
 
 
 @dataclass(frozen=True)
@@ -65,7 +76,7 @@ class RouteSegment:
         if not _positive_finite(self.duration):
             raise ValueError(f"segment duration must be positive and finite, got {self.duration}")
         start = self.start_time
-        if not (_real(start) and math.isfinite(start) and start >= -1e-9):
+        if not (_finite(start) and start >= -1e-9):
             raise ValueError(f"segment start_time must be a finite real number >= 0, "
                              f"got {start!r}")
         if self.kind is AccessKind.MOBILE:
@@ -111,26 +122,27 @@ class RouteProfile:
             raise ValueError("route needs at least one segment")
         object.__setattr__(self, "segments", tuple(self.segments))
         cursor = 0.0
-        start = end = -math.inf
+        last_start = last_end = -math.inf
         for i, seg in enumerate(self.segments):
-            if not math.isclose(seg.start_time, cursor, rel_tol=1e-9, abs_tol=1e-6):
+            # a realized route's starts are the running sum, bit for bit
+            start, end = seg.start_time, seg.end_time
+            if start != cursor and not math.isclose(start, cursor, rel_tol=1e-9, abs_tol=1e-6):
                 raise ValueError(
-                    f"segment {i} starts at {seg.start_time}, expected {cursor} "
+                    f"segment {i} starts at {start}, expected {cursor} "
                     "(segments must be contiguous)"
                 )
             # the contiguity slack must not let a segment start or end before
             # its predecessor: a route is a timeline read in order
-            if seg.start_time < start or seg.end_time < end:
+            if start < last_start or end < last_end:
                 raise ValueError(
-                    f"segment {i} [{seg.start_time}, {seg.end_time}) starts or ends "
-                    f"before segment {i - 1} [{start}, {end}) (segments must be ordered)"
+                    f"segment {i} [{start}, {end}) starts or ends before segment "
+                    f"{i - 1} [{last_start}, {last_end}) (segments must be ordered)"
                 )
-            start, end = seg.start_time, seg.end_time
+            last_start, last_end = start, end
             cursor += seg.duration
-        if not math.isclose(self.total_time, cursor, rel_tol=1e-9, abs_tol=1e-6):
-            raise ValueError(
-                f"total_time {self.total_time} != sum of durations {cursor}"
-            )
+        total = self.total_time
+        if not (_finite(total) and math.isclose(total, cursor, rel_tol=1e-9, abs_tol=1e-6)):
+            raise ValueError(f"total_time {total!r} != sum of durations {cursor}")
         indices = [s.hotspot_index for s in self.segments if s.is_wifi]
         if indices != sorted(set(indices)):
             raise ValueError(f"hotspot indices must be strictly increasing: {indices}")
@@ -239,5 +251,5 @@ class EnergyModel:
         for name in ("mobile_transfer_j_per_mb", "wifi_transfer_j_per_mb",
                      "wifi_idle_w", "wifi_preactivation_s"):
             value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ValueError(f"{name} must be finite and >= 0, got {value}")
+            if not (_finite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")

@@ -28,13 +28,15 @@ value, which a route hashes once, on first use.
 Realizations draw uniform(-1, 1) numbers.  Run k of base seed s reads the
 stream of ``numpy.random.default_rng(derive_run_seed(s, k))``, where
 :func:`derive_run_seed` is the first 64-bit word of
-``SeedSequence(entropy=(s, k))``.  :func:`realize_route` draws its one
-stream through numpy.  A batch computes all its runs' streams at once,
-without ``numpy.random`` and bit for bit: SeedSequence's hashing, PCG64's
-seeding, its 128-bit LCG step (jumped r steps ahead for row r), its XSL-RR
-output and numpy's conversion to uniform(-1, 1), as integer arithmetic on
-uint64 arrays.  The draw matrix of each ``(seed, runs, draw count)`` is
-cached, so the figures' three route layouts draw their runs once each.
+``SeedSequence(entropy=(s, k))``.  The package computes these streams
+itself, bit for bit, and never imports ``numpy.random``: SeedSequence's
+hashing, PCG64's seeding, its 128-bit LCG step, its XSL-RR output and
+numpy's conversion to uniform(-1, 1), as integer arithmetic.  The hashing
+and seeding run on Python ints for :func:`realize_route` and on uint64
+arrays for a batch.  One realization then steps its stream on Python ints;
+a batch computes all its runs' draws at once, jumping r steps ahead for row
+r.  The draw matrix of each ``(seed, runs, draw count)`` is cached, so the
+figures' three route layouts draw their runs once each.
 
 One loop, :func:`_realized`, turns draws into realized segments: on floats
 for :func:`realize_route`, on ``(runs,)`` rows for :func:`realize_batch`.  So
@@ -52,7 +54,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .model import AccessKind, RouteProfile, RouteSegment
+from .model import AccessKind, RouteProfile, RouteSegment, _real
 
 
 @dataclass(frozen=True)
@@ -69,12 +71,10 @@ class ErrorSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not 0 <= self.time_error < 1:
-            raise ValueError(f"time_error must be in [0, 1), got {self.time_error}")
-        if not 0 <= self.throughput_error < 1:
-            raise ValueError(
-                f"throughput_error must be in [0, 1), got {self.throughput_error}"
-            )
+        for name in ("time_error", "throughput_error"):
+            value = getattr(self, name)
+            if not (_real(value) and 0 <= value < 1):
+                raise ValueError(f"{name} must be in [0, 1), got {value!r}")
         check_integer("seed", self.seed)
 
 
@@ -218,13 +218,6 @@ def build_prediction(
     return _walk(route, errors.time_error, errors.throughput_error, hi)
 
 
-def _draws(seed: int, n: int) -> np.ndarray:
-    """The ``n`` uniform(-1, 1) draws of one realization of a route with
-    ``n`` draws per realization, from numpy's generator.  One vector draw
-    equals the same number of scalar draws from it, bit for bit."""
-    return np.random.default_rng(seed).uniform(-1.0, 1.0, size=n)
-
-
 def check_integer(name: str, value, least: int = 0) -> None:
     """Raise ``ValueError`` naming ``name`` unless ``value`` is an int or a
     numpy integer, not a bool, of at least ``least``."""
@@ -234,8 +227,8 @@ def check_integer(name: str, value, least: int = 0) -> None:
 
 # numpy's SeedSequence (a pool of four 32-bit words, no spawn key) and PCG64,
 # as integer arithmetic that runs on Python ints and on uint64 arrays alike:
-# every 32-bit result is masked, and a 64-bit array wraps as the C code does.
-_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+# every 32- and 64-bit result is masked, as a Python int does not wrap.
+_M32, _M53, _M64, _M128 = (1 << 32) - 1, (1 << 53) - 1, (1 << 64) - 1, (1 << 128) - 1
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _BLOCK = 1 << 16  # states per broadcast pass of _uniforms, bounding its temporaries
 
@@ -287,18 +280,31 @@ def derive_run_seed(base_seed: int, run_index: int) -> int:
 
 
 def _mul128(ah, al, bh, bl):
-    """``(ah, al) * (bh, bl)`` mod 2**128 on (high, low) uint64 limbs."""
+    """``(ah, al) * (bh, bl)`` mod 2**128 on (high, low) 64-bit limbs."""
     a1, a0 = al >> 32, al & _M32
     b1, b0 = bl >> 32, bl & _M32
     p01, p10 = a0 * b1, a1 * b0
     mid = ((a0 * b0) >> 32) + (p01 & _M32) + (p10 & _M32)
-    return a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32) + ah * bl + al * bh, al * bl
+    return ((a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32) + ah * bl + al * bh) & _M64,
+            (al * bl) & _M64)
 
 
 def _add128(ah, al, bh, bl):
-    """``(ah, al) + (bh, bl)`` mod 2**128 on (high, low) uint64 limbs."""
-    lo = al + bl
-    return ah + bh + (lo < al), lo
+    """``(ah, al) + (bh, bl)`` mod 2**128 on (high, low) 64-bit limbs."""
+    lo = (al + bl) & _M64
+    return (ah + bh + (lo < al)) & _M64, lo
+
+
+def _pcg64(words: list) -> tuple:
+    """PCG64 seeded from the first eight words of a ``SeedSequence``: its
+    (state high, state low, increment high, increment low) limbs, Python
+    ints or uint64 arrays as the words are."""
+    s_hi, s_lo, q_hi, q_lo = [words[i] | (words[i + 1] << 32) for i in range(0, 8, 2)]
+    inc_hi, inc_lo = ((q_hi << 1) | (q_lo >> 63)) & _M64, ((q_lo << 1) | 1) & _M64
+    # state 0, a step (to inc), add the initial state, a step
+    hi, lo = _add128(inc_hi, inc_lo, s_hi, s_lo)
+    hi, lo = _add128(*_mul128(hi, lo, _PCG_MULT >> 64, _PCG_MULT & _M64), inc_hi, inc_lo)
+    return hi, lo, inc_hi, inc_lo
 
 
 def _seeded(seed: int, runs: int) -> np.ndarray:
@@ -307,14 +313,26 @@ def _seeded(seed: int, runs: int) -> np.ndarray:
     increment low) of a (4, runs) uint64 array."""
     k = np.arange(runs, dtype=np.uint64)  # one 32-bit word each below 2**32 runs
     # each run seed as two words (a zero high word hashes as the one it would
-    # drop), then the four 64-bit words PCG64 seeds from
-    w = _seed_words(_seed_words(_words32(int(seed)) + [k], 2), 8)
-    s_hi, s_lo, q_hi, q_lo = [w[i] | (w[i + 1] << 32) for i in range(0, 8, 2)]
-    inc_hi, inc_lo = (q_hi << 1) | (q_lo >> 63), (q_lo << 1) | 1
-    # state 0, a step (to inc), add the initial state, a step
-    hi, lo = _add128(inc_hi, inc_lo, s_hi, s_lo)
-    hi, lo = _add128(*_mul128(hi, lo, _PCG_MULT >> 64, _PCG_MULT & _M64), inc_hi, inc_lo)
-    return np.stack([hi, lo, inc_hi, inc_lo])
+    # drop), then the words PCG64 seeds from
+    return np.stack(_pcg64(_seed_words(_seed_words(_words32(int(seed)) + [k], 2), 8)))
+
+
+def _stream(seed: int, n: int) -> list[float]:
+    """The first ``n`` uniform(-1, 1) draws of ``default_rng(seed)``, one
+    PCG64 step at a time on Python ints: for one run, cheaper than
+    :func:`_uniforms`, which builds its jump-ahead constants on each call."""
+    hi, lo, inc_hi, inc_lo = _pcg64(_seed_words(_words32(int(seed)), 8))
+    state, inc = hi << 64 | lo, inc_hi << 64 | inc_lo
+    draws = []
+    for _ in range(n):
+        state = (state * _PCG_MULT + inc) & _M128
+        hi = state >> 64
+        # XSL-RR: hi ^ lo rotated right by hi's top 6 bits.  Doubled, the word
+        # repeats, so one shift rotates it and takes the top 53 bits as
+        # numpy's uniform(-1, 1) does: -1 + 2 * (bits * 2**-53), exactly.
+        x = ((hi ^ state) & _M64) * ((1 << 64) + 1)
+        draws.append(((x >> (hi >> 58) + 11) & _M53) * 2.0 ** -52 - 1.0)
+    return draws
 
 
 def _uniforms(state: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -387,7 +405,7 @@ def realize_route(route: RouteProfile, errors: ErrorSpec) -> RouteProfile:
     index = _route_index(route)
     segments = []
     for seg, start, duration, end, rates in _realized(
-            index, errors, _draws(errors.seed, index.draw_count).tolist(), 0.0, min):
+            index, errors, _stream(errors.seed, index.draw_count), 0.0, min):
         segments.append(RouteSegment(seg.kind, start, duration,
                                      hotspot_index=seg.hotspot_index, **rates))
     return RouteProfile(tuple(segments), end)

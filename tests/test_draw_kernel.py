@@ -1,7 +1,8 @@
-"""The batch path's draw kernel pinned to ``numpy.random``: run seeds, each
-run's PCG64 state and its uniform(-1, 1) draws equal numpy's bit for bit,
-for seeds at every 32-bit word boundary and past SeedSequence's four-word
-pool; and the batch path never imports ``numpy.random``."""
+"""The package's draws pinned to ``numpy.random``: run seeds, each run's
+PCG64 state and its uniform(-1, 1) draws, in a batch and in one
+realization's stream, equal numpy's bit for bit, for seeds at every 32-bit
+word boundary and past SeedSequence's four-word pool; and neither path
+imports ``numpy.random``."""
 
 import os
 import subprocess
@@ -90,17 +91,58 @@ def test_passes_of_a_few_rows_equal_one_pass(monkeypatch):
     assert all(np.array_equal(a, b) for a, b in zip(whole, parts))
 
 
+@pytest.mark.parametrize("seed", BOUNDARIES + (np.uint64(2 ** 64 - 3),))
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(n=st.integers(1, 200))
+def test_one_run_draws_equal_numpy(seed, n):
+    """One realization's stream, drawn on Python ints, equals numpy's
+    generator seeded with the same integer."""
+    want = np.random.default_rng(seed).uniform(-1.0, 1.0, size=n)
+    assert prediction._stream(seed, n) == want.tolist()
+
+
+def run_without_numpy_random(code: str, *args: str) -> str:
+    """The last line ``code`` prints, run in a fresh interpreter with the
+    package on its path."""
+    env = dict(os.environ, PYTHONPATH=str(Path(offloadsim.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", textwrap.dedent(code), *args], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()[-1]
+
+
 def test_batch_path_never_imports_numpy_random(tmp_path):
     """A cold ``run`` on dt-default and a figure recipe through ``run_sweep``
     draw every batch without loading ``numpy.random``."""
-    code = textwrap.dedent("""
+    code = """
         import sys
         from offloadsim import cli, config, metrics
         assert cli.main(["run", "--scenario", "dt-default", "--out", sys.argv[1]]) == 0
         metrics.run_sweep(config.load_sweep(str(config.bundled_recipe_path("fig2a"))))
         print("numpy.random" in sys.modules)
-    """)
-    env = dict(os.environ, PYTHONPATH=str(Path(offloadsim.__file__).resolve().parents[1]))
-    out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "dt.csv")], env=env,
-                         capture_output=True, text=True, check=True).stdout
-    assert out.splitlines()[-1] == "False"
+    """
+    assert run_without_numpy_random(code, str(tmp_path / "dt.csv")) == "False"
+
+
+def test_one_run_path_never_imports_numpy_random():
+    """One realization, a trip on it through the engine and the stepped
+    oracle, their comparison, and a cold ``oracle-check`` on dt-default draw
+    without loading ``numpy.random``."""
+    code = """
+        import sys
+        from offloadsim import cli
+        from offloadsim.config import bundled_scenario_path, load_experiment
+        from offloadsim.engine import run_trip
+        from offloadsim.oracle import compare_runs, run_trip_stepped
+        from offloadsim.prediction import realize_route
+        spec = load_experiment(str(bundled_scenario_path("scenario_dt_default")))
+        nominal = spec.scaled_route()
+        realized = realize_route(nominal, spec.errors)
+        policy = spec.policies[0]
+        analytic = run_trip(realized, nominal, spec.task, policy, spec.errors, spec.energy)
+        stepped = run_trip_stepped(realized, nominal, spec.task, policy, spec.errors)
+        compare_runs(analytic, stepped, spec.task.size_mb, realized.total_time)
+        assert cli.main(["oracle-check", "--scenario", "dt-default", "--seeds", "3"]) == 0
+        print("numpy.random" in sys.modules)
+    """
+    assert run_without_numpy_random(code) == "False"

@@ -12,8 +12,7 @@ from offloadsim import metrics, prediction
 from offloadsim.engine import run_trip
 from offloadsim.model import scale_route
 from offloadsim.policies import Policy
-from offloadsim.prediction import (ErrorSpec, _draws, build_prediction, derive_run_seed,
-                                   realize_route)
+from offloadsim.prediction import ErrorSpec, build_prediction, derive_run_seed, realize_route
 
 from conftest import memo_caches
 from test_draw_kernel import SEEDS
@@ -85,7 +84,8 @@ def test_draw_memo_costs_little_per_run(fresh_memos):
 def assert_fresh_draws(seed, runs, n, got):
     assert got.shape == (n, runs) and not got.flags.writeable
     for k in range(runs):
-        assert np.array_equal(got[:, k], _draws(derive_run_seed(seed, k), n))
+        want = np.random.default_rng(derive_run_seed(seed, k)).uniform(-1.0, 1.0, size=n)
+        assert np.array_equal(got[:, k], want)
 
 
 DRAWS_KEPT = prediction._draw_matrix.cache_parameters()["maxsize"]

@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import offloadsim
 from offloadsim.model import (
@@ -23,6 +25,9 @@ from offloadsim.model import (
     TransferTask,
     scale_route,
 )
+
+
+HUGE = 10 ** 400  # an int past the float range
 
 
 def mobile(t, d, r):
@@ -108,12 +113,39 @@ class TestRouteProfile:
     def test_total_time_must_match(self):
         with pytest.raises(ValueError):
             RouteProfile((mobile(0, 10, 5),), 11.0)
+        # a string or None raised TypeError from math.isclose
+        for bad in ("10", None, True, math.nan):
+            with pytest.raises(ValueError, match="total_time"):
+                RouteProfile((mobile(0, 10, 5),), bad)
 
     def test_hotspot_indices_increasing(self):
         with pytest.raises(ValueError):
             RouteProfile(
                 (wifi(0, 10, 10, 5, 2), wifi(10, 10, 10, 5, 1)), 20.0
             )
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.floats(1e-3, 1e3),
+                              st.sampled_from([0.0, 1e-12, -1e-12, 5e-7, -5e-7, 2e-6, -2e-6,
+                                               1e-10, -1e-10])),
+                    min_size=1, max_size=6))
+    def test_contiguity_is_the_slack_rule(self, steps):
+        """Starts off the running sum by nothing, by less than the slack or by
+        more, are accepted exactly when the slack and the order rule accept
+        them: an exact start only skips the ``isclose`` call."""
+        cursor, segments, ok = 0.0, [], True
+        for duration, offset in steps:
+            start = max(cursor + offset, 0.0)
+            ok = ok and math.isclose(start, cursor, rel_tol=1e-9, abs_tol=1e-6) and (
+                not segments or (start >= segments[-1].start_time
+                                 and start + duration >= segments[-1].end_time))
+            segments.append(mobile(start, duration, 5.0))
+            cursor += duration
+        if ok:
+            assert RouteProfile(tuple(segments), cursor).total_time == cursor
+        else:
+            with pytest.raises(ValueError, match="contiguous|ordered"):
+                RouteProfile(tuple(segments), cursor)
 
     def test_bundled_routes(self, route_4ap, route_2ap, route_8ap):
         for route, n in ((route_4ap, 4), (route_2ap, 2), (route_8ap, 8)):
@@ -222,6 +254,15 @@ class TestEnergyModel:
             with pytest.raises(ValueError):
                 EnergyModel(wifi_idle_w=bad)
 
+    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(EnergyModel)])
+    def test_each_field_is_a_finite_real_number(self, field):
+        # a string or None raised TypeError, True was kept, and an int past
+        # the float range raised OverflowError
+        for bad in ("1", None, True, HUGE, [1.0]):
+            with pytest.raises(ValueError, match=field):
+                EnergyModel(**{field: bad})
+        assert getattr(EnergyModel(**{field: Fraction(1, 2)}), field) == 0.5
+
 
 class TestTransferTask:
     def test_validation(self):
@@ -249,6 +290,23 @@ class TestTransferTask:
         assert task.effective_deadline() == 100.0
 
 
+@pytest.mark.parametrize("make,field", [
+    (lambda: TransferTask(size_mb=HUGE, delay_threshold=1.0), "task size"),
+    (lambda: TransferTask(size_mb=1.0, delay_threshold=HUGE), "delay threshold"),
+    (lambda: RouteSegment(AccessKind.MOBILE, HUGE, 1.0, mobile_rate=1.0), "start_time"),
+    (lambda: mobile(0.0, HUGE, 1.0), "duration"),
+    (lambda: mobile(0.0, 1.0, -HUGE), "mobile_rate"),
+    (lambda: wifi(0.0, 1.0, HUGE, 1.0, 1), "wifi_local_rate"),
+    (lambda: EnergyModel(wifi_idle_w=HUGE), "wifi_idle_w"),
+    (lambda: RouteProfile((mobile(0.0, 1.0, 1.0),), HUGE), "total_time"),
+], ids=["size", "threshold", "start", "duration", "mobile-rate", "local-rate", "energy",
+        "total"])
+def test_an_int_past_the_float_range_names_its_field(make, field):
+    """Such an int raised ``OverflowError`` from ``math.isfinite``."""
+    with pytest.raises(ValueError, match=field):
+        make()
+
+
 def test_positive_finite_takes_a_float_by_its_fast_path():
     """A float skips the ABC check and gets the same answer as any other
     real number of its value; a bool, None or a string is never a number."""
@@ -259,5 +317,6 @@ def test_positive_finite_takes_a_float_by_its_fast_path():
         assert _positive_finite(x) is expected, x
         assert bool(_positive_finite(np.float64(x))) is expected, x
     for x, expected in ((1, True), (Fraction(1, 3), True), (0, False), (-2, False),
-                        (True, False), (None, False), ("1.0", False)):
+                        (True, False), (None, False), ("1.0", False), (10 ** 308, True),
+                        (HUGE, False), (-HUGE, False)):
         assert _positive_finite(x) is expected, x

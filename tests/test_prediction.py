@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import math
 from typing import Optional
 
 import numpy as np
@@ -141,9 +142,11 @@ def realize_route_scalar(route, errors):
 
 class TestErrorSpec:
     @pytest.mark.parametrize("field", ["time_error", "throughput_error"])
-    @pytest.mark.parametrize("value", [-0.1, 1.0, 1.5])
+    @pytest.mark.parametrize("value", [-0.1, 1.0, 1.5, math.nan, 10 ** 400,
+                                       "0.1", None, False, True, [0.1]])
     def test_bounds(self, field, value):
-        with pytest.raises(ValueError):
+        """A string or None raised TypeError, and False was taken as 0."""
+        with pytest.raises(ValueError, match=f"{field} must be in \\[0, 1\\)"):
             ErrorSpec(**{field: value})
 
     @pytest.mark.parametrize("seed", [True, False, 1.0, 0.9, -1, "1", None])
