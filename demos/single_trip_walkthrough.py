@@ -41,7 +41,8 @@ def main():
         (h.end_time, f"leaving hotspot {h.hotspot_index}") for h in nominal.hotspots
     ]
     forecasts = build_prediction(nominal, errors, horizon=task.delay_threshold)
-    for (now, label), pred in zip(points, forecasts):
+    te, re = errors.time_error, errors.throughput_error
+    for k, ((now, label), pred) in enumerate(zip(points, forecasts)):
         rate, _, cache = plan_exit(
             Policy.PREFETCH_DELAY_TOLERANT, max(0.0, task.size_mb - received),
             task.delay_threshold - now, pred, received,
@@ -54,8 +55,10 @@ def main():
         print(line)
         # assume the pessimistic delivery to move the walkthrough forward
         received += rate * pred.time_to_next_wifi / 8
-        if pred.hotspots:
-            received += pred.hotspots[0].local_min * pred.hotspots[0].duration_min / 8
+        if pred.next_hotspot is not None:
+            h = nominal.hotspots[k]  # its minimum local rate over its minimum dwell
+            usable = min(h.end_time, task.delay_threshold) - h.start_time
+            received += (1 - re) * h.wifi_local_rate * ((1 - te) * usable) / 8
         received = min(received, task.size_mb)
 
     print()

@@ -41,7 +41,6 @@ from .policies import (
 )
 from .prediction import (
     ErrorSpec,
-    HotspotForecast,
     PredictionProfile,
     RealizedBatch,
     build_prediction,
@@ -60,7 +59,6 @@ __all__ = [
     "EnergyModel",
     "EntryAction",
     "ErrorSpec",
-    "HotspotForecast",
     "InsufficientSamples",
     "MetricSummary",
     "Policy",

@@ -22,8 +22,10 @@ same :func:`~offloadsim.policies.plan_exit` and
 :func:`~offloadsim.policies.plan_entry`.  Only a policy that reads a plan, a
 rate-limited or a prefetching one, replans; the others never build a forecast.
 A trip reads its forecasts in one call, one per count of hotspots passed,
-and each replan point reads the one for its count, bounding both WiFi rates,
+and each replan point reads the one for its count, summing both WiFi rates,
 for every policy of the pass: the planner picks the rate each plans on.
+Forecast k names hotspot k + 1 or none, so the loop holds one staged cache,
+the next hotspot's, which each replan resets.
 
 Energy is priced in the same loop: per-MB transfer costs on the bytes each
 channel moved, plus WiFi idle power.  At each hotspot visit the loop adds
@@ -180,28 +182,27 @@ def _run(
     plan_rate: Floats = 0.0
     infeasible = ops.zeros(end, bool)
     provisioned = ops.zeros(end)
-    caches: dict[int, tuple[Floats, Floats]] = {}  # offset, amount
+    staged: Optional[tuple[Floats, Floats]] = None  # the next hotspot's cache: offset, amount
     idle_s = zero  # seconds the WiFi interface is on but not transferring
     limited, prefetches, associates = policy.rate_limited, policy.prefetches, policy.associates
     # only a rate-limited policy reads the planned rate and only a
-    # prefetching one the caches; for the others a plan changes nothing
+    # prefetching one the staged cache; for the others a plan changes nothing
     plans = limited is not False or prefetches is not False
 
     def replan(passed: int, now: Floats) -> None:
-        nonlocal plan_rate, infeasible, provisioned
+        nonlocal plan_rate, infeasible, provisioned, staged
         runs = state.pending
         plan_rate, flagged, cache = plan_exit(
             policy, ops.maximum(0.0, size - state.prefix), deadline - now,
             forecasts[passed], state.prefix)
         infeasible = infeasible | (runs & flagged)
+        staged = None  # a plan stages only the next hotspot, the one entered next
         if cache is not None:
-            index, amount, offset = cache
+            _, amount, offset = cache
             kept = runs & (amount > 0)
             if ops.any(kept):
-                old_offset, old_amount = caches.get(index, (0.0, 0.0))
-                caches[index] = (ops.where(kept, offset, old_offset),
-                                 ops.where(kept, amount, old_amount))
-                provisioned = provisioned + ops.where(kept, amount, 0.0)
+                staged = (ops.where(kept, offset, 0.0), ops.where(kept, amount, 0.0))
+                provisioned = provisioned + staged[1]
 
     if plans:
         forecasts = build_prediction(nominal, errors, horizon=deadline)
@@ -209,7 +210,7 @@ def _run(
 
     index = _route_index(nominal)
     passed = 0  # hotspots left so far
-    for seg, seg_nom, wifi, j in zip(segments, nominal.segments, index.wifi, index.window):
+    for seg, wifi, j in zip(segments, index.wifi, index.window):
         runs = state.pending
         if not ops.any(runs):
             break
@@ -221,7 +222,7 @@ def _run(
             state.fill(runs if not wifi or associates is False else runs & ~associates,
                        rate, seg.duration, Channel.MOBILE, t0, size)
         if wifi and associates is not False:
-            steps = plan_entry(policy, state.prefix, caches.get(seg_nom.hotspot_index),
+            steps = plan_entry(policy, state.prefix, staged,
                                local_rate=seg.wifi_local_rate,
                                backhaul_rate=seg.backhaul_rate,
                                mobile_rate=mobile_rate, size_mb=size)

@@ -46,10 +46,10 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .engine import RunOutcome, run_policies
-from .model import MBIT_PER_MB, EnergyModel, RouteProfile, TransferTask, scale_route
+from .model import MBIT_PER_MB, EnergyModel, RouteProfile, TransferTask, check_integer, scale_route
 from .policies import T_MOBILE_FLOOR, Policy, check_admitted
 # derive_run_seed is defined beside the draws it seeds and stays public here
-from .prediction import ErrorSpec, check_integer, derive_run_seed, realize_batch  # noqa: F401
+from .prediction import ErrorSpec, derive_run_seed, realize_batch  # noqa: F401
 
 # each output metric, in CSV row order, and the RunOutcome field behind it
 _METRIC_FIELDS = {"offload_pct": "offload_pct", "transfer_delay_s": "transfer_delay",

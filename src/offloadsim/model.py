@@ -45,6 +45,13 @@ def _finite(x: object) -> bool:
         return False
 
 
+def check_integer(name: str, value, least: int = 0) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is an int or a
+    numpy integer, not a bool, of at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 def _positive_finite(x: Optional[float]) -> bool:
     """True for a finite real number above zero; False for a bool or None."""
     if type(x) is float:
@@ -98,8 +105,7 @@ class RouteSegment:
                     f"backhaul_rate {self.backhaul_rate} exceeds wifi_local_rate "
                     f"{self.wifi_local_rate}"
                 )
-            if self.hotspot_index is None or self.hotspot_index < 1:
-                raise ValueError("wifi segment needs a 1-based hotspot_index")
+            check_integer("hotspot_index", self.hotspot_index, 1)
 
     @property
     def end_time(self) -> float:
@@ -124,6 +130,8 @@ class RouteProfile:
         cursor = 0.0
         last_start = last_end = -math.inf
         for i, seg in enumerate(self.segments):
+            if not isinstance(seg, RouteSegment):
+                raise ValueError(f"segments[{i}] must be a RouteSegment, got {seg!r}")
             # a realized route's starts are the running sum, bit for bit
             start, end = seg.start_time, seg.end_time
             if start != cursor and not math.isclose(start, cursor, rel_tol=1e-9, abs_tol=1e-6):

@@ -13,7 +13,7 @@ builds itself (in place of
 window, which it finds by its own scan (in place of the engine's route
 index).  It does not check the planning or the forecasts:
 ``tests/test_policies.py`` checks the planners, and ``reference_forecast``
-in ``tests/test_prediction.py`` the forecasts.
+in ``tests/conftest.py`` the forecasts.
 
 Each segment is still ``ceil(duration / dt)`` steps taken in order; no step
 is solved in closed form.  Most steps are *plain*: a full step inside one
@@ -46,7 +46,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .model import MBIT_PER_MB, AccessKind, RouteProfile, TransferTask
+from .model import MBIT_PER_MB, AccessKind, RouteProfile, TransferTask, _finite
 from .policies import Channel, Policy, check_admitted, plan_exit
 from .prediction import ErrorSpec, build_prediction
 from .engine import RunOutcome, _check_same_structure
@@ -75,11 +75,12 @@ class StepOutcome:
 
 
 def check_dt(dt: float, longest: float) -> None:
-    """Reject a step ``dt`` that is not positive and finite, or whose step
-    count over a segment of ``longest`` seconds overflows."""
-    if not (0 < dt < math.inf and longest / dt < math.inf):
+    """Reject a step ``dt`` that is not a positive, finite real number (a bool
+    is none), or whose step count over a segment of ``longest`` seconds
+    overflows."""
+    if not (_finite(dt) and dt > 0 and longest / dt < math.inf):
         raise ValueError(f"dt must be positive and finite, and so must "
-                         f"{longest:g} s / dt; got {dt}")
+                         f"{longest:g} s / dt; got {dt!r}")
 
 
 def run_trip_stepped(

@@ -4,8 +4,10 @@ Plans are made at the route start and whenever the node leaves a hotspot
 (:func:`plan_exit`), for the policies that read them.  Delay-tolerant
 planning sizes the mobile rate so that the pessimistic WiFi forecast plus
 the mobile stream finish exactly at the deadline; the maximum-throughput
-policies just request the full predicted mobile rate.  Prefetching policies additionally decide how much of the
-object to push into the next hotspot's cache and at which object offset.
+policies just request the full predicted mobile rate.  Prefetching policies
+additionally decide how much of the object to push into the next hotspot's
+cache and at which object offset.  Each reads a forecast's WiFi sums and
+next hotspot's cache cap as they stand, however many hotspots lie ahead.
 
 The received bytes are always one prefix of the object, so on entering a
 hotspot (:func:`plan_entry`) every step fills the prefix up to a position:
@@ -178,21 +180,6 @@ def elementwise(x: Floats) -> Elementwise:
     return _ARRAY_OPS if isinstance(x, np.ndarray) else _FLOAT_OPS
 
 
-def _pessimistic_wifi(pred: PredictionProfile, prefetches: Bools) -> tuple[Floats, float]:
-    """Lower-bound WiFi bytes (MB) and seconds over the remaining hotspots, at
-    the local rate where ``prefetches`` (a cached hotspot serves at it) and at
-    the backhaul rate elsewhere: both sums only for a ``(P, 1)`` mask."""
-    # left to right: builtin sum() of floats is compensated from Python 3.12 on
-    local = backhaul = seconds = 0.0
-    for h in pred.hotspots:
-        if prefetches is not False:
-            local += h.local_min * h.duration_min
-        if prefetches is not True:
-            backhaul += h.backhaul_min * h.duration_min
-        seconds += h.duration_min
-    return _ARRAY_OPS.pick(prefetches, local, backhaul) / MBIT_PER_MB, seconds
-
-
 def plan_exit(
     policy: Union[Policy, PolicyColumns],
     remaining_mb: Floats,
@@ -206,40 +193,41 @@ def plan_exit(
     size it so that the pessimistic WiFi forecast plus the mobile stream
     finish the ``remaining_mb`` at the deadline, clamped to the lowest
     mobile rate on the horizon; ``infeasible`` flags the plans that needed
-    more.  A prefetching policy plans on the hotspots' local WiFi rate (a
-    cached hotspot serves at it), any other on their backhaul rate: this is
-    the one place that choice is made.  The other policies request the full
-    predicted mobile rate and are never infeasible; for a batch, their rate
-    and flag are one value for every run.
+    more.  A prefetching policy plans on the forecast's sum at the local WiFi
+    rate (a cached hotspot serves at it), any other on its sum at the
+    backhaul rate: this is the one place that choice is made.  The other
+    policies request the full predicted mobile rate and are never
+    infeasible; for a batch, their rate and flag are one value for every run.
 
-    ``cache`` is None unless the policy prefetches and a hotspot remains;
-    then it is ``(hotspot_index, amount, offset)``: the node expects to have
-    reached object position ``offset`` on arrival (its prefix plus what the
-    mobile stream delivers across the gap), and the hotspot stages the next
-    ``amount`` MB from there, never past the object end (amount 0: no cache,
-    as in every row that does not prefetch).
+    ``cache`` is None unless the policy prefetches and the forecast names a
+    next hotspot; then it is ``(hotspot_index, amount, offset)``: the node
+    expects to have reached object position ``offset`` on arrival (its prefix
+    plus what the mobile stream delivers across the gap), and the hotspot
+    stages the next ``amount`` MB from there, up to its cache cap and never
+    past the object end (amount 0: no cache, as in every row that does not
+    prefetch).
     """
     ops = elementwise(remaining_mb)
     limited, prefetches = policy.rate_limited, policy.prefetches
     rate, infeasible = pred.max_mobile_rate, False
     if limited is not False:
-        wifi_mb, wifi_s = _pessimistic_wifi(pred, prefetches)
+        # a bool picks one sum, a (P, 1) mask one per row
+        wifi_mb = _ARRAY_OPS.pick(prefetches, pred.wifi_local_mbit,
+                                  pred.wifi_backhaul_mbit) / MBIT_PER_MB
         data_mobile = ops.maximum(0.0, remaining_mb - wifi_mb)
-        time_mobile = ops.maximum(T_MOBILE_FLOOR, time_left - wifi_s)
+        time_mobile = ops.maximum(T_MOBILE_FLOOR, time_left - pred.wifi_seconds)
         raw = data_mobile * MBIT_PER_MB / time_mobile
         # The same rate must hold through every remaining mobile stretch, so
         # the cap is the lowest rate on the horizon, not the next gap's best.
         cap = pred.sustainable_mobile_rate
         rate = ops.pick(limited, ops.minimum(ops.maximum(raw, 0.0), cap), rate)
         infeasible = raw > cap if limited is True else limited & (raw > cap)
-    if prefetches is False or not pred.hotspots:
+    if prefetches is False or pred.next_hotspot is None:
         return rate, infeasible, None
     size_mb = received_prefix_mb + remaining_mb
     offset = received_prefix_mb + rate * pred.time_to_next_wifi / MBIT_PER_MB
-    nxt = pred.hotspots[0]
-    amount = ops.maximum(0.0, ops.minimum(nxt.local_max * nxt.duration_max / MBIT_PER_MB,
-                                          size_mb - offset))
-    return rate, infeasible, (nxt.hotspot_index, ops.pick(prefetches, amount, 0.0), offset)
+    amount = ops.maximum(0.0, ops.minimum(pred.next_cache_mb, size_mb - offset))
+    return rate, infeasible, (pred.next_hotspot, ops.pick(prefetches, amount, 0.0), offset)
 
 
 def plan_entry(

@@ -13,12 +13,14 @@ A node forecasts only where it replans: at the route start and at each
 hotspot exit.  So :func:`build_prediction` returns a route's forecasts as
 one tuple, element k for a node that has left k hotspots, which
 :func:`_walk` builds per route, error pair and clipped horizon ``hi`` in one
-scan from the route end.  The scan keeps the hotspots usable before ``hi``
-ahead of its position, the start of the nearest, the highest mobile rate
-before it, the highest and lowest to the route end, and the lowest of the
-mobile segments starting before ``hi``; at each hotspot, and at the start,
-it emits the forecast of a node just past that point.  No horizon and every
-horizon at or past the route end clip to one ``hi``.
+scan from the route end.  The scan keeps the pessimistic Mbit and dwell of
+each hotspot usable before ``hi`` ahead of its position, the nearest one's
+index, cache cap and start, the highest mobile rate before it, the highest
+and lowest to the route end, and the lowest of the mobile segments starting
+before ``hi``; at each hotspot, and at the start, it emits the forecast of a
+node just past that point: scalars only, the WiFi sums summed anew from the
+nearest hotspot.  No horizon and every horizon at or past the route end clip
+to one ``hi``.
 
 Every memo here is a ``functools.lru_cache`` on the pure function it
 caches, keyed by that function's arguments, and every cached value is
@@ -54,7 +56,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .model import AccessKind, RouteProfile, RouteSegment, _real
+from .model import MBIT_PER_MB, AccessKind, RouteProfile, RouteSegment, _real, check_integer
 
 
 @dataclass(frozen=True)
@@ -78,23 +80,15 @@ class ErrorSpec:
         check_integer("seed", self.seed)
 
 
-class HotspotForecast(NamedTuple):
-    """Duration and rate bounds for one future hotspot, as the planner sees it:
-    ``1 ∓ e`` times a positive nominal value, e in [0, 1), so min <= max.  It
-    bounds both WiFi rates, the local (cache) one and the backhaul one; which
-    of them a policy plans on is the planner's choice."""
-
-    hotspot_index: int
-    duration_min: float
-    duration_max: float
-    local_min: float
-    local_max: float
-    backhaul_min: float
-    backhaul_max: float
-
-
 class PredictionProfile(NamedTuple):
     """Everything a planner may consult when (re)planning at a hotspot exit.
+
+    The hotspots ahead that start before the horizon, at ``1 - e`` times
+    their nominal dwells and rates (e in [0, 1)), deliver ``wifi_local_mbit``
+    at their local (cache) rates or ``wifi_backhaul_mbit`` at their backhaul
+    rates in ``wifi_seconds``, each summed left to right, nearest first.  The
+    nearest is ``next_hotspot`` (None: none), whose cache holds at most
+    ``next_cache_mb``, at ``1 + e`` times both (0.0: none).
 
     ``max_mobile_rate`` is the highest nominal mobile rate expected before
     the next hotspot (or to the route end when none remains); it is the rate
@@ -104,7 +98,11 @@ class PredictionProfile(NamedTuple):
     can carry everywhere, hence the cap for delay-tolerant plans.
     """
 
-    hotspots: tuple[HotspotForecast, ...]
+    wifi_local_mbit: float
+    wifi_backhaul_mbit: float
+    wifi_seconds: float
+    next_hotspot: Optional[int]
+    next_cache_mb: float
     time_to_next_wifi: float
     max_mobile_rate: float
     sustainable_mobile_rate: float
@@ -151,8 +149,10 @@ def _walk(
     te, re = time_error, throughput_error
     rates = [seg.mobile_rate for seg in route.segments if not seg.is_wifi]
     most, least = max(rates, default=0.0), min(rates, default=0.0)  # the last fallbacks
-    ahead: tuple[HotspotForecast, ...] = ()  # the hotspots usable before hi
-    next_start = None  # the start of the nearest of them
+    # per hotspot usable before hi, farthest first: its pessimistic local and
+    # backhaul Mbit and dwell; then the nearest one's index, cache cap and start
+    ahead = []
+    next_hotspot, next_cap, next_start = None, 0.0, None
     # the highest mobile rate before it, and the highest and lowest to the
     # route end; the lowest of those starting before hi (-inf or inf: none)
     gap_max = rest_max = -math.inf
@@ -162,8 +162,14 @@ def _walk(
     def profile(at: float) -> PredictionProfile:  # of a node at the scan's position, time at
         high = gap_max if gap_max > -math.inf else rest_max if rest_max > -math.inf else most
         low = horizon_min if horizon_min < math.inf else rest_min if rest_min < math.inf else least
-        return PredictionProfile(  # by position, as a HotspotForecast below
-            ahead, 0.0 if next_start is None else max(0.0, next_start - at), high, low)
+        # nearest first, afresh and by +: a running sum from the far end has
+        # other bits, and builtin sum() is compensated from Python 3.12 on
+        local = backhaul = seconds = 0.0
+        for mbit_local, mbit_backhaul, dwell in reversed(ahead):
+            local, backhaul, seconds = local + mbit_local, backhaul + mbit_backhaul, seconds + dwell
+        return PredictionProfile(  # by position: about half the time of keywords
+            local, backhaul, seconds, next_hotspot, next_cap,
+            0.0 if next_start is None else max(0.0, next_start - at), high, low)
 
     for seg in reversed(route.segments):
         if not seg.is_wifi:
@@ -176,12 +182,10 @@ def _walk(
         profiles.append(profile(seg.end_time))  # the node has just left seg
         usable = min(seg.end_time, hi) - seg.start_time
         if usable > 0:
-            local, backhaul = seg.wifi_local_rate, seg.backhaul_rate
-            # by position, fields in order: a NamedTuple builds in about half the time
-            ahead = (HotspotForecast(seg.hotspot_index, (1 - te) * usable, (1 + te) * usable,
-                                     (1 - re) * local, (1 + re) * local,
-                                     (1 - re) * backhaul, (1 + re) * backhaul),) + ahead
-            next_start, gap_max = seg.start_time, -math.inf
+            local, dwell = seg.wifi_local_rate, (1 - te) * usable
+            ahead.append(((1 - re) * local * dwell, (1 - re) * seg.backhaul_rate * dwell, dwell))
+            next_hotspot, next_start, gap_max = seg.hotspot_index, seg.start_time, -math.inf
+            next_cap = (1 + re) * local * ((1 + te) * usable) / MBIT_PER_MB
     profiles.append(profile(0.0))
     return tuple(reversed(profiles))
 
@@ -201,8 +205,8 @@ def build_prediction(
     k is the forecast for a node that has left k of its hotspots, from 0 at
     the route start to all of them.
 
-    Each hotspot's forecast bounds both its local (cache) and its backhaul
-    rate, so one forecast serves every policy at a replan point.
+    Each forecast sums the hotspots ahead at both their local (cache) and
+    their backhaul rate, so one forecast serves every policy at a replan point.
 
     ``horizon`` truncates the forecasts at a deadline: hotspots starting at or
     after it are dropped and a window straddling it only counts the part
@@ -216,13 +220,6 @@ def build_prediction(
         raise ValueError("horizon must not be NaN")
     hi = route.total_time if horizon is None else min(horizon, route.total_time)
     return _walk(route, errors.time_error, errors.throughput_error, hi)
-
-
-def check_integer(name: str, value, least: int = 0) -> None:
-    """Raise ``ValueError`` naming ``name`` unless ``value`` is an int or a
-    numpy integer, not a bool, of at least ``least``."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 # numpy's SeedSequence (a pool of four 32-bit words, no spawn key) and PCG64,

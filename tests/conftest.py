@@ -1,3 +1,5 @@
+from typing import NamedTuple, Optional
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from offloadsim.model import (
     TransferTask,
     scale_route,
 )
-from offloadsim.prediction import ErrorSpec
+from offloadsim.prediction import ErrorSpec, PredictionProfile
 
 # The 20 bundled figure recipes.
 RECIPES = [f"fig{n}{letter}" for n, letters in
@@ -126,3 +128,87 @@ def edge_routes(rng: np.random.Generator) -> list[RouteProfile]:
         draw(lambda r: r.segments[0].is_wifi, n_segments=1),
         draw(lambda r: not r.segments[0].is_wifi, n_segments=1),
     ]
+
+
+class HotspotBounds(NamedTuple):
+    """One hotspot ahead as a reference forecast bounds it: ``1 ∓ e`` times
+    its nominal dwell before the horizon and its rates."""
+
+    hotspot_index: int
+    duration_min: float
+    duration_max: float
+    local_min: float
+    local_max: float
+    backhaul_min: float
+    backhaul_max: float
+
+
+def mobile_rates(segments) -> list[float]:
+    return [s.mobile_rate for s in segments if not s.is_wifi]
+
+
+def _rest(route: RouteProfile, passed: int):
+    """The segments after the ``passed``-th hotspot, where the node is, and
+    the nominal time it left that hotspot (0.0 at the start)."""
+    segments = route.segments
+    if not passed:
+        return segments, 0.0
+    here = [i for i, s in enumerate(segments) if s.is_wifi][passed - 1] + 1
+    return segments[here:], segments[here - 1].end_time
+
+
+def reference_hotspots(route: RouteProfile, passed: int, time_error: float,
+                       throughput_error: float, horizon: Optional[float]) -> list[HotspotBounds]:
+    """The bounds of every hotspot after the ``passed``-th that starts before
+    the horizon, nearest first: a scan over the rest of the route."""
+    hi = route.total_time if horizon is None else min(horizon, route.total_time)
+    te, re = time_error, throughput_error
+    hotspots = []
+    for seg in _rest(route, passed)[0]:
+        usable = min(seg.end_time, hi) - seg.start_time if seg.is_wifi else 0.0
+        if usable > 0:
+            local, backhaul = seg.wifi_local_rate, seg.backhaul_rate
+            hotspots.append(HotspotBounds(seg.hotspot_index, (1 - te) * usable, (1 + te) * usable,
+                                          (1 - re) * local, (1 + re) * local,
+                                          (1 - re) * backhaul, (1 + re) * backhaul))
+    return hotspots
+
+
+def reference_forecast(route: RouteProfile, passed: int, time_error: float,
+                       throughput_error: float, horizon: Optional[float]) -> PredictionProfile:
+    """Reference forecast for a node that has left ``passed`` hotspots, from
+    :func:`reference_hotspots`: its pessimistic WiFi sums, each taken left to
+    right from 0.0, nearest first, and the nearest hotspot's index and cache
+    cap.  The mobile rates before the next usable hotspot, and those of
+    segments starting before the horizon, fall back to every mobile rate
+    ahead, then to the whole route's, when there are none."""
+    hi = route.total_time if horizon is None else min(horizon, route.total_time)
+    rest, now = _rest(route, passed)
+    hotspots = reference_hotspots(route, passed, time_error, throughput_error, horizon)
+    local = backhaul = seconds = 0.0
+    for h in hotspots:
+        local += h.local_min * h.duration_min
+        backhaul += h.backhaul_min * h.duration_min
+        seconds += h.duration_min
+    # the position in rest of the nearest hotspot
+    first = [s.hotspot_index for s in rest].index(hotspots[0].hotspot_index) if hotspots else None
+    fallback = mobile_rates(rest) or mobile_rates(route.segments) or [0.0]
+    gap_rates = mobile_rates(rest[:first]) or fallback
+    horizon_rates = mobile_rates(s for s in rest if s.start_time < hi) or fallback
+    nxt = hotspots[0] if hotspots else None
+    return PredictionProfile(
+        wifi_local_mbit=local,
+        wifi_backhaul_mbit=backhaul,
+        wifi_seconds=seconds,
+        next_hotspot=None if nxt is None else nxt.hotspot_index,
+        next_cache_mb=0.0 if nxt is None else nxt.local_max * nxt.duration_max / 8,
+        time_to_next_wifi=0.0 if first is None else max(0.0, rest[first].start_time - now),
+        max_mobile_rate=max(gap_rates),
+        sustainable_mobile_rate=min(horizon_rates),
+    )
+
+
+def reference_forecasts(route, time_error, throughput_error, horizon):
+    """The reference forecast at every replan point, in order."""
+    return tuple(reference_forecast(route, passed, time_error, throughput_error, horizon)
+                 for passed in range(route.n_hotspots + 1))

@@ -202,7 +202,7 @@ def test_c8_property_suite():
         # offset identity at the route start, both prefetching planners
         if route.n_hotspots:
             pred = build_prediction(route, errors)[0]
-            if pred.hotspots:
+            if pred.next_hotspot is not None:
                 prefix = float(rng.uniform(0, 5))
                 for policy in (PF, DS):
                     rate, _, (_, _, offset) = plan_exit(

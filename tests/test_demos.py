@@ -1,9 +1,12 @@
 """Smoke test of the narrative scripts in ``demos/``.
 
 Each demo runs in its own interpreter against the package in ``src/``, so a
-change to a public name or signature that a demo uses fails here.
+change to a public name or signature that a demo uses fails here.  The
+single-trip walkthrough's stdout is also pinned by its digest, so a changed
+plan or outcome shows too.
 """
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -13,6 +16,10 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+# sha256 of the stdout of each demo whose output is pinned
+STDOUT_SHA256 = {
+    "single_trip_walkthrough": "3a131ca01464d73414fc44914283948aa43f14dfe4dcb658f1f8b8b736eec137",
+}
 
 
 def test_demos_found():
@@ -26,3 +33,6 @@ def test_demo_runs(demo):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
+    if demo.stem in STDOUT_SHA256:
+        assert hashlib.sha256(proc.stdout.encode()).hexdigest() == STDOUT_SHA256[demo.stem], \
+            proc.stdout

@@ -82,6 +82,15 @@ class TestRouteSegment:
             RouteSegment(AccessKind.WIFI, 0.0, 10.0, wifi_local_rate=10.0,
                          backhaul_rate=5.0)
 
+    @pytest.mark.parametrize("index", [1.5, 1.0, True, "1", None, 0, -1, [1]])
+    def test_wifi_hotspot_index_is_an_integer_from_1(self, index):
+        """1.5 and True were kept as given, and "1" raised TypeError."""
+        with pytest.raises(ValueError, match="hotspot_index must be an integer >= 1"):
+            wifi(0.0, 10.0, 10.0, 5.0, index)
+
+    def test_wifi_hotspot_index_takes_a_numpy_integer(self):
+        assert wifi(0.0, 10.0, 10.0, 5.0, np.int64(2)).hotspot_index == 2
+
     def test_mobile_rejects_wifi_rates(self):
         with pytest.raises(ValueError):
             RouteSegment(AccessKind.MOBILE, 0.0, 10.0, mobile_rate=5.0,
@@ -117,6 +126,14 @@ class TestRouteProfile:
         for bad in ("10", None, True, math.nan):
             with pytest.raises(ValueError, match="total_time"):
                 RouteProfile((mobile(0, 10, 5),), bad)
+
+    @pytest.mark.parametrize("entry", [1, None, "mobile", (0.0, 10.0)])
+    def test_every_segment_is_a_route_segment(self, entry):
+        """RouteProfile((1,), 1.0) raised AttributeError."""
+        with pytest.raises(ValueError, match=r"segments\[1\] must be a RouteSegment"):
+            RouteProfile((mobile(0, 10, 5), entry), 10.0)
+        with pytest.raises(ValueError, match=r"segments\[0\] must be a RouteSegment"):
+            RouteProfile((entry,), 1.0)
 
     def test_hotspot_indices_increasing(self):
         with pytest.raises(ValueError):

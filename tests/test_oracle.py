@@ -13,6 +13,7 @@ from offloadsim.oracle import (
     StepOutcome,
     _advance,
     _window_mobile_rate,
+    check_dt,
     compare_runs,
     run_trip_stepped,
 )
@@ -165,6 +166,17 @@ def test_invalid_dt_rejected(default_route, zero_errors):
         with pytest.raises(ValueError, match="dt"):
             run_trip_stepped(realized, default_route, make_task(60.0),
                              Policy.NO_PREDICTION_OFFLOAD, zero_errors, dt=dt)
+
+
+@pytest.mark.parametrize("dt", [10 ** 400, "0.1", True, None])
+def test_dt_that_is_no_real_number_is_named(default_route, zero_errors, dt):
+    """10**400 raised OverflowError, "0.1" and None TypeError, and True ran as
+    a 1 s step."""
+    with pytest.raises(ValueError, match="dt must be positive and finite"):
+        check_dt(dt, 5.0)
+    with pytest.raises(ValueError, match="dt must be positive and finite"):
+        run_trip_stepped(realize_route(default_route, zero_errors), default_route,
+                         make_task(60.0), Policy.NO_PREDICTION_OFFLOAD, zero_errors, dt=dt)
 
 
 def test_one_sided_route_end_completion_tolerated(default_route):

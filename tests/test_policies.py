@@ -4,13 +4,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import edge_routes, make_task, random_route
+from conftest import edge_routes, make_task, random_route, reference_hotspots
 from offloadsim import engine, oracle, policies, prediction
 from offloadsim.config import bundled_scenario_path, load_scenario
-from offloadsim.model import RouteProfile, scale_route
+from offloadsim.model import AccessKind, RouteProfile, RouteSegment, scale_route
 from offloadsim.policies import Channel, Policy, plan_entry, plan_exit
-from offloadsim.prediction import (ErrorSpec, HotspotForecast, PredictionProfile,
-                                  build_prediction, derive_run_seed, realize_batch,
+from offloadsim.prediction import (ErrorSpec, build_prediction, derive_run_seed, realize_batch,
                                   realize_route)
 
 ZERO = ErrorSpec(0.0, 0.0)
@@ -59,18 +58,27 @@ class TestDelayTolerantPlan:
         assert infeasible
         assert rate == pytest.approx(4.58 / 3, rel=1e-12)
 
-    def test_wifi_forecast_sums_left_to_right(self, monkeypatch):
+    def test_wifi_forecast_sums_left_to_right(self, monkeypatch, fresh_memos):
         """The pessimistic WiFi volume is summed left to right whatever the
-        Python version: ten 0.1 Mbit windows make 0.9999999999999999 Mbit,
-        which leaves the mobile stream 1.4e-17 MB.  A compensated sum (the
-        builtin from Python 3.12 on; math.fsum shadows it here) must not
-        change the plan."""
-        hotspots = tuple(HotspotForecast(i, 1.0, 1.0, 0.1, 0.1, 0.1, 0.1) for i in range(10))
-        pred = PredictionProfile(hotspots, 5.0, 100.0, 100.0)
+        Python version: ten 1 s windows at 0.1 Mbit/s make 0.9999999999999999
+        Mbit, which leaves the mobile stream 1.4e-17 MB.  A compensated sum
+        (the builtin from Python 3.12 on; math.fsum shadows it here) must not
+        change the forecast or the plan."""
+        segments = [RouteSegment(AccessKind.MOBILE, 0.0, 5.0, mobile_rate=100.0)]
+        segments += [RouteSegment(AccessKind.WIFI, 5.0 + i, 1.0, wifi_local_rate=0.1,
+                                  backhaul_rate=0.1, hotspot_index=i + 1) for i in range(10)]
+        route = RouteProfile(tuple(segments), 15.0)
+        pred = build_prediction(route, ZERO)[0]
+        assert pred.wifi_local_mbit == pred.wifi_backhaul_mbit == 0.9999999999999999
+        assert (pred.time_to_next_wifi, pred.max_mobile_rate) == (5.0, 100.0)
         want = plan_exit(PREFETCH_DT, 0.125, 100.0, pred)
         assert want[0] > 0.0
+        prediction._walk.cache_clear()
+        monkeypatch.setattr(prediction, "sum", math.fsum, raising=False)
         monkeypatch.setattr(policies, "sum", math.fsum, raising=False)
-        assert plan_exit(PREFETCH_DT, 0.125, 100.0, pred) == want
+        again = build_prediction(route, ZERO)[0]
+        assert again == pred and again is not pred
+        assert plan_exit(PREFETCH_DT, 0.125, 100.0, again) == want
 
 
 PREDICTION_ONLY = Policy.PREDICTION_ONLY_DELAY_TOLERANT
@@ -125,7 +133,7 @@ class TestDelaySensitivePlan:
 
     def test_no_hotspots_left(self, default_route):
         pred = build_prediction(default_route, ZERO)[4]
-        assert not pred.hotspots
+        assert pred.next_hotspot is None
         _, _, cache = plan_exit(PREFETCH_DS, 5.0, math.inf, pred, 55.0)
         assert cache is None  # nothing to stage
 
@@ -141,13 +149,16 @@ class TestCacheTruncation:
             passed = int(rng.integers(route.n_hotspots + 1))
             now = route.hotspots[passed - 1].end_time if passed else 0.0
             pred = build_prediction(route, errors)[passed]
-            if not pred.hotspots:
+            if pred.next_hotspot is None:
                 continue
             prefix = float(rng.uniform(0, 30))
             remaining = float(rng.uniform(0, 40))
-            _, _, (_, amount, offset) = plan_exit(
+            _, _, (index, amount, offset) = plan_exit(
                 PREFETCH_DT, remaining, route.total_time - now, pred, prefix)
-            top = pred.hotspots[0]
+            top = reference_hotspots(route, passed, errors.time_error,
+                                     errors.throughput_error, None)[0]
+            assert index == top.hotspot_index
+            assert pred.next_cache_mb == top.local_max * top.duration_max / 8
             assert amount <= top.local_max * top.duration_max / 8 + 1e-9
             assert offset + amount <= prefix + remaining + 1e-9
 
@@ -160,7 +171,7 @@ class TestCacheTruncation:
             if route.n_hotspots == 0:
                 continue
             pred = build_prediction(route, ErrorSpec(0.1, 0.2))[0]
-            if not pred.hotspots:
+            if pred.next_hotspot is None:
                 continue
             prefix = float(rng.uniform(0, 10))
             for policy in (PREFETCH_DT, PREFETCH_DS):
@@ -198,7 +209,8 @@ class TestPlanIdempotence:
             now = 0.0
             first_rate = None
             feasible = True
-            for hs, pred in zip(hotspots, build_prediction(route, errors, horizon=deadline)):
+            forecasts = build_prediction(route, errors, horizon=deadline)
+            for passed, (hs, pred) in enumerate(zip(hotspots, forecasts)):
                 if size - received <= 1e-6:  # assumed delivery already done
                     break
                 if remaining_mobile_time(route, now) <= 1e-9:
@@ -216,7 +228,8 @@ class TestPlanIdempotence:
                 # deliver exactly what the plan assumed: the planned mobile
                 # bytes up to the hotspot, then the pessimistic WiFi amount
                 received += rate * pred.time_to_next_wifi / 8
-                first = pred.hotspots[0]
+                first = reference_hotspots(route, passed, 0.0, errors.throughput_error,
+                                           deadline)[0]
                 received += first.local_min * first.duration_min / 8
                 now = hs.end_time
             if feasible and first_rate is not None:

@@ -1,31 +1,23 @@
 import collections
 import dataclasses
 import math
-from typing import Optional
 
 import numpy as np
 import pytest
 
-from conftest import edge_routes, make_task, random_route
+from conftest import (edge_routes, make_task, random_route, reference_forecast,
+                      reference_forecasts, reference_hotspots)
 from offloadsim import engine, oracle, prediction
 from offloadsim.engine import run_trip
 from offloadsim.model import AccessKind, RouteProfile, RouteSegment, scale_route
 from offloadsim.policies import Policy, plan_exit
 from offloadsim.prediction import (
     ErrorSpec,
-    HotspotForecast,
-    PredictionProfile,
     build_prediction,
     derive_run_seed,
     realize_batch,
     realize_route,
 )
-
-
-def replan_points(route):
-    """The counts of hotspots passed a trip replans at: 0 at the start, then
-    one more at each hotspot exit."""
-    return range(route.n_hotspots + 1)
 
 
 def assert_fields_equal(a, b):
@@ -36,83 +28,12 @@ def assert_fields_equal(a, b):
         assert getattr(a, name) == getattr(b, name), name
 
 
-def mobile_rates(segments) -> list[float]:
-    return [s.mobile_rate for s in segments if not s.is_wifi]
-
-
-def reference_forecast(
-    route: RouteProfile,
-    passed: int,
-    time_error: float,
-    throughput_error: float,
-    horizon: Optional[float],
-) -> PredictionProfile:
-    """Reference forecast: a scan over every segment after the ``passed``-th
-    hotspot, where the node is, less the fields no planner reads.  The
-    mobile rates before the next usable hotspot, and those of segments
-    starting before the horizon, fall back to every mobile rate ahead, then
-    to the whole route's, when there are none."""
-    hi = route.total_time if horizon is None else min(horizon, route.total_time)
-    te, re = time_error, throughput_error
-    segments = route.segments
-    here, now = 0, 0.0
-    if passed:
-        here = [i for i, s in enumerate(segments) if s.is_wifi][passed - 1] + 1
-        now = segments[here - 1].end_time
-    rest = segments[here:]
-
-    forecasts = []
-    first = None  # the position in rest of the first usable hotspot
-    for i, seg in enumerate(rest):
-        if not seg.is_wifi:
-            continue
-        usable = min(seg.end_time, hi) - seg.start_time
-        if usable <= 0:
-            continue
-        if first is None:
-            first = i
-        forecasts.append(
-            HotspotForecast(
-                hotspot_index=seg.hotspot_index,
-                duration_min=(1 - te) * usable,
-                duration_max=(1 + te) * usable,
-                local_min=(1 - re) * seg.wifi_local_rate,
-                local_max=(1 + re) * seg.wifi_local_rate,
-                backhaul_min=(1 - re) * seg.backhaul_rate,
-                backhaul_max=(1 + re) * seg.backhaul_rate,
-            )
-        )
-
-    time_to_next = 0.0 if first is None else max(0.0, rest[first].start_time - now)
-    fallback = mobile_rates(rest) or mobile_rates(segments) or [0.0]
-    gap_rates = mobile_rates(rest[:first]) or fallback
-    horizon_rates = mobile_rates(s for s in rest if s.start_time < hi) or fallback
-    return PredictionProfile(
-        hotspots=tuple(forecasts),
-        time_to_next_wifi=time_to_next,
-        max_mobile_rate=max(gap_rates),
-        sustainable_mobile_rate=min(horizon_rates),
-    )
-
-
-def reference_forecasts(route, time_error, throughput_error, horizon):
-    """The reference forecast at every replan point, in order."""
-    return tuple(reference_forecast(route, passed, time_error, throughput_error, horizon)
-                 for passed in replan_points(route))
-
-
-def assert_forecast_equal(got, want):
-    assert_fields_equal(got, want)
-    assert len(got.hotspots) == len(want.hotspots)
-    for g, w in zip(got.hotspots, want.hotspots):
-        assert_fields_equal(g, w)
-
-
 def assert_forecasts_equal(got, want):
-    """A route's forecast tuple equals ``want``'s, element by element."""
+    """A route's forecast tuple equals ``want``'s, every field of every
+    element with ==."""
     assert type(got) is tuple and len(got) == len(want)
     for g, w in zip(got, want):
-        assert_forecast_equal(g, w)
+        assert_fields_equal(g, w)
 
 
 def realize_route_scalar(route, errors):
@@ -162,30 +83,45 @@ class TestErrorSpec:
 
 class TestBuildPrediction:
     def test_zero_errors_equal_nominal(self, default_route, zero_errors):
+        """With no errors each WiFi sum is the nominal route's, taken left to
+        right, and the cache cap is the first hotspot's volume."""
         pred = build_prediction(default_route, zero_errors)[0]
-        assert len(pred.hotspots) == 4
-        for fc, seg in zip(pred.hotspots, default_route.hotspots):
-            assert fc.duration_min == fc.duration_max == seg.duration
-            assert fc.local_min == fc.local_max == seg.wifi_local_rate
-            assert fc.backhaul_min == fc.backhaul_max == seg.backhaul_rate
+        hotspots = default_route.hotspots
+        assert len(hotspots) == 4 and pred.next_hotspot == hotspots[0].hotspot_index
+        local = backhaul = seconds = 0.0
+        for seg in hotspots:
+            dwell = seg.end_time - seg.start_time
+            local += seg.wifi_local_rate * dwell
+            backhaul += seg.backhaul_rate * dwell
+            seconds += dwell
+        assert pred.wifi_local_mbit == local
+        assert pred.wifi_backhaul_mbit == backhaul
+        assert pred.wifi_seconds == seconds == 72.0
+        assert pred.next_cache_mb == hotspots[0].wifi_local_rate * hotspots[0].duration / 8
 
     def test_bounds_with_errors(self, route_4ap):
         # second hotspot of the one-third-scaled route, seen on leaving the first
         route = scale_route(route_4ap, wifi_factor=1 / 3)
-        errors = ErrorSpec(time_error=0.10, throughput_error=0.20)
-        pred = build_prediction(route, errors)[1]
-        first = pred.hotspots[0]
+        first = reference_hotspots(route, 1, 0.10, 0.20, None)[0]
         assert first.hotspot_index == 2
         assert first.duration_min == pytest.approx(16.2, abs=1e-12)
         assert first.duration_max == pytest.approx(19.8, abs=1e-12)
         assert first.local_min == pytest.approx(4.464, abs=1e-12)
         assert first.local_max == pytest.approx(6.696, abs=1e-12)
+        pred = build_prediction(route, ErrorSpec(time_error=0.10, throughput_error=0.20))[1]
+        assert pred.next_hotspot == 2
+        assert pred.next_cache_mb == pytest.approx(6.696 * 19.8 / 8, rel=1e-12)
+        assert pred.wifi_seconds == pytest.approx(3 * 16.2, rel=1e-12)
+        assert_fields_equal(pred, reference_forecast(route, 1, 0.10, 0.20, None))
 
     def test_backhaul_bounds(self, default_route, default_errors):
         pred = build_prediction(default_route, default_errors)[0]
         seg = default_route.hotspots[0]
-        assert pred.hotspots[0].backhaul_min == pytest.approx(0.8 * seg.backhaul_rate)
-        assert pred.hotspots[0].backhaul_max == pytest.approx(1.2 * seg.backhaul_rate)
+        first = reference_hotspots(default_route, 0, 0.10, 0.20, None)[0]
+        assert first.backhaul_min == pytest.approx(0.8 * seg.backhaul_rate)
+        assert first.backhaul_max == pytest.approx(1.2 * seg.backhaul_rate)
+        assert pred.wifi_backhaul_mbit == pytest.approx(
+            sum(0.8 * s.backhaul_rate * 0.9 * s.duration for s in default_route.hotspots))
 
     def test_gap_and_horizon_quantities(self, default_route, zero_errors):
         pred, pred36 = build_prediction(default_route, zero_errors)[:2]  # at 0 and 36 s
@@ -200,17 +136,23 @@ class TestBuildPrediction:
         forecasts = build_prediction(default_route, zero_errors)
         assert len(forecasts) == 5
         pred = forecasts[4]
-        assert pred.hotspots == ()
+        assert pred.next_hotspot is None
+        assert pred.wifi_local_mbit == pred.wifi_backhaul_mbit == pred.wifi_seconds == 0.0
+        assert pred.next_cache_mb == 0.0
         assert pred.time_to_next_wifi == 0.0
 
     def test_horizon_clips_windows(self, default_route, zero_errors):
         # deadline lands 9 s into the second hotspot window
         pred = build_prediction(default_route, zero_errors, horizon=99.0)[0]
-        assert len(pred.hotspots) == 2
-        assert pred.hotspots[1].duration_max == pytest.approx(9.0)
+        hotspots = reference_hotspots(default_route, 0, 0.0, 0.0, 99.0)
+        assert len(hotspots) == 2
+        assert hotspots[1].duration_max == pytest.approx(9.0)
+        assert pred.wifi_seconds == pytest.approx(18.0 + 9.0)
+        assert pred.next_hotspot == 1
         # and drops hotspots past it entirely
         pred = build_prediction(default_route, zero_errors, horizon=80.0)[0]
-        assert len(pred.hotspots) == 1
+        assert len(reference_hotspots(default_route, 0, 0.0, 0.0, 80.0)) == 1
+        assert pred.wifi_seconds == pytest.approx(18.0)
 
     def test_nan_horizon(self, default_route, zero_errors, fresh_memos):
         """A NaN horizon would clip to NaN, forecast as no horizon does and
@@ -235,7 +177,8 @@ class TestBuildPrediction:
         errors = ErrorSpec(0.10, 0.20)
         forecasts = build_prediction(route, errors)
         pred = forecasts[1]
-        assert [h.hotspot_index for h in pred.hotspots] == [2]
+        assert pred.next_hotspot == 2
+        assert [h.hotspot_index for h in reference_hotspots(route, 1, 0.10, 0.20, None)] == [2]
         assert_forecasts_equal(forecasts, reference_forecasts(route, 0.10, 0.20, None))
         _, _, (index, amount, _) = plan_exit(Policy.PREFETCH_DELAY_TOLERANT, 50.0, 20.0,
                                              pred, 10.0)
@@ -431,9 +374,10 @@ def time_scaled(route: RouteProfile, factor: float) -> RouteProfile:
 class TestTimeScale:
     @pytest.mark.parametrize("k", [-60, -50, -40, -20, 20, 40, 60])
     def test_forecasts_scale_exactly(self, k, route_2ap, route_4ap, route_8ap):
-        """Times scaled by 2**k, horizon too, scale every time a forecast
-        holds by exactly 2**k and change nothing else: no absolute time
-        threshold decides what a forecast holds."""
+        """Times scaled by 2**k, horizon too, scale every time-bearing value a
+        forecast holds (its three WiFi sums, the cache cap and the time to the
+        next hotspot) by exactly 2**k and change nothing else: no absolute
+        time threshold decides what a forecast holds."""
         factor = 2.0 ** k
         rng = np.random.default_rng(33)
         routes = [route_2ap, route_4ap, route_8ap] + [random_route(rng) for _ in range(40)]
@@ -445,11 +389,11 @@ class TestTimeScale:
                     horizon = None if share is None else share * route.total_time
                     errors = ErrorSpec(te, re)
                     want = tuple(
-                        pred._replace(
-                            hotspots=tuple(h._replace(duration_min=h.duration_min * factor,
-                                                      duration_max=h.duration_max * factor)
-                                           for h in pred.hotspots),
-                            time_to_next_wifi=pred.time_to_next_wifi * factor)
+                        pred._replace(wifi_local_mbit=pred.wifi_local_mbit * factor,
+                                      wifi_backhaul_mbit=pred.wifi_backhaul_mbit * factor,
+                                      wifi_seconds=pred.wifi_seconds * factor,
+                                      next_cache_mb=pred.next_cache_mb * factor,
+                                      time_to_next_wifi=pred.time_to_next_wifi * factor)
                         for pred in build_prediction(route, errors, horizon))
                     got = build_prediction(scaled, errors,
                                            None if horizon is None else horizon * factor)
