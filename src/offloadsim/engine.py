@@ -42,9 +42,9 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .model import MBIT_PER_MB, EnergyModel, RouteProfile, TransferTask
-from .policies import (Channel, Floats, Policy, PolicyColumns, check_admitted, elementwise,
-                       plan_entry, plan_exit, policy_columns)
+from .model import MBIT_PER_MB, EnergyModel, RouteProfile, TransferTask, check_types
+from .policies import (_LOCAL, _MOBILE, Channel, Floats, Policy, PolicyColumns, check_admitted,
+                       elementwise, plan_entry, plan_exit, policy_columns)
 from .prediction import ErrorSpec, RealizedBatch, _route_index, build_prediction
 
 _BYTE_SLACK = 2.0 ** -40  # of the object size; completion slack for float round-off
@@ -123,22 +123,22 @@ class _ByteState:
         at ``rate`` over ``channel``, in those runs; returns the seconds
         spent, 0 in the runs left out.  The completion time is interpolated
         exactly where the object finishes mid-way."""
-        ops = self.ops
-        need = hi - self.prefix
+        ops, prefix, size = self.ops, self.prefix, self.size_mb
+        need = hi - prefix
         go = runs & self.pending & (rate != 0) & (need > 0)
         if not ops.any(go):
             return 0.0
         rate = ops.where(go, rate, 1.0)  # no division by zero in runs left out
-        missing = self.size_mb - self.prefix
+        missing = size - prefix
         moved = ops.where(go, ops.minimum(need, rate * max_seconds / MBIT_PER_MB), 0.0)
-        self.prefix = self.prefix + moved
-        if channel is Channel.MOBILE:
+        self.prefix = prefix + moved
+        if channel is _MOBILE:
             self.mobile_mb = self.mobile_mb + moved
-        elif channel is Channel.WIFI_LOCAL:
+        elif channel is _LOCAL:
             self.wifi_local_mb = self.wifi_local_mb + moved
         else:
             self.wifi_backhaul_mb = self.wifi_backhaul_mb + moved
-        done = go & (moved >= missing - _BYTE_SLACK * self.size_mb)
+        done = go & (moved >= missing - _BYTE_SLACK * size)
         if ops.any(done):
             self.completion_time = ops.where(done, now + missing * MBIT_PER_MB / rate,
                                              self.completion_time)
@@ -150,9 +150,9 @@ class _ByteState:
 def _check_same_structure(realized: RouteProfile, nominal: RouteProfile) -> None:
     if len(realized.segments) != len(nominal.segments):
         raise ValueError("realized and nominal routes differ in segment count")
-    for r, n in zip(realized.segments, nominal.segments):
-        if r.kind is not n.kind or r.hotspot_index != n.hotspot_index:
-            raise ValueError("realized and nominal routes differ in structure")
+    # a segment's hotspot index is None exactly where it is mobile: equal indices, equal kinds
+    if [s.hotspot_index for s in realized.segments] != [s.hotspot_index for s in nominal.segments]:
+        raise ValueError("realized and nominal routes differ in structure")
 
 
 def _run(
@@ -177,7 +177,8 @@ def _run(
     size = task.size_mb
     deadline = task.effective_deadline()
     state = _ByteState(size, end)
-    ops = state.ops
+    ops, fill = state.ops, state.fill  # bound once per call: the loop reads them per segment
+    where, any_, minimum, maximum = ops.where, ops.any, ops.minimum, ops.maximum
     zero = ops.zeros(end)
     plan_rate: Floats = 0.0
     infeasible = ops.zeros(end, bool)
@@ -193,34 +194,37 @@ def _run(
         nonlocal plan_rate, infeasible, provisioned, staged
         runs = state.pending
         plan_rate, flagged, cache = plan_exit(
-            policy, ops.maximum(0.0, size - state.prefix), deadline - now,
+            policy, maximum(0.0, size - state.prefix), deadline - now,
             forecasts[passed], state.prefix)
         infeasible = infeasible | (runs & flagged)
         staged = None  # a plan stages only the next hotspot, the one entered next
         if cache is not None:
             _, amount, offset = cache
             kept = runs & (amount > 0)
-            if ops.any(kept):
-                staged = (ops.where(kept, offset, 0.0), ops.where(kept, amount, 0.0))
+            if any_(kept):
+                staged = (where(kept, offset, 0.0), where(kept, amount, 0.0))
                 provisioned = provisioned + staged[1]
 
     if plans:
         forecasts = build_prediction(nominal, errors, horizon=deadline)
         replan(0, 0.0)
 
+    preactivation_s = energy_model.wifi_preactivation_s
     index = _route_index(nominal)
     passed = 0  # hotspots left so far
     for seg, wifi, j in zip(segments, index.wifi, index.window):
         runs = state.pending
-        if not ops.any(runs):
+        if not any_(runs):
             break
         t0 = seg.start_time
         mobile_rate = zero if j is None else segments[j].mobile_rate
         if not wifi or associates is not True:  # in a hotspot, the mobile-only rows
-            rate = mobile_rate if limited is False else ops.pick(
-                limited, ops.minimum(plan_rate, mobile_rate), mobile_rate)
-            state.fill(runs if not wifi or associates is False else runs & ~associates,
-                       rate, seg.duration, Channel.MOBILE, t0, size)
+            rate = mobile_rate
+            if limited is not False:  # a bool takes its side, a (P, 1) mask each row its own
+                rate = minimum(plan_rate, mobile_rate)
+                rate = rate if limited is True else where(limited, rate, mobile_rate)
+            fill(runs if not wifi or associates is False else runs & ~associates,
+                 rate, seg.duration, _MOBILE, t0, size)
         if wifi and associates is not False:
             steps = plan_entry(policy, state.prefix, staged,
                                local_rate=seg.wifi_local_rate,
@@ -229,27 +233,26 @@ def _run(
             budget = seg.duration
             cursor = t0
             busy = zero
-            for taken, action in steps:
-                used = state.fill(runs & taken & (budget > 1e-12), action.rate, budget,
-                                  action.channel, cursor, action.window_hi)
-                if action.channel is not Channel.MOBILE:
+            for taken, (channel, rate, window_hi) in steps:
+                used = fill(runs & taken & (budget > 1e-12), rate, budget, channel, cursor,
+                            window_hi)
+                if channel is not _MOBILE:
                     busy = busy + used
                 cursor = cursor + used
                 budget = budget - used
-            leave = ops.where(state.complete, state.completion_time, seg.end_time)
-            on = ops.maximum(0.0, t0 - energy_model.wifi_preactivation_s)
-            idle_s = idle_s + ops.where(runs & associates,
-                                        ops.maximum(0.0, (leave - on) - busy), 0.0)
+            leave = where(state.complete, state.completion_time, seg.end_time)
+            on = maximum(0.0, t0 - preactivation_s)
+            idle_s = idle_s + where(runs & associates, maximum(0.0, (leave - on) - busy), 0.0)
         if wifi:
             passed += 1
-            if plans and ops.any(state.pending):
+            if plans and any_(state.pending):
                 replan(passed, seg.end_time)
 
     completed = state.complete
-    transfer_delay = ops.where(completed, state.completion_time, end)
+    transfer_delay = where(completed, state.completion_time, end)
     wifi_mb = state.wifi_local_mb + state.wifi_backhaul_mb
     return RunOutcome(
-        offload_pct=ops.minimum(100.0, wifi_mb / size * 100.0),
+        offload_pct=minimum(100.0, wifi_mb / size * 100.0),
         transfer_delay=transfer_delay,
         deadline_met=completed & (transfer_delay <= deadline + _DEADLINE_EPS),
         completed=completed,
@@ -288,6 +291,9 @@ def run_trip(
     whatever the channel realizes; inside hotspots the node runs the
     policy's entry steps against the realized dwell.
     """
+    check_types(("route_realized", route_realized, RouteProfile),
+                ("route_nominal", route_nominal, RouteProfile), ("task", task, TransferTask),
+                ("errors", errors, ErrorSpec), ("energy_model", energy_model, EnergyModel))
     _check_same_structure(route_realized, route_nominal)
     check_admitted((policy,), task.traffic_class)
     return _run(route_realized.segments, route_realized.total_time, route_nominal, task,
@@ -307,6 +313,8 @@ def run_policies(
     :func:`run_trip` on realization k bit for bit, whatever other policies
     share the pass.  One call gives the forecasts of every replan point, for
     the whole batch and every policy in it."""
+    check_types(("batch", batch, RealizedBatch), ("task", task, TransferTask),
+                ("errors", errors, ErrorSpec), ("energy_model", energy_model, EnergyModel))
     check_admitted(policies, task.traffic_class)
     end = batch.segments[-1].end_time
     out = _run(batch.segments, np.broadcast_to(end, (len(policies), len(end))), batch.route,

@@ -46,7 +46,8 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .engine import RunOutcome, run_policies
-from .model import MBIT_PER_MB, EnergyModel, RouteProfile, TransferTask, check_integer, scale_route
+from .model import (MBIT_PER_MB, EnergyModel, RouteProfile, TransferTask, check_integer,
+                    check_types, scale_route)
 from .policies import T_MOBILE_FLOOR, Policy, check_admitted
 # derive_run_seed is defined beside the draws it seeds and stays public here
 from .prediction import ErrorSpec, derive_run_seed, realize_batch  # noqa: F401
@@ -238,10 +239,8 @@ class ScenarioSpec:
             v = getattr(self, name)
             if v is not None:
                 object.__setattr__(self, name, (v,) if isinstance(v, (str, Policy)) else tuple(v))
-        for name, kind in (("route", RouteProfile), ("task", TransferTask),
-                           ("errors", ErrorSpec), ("energy", EnergyModel)):
-            if not isinstance(getattr(self, name), kind):
-                raise ValueError(f"{name} must be {kind.__name__}, got {getattr(self, name)!r}")
+        check_types(("route", self.route, RouteProfile), ("task", self.task, TransferTask),
+                    ("errors", self.errors, ErrorSpec), ("energy", self.energy, EnergyModel))
         # a float run count would be served by the memoized aggregate of its
         # integer twin; a single run is allowed (its CI is reported as zero-width)
         check_integer("runs", self.runs, 1)

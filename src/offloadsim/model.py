@@ -23,6 +23,10 @@ class AccessKind(Enum):
     WIFI = "wifi"
 
 
+# each read of an enum member costs a metaclass lookup: the hot paths compare with these
+_MOBILE_KIND, _WIFI_KIND = AccessKind.MOBILE, AccessKind.WIFI
+
+
 class TrafficClass(Enum):
     DELAY_TOLERANT = "delay-tolerant"
     DELAY_SENSITIVE = "delay-sensitive"
@@ -47,9 +51,19 @@ def _finite(x: object) -> bool:
 
 def check_integer(name: str, value, least: int = 0) -> None:
     """Raise ``ValueError`` naming ``name`` unless ``value`` is an int or a
-    numpy integer, not a bool, of at least ``least``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+    numpy integer, not a bool, of at least ``least``.  An int is told at once,
+    as in :func:`_real`."""
+    if not (type(value) is int or (isinstance(value, numbers.Integral)
+                                   and not isinstance(value, bool))) or value < least:
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def check_types(*named: tuple[str, object, type]) -> None:
+    """Raise ``ValueError`` naming the first of the ``(name, value, kind)``
+    arguments whose value is not a ``kind``."""
+    for name, value, kind in named:
+        if not isinstance(value, kind):
+            raise ValueError(f"{name} must be {kind.__name__}, got {value!r}")
 
 
 def _positive_finite(x: Optional[float]) -> bool:
@@ -86,7 +100,7 @@ class RouteSegment:
         if not (_finite(start) and start >= -1e-9):
             raise ValueError(f"segment start_time must be a finite real number >= 0, "
                              f"got {start!r}")
-        if self.kind is AccessKind.MOBILE:
+        if self.kind is _MOBILE_KIND:
             if not _positive_finite(self.mobile_rate):
                 raise ValueError("mobile segment needs a positive, finite mobile_rate")
             if self.wifi_local_rate is not None or self.backhaul_rate is not None:
@@ -113,7 +127,7 @@ class RouteSegment:
 
     @property
     def is_wifi(self) -> bool:
-        return self.kind is AccessKind.WIFI
+        return self.kind is _WIFI_KIND
 
 
 @dataclass(frozen=True)
@@ -124,12 +138,17 @@ class RouteProfile:
     total_time: float
 
     def __post_init__(self) -> None:
-        if not self.segments:
+        try:
+            segments = tuple(self.segments)
+        except TypeError:  # not iterable
+            raise ValueError(f"segments must be a sequence of RouteSegments, "
+                             f"got {self.segments!r}") from None
+        if not segments:
             raise ValueError("route needs at least one segment")
-        object.__setattr__(self, "segments", tuple(self.segments))
+        object.__setattr__(self, "segments", segments)
         cursor = 0.0
         last_start = last_end = -math.inf
-        for i, seg in enumerate(self.segments):
+        for i, seg in enumerate(segments):
             if not isinstance(seg, RouteSegment):
                 raise ValueError(f"segments[{i}] must be a RouteSegment, got {seg!r}")
             # a realized route's starts are the running sum, bit for bit

@@ -46,7 +46,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .model import MBIT_PER_MB, AccessKind, RouteProfile, TransferTask, _finite
+from .model import MBIT_PER_MB, AccessKind, RouteProfile, TransferTask, _finite, check_types
 from .policies import Channel, Policy, check_admitted, plan_exit
 from .prediction import ErrorSpec, build_prediction
 from .engine import RunOutcome, _check_same_structure
@@ -92,6 +92,9 @@ def run_trip_stepped(
     dt: float = DEFAULT_DT,
 ) -> StepOutcome:
     """March through the realized route in steps of at most ``dt`` seconds."""
+    check_types(("route_realized", route_realized, RouteProfile),
+                ("route_nominal", route_nominal, RouteProfile), ("task", task, TransferTask),
+                ("errors", errors, ErrorSpec))
     check_dt(dt, max(s.duration for s in route_realized.segments))
     _check_same_structure(route_realized, route_nominal)
     check_admitted((policy,), task.traffic_class)

@@ -48,6 +48,9 @@ class Channel(Enum):
     WIFI_BACKHAUL = "wifi-backhaul"
 
 
+# each read of an enum member costs a metaclass lookup: the hot paths compare with these
+_MOBILE, _LOCAL, _BACKHAUL = Channel.MOBILE, Channel.WIFI_LOCAL, Channel.WIFI_BACKHAUL
+
 _DT = TrafficClass.DELAY_TOLERANT
 _DS = TrafficClass.DELAY_SENSITIVE
 
@@ -158,10 +161,6 @@ class Elementwise(NamedTuple):
     minimum: Callable
     maximum: Callable
 
-    def pick(self, mask: Bools, x: Floats, y: Floats) -> Floats:
-        """``x`` where ``mask``, else ``y``; a bool picks with no array operation."""
-        return x if mask is True else y if mask is False else self.where(mask, x, y)
-
 
 # A ufunc on one element costs several times a float operation, so one trip
 # runs on plain Python.  Both forms pick the same values in the same order,
@@ -212,22 +211,26 @@ def plan_exit(
     rate, infeasible = pred.max_mobile_rate, False
     if limited is not False:
         # a bool picks one sum, a (P, 1) mask one per row
-        wifi_mb = _ARRAY_OPS.pick(prefetches, pred.wifi_local_mbit,
-                                  pred.wifi_backhaul_mbit) / MBIT_PER_MB
-        data_mobile = ops.maximum(0.0, remaining_mb - wifi_mb)
+        local, backhaul = pred.wifi_local_mbit, pred.wifi_backhaul_mbit
+        wifi_mbit = (local if prefetches is True else backhaul if prefetches is False
+                     else _ARRAY_OPS.where(prefetches, local, backhaul))
+        data_mobile = ops.maximum(0.0, remaining_mb - wifi_mbit / MBIT_PER_MB)
         time_mobile = ops.maximum(T_MOBILE_FLOOR, time_left - pred.wifi_seconds)
         raw = data_mobile * MBIT_PER_MB / time_mobile
         # The same rate must hold through every remaining mobile stretch, so
         # the cap is the lowest rate on the horizon, not the next gap's best.
         cap = pred.sustainable_mobile_rate
-        rate = ops.pick(limited, ops.minimum(ops.maximum(raw, 0.0), cap), rate)
-        infeasible = raw > cap if limited is True else limited & (raw > cap)
+        clamped = ops.minimum(ops.maximum(raw, 0.0), cap)
+        rate, infeasible = ((clamped, raw > cap) if limited is True else
+                            (ops.where(limited, clamped, rate), limited & (raw > cap)))
     if prefetches is False or pred.next_hotspot is None:
         return rate, infeasible, None
     size_mb = received_prefix_mb + remaining_mb
     offset = received_prefix_mb + rate * pred.time_to_next_wifi / MBIT_PER_MB
     amount = ops.maximum(0.0, ops.minimum(pred.next_cache_mb, size_mb - offset))
-    return rate, infeasible, (pred.next_hotspot, ops.pick(prefetches, amount, 0.0), offset)
+    if prefetches is not True:  # a (P, 1) mask: no cache in the other rows
+        amount = ops.where(prefetches, amount, 0.0)
+    return rate, infeasible, (pred.next_hotspot, amount, offset)
 
 
 def plan_entry(
@@ -254,18 +257,19 @@ def plan_entry(
     """
     if policy.associates is False:
         return []
-    origin = (policy.associates, EntryAction(Channel.WIFI_BACKHAUL, backhaul_rate, size_mb))
+    # tuple.__new__ skips the NamedTuple's Python-level __new__, a call per step
+    origin = (policy.associates, tuple.__new__(EntryAction, (_BACKHAUL, backhaul_rate, size_mb)))
     if policy.prefetches is False or cache is None:
         return [origin]
     ops = elementwise(prefix_mb)
     offset, amount = cache
     cached = amount > 0
     hole_end = ops.minimum(offset, size_mb)
-    hole_rate = mobile_rate if policy.hole_channel is Channel.MOBILE else backhaul_rate
+    hole_rate = mobile_rate if policy.hole_channel is _MOBILE else backhaul_rate
     return [
         (cached & (prefix_mb < hole_end) & (hole_rate > 0),
-         EntryAction(policy.hole_channel, hole_rate, hole_end)),
-        (cached, EntryAction(Channel.WIFI_LOCAL, local_rate,
-                             ops.minimum(offset + amount, size_mb))),
+         tuple.__new__(EntryAction, (policy.hole_channel, hole_rate, hole_end))),
+        (cached, tuple.__new__(EntryAction, (_LOCAL, local_rate,
+                                             ops.minimum(offset + amount, size_mb)))),
         origin,
     ]

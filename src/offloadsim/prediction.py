@@ -56,7 +56,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .model import MBIT_PER_MB, AccessKind, RouteProfile, RouteSegment, _real, check_integer
+from .model import (_WIFI_KIND, MBIT_PER_MB, RouteProfile, RouteSegment, _real, check_integer,
+                    check_types)
 
 
 @dataclass(frozen=True)
@@ -122,9 +123,8 @@ class _RouteIndex:
 
     def __init__(self, route: RouteProfile) -> None:
         segments = route.segments
-        wifi_kind = AccessKind.WIFI
         self.route = route
-        self.wifi = wifi = tuple([seg.kind is wifi_kind for seg in segments])
+        self.wifi = wifi = tuple([seg.kind is _WIFI_KIND for seg in segments])
         window = []
         last = next((i for i, w in enumerate(wifi) if not w), None)
         for i, w in enumerate(wifi):
@@ -147,7 +147,7 @@ def _walk(
     them, up to the clipped horizon ``hi``: one scan of the route from its
     end, which emits a forecast on reaching each hotspot and the start."""
     te, re = time_error, throughput_error
-    rates = [seg.mobile_rate for seg in route.segments if not seg.is_wifi]
+    rates = [seg.mobile_rate for seg in route.segments if seg.kind is not _WIFI_KIND]
     most, least = max(rates, default=0.0), min(rates, default=0.0)  # the last fallbacks
     # per hotspot usable before hi, farthest first: its pessimistic local and
     # backhaul Mbit and dwell; then the nearest one's index, cache cap and start
@@ -167,24 +167,25 @@ def _walk(
         local = backhaul = seconds = 0.0
         for mbit_local, mbit_backhaul, dwell in reversed(ahead):
             local, backhaul, seconds = local + mbit_local, backhaul + mbit_backhaul, seconds + dwell
-        return PredictionProfile(  # by position: about half the time of keywords
+        return tuple.__new__(PredictionProfile, (  # with no Python-level __new__
             local, backhaul, seconds, next_hotspot, next_cap,
-            0.0 if next_start is None else max(0.0, next_start - at), high, low)
+            0.0 if next_start is None else max(0.0, next_start - at), high, low))
 
     for seg in reversed(route.segments):
-        if not seg.is_wifi:
+        if seg.kind is not _WIFI_KIND:
             rate = seg.mobile_rate
             gap_max, rest_max = max(gap_max, rate), max(rest_max, rate)
             rest_min = min(rest_min, rate)
             if seg.start_time < hi:
                 horizon_min = min(horizon_min, rate)
             continue
-        profiles.append(profile(seg.end_time))  # the node has just left seg
-        usable = min(seg.end_time, hi) - seg.start_time
+        start, end = seg.start_time, seg.end_time
+        profiles.append(profile(end))  # the node has just left seg
+        usable = min(end, hi) - start
         if usable > 0:
             local, dwell = seg.wifi_local_rate, (1 - te) * usable
             ahead.append(((1 - re) * local * dwell, (1 - re) * seg.backhaul_rate * dwell, dwell))
-            next_hotspot, next_start, gap_max = seg.hotspot_index, seg.start_time, -math.inf
+            next_hotspot, next_start, gap_max = seg.hotspot_index, start, -math.inf
             next_cap = (1 + re) * local * ((1 + te) * usable) / MBIT_PER_MB
     profiles.append(profile(0.0))
     return tuple(reversed(profiles))
@@ -399,6 +400,7 @@ def realize_route(route: RouteProfile, errors: ErrorSpec) -> RouteProfile:
     """Draw one perturbed realization of a nominal route: every duration and
     rate uniformly and independently from its error interval, deterministic
     for a given ``errors.seed``."""
+    check_types(("route", route, RouteProfile), ("errors", errors, ErrorSpec))
     index = _route_index(route)
     segments = []
     for seg, start, duration, end, rates in _realized(
@@ -436,6 +438,7 @@ def realize_batch(route: RouteProfile, errors: ErrorSpec, seed: int,
     not an integer of at least 1, a ``seed`` that is not a non-negative
     integer, or a realized value outside (0, inf) raises ``ValueError``.
     """
+    check_types(("route", route, RouteProfile), ("errors", errors, ErrorSpec))
     check_integer("runs", runs, 1)
     check_integer("seed", seed)
     index = _route_index(route)

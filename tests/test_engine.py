@@ -238,6 +238,71 @@ class TestRunTripValidation:
                 run_trip(*pair, make_task(50.0), Policy.NO_PREDICTION_OFFLOAD, zero_errors)
 
 
+@pytest.mark.parametrize("entry,argument", [
+    ("run_trip", "route_realized"), ("run_trip", "route_nominal"), ("run_trip", "task"),
+    ("run_trip", "errors"), ("run_trip", "energy_model"),
+    ("run_policies", "batch"), ("run_policies", "task"), ("run_policies", "errors"),
+    ("run_policies", "energy_model"),
+    ("run_trip_stepped", "route_realized"), ("run_trip_stepped", "route_nominal"),
+    ("run_trip_stepped", "task"), ("run_trip_stepped", "errors"),
+    ("realize_route", "route"), ("realize_route", "errors"),
+    ("realize_batch", "route"), ("realize_batch", "errors"),
+])
+@pytest.mark.parametrize("bad", [None, "x"], ids=["None", "str"])
+def test_a_mistyped_argument_is_named(default_route, zero_errors, entry, argument, bad):
+    """Each of these raised AttributeError from inside the trip loop or the
+    draws; now the entry point checks every argument's type first."""
+    realized = realize_route(default_route, zero_errors)
+    args = {
+        "run_trip": dict(route_realized=realized, route_nominal=default_route,
+                         task=make_task(50.0), policy=Policy.PREFETCH_DELAY_TOLERANT,
+                         errors=zero_errors, energy_model=EnergyModel()),
+        "run_policies": dict(batch=realize_batch(default_route, zero_errors, 0, 3),
+                             task=make_task(50.0), policies=(Policy.PREFETCH_DELAY_TOLERANT,),
+                             errors=zero_errors, energy_model=EnergyModel()),
+        "run_trip_stepped": dict(route_realized=realized, route_nominal=default_route,
+                                 task=make_task(50.0), policy=Policy.PREFETCH_DELAY_TOLERANT,
+                                 errors=zero_errors),
+        "realize_route": dict(route=default_route, errors=zero_errors),
+        "realize_batch": dict(route=default_route, errors=zero_errors, seed=0, runs=3),
+    }[entry]
+    run = {"run_trip": run_trip, "run_policies": run_policies,
+           "run_trip_stepped": run_trip_stepped, "realize_route": realize_route,
+           "realize_batch": realize_batch}[entry]
+    run(**args)
+    args[argument] = bad
+    with pytest.raises(ValueError, match=f"^{argument} must be [A-Za-z]+, got {bad!r}$"):
+        run(**args)
+
+
+def test_a_trip_stays_on_python_scalars(route_2ap, route_4ap, route_8ap, default_errors):
+    """A numpy scalar that leaks into the float form stays bit-equal but
+    costs several times a float per operation: every field of a trip's
+    outcome is a Python float or bool, under each admitted policy of both
+    classes, on the bundled routes and on random ones."""
+    rng = np.random.default_rng(34)
+    routes = [route_2ap, route_4ap, route_8ap] + [random_route(rng) for _ in range(20)]
+    flags = ("deadline_met", "completed", "plan_infeasible")
+    checked = 0
+    for route in routes:
+        realized = realize_route(route, default_errors)
+        for size in (5.0, 60.0):
+            for sensitive in (False, True):
+                task = make_task(size, threshold=0.9 * route.total_time, sensitive=sensitive)
+                for policy in ALL_POLICIES:
+                    if not policy.admits(task.traffic_class):
+                        continue
+                    out = run_trip(realized, route, task, policy, default_errors)
+                    for name, value in [*vars(out).items(), *vars(out.energy).items()]:
+                        if name != "energy":
+                            assert type(value) is (bool if name in flags else float), \
+                                (policy, name, type(value))
+                    assert out.completion_time is None or type(out.completion_time) is float
+                    assert type(out.energy_j) is float
+                    checked += 1
+    assert checked == len(routes) * 2 * 7
+
+
 class TestConservation:
     def test_channel_totals_sum_to_received(self, default_route):
         errors = ErrorSpec(0.20, 0.40, seed=3)

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import math
+import numbers
 import os
 import pickle
 import subprocess
@@ -23,6 +24,7 @@ from offloadsim.model import (
     RouteSegment,
     TrafficClass,
     TransferTask,
+    check_integer,
     scale_route,
 )
 
@@ -134,6 +136,13 @@ class TestRouteProfile:
             RouteProfile((mobile(0, 10, 5), entry), 10.0)
         with pytest.raises(ValueError, match=r"segments\[0\] must be a RouteSegment"):
             RouteProfile((entry,), 1.0)
+
+    @pytest.mark.parametrize("segments", [5, 1.0, None, object()],
+                             ids=["int", "float", "None", "object"])
+    def test_segments_that_are_no_sequence_are_named(self, segments):
+        """RouteProfile(5, 1.0) raised TypeError: 'int' object is not iterable."""
+        with pytest.raises(ValueError, match="segments must be a sequence of RouteSegments"):
+            RouteProfile(segments, 1.0)
 
     def test_hotspot_indices_increasing(self):
         with pytest.raises(ValueError):
@@ -337,3 +346,28 @@ def test_positive_finite_takes_a_float_by_its_fast_path():
                         (True, False), (None, False), ("1.0", False), (10 ** 308, True),
                         (HUGE, False), (-HUGE, False)):
         assert _positive_finite(x) is expected, x
+
+
+def test_check_integer_fast_path_keeps_the_abc_rule():
+    """A plain int is told by its type, and every value gets the outcome and
+    message of the ``numbers.Integral`` rule: an int or numpy integer, not a
+    bool, of at least ``least``."""
+    def abc_rule(name, value, least):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+            raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+    def outcome(check, value, least):
+        try:
+            check("n", value, least)
+        except ValueError as e:
+            return str(e)
+        return None
+
+    pool = (0, 1, -1, 2 ** 70, True, False, np.bool_(True), np.int64(3), np.uint64(3),
+            3.0, "1", None)
+    for least in (0, 1):
+        for value in pool:
+            assert outcome(check_integer, value, least) == outcome(abc_rule, value, least), \
+                (value, least)
+    assert outcome(check_integer, 2 ** 70, 1) is None
+    assert outcome(check_integer, np.bool_(True), 0) is not None
