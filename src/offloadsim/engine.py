@@ -4,7 +4,8 @@ The planner side sees only the nominal route plus error bounds; this module
 executes the plans against the realized route, keeps the received prefix
 and the per-channel accounting, and prices the energy spent.  Transfers are
 fluid: bytes moved = rate x time, with exact interpolation of the completion
-crossing.
+crossing.  A round-off slack is a share of what it is compared with (the
+object size, a dwell, the deadline), so no result depends on the units.
 
 One trip loop serves both entry points.  :func:`run_trip` executes one
 realized route on floats; :func:`run_policies`, what a Monte-Carlo scenario
@@ -47,8 +48,7 @@ from .policies import (_LOCAL, _MOBILE, Channel, Floats, Policy, PolicyColumns, 
                        elementwise, plan_entry, plan_exit, policy_columns)
 from .prediction import ErrorSpec, RealizedBatch, _route_index, build_prediction
 
-_BYTE_SLACK = 2.0 ** -40  # of the object size; completion slack for float round-off
-_DEADLINE_EPS = 1e-9  # s
+_SLACK = 2.0 ** -40  # of what it is compared with; see the module docstring
 
 
 @dataclass(frozen=True)
@@ -138,7 +138,7 @@ class _ByteState:
             self.wifi_local_mb = self.wifi_local_mb + moved
         else:
             self.wifi_backhaul_mb = self.wifi_backhaul_mb + moved
-        done = go & (moved >= missing - _BYTE_SLACK * size)
+        done = go & (moved >= missing - _SLACK * size)
         if ops.any(done):
             self.completion_time = ops.where(done, now + missing * MBIT_PER_MB / rate,
                                              self.completion_time)
@@ -225,28 +225,31 @@ def _run(
                 rate = rate if limited is True else where(limited, rate, mobile_rate)
             fill(runs if not wifi or associates is False else runs & ~associates,
                  rate, seg.duration, _MOBILE, t0, size)
-        if wifi and associates is not False:
+        if not wifi:
+            continue
+        t1 = seg.end_time
+        if associates is not False:
             steps = plan_entry(policy, state.prefix, staged,
                                local_rate=seg.wifi_local_rate,
                                backhaul_rate=seg.backhaul_rate,
                                mobile_rate=mobile_rate, size_mb=size)
             budget = seg.duration
+            least = _SLACK * budget  # a step takes no budget left below it
             cursor = t0
             busy = zero
             for taken, (channel, rate, window_hi) in steps:
-                used = fill(runs & taken & (budget > 1e-12), rate, budget, channel, cursor,
+                used = fill(runs & taken & (budget > least), rate, budget, channel, cursor,
                             window_hi)
                 if channel is not _MOBILE:
                     busy = busy + used
                 cursor = cursor + used
                 budget = budget - used
-            leave = where(state.complete, state.completion_time, seg.end_time)
+            leave = where(state.complete, state.completion_time, t1)
             on = maximum(0.0, t0 - preactivation_s)
             idle_s = idle_s + where(runs & associates, maximum(0.0, (leave - on) - busy), 0.0)
-        if wifi:
-            passed += 1
-            if plans and any_(state.pending):
-                replan(passed, seg.end_time)
+        passed += 1
+        if plans and any_(state.pending):
+            replan(passed, t1)
 
     completed = state.complete
     transfer_delay = where(completed, state.completion_time, end)
@@ -254,7 +257,7 @@ def _run(
     return RunOutcome(
         offload_pct=minimum(100.0, wifi_mb / size * 100.0),
         transfer_delay=transfer_delay,
-        deadline_met=completed & (transfer_delay <= deadline + _DEADLINE_EPS),
+        deadline_met=completed & (transfer_delay <= deadline + _SLACK * deadline),
         completed=completed,
         energy=EnergyBreakdown(
             mobile_j=energy_model.mobile_transfer_j_per_mb * state.mobile_mb,

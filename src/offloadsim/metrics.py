@@ -46,11 +46,11 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .engine import RunOutcome, run_policies
-from .model import (MBIT_PER_MB, EnergyModel, RouteProfile, TransferTask, check_integer,
-                    check_types, scale_route)
+from .model import (MBIT_PER_MB, EnergyModel, RouteProfile, TransferTask, as_tuple,
+                    check_integer, check_rate_factors, check_real, check_types, scale_route)
 from .policies import T_MOBILE_FLOOR, Policy, check_admitted
 # derive_run_seed is defined beside the draws it seeds and stays public here
-from .prediction import ErrorSpec, derive_run_seed, realize_batch  # noqa: F401
+from .prediction import MAX_RUNS, ErrorSpec, derive_run_seed, realize_batch  # noqa: F401
 
 # each output metric, in CSV row order, and the RunOutcome field behind it
 _METRIC_FIELDS = {"offload_pct": "offload_pct", "transfer_delay_s": "transfer_delay",
@@ -61,10 +61,6 @@ CSV_COLUMNS = ("scenario_id", "policy", "metric", "mean", "ci95", "n",
                "infeasible_count")
 
 HOTSPOT_COUNTS = (2, 4, 8)  # the bundled route layouts, route_<n>ap.json
-
-# A batch holds about 1 kB per run on the 8-hotspot layout (its draws and
-# realized rows), so this many runs stay near 100 MB.
-MAX_RUNS = 100_000
 
 
 class InsufficientSamples(ValueError):
@@ -189,8 +185,7 @@ def relative_gain(a_mean: float, b_mean: float, lower_is_better: bool = False) -
     number always means ``a`` wins.  A baseline that is not positive and
     finite raises ``ValueError``.
     """
-    if not 0 < b_mean < math.inf:  # NaN fails too
-        raise ValueError(f"baseline mean must be positive, got {b_mean}")
+    check_real("baseline mean", b_mean)
     if lower_is_better:
         return (b_mean - a_mean) / b_mean * 100.0
     return (a_mean - b_mean) / b_mean * 100.0
@@ -209,9 +204,9 @@ def check_metrics(names: Sequence[str]) -> None:
         raise ValueError("expected at least one metric")
     for i, name in enumerate(names):
         if name not in METRICS:
-            raise ValueError(f"unknown metric {name!r}; expected one of {METRICS}")
+            raise ValueError(f"metrics[{i}]: unknown metric {name!r}; expected one of {METRICS}")
         if name in names[:i]:
-            raise ValueError(f"metric {name} is listed twice")
+            raise ValueError(f"metrics[{i}]: metric {name} is listed twice")
 
 
 @dataclass(frozen=True)
@@ -235,23 +230,24 @@ class ScenarioSpec:
 
     def __post_init__(self) -> None:
         # a list would fail to hash in the memo; a lone name or policy is one entry
-        for name in ("policies", "metrics"):
+        for name, of in (("policies", "Policies"), ("metrics", "metric names")):
             v = getattr(self, name)
-            if v is not None:
-                object.__setattr__(self, name, (v,) if isinstance(v, (str, Policy)) else tuple(v))
-        check_types(("route", self.route, RouteProfile), ("task", self.task, TransferTask),
-                    ("errors", self.errors, ErrorSpec), ("energy", self.energy, EnergyModel))
+            if v is not None or name == "policies":  # no metrics list means every metric
+                object.__setattr__(self, name, (v,) if isinstance(v, (str, Policy))
+                                   else as_tuple(name, v, of))
+        check_types(("scenario_id", self.scenario_id, str), ("route", self.route, RouteProfile),
+                    ("task", self.task, TransferTask), ("errors", self.errors, ErrorSpec),
+                    ("energy", self.energy, EnergyModel))
         # a float run count would be served by the memoized aggregate of its
         # integer twin; a single run is allowed (its CI is reported as zero-width)
-        check_integer("runs", self.runs, 1)
+        check_integer("runs", self.runs, 1, MAX_RUNS)
         check_integer("seed", self.seed)
-        if self.runs > MAX_RUNS:
-            raise ValueError(f"runs must be in [1, {MAX_RUNS}], got {self.runs}")
         check_admitted(self.policies, self.task.traffic_class)
         if self.metrics is not None:
             check_metrics(self.metrics)
-        # scale_route checks the factors; a realized value is a scaled one times
-        # 1 + e u with u in [-1, 1), and rounding is monotone, so 1 -/+ e bound it
+        # before the memo, which would hash them; a realized value is a scaled one
+        # times 1 + e u with u in [-1, 1), and rounding is monotone, so 1 -/+ e bound it
+        check_rate_factors(self.mobile_factor, self.wifi_factor, self.backhaul_factor)
         scaled = self.scaled_route()
         te, re = self.errors.time_error, self.errors.throughput_error
         longest = self.route.total_time * (1 + te)  # no realized total time is longer
@@ -379,12 +375,17 @@ class SweepSpec:
     values: tuple[float, ...]
 
     def __post_init__(self) -> None:
+        check_types(("base", self.base, ScenarioSpec))
         if self.parameter not in SWEEPABLE:
             raise ValueError(
                 f"unknown sweep parameter {self.parameter!r}; expected one of {SWEEPABLE}"
             )
-        if not self.values:
+        values = as_tuple("values", self.values, "numbers")
+        if not values:
             raise ValueError("sweep needs at least one value")
+        for i, v in enumerate(values):  # each point checks its own range when built
+            check_real(f"values[{i}]", v, 0.0, math.inf, True)
+        object.__setattr__(self, "values", values)
 
     @property
     def metrics(self) -> Optional[tuple[str, ...]]:
@@ -396,8 +397,10 @@ def apply_sweep_value(spec: ScenarioSpec, parameter: str, value: float) -> Scena
     """Derive the scenario for one sweep point; ids become 'base@param=value'."""
     if parameter not in _SWEEP_AXES:
         raise ValueError(f"unknown sweep parameter {parameter!r}")
+    check_real(parameter, value, 0.0, math.inf, True)
+    value = float(value)
     return replace(spec, scenario_id=f"{spec.scenario_id}@{parameter}={value:g}",
-                   **_SWEEP_AXES[parameter](spec, float(value)))
+                   **_SWEEP_AXES[parameter](spec, value))
 
 
 def run_sweep(sweep: SweepSpec) -> list[AggregateResult]:
@@ -411,7 +414,7 @@ def render_csv(results: Sequence[AggregateResult],
                metrics: Optional[Sequence[str]] = None) -> str:
     """Deterministic CSV text: one row per result, policy and metric (all
     metrics when ``metrics`` is None), in the fixed column order."""
-    keep = METRICS if metrics is None else tuple(metrics)
+    keep = METRICS if metrics is None else as_tuple("metrics", metrics, "metric names")
     check_metrics(keep)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")

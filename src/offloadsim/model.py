@@ -5,13 +5,17 @@ coverage interleaved with WiFi hotspot windows, each segment carrying the
 throughput the vehicle sees there.  Conventions used everywhere in this
 package: rates in Mbit/s, times in seconds, data amounts in decimal
 megabytes (1 MB = 10^6 bytes = 8 Mbit).
+
+Every public constructor checks each field by one rule: :func:`check_real`,
+:func:`check_integer` or :func:`check_types`, which raise ``ValueError``
+naming the field.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 from typing import Optional
 
@@ -23,39 +27,52 @@ class AccessKind(Enum):
     WIFI = "wifi"
 
 
-# each read of an enum member costs a metaclass lookup: the hot paths compare with these
-_MOBILE_KIND, _WIFI_KIND = AccessKind.MOBILE, AccessKind.WIFI
-
-
 class TrafficClass(Enum):
     DELAY_TOLERANT = "delay-tolerant"
     DELAY_SENSITIVE = "delay-sensitive"
 
 
-def _real(x: object) -> bool:
-    """True for a real number other than a bool.  A float is told at once:
-    the ABC check costs about eight times as much."""
-    return type(x) is float or (isinstance(x, numbers.Real) and type(x) is not bool)
+# each read of an enum member costs a metaclass lookup: the hot paths compare with these
+_MOBILE_KIND, _WIFI_KIND = AccessKind.MOBILE, AccessKind.WIFI
+_DELAY_SENSITIVE = TrafficClass.DELAY_SENSITIVE
 
 
-def _finite(x: object) -> bool:
-    """True for a real number other than a bool that converts to a finite
-    float; False for an int too large to convert."""
-    if type(x) is float:
-        return -math.inf < x < math.inf
-    try:
-        return _real(x) and math.isfinite(x)
-    except OverflowError:
-        return False
+def check_real(name: str, value, low: float = 0.0, high: float = math.inf,
+               closed: bool = False) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is a real number,
+    not a bool, that converts to a finite float above ``low`` (or equal to it,
+    if ``closed``) and below ``high``.  A float is told at once: the ABC check
+    costs about eight times as much."""
+    x = value
+    if type(x) is not float:
+        try:
+            x = float(x) if isinstance(x, numbers.Real) and type(x) is not bool else math.nan
+        except OverflowError:  # an int past the float range
+            x = math.nan
+    if (low <= x < high) if closed else (low < x < high):  # NaN fails; low is finite
+        return
+    rule = (f"in {'[' if closed else '('}{low:g}, {high:g})" if high < math.inf else
+            f"finite and {'>=' if closed else '>'} {low:g}" if closed or low else
+            "positive and finite")
+    raise ValueError(f"{name} must be {rule}, got {value!r}")
 
 
-def check_integer(name: str, value, least: int = 0) -> None:
+def check_integer(name: str, value, least: int = 0, most: float = math.inf) -> None:
     """Raise ``ValueError`` naming ``name`` unless ``value`` is an int or a
-    numpy integer, not a bool, of at least ``least``.  An int is told at once,
-    as in :func:`_real`."""
+    numpy integer, not a bool, in [``least``, ``most``].  An int is told at
+    once, as a float is in :func:`check_real`."""
     if not (type(value) is int or (isinstance(value, numbers.Integral)
-                                   and not isinstance(value, bool))) or value < least:
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+                                   and not isinstance(value, bool))) or not least <= value <= most:
+        upper = "" if most == math.inf else f" and <= {most}"
+        raise ValueError(f"{name} must be an integer >= {least}{upper}, got {value!r}")
+
+
+def as_tuple(name: str, value, of: str) -> tuple:
+    """``value`` as a tuple; ``ValueError`` naming ``name`` if it is not iterable."""
+    try:
+        return tuple(value)
+    except TypeError:  # not iterable
+        raise ValueError(f"{name} must be a sequence of {of}, got {value!r}") from None
 
 
 def check_types(*named: tuple[str, object, type]) -> None:
@@ -64,13 +81,6 @@ def check_types(*named: tuple[str, object, type]) -> None:
     for name, value, kind in named:
         if not isinstance(value, kind):
             raise ValueError(f"{name} must be {kind.__name__}, got {value!r}")
-
-
-def _positive_finite(x: Optional[float]) -> bool:
-    """True for a finite real number above zero; False for a bool or None."""
-    if type(x) is float:
-        return 0.0 < x < math.inf
-    return _finite(x) and x > 0
 
 
 @dataclass(frozen=True)
@@ -92,34 +102,29 @@ class RouteSegment:
     hotspot_index: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.kind, AccessKind):
-            raise ValueError(f"segment kind must be an AccessKind, got {self.kind!r}")
-        if not _positive_finite(self.duration):
-            raise ValueError(f"segment duration must be positive and finite, got {self.duration}")
-        start = self.start_time
-        if not (_finite(start) and start >= -1e-9):
-            raise ValueError(f"segment start_time must be a finite real number >= 0, "
-                             f"got {start!r}")
+        check_real("duration", self.duration)
+        check_real("start_time", self.start_time, -1e-9, math.inf, True)
         if self.kind is _MOBILE_KIND:
-            if not _positive_finite(self.mobile_rate):
-                raise ValueError("mobile segment needs a positive, finite mobile_rate")
-            if self.wifi_local_rate is not None or self.backhaul_rate is not None:
-                raise ValueError("mobile segment must not carry WiFi rates")
-            if self.hotspot_index is not None:
-                raise ValueError("mobile segment must not carry a hotspot_index")
-        else:
-            if not _positive_finite(self.wifi_local_rate):
-                raise ValueError("wifi segment needs a positive, finite wifi_local_rate")
-            if not _positive_finite(self.backhaul_rate):
-                raise ValueError("wifi segment needs a positive, finite backhaul_rate")
+            check_real("mobile_rate", self.mobile_rate)
+            # unless all three are None
+            if not self.wifi_local_rate is self.backhaul_rate is self.hotspot_index is None:
+                raise ValueError("a mobile segment carries no wifi_local_rate, backhaul_rate or "
+                                 f"hotspot_index, got {self.wifi_local_rate!r}, "
+                                 f"{self.backhaul_rate!r}, {self.hotspot_index!r}")
+        elif self.kind is _WIFI_KIND:
+            if self.mobile_rate is not None:
+                raise ValueError(f"a wifi segment carries no mobile_rate, "
+                                 f"got {self.mobile_rate!r}")
+            check_real("wifi_local_rate", self.wifi_local_rate)
+            check_real("backhaul_rate", self.backhaul_rate)
             # The backhaul path traverses the same radio link, so it can
             # never beat the local-cache rate.
             if self.backhaul_rate > self.wifi_local_rate * (1 + 1e-12):
-                raise ValueError(
-                    f"backhaul_rate {self.backhaul_rate} exceeds wifi_local_rate "
-                    f"{self.wifi_local_rate}"
-                )
+                raise ValueError(f"backhaul_rate {self.backhaul_rate} exceeds wifi_local_rate "
+                                 f"{self.wifi_local_rate}")
             check_integer("hotspot_index", self.hotspot_index, 1)
+        else:
+            check_types(("kind", self.kind, AccessKind))  # neither member: raises
 
     @property
     def end_time(self) -> float:
@@ -138,11 +143,7 @@ class RouteProfile:
     total_time: float
 
     def __post_init__(self) -> None:
-        try:
-            segments = tuple(self.segments)
-        except TypeError:  # not iterable
-            raise ValueError(f"segments must be a sequence of RouteSegments, "
-                             f"got {self.segments!r}") from None
+        segments = as_tuple("segments", self.segments, "RouteSegments")
         if not segments:
             raise ValueError("route needs at least one segment")
         object.__setattr__(self, "segments", segments)
@@ -167,9 +168,9 @@ class RouteProfile:
                 )
             last_start, last_end = start, end
             cursor += seg.duration
-        total = self.total_time
-        if not (_finite(total) and math.isclose(total, cursor, rel_tol=1e-9, abs_tol=1e-6)):
-            raise ValueError(f"total_time {total!r} != sum of durations {cursor}")
+        check_real("total_time", self.total_time, 0.0, math.inf, True)
+        if not math.isclose(self.total_time, cursor, rel_tol=1e-9, abs_tol=1e-6):
+            raise ValueError(f"total_time {self.total_time!r} != sum of durations {cursor}")
         indices = [s.hotspot_index for s in self.segments if s.is_wifi]
         if indices != sorted(set(indices)):
             raise ValueError(f"hotspot indices must be strictly increasing: {indices}")
@@ -201,10 +202,9 @@ class RouteProfile:
 
 
 def check_rate_factors(mobile_factor: float, wifi_factor: float, backhaul_factor: float) -> None:
-    for name, f in (("mobile", mobile_factor), ("wifi", wifi_factor),
-                    ("backhaul", backhaul_factor)):
-        if not _positive_finite(f):
-            raise ValueError(f"{name} factor must be positive and finite, got {f}")
+    check_real("mobile_factor", mobile_factor)
+    check_real("wifi_factor", wifi_factor)
+    check_real("backhaul_factor", backhaul_factor)
 
 
 def scale_route(
@@ -219,6 +219,7 @@ def scale_route(
     backhaul path cannot outrun the radio link it shares), so extreme factor
     combinations still produce a valid route.
     """
+    check_types(("route", route, RouteProfile))
     check_rate_factors(mobile_factor, wifi_factor, backhaul_factor)
     out = []
     for seg in route.segments:
@@ -245,19 +246,12 @@ class TransferTask:
     traffic_class: TrafficClass = TrafficClass.DELAY_TOLERANT
 
     def __post_init__(self) -> None:
-        if not isinstance(self.traffic_class, TrafficClass):
-            raise ValueError(f"traffic_class must be a TrafficClass, got {self.traffic_class!r}")
-        if not _positive_finite(self.size_mb):
-            raise ValueError(f"task size must be positive and finite, got {self.size_mb}")
-        if not _positive_finite(self.delay_threshold):
-            raise ValueError(
-                f"delay threshold must be positive and finite, got {self.delay_threshold}"
-            )
+        check_real("size_mb", self.size_mb)
+        check_real("delay_threshold", self.delay_threshold)
+        check_types(("traffic_class", self.traffic_class, TrafficClass))
 
     def effective_deadline(self) -> float:
-        if self.traffic_class is TrafficClass.DELAY_SENSITIVE:
-            return math.inf
-        return self.delay_threshold
+        return math.inf if self.traffic_class is _DELAY_SENSITIVE else self.delay_threshold
 
 
 @dataclass(frozen=True)
@@ -275,8 +269,5 @@ class EnergyModel:
     wifi_preactivation_s: float = 20.0
 
     def __post_init__(self) -> None:
-        for name in ("mobile_transfer_j_per_mb", "wifi_transfer_j_per_mb",
-                     "wifi_idle_w", "wifi_preactivation_s"):
-            value = getattr(self, name)
-            if not (_finite(value) and value >= 0):
-                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+        for f in fields(self):
+            check_real(f.name, getattr(self, f.name), 0.0, math.inf, True)

@@ -46,8 +46,9 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .model import MBIT_PER_MB, AccessKind, RouteProfile, TransferTask, _finite, check_types
-from .policies import Channel, Policy, check_admitted, plan_exit
+from .model import (_MOBILE_KIND, _WIFI_KIND, MBIT_PER_MB, RouteProfile, TransferTask,
+                    check_real, check_types)
+from .policies import _MOBILE as _MOBILE_CHANNEL, Policy, check_admitted, plan_exit
 from .prediction import ErrorSpec, build_prediction
 from .engine import RunOutcome, _check_same_structure
 
@@ -78,9 +79,8 @@ def check_dt(dt: float, longest: float) -> None:
     """Reject a step ``dt`` that is not a positive, finite real number (a bool
     is none), or whose step count over a segment of ``longest`` seconds
     overflows."""
-    if not (_finite(dt) and dt > 0 and longest / dt < math.inf):
-        raise ValueError(f"dt must be positive and finite, and so must "
-                         f"{longest:g} s / dt; got {dt!r}")
+    check_real("dt", dt)
+    check_real(f"{longest:g} s / dt", longest / dt)
 
 
 def run_trip_stepped(
@@ -124,19 +124,17 @@ def run_trip_stepped(
 
         # Phase list: (slot, rate, fill-up-to position). The prefix is
         # contiguous, so each phase just extends it toward its limit.
-        if seg.kind is AccessKind.MOBILE:
+        if seg.kind is _MOBILE_KIND:
             rate = (min(plan_rate, seg.mobile_rate)
                     if policy.rate_limited else seg.mobile_rate)
             phases = [(_MOBILE, rate, size)]
-        elif policy is Policy.MOBILE_ONLY:
-            window = _window_mobile_rate(route_realized, i)
-            rate = min(plan_rate, window) if policy.rate_limited else window
-            phases = [(_MOBILE, rate, size)]
+        elif not policy.associates:  # mobile-only, which is never rate-limited
+            phases = [(_MOBILE, _window_mobile_rate(route_realized, i), size)]
         else:
             cache = caches.get(seg.hotspot_index) if policy.prefetches else None
             if cache is not None:
                 offset, amount = cache
-                if policy.hole_channel is Channel.MOBILE:
+                if policy.hole_channel is _MOBILE_CHANNEL:
                     hole_rate = _window_mobile_rate(route_realized, i)
                     hole = (_MOBILE, hole_rate, min(offset, size))
                 else:
@@ -185,7 +183,7 @@ def run_trip_stepped(
                 break
             k += 1
 
-        if completion is None and seg.kind is AccessKind.WIFI:
+        if completion is None and seg.kind is _WIFI_KIND:
             passed += 1
             plan_rate = replan(passed, seg.end_time)
 
@@ -203,10 +201,10 @@ def _window_mobile_segment(route: RouteProfile, index: int) -> Optional[int]:
     the route has none."""
     segments = route.segments
     for j in range(index - 1, -1, -1):
-        if segments[j].kind is AccessKind.MOBILE:
+        if segments[j].kind is _MOBILE_KIND:
             return j
     for j in range(index + 1, len(segments)):
-        if segments[j].kind is AccessKind.MOBILE:
+        if segments[j].kind is _MOBILE_KIND:
             return j
     return None
 

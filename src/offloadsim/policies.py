@@ -39,7 +39,7 @@ from .prediction import PredictionProfile
 
 # Floor for the mobile-time denominator; avoids division by zero when the
 # WiFi-time estimate reaches the remaining budget.
-T_MOBILE_FLOOR = 1e-6
+T_MOBILE_FLOOR = 1e-30
 
 
 class Channel(Enum):

@@ -56,8 +56,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .model import (_WIFI_KIND, MBIT_PER_MB, RouteProfile, RouteSegment, _real, check_integer,
-                    check_types)
+from .model import (_WIFI_KIND, MBIT_PER_MB, RouteProfile, RouteSegment, check_integer,
+                    check_real, check_types)
 
 
 @dataclass(frozen=True)
@@ -74,10 +74,8 @@ class ErrorSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("time_error", "throughput_error"):
-            value = getattr(self, name)
-            if not (_real(value) and 0 <= value < 1):
-                raise ValueError(f"{name} must be in [0, 1), got {value!r}")
+        check_real("time_error", self.time_error, 0.0, 1.0, True)
+        check_real("throughput_error", self.throughput_error, 0.0, 1.0, True)
         check_integer("seed", self.seed)
 
 
@@ -410,6 +408,11 @@ def realize_route(route: RouteProfile, errors: ErrorSpec) -> RouteProfile:
     return RouteProfile(tuple(segments), end)
 
 
+# A batch holds about 1 kB per run on the 8-hotspot layout (its draws and
+# realized rows), so this many runs stay near 100 MB.
+MAX_RUNS = 100_000
+
+
 @dataclass(frozen=True)
 class RealizedBatch:
     """Realizations of one nominal route, one entry per run.
@@ -435,11 +438,11 @@ def realize_batch(route: RouteProfile, errors: ErrorSpec, seed: int,
     ``realize_route(route, replace(errors, seed=derive_run_seed(seed, k)))``:
     both come from :func:`_realized` on the same draws.  ``errors.seed`` is
     not used.  The draws are read from a cache.  A ``runs`` that is
-    not an integer of at least 1, a ``seed`` that is not a non-negative
+    not an integer in [1, ``MAX_RUNS``], a ``seed`` that is not a non-negative
     integer, or a realized value outside (0, inf) raises ``ValueError``.
     """
     check_types(("route", route, RouteProfile), ("errors", errors, ErrorSpec))
-    check_integer("runs", runs, 1)
+    check_integer("runs", runs, 1, MAX_RUNS)
     check_integer("seed", seed)
     index = _route_index(route)
     segments = []

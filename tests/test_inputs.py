@@ -1,0 +1,134 @@
+"""One field rule on the Python API: every field of every public constructor,
+and the checked arguments of ``scale_route``, ``realize_batch`` and
+``run_trip_stepped``, raises ``ValueError`` naming the field for each bad
+value of one pool, never ``TypeError``, ``AttributeError`` or
+``OverflowError``, and never runs a bool as a number.
+
+Each value is tried in every field in turn, all other arguments valid, so
+the search is exhaustive and needs no seed.  A pool value that is valid for
+a field (0 as a start time or an error, None as an optional rate or metric
+list, a string as a scenario id, a list as a sweep's values, a huge integer
+as a seed or hotspot index) must build.
+"""
+
+import dataclasses
+import math
+
+import numpy as np
+import pytest
+
+from offloadsim.config import bundled_scenario_path, load_route, load_scenario
+from offloadsim.metrics import ScenarioSpec, SweepSpec, render_csv
+from offloadsim.model import (AccessKind, EnergyModel, RouteProfile, RouteSegment, TrafficClass,
+                              TransferTask, scale_route)
+from offloadsim.oracle import run_trip_stepped
+from offloadsim.policies import Channel, Policy
+from offloadsim.prediction import ErrorSpec, realize_batch, realize_route
+
+POOL = {"bool": True, "str": "1", "None": None, "nan": math.nan, "np-nan": np.float64("nan"),
+        "inf": math.inf, "-inf": -math.inf, "zero": 0, "negative": -1, "list": [1.0],
+        "huge": 10 ** 400, "enum": Channel.MOBILE}
+
+MOBILE = dict(kind=AccessKind.MOBILE, start_time=0.0, duration=10.0, mobile_rate=5.0)
+WIFI = dict(kind=AccessKind.WIFI, start_time=0.0, duration=10.0, wifi_local_rate=10.0,
+            backhaul_rate=5.0, hotspot_index=1)
+ROUTE = load_route("2ap")
+TASK = TransferTask(20.0, 200.0)
+SPEC = load_scenario(str(bundled_scenario_path("scenario_dt_default")))
+
+
+def route(**kw):
+    return RouteProfile(**{"segments": (RouteSegment(**MOBILE),), "total_time": 10.0, **kw})
+
+
+def scaled(**kw):
+    return scale_route(**{"route": ROUTE, **kw})
+
+
+def batch(**kw):
+    return realize_batch(**{"route": ROUTE, "errors": ErrorSpec(), "seed": 0, "runs": 2, **kw})
+
+
+def stepped(dt):
+    return run_trip_stepped(realize_route(ROUTE, ErrorSpec()), ROUTE, TASK,
+                            Policy.NO_PREDICTION_OFFLOAD, ErrorSpec(), dt=dt)
+
+
+# (name, builder of the keyword arguments, the fields, the pool values valid there)
+CASES = [
+    ("mobile-segment", lambda **kw: RouteSegment(**{**MOBILE, **kw}), {
+        "kind": (), "start_time": ("zero",), "duration": (), "mobile_rate": (),
+        "wifi_local_rate": ("None",), "backhaul_rate": ("None",), "hotspot_index": ("None",)}),
+    ("wifi-segment", lambda **kw: RouteSegment(**{**WIFI, **kw}), {
+        "kind": (), "start_time": ("zero",), "duration": (), "mobile_rate": ("None",),
+        "wifi_local_rate": (), "backhaul_rate": (), "hotspot_index": ("huge",)}),
+    ("route", route, {"segments": (), "total_time": ()}),
+    ("task", lambda **kw: TransferTask(**{"size_mb": 20.0, "delay_threshold": 200.0, **kw}), {
+        "size_mb": (), "delay_threshold": (), "traffic_class": ()}),
+    ("energy", EnergyModel, {f.name: ("zero",) for f in dataclasses.fields(EnergyModel)}),
+    ("errors", ErrorSpec, {"time_error": ("zero",), "throughput_error": ("zero",),
+                           "seed": ("zero", "huge")}),
+    ("scenario", lambda **kw: dataclasses.replace(SPEC, **kw), {
+        "scenario_id": ("str",), "route": (), "task": (), "policies": (), "mobile_factor": (),
+        "wifi_factor": (), "backhaul_factor": (), "errors": (), "runs": (),
+        "seed": ("zero", "huge"), "energy": (), "metrics": ("None",)}),
+    ("sweep", lambda **kw: SweepSpec(**{"base": SPEC, "parameter": "size_mb",
+                                        "values": (20.0,), **kw}), {
+        "base": (), "parameter": (), "values": ("list",)}),
+    ("scale_route", scaled, {"route": (), "mobile_factor": (), "wifi_factor": (),
+                             "backhaul_factor": ()}),
+    ("realize_batch", batch, {"seed": ("zero", "huge"), "runs": ()}),
+    ("run_trip_stepped", stepped, {"dt": ()}),
+]
+
+
+@pytest.mark.parametrize("make,field,valid", [
+    pytest.param(make, field, valid, id=f"{name}.{field}")
+    for name, make, fields in CASES for field, valid in fields.items()])
+def test_every_bad_value_is_named_by_its_field(make, field, valid):
+    for label, value in POOL.items():
+        if label in valid:
+            make(**{field: value})
+            continue
+        with pytest.raises(ValueError, match=field):
+            make(**{field: value})
+
+
+def test_every_constructor_field_is_covered():
+    """A field added later must join the table."""
+    covered = {name: set(fields) for name, _, fields in CASES}
+    for name, cls in [("mobile-segment", RouteSegment), ("wifi-segment", RouteSegment),
+                      ("route", RouteProfile), ("task", TransferTask), ("energy", EnergyModel),
+                      ("errors", ErrorSpec), ("scenario", ScenarioSpec), ("sweep", SweepSpec)]:
+        assert covered[name] == {f.name for f in dataclasses.fields(cls)}, name
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("policies", 0, "policies must be a sequence of Policies, got 0"),
+    ("policies", TrafficClass.DELAY_TOLERANT, "policies must be a sequence"),
+    ("metrics", 0, "metrics must be a sequence of metric names, got 0"),
+    ("mobile_factor", [1.0], r"mobile_factor must be positive and finite, got \[1.0\]")],
+    ids=["policies-int", "policies-enum", "metrics-int", "factor-list"])
+def test_a_scenario_names_what_raised_type_error(field, value, message):
+    """Each raised TypeError: a non-iterable policy or metric list in the
+    tuple conversion, and a list factor in the scaled-route memo's hash."""
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(SPEC, **{field: value})
+
+
+@pytest.mark.parametrize("values,message", [
+    (5, "values must be a sequence of numbers, got 5"),
+    (("1",), r"values\[0\] must be finite and >= 0, got '1'"),
+    ((20.0, True), r"values\[1\] must be finite and >= 0, got True")],
+    ids=["int", "string", "bool"])
+def test_a_sweep_takes_its_values_through_the_rule(values, message):
+    """5 built and then failed in run_sweep with TypeError, "1" failed on a
+    format code, and True ran a 1 MB object."""
+    with pytest.raises(ValueError, match=message):
+        SweepSpec(SPEC, "size_mb", values)
+
+
+def test_render_csv_names_a_metrics_list_that_is_no_sequence():
+    """It raised TypeError: 'int' object is not iterable."""
+    with pytest.raises(ValueError, match="metrics must be a sequence of metric names, got 0"):
+        render_csv([], 0)

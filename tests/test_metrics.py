@@ -389,8 +389,8 @@ class TestRunScenario:
         ("errors", (0.1, 0.2), r"errors must be ErrorSpec, got \(0.1"),
         ("energy", {}, "energy must be EnergyModel, got {"),
         ("route", "4ap", "route must be RouteProfile, got .4ap"),
-        ("mobile_factor", "1/3", "mobile factor must be positive and finite"),
-        ("wifi_factor", True, "wifi factor must be positive and finite")],
+        ("mobile_factor", "1/3", "mobile_factor must be positive and finite"),
+        ("wifi_factor", True, "wifi_factor must be positive and finite")],
         ids=["policy-name", "policy-string", "policy-none", "metric-string", "task-dict", "errors-tuple",
              "energy-dict", "route-name", "factor-string", "factor-bool"])
     def test_mistyped_input_names_its_field(self, name, value, message):

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 
 import offloadsim
 from offloadsim.model import (
-    _positive_finite,
     AccessKind,
     EnergyModel,
     RouteProfile,
@@ -25,6 +24,7 @@ from offloadsim.model import (
     TrafficClass,
     TransferTask,
     check_integer,
+    check_real,
     scale_route,
 )
 
@@ -92,6 +92,14 @@ class TestRouteSegment:
 
     def test_wifi_hotspot_index_takes_a_numpy_integer(self):
         assert wifi(0.0, 10.0, 10.0, 5.0, np.int64(2)).hotspot_index == 2
+
+    @pytest.mark.parametrize("rate", [1.0, math.nan, "1", [1.0], True])
+    def test_wifi_rejects_a_mobile_rate(self, rate):
+        """A WiFi segment kept any mobile_rate, NaN, a string and a list
+        included, where a mobile segment rejects WiFi rates."""
+        with pytest.raises(ValueError, match="mobile_rate"):
+            RouteSegment(AccessKind.WIFI, 0.0, 10.0, mobile_rate=rate, wifi_local_rate=10.0,
+                         backhaul_rate=5.0, hotspot_index=1)
 
     def test_mobile_rejects_wifi_rates(self):
         with pytest.raises(ValueError):
@@ -298,9 +306,9 @@ class TestTransferTask:
             TransferTask(size_mb=10.0, delay_threshold=0.0)
         # a bool ran as 1 MB or 1 s, and a string or a list raised TypeError
         for bad in (math.nan, math.inf, True, "1", [1.0]):
-            with pytest.raises(ValueError, match="task size"):
+            with pytest.raises(ValueError, match="size_mb"):
                 TransferTask(size_mb=bad, delay_threshold=100.0)
-            with pytest.raises(ValueError, match="delay threshold"):
+            with pytest.raises(ValueError, match="delay_threshold"):
                 TransferTask(size_mb=10.0, delay_threshold=bad)
 
     def test_traffic_class_must_be_a_traffic_class(self):
@@ -317,8 +325,8 @@ class TestTransferTask:
 
 
 @pytest.mark.parametrize("make,field", [
-    (lambda: TransferTask(size_mb=HUGE, delay_threshold=1.0), "task size"),
-    (lambda: TransferTask(size_mb=1.0, delay_threshold=HUGE), "delay threshold"),
+    (lambda: TransferTask(size_mb=HUGE, delay_threshold=1.0), "size_mb"),
+    (lambda: TransferTask(size_mb=1.0, delay_threshold=HUGE), "delay_threshold"),
     (lambda: RouteSegment(AccessKind.MOBILE, HUGE, 1.0, mobile_rate=1.0), "start_time"),
     (lambda: mobile(0.0, HUGE, 1.0), "duration"),
     (lambda: mobile(0.0, 1.0, -HUGE), "mobile_rate"),
@@ -333,19 +341,43 @@ def test_an_int_past_the_float_range_names_its_field(make, field):
         make()
 
 
-def test_positive_finite_takes_a_float_by_its_fast_path():
-    """A float skips the ABC check and gets the same answer as any other
-    real number of its value; a bool, None or a string is never a number."""
-    floats = (1.0, 5e-324, 1.7976931348623157e308, 0.0, -0.0, -1.0,
-              math.nan, math.inf, -math.inf)
-    for x in floats:
-        expected = math.isfinite(x) and x > 0
-        assert _positive_finite(x) is expected, x
-        assert bool(_positive_finite(np.float64(x))) is expected, x
-    for x, expected in ((1, True), (Fraction(1, 3), True), (0, False), (-2, False),
-                        (True, False), (None, False), ("1.0", False), (10 ** 308, True),
-                        (HUGE, False), (-HUGE, False)):
-        assert _positive_finite(x) is expected, x
+def test_check_real_fast_path_keeps_the_abc_rule():
+    """A float is told by its type, and every value gets the outcome and
+    message of the ``numbers.Real`` rule, at each bound form the model uses:
+    a real number, not a bool, that converts to a finite float in range."""
+    forms = {(0.0, math.inf, False): "positive and finite",
+             (0.0, math.inf, True): "finite and >= 0",
+             (0.0, 1.0, True): "in [0, 1)",
+             (-1e-9, math.inf, True): "finite and >= -1e-09"}
+
+    def abc_rule(name, value, low, high, closed):
+        x = math.nan
+        if isinstance(value, numbers.Real) and not isinstance(value, bool):
+            try:
+                x = float(value)
+            except OverflowError:
+                pass
+        if not (math.isfinite(x) and (low <= x if closed else low < x) and x < high):
+            raise ValueError(f"{name} must be {forms[low, high, closed]}, got {value!r}")
+
+    def outcome(check, value, form):
+        try:
+            check("x", value, *form)
+        except ValueError as e:
+            return str(e)
+        return None
+
+    floats = (0.0, -0.0, 5e-324, -5e-324, 0.5, 1.0, 1.7976931348623157e308, math.nan,
+              math.inf, -math.inf)
+    pool = (*floats, *map(np.float64, floats), Fraction(1, 3), 10 ** 308, HUGE, -HUGE, 1,
+            True, None, "1.0")
+    for form in forms:
+        for value in pool:
+            assert outcome(check_real, value, form) == outcome(abc_rule, value, form), \
+                (value, form)
+    assert outcome(check_real, 5e-324, (0.0, math.inf, False)) is None
+    assert outcome(check_real, 10 ** 308, (0.0, math.inf, False)) is None
+    assert outcome(check_real, np.float64(0.5), (0.0, 1.0, True)) is None
 
 
 def test_check_integer_fast_path_keeps_the_abc_rule():
