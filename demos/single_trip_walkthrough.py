@@ -43,15 +43,14 @@ def main():
     forecasts = build_prediction(nominal, errors, horizon=task.delay_threshold)
     te, re = errors.time_error, errors.throughput_error
     for k, ((now, label), pred) in enumerate(zip(points, forecasts)):
-        rate, _, cache = plan_exit(
+        rate, _, amount, offset = plan_exit(
             Policy.PREFETCH_DELAY_TOLERANT, max(0.0, task.size_mb - received),
             task.delay_threshold - now, pred, received,
         )
         line = f"  t={now:5.1f}s ({label:18s}) mobile rate {rate:5.3f} Mbit/s"
-        if cache is not None and cache[1] > 0:
-            index, amount, offset = cache
+        if amount > 0:
             line += (f", stage {amount:5.2f} MB at offset "
-                     f"{offset:6.2f} MB for hotspot {index}")
+                     f"{offset:6.2f} MB for hotspot {pred.next_hotspot}")
         print(line)
         # assume the pessimistic delivery to move the walkthrough forward
         received += rate * pred.time_to_next_wifi / 8

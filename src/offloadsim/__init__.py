@@ -33,7 +33,6 @@ from .model import (
 from .oracle import AgreementReport, StepOutcome, compare_runs, run_trip_stepped
 from .policies import (
     Channel,
-    EntryAction,
     Policy,
     PolicyClassMismatch,
     plan_entry,
@@ -57,7 +56,6 @@ __all__ = [
     "Channel",
     "EnergyBreakdown",
     "EnergyModel",
-    "EntryAction",
     "ErrorSpec",
     "InsufficientSamples",
     "MetricSummary",

@@ -28,7 +28,6 @@ from .metrics import (
     AggregateResult,
     ScenarioSpec,
     SweepSpec,
-    apply_sweep_value,
     derive_run_seed,
     render_csv,
     run_scenario,
@@ -93,16 +92,13 @@ def _print_summary(results: Sequence[AggregateResult]) -> None:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     """``run`` takes a scenario or a sweep file, ``sweep`` only a sweep file."""
-    if args.command == "sweep":
-        spec = config.load_sweep(_resolve_input(args.sweep))
-    else:
-        spec = config.load_experiment(_resolve_input(args.scenario))
+    path = _resolve_input(args.sweep if args.command == "sweep" else args.scenario)
+    spec = (config.load_sweep if args.command == "sweep" else config.load_experiment)(path)
     if isinstance(spec, SweepSpec):
-        # every point is built once, named by its id, and checked before any run
         base = _apply_overrides(spec.base, args, swept=spec.parameter)
-        points = [config.checked(f"{base.scenario_id}@{spec.parameter}={v:g}",
-                                 apply_sweep_value, base, spec.parameter, v)
-                  for v in spec.values]
+        if base is not spec.base:  # the points are built and checked again, before any run
+            spec = config.checked(f"{Path(path).stem}.sweep", replace, spec, base=base)
+        points = spec.points
     else:
         base = _apply_overrides(spec, args)
         points = [base]

@@ -20,8 +20,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Any, Callable, Optional, Union
 
-from .metrics import (HOTSPOT_COUNTS, METRICS, SWEEPABLE, ScenarioSpec, SweepSpec,
-                      apply_sweep_value)
+from .metrics import HOTSPOT_COUNTS, SWEEPABLE, ScenarioSpec, SweepSpec, check_metrics
 from .model import (AccessKind, EnergyModel, RouteProfile, RouteSegment, TrafficClass,
                     TransferTask, check_rate_factors)
 from .policies import Policy
@@ -147,17 +146,15 @@ def _array(parse: Callable[[Any, str], Any]) -> Callable[[Any, str], tuple]:
 
 
 _policy = _choice({p.cli_name: p for p in Policy}, "policy")
-_metric_names = _array(_choice({m: m for m in METRICS}, "metric"))
 
 
 def _metrics(value: Any, label: str) -> tuple:
-    """Output metrics, at least one (none reads as all) and each once."""
-    names = _metric_names(value, label)
-    if not names:
-        raise ConfigError(f"{label}: expected at least one metric")
-    for i, name in enumerate(names):
-        if name in names[:i]:
-            raise ConfigError(f"{label}[{i}]: metric {name} is listed twice")
+    """Output metric names, checked by the model's rule under ``label``."""
+    names = _array(json_string)(value, label)
+    try:
+        check_metrics(names, label)
+    except ValueError as exc:  # the message names label or its entry
+        raise ConfigError(str(exc)) from exc
     return names
 
 
@@ -253,14 +250,9 @@ def _sweep(data: Any, path: str) -> SweepSpec:
     axis = obj.get("sweep", _Object)
     obj.done()
     parameter = axis.get("parameter", _choice({p: p for p in SWEEPABLE}, "sweep parameter"))
-
-    def point(value: Any, label: str) -> float:  # a bad point fails here, not mid-sweep
-        value = parse_factor(value, label)
-        checked(label, apply_sweep_value, base, parameter, value)
-        return value
-
+    # the spec builds and checks every point, so a bad one fails here, not mid-sweep
     return axis.build(SweepSpec, base=base, parameter=parameter,
-                      values=axis.get("values", _array(point)))
+                      values=axis.get("values", _array(parse_factor)))
 
 
 def load_scenario(path: str) -> ScenarioSpec:

@@ -193,13 +193,12 @@ def _run(
     def replan(passed: int, now: Floats) -> None:
         nonlocal plan_rate, infeasible, provisioned, staged
         runs = state.pending
-        plan_rate, flagged, cache = plan_exit(
+        plan_rate, flagged, amount, offset = plan_exit(
             policy, maximum(0.0, size - state.prefix), deadline - now,
             forecasts[passed], state.prefix)
         infeasible = infeasible | (runs & flagged)
         staged = None  # a plan stages only the next hotspot, the one entered next
-        if cache is not None:
-            _, amount, offset = cache
+        if prefetches is not False:
             kept = runs & (amount > 0)
             if any_(kept):
                 staged = (where(kept, offset, 0.0), where(kept, amount, 0.0))

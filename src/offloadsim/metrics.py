@@ -108,9 +108,10 @@ def _t_mills_ratio(t: float, nu: float) -> float:
     return c / (nu + 1.0) * math.fsum(terms)
 
 
-@functools.cache
 def t_quantile_975(df: int) -> float:
-    """The 0.975 quantile of Student's t with ``df`` >= 1 degrees of freedom.
+    """The 0.975 quantile of Student's t with ``df`` >= 1 degrees of freedom,
+    an integer no larger than 2^53, so that it is exact as a float; computed
+    once per ``df``.
 
     df 1 and 2 have closed forms.  Above them Newton's method, started from
     the Cornish-Fisher expansion (Abramowitz & Stegun 26.7.5), solves
@@ -120,8 +121,13 @@ def t_quantile_975(df: int) -> float:
     and no gamma function is needed.  Checked against mpmath, the result is
     within 3e-16 of the exact quantile for every df sampled from 3 to 1e7.
     """
-    if df < 1:
-        raise ValueError(f"degrees of freedom must be >= 1, got {df}")
+    check_integer("df", df, 1, 2 ** 53)  # before the cache, which would hash a list
+    return _t_quantile_975(df)
+
+
+@functools.cache
+def _t_quantile_975(df: int) -> float:
+    """:func:`t_quantile_975` of a checked ``df``."""
     if df == 1:
         return math.tan(0.475 * math.pi)
     if df == 2:
@@ -183,8 +189,10 @@ def relative_gain(a_mean: float, b_mean: float, lower_is_better: bool = False) -
     For higher-is-better metrics (offload): (a - b) / b * 100.  For
     lower-is-better ones (delay, energy): (b - a) / b * 100, so a positive
     number always means ``a`` wins.  A baseline that is not positive and
-    finite raises ``ValueError``.
+    finite raises ``ValueError``, and so does an ``a_mean`` that is not finite
+    and >= 0, as every metric's mean is.
     """
+    check_real("a_mean", a_mean, 0.0, math.inf, True)
     check_real("baseline mean", b_mean)
     if lower_is_better:
         return (b_mean - a_mean) / b_mean * 100.0
@@ -197,16 +205,17 @@ def _scale(route: RouteProfile, factors: tuple[float, float, float]) -> RoutePro
     return scale_route(route, *factors)
 
 
-def check_metrics(names: Sequence[str]) -> None:
+def check_metrics(names: Sequence[str], label: str = "metrics") -> None:
     """An output metric list names at least one metric, each known and once;
-    ``ValueError`` otherwise.  Only None, not an empty list, means all."""
+    ``ValueError`` naming ``label`` or its entry ``label[i]`` otherwise.  Only
+    None, not an empty list, means all."""
     if not names:
-        raise ValueError("expected at least one metric")
+        raise ValueError(f"{label}: expected at least one metric")
     for i, name in enumerate(names):
         if name not in METRICS:
-            raise ValueError(f"metrics[{i}]: unknown metric {name!r}; expected one of {METRICS}")
+            raise ValueError(f"{label}[{i}]: unknown metric {name!r}; expected one of {METRICS}")
         if name in names[:i]:
-            raise ValueError(f"metrics[{i}]: metric {name} is listed twice")
+            raise ValueError(f"{label}[{i}]: metric {name} is listed twice")
 
 
 @dataclass(frozen=True)
@@ -368,11 +377,17 @@ SWEEPABLE = tuple(_SWEEP_AXES)
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """A scenario re-run across the values of one swept parameter."""
+    """A scenario re-run across the values of one swept parameter.
+
+    ``points`` holds one scenario per value, built and checked once here:
+    point i is ``base`` with the swept field at ``values[i]``, its id
+    ``<base id>@<parameter>=<value:g>``.  A point the model rejects raises
+    ``ValueError`` naming ``values[i]`` and the point's id."""
 
     base: ScenarioSpec
     parameter: str
     values: tuple[float, ...]
+    points: tuple[ScenarioSpec, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         check_types(("base", self.base, ScenarioSpec))
@@ -383,9 +398,17 @@ class SweepSpec:
         values = as_tuple("values", self.values, "numbers")
         if not values:
             raise ValueError("sweep needs at least one value")
-        for i, v in enumerate(values):  # each point checks its own range when built
+        base, axis, points = self.base, _SWEEP_AXES[self.parameter], []
+        for i, v in enumerate(values):
             check_real(f"values[{i}]", v, 0.0, math.inf, True)
+            v = float(v)
+            point_id = f"{base.scenario_id}@{self.parameter}={v:g}"
+            try:
+                points.append(replace(base, scenario_id=point_id, **axis(base, v)))
+            except ValueError as exc:
+                raise ValueError(f"values[{i}] ({point_id}): {exc}") from exc
         object.__setattr__(self, "values", values)
+        object.__setattr__(self, "points", tuple(points))
 
     @property
     def metrics(self) -> Optional[tuple[str, ...]]:
@@ -393,21 +416,8 @@ class SweepSpec:
         return self.base.metrics
 
 
-def apply_sweep_value(spec: ScenarioSpec, parameter: str, value: float) -> ScenarioSpec:
-    """Derive the scenario for one sweep point; ids become 'base@param=value'."""
-    if parameter not in _SWEEP_AXES:
-        raise ValueError(f"unknown sweep parameter {parameter!r}")
-    check_real(parameter, value, 0.0, math.inf, True)
-    value = float(value)
-    return replace(spec, scenario_id=f"{spec.scenario_id}@{parameter}={value:g}",
-                   **_SWEEP_AXES[parameter](spec, value))
-
-
 def run_sweep(sweep: SweepSpec) -> list[AggregateResult]:
-    return [
-        run_scenario(apply_sweep_value(sweep.base, sweep.parameter, v))
-        for v in sweep.values
-    ]
+    return [run_scenario(point) for point in sweep.points]
 
 
 def render_csv(results: Sequence[AggregateResult],

@@ -70,10 +70,6 @@ class StepOutcome:
     wifi_backhaul_mb: float
     completion_time: Optional[float]
 
-    @property
-    def completed(self) -> bool:
-        return self.completion_time is not None
-
 
 def check_dt(dt: float, longest: float) -> None:
     """Reject a step ``dt`` that is not a positive, finite real number (a bool
@@ -108,10 +104,10 @@ def run_trip_stepped(
 
     def replan(passed: int, now: float) -> float:
         pred = forecasts[passed]
-        rate, _, cache = plan_exit(policy, max(0.0, size - prefix), deadline - now, pred, prefix)
-        if cache is not None and cache[1] > 0:
-            index, amount, offset = cache
-            caches[index] = (offset, amount)
+        rate, _, amount, offset = plan_exit(policy, max(0.0, size - prefix), deadline - now,
+                                            pred, prefix)
+        if amount > 0:
+            caches[pred.next_hotspot] = (offset, amount)
         return rate
 
     forecasts = build_prediction(route_nominal, errors, horizon=deadline)

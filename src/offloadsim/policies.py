@@ -140,15 +140,6 @@ def policy_columns(policies: Sequence[Policy]) -> PolicyColumns:
                          next((p.hole_channel for p in policies if p.prefetches), None))
 
 
-class EntryAction(NamedTuple):
-    """One fetch step inside a hotspot: extend the received prefix up to
-    ``window_hi`` at ``rate`` over ``channel``."""
-
-    channel: Channel
-    rate: Floats
-    window_hi: Floats
-
-
 class Elementwise(NamedTuple):
     """The elementwise operations of one form: floats for one trip, numpy
     arrays with one entry per run for a batch.  ``zeros(like, dtype=float)``
@@ -185,8 +176,9 @@ def plan_exit(
     time_left: Floats,
     pred: PredictionProfile,
     received_prefix_mb: Floats = 0.0,
-) -> tuple[Floats, Bools, Optional[tuple[int, Floats, Floats]]]:
-    """Plan at the route start or a hotspot exit: ``(rate, infeasible, cache)``.
+) -> tuple[Floats, Bools, Floats, Floats]:
+    """Plan at the route start or a hotspot exit: ``(rate, infeasible, amount,
+    offset)``.
 
     ``rate`` is the mobile rate until the next exit.  Rate-limited policies
     size it so that the pessimistic WiFi forecast plus the mobile stream
@@ -198,13 +190,13 @@ def plan_exit(
     policies request the full predicted mobile rate and are never
     infeasible; for a batch, their rate and flag are one value for every run.
 
-    ``cache`` is None unless the policy prefetches and the forecast names a
-    next hotspot; then it is ``(hotspot_index, amount, offset)``: the node
-    expects to have reached object position ``offset`` on arrival (its prefix
-    plus what the mobile stream delivers across the gap), and the hotspot
-    stages the next ``amount`` MB from there, up to its cache cap and never
-    past the object end (amount 0: no cache, as in every row that does not
-    prefetch).
+    ``amount`` and ``offset`` are the cache staged in the forecast's next
+    hotspot: the node expects to have reached object position ``offset`` on
+    arrival (its prefix plus what the mobile stream delivers across the
+    gap), and the hotspot stages the next ``amount`` MB from there, up to its
+    cache cap and never past the object end.  ``amount`` is 0.0 wherever
+    nothing is staged: for a policy that does not prefetch, in every row of
+    one, and where the forecast names no next hotspot.
     """
     ops = elementwise(remaining_mb)
     limited, prefetches = policy.rate_limited, policy.prefetches
@@ -224,13 +216,13 @@ def plan_exit(
         rate, infeasible = ((clamped, raw > cap) if limited is True else
                             (ops.where(limited, clamped, rate), limited & (raw > cap)))
     if prefetches is False or pred.next_hotspot is None:
-        return rate, infeasible, None
+        return rate, infeasible, 0.0, 0.0
     size_mb = received_prefix_mb + remaining_mb
     offset = received_prefix_mb + rate * pred.time_to_next_wifi / MBIT_PER_MB
     amount = ops.maximum(0.0, ops.minimum(pred.next_cache_mb, size_mb - offset))
     if prefetches is not True:  # a (P, 1) mask: no cache in the other rows
         amount = ops.where(prefetches, amount, 0.0)
-    return rate, infeasible, (pred.next_hotspot, amount, offset)
+    return rate, infeasible, amount, offset
 
 
 def plan_entry(
@@ -241,10 +233,12 @@ def plan_entry(
     backhaul_rate: Floats,
     mobile_rate: Floats,
     size_mb: float,
-) -> list[tuple[Bools, EntryAction]]:
+) -> list[tuple[Bools, tuple[Channel, Floats, Floats]]]:
     """Ordered fetch steps for the dwell time in one hotspot, each with
     whether it is taken: a bool for one trip, a mask over a batch's runs
     (True for the origin fetch, or the rows of the policies that associate).
+    A step ``(channel, rate, window_hi)`` extends the received prefix up to
+    ``window_hi`` at ``rate`` over ``channel``.
 
     ``cache`` is the hotspot's staged ``(offset, amount)`` or None.  With a
     cache: (1) fill the hole below the cached offset over the policy's hole
@@ -257,8 +251,7 @@ def plan_entry(
     """
     if policy.associates is False:
         return []
-    # tuple.__new__ skips the NamedTuple's Python-level __new__, a call per step
-    origin = (policy.associates, tuple.__new__(EntryAction, (_BACKHAUL, backhaul_rate, size_mb)))
+    origin = (policy.associates, (_BACKHAUL, backhaul_rate, size_mb))
     if policy.prefetches is False or cache is None:
         return [origin]
     ops = elementwise(prefix_mb)
@@ -268,8 +261,7 @@ def plan_entry(
     hole_rate = mobile_rate if policy.hole_channel is _MOBILE else backhaul_rate
     return [
         (cached & (prefix_mb < hole_end) & (hole_rate > 0),
-         tuple.__new__(EntryAction, (policy.hole_channel, hole_rate, hole_end))),
-        (cached, tuple.__new__(EntryAction, (_LOCAL, local_rate,
-                                             ops.minimum(offset + amount, size_mb)))),
+         (policy.hole_channel, hole_rate, hole_end)),
+        (cached, (_LOCAL, local_rate, ops.minimum(offset + amount, size_mb))),
         origin,
     ]

@@ -107,7 +107,7 @@ class PredictionProfile(NamedTuple):
     sustainable_mobile_rate: float
 
 
-class _RouteIndex:
+class _RouteIndex(NamedTuple):
     """What every trip and forecast on one nominal route shares; see the
     module docstring.
 
@@ -117,21 +117,10 @@ class _RouteIndex:
     else following; None when the route has none.
     """
 
-    __slots__ = ("route", "wifi", "window", "draw_count")
-
-    def __init__(self, route: RouteProfile) -> None:
-        segments = route.segments
-        self.route = route
-        self.wifi = wifi = tuple([seg.kind is _WIFI_KIND for seg in segments])
-        window = []
-        last = next((i for i, w in enumerate(wifi) if not w), None)
-        for i, w in enumerate(wifi):
-            if not w:
-                last = i
-            window.append(last)
-        self.window = tuple(window)
-        # drawn per segment: duration, then local and backhaul rate or the mobile rate
-        self.draw_count = 2 * len(segments) + sum(wifi)
+    route: RouteProfile
+    wifi: tuple[bool, ...]
+    window: tuple[Optional[int], ...]
+    draw_count: int
 
 
 @lru_cache(maxsize=64)  # the 20 figure recipes walk 18 keys, in any order
@@ -192,7 +181,15 @@ def _walk(
 @lru_cache(maxsize=16)  # the 20 figure recipes index 12 routes
 def _route_index(route: RouteProfile) -> _RouteIndex:
     """The index of ``route``, built on its first use."""
-    return _RouteIndex(route)
+    wifi = tuple([seg.kind is _WIFI_KIND for seg in route.segments])
+    window = []
+    last = next((i for i, w in enumerate(wifi) if not w), None)
+    for i, w in enumerate(wifi):
+        if not w:
+            last = i
+        window.append(last)
+    # drawn per segment: duration, then local and backhaul rate or the mobile rate
+    return _RouteIndex(route, wifi, tuple(window), 2 * len(wifi) + sum(wifi))
 
 
 def build_prediction(
@@ -210,14 +207,17 @@ def build_prediction(
     ``horizon`` truncates the forecasts at a deadline: hotspots starting at or
     after it are dropped and a window straddling it only counts the part
     before it.  None, inf or any horizon past the route end truncates
-    nothing; a NaN one raises ``ValueError``.
+    nothing; any other horizon that is not a finite real number >= 0 raises
+    ``ValueError``.
 
     The result does not depend on ``errors.seed``, and it is cached (see
     the module docstring).
     """
-    if horizon is not None and math.isnan(horizon):
-        raise ValueError("horizon must not be NaN")
-    hi = route.total_time if horizon is None else min(horizon, route.total_time)
+    if horizon is None or horizon == math.inf:
+        hi = route.total_time
+    else:
+        check_real("horizon", horizon, 0.0, math.inf, True)
+        hi = min(horizon, route.total_time)
     return _walk(route, errors.time_error, errors.throughput_error, hi)
 
 

@@ -205,7 +205,7 @@ def test_c8_property_suite():
             if pred.next_hotspot is not None:
                 prefix = float(rng.uniform(0, 5))
                 for policy in (PF, DS):
-                    rate, _, (_, _, offset) = plan_exit(
+                    rate, _, _, offset = plan_exit(
                         policy, size, route.total_time, pred, prefix)
                     assert offset - prefix == pytest.approx(
                         rate * pred.time_to_next_wifi / 8, abs=1e-9)

@@ -246,6 +246,57 @@ class TestCli:
         assert capsys.readouterr().out.splitlines() == [
             f"wrote {out / f'{n}.csv'}" for n in sorted(RECIPES)]
 
+    def test_a_sweep_builds_each_point_once(self, tmp_path, monkeypatch, capsys):
+        """A sweep's points are built when its spec is, and read from it
+        after: loading and running fig2a builds its base and 5 points, and so
+        does ``sweep`` with no override; an override builds its new base and
+        the 5 points again; ``figures`` builds 20 bases and 82 points."""
+        built = []
+        post_init = ScenarioSpec.__post_init__
+
+        def counted(spec):
+            built.append(spec.scenario_id)
+            post_init(spec)
+
+        monkeypatch.setattr(ScenarioSpec, "__post_init__", counted)
+        run_sweep(load_sweep(str(bundled_recipe_path("fig2a"))))
+        assert len(built) == 6, built
+        for argv, count in [(("sweep", "--sweep", "fig2a"), 6),
+                            (("sweep", "--sweep", "fig2a", "--runs", "3"), 6 + 1 + 5),
+                            (("figures", "--out", str(tmp_path)), 102)]:
+            built.clear()
+            assert self.run_cli(*argv) == 0
+            assert len(built) == count, (argv, built)
+        capsys.readouterr()
+
+    def test_an_override_that_breaks_a_sweep_point_exits_2_naming_it(self, tmp_path, capsys):
+        """Mobile rates of 1.7e308 Mbit/s on a route of millisecond segments
+        are finite at mobile factor 1 and throughput error 0, but not at
+        throughput error 0.2: the override passes the base, at factor 1/3,
+        and fails the second point before any run, named by its index and
+        id."""
+        route = json.loads(bundled_scenario_path("route_4ap").read_text())
+        route["total_time"] *= 1e-3
+        for seg in route["segments"]:
+            seg["start_time"] *= 1e-3
+            seg["duration"] *= 1e-3
+            if seg["kind"] == "mobile":
+                seg["mobile_rate"] = 1.7e308
+        (tmp_path / "route.json").write_text(json.dumps(route))
+        data = json.loads(bundled_scenario_path("scenario_dt_default").read_text())
+        data.update(route=str(tmp_path / "route.json"),
+                    rate_factors={"mobile": "1/3", "wifi": "1", "backhaul": "1"})
+        data["errors"]["throughput_error"] = 0.0
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps({"scenario": data, "sweep": {
+            "parameter": "mobile_factor", "values": ["1/3", 1]}}))
+        assert self.run_cli("sweep", "--sweep", str(path), "--thr-error", "0.2") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: input.sweep: values[1] (dt-default@mobile_factor=1): segment 0: "
+            "a realized mobile rate leaves (0, inf) at error 0.2"]
+
     @pytest.mark.parametrize("sub", ["", "sub"])
     def test_figures_unwritable_out_exits_2(self, tmp_path, capsys, sub):
         blocker = tmp_path / "file"

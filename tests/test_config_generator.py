@@ -10,7 +10,9 @@ scenario it walks also carries the optional keys no bundled file sets:
 ``task.delay_threshold_s`` and a scenario-level ``metrics``.  Each variant
 runs through the CLI in-process and must exit 2 with one ``error:`` line
 that begins with the value's dotted path, or, for a negative number the
-model rejects, with the path of the object that holds it.  The exceptions
+model rejects, with the path of the object that holds it; a hotspot count
+with no bundled layout is named by its sweep, followed by ``values[i]`` and
+the sweep point's id.  The exceptions
 are the inputs README documents as valid: a string of digits where a rate
 factor or sweep value may be a fraction string, and any ``scenario_id``.
 """
@@ -68,11 +70,14 @@ def with_optional_keys(scenario):
 
 def variants(path, key, value, hotspot_values):
     """``(substitute, expectation)`` pairs for one value: "ok" (a valid
-    input), "path" (the error names ``path``) or "holder" (it names the
-    object that holds the value, or something inside it)."""
+    input), "path" (the error names ``path``), "holder" (it names the
+    object that holds the value, or something inside it) or "point" (a sweep
+    value the model rejects: it names the sweep, the value's index and the
+    sweep point's id)."""
     fraction = ".rate_factors." in path or ".sweep.values[" in path
     number = fraction or (isinstance(value, (int, float)) and not isinstance(value, bool))
-    integer = key in INTEGER_KEYS or (hotspot_values and ".sweep.values[" in path)
+    integer = key in INTEGER_KEYS
+    count = hotspot_values and ".sweep.values[" in path
     digits = str(value) if number and not isinstance(value, str) else "7"
     yield digits, "ok" if fraction or path.endswith(".scenario_id") else "path"
     yield True, "path"
@@ -88,8 +93,9 @@ def variants(path, key, value, hotspot_values):
         yield HUGE, "path"
     if fraction:
         yield "1e400", "path"
-    if hotspot_values and ".sweep.values[" in path:
-        yield 3, "path"  # ./3ap exists: the count must not be read as a file path
+    if count:
+        yield 2.5, "point"
+        yield 3, "point"  # ./3ap exists: the count must not be read as a file path
 
 
 def run_cli(argv):
@@ -152,7 +158,11 @@ def test_every_malformed_value_exits_2_naming_its_field(name, tmp_path, monkeypa
         original = container[key]
         for value, expect in variants(path, key, original, hotspot_values):
             container[key] = value
-            found = run(expect, path if expect == "path" else holder)
+            named = path if expect == "path" else holder
+            if expect == "point":
+                point_id = f"{doc['scenario']['scenario_id']}@hotspot_count={value:g}"
+                named = f"{holder}: values{path[path.rindex('['):]} ({point_id})"
+            found = run(expect, named)
             container[key] = original
             if found:
                 failures.append(f"{path} = {value!r:.20}: {found}")

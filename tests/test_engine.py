@@ -470,6 +470,27 @@ class TestEnergyAccounting:
         assert self.energy(route, 54.0, zero_errors) == EnergyBreakdown(
             mobile_j=100.0 * 50.0, wifi_transfer_j=5.0 * 4.0, wifi_idle_j=0.77 * 20.0)
 
+    @pytest.mark.parametrize("policy", DT_POLICIES[:3])
+    def test_overlapping_on_windows_count_per_visit(self, policy, zero_errors):
+        """Hotspots 10 s apart, under the 20 s pre-activation: the on-windows
+        [30, 68) and [58, 96) overlap.  The rule counts each visit's window
+        less its busy seconds, 20 s each, so 40 s idle; one interface on over
+        their union and busy 36 s would be 30 s.  README states the per-visit
+        rule as the current one; this pins it, so that a change of rule shows
+        here.  The 300 MB object never completes, so every dwell is busy."""
+        wifi = dict(wifi_local_rate=8.0, backhaul_rate=8.0)
+        route = RouteProfile((
+            RouteSegment(AccessKind.MOBILE, 0.0, 50.0, mobile_rate=1.0),
+            RouteSegment(AccessKind.WIFI, 50.0, 18.0, hotspot_index=1, **wifi),
+            RouteSegment(AccessKind.MOBILE, 68.0, 10.0, mobile_rate=1.0),
+            RouteSegment(AccessKind.WIFI, 78.0, 18.0, hotspot_index=2, **wifi),
+            RouteSegment(AccessKind.MOBILE, 96.0, 201.0, mobile_rate=1.0)), 297.0)
+        out = run_trip(route, route, make_task(300.0, threshold=route.total_time), policy,
+                       zero_errors)
+        assert not out.completed
+        assert out.wifi_local_mb + out.wifi_backhaul_mb == 36.0
+        assert out.energy.wifi_idle_j == 0.77 * 40.0
+
     def test_trip_without_hotspot(self, zero_errors):
         route = self.route((AccessKind.MOBILE, 100.0))
         assert self.energy(route, 60.0, zero_errors) == EnergyBreakdown(

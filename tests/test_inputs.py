@@ -1,6 +1,7 @@
 """One field rule on the Python API: every field of every public constructor,
-and the checked arguments of ``scale_route``, ``realize_batch`` and
-``run_trip_stepped``, raises ``ValueError`` naming the field for each bad
+and the checked arguments of ``scale_route``, ``realize_batch``,
+``run_trip_stepped``, ``build_prediction``, ``relative_gain`` and
+``t_quantile_975``, raises ``ValueError`` naming the field for each bad
 value of one pool, never ``TypeError``, ``AttributeError`` or
 ``OverflowError``, and never runs a bool as a number.
 
@@ -8,7 +9,8 @@ Each value is tried in every field in turn, all other arguments valid, so
 the search is exhaustive and needs no seed.  A pool value that is valid for
 a field (0 as a start time or an error, None as an optional rate or metric
 list, a string as a scenario id, a list as a sweep's values, a huge integer
-as a seed or hotspot index) must build.
+as a seed or hotspot index, None, inf or 0 as a forecast horizon) must
+build.
 """
 
 import dataclasses
@@ -18,12 +20,13 @@ import numpy as np
 import pytest
 
 from offloadsim.config import bundled_scenario_path, load_route, load_scenario
-from offloadsim.metrics import ScenarioSpec, SweepSpec, render_csv
+from offloadsim.metrics import (ScenarioSpec, SweepSpec, relative_gain, render_csv,
+                                t_quantile_975)
 from offloadsim.model import (AccessKind, EnergyModel, RouteProfile, RouteSegment, TrafficClass,
                               TransferTask, scale_route)
 from offloadsim.oracle import run_trip_stepped
 from offloadsim.policies import Channel, Policy
-from offloadsim.prediction import ErrorSpec, realize_batch, realize_route
+from offloadsim.prediction import ErrorSpec, build_prediction, realize_batch, realize_route
 
 POOL = {"bool": True, "str": "1", "None": None, "nan": math.nan, "np-nan": np.float64("nan"),
         "inf": math.inf, "-inf": -math.inf, "zero": 0, "negative": -1, "list": [1.0],
@@ -79,6 +82,10 @@ CASES = [
                              "backhaul_factor": ()}),
     ("realize_batch", batch, {"seed": ("zero", "huge"), "runs": ()}),
     ("run_trip_stepped", stepped, {"dt": ()}),
+    ("build_prediction", lambda horizon: build_prediction(ROUTE, ErrorSpec(), horizon),
+     {"horizon": ("None", "inf", "zero")}),
+    ("relative_gain", lambda a_mean: relative_gain(a_mean, 1.0), {"a_mean": ("zero",)}),
+    ("t_quantile_975", t_quantile_975, {"df": ()}),
 ]
 
 
@@ -95,12 +102,13 @@ def test_every_bad_value_is_named_by_its_field(make, field, valid):
 
 
 def test_every_constructor_field_is_covered():
-    """A field added later must join the table."""
+    """A field added later must join the table; a field the constructor
+    computes (a sweep's points) takes no argument."""
     covered = {name: set(fields) for name, _, fields in CASES}
     for name, cls in [("mobile-segment", RouteSegment), ("wifi-segment", RouteSegment),
                       ("route", RouteProfile), ("task", TransferTask), ("energy", EnergyModel),
                       ("errors", ErrorSpec), ("scenario", ScenarioSpec), ("sweep", SweepSpec)]:
-        assert covered[name] == {f.name for f in dataclasses.fields(cls)}, name
+        assert covered[name] == {f.name for f in dataclasses.fields(cls) if f.init}, name
 
 
 @pytest.mark.parametrize("field,value,message", [

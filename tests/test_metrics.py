@@ -24,7 +24,6 @@ from offloadsim.metrics import (
     MetricSummary,
     ScenarioSpec,
     SweepSpec,
-    apply_sweep_value,
     ci_halfwidth,
     derive_run_seed,
     relative_gain,
@@ -401,6 +400,15 @@ class TestRunScenario:
         with pytest.raises(ValueError, match=message):
             replace(spec, **{name: value})
 
+    def test_a_realized_total_time_past_the_float_range_is_rejected(self):
+        """A 1.5e308 s route is finite, but at time error 0.5 a realization
+        of it may last 2.25e308 s, past the float range."""
+        route = RouteProfile((RouteSegment(AccessKind.MOBILE, 0.0, 1.5e308, mobile_rate=1.0),),
+                             1.5e308)
+        with pytest.raises(ValueError, match="realized total time overflows at time error 0.5"):
+            ScenarioSpec("long", route, make_task(1.0), (Policy.MOBILE_ONLY,),
+                         errors=ErrorSpec(0.5, 0.0))
+
     def test_scaled_route_is_built_once(self, route_4ap):
         """The spec's scaled route is the one scale_route builds at its
         factors, built once; a replaced factor gets a route of its own."""
@@ -433,7 +441,7 @@ class TestRunScenario:
         """A point whose parameter leaves the rates alone reuses its base's
         scaled route object; any other point gets its own."""
         base = make_spec(route_4ap)
-        point = apply_sweep_value(base, parameter, value)
+        (point,) = SweepSpec(base, parameter, (value,)).points
         assert (point.scaled_route() is base.scaled_route()) == shared
         assert point.scaled_route() == scale_route(point.route, point.mobile_factor,
                                                    point.wifi_factor, point.backhaul_factor)
@@ -509,8 +517,7 @@ class TestDrawMemo:
             for sweep in sweeps:
                 run_sweep(sweep)
             bases = [sweep.base for sweep in sweeps]
-            points = [apply_sweep_value(s.base, s.parameter, v)
-                      for s in sweeps for v in s.values]
+            points = [point for s in sweeps for point in s.points]
             assert len(points) == 82
             pairs = {(s.route, (s.mobile_factor, s.wifi_factor, s.backhaul_factor))
                      for s in bases + points}
@@ -563,9 +570,8 @@ class TestDrawMemo:
 
 
 def figure_points():
-    return [apply_sweep_value(sweep.base, sweep.parameter, value)
-            for sweep in (load_sweep(str(bundled_recipe_path(name))) for name in RECIPES)
-            for value in sweep.values]
+    return [point for name in RECIPES
+            for point in load_sweep(str(bundled_recipe_path(name))).points]
 
 
 class TestAggregateMemo:
@@ -699,9 +705,7 @@ class TestColumnPass:
     def test_every_figure_point_equals_single_policy_batches(self):
         points = 0
         for name in RECIPES:
-            sweep = load_sweep(str(bundled_recipe_path(name)))
-            for value in sweep.values:
-                spec = apply_sweep_value(sweep.base, sweep.parameter, value)
+            for spec in load_sweep(str(bundled_recipe_path(name))).points:
                 outcomes = scenario_outcomes(spec)
                 assert tuple(outcomes) == spec.policies
                 batch = prediction.realize_batch(spec.scaled_route(), spec.errors,
@@ -747,13 +751,18 @@ class TestSweep:
 
     def test_each_parameter_applies(self, route_4ap):
         spec = make_spec(route_4ap)
-        assert apply_sweep_value(spec, "size_mb", 30).task.size_mb == 30
-        assert apply_sweep_value(spec, "mobile_factor", 0.5).mobile_factor == 0.5
-        assert apply_sweep_value(spec, "wifi_factor", 0.5).wifi_factor == 0.5
-        assert apply_sweep_value(spec, "backhaul_factor", 1.0).backhaul_factor == 1.0
-        assert apply_sweep_value(spec, "time_error", 0.3).errors.time_error == 0.3
-        assert apply_sweep_value(spec, "throughput_error", 0.6).errors.throughput_error == 0.6
-        swapped = apply_sweep_value(spec, "hotspot_count", 2)
+
+        def point(parameter, value):
+            (built,) = SweepSpec(spec, parameter, (value,)).points
+            return built
+
+        assert point("size_mb", 30).task.size_mb == 30
+        assert point("mobile_factor", 0.5).mobile_factor == 0.5
+        assert point("wifi_factor", 0.5).wifi_factor == 0.5
+        assert point("backhaul_factor", 1.0).backhaul_factor == 1.0
+        assert point("time_error", 0.3).errors.time_error == 0.3
+        assert point("throughput_error", 0.6).errors.throughput_error == 0.6
+        swapped = point("hotspot_count", 2)
         assert swapped.route.n_hotspots == 2
         assert swapped.scenario_id == "test@hotspot_count=2"
 

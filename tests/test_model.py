@@ -152,6 +152,10 @@ class TestRouteProfile:
         with pytest.raises(ValueError, match="segments must be a sequence of RouteSegments"):
             RouteProfile(segments, 1.0)
 
+    def test_a_route_needs_a_segment(self):
+        with pytest.raises(ValueError, match="route needs at least one segment"):
+            RouteProfile((), 0.0)
+
     def test_hotspot_indices_increasing(self):
         with pytest.raises(ValueError):
             RouteProfile(

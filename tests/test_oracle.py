@@ -7,7 +7,7 @@ import pytest
 from conftest import RECIPES, edge_routes, make_task, random_route
 from offloadsim.config import bundled_recipe_path, bundled_scenario_path, load_scenario, load_sweep
 from offloadsim.engine import _check_same_structure, run_policies, run_trip
-from offloadsim.metrics import apply_sweep_value, derive_run_seed
+from offloadsim.metrics import derive_run_seed
 from offloadsim.model import MBIT_PER_MB, AccessKind, RouteProfile, RouteSegment, scale_route
 from offloadsim.oracle import (
     StepOutcome,
@@ -201,9 +201,7 @@ def _figure_sweep_points():
     points equal but for their id and metrics filter count once."""
     points = {}
     for name in RECIPES:
-        sweep = load_sweep(str(bundled_recipe_path(name)))
-        for value in sweep.values:
-            spec = apply_sweep_value(sweep.base, sweep.parameter, value)
+        for spec in load_sweep(str(bundled_recipe_path(name))).points:
             points.setdefault(replace(spec, scenario_id="", metrics=None), spec)
     return list(points.values())
 
@@ -357,11 +355,11 @@ def reference_stepped(route_realized, route_nominal, task, policy, errors, dt=0.
     forecasts = build_prediction(route_nominal, errors, horizon=horizon)
 
     def replan(passed, now):
-        rate, _, cache = plan_exit(policy, max(0.0, size - prefix), deadline - now,
-                                   forecasts[passed], prefix)
-        if cache is not None and cache[1] > 0:
-            index, amount, offset = cache
-            caches[index] = (offset, amount)
+        pred = forecasts[passed]
+        rate, _, amount, offset = plan_exit(policy, max(0.0, size - prefix), deadline - now,
+                                            pred, prefix)
+        if amount > 0:
+            caches[pred.next_hotspot] = (offset, amount)
         return rate
 
     plan_rate = replan(0, 0.0)

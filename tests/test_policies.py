@@ -27,26 +27,25 @@ class TestDelayTolerantPlan:
         # 60 MB over the one-third-scaled route, full 269 s budget:
         # pessimistic WiFi carries 50.1525 MB in 72 s, the mobile stream the
         # rest over 197 s.
-        rate, infeasible, (index, amount, offset) = plan_exit(
-            PREFETCH_DT, 60.0, 269.0, pred_t0)
+        rate, infeasible, amount, offset = plan_exit(PREFETCH_DT, 60.0, 269.0, pred_t0)
         assert rate == pytest.approx(78.78 / 197, rel=1e-12)
         assert not infeasible
-        assert index == 1
+        assert pred_t0.next_hotspot == 1
         assert amount == pytest.approx(16.16 / 3 * 18 / 8, rel=1e-12)
         assert offset == pytest.approx(rate * 18 / 8, rel=1e-12)
 
     def test_wifi_covers_everything(self, pred_t0):
-        rate, _, (_, _, offset) = plan_exit(PREFETCH_DT, 30.0, 269.0, pred_t0)
+        rate, _, _, offset = plan_exit(PREFETCH_DT, 30.0, 269.0, pred_t0)
         assert rate == 0.0
         assert offset == 0.0
 
     def test_nothing_left(self, pred_t0):
-        rate, _, (_, amount, _) = plan_exit(PREFETCH_DT, 0.0, 100.0, pred_t0, 60.0)
+        rate, _, amount, _ = plan_exit(PREFETCH_DT, 0.0, 100.0, pred_t0, 60.0)
         assert rate == 0.0
         assert amount == 0.0  # truncated at the object end
 
     def test_oversized_object_clamps_and_flags(self, pred_t0):
-        rate, infeasible, _ = plan_exit(PREFETCH_DT, 1e4, 269.0, pred_t0)
+        rate, infeasible, _, _ = plan_exit(PREFETCH_DT, 1e4, 269.0, pred_t0)
         assert infeasible
         # cap is the lowest mobile rate on the horizon (4.58/3)
         assert rate == pytest.approx(4.58 / 3, rel=1e-12)
@@ -54,7 +53,7 @@ class TestDelayTolerantPlan:
     def test_time_budget_floor(self, pred_t0):
         # WiFi time estimate exceeds the whole budget: denominator floored,
         # rate clamps instead of dividing by zero
-        rate, infeasible, _ = plan_exit(PREFETCH_DT, 60.0, 10.0, pred_t0)
+        rate, infeasible, _, _ = plan_exit(PREFETCH_DT, 60.0, 10.0, pred_t0)
         assert infeasible
         assert rate == pytest.approx(4.58 / 3, rel=1e-12)
 
@@ -86,12 +85,12 @@ PREDICTION_ONLY = Policy.PREDICTION_ONLY_DELAY_TOLERANT
 
 class TestPredictionOnlyPlan:
     def test_default_scenario_rate(self, pred_t0):
-        rate, _, cache = plan_exit(PREDICTION_ONLY, 60.0, 269.0, pred_t0)
+        rate, _, amount, _ = plan_exit(PREDICTION_ONLY, 60.0, 269.0, pred_t0)
         assert rate == pytest.approx(281.94 / 197, rel=1e-12)
-        assert cache is None
+        assert amount == 0.0
 
     def test_zero_remaining(self, pred_t0):
-        rate, _, _ = plan_exit(PREDICTION_ONLY, 0.0, 269.0, pred_t0)
+        rate, _, _, _ = plan_exit(PREDICTION_ONLY, 0.0, 269.0, pred_t0)
         assert rate == 0.0
 
     def test_matches_prefetch_when_backhaul_equals_local(self, route_4ap):
@@ -100,19 +99,19 @@ class TestPredictionOnlyPlan:
         equal = scale_route(route_4ap, wifi_factor=1e-9, backhaul_factor=1 / 3)
         # wifi_factor shrank local below backhaul, so backhaul == local now
         pred = build_prediction(equal, ZERO)[0]
-        r1, _, _ = plan_exit(PREFETCH_DT, 60.0, 269.0, pred)
-        r2, _, _ = plan_exit(PREDICTION_ONLY, 60.0, 269.0, pred)
+        r1 = plan_exit(PREFETCH_DT, 60.0, 269.0, pred)[0]
+        r2 = plan_exit(PREDICTION_ONLY, 60.0, 269.0, pred)[0]
         assert r1 == pytest.approx(r2, rel=1e-12)
 
 
 class TestDelaySensitivePlan:
     def test_exit_after_first_hotspot(self, default_route):
         pred = build_prediction(default_route, ZERO)[1]
-        rate, _, (index, _, offset) = plan_exit(PREFETCH_DS, 40.0, math.inf, pred, 10.0)
+        rate, _, _, offset = plan_exit(PREFETCH_DS, 40.0, math.inf, pred, 10.0)
         # requests the mobile rate of the upcoming gap
         assert rate == pytest.approx(4.58 / 3, rel=1e-12)
         assert offset == pytest.approx(10.0 + 10.305, abs=1e-9)
-        assert index == 2
+        assert pred.next_hotspot == 2
 
     def test_rate_independent_of_size_and_prefix(self, default_route):
         pred = build_prediction(default_route, ZERO)[1]
@@ -128,14 +127,14 @@ class TestDelaySensitivePlan:
                                    for s in default_route.segments[1:]), 251.0)
         pred = build_prediction(route, ZERO)[0]
         assert pred.time_to_next_wifi == 0.0
-        _, _, (_, _, offset) = plan_exit(PREFETCH_DS, 40.0, math.inf, pred, 20.0)
+        offset = plan_exit(PREFETCH_DS, 40.0, math.inf, pred, 20.0)[3]
         assert offset == pytest.approx(20.0)
 
     def test_no_hotspots_left(self, default_route):
         pred = build_prediction(default_route, ZERO)[4]
         assert pred.next_hotspot is None
-        _, _, cache = plan_exit(PREFETCH_DS, 5.0, math.inf, pred, 55.0)
-        assert cache is None  # nothing to stage
+        amount = plan_exit(PREFETCH_DS, 5.0, math.inf, pred, 55.0)[2]
+        assert amount == 0.0  # nothing to stage
 
 
 class TestCacheTruncation:
@@ -153,11 +152,11 @@ class TestCacheTruncation:
                 continue
             prefix = float(rng.uniform(0, 30))
             remaining = float(rng.uniform(0, 40))
-            _, _, (index, amount, offset) = plan_exit(
+            _, _, amount, offset = plan_exit(
                 PREFETCH_DT, remaining, route.total_time - now, pred, prefix)
             top = reference_hotspots(route, passed, errors.time_error,
                                      errors.throughput_error, None)[0]
-            assert index == top.hotspot_index
+            assert pred.next_hotspot == top.hotspot_index
             assert pred.next_cache_mb == top.local_max * top.duration_max / 8
             assert amount <= top.local_max * top.duration_max / 8 + 1e-9
             assert offset + amount <= prefix + remaining + 1e-9
@@ -175,7 +174,7 @@ class TestCacheTruncation:
                 continue
             prefix = float(rng.uniform(0, 10))
             for policy in (PREFETCH_DT, PREFETCH_DS):
-                rate, _, (_, _, offset) = plan_exit(
+                rate, _, _, offset = plan_exit(
                     policy, 50.0, route.total_time, pred, prefix)
                 gap = rate * pred.time_to_next_wifi / 8
                 assert offset - prefix == pytest.approx(gap, abs=1e-12)
@@ -215,7 +214,7 @@ class TestPlanIdempotence:
                     break
                 if remaining_mobile_time(route, now) <= 1e-9:
                     break  # pure-WiFi horizon: the mobile rate is moot (0/0)
-                rate, infeasible, _ = plan_exit(
+                rate, infeasible, _, _ = plan_exit(
                     PREFETCH_DT, size - received, deadline - now, pred, received)
                 if infeasible or rate == 0.0:
                     feasible = False
@@ -238,8 +237,12 @@ class TestPlanIdempotence:
 
 
 def taken_actions(steps):
-    """The entry steps one trip takes, in order."""
+    """The entry steps one trip takes, in order: (channel, rate, window_hi)."""
     return [action for taken, action in steps if taken]
+
+
+def channels(actions):
+    return [channel for channel, _, _ in actions]
 
 
 class TestPlanEntry:
@@ -248,51 +251,50 @@ class TestPlanEntry:
 
     def test_exact_arrival_skips_gap_fetch(self):
         actions = taken_actions(plan_entry(PREFETCH_DT, 10.0, self.CACHE, 16.0, 8.0, 0.0, 60.0))
-        assert [a.channel for a in actions] == [Channel.WIFI_LOCAL, Channel.WIFI_BACKHAUL]
-        assert actions[0].window_hi == 15.0
+        assert channels(actions) == [Channel.WIFI_LOCAL, Channel.WIFI_BACKHAUL]
+        assert actions[0][2] == 15.0
 
     def test_early_arrival_repairs_gap_first(self):
         actions = taken_actions(plan_entry(PREFETCH_DT, 7.0, self.CACHE, 16.0, 8.0, 0.0, 60.0))
-        assert [a.channel for a in actions] == [
+        assert channels(actions) == [
             Channel.WIFI_BACKHAUL, Channel.WIFI_LOCAL, Channel.WIFI_BACKHAUL,
         ]
-        assert actions[0].window_hi == 10.0
-        assert actions[-1].window_hi == 60.0
+        assert actions[0][2] == 10.0
+        assert actions[-1][2] == 60.0
 
     def test_no_cache_is_pure_backhaul(self):
         actions = taken_actions(plan_entry(PREFETCH_DT, 0.0, None, 16.0, 8.0, 0.0, 60.0))
         assert len(actions) == 1
-        assert actions[0].channel is Channel.WIFI_BACKHAUL
-        assert actions[0].window_hi == 60.0
+        assert actions[0][0] is Channel.WIFI_BACKHAUL
+        assert actions[0][2] == 60.0
 
     def test_delay_sensitive_hole_goes_to_mobile(self):
         actions = taken_actions(plan_entry(PREFETCH_DS, 7.0, self.CACHE,
                                            16.0, 8.0, 1.5, 60.0))
-        assert [a.channel for a in actions] == [
+        assert channels(actions) == [
             Channel.MOBILE, Channel.WIFI_LOCAL, Channel.WIFI_BACKHAUL,
         ]
-        assert actions[0].rate == 1.5
-        assert actions[0].window_hi == 10.0
+        assert actions[0][1:] == (1.5, 10.0)
 
 
 class TestPolicyDispatch:
     """plan_exit and plan_entry follow each policy's row of the table."""
 
     def test_mobile_only(self, pred_t0):
-        rate, _, cache = plan_exit(Policy.MOBILE_ONLY, 60.0, math.inf, pred_t0)
+        rate, _, amount, _ = plan_exit(Policy.MOBILE_ONLY, 60.0, math.inf, pred_t0)
         assert rate == pred_t0.max_mobile_rate
-        assert cache is None
+        assert amount == 0.0
         assert plan_entry(Policy.MOBILE_ONLY, 0.0, None, 16.0, 8.0, 1.5, 60.0) == []
 
     def test_prediction_only_entry_is_backhaul(self):
         # a non-prefetching policy fetches from the origin even if handed a cache
         actions = taken_actions(plan_entry(PREDICTION_ONLY, 7.0, TestPlanEntry.CACHE,
                                            16.0, 8.0, 1.5, 60.0))
-        assert [a.channel for a in actions] == [Channel.WIFI_BACKHAUL]
+        assert channels(actions) == [Channel.WIFI_BACKHAUL]
 
     def test_delay_sensitive_always_max_rate(self, default_route):
         for pred in build_prediction(default_route, ZERO)[:3]:
-            rate, _, _ = plan_exit(PREFETCH_DS, 50.0, math.inf, pred)
+            rate = plan_exit(PREFETCH_DS, 50.0, math.inf, pred)[0]
             assert rate == pred.max_mobile_rate
 
 
@@ -335,22 +337,19 @@ class TestFloatsMatchArrays:
         for route, pred in self.forecasts():
             remaining, time_left, prefix = self.exit_inputs(route, rng, 60.0)
             for policy in Policy:
-                rate_a, flag_a, cache_a = plan_exit(policy, remaining, time_left, pred, prefix)
+                plan_a = plan_exit(policy, remaining, time_left, pred, prefix)
                 for k in range(n):
-                    rate, flag, cache = plan_exit(policy, float(remaining[k]),
-                                                  float(time_left[k]), pred, float(prefix[k]))
-                    assert type(rate) is float and type(flag) is bool
-                    assert rate == element(rate_a, k, n)
-                    assert flag == element(flag_a, k, n)
+                    plan = plan_exit(policy, float(remaining[k]), float(time_left[k]), pred,
+                                     float(prefix[k]))
+                    rate, flag, amount, offset = plan
+                    assert [type(v) for v in plan] == [float, bool, float, float]
+                    for v, v_a in zip(plan, plan_a):
+                        assert v == element(v_a, k, n)
                     seen["infeasible"] += flag
-                    if cache_a is None:
-                        assert cache is None
+                    if not policy.prefetches or pred.next_hotspot is None:
+                        assert amount == 0.0
                         seen["no hotspot"] += policy.prefetches
                         continue
-                    index, amount, offset = cache
-                    assert type(index) is int and index == cache_a[0]
-                    assert type(amount) is float and amount == cache_a[1][k]
-                    assert type(offset) is float and offset == cache_a[2][k]
                     seen["cache"] += 1
                     seen["amount 0"] += amount == 0.0
         assert min(seen.values()) > 0, seen
@@ -361,11 +360,10 @@ class TestFloatsMatchArrays:
         seen = {"hole": 0, "exact arrival": 0, "amount 0": 0, "no hole rate": 0}
         for route, pred in self.forecasts():
             remaining, time_left, prefix = self.exit_inputs(route, rng, size)
-            _, _, planned = plan_exit(Policy.PREFETCH_DELAY_TOLERANT, remaining,
-                                      time_left, pred, prefix)
-            if planned is None:
+            if pred.next_hotspot is None:
                 continue
-            _, amount, offset = planned
+            _, _, amount, offset = plan_exit(Policy.PREFETCH_DELAY_TOLERANT, remaining,
+                                             time_left, pred, prefix)
             amount = amount.copy()
             amount[3] = 0.0
             # arrive exactly at the offset, short of it, or past it
@@ -389,16 +387,17 @@ class TestFloatsMatchArrays:
                         for (taken, action), (taken_a, action_a) in zip(steps, steps_a):
                             assert type(taken) is bool
                             assert taken == element(taken_a, k, n)
-                            assert action.channel is action_a.channel
-                            assert type(action.rate) is float
-                            assert action.rate == element(action_a.rate, k, n)
-                            assert type(action.window_hi) is float
-                            assert action.window_hi == element(action_a.window_hi, k, n)
+                            (channel, rate, window_hi), (channel_a, rate_a, hi_a) = (action,
+                                                                                     action_a)
+                            assert channel is channel_a
+                            assert type(rate) is float and rate == element(rate_a, k, n)
+                            assert type(window_hi) is float
+                            assert window_hi == element(hi_a, k, n)
                         if one is not None and policy.prefetches:
                             seen["hole"] += steps[0][0]
                             seen["exact arrival"] += at_entry[k] == offset[k] and amount[k] > 0
                             seen["amount 0"] += amount[k] == 0.0
-                            seen["no hole rate"] += steps[0][1].rate == 0.0
+                            seen["no hole rate"] += steps[0][1][1] == 0.0
         assert min(seen.values()) > 0, seen
 
 
