@@ -98,14 +98,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
         base = _apply_overrides(spec.base, args, swept=spec.parameter)
         if base is not spec.base:  # the points are built and checked again, before any run
             spec = config.checked(f"{Path(path).stem}.sweep", replace, spec, base=base)
-        points = spec.points
-    else:
-        base = _apply_overrides(spec, args)
-        points = [base]
+        points, metrics = spec.points, spec.metrics
+    else:  # a scenario's CSV shows every metric
+        points, metrics = [_apply_overrides(spec, args)], None
     results = [run_scenario(point) for point in points]
     _print_summary(results)
     if args.out:
-        _write_out(args.out, render_csv(results, base.metrics))
+        _write_out(args.out, render_csv(results, metrics))
     return 0
 
 

@@ -20,7 +20,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Any, Callable, Optional, Union
 
-from .metrics import HOTSPOT_COUNTS, SWEEPABLE, ScenarioSpec, SweepSpec, check_metrics
+from .metrics import HOTSPOT_COUNTS, SWEEPABLE, ScenarioSpec, SweepSpec, metric_names
 from .model import (AccessKind, EnergyModel, RouteProfile, RouteSegment, TrafficClass,
                     TransferTask, check_rate_factors)
 from .policies import Policy
@@ -150,12 +150,10 @@ _policy = _choice({p.cli_name: p for p in Policy}, "policy")
 
 def _metrics(value: Any, label: str) -> tuple:
     """Output metric names, checked by the model's rule under ``label``."""
-    names = _array(json_string)(value, label)
     try:
-        check_metrics(names, label)
+        return metric_names(_array(json_string)(value, label), label)
     except ValueError as exc:  # the message names label or its entry
         raise ConfigError(str(exc)) from exc
-    return names
 
 
 def parse_policy(name: Any, label: str = "policy") -> Policy:
@@ -211,7 +209,7 @@ def load_energy_model(path: Optional[str] = None) -> EnergyModel:
     return _energy(_read_json(source, "energy model"), "energy model")
 
 
-def _scenario(data: Any, path: str, recipe_metrics: Optional[tuple] = None) -> ScenarioSpec:
+def _scenario(data: Any, path: str) -> ScenarioSpec:
     obj = _Object(data, path)
     route = _route(obj.get("route", json_string, "4ap"), f"{path}.route")
     rates = obj.get("rate_factors", _Object, {})
@@ -227,7 +225,6 @@ def _scenario(data: Any, path: str, recipe_metrics: Optional[tuple] = None) -> S
     err_d = obj.get("errors", _Object, {})
     errors = err_d.build(ErrorSpec, time_error=err_d.get("time_error", parse_float, 0.10),
                          throughput_error=err_d.get("throughput_error", parse_float, 0.20))
-    metrics = obj.get("metrics", _metrics, None)  # a recipe's list replaces this one
     return obj.build(
         ScenarioSpec,
         scenario_id=obj.get("scenario_id", json_string, path),
@@ -239,20 +236,19 @@ def _scenario(data: Any, path: str, recipe_metrics: Optional[tuple] = None) -> S
         runs=obj.get("runs", parse_integer, 120),
         seed=obj.get("seed", parse_integer, 0),
         energy=obj.get("energy", _energy, None) or EnergyModel(),
-        metrics=recipe_metrics if recipe_metrics is not None else metrics,
     )
 
 
 def _sweep(data: Any, path: str) -> SweepSpec:
     obj = _Object(data, path)
-    metrics = obj.get("metrics", _metrics, None)
-    base = obj.get("scenario", lambda value, label: _scenario(value, label, metrics))
+    metrics = obj.get("metrics", _metrics, None)  # a figure's metrics, read only here
+    base = obj.get("scenario", _scenario)
     axis = obj.get("sweep", _Object)
     obj.done()
     parameter = axis.get("parameter", _choice({p: p for p in SWEEPABLE}, "sweep parameter"))
     # the spec builds and checks every point, so a bad one fails here, not mid-sweep
     return axis.build(SweepSpec, base=base, parameter=parameter,
-                      values=axis.get("values", _array(parse_factor)))
+                      values=axis.get("values", _array(parse_factor)), metrics=metrics)
 
 
 def load_scenario(path: str) -> ScenarioSpec:

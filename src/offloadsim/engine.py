@@ -305,19 +305,19 @@ def run_trip(
 def run_policies(
     batch: RealizedBatch,
     task: TransferTask,
-    policies: Sequence[Policy],
+    policies: Union[Policy, Sequence[Policy]],
     errors: ErrorSpec,
     energy_model: EnergyModel = EnergyModel(),
 ) -> dict[Policy, RunOutcome]:
-    """Execute every realization of ``batch`` under each of ``policies``, all
-    in one pass over ``(P, runs)`` arrays; each policy's outcome is a view of
-    its row, one entry per run in each field, and run k's equals
-    :func:`run_trip` on realization k bit for bit, whatever other policies
-    share the pass.  One call gives the forecasts of every replan point, for
-    the whole batch and every policy in it."""
+    """Execute every realization of ``batch`` under each of ``policies`` (a
+    lone Policy is one), all in one pass over ``(P, runs)`` arrays; each
+    policy's outcome is a view of its row, one entry per run in each field,
+    and run k's equals :func:`run_trip` on realization k bit for bit,
+    whatever other policies share the pass.  One call gives the forecasts of
+    every replan point, for the whole batch and every policy in it."""
     check_types(("batch", batch, RealizedBatch), ("task", task, TransferTask),
                 ("errors", errors, ErrorSpec), ("energy_model", energy_model, EnergyModel))
-    check_admitted(policies, task.traffic_class)
+    policies = check_admitted(policies, task.traffic_class)
     end = batch.segments[-1].end_time
     out = _run(batch.segments, np.broadcast_to(end, (len(policies), len(end))), batch.route,
                task, policy_columns(policies), errors, energy_model)

@@ -26,10 +26,10 @@ keyed by the route's value, which a route hashes once, so the points of a
 sweep that leave the rates alone, and recipes on one layout, share a scaled
 route; :meth:`ScenarioSpec.scaled_route` reads it there.  ``_aggregate``
 keeps each policy's :class:`MetricSummary` values and miss count per
-:class:`ScenarioSpec`, whose equality ignores ``scenario_id`` and
-``metrics``: so ``run_scenario`` runs each distinct scenario once per
-process, and a hit builds a new :class:`AggregateResult` with the caller's
-id and new dicts, equal with ``==`` to a fresh run.  The per-run outcome
+:class:`ScenarioSpec`, whose equality ignores ``scenario_id``: so
+``run_scenario`` runs each distinct scenario once per process, and a hit
+builds a new :class:`AggregateResult` with the caller's id and new dicts,
+equal with ``==`` to a fresh run.  The per-run outcome
 arrays are never cached: ``scenario_outcomes`` hands them out fresh and
 writable on every call.
 """
@@ -205,10 +205,11 @@ def _scale(route: RouteProfile, factors: tuple[float, float, float]) -> RoutePro
     return scale_route(route, *factors)
 
 
-def check_metrics(names: Sequence[str], label: str = "metrics") -> None:
-    """An output metric list names at least one metric, each known and once;
-    ``ValueError`` naming ``label`` or its entry ``label[i]`` otherwise.  Only
-    None, not an empty list, means all."""
+def metric_names(names: Union[str, Sequence[str]], label: str = "metrics") -> tuple[str, ...]:
+    """An output metric list as a tuple, a lone name one entry: at least one
+    metric, each known and once, else ``ValueError`` naming ``label`` or its
+    entry ``label[i]``.  Only None, which callers read first, means all."""
+    names = (names,) if isinstance(names, str) else as_tuple(label, names, "metric names")
     if not names:
         raise ValueError(f"{label}: expected at least one metric")
     for i, name in enumerate(names):
@@ -216,13 +217,13 @@ def check_metrics(names: Sequence[str], label: str = "metrics") -> None:
             raise ValueError(f"{label}[{i}]: unknown metric {name!r}; expected one of {METRICS}")
         if name in names[:i]:
             raise ValueError(f"{label}[{i}]: metric {name} is listed twice")
+    return names
 
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """One Monte-Carlo experiment: route, rates, task, errors, policies, and
-    the output metrics its CSV rows show (None: all of them).  Equality and
-    hashing ignore ``scenario_id`` and ``metrics``, which change no result."""
+    """One Monte-Carlo experiment: route, rates, task, errors and policies.
+    Equality and hashing ignore ``scenario_id``, which changes no result."""
 
     scenario_id: str = field(compare=False)
     route: RouteProfile
@@ -235,15 +236,8 @@ class ScenarioSpec:
     runs: int = 120
     seed: int = 0
     energy: EnergyModel = EnergyModel()
-    metrics: Optional[tuple[str, ...]] = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
-        # a list would fail to hash in the memo; a lone name or policy is one entry
-        for name, of in (("policies", "Policies"), ("metrics", "metric names")):
-            v = getattr(self, name)
-            if v is not None or name == "policies":  # no metrics list means every metric
-                object.__setattr__(self, name, (v,) if isinstance(v, (str, Policy))
-                                   else as_tuple(name, v, of))
         check_types(("scenario_id", self.scenario_id, str), ("route", self.route, RouteProfile),
                     ("task", self.task, TransferTask), ("errors", self.errors, ErrorSpec),
                     ("energy", self.energy, EnergyModel))
@@ -251,9 +245,9 @@ class ScenarioSpec:
         # integer twin; a single run is allowed (its CI is reported as zero-width)
         check_integer("runs", self.runs, 1, MAX_RUNS)
         check_integer("seed", self.seed)
-        check_admitted(self.policies, self.task.traffic_class)
-        if self.metrics is not None:
-            check_metrics(self.metrics)
+        # a list would fail to hash in the memo
+        object.__setattr__(self, "policies",
+                           check_admitted(self.policies, self.task.traffic_class))
         # before the memo, which would hash them; a realized value is a scaled one
         # times 1 + e u with u in [-1, 1), and rounding is monotone, so 1 -/+ e bound it
         check_rate_factors(self.mobile_factor, self.wifi_factor, self.backhaul_factor)
@@ -340,9 +334,9 @@ def _aggregate(spec: ScenarioSpec) -> _Aggregate:
 def run_scenario(spec: ScenarioSpec) -> AggregateResult:
     """Run every policy over ``spec.runs`` paired realizations and aggregate.
 
-    A scenario equal to a recent one (equality ignores ``scenario_id`` and
-    ``metrics``) is not run again: its result is rebuilt from the cached
-    aggregate, with new dicts.
+    A scenario equal to a recent one (equality ignores ``scenario_id``) is
+    not run again: its result is rebuilt from the cached aggregate, with new
+    dicts.
     """
     per_policy = _aggregate(spec)
     return AggregateResult(
@@ -382,11 +376,13 @@ class SweepSpec:
     ``points`` holds one scenario per value, built and checked once here:
     point i is ``base`` with the swept field at ``values[i]``, its id
     ``<base id>@<parameter>=<value:g>``.  A point the model rejects raises
-    ``ValueError`` naming ``values[i]`` and the point's id."""
+    ``ValueError`` naming ``values[i]`` and the point's id.  ``metrics``
+    names the output metrics of the figure's CSV rows (None: all of them)."""
 
     base: ScenarioSpec
     parameter: str
     values: tuple[float, ...]
+    metrics: Optional[tuple[str, ...]] = None
     points: tuple[ScenarioSpec, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -395,6 +391,8 @@ class SweepSpec:
             raise ValueError(
                 f"unknown sweep parameter {self.parameter!r}; expected one of {SWEEPABLE}"
             )
+        if self.metrics is not None:
+            object.__setattr__(self, "metrics", metric_names(self.metrics))
         values = as_tuple("values", self.values, "numbers")
         if not values:
             raise ValueError("sweep needs at least one value")
@@ -410,22 +408,17 @@ class SweepSpec:
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "points", tuple(points))
 
-    @property
-    def metrics(self) -> Optional[tuple[str, ...]]:
-        """The metrics of the CSV rows: the base scenario's."""
-        return self.base.metrics
-
 
 def run_sweep(sweep: SweepSpec) -> list[AggregateResult]:
     return [run_scenario(point) for point in sweep.points]
 
 
 def render_csv(results: Sequence[AggregateResult],
-               metrics: Optional[Sequence[str]] = None) -> str:
+               metrics: Union[str, Sequence[str], None] = None) -> str:
     """Deterministic CSV text: one row per result, policy and metric (all
-    metrics when ``metrics`` is None), in the fixed column order."""
-    keep = METRICS if metrics is None else as_tuple("metrics", metrics, "metric names")
-    check_metrics(keep)
+    metrics when ``metrics`` is None, else :func:`metric_names` of it), in the
+    fixed column order."""
+    keep = METRICS if metrics is None else metric_names(metrics)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)

@@ -34,7 +34,7 @@ from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .model import MBIT_PER_MB, TrafficClass
+from .model import MBIT_PER_MB, TrafficClass, as_tuple
 from .prediction import PredictionProfile
 
 # Floor for the mobile-time denominator; avoids division by zero when the
@@ -99,10 +99,14 @@ class PolicyClassMismatch(ValueError):
     """Policy cannot serve the task's traffic class."""
 
 
-def check_admitted(policies: Sequence[Policy], traffic_class: TrafficClass) -> None:
-    """Raise ``ValueError`` unless ``policies`` names at least one
-    :class:`Policy`, each once, and :class:`PolicyClassMismatch` for the
-    first of them that cannot serve ``traffic_class``."""
+def check_admitted(policies: Union[Policy, Sequence[Policy]],
+                   traffic_class: TrafficClass) -> tuple[Policy, ...]:
+    """``policies`` as a tuple, a lone Policy or name one entry.  Raise
+    ``ValueError`` unless it names at least one :class:`Policy`, each once,
+    or is not iterable, and :class:`PolicyClassMismatch` for the first of
+    them that cannot serve ``traffic_class``."""
+    policies = ((policies,) if isinstance(policies, (str, Policy))
+                else as_tuple("policies", policies, "Policies"))
     if not policies:
         raise ValueError("scenario needs at least one policy")
     for i, p in enumerate(policies):
@@ -112,6 +116,7 @@ def check_admitted(policies: Sequence[Policy], traffic_class: TrafficClass) -> N
             raise ValueError(f"policy {p.cli_name} is listed twice")
         if not p.admits(traffic_class):
             raise PolicyClassMismatch(f"{p.cli_name} cannot serve {traffic_class.value} traffic")
+    return policies
 
 
 # One trip's value, or one value per run of a batch.

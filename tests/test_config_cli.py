@@ -2,6 +2,9 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -28,7 +31,8 @@ from offloadsim.oracle import AgreementReport
 from offloadsim.model import EnergyModel, TrafficClass
 from offloadsim.policies import Policy
 
-GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = ROOT / "perfbench" / "golden.json"
 
 # (recipe, section, key, value) cases of test_bad_input_file_exits_2 that put
 # a field of the wrong JSON type in a scenario or sweep file
@@ -38,7 +42,6 @@ WRONG_JSON_TYPE = [
     (None, None, "errors", "0.1"),
     ("fig2a", None, "scenario", [1]),
     (None, None, "policies", "mobile-only"),
-    (None, None, "metrics", "offload_pct"),
     ("fig2a", None, "metrics", "offload_pct"),
     ("fig2a", "sweep", "values", "1/3"),
     (None, None, "scenario_id", [1]),
@@ -72,27 +75,32 @@ NAMED_FIELD = [
     (("4ap", None, "backhaul_rate", "1"), "route.json.segments[1].backhaul_rate: expected a"),
     (("fig2a", "scenario", "seed", "7"), "input.scenario.seed: expected an integer"),
     ((None, None, "policies", ["prefetch-dt", 1]), "input.policies[1]: expected a JSON string"),
-    ((None, None, "metrics", [1]), "input.metrics[0]: expected a JSON string"),
     (("fig2a", None, "metrics", [1]), "input.metrics[0]: expected a JSON string"),
     (("fig2a", "sweep", "parameter", [1]), "input.sweep.parameter: expected a JSON string"),
     ((None, None, "policies", ["prefetch-dt", "bogus"]),
      "input.policies[1]: unknown policy 'bogus'; "),
-    ((None, None, "metrics", ["offload_pct", "energy_j", "bogus"]),
-     "input.metrics[2]: unknown metric 'bogus'; "),
     (("fig2a", None, "metrics", ["bogus"]), "input.metrics[0]: unknown metric 'bogus'; "),
-    (("fig2a", "scenario", "metrics", ["offload_pct", "bogus"]),
-     "input.scenario.metrics[1]: unknown metric 'bogus'; "),
     (("fig2a", "sweep", "parameter", "bogus"),
      "input.sweep.parameter: unknown sweep parameter 'bogus'; "),
-    ((None, None, "metrics", ["offload_pct", "energy_j", "offload_pct"]),
-     "input.metrics[2]: metric offload_pct is listed twice"),
     (("fig2a", None, "metrics", ["offload_pct", "offload_pct"]),
      "input.metrics[1]: metric offload_pct is listed twice"),
-    (("fig2a", "scenario", "metrics", ["energy_j", "energy_j"]),
-     "input.scenario.metrics[1]: metric energy_j is listed twice"),
-    ((None, None, "metrics", []), "input.metrics: expected at least one metric"),
     (("fig2a", None, "metrics", []), "input.metrics: expected at least one metric"),
-    (("fig2a", "scenario", "metrics", []), "input.scenario.metrics: expected at least one"),
+]
+
+# cases of test_bad_input_file_exits_2 that put a metrics list in a scenario,
+# or in a sweep's scenario: only a sweep's top level names the metrics its CSV
+# shows, so the key is unknown there
+SCENARIO_METRICS = [
+    (None, None, "metrics", ["offload_pct", "bogus"]),
+    ("fig2a", "scenario", "metrics", ["bogus"]),
+    (None, None, "metrics", "offload_pct"),
+    (None, None, "metrics", [1]),
+    (None, None, "metrics", ["offload_pct", "energy_j", "bogus"]),
+    ("fig2a", "scenario", "metrics", ["offload_pct", "bogus"]),
+    (None, None, "metrics", ["offload_pct", "energy_j", "offload_pct"]),
+    ("fig2a", "scenario", "metrics", ["energy_j", "energy_j"]),
+    (None, None, "metrics", []),
+    ("fig2a", "scenario", "metrics", []),
 ]
 
 
@@ -194,7 +202,7 @@ class TestRecipes:
     def test_recipe_grids_match_defaults(self):
         fig2a = load_sweep(str(bundled_recipe_path("fig2a")))
         assert fig2a.values == (30.0, 40.0, 50.0, 60.0, 70.0)
-        assert fig2a.metrics == fig2a.base.metrics == ("offload_pct",)
+        assert fig2a.metrics == ("offload_pct",)
         errors = load_sweep(str(bundled_recipe_path("fig4a"))).values
         assert errors == (0.10, 0.20, 0.30, 0.40)
         thr = load_sweep(str(bundled_recipe_path("fig4b"))).values
@@ -221,6 +229,24 @@ class TestRecipes:
 class TestCli:
     def run_cli(self, *argv):
         return cli.main(list(argv))
+
+    @pytest.mark.parametrize("scenario,code", [("dt-default", 0), ("no-such-scenario", 2)])
+    def test_module_entry_point(self, tmp_path, scenario, code):
+        """``python -m offloadsim.cli``, as the benchmark starts it, exits
+        with main's code: 0 and the CSV, or 2 and one ``error:`` line."""
+        out = tmp_path / "run.csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "offloadsim.cli", "run", "--scenario", scenario,
+             "--runs", "2", "--out", str(out)],
+            cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == code, proc.stderr
+        if code == 0:
+            assert out.read_text().startswith("scenario_id,policy,metric,")
+        else:
+            assert proc.stderr.splitlines() == [
+                "error: no such scenario or sweep file: no-such-scenario"]
+            assert not out.exists()
 
     def test_run_deterministic_csv(self, tmp_path, capsys):
         out1 = tmp_path / "a.csv"
@@ -430,9 +456,7 @@ class TestCli:
 
     @pytest.mark.parametrize("recipe,section,key,value", [
         (None, None, "policies", ["prefetch-dt", "no-prediction", "prefetch-dt"]),
-        (None, None, "metrics", ["offload_pct", "bogus"]),
         ("fig2a", None, "metrics", ["offload_pct", "bogus"]),
-        ("fig2a", "scenario", "metrics", ["bogus"]),
         (None, None, "seed", -1),
         ("fig2a", "scenario", "seed", -1),
         (None, None, "seed", 0.9),
@@ -444,15 +468,14 @@ class TestCli:
         ("4ap", None, "hotspot_index", 1.5),
         ("4ap", None, "hotspot_index", True),
         ("fig3d", "sweep", "values", [2, 2.5]),
-    ] + WRONG_JSON_TYPE + BOOLEAN_NUMBER + [case for case, _ in NAMED_FIELD],
-        ids=["policy-twice", "scenario-metric", "sweep-metric", "sweep-base-metric",
-             "scenario-negative-seed", "sweep-base-negative-seed",
-             "scenario-fractional-seed", "scenario-fractional-runs", "scenario-bool-runs",
+    ] + WRONG_JSON_TYPE + BOOLEAN_NUMBER + [case for case, _ in NAMED_FIELD] + SCENARIO_METRICS,
+        ids=["policy-twice", "sweep-metric", "scenario-negative-seed",
+             "sweep-base-negative-seed", "scenario-fractional-seed", "scenario-fractional-runs", "scenario-bool-runs",
              "scenario-bool-seed", "scenario-infinite-runs", "sweep-base-fractional-runs",
              "route-fractional-hotspot-index", "route-bool-hotspot-index",
              "sweep-fractional-hotspot-count", "scenario-task-array",
              "scenario-rate-factors-string", "scenario-errors-string", "sweep-scenario-array",
-             "scenario-policies-string", "scenario-metrics-string", "sweep-metrics-string",
+             "scenario-policies-string", "sweep-metrics-string",
              "sweep-values-string", "scenario-id-array", "scenario-route-array",
              "scenario-task-class-array", "scenario-bool-size", "scenario-bool-threshold",
              "scenario-bool-time-error", "scenario-bool-throughput-error",
@@ -460,18 +483,20 @@ class TestCli:
              "sweep-bool-value", "scenario-string-seed", "scenario-string-runs",
              "scenario-string-size", "scenario-string-time-error", "route-string-hotspot-index",
              "route-string-rate", "sweep-base-string-seed", "scenario-policy-number",
-             "scenario-metric-number", "sweep-metric-number", "sweep-parameter-array",
-             "scenario-unknown-policy", "scenario-unknown-metric", "sweep-unknown-metric",
-             "sweep-base-unknown-metric", "sweep-unknown-parameter", "scenario-metric-twice",
-             "sweep-metric-twice", "sweep-base-metric-twice", "scenario-no-metric",
-             "sweep-no-metric", "sweep-base-no-metric"])
+             "sweep-metric-number", "sweep-parameter-array", "scenario-unknown-policy",
+             "sweep-unknown-metric", "sweep-unknown-parameter", "sweep-metric-twice",
+             "sweep-no-metric", "scenario-metric", "sweep-base-metric",
+             "scenario-metrics-string", "scenario-metric-number", "scenario-unknown-metric",
+             "sweep-base-unknown-metric", "scenario-metric-twice", "sweep-base-metric-twice",
+             "scenario-no-metric", "sweep-base-no-metric"])
     def test_bad_input_file_exits_2(self, tmp_path, capsys, recipe, section, key, value):
         """A policy or metric listed twice, an empty metrics list (it would
         read as every metric), an unknown metric name, a negative seed, a
         count, seed or hotspot index that is not a whole number, a field of
         the wrong JSON type, true or false or a string of digits for a number,
-        a non-string or unknown name in a list, or an unknown sweep parameter
-        fails at load, naming the field."""
+        a non-string or unknown name in a list, an unknown sweep parameter, or
+        a metrics list anywhere but a sweep's top level fails at load, naming
+        the field."""
         data = json.loads(bundled_scenario_path("scenario_dt_default").read_text())
         if recipe == "4ap":  # a copy of the route, its first hotspot changed
             route = json.loads(bundled_scenario_path("route_4ap").read_text())
@@ -495,6 +520,8 @@ class TestCli:
         for case, named in NAMED_FIELD:
             if case == (recipe, section, key, value):
                 assert named in err[0], err[0]
+        if (recipe, section, key, value) in SCENARIO_METRICS:
+            assert err[0] == f"error: input{'.scenario' * bool(section)}.metrics: unknown key"
         assert captured.out == ""
 
     # a route whose mobile rates are 1.7e308 Mbit/s, its times divided by 1000

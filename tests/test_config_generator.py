@@ -6,8 +6,8 @@ a value of the wrong kind there: a digit string, a boolean, null, a list, an
 object, a negative number, a fraction where an integer is due, an integer
 literal past the float range where a float is due, and a hotspot count with
 no bundled layout.  It also adds a misspelt copy of every key.  Every
-scenario it walks also carries the optional keys no bundled file sets:
-``task.delay_threshold_s`` and a scenario-level ``metrics``.  Each variant
+scenario it walks also carries the optional key no bundled file sets,
+``task.delay_threshold_s``.  Each variant
 runs through the CLI in-process and must exit 2 with one ``error:`` line
 that begins with the value's dotted path, or, for a negative number the
 model rejects, with the path of the object that holds it; a hotspot count
@@ -63,9 +63,8 @@ def walk(value, path, holder=None):
 
 
 def with_optional_keys(scenario):
-    """Give ``scenario`` the optional keys that no bundled file sets."""
+    """Give ``scenario`` the optional key that no bundled file sets."""
     scenario["task"]["delay_threshold_s"] = 250
-    scenario["metrics"] = ["offload_pct", "energy_j"]
 
 
 def variants(path, key, value, hotspot_values):

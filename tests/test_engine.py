@@ -195,11 +195,15 @@ class TestRunTripValidation:
 
     @pytest.mark.parametrize("policies,message", [
         ((), "scenario needs at least one policy"),
-        ((Policy.MOBILE_ONLY, Policy.MOBILE_ONLY), "policy mobile-only is listed twice")])
+        ((Policy.MOBILE_ONLY, Policy.MOBILE_ONLY), "policy mobile-only is listed twice"),
+        (5, "policies must be a sequence of Policies, got 5"),
+        (None, "policies must be a sequence of Policies, got None"),
+        ("no-prediction", r"policies\[0\] must be a Policy, got 'no-prediction'")])
     def test_each_policy_once(self, default_route, zero_errors, policies, message):
         """A batch pass, like a scenario, takes at least one policy and each
-        once: no policy failed inside numpy, and one listed twice ran two
-        rows but returned one entry."""
+        once, by one rule: no policy failed inside numpy, one listed twice ran
+        two rows but returned one entry, a number or None raised TypeError in
+        a batch pass, and a name was read as its characters there."""
         task = make_task(50.0)
         with pytest.raises(ValueError, match=message):
             run_policies(realize_batch(default_route, zero_errors, 0, 3), task, policies,
@@ -273,6 +277,18 @@ def test_a_mistyped_argument_is_named(default_route, zero_errors, entry, argumen
     args[argument] = bad
     with pytest.raises(ValueError, match=f"^{argument} must be [A-Za-z]+, got {bad!r}$"):
         run(**args)
+
+
+def test_run_policies_takes_a_lone_policy_as_one_entry(default_route, zero_errors):
+    """As a scenario does: it raised TypeError ('Policy' object is not
+    iterable)."""
+    batch, task = realize_batch(default_route, zero_errors, 0, 3), make_task(50.0)
+    policy = Policy.NO_PREDICTION_OFFLOAD
+    (lone,) = run_policies(batch, task, policy, zero_errors).items()
+    (listed,) = run_policies(batch, task, [policy], zero_errors).items()
+    assert lone[0] is listed[0] is policy
+    for name in ("offload_pct", "transfer_delay", "completed", "energy_j"):
+        np.testing.assert_array_equal(getattr(lone[1], name), getattr(listed[1], name))
 
 
 def test_a_trip_stays_on_python_scalars(route_2ap, route_4ap, route_8ap, default_errors):

@@ -7,10 +7,10 @@ value of one pool, never ``TypeError``, ``AttributeError`` or
 
 Each value is tried in every field in turn, all other arguments valid, so
 the search is exhaustive and needs no seed.  A pool value that is valid for
-a field (0 as a start time or an error, None as an optional rate or metric
-list, a string as a scenario id, a list as a sweep's values, a huge integer
-as a seed or hotspot index, None, inf or 0 as a forecast horizon) must
-build.
+a field (0 as a start time or an error, None as an optional rate or a
+sweep's metric list, a string as a scenario id, a list as a sweep's values,
+a huge integer as a seed or hotspot index, None, inf or 0 as a forecast
+horizon) must build.
 """
 
 import dataclasses
@@ -52,6 +52,14 @@ def batch(**kw):
     return realize_batch(**{"route": ROUTE, "errors": ErrorSpec(), "seed": 0, "runs": 2, **kw})
 
 
+def scenario(**kw):
+    return dataclasses.replace(SPEC, **kw)
+
+
+def sweep(**kw):
+    return SweepSpec(**{"base": SPEC, "parameter": "size_mb", "values": (20.0,), **kw})
+
+
 def stepped(dt):
     return run_trip_stepped(realize_route(ROUTE, ErrorSpec()), ROUTE, TASK,
                             Policy.NO_PREDICTION_OFFLOAD, ErrorSpec(), dt=dt)
@@ -71,13 +79,11 @@ CASES = [
     ("energy", EnergyModel, {f.name: ("zero",) for f in dataclasses.fields(EnergyModel)}),
     ("errors", ErrorSpec, {"time_error": ("zero",), "throughput_error": ("zero",),
                            "seed": ("zero", "huge")}),
-    ("scenario", lambda **kw: dataclasses.replace(SPEC, **kw), {
+    ("scenario", scenario, {
         "scenario_id": ("str",), "route": (), "task": (), "policies": (), "mobile_factor": (),
         "wifi_factor": (), "backhaul_factor": (), "errors": (), "runs": (),
-        "seed": ("zero", "huge"), "energy": (), "metrics": ("None",)}),
-    ("sweep", lambda **kw: SweepSpec(**{"base": SPEC, "parameter": "size_mb",
-                                        "values": (20.0,), **kw}), {
-        "base": (), "parameter": (), "values": ("list",)}),
+        "seed": ("zero", "huge"), "energy": ()}),
+    ("sweep", sweep, {"base": (), "parameter": (), "values": ("list",), "metrics": ("None",)}),
     ("scale_route", scaled, {"route": (), "mobile_factor": (), "wifi_factor": (),
                              "backhaul_factor": ()}),
     ("realize_batch", batch, {"seed": ("zero", "huge"), "runs": ()}),
@@ -111,17 +117,19 @@ def test_every_constructor_field_is_covered():
         assert covered[name] == {f.name for f in dataclasses.fields(cls) if f.init}, name
 
 
-@pytest.mark.parametrize("field,value,message", [
-    ("policies", 0, "policies must be a sequence of Policies, got 0"),
-    ("policies", TrafficClass.DELAY_TOLERANT, "policies must be a sequence"),
-    ("metrics", 0, "metrics must be a sequence of metric names, got 0"),
-    ("mobile_factor", [1.0], r"mobile_factor must be positive and finite, got \[1.0\]")],
+@pytest.mark.parametrize("make,field,value,message", [
+    (scenario, "policies", 0, "policies must be a sequence of Policies, got 0"),
+    (scenario, "policies", TrafficClass.DELAY_TOLERANT, "policies must be a sequence"),
+    (sweep, "metrics", 0, "metrics must be a sequence of metric names, got 0"),
+    (scenario, "mobile_factor", [1.0],
+     r"mobile_factor must be positive and finite, got \[1.0\]")],
     ids=["policies-int", "policies-enum", "metrics-int", "factor-list"])
-def test_a_scenario_names_what_raised_type_error(field, value, message):
-    """Each raised TypeError: a non-iterable policy or metric list in the
-    tuple conversion, and a list factor in the scaled-route memo's hash."""
+def test_a_scenario_names_what_raised_type_error(make, field, value, message):
+    """Each raised TypeError: a non-iterable policy list, or metric list
+    (once a scenario's, now a sweep's), in the tuple conversion, and a list
+    factor in the scaled-route memo's hash."""
     with pytest.raises(ValueError, match=message):
-        dataclasses.replace(SPEC, **{field: value})
+        make(**{field: value})
 
 
 @pytest.mark.parametrize("values,message", [

@@ -26,6 +26,7 @@ from offloadsim.metrics import (
     SweepSpec,
     ci_halfwidth,
     derive_run_seed,
+    metric_names,
     relative_gain,
     render_csv,
     run_scenario,
@@ -364,26 +365,30 @@ class TestRunScenario:
             replace(spec, **{name: value})
 
     def test_lists_become_tuples(self, route_4ap):
-        """Policies and metrics given as lists run, and equal the scenario
-        given tuples: a list failed to hash in the aggregate memo."""
-        spec = replace(make_spec(route_4ap, runs=3), policies=list(DT_POLICIES),
-                       metrics=["offload_pct", "energy_j"])
-        assert spec.policies == DT_POLICIES and spec.metrics == ("offload_pct", "energy_j")
+        """Policies given as a list run, and equal the scenario given a tuple:
+        a list failed to hash in the aggregate memo.  A sweep's metrics list
+        becomes a tuple too."""
+        spec = replace(make_spec(route_4ap, runs=3), policies=list(DT_POLICIES))
+        assert spec.policies == DT_POLICIES
         assert run_scenario(spec).summaries == run_scenario(make_spec(route_4ap,
                                                                       runs=3)).summaries
+        sweep = SweepSpec(spec, "size_mb", (60.0,), metrics=["offload_pct", "energy_j"])
+        assert sweep.metrics == ("offload_pct", "energy_j")
 
     def test_a_lone_name_is_one_entry(self, route_4ap):
-        """A string or a bare Policy given as policies, and a string given as
-        metrics, is one entry: a string was split into its characters."""
-        spec = replace(make_spec(route_4ap, runs=3), policies=DT_POLICIES[0],
-                       metrics="offload_pct")
-        assert spec.policies == DT_POLICIES[:1] and spec.metrics == ("offload_pct",)
+        """A string or a bare Policy given as a scenario's policies, and a
+        string given as a sweep's metrics, is one entry: a string was split
+        into its characters."""
+        spec = replace(make_spec(route_4ap, runs=3), policies=DT_POLICIES[0])
+        assert spec.policies == DT_POLICIES[:1]
+        assert SweepSpec(spec, "size_mb", (60.0,), metrics="offload_pct").metrics \
+            == ("offload_pct",)
 
     @pytest.mark.parametrize("name,value,message", [
         ("policies", ("prefetch-dt",), r"policies\[0\] must be a Policy, got 'prefetch-dt'"),
         ("policies", "prefetch-dt", r"policies\[0\] must be a Policy, got 'prefetch-dt'"),
         ("policies", (None,), r"policies\[0\] must be a Policy, got None"),
-        ("metrics", "offload-pct", "unknown metric 'offload-pct'"),
+        ("sweep.metrics", "offload-pct", "unknown metric 'offload-pct'"),
         ("task", {"size_mb": 60.0}, "task must be TransferTask, got {"),
         ("errors", (0.1, 0.2), r"errors must be ErrorSpec, got \(0.1"),
         ("energy", {}, "energy must be EnergyModel, got {"),
@@ -395,10 +400,14 @@ class TestRunScenario:
     def test_mistyped_input_names_its_field(self, name, value, message):
         """A value of the wrong type raises ValueError naming the field: it
         raised AttributeError or TypeError from deep inside the checks, or
-        ran a bool as 1."""
+        ran a bool as 1.  A ``sweep.`` field is a field of a sweep of the
+        scenario."""
         spec = load_scenario(str(bundled_scenario_path("scenario_dt_default")))
         with pytest.raises(ValueError, match=message):
-            replace(spec, **{name: value})
+            if name.startswith("sweep."):
+                SweepSpec(spec, "size_mb", (60.0,), **{name.removeprefix("sweep."): value})
+            else:
+                replace(spec, **{name: value})
 
     def test_a_realized_total_time_past_the_float_range_is_rejected(self):
         """A 1.5e308 s route is finite, but at time error 0.5 a realization
@@ -626,6 +635,8 @@ class TestAggregateMemo:
 
     def test_every_keyed_field_misses_and_id_or_metrics_hit(self, route_4ap, route_8ap,
                                                             ran):
+        """Every compared field is a key; the id is not, and output metrics,
+        a sweep's, are no field of the scenario at all."""
         base = make_spec(route_4ap, runs=4)
         misses = [
             replace(base, seed=1),
@@ -642,13 +653,12 @@ class TestAggregateMemo:
         ]
         hits = [
             replace(base, scenario_id="other"),
-            replace(base, metrics=("offload_pct",)),
             replace(base, route=RouteProfile(route_4ap.segments, route_4ap.total_time)),
         ]
-        # the key is every compared field, the id and the output metrics are
-        # not compared, and the misses change each keyed field
+        # the key is every compared field, the id is not compared, and the
+        # misses change each keyed field
+        assert [f.name for f in fields(ScenarioSpec) if not f.compare] == ["scenario_id"]
         keyed = {f.name for f in fields(ScenarioSpec) if f.compare}
-        assert not keyed & {"scenario_id", "metrics"}
         assert {f for spec in misses for f in keyed
                 if getattr(spec, f) != getattr(base, f)} == keyed
         want = run_scenario(base)
@@ -791,16 +801,26 @@ class TestCsv:
         (("offload_pct", "offload_pct"), "metric offload_pct is listed twice"),
         (("energy_j", "bogus"), "unknown metric 'bogus'")])
     def test_metric_list_rule(self, route_4ap, names, message):
-        """A spec and render_csv take one rule for a metric list: at least one
-        metric, each known and once.  Only None means every metric."""
+        """metric_names is the one rule for a metric list, which a sweep and
+        render_csv both take: at least one metric, each known and once.  Only
+        None means every metric."""
         spec = make_spec(route_4ap, runs=3)
         with pytest.raises(ValueError, match=message):
-            replace(spec, metrics=names)
+            metric_names(names)
+        with pytest.raises(ValueError, match=message):
+            SweepSpec(spec, "size_mb", (60.0,), metrics=names)
         result = run_scenario(spec)
         with pytest.raises(ValueError, match=message):
             render_csv([result], names)
         rows = render_csv([result], None).splitlines()[1:]
         assert len(rows) == len(spec.policies) * len(METRICS)
+
+    def test_a_lone_metric_name_is_one_entry(self, route_4ap):
+        """render_csv reads a lone name as one entry, as a sweep does: it
+        raised ``metrics[0]: unknown metric 'o'``."""
+        results = [run_scenario(make_spec(route_4ap, runs=3))]
+        assert render_csv(results, "offload_pct") == render_csv(results, ("offload_pct",))
+        assert metric_names("offload_pct") == ("offload_pct",)
 
     def test_metric_filter(self, route_4ap):
         spec = make_spec(route_4ap, runs=4)

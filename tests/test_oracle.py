@@ -198,11 +198,11 @@ def test_one_sided_route_end_completion_tolerated(default_route):
 
 def _figure_sweep_points():
     """Every distinct scenario behind the bundled figure recipes: sweep
-    points equal but for their id and metrics filter count once."""
+    points equal but for their id count once."""
     points = {}
     for name in RECIPES:
         for spec in load_sweep(str(bundled_recipe_path(name))).points:
-            points.setdefault(replace(spec, scenario_id="", metrics=None), spec)
+            points.setdefault(replace(spec, scenario_id=""), spec)
     return list(points.values())
 
 
