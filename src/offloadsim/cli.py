@@ -44,12 +44,11 @@ def _recipes() -> dict[str, Path]:
 
 
 def _resolve_input(arg: str) -> str:
-    """Accept a filesystem path or a bundled name, with or without ``.json``."""
-    if Path(arg).exists():
+    """Accept a file's path (not a directory's) or a bundled name, with or without ``.json``."""
+    if Path(arg).is_file():
         return arg
-    data = config.bundled_scenario_path("scenario_dt_default").parent
-    bundled = {"dt-default": data / "scenario_dt_default.json",
-               "ds-default": data / "scenario_ds_default.json", **_recipes()}
+    bundled = {"dt-default": config.bundled_scenario_path("scenario_dt_default"),
+               "ds-default": config.bundled_scenario_path("scenario_ds_default"), **_recipes()}
     path = bundled.get(arg.removesuffix(".json"))
     if path is None:
         raise ConfigError(f"no such scenario or sweep file: {arg}")

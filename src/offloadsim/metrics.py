@@ -50,7 +50,8 @@ from .model import (MBIT_PER_MB, EnergyModel, RouteProfile, TransferTask, as_tup
                     check_integer, check_rate_factors, check_real, check_types, scale_route)
 from .policies import T_MOBILE_FLOOR, Policy, check_admitted
 # derive_run_seed is defined beside the draws it seeds and stays public here
-from .prediction import MAX_RUNS, ErrorSpec, derive_run_seed, realize_batch  # noqa: F401
+from .prediction import (MAX_RUNS, ErrorSpec, check_realizable, derive_run_seed,  # noqa: F401
+                         realize_batch)
 
 # each output metric, in CSV row order, and the RunOutcome field behind it
 _METRIC_FIELDS = {"offload_pct": "offload_pct", "transfer_delay_s": "transfer_delay",
@@ -248,25 +249,11 @@ class ScenarioSpec:
         # a list would fail to hash in the memo
         object.__setattr__(self, "policies",
                            check_admitted(self.policies, self.task.traffic_class))
-        # before the memo, which would hash them; a realized value is a scaled one
-        # times 1 + e u with u in [-1, 1), and rounding is monotone, so 1 -/+ e bound it
+        if self.errors.seed != 0:  # seed seeds the runs; this would split the memo
+            raise ValueError(f"errors.seed must be 0, got {self.errors.seed}")
+        # before the memo, which would hash them
         check_rate_factors(self.mobile_factor, self.wifi_factor, self.backhaul_factor)
-        scaled = self.scaled_route()
-        te, re = self.errors.time_error, self.errors.throughput_error
-        longest = self.route.total_time * (1 + te)  # no realized total time is longer
-        if not longest < math.inf:
-            raise ValueError(f"the realized total time overflows at time error {te}")
-        for i, seg in enumerate(scaled.segments):
-            drawn = ([("wifi local rate", seg.wifi_local_rate, re),
-                      ("backhaul rate", seg.backhaul_rate, re)] if seg.is_wifi
-                     else [("mobile rate", seg.mobile_rate, re)])
-            for name, value, error in [("duration", seg.duration, te), *drawn]:
-                if not (value * (1 - error) > 0 and value * (1 + error) < math.inf):
-                    raise ValueError(f"segment {i}: a realized {name} leaves (0, inf) "
-                                     f"at error {error}")
-                if name != "duration" and not value * (1 + error) * longest < math.inf:
-                    raise ValueError(f"segment {i}: a realized {name} times the realized "
-                                     "total time overflows")  # the bytes it moves
+        longest = check_realizable(self.scaled_route(), self.errors)
         size = self.task.size_mb
         for product, message in [
                 (size * MBIT_PER_MB / T_MOBILE_FLOOR, f"task.size_mb {size:g} in Mbit over "

@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from types import SimpleNamespace
 from typing import NamedTuple, Optional
 
@@ -394,6 +394,30 @@ def _realized(index: _RouteIndex, errors: ErrorSpec, draws, start, minimum):
         start = end
 
 
+def check_realizable(route: RouteProfile, errors: ErrorSpec) -> float:
+    """The longest realized total time of ``route`` at ``errors``: its
+    durations times ``1 + time_error``, summed in order.  Rounding is monotone,
+    so this bounds every realized end, and ``1 -/+ e`` every value
+    :func:`_realized` draws.  A realized value that could leave (0, inf), or a
+    realized rate times this time that could overflow, raises ``ValueError``."""
+    te, re = errors.time_error, errors.throughput_error
+    # left to right by +: builtin sum() is compensated from Python 3.12 on
+    longest = reduce(lambda total, seg: total + seg.duration * (1 + te), route.segments, 0.0)
+    if not longest < math.inf:
+        raise ValueError(f"the realized total time overflows at time error {te}")
+    for i, seg in enumerate(route.segments):
+        drawn = ([("wifi local rate", seg.wifi_local_rate, re),
+                  ("backhaul rate", seg.backhaul_rate, re)] if seg.kind is _WIFI_KIND
+                 else [("mobile rate", seg.mobile_rate, re)])
+        for name, value, e in [("duration", seg.duration, te), *drawn]:
+            if not (value * (1 - e) > 0 and value * (1 + e) < math.inf):
+                raise ValueError(f"segment {i}: a realized {name} leaves (0, inf) at error {e}")
+            if name != "duration" and not value * (1 + e) * longest < math.inf:  # bytes moved
+                raise ValueError(f"segment {i}: a realized {name} times the realized "
+                                 "total time overflows")
+    return longest
+
+
 def realize_route(route: RouteProfile, errors: ErrorSpec) -> RouteProfile:
     """Draw one perturbed realization of a nominal route: every duration and
     rate uniformly and independently from its error interval, deterministic
@@ -408,8 +432,7 @@ def realize_route(route: RouteProfile, errors: ErrorSpec) -> RouteProfile:
     return RouteProfile(tuple(segments), end)
 
 
-# A batch holds about 1 kB per run on the 8-hotspot layout (its draws and
-# realized rows), so this many runs stay near 100 MB.
+# A batch on the 8-hotspot layout and its cached draws hold 776 B a run: 77.6 MB at most.
 MAX_RUNS = 100_000
 
 
@@ -436,27 +459,18 @@ def realize_batch(route: RouteProfile, errors: ErrorSpec, seed: int,
 
     Run k holds, bit for bit, the values of
     ``realize_route(route, replace(errors, seed=derive_run_seed(seed, k)))``:
-    both come from :func:`_realized` on the same draws.  ``errors.seed`` is
-    not used.  The draws are read from a cache.  A ``runs`` that is
-    not an integer in [1, ``MAX_RUNS``], a ``seed`` that is not a non-negative
-    integer, or a realized value outside (0, inf) raises ``ValueError``.
+    both come from :func:`_realized` on the same draws, read from a cache;
+    ``errors.seed`` is not used.  Before any draw, a ``runs`` that is not an
+    integer in [1, ``MAX_RUNS``], a ``seed`` that is not one >= 0, or a route
+    that :func:`check_realizable` rejects raises ``ValueError``.
     """
     check_types(("route", route, RouteProfile), ("errors", errors, ErrorSpec))
     check_integer("runs", runs, 1, MAX_RUNS)
     check_integer("seed", seed)
+    check_realizable(route, errors)
     index = _route_index(route)
-    segments = []
-    checked = []
-    # an overflow is caught by the range check below, not warned of
-    with np.errstate(over="ignore", invalid="ignore"):
-        for seg, start, duration, end, rates in _realized(
-                index, errors, _draw_matrix(seed, runs, index.draw_count),
-                np.zeros(runs), np.minimum):
-            segments.append(SimpleNamespace(start_time=start, duration=duration, end_time=end,
-                                            **rates))
-            checked += [duration, end, *rates.values()]
-    checked = np.array(checked)
-    if not np.all(np.isfinite(checked) & (checked > 0)):
-        raise ValueError("realized durations, end times and rates must be positive "
-                         "and finite")
-    return RealizedBatch(route, tuple(segments))
+    rows = _realized(index, errors, _draw_matrix(seed, runs, index.draw_count),
+                     np.zeros(runs), np.minimum)
+    return RealizedBatch(route, tuple(SimpleNamespace(start_time=start, duration=duration,
+                                                      end_time=end, **rates)
+                                      for _, start, duration, end, rates in rows))

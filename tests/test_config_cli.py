@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import warnings
@@ -226,9 +227,32 @@ class TestRecipes:
             load_sweep(str(bad))
 
 
+def cli_examples() -> list[tuple[str, str]]:
+    """Every ``offloadsim ...`` line of README's CLI block and of the CLI
+    module's docstring, with its source."""
+    block = (ROOT / "README.md").read_text().split("## CLI\n", 1)[1].split("```")[1]
+    return [(source, line.strip()) for source, text in [("README.md", block),
+                                                        ("cli.py", cli.__doc__)]
+            for line in text.splitlines() if line.strip().startswith("offloadsim ")]
+
+
 class TestCli:
     def run_cli(self, *argv):
         return cli.main(list(argv))
+
+    def test_both_sources_show_command_lines(self):
+        assert {source for source, _ in cli_examples()} == {"README.md", "cli.py"}
+
+    @pytest.mark.parametrize("source,line", cli_examples())
+    def test_documented_command_lines_parse(self, source, line):
+        """A renamed or dropped flag fails here, not in a reader's shell: each
+        documented line parses (it is not run)."""
+        argv = shlex.split(line, comments=True)[1:]
+        try:
+            args = cli.build_parser().parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"{source}: {line!r} does not parse")
+        assert args.command == argv[0]
 
     @pytest.mark.parametrize("scenario,code", [("dt-default", 0), ("no-such-scenario", 2)])
     def test_module_entry_point(self, tmp_path, scenario, code):
@@ -628,6 +652,16 @@ class TestCli:
     @pytest.mark.parametrize("name", ["dt-default.json", "ds-default", "fig9b.json"])
     def test_bundled_name_takes_an_optional_json_suffix(self, name):
         assert self.run_cli("run", "--scenario", name, "--runs", "2") == 0
+
+    @pytest.mark.parametrize("name", ["dt-default", "fig2a.json"])
+    def test_a_directory_never_hides_a_bundled_name(self, tmp_path, monkeypatch, capsys,
+                                                    name):
+        """Only an existing file is a path: a directory of a bundled input's
+        name in the working directory leaves the name bundled."""
+        (tmp_path / name).mkdir()
+        monkeypatch.chdir(tmp_path)
+        assert self.run_cli("run", "--scenario", name, "--runs", "2") == 0
+        assert capsys.readouterr().err == ""
 
     def test_run_accepts_sweep_recipe(self, tmp_path):
         out = tmp_path / "fig2a.csv"

@@ -81,6 +81,23 @@ def test_draw_memo_costs_little_per_run(fresh_memos):
     assert 0 <= extra / runs < 1
 
 
+def test_a_batch_peaks_near_what_it_holds(fresh_memos, route_8ap):
+    """With its draws cached, a batch allocates little beyond the rows it
+    returns: no copy of them and no temporaries that outlive a row.  At
+    20,000 runs on the 8-hotspot layout the traced peak is at most 1.1 times
+    the bytes of the distinct arrays the batch holds."""
+    runs, errors = 20_000, ErrorSpec(0.1, 0.2)
+    prediction.realize_batch(route_8ap, errors, 0, runs)  # fills the draw memo
+    tracemalloc.start()
+    try:
+        batch = prediction.realize_batch(route_8ap, errors, 0, runs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = {id(a): a.nbytes for row in batch.segments for a in vars(row).values()}
+    assert peak <= 1.1 * sum(held.values())
+
+
 def assert_fresh_draws(seed, runs, n, got):
     assert got.shape == (n, runs) and not got.flags.writeable
     for k in range(runs):

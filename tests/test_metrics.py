@@ -418,6 +418,28 @@ class TestRunScenario:
             ScenarioSpec("long", route, make_task(1.0), (Policy.MOBILE_ONLY,),
                          errors=ErrorSpec(0.5, 0.0))
 
+    def test_the_total_time_bound_sums_the_realized_durations(self):
+        """``total_time`` may lie up to 1e-9 below the sum of the durations,
+        so the bound is that sum: here ``total_time * (1 + te)`` is finite
+        but two durations at ``1 + te`` sum past the float range, as two
+        realizations drawing near u = 1 would."""
+        half = 0.6e308
+        route = RouteProfile((RouteSegment(AccessKind.MOBILE, 0.0, half, mobile_rate=1.0),
+                              RouteSegment(AccessKind.MOBILE, half, half, mobile_rate=1.0)),
+                             2 * half * (1 - 4e-10))
+        te = sys.float_info.max / (2 * half) - 1 + 1e-10
+        assert route.total_time * (1 + te) < math.inf
+        with pytest.raises(ValueError, match="realized total time overflows at time error"):
+            ScenarioSpec("long", route, make_task(1.0), (Policy.MOBILE_ONLY,),
+                         errors=ErrorSpec(te, 0.0))
+
+    def test_errors_carry_no_run_seed(self, route_4ap):
+        """The runs are seeded by the scenario's ``seed``; an ``errors.seed``
+        would change no result but split the aggregate memo, so it must be 0."""
+        spec = make_spec(route_4ap)
+        with pytest.raises(ValueError, match="errors.seed must be 0, got 5"):
+            replace(spec, errors=replace(spec.errors, seed=5))
+
     def test_scaled_route_is_built_once(self, route_4ap):
         """The spec's scaled route is the one scale_route builds at its
         factors, built once; a replaced factor gets a route of its own."""

@@ -554,13 +554,36 @@ class TestRealizeRoute:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_realization_raises_value_error(self):
         """A 1.5e308 s segment at time error 0.5 overflows in the runs whose
-        draw exceeds about 0.4 (seed 4 for one realization; several of the 8
-        runs of base seed 0).  Both paths raise their ValueError, and the batch
-        warns of no overflow before it."""
+        draw exceeds about 0.4 (seed 4 for one realization).  The single
+        realization raises on the value it drew; the batch raises before any
+        draw, as some run could overflow, and warns of no overflow."""
         route = RouteProfile((RouteSegment(AccessKind.MOBILE, 0.0, 1.5e308, mobile_rate=1.0),),
                              1.5e308)
         errors = ErrorSpec(0.5, 0.0, seed=4)
         with pytest.raises(ValueError, match="duration must be positive and finite"):
             realize_route(route, errors)
-        with pytest.raises(ValueError, match="must be positive and finite"):
+        with pytest.raises(ValueError, match="realized total time overflows at time error 0.5"):
             realize_batch(route, errors, 0, 8)
+
+    @pytest.mark.parametrize("segment,message", [
+        (RouteSegment(AccessKind.MOBILE, 0.0, 1.5e308, mobile_rate=1.0),
+         "the realized total time overflows at time error 0.5"),
+        (RouteSegment(AccessKind.MOBILE, 0.0, 1.0, mobile_rate=1.5e308),
+         "segment 0: a realized mobile rate leaves \\(0, inf\\) at error 0.5"),
+        (RouteSegment(AccessKind.MOBILE, 0.0, 1e10, mobile_rate=1.2e298),
+         "segment 0: a realized mobile rate times the realized total time overflows")])
+    def test_batch_rejects_a_route_that_could_overflow_before_drawing(self, fresh_memos,
+                                                                      segment, message):
+        """Whether a batch is drawn does not depend on its draws: at base seed
+        19 every one of 4 runs draws u < 0.14, so each realization and the
+        bytes it could move are finite, yet the batch is refused before any
+        draw, as draws near 1 would leave (0, inf)."""
+        route = RouteProfile((segment,), segment.duration)
+        errors = ErrorSpec(0.5, 0.5)
+        for k in range(4):
+            realized = realize_route(route, dataclasses.replace(errors,
+                                                                seed=derive_run_seed(19, k)))
+            assert realized.total_time * realized.segments[0].mobile_rate < math.inf
+        with pytest.raises(ValueError, match=message):
+            realize_batch(route, errors, 19, 4)
+        assert prediction._draw_matrix.cache_info().currsize == 0
