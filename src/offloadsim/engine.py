@@ -117,20 +117,24 @@ class _ByteState:
         self.pending = ops.not_(self.complete)
 
     def fill(self, runs, rate: Floats, max_seconds: Floats, channel: Channel,
-             now: Floats, hi: Floats) -> Floats:
+             now: Floats, hi: Floats, stops: bool = False) -> Floats:
         """Extend the received prefix toward ``hi`` (at most the object size)
-        for up to ``max_seconds`` (positive in the runs selected by ``runs``)
-        at ``rate`` over ``channel``, in those runs; returns the seconds
-        spent, 0 in the runs left out.  The completion time is interpolated
-        exactly where the object finishes mid-way."""
+        for up to ``max_seconds`` (positive in the runs selected by ``runs``,
+        which are pending) at ``rate`` over ``channel``, in those runs;
+        returns the seconds spent, 0 in the runs left out.  The completion
+        time is interpolated exactly where the object finishes mid-way.
+        ``stops`` says the rate can be 0 (a planned rate, or the window rate
+        of a route with no mobile segment); a realized rate is positive."""
         ops, prefix, size = self.ops, self.prefix, self.size_mb
         need = hi - prefix
-        go = runs & self.pending & (rate != 0) & (need > 0)
+        go = runs & (need > 0) & (rate != 0) if stops else runs & (need > 0)
         if not ops.any(go):
             return 0.0
-        rate = ops.where(go, rate, 1.0)  # no division by zero in runs left out
-        missing = size - prefix
-        moved = ops.where(go, ops.minimum(need, rate * max_seconds / MBIT_PER_MB), 0.0)
+        if stops:
+            rate = ops.where(go, rate, 1.0)  # no division by zero in runs left out
+        missing = need if hi is size else size - prefix
+        # 0 in the runs left out: exact, as every value is finite
+        moved = ops.minimum(need, rate * max_seconds / MBIT_PER_MB) * go
         self.prefix = prefix + moved
         if channel is _MOBILE:
             self.mobile_mb = self.mobile_mb + moved
@@ -201,7 +205,7 @@ def _run(
         if prefetches is not False:
             kept = runs & (amount > 0)
             if any_(kept):
-                staged = (where(kept, offset, 0.0), where(kept, amount, 0.0))
+                staged = (offset * kept, amount * kept)
                 provisioned = provisioned + staged[1]
 
     if plans:
@@ -223,7 +227,7 @@ def _run(
                 rate = minimum(plan_rate, mobile_rate)
                 rate = rate if limited is True else where(limited, rate, mobile_rate)
             fill(runs if not wifi or associates is False else runs & ~associates,
-                 rate, seg.duration, _MOBILE, t0, size)
+                 rate, seg.duration, _MOBILE, t0, size, limited is not False or j is None)
         if not wifi:
             continue
         t1 = seg.end_time
@@ -237,15 +241,15 @@ def _run(
             cursor = t0
             busy = zero
             for taken, (channel, rate, window_hi) in steps:
-                used = fill(runs & taken & (budget > least), rate, budget, channel, cursor,
-                            window_hi)
+                used = fill(state.pending & taken & (budget > least), rate, budget, channel,
+                            cursor, window_hi, j is None)
                 if channel is not _MOBILE:
                     busy = busy + used
                 cursor = cursor + used
                 budget = budget - used
             leave = where(state.complete, state.completion_time, t1)
             on = maximum(0.0, t0 - preactivation_s)
-            idle_s = idle_s + where(runs & associates, maximum(0.0, (leave - on) - busy), 0.0)
+            idle_s = idle_s + maximum(0.0, (leave - on) - busy) * (runs & associates)
         passed += 1
         if plans and any_(state.pending):
             replan(passed, t1)

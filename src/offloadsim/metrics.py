@@ -253,17 +253,18 @@ class ScenarioSpec:
             raise ValueError(f"errors.seed must be 0, got {self.errors.seed}")
         # before the memo, which would hash them
         check_rate_factors(self.mobile_factor, self.wifi_factor, self.backhaul_factor)
-        longest = check_realizable(self.scaled_route(), self.errors)
+        longest = check_realizable(self.scaled_route(), self.errors.time_error,
+                                   self.errors.throughput_error)
         size = self.task.size_mb
-        for product, message in [
-                (size * MBIT_PER_MB / T_MOBILE_FLOOR, f"task.size_mb {size:g} in Mbit over "
-                 f"the planner's {T_MOBILE_FLOOR:g} s time floor overflows"),
-                *((getattr(self.energy, f) * x, f"energy.{f} times {of} overflows")
-                  for f, x, of in [("mobile_transfer_j_per_mb", size, "task.size_mb"),
-                                   ("wifi_transfer_j_per_mb", size, "task.size_mb"),
-                                   ("wifi_idle_w", longest, "the realized total time")])]:
-            if not product < math.inf:
-                raise ValueError(message)
+        # each message is built only when its product overflows
+        if not size * MBIT_PER_MB / T_MOBILE_FLOOR < math.inf:
+            raise ValueError(f"task.size_mb {size:g} in Mbit over the planner's "
+                             f"{T_MOBILE_FLOOR:g} s time floor overflows")
+        for f, x, of in [("mobile_transfer_j_per_mb", size, "task.size_mb"),
+                         ("wifi_transfer_j_per_mb", size, "task.size_mb"),
+                         ("wifi_idle_w", longest, "the realized total time")]:
+            if not getattr(self.energy, f) * x < math.inf:
+                raise ValueError(f"energy.{f} times {of} overflows")
 
     def scaled_route(self) -> RouteProfile:
         """The route at this scenario's rate factors, built once per

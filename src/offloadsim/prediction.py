@@ -394,13 +394,15 @@ def _realized(index: _RouteIndex, errors: ErrorSpec, draws, start, minimum):
         start = end
 
 
-def check_realizable(route: RouteProfile, errors: ErrorSpec) -> float:
-    """The longest realized total time of ``route`` at ``errors``: its
-    durations times ``1 + time_error``, summed in order.  Rounding is monotone,
-    so this bounds every realized end, and ``1 -/+ e`` every value
-    :func:`_realized` draws.  A realized value that could leave (0, inf), or a
-    realized rate times this time that could overflow, raises ``ValueError``."""
-    te, re = errors.time_error, errors.throughput_error
+@lru_cache(maxsize=32)  # the 20 figure recipes check 18 keys; a raise is not cached
+def check_realizable(route: RouteProfile, time_error: float, throughput_error: float) -> float:
+    """The longest realized total time of ``route`` at these errors: its
+    durations times ``1 + time_error``, summed in order.  Rounding is
+    monotone, so this bounds every realized end, and ``1 -/+ e`` every value
+    :func:`_realized` draws.  A realized value that could leave (0, inf), or
+    a realized rate times this time that could overflow, raises
+    ``ValueError``."""
+    te, re = time_error, throughput_error
     # left to right by +: builtin sum() is compensated from Python 3.12 on
     longest = reduce(lambda total, seg: total + seg.duration * (1 + te), route.segments, 0.0)
     if not longest < math.inf:
@@ -467,7 +469,7 @@ def realize_batch(route: RouteProfile, errors: ErrorSpec, seed: int,
     check_types(("route", route, RouteProfile), ("errors", errors, ErrorSpec))
     check_integer("runs", runs, 1, MAX_RUNS)
     check_integer("seed", seed)
-    check_realizable(route, errors)
+    check_realizable(route, errors.time_error, errors.throughput_error)
     index = _route_index(route)
     rows = _realized(index, errors, _draw_matrix(seed, runs, index.draw_count),
                      np.zeros(runs), np.minimum)

@@ -48,8 +48,9 @@ class TestIntegrateTransfer:
         assert state.wifi_local_mb == pytest.approx(1.0)
 
     def test_zero_rate_moves_nothing(self):
+        """A rate that can be 0 is passed with ``stops``."""
         state = _ByteState(10.0, 0.0)
-        assert state.fill(True, 0.0, 10.0, Channel.MOBILE, 0.0, 10.0) == 0.0
+        assert state.fill(True, 0.0, 10.0, Channel.MOBILE, 0.0, 10.0, stops=True) == 0.0
         assert state.prefix == 0.0
 
     def test_window_bounds_fill(self):
@@ -68,21 +69,21 @@ class TestIntegrateTransfer:
 
     def test_array_runs_equal_float_trips(self):
         """Each run of an array fill equals the float fill on its own values:
-        a partial fill, a zero rate, a completion, a run left out, a run
-        already at its target, and a fill with no time."""
+        a partial fill, a zero rate (so ``stops``), a completion, a run left
+        out, a run already at its target, and a fill with no time."""
         runs = np.array([True, True, True, False, True, True])
         rate = np.array([8.0, 0.0, 80.0, 8.0, 8.0, 8.0])
         seconds = np.array([5.0, 5.0, 5.0, 5.0, 5.0, 0.0])
         now = np.array([0.0, 1.0, 2.0, 3.0, 4.0, 5.0])
         hi = np.array([10.0, 10.0, 10.0, 10.0, 0.0, 10.0])
         state = _ByteState(10.0, now)
-        used = state.fill(runs, rate, seconds, Channel.WIFI_BACKHAUL, now, hi)
+        used = state.fill(runs, rate, seconds, Channel.WIFI_BACKHAUL, now, hi, stops=True)
         assert list(state.complete) == [False, False, True, False, False, False]
         assert state.completion_time[2] == pytest.approx(3.0)
         for k in range(len(runs)):
             one = _ByteState(10.0, 0.0)
             used_one = one.fill(bool(runs[k]), float(rate[k]), float(seconds[k]),
-                                Channel.WIFI_BACKHAUL, float(now[k]), float(hi[k]))
+                                Channel.WIFI_BACKHAUL, float(now[k]), float(hi[k]), stops=True)
             assert used[k] == used_one
             assert state.prefix[k] == one.prefix
             assert state.wifi_backhaul_mb[k] == one.wifi_backhaul_mb
@@ -109,7 +110,7 @@ class TestIntegrateTransfer:
         state = _ByteState(10.0, now)
         pending, completion_time = state.pending, state.completion_time
         state.fill(np.array([True, True, False, True]), np.array([8.0, 8.0, 8.0, 0.0]),
-                   5.0, Channel.MOBILE, now, 10.0)
+                   5.0, Channel.MOBILE, now, 10.0, stops=True)
         assert state.pending is pending and state.completion_time is completion_time
         state.fill(np.array([True, False, True, True]), np.array([80.0, 8.0, 8.0, 8.0]),
                    5.0, Channel.MOBILE, now, 10.0)

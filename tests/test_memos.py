@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from offloadsim import metrics, prediction
 from offloadsim.engine import run_trip
-from offloadsim.model import scale_route
+from offloadsim.model import AccessKind, RouteProfile, RouteSegment, scale_route
 from offloadsim.policies import Policy
 from offloadsim.prediction import ErrorSpec, build_prediction, derive_run_seed, realize_route
 
@@ -28,7 +28,8 @@ def test_fresh_memos_empties_each_memo(route_4ap, request):
     run_trip(realize_route(nominal, ErrorSpec(0.1, 0.2, seed=1)), nominal, spec.task,
              Policy.PREFETCH_DELAY_TOLERANT, spec.errors)
     caches = memo_caches()
-    assert {"_scale", "_aggregate", "_draw_matrix", "_route_index", "_walk"} <= {
+    assert {"_scale", "_aggregate", "_draw_matrix", "_route_index", "_walk",
+            "check_realizable"} <= {
         cache.__name__ for cache in caches}
     assert all(cache.cache_info().currsize for cache in caches)
     request.getfixturevalue("fresh_memos")
@@ -46,6 +47,8 @@ LRU_MEMOS = {
     "forecast walks": (prediction._walk,
                        lambda route, i: build_prediction(route, ErrorSpec(),
                                                          horizon=(i + 1) / 100)),
+    "realizability checks": (prediction.check_realizable,
+                             lambda route, i: prediction.check_realizable(route, 0.0, i / 100)),
 }
 
 
@@ -65,6 +68,20 @@ def test_each_memo_stays_within_its_bound(fresh_memos, route_2ap, name):
     assert cache.cache_info().misses == misses
     put(route_2ap, 1)  # evicted: the least recently used
     assert cache.cache_info().misses == misses + 1
+
+
+def test_a_rejected_route_raises_on_every_call(fresh_memos):
+    """The realizability memo keeps only what the check returns: a route it
+    rejects raises again on every call, directly or through a batch, and
+    leaves no entry."""
+    route = RouteProfile((RouteSegment(AccessKind.MOBILE, 0.0, 1.0, mobile_rate=1.5e308),), 1.0)
+    for check in (lambda: prediction.check_realizable(route, 0.5, 0.5),
+                  lambda: prediction.realize_batch(route, ErrorSpec(0.5, 0.5), 0, 2)) * 2:
+        with pytest.raises(ValueError, match=r"mobile rate leaves \(0, inf\) at error 0.5"):
+            check()
+    info = prediction.check_realizable.cache_info()
+    assert info.currsize == 0 and info.misses == 4
+    assert not prediction._draw_matrix.cache_info().currsize
 
 
 def test_draw_memo_costs_little_per_run(fresh_memos):

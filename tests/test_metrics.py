@@ -538,7 +538,9 @@ class TestDrawMemo:
         distinct scenarios, 12 (route, rate factors) pairs, so 12 route
         indexes, and 3 draw shapes (seed 0 and 120 runs on the 2-, 4- and
         8-hotspot layouts); the forecast cache walks 18 keys, each building
-        all of its route's forecasts, in any order."""
+        all of its route's forecasts, in any order, and the realizability
+        check runs once for each of 18 (route, time error, throughput error)
+        keys, loading included."""
         for shuffle in (None, 8, 3):
             clear_memos()
             order = list(RECIPES)
@@ -559,6 +561,7 @@ class TestDrawMemo:
                 prediction._draw_matrix: len({(s.seed, s.runs, 2 * len(s.route.segments)
                                                + s.route.n_hotspots) for s in points}),
                 prediction._walk: 18,
+                prediction.check_realizable: 18,
             }
             assert list(keys.values())[:4] == [44, 12, 12, 3]
             for cache, distinct in keys.items():

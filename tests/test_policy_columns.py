@@ -5,24 +5,40 @@ objects and run counts, every admissible ordered subset of the policies runs
 over one batch in one :func:`run_policies` pass.  Each policy's row must
 equal, field by field with ``==``, its own single-policy pass on the same
 batch, whatever the other policies and their order; and run k of that pass
-must equal :func:`run_trip` on realization k.  The search is derandomized with a fixed
-example budget, so the test is deterministic.
+must equal :func:`run_trip` on realization k bit for bit, sign of zero
+included.  The search is derandomized with a fixed example budget, so the
+test is deterministic.  No per-run outcome holds a negative zero, which a
+CSV would print as ``-0``.
 """
 
 import itertools
 from dataclasses import replace
 
+import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from offloadsim.engine import run_policies, run_trip
+from offloadsim.metrics import scenario_outcomes
 from offloadsim.model import AccessKind, RouteProfile, RouteSegment, TrafficClass, TransferTask
 from offloadsim.policies import Policy
 from offloadsim.prediction import ErrorSpec, derive_run_seed, realize_batch, realize_route
 
-from test_metrics import ENERGY_FIELDS, OUTCOME_FIELDS, assert_outcomes_equal
+from conftest import make_task, random_route
+from test_metrics import ENERGY_FIELDS, OUTCOME_FIELDS, assert_outcomes_equal, figure_points
 
 MAX_RUNS = 6
+
+
+def bits(x):
+    """The float64 bit patterns of ``x``, so that ``-0.0`` differs from ``0.0``."""
+    return np.asarray(x, np.float64).view(np.int64)
+
+
+def per_run_values(outcome):
+    """Every per-run field of ``outcome`` and of its energy, by name."""
+    return ([(name, getattr(outcome, name)) for name in OUTCOME_FIELDS]
+            + [(name, getattr(outcome.energy, name)) for name in ENERGY_FIELDS])
 
 
 @st.composite
@@ -69,13 +85,34 @@ def test_each_block_equals_its_own_batch_in_any_company_and_order(trip):
     realized = realize_route(route, replace(errors, seed=derive_run_seed(seed, k)))
     for p in admitted:
         trip_k = run_trip(realized, route, task, p, errors)
-        for name in OUTCOME_FIELDS:
-            assert getattr(trip_k, name) == getattr(own[p], name)[k], (p, name)
-        for name in ENERGY_FIELDS:
-            assert getattr(trip_k.energy, name) == getattr(own[p].energy, name)[k], (p, name)
+        for (name, want), (_, got) in zip(per_run_values(trip_k), per_run_values(own[p])):
+            assert bits(want) == bits(got[k]), (p, name)
     for size in range(1, len(admitted) + 1):
         for policies in itertools.permutations(admitted, size):
             outcomes = run_policies(batch, task, policies, errors)
             assert tuple(outcomes) == policies
             for p, got in outcomes.items():
                 assert_outcomes_equal(got, own[p], (policies, p))
+
+
+def test_no_outcome_holds_a_negative_zero():
+    """A step zeroes the runs it leaves out by multiplying by its mask, which
+    gives ``-0.0`` where the value was negative; no such zero reaches an
+    outcome, on the 44 distinct figure points or on random routes under
+    every admissible policy."""
+    specs = list(dict.fromkeys(figure_points()))
+    assert len(specs) == 44
+    outcomes = [o for spec in specs for o in scenario_outcomes(spec).values()]
+    rng = np.random.default_rng(40)
+    errors = ErrorSpec(0.1, 0.2)
+    for seed in range(40):
+        route = random_route(rng)
+        batch = realize_batch(route, errors, seed, 30)
+        for sensitive in (False, True):
+            task = make_task(float(rng.uniform(1.0, 300.0)),
+                             route.total_time * float(rng.uniform(0.3, 1.5)), sensitive)
+            outcomes += run_policies(batch, task, [p for p in Policy if p.admits(
+                task.traffic_class)], errors).values()
+    for outcome in outcomes:
+        for name, values in per_run_values(outcome):
+            assert not (bits(values) == bits(-0.0)).any(), name
