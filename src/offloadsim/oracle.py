@@ -18,20 +18,20 @@ in ``tests/conftest.py`` the forecasts.
 Each segment is still ``ceil(duration / dt)`` steps taken in order; no step
 is solved in closed form.  Most steps are *plain*: a full step inside one
 phase that moves ``cap = rate * h / 8`` MB and ends neither the phase nor the
-object.  ``_advance`` does ``k`` plain additions ``x += cap`` (to the prefix
-and to the channel total) bit for bit, taking each binade with three steps
-and one ``frexp``.  The ``frexp`` finds the binade's top ``2**e`` when a step
-enters it; a later step stays inside while its sum is below the top.  Inside
-a binade floats are ``u`` apart, and a step from that grid adds ``cap``
-rounded to a multiple of ``u``, the same from every point unless ``cap`` is a
-tie (an odd multiple of ``u/2``).  A tie rounds to even, so its amount
-depends on where the step starts: the step in may land on either parity, but
-a step inside ends on an even point, from which every step adds the same.
-The march does not tell ties apart, so in each binade it takes the step in
-and one step inside; the next step then gives the fixed, exact
-``d = (x + cap) - x``, and one exact ``x += j * d`` takes the steps up to the
-top (a step landing on the top rounds to it from either side).  A step that
-adds nothing is a stall, and so is every step after it.
+object.  ``_advance`` does ``k`` plain additions ``x += cap`` bit for bit, in
+one loop turn per binade.  Inside a binade ``[top/2, top)`` floats are ``u``
+apart, and a step from that grid adds ``cap`` rounded to a multiple of ``u``,
+the same from every point unless ``cap`` is a tie (an odd multiple of
+``u/2``), which rounds to even and so depends on where the step starts.  A
+turn takes the step in, which may land on either parity and whose ``frexp``
+gives ``top``; the settling step, which ends inside on an even point; and the
+fixed step, which gives the exact ``d = (x + cap) - x`` that every later step
+inside adds.  One exact ``x += j * d`` then takes the steps up to the top (a
+step landing on the top rounds to it from either side).  A step that leaves
+the binade sooner is the next turn's step in.  A step that adds nothing is a
+stall, and so is every step after it.  The prefix and the phase's channel
+total take the same steps, so a total that stands at the prefix when a run
+starts ends at the prefix's sum and is not walked again.
 
 The plain steps come first in a run, as the prefix only grows; their count is
 estimated from the distance to the phase's limit and confirmed with the
@@ -153,15 +153,16 @@ def run_trip_stepped(
             slot, rate, limit = phases[ai]
             cap = rate * h / MBIT_PER_MB
             if rate > 0 and h - cap * MBIT_PER_MB / rate <= 1e-15:
-                m, prefix = _plain_steps(prefix, cap, min(limit, size), size, n_steps - k)
-                totals[slot] = _advance(totals[slot], cap, m)
+                start, total = prefix, totals[slot]
+                m, prefix = _plain_steps(prefix, cap, limit, size, n_steps - k)
+                totals[slot] = prefix if total == start else _advance(total, cap, m)
                 k += m
                 if k == n_steps:
                     break
             rem = h
             while rem > 1e-15 and ai < len(phases):
                 slot, rate, limit = phases[ai]
-                need = min(limit, size) - prefix
+                need = limit - prefix
                 if need <= 1e-15 or rate <= 0:
                     ai += 1
                     continue
@@ -214,28 +215,24 @@ def _window_mobile_rate(route: RouteProfile, index: int) -> float:
 
 def _advance(x: float, c: float, k: int) -> float:
     """``x`` after ``k`` steps of ``x += c`` (``x, c >= 0``), bit for bit, in
-    three steps and one ``frexp`` per binade crossed (see the module docstring)."""
-    # x's binade is [top/2, top); x = m * 2**e, so x / m is exactly top = 2**e
-    top = x / math.frexp(x)[0] if x > 0 else 0.0
-    settled = False  # x ended a step inside its binade
+    one loop turn per binade: the step in, the settling step, the fixed step
+    and one exact jump toward the top (see the module docstring)."""
     while k > 0:
-        y = x + c
-        k -= 1
-        if y == x:  # a stall: every later step stalls too
-            return x
-        if y < top:
-            if settled:
-                d = y - x
+        y = x + c  # the step in
+        if y == x or k == 1:  # a stall (every later step stalls too), or the last step
+            return y
+        top = y / math.frexp(y)[0]  # y = f * 2**e with f in [0.5, 1), so this is 2**e
+        x, k = y + c, k - 2  # the settling step: inside, it ends on an even point
+        if k and x < top:
+            y, k = x + c, k - 1
+            d = y - x  # the fixed step: each later step inside adds d
+            if y < top:
                 if top - y >= k * d:
                     return y + k * d
                 n = (top - y) // d
                 y += n * d
                 k -= n  # a float from here on, still a whole number
-            settled = True
-        else:
-            top = y / math.frexp(y)[0]
-            settled = False
-        x = y
+            x = y
     return x
 
 
@@ -243,20 +240,23 @@ def _plain_steps(prefix: float, cap: float, end: float, size: float,
                  most: int) -> tuple[int, float]:
     """How many of the next ``most`` full steps moving ``cap`` toward ``end``
     are plain, and the prefix after them; by bisection if the estimate fails."""
-    def plain(p: float) -> bool:
-        need = end - p
-        return need > 1e-15 and cap < need - 1e-15 and size - (p + cap) > 1e-12
-
     m = int(min(most, max(0.0, (end - prefix) / cap))) if cap > 0 else most
     last = _advance(prefix, cap, m - 1) if m else prefix
     at = last + cap if m else prefix
-    if (m and not plain(last)) or (m < most and plain(at)):
+    if (m and not _plain(last, cap, end, size)) or (m < most and _plain(at, cap, end, size)):
         lo, hi = 0, most
         while lo < hi:
             mid = (lo + hi) // 2
-            lo, hi = (mid + 1, hi) if plain(_advance(prefix, cap, mid)) else (lo, mid)
+            lo, hi = ((mid + 1, hi) if _plain(_advance(prefix, cap, mid), cap, end, size)
+                      else (lo, mid))
         m, at = lo, _advance(prefix, cap, lo)
     return m, at
+
+
+def _plain(p: float, cap: float, end: float, size: float) -> bool:
+    """Whether a full step moving ``cap`` from prefix ``p`` is plain."""
+    need = end - p
+    return need > 1e-15 and cap < need - 1e-15 and size - (p + cap) > 1e-12
 
 
 @dataclass(frozen=True)

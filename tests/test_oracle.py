@@ -310,6 +310,32 @@ def _advance_cases(kind, rng):
             e, j = int(rng.integers(-10, 10)), steps()
             c = math.ldexp(float(rng.integers(1, 1 << 20)), e - 53)
             cases.append((2.0 ** e - j * c, c, j + int(rng.choice([0, rng.integers(1, 3000)]))))
+        elif kind == "tie-entry-odd":
+            # a tie of [2**e, 2**(e+1)) whose step in from the binade below lands
+            # exactly on an odd point, so the settling step adds another amount
+            e, f = int(rng.integers(-10, 10)), int(rng.integers(1, 1 << 20))
+            u = math.ulp(2.0 ** e)
+            c, j = (2 * f + 1) * u / 2, 2 * int(rng.integers(0, (f + 1) // 2)) + 1
+            cases.append((2.0 ** e + j * u - c, c, steps()))
+        elif kind == "k-out":
+            # k runs out right after a step into [2**e, 2**(e+1)), or right
+            # after the settling step that follows it; a coarse step crosses
+            # in a few steps, and its next step may leave the binade too
+            top = 2.0 ** int(rng.integers(-10, 10))
+            if rng.uniform() < 0.5:
+                c = top * float(rng.uniform(1e-5, 1e-3))
+                x = top - c * float(rng.uniform(1.0, 400.0))
+            else:
+                c, x = top * float(rng.uniform(0.1, 0.5)), top * float(rng.uniform(0.5, 1.0))
+            y, j = x, 0
+            while y < top:
+                y, j = y + c, j + 1
+            cases += [(x, c, j), (x, c, j + 1)]
+        elif kind == "settle-on-top":
+            # the step in lands c below 2**e and the settling step exactly on it
+            top = 2.0 ** int(rng.integers(-10, 10))
+            c = top * math.ldexp(float(rng.integers(1, 1 << 20)), -21)
+            cases.append((top - 2 * c, c, int(rng.integers(2, 3000))))
         else:  # "long": many binade crossings
             x = float(rng.choice([0.0, rng.uniform(0.0, 1e-3)]))
             cases.append((x, float(rng.uniform(1e-4, 1.0)), int(rng.integers(50_000, 100_001))))
@@ -317,12 +343,15 @@ def _advance_cases(kind, rng):
 
 
 @pytest.mark.parametrize("kind", ["tie-even", "tie-odd", "stall", "c-above-x", "zero",
-                                  "power-of-two", "long", "subnormal", "binade-top"])
+                                  "power-of-two", "long", "subnormal", "binade-top",
+                                  "tie-entry-odd", "k-out", "settle-on-top"])
 def test_advance_equals_step_loop(kind):
     """``_advance`` is bit for bit the loop it replaces, for ties (rounding
-    to even up or down), stalls, steps larger than ``x``, ``x = 0``, starts on
-    a power of two, runs of up to 10**5 steps through many binades, subnormal
-    ``x`` and ``c``, and runs that land exactly on a binade's top."""
+    to even up or down, and entered on an odd point from the binade below),
+    stalls, steps larger than ``x``, ``x = 0``, starts on a power of two, runs
+    of up to 10**5 steps through many binades, subnormal ``x`` and ``c``, runs
+    that land exactly on a binade's top, runs whose settling step lands on
+    it, and runs that end right after a step in or the settling step."""
     rng = np.random.default_rng(sum(map(ord, kind)))
     for x, c, k in _advance_cases(kind, rng):
         y = x
@@ -527,3 +556,50 @@ def test_march_equals_reference_near_completion():
         for sensitive in (False, True):
             assert_march_equal(realized, route, make_task(size, 10.0, sensitive),
                                errors, 0.01)
+
+
+@pytest.mark.parametrize("policy", [Policy.MOBILE_ONLY, Policy.NO_PREDICTION_OFFLOAD])
+def test_a_total_at_the_prefix_is_not_walked_again(monkeypatch, policy):
+    """A plain run moves the prefix and its channel's total by the same
+    steps, so a total that stands at the prefix takes the prefix's sum, and
+    the run's one walk is ``_plain_steps``' estimate.  On a dt-default trip,
+    ``mobile-only`` moves every byte on one channel, so it walks once per
+    plain run; ``no-prediction`` also walks a total once a second channel
+    has moved bytes, but never one that stands at the prefix."""
+    from offloadsim import oracle
+
+    spec = load_scenario(str(bundled_scenario_path("scenario_dt_default")))
+    nominal = spec.scaled_route()
+    errors = replace(spec.errors, seed=derive_run_seed(spec.seed, 0))
+    realized = realize_route(nominal, errors)
+    advance, plain_steps = oracle._advance, oracle._plain_steps
+    runs = []  # per plain run: its prefix, m, walks inside it, starts of walks after it
+    inside = False
+
+    def spy_plain_steps(prefix, *args):
+        nonlocal inside
+        runs.append([prefix, None, 0, []])
+        inside = True
+        runs[-1][1], at = plain_steps(prefix, *args)
+        inside = False
+        return runs[-1][1], at
+
+    def spy_advance(x, c, k):
+        if inside:
+            runs[-1][2] += 1
+        else:
+            runs[-1][3].append(x)
+        return advance(x, c, k)
+
+    monkeypatch.setattr(oracle, "_plain_steps", spy_plain_steps)
+    monkeypatch.setattr(oracle, "_advance", spy_advance)
+    args = (realized, nominal, spec.task, policy, errors)
+    assert run_trip_stepped(*args) == reference_stepped(*args)
+    assert runs and all(walks == (m > 0) for _, m, walks, _ in runs)
+    totals = [(prefix, x) for prefix, _, _, after in runs for x in after]
+    assert all(len(after) <= 1 for *_, after in runs)
+    assert all(x != prefix for prefix, x in totals)
+    if policy is Policy.MOBILE_ONLY:
+        assert not totals
+    else:
+        assert 0 < len(totals) < len(runs)

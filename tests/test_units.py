@@ -1,6 +1,6 @@
 """Results do not depend on the units: no absolute epsilon decides an outcome.
 
-Two scalings by a power of two 2**k move the same bytes, so every outcome
+Three scalings by a power of two 2**k move the same bytes, so every outcome
 must be the same with ``==`` (floats included), once the fields that carry
 the scaled unit are scaled back:
 
@@ -9,6 +9,8 @@ the scaled unit are scaled back:
   2**-k.  Only ``transfer_delay`` scales, by 2**k.
 - size: the object size and every rate times 2**k, times unchanged.  Each
   channel's MB, the staged cache and the transfer energies scale by 2**k.
+- price: ``mobile_transfer_j_per_mb``, ``wifi_transfer_j_per_mb`` and
+  ``wifi_idle_w`` times 2**k.  Only the three energies scale, by 2**k.
 
 With no subnormal or overflow, a power of two commutes with every rounding,
 so the realized draws, the forecasts and each fill scale exactly, and only
@@ -38,7 +40,8 @@ ENERGY = EnergyModel()
 # the fields each scaling scales, all others must be equal
 SCALED = {"time": {"transfer_delay"},
           "size": {"mobile_mb", "wifi_local_mb", "wifi_backhaul_mb", "cache_bytes_used",
-                   "mobile_j", "wifi_transfer_j"}}
+                   "mobile_j", "wifi_transfer_j"},
+          "price": {"mobile_j", "wifi_transfer_j", "wifi_idle_j"}}
 
 
 def scaled_route(route: RouteProfile, time: float, rate: float) -> RouteProfile:
@@ -54,12 +57,16 @@ def scaled(scaling: str, k: int, route, task, energy):
     """The route, task and energy model under ``scaling`` by 2**k (k = 0: as
     given, as every product is then exact)."""
     f = 2.0 ** k
-    time, rate, size = (f, 1 / f, 1.0) if scaling == "time" else (1.0, f, f)
+    time, rate, size, price = {"time": (f, 1 / f, 1.0, 1.0), "size": (1.0, f, f, 1.0),
+                               "price": (1.0, 1.0, 1.0, f)}[scaling]
     return (scaled_route(route, time, rate),
             dataclasses.replace(task, size_mb=task.size_mb * size,
                                 delay_threshold=task.delay_threshold * time),
-            dataclasses.replace(energy, wifi_idle_w=energy.wifi_idle_w / time,
-                                wifi_preactivation_s=energy.wifi_preactivation_s * time))
+            dataclasses.replace(
+                energy, mobile_transfer_j_per_mb=energy.mobile_transfer_j_per_mb * price,
+                wifi_transfer_j_per_mb=energy.wifi_transfer_j_per_mb * price,
+                wifi_idle_w=energy.wifi_idle_w * price / time,
+                wifi_preactivation_s=energy.wifi_preactivation_s * time))
 
 
 def fields(outcome) -> dict:
@@ -131,7 +138,7 @@ def base_scenarios():
     return [scenario_outcomes(spec) for spec in scenarios()]
 
 
-@pytest.mark.parametrize("scaling", ["time", "size"])
+@pytest.mark.parametrize("scaling", ["time", "size", "price"])
 @pytest.mark.parametrize("k", KS)
 def test_bundled_scenarios_are_unit_free(scaling, k):
     for spec, base in zip(scenarios(), base_scenarios()):
@@ -141,7 +148,7 @@ def test_bundled_scenarios_are_unit_free(scaling, k):
             assert not bad, (spec.scenario_id, policy.cli_name, bad)
 
 
-@pytest.mark.parametrize("scaling", ["time", "size"])
+@pytest.mark.parametrize("scaling", ["time", "size", "price"])
 @pytest.mark.parametrize("k", KS)
 def test_random_trips_are_unit_free(scaling, k):
     base = base_trips()
