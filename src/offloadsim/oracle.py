@@ -103,9 +103,9 @@ def run_trip_stepped(
     completion: Optional[float] = None
 
     def replan(passed: int, now: float) -> float:
-        pred = forecasts[passed]
-        rate, _, amount, offset = plan_exit(policy, max(0.0, size - prefix), deadline - now,
-                                            pred, prefix)
+        pred, remaining = forecasts[passed], size - prefix
+        rate, _, amount, offset = plan_exit(policy, remaining if remaining > 0.0 else 0.0,
+                                            deadline - now, pred, prefix)
         if amount > 0:
             caches[pred.next_hotspot] = (offset, amount)
         return rate
@@ -121,8 +121,9 @@ def run_trip_stepped(
         # Phase list: (slot, rate, fill-up-to position). The prefix is
         # contiguous, so each phase just extends it toward its limit.
         if seg.kind is _MOBILE_KIND:
-            rate = (min(plan_rate, seg.mobile_rate)
-                    if policy.rate_limited else seg.mobile_rate)
+            rate = seg.mobile_rate
+            if policy.rate_limited:
+                rate = rate if rate < plan_rate else plan_rate
             phases = [(_MOBILE, rate, size)]
         elif not policy.associates:  # mobile-only, which is never rate-limited
             phases = [(_MOBILE, _window_mobile_rate(route_realized, i), size)]
@@ -130,20 +131,23 @@ def run_trip_stepped(
             cache = caches.get(seg.hotspot_index) if policy.prefetches else None
             if cache is not None:
                 offset, amount = cache
+                hole_end, cached_end = size if size < offset else offset, offset + amount
+                cached_end = size if size < cached_end else cached_end
                 if policy.hole_channel is _MOBILE_CHANNEL:
                     hole_rate = _window_mobile_rate(route_realized, i)
-                    hole = (_MOBILE, hole_rate, min(offset, size))
+                    hole = (_MOBILE, hole_rate, hole_end)
                 else:
-                    hole = (_BACKHAUL, seg.backhaul_rate, min(offset, size))
+                    hole = (_BACKHAUL, seg.backhaul_rate, hole_end)
                 phases = [
                     hole,
-                    (_LOCAL, seg.wifi_local_rate, min(offset + amount, size)),
+                    (_LOCAL, seg.wifi_local_rate, cached_end),
                     (_BACKHAUL, seg.backhaul_rate, size),
                 ]
             else:
                 phases = [(_BACKHAUL, seg.backhaul_rate, size)]
 
-        n_steps = max(1, math.ceil(seg.duration / dt))
+        n_steps = math.ceil(seg.duration / dt)
+        n_steps = n_steps if n_steps > 1 else 1
         h = seg.duration / n_steps
         ai = 0
         k = 0
@@ -167,7 +171,7 @@ def run_trip_stepped(
                     ai += 1
                     continue
                 cap = rate * rem / MBIT_PER_MB
-                moved = min(need, cap)
+                moved = cap if cap < need else need
                 prefix += moved
                 totals[slot] += moved
                 rem -= moved * MBIT_PER_MB / rate
@@ -240,7 +244,11 @@ def _plain_steps(prefix: float, cap: float, end: float, size: float,
                  most: int) -> tuple[int, float]:
     """How many of the next ``most`` full steps moving ``cap`` toward ``end``
     are plain, and the prefix after them; by bisection if the estimate fails."""
-    m = int(min(most, max(0.0, (end - prefix) / cap))) if cap > 0 else most
+    m = most
+    if cap > 0:
+        reach = (end - prefix) / cap
+        reach = reach if reach > 0.0 else 0.0
+        m = int(reach if reach < most else most)
     last = _advance(prefix, cap, m - 1) if m else prefix
     at = last + cap if m else prefix
     if (m and not _plain(last, cap, end, size)) or (m < most and _plain(at, cap, end, size)):

@@ -34,7 +34,7 @@ from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .model import MBIT_PER_MB, TrafficClass, as_tuple
+from .model import MBIT_PER_MB, TrafficClass, as_tuple, max2, min2
 from .prediction import PredictionProfile
 
 # Floor for the mobile-time denominator; avoids division by zero when the
@@ -159,12 +159,15 @@ class Elementwise(NamedTuple):
 
 
 # A ufunc on one element costs several times a float operation, so one trip
-# runs on plain Python.  Both forms pick the same values in the same order,
-# so a trip's results equal its run's in a batch bit for bit.  An array's
-# ``any`` is a count of its true entries, which is as truthy and about three
-# times cheaper than ``ndarray.any``.
+# runs on plain Python, and takes a minimum or maximum by comparison
+# (:func:`~offloadsim.model.min2`, :func:`~offloadsim.model.max2`): on
+# Python 3.11 a builtin ``min(a, b)`` costs about three times as much, and
+# either returns the very object the builtin would.  Both forms pick the same
+# values in the same order, so a trip's results equal its run's in a batch
+# bit for bit.  An array's ``any`` is a count of its true entries, which is
+# as truthy and about three times cheaper than ``ndarray.any``.
 _FLOAT_OPS = Elementwise(lambda condition, x, y: x if condition else y, bool,
-                         operator.not_, lambda like, dtype=float: dtype(0), min, max)
+                         operator.not_, lambda like, dtype=float: dtype(0), min2, max2)
 _ARRAY_OPS = Elementwise(np.where, np.count_nonzero, np.logical_not,
                          lambda like, dtype=float: np.zeros(np.shape(like), dtype),
                          np.minimum, np.maximum)

@@ -57,7 +57,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .model import (_WIFI_KIND, MBIT_PER_MB, RouteProfile, RouteSegment, check_integer,
-                    check_real, check_types)
+                    check_real, check_types, min2)
 
 
 @dataclass(frozen=True)
@@ -154,21 +154,27 @@ def _walk(
         local = backhaul = seconds = 0.0
         for mbit_local, mbit_backhaul, dwell in reversed(ahead):
             local, backhaul, seconds = local + mbit_local, backhaul + mbit_backhaul, seconds + dwell
+        wait = 0.0 if next_start is None else next_start - at
         return tuple.__new__(PredictionProfile, (  # with no Python-level __new__
             local, backhaul, seconds, next_hotspot, next_cap,
-            0.0 if next_start is None else max(0.0, next_start - at), high, low))
+            wait if wait > 0.0 else 0.0, high, low))
 
     for seg in reversed(route.segments):
         if seg.kind is not _WIFI_KIND:
             rate = seg.mobile_rate
-            gap_max, rest_max = max(gap_max, rate), max(rest_max, rate)
-            rest_min = min(rest_min, rate)
-            if seg.start_time < hi:
-                horizon_min = min(horizon_min, rate)
+            # as builtin min() and max() compare, at a fraction of their call's cost
+            if rate > gap_max:
+                gap_max = rate
+            if rate > rest_max:
+                rest_max = rate
+            if rate < rest_min:
+                rest_min = rate
+            if seg.start_time < hi and rate < horizon_min:
+                horizon_min = rate
             continue
         start, end = seg.start_time, seg.end_time
         profiles.append(profile(end))  # the node has just left seg
-        usable = min(end, hi) - start
+        usable = (hi if hi < end else end) - start
         if usable > 0:
             local, dwell = seg.wifi_local_rate, (1 - te) * usable
             ahead.append(((1 - re) * local * dwell, (1 - re) * seg.backhaul_rate * dwell, dwell))
@@ -217,7 +223,8 @@ def build_prediction(
         hi = route.total_time
     else:
         check_real("horizon", horizon, 0.0, math.inf, True)
-        hi = min(horizon, route.total_time)
+        total = route.total_time
+        hi = total if total < horizon else horizon
     return _walk(route, errors.time_error, errors.throughput_error, hi)
 
 
@@ -371,9 +378,10 @@ def _realized(index: _RouteIndex, errors: ErrorSpec, draws, start, minimum):
     :class:`RouteSegment` names; the next segment starts at ``end``.
 
     The values are floats for one realization (a list of draws, ``start``
-    0.0, :func:`min`) and ``(runs,)`` arrays for a batch (the rows of a draw
-    matrix, ``start`` zeros, :func:`numpy.minimum`).  A drawn backhaul rate
-    is capped at the drawn local rate, as in :func:`~offloadsim.model.scale_route`.
+    0.0, :func:`~offloadsim.model.min2`) and ``(runs,)`` arrays for a batch
+    (the rows of a draw matrix, ``start`` zeros, :func:`numpy.minimum`).  A
+    drawn backhaul rate is capped at the drawn local rate, as in
+    :func:`~offloadsim.model.scale_route`.
     """
     te, re = errors.time_error, errors.throughput_error
     draw = iter(draws).__next__
@@ -428,7 +436,7 @@ def realize_route(route: RouteProfile, errors: ErrorSpec) -> RouteProfile:
     index = _route_index(route)
     segments = []
     for seg, start, duration, end, rates in _realized(
-            index, errors, _stream(errors.seed, index.draw_count), 0.0, min):
+            index, errors, _stream(errors.seed, index.draw_count), 0.0, min2):
         segments.append(RouteSegment(seg.kind, start, duration,
                                      hotspot_index=seg.hotspot_index, **rates))
     return RouteProfile(tuple(segments), end)

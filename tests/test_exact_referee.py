@@ -14,15 +14,22 @@ float trip must stay within bounds derived from each trip's inputs, with
   divided by that rate: on these routes with a deadline at 0.9 of the route
   end, ``n * eps * end`` alone was exceeded 1.8-fold by a correct trip.
 
+Each energy component must stay within its price times the bound of what
+it prices: a transfer energy within the byte bound times its J/MB, the idle
+energy within ``wifi_idle_w * time bound * v``, ``v`` the hotspots the exact
+trip visits while transferring, as each visit adds idle seconds from one
+leave time and one busy sum.
+
 ``completed`` and ``deadline_met`` must match, unless the completion time of
 the side that completed lies within the time bound of the deadline or of the
 route end, where the round-off slack itself decides.  On these inputs the
-worst gaps were 0.22 of the byte bound and 0.10 of the time bound on the
-random trips, 0.15 and 0.03 on the bundled scenarios, with no flag flips; a
-trip loop that rounds its float prefix to float32 exceeds the byte bound
-10^7- to 10^8-fold.
+worst gaps were 0.22 of the byte bound, 0.10 of the time bound and 0.27 of
+an energy bound on the random trips, 0.15, 0.03 and 0.16 on the bundled
+scenarios, with no flag flips; a trip loop that rounds its float prefix to
+float32 exceeds the byte bound 10^7- to 10^8-fold.
 """
 
+import math
 import sys
 from fractions import Fraction
 
@@ -41,6 +48,7 @@ from offloadsim.prediction import ErrorSpec, realize_route
 
 EPS = sys.float_info.epsilon
 BYTES = ("mobile_mb", "wifi_local_mb", "wifi_backhaul_mb")
+ENERGY = ("mobile_j", "wifi_transfer_j", "wifi_idle_j")
 
 
 @pytest.fixture
@@ -57,9 +65,15 @@ def planned_rates(monkeypatch):
     return rates
 
 
+def share(gap, bound) -> float:
+    """``gap`` as a share of ``bound``; a bound of 0 admits no gap."""
+    return float(gap / bound) if bound else 0.0 if gap == 0 else math.inf
+
+
 def gaps(realized, nominal, task, policy, errors, energy, planned_rates):
-    """The float trip's byte and time gaps from the exact trip, each as a
-    share of its bound; an unexplained flag flip fails here."""
+    """The float trip's byte, time and energy gaps from the exact trip, each
+    as a share of its bound (energy: the largest component's); an
+    unexplained flag flip fails here."""
     got = run_trip(realized, nominal, task, policy, errors, energy)
     planned_rates.clear()
     want = exact_trip(realized, nominal, task, policy, errors, energy)
@@ -79,7 +93,15 @@ def gaps(realized, nominal, task, policy, errors, energy, planned_rates):
         done = want.transfer_delay if want.completed else got.transfer_delay
         edge = min(abs(done - task.effective_deadline()), abs(done - end))
         assert edge <= time_bound, (policy, "flag flip away from the deadline and route end")
-    return float(byte_gap / byte_bound), float(time_gap / time_bound)
+    visits = sum(seg.is_wifi and not (want.completed and seg.start_time > want.transfer_delay)
+                 for seg in realized.segments)
+    energy_bounds = (energy.mobile_transfer_j_per_mb * byte_bound,
+                     energy.wifi_transfer_j_per_mb * byte_bound,
+                     energy.wifi_idle_w * time_bound * visits)
+    energy_share = max(share(abs(Fraction(getattr(got.energy, name))
+                                 - getattr(want.energy, name)), bound)
+                       for name, bound in zip(ENERGY, energy_bounds))
+    return share(byte_gap, byte_bound), share(time_gap, time_bound), energy_share
 
 
 def test_random_trips_stay_within_the_bounds(planned_rates):
@@ -101,7 +123,7 @@ def test_random_trips_stay_within_the_bounds(planned_rates):
                             shares.append(gaps(realized, route, task, policy, errors,
                                               EnergyModel(), planned_rates))
     assert len(shares) == len(routes) * 3 * 3 * 7
-    assert max(b for b, _ in shares) <= 1 and max(t for _, t in shares) <= 1
+    assert max(max(s) for s in shares) <= 1
 
 
 @pytest.mark.parametrize("name", ["scenario_dt_default", "scenario_ds_default"])
@@ -114,6 +136,5 @@ def test_bundled_scenarios_stay_within_the_bounds(name, planned_rates):
                            seed=derive_run_seed(spec.seed, k))
         realized = realize_route(nominal, errors)
         for policy in spec.policies:
-            byte_share, time_share = gaps(realized, nominal, spec.task, policy, errors,
-                                          spec.energy, planned_rates)
-            assert byte_share <= 1 and time_share <= 1, (k, policy)
+            assert max(gaps(realized, nominal, spec.task, policy, errors, spec.energy,
+                            planned_rates)) <= 1, (k, policy)
