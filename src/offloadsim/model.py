@@ -102,7 +102,8 @@ class RouteSegment:
     Mobile segments carry ``mobile_rate``.  WiFi segments carry the rate for
     serving bytes out of the hotspot's local cache (``wifi_local_rate``), the
     rate for fetching from the object's origin through the hotspot backhaul
-    (``backhaul_rate``), and a 1-based ``hotspot_index``.
+    (``backhaul_rate``), and a 1-based ``hotspot_index``.  ``start_time`` is
+    at least 0; a :class:`RouteProfile` stores it as the durations' sum.
     """
 
     kind: AccessKind
@@ -115,7 +116,7 @@ class RouteSegment:
 
     def __post_init__(self) -> None:
         check_real("duration", self.duration)
-        check_real("start_time", self.start_time, -1e-9, math.inf, True)
+        check_real("start_time", self.start_time, 0.0, math.inf, True)
         if self.kind is _MOBILE_KIND:
             check_real("mobile_rate", self.mobile_rate)
             # unless all three are None
@@ -149,40 +150,36 @@ class RouteSegment:
 
 @dataclass(frozen=True)
 class RouteProfile:
-    """Ordered, contiguous, non-overlapping connectivity segments."""
+    """Connectivity segments read in order as one timeline.  Each start, and
+    ``total_time``, must lie within a relative 1e-9 of the running sum of the
+    durations, and is stored as that sum: no two segments overlap, and the
+    first starts at 0.0."""
 
     segments: tuple[RouteSegment, ...]
     total_time: float
 
     def __post_init__(self) -> None:
-        segments = as_tuple("segments", self.segments, "RouteSegments")
+        segments = list(as_tuple("segments", self.segments, "RouteSegments"))
         if not segments:
             raise ValueError("route needs at least one segment")
-        object.__setattr__(self, "segments", segments)
         cursor = 0.0
-        last_start = last_end = -math.inf
         for i, seg in enumerate(segments):
             if not isinstance(seg, RouteSegment):
                 raise ValueError(f"segments[{i}] must be a RouteSegment, got {seg!r}")
-            # a realized route's starts are the running sum, bit for bit
-            start, end = seg.start_time, seg.end_time
-            if start != cursor and not math.isclose(start, cursor, rel_tol=1e-9, abs_tol=1e-6):
-                raise ValueError(
-                    f"segment {i} starts at {start}, expected {cursor} "
-                    "(segments must be contiguous)"
-                )
-            # the contiguity slack must not let a segment start or end before
-            # its predecessor: a route is a timeline read in order
-            if start < last_start or end < last_end:
-                raise ValueError(
-                    f"segment {i} [{start}, {end}) starts or ends before segment "
-                    f"{i - 1} [{last_start}, {last_end}) (segments must be ordered)"
-                )
-            last_start, last_end = start, end
+            # summed by += as a realization sums (builtin sum() is compensated
+            # from Python 3.12 on); a first start of -0.0 is stored as 0.0
+            start = seg.start_time
+            if start != cursor or not cursor and math.copysign(1.0, start) < 0:
+                if not math.isclose(start, cursor, rel_tol=1e-9):
+                    raise ValueError(f"segment {i} starts at {start}, expected {cursor}")
+                segments[i] = replace(seg, start_time=cursor)
             cursor += seg.duration
-        check_real("total_time", self.total_time, 0.0, math.inf, True)
-        if not math.isclose(self.total_time, cursor, rel_tol=1e-9, abs_tol=1e-6):
-            raise ValueError(f"total_time {self.total_time!r} != sum of durations {cursor}")
+        object.__setattr__(self, "segments", tuple(segments))
+        check_real("total_time", self.total_time)
+        if self.total_time != cursor:
+            if not math.isclose(self.total_time, cursor, rel_tol=1e-9):
+                raise ValueError(f"total_time {self.total_time!r} != sum of durations {cursor}")
+            object.__setattr__(self, "total_time", cursor)
         indices = [s.hotspot_index for s in self.segments if s.is_wifi]
         if indices != sorted(set(indices)):
             raise ValueError(f"hotspot indices must be strictly increasing: {indices}")

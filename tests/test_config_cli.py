@@ -620,8 +620,10 @@ class TestCli:
         assert "error:" in capsys.readouterr().err
 
     def test_unordered_route_file_exits_2(self, tmp_path, capsys):
-        """A segment ending before its predecessor, within the contiguity
-        slack, is rejected at load."""
+        """A segment ending before its predecessor, which an absolute 1e-6 s
+        slack once let through, is off the running sum and rejected at load.
+        The error line names the route file, whose pytest directory bears
+        this test's name, so the message after the path is what is checked."""
         route = json.loads(bundled_scenario_path("route_4ap").read_text())
         first = route["segments"][0]  # mobile [0, 18)
         route["segments"].insert(1, dict(first, start_time=first["duration"] - 5e-7,
@@ -634,7 +636,34 @@ class TestCli:
         bad.write_text(json.dumps(data))
         assert self.run_cli("run", "--scenario", str(bad), "--runs", "3") == 2
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: ") and "ordered" in err[0]
+        assert err == [f"error: {route_path}: segment 1 starts at 17.9999995, expected 18.0"]
+
+    @pytest.mark.parametrize("edit,message", [
+        ({"durations": [1e-11, 1e-11], "starts": [0, 5.0001e-7], "total_time": 2e-11},
+         ": segment 1 starts at 5.0001e-07, expected 1e-11"),
+        ({"starts": [-9e-10]}, ".segments[0]: start_time must be finite and >= 0, got -9e-10"),
+        ({"starts": [5e-7]}, ": segment 0 starts at 5e-07, expected 0.0"),
+        ({"total_time": 10.0000009}, ": total_time 10.0000009 != sum of durations 10.0")],
+        ids=["gap-between-short-segments", "negative-start", "late-first-start", "long-total"])
+    def test_a_route_file_off_its_running_sum_exits_2(self, tmp_path, capsys, edit, message):
+        """Each of these loaded under an absolute 1e-6 s slack and a -1e-9 s
+        start bound; each is now one ``error:`` line naming the segment or
+        field, and no output."""
+        durations = edit.get("durations", [10.0])
+        starts = edit.get("starts", [0.0])
+        route_path = tmp_path / "route.json"
+        route_path.write_text(json.dumps({
+            "segments": [{"kind": "mobile", "start_time": start, "duration": duration,
+                          "mobile_rate": 5.0} for start, duration in zip(starts, durations)],
+            "total_time": edit.get("total_time", 10.0)}))
+        data = json.loads(bundled_scenario_path("scenario_dt_default").read_text())
+        data["route"] = str(route_path)
+        bad = tmp_path / "input.json"
+        bad.write_text(json.dumps(data))
+        assert self.run_cli("run", "--scenario", str(bad), "--runs", "3") == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"error: {route_path}{message}"]
+        assert captured.out == ""
 
     def test_missing_file_exits_2(self):
         assert self.run_cli("run", "--scenario", "no-such-thing") == 2

@@ -7,10 +7,10 @@ value of one pool, never ``TypeError``, ``AttributeError`` or
 
 Each value is tried in every field in turn, all other arguments valid, so
 the search is exhaustive and needs no seed.  A pool value that is valid for
-a field (0 as a start time or an error, None as an optional rate or a
-sweep's metric list, a string as a scenario id, a list as a sweep's values,
-a huge integer as a seed or hotspot index, None, inf or 0 as a forecast
-horizon) must build.
+a field (0 or -0.0 as a start time or an error, None as an optional rate
+or a sweep's metric list, a string as a scenario id, a list as a sweep's
+values, a huge integer as a seed or hotspot index, None, inf or 0 as a
+forecast horizon) must build.
 """
 
 import dataclasses
@@ -29,8 +29,8 @@ from offloadsim.policies import Channel, Policy
 from offloadsim.prediction import ErrorSpec, build_prediction, realize_batch, realize_route
 
 POOL = {"bool": True, "str": "1", "None": None, "nan": math.nan, "np-nan": np.float64("nan"),
-        "inf": math.inf, "-inf": -math.inf, "zero": 0, "negative": -1, "list": [1.0],
-        "huge": 10 ** 400, "enum": Channel.MOBILE}
+        "inf": math.inf, "-inf": -math.inf, "zero": 0, "-0.0": -0.0, "negative": -1,
+        "tiny-negative": -9e-10, "list": [1.0], "huge": 10 ** 400, "enum": Channel.MOBILE}
 
 MOBILE = dict(kind=AccessKind.MOBILE, start_time=0.0, duration=10.0, mobile_rate=5.0)
 WIFI = dict(kind=AccessKind.WIFI, start_time=0.0, duration=10.0, wifi_local_rate=10.0,
@@ -68,16 +68,16 @@ def stepped(dt):
 # (name, builder of the keyword arguments, the fields, the pool values valid there)
 CASES = [
     ("mobile-segment", lambda **kw: RouteSegment(**{**MOBILE, **kw}), {
-        "kind": (), "start_time": ("zero",), "duration": (), "mobile_rate": (),
+        "kind": (), "start_time": ("zero", "-0.0"), "duration": (), "mobile_rate": (),
         "wifi_local_rate": ("None",), "backhaul_rate": ("None",), "hotspot_index": ("None",)}),
     ("wifi-segment", lambda **kw: RouteSegment(**{**WIFI, **kw}), {
-        "kind": (), "start_time": ("zero",), "duration": (), "mobile_rate": ("None",),
+        "kind": (), "start_time": ("zero", "-0.0"), "duration": (), "mobile_rate": ("None",),
         "wifi_local_rate": (), "backhaul_rate": (), "hotspot_index": ("huge",)}),
     ("route", route, {"segments": (), "total_time": ()}),
     ("task", lambda **kw: TransferTask(**{"size_mb": 20.0, "delay_threshold": 200.0, **kw}), {
         "size_mb": (), "delay_threshold": (), "traffic_class": ()}),
-    ("energy", EnergyModel, {f.name: ("zero",) for f in dataclasses.fields(EnergyModel)}),
-    ("errors", ErrorSpec, {"time_error": ("zero",), "throughput_error": ("zero",),
+    ("energy", EnergyModel, {f.name: ("zero", "-0.0") for f in dataclasses.fields(EnergyModel)}),
+    ("errors", ErrorSpec, {"time_error": ("zero", "-0.0"), "throughput_error": ("zero", "-0.0"),
                            "seed": ("zero", "huge")}),
     ("scenario", scenario, {
         "scenario_id": ("str",), "route": (), "task": (), "policies": (), "mobile_factor": (),
@@ -89,8 +89,8 @@ CASES = [
     ("realize_batch", batch, {"seed": ("zero", "huge"), "runs": ()}),
     ("run_trip_stepped", stepped, {"dt": ()}),
     ("build_prediction", lambda horizon: build_prediction(ROUTE, ErrorSpec(), horizon),
-     {"horizon": ("None", "inf", "zero")}),
-    ("relative_gain", lambda a_mean: relative_gain(a_mean, 1.0), {"a_mean": ("zero",)}),
+     {"horizon": ("None", "inf", "zero", "-0.0")}),
+    ("relative_gain", lambda a_mean: relative_gain(a_mean, 1.0), {"a_mean": ("zero", "-0.0")}),
     ("t_quantile_975", t_quantile_975, {"df": ()}),
 ]
 
@@ -115,6 +115,21 @@ def test_every_constructor_field_is_covered():
                       ("route", RouteProfile), ("task", TransferTask), ("energy", EnergyModel),
                       ("errors", ErrorSpec), ("scenario", ScenarioSpec), ("sweep", SweepSpec)]:
         assert covered[name] == {f.name for f in dataclasses.fields(cls) if f.init}, name
+
+
+def test_a_negative_zero_start_is_stored_as_zero(tmp_path):
+    """-0.0 is a start of 0.  The segment keeps it as given, but a route
+    stores the running sum, 0.0, so every stored start is that sum bit for
+    bit, and the route equals the one that starts at 0.0."""
+    segment = RouteSegment(**{**MOBILE, "start_time": -0.0})
+    assert math.copysign(1.0, segment.start_time) == -1.0
+    path = tmp_path / "route.json"
+    path.write_text('{"segments": [{"kind": "mobile", "start_time": -0.0, "duration": 10.0, '
+                    '"mobile_rate": 5.0}], "total_time": 10.0}')
+    for got in (route(segments=(segment,)), load_route(str(path))):
+        start = got.segments[0].start_time
+        assert start == 0.0 and math.copysign(1.0, start) == 1.0
+        assert got == route()
 
 
 @pytest.mark.parametrize("make,field,value,message", [

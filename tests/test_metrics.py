@@ -419,19 +419,22 @@ class TestRunScenario:
                          errors=ErrorSpec(0.5, 0.0))
 
     def test_the_total_time_bound_sums_the_realized_durations(self):
-        """``total_time`` may lie up to 1e-9 below the sum of the durations,
-        so the bound is that sum: here ``total_time * (1 + te)`` is finite
-        but two durations at ``1 + te`` sum past the float range, as two
-        realizations drawing near u = 1 would."""
-        half = 0.6e308
-        route = RouteProfile((RouteSegment(AccessKind.MOBILE, 0.0, half, mobile_rate=1.0),
-                              RouteSegment(AccessKind.MOBILE, half, half, mobile_rate=1.0)),
-                             2 * half * (1 - 4e-10))
-        te = sys.float_info.max / (2 * half) - 1 + 1e-10
-        assert route.total_time * (1 + te) < math.inf
-        with pytest.raises(ValueError, match="realized total time overflows at time error"):
-            ScenarioSpec("long", route, make_task(1.0), (Policy.MOBILE_ONLY,),
-                         errors=ErrorSpec(te, 0.0))
+        """The bound on every realized end is the durations times ``1 + te``
+        summed left to right by ``+``, bit for bit, as a realization sums
+        them: not ``math.fsum`` (nor builtin ``sum()``, compensated from
+        Python 3.12 on), and not ``total_time * (1 + te)``."""
+        te = 0.5
+        route = RouteProfile(tuple(RouteSegment(AccessKind.MOBILE, start, d, mobile_rate=1.0)
+                                   for start, d in ((0.0, 1.0), (1.0, 1e-16), (1.0, 1e-16))),
+                             1.0)
+        longest = 0.0
+        for seg in route.segments:
+            longest += seg.duration * (1 + te)
+        grown = [seg.duration * (1 + te) for seg in route.segments]
+        assert longest != math.fsum(grown) and longest != route.total_time * (1 + te)
+        assert prediction.check_realizable(route, te, 0.0) == longest
+        assert all(realize_route(route, ErrorSpec(te, 0.0, seed)).total_time <= longest
+                   for seed in range(200))
 
     def test_errors_carry_no_run_seed(self, route_4ap):
         """The runs are seeded by the scenario's ``seed``; an ``errors.seed``

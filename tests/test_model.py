@@ -120,14 +120,15 @@ class TestRouteProfile:
             RouteProfile((mobile(0, 10, 5), mobile(11, 10, 5)), 21.0)
 
     def test_order_enforced(self):
-        # within the contiguity slack, but ending before its predecessor ends
-        with pytest.raises(ValueError, match="ordered"):
+        """Segments that ended or started before their predecessor, and so
+        overlapped it, once passed an absolute 1e-6 s slack; they are off the
+        running sum and raise, naming the segment."""
+        with pytest.raises(ValueError, match=r"segment 1 starts at 9\.9999995, expected 10\.0"):
             RouteProfile((wifi(0, 10, 10, 5, 1), mobile(9.9999995, 1e-7, 5)), 10.0000001)
-        # within the slack, but starting before its predecessor starts
-        with pytest.raises(ValueError, match="ordered"):
+        with pytest.raises(ValueError, match=r"segment 0 starts at 5e-07, expected 0\.0"):
             RouteProfile((mobile(5e-7, 1e-7, 5), mobile(0, 10, 5)), 10.0000001)
-        # the slack itself still holds for ordered segments
-        RouteProfile((mobile(0, 10, 5), mobile(9.9999995, 10, 5)), 20.0)
+        with pytest.raises(ValueError, match=r"segment 1 starts at 9\.9999995, expected 10\.0"):
+            RouteProfile((mobile(0, 10, 5), mobile(9.9999995, 10, 5)), 20.0)
 
     def test_total_time_must_match(self):
         with pytest.raises(ValueError):
@@ -162,28 +163,38 @@ class TestRouteProfile:
                 (wifi(0, 10, 10, 5, 2), wifi(10, 10, 10, 5, 1)), 20.0
             )
 
-    @settings(derandomize=True, max_examples=200, deadline=None)
-    @given(st.lists(st.tuples(st.floats(1e-3, 1e3),
-                              st.sampled_from([0.0, 1e-12, -1e-12, 5e-7, -5e-7, 2e-6, -2e-6,
-                                               1e-10, -1e-10])),
-                    min_size=1, max_size=6))
-    def test_contiguity_is_the_slack_rule(self, steps):
-        """Starts off the running sum by nothing, by less than the slack or by
-        more, are accepted exactly when the slack and the order rule accept
-        them: an exact start only skips the ``isclose`` call."""
-        cursor, segments, ok = 0.0, [], True
-        for duration, offset in steps:
-            start = max(cursor + offset, 0.0)
-            ok = ok and math.isclose(start, cursor, rel_tol=1e-9, abs_tol=1e-6) and (
-                not segments or (start >= segments[-1].start_time
-                                 and start + duration >= segments[-1].end_time))
+    # relative offsets from the running sum: those under 1e-9 are inside the
+    # tolerance, the rest outside; the first start is 0 or off it
+    INSIDE = [0.0, 1e-16, -1e-16, 5e-10, -5e-10, 0.99e-9, -0.99e-9]
+    OUTSIDE = [1.01e-9, -1.01e-9, 2e-9, -2e-9, 1e-6, -1e-6]
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 5e-7]),
+           st.lists(st.tuples(st.floats(1e-9, 1e9), st.sampled_from(INSIDE + OUTSIDE)),
+                    min_size=1, max_size=6),
+           st.sampled_from(INSIDE + OUTSIDE))
+    def test_contiguity_is_the_running_sum_rule(self, first, steps, total_offset):
+        """A start or total within a relative 1e-9 of the running sum of the
+        durations, taken by ``+=`` in order, is stored as that sum, bit for
+        bit; one further off raises ``ValueError`` naming it."""
+        cursor, sums, segments, bad = 0.0, [], [], None
+        for i, (duration, offset) in enumerate(steps):
+            start = first if i == 0 else cursor * (1 + offset)
+            if bad is None and (start != 0.0 if i == 0 else offset in self.OUTSIDE):
+                bad = f"segment {i} starts at"
             segments.append(mobile(start, duration, 5.0))
+            sums.append(cursor)
             cursor += duration
-        if ok:
-            assert RouteProfile(tuple(segments), cursor).total_time == cursor
-        else:
-            with pytest.raises(ValueError, match="contiguous|ordered"):
-                RouteProfile(tuple(segments), cursor)
+        if bad is None and total_offset in self.OUTSIDE:
+            bad = "total_time"
+        if bad is not None:
+            with pytest.raises(ValueError, match=bad):
+                RouteProfile(tuple(segments), cursor * (1 + total_offset))
+            return
+        route = RouteProfile(tuple(segments), cursor * (1 + total_offset))
+        assert [s.start_time for s in route.segments] == sums
+        assert math.copysign(1.0, route.segments[0].start_time) == 1.0
+        assert route.total_time == cursor
 
     def test_bundled_routes(self, route_4ap, route_2ap, route_8ap):
         for route, n in ((route_4ap, 4), (route_2ap, 2), (route_8ap, 8)):
@@ -351,8 +362,7 @@ def test_check_real_fast_path_keeps_the_abc_rule():
     a real number, not a bool, that converts to a finite float in range."""
     forms = {(0.0, math.inf, False): "positive and finite",
              (0.0, math.inf, True): "finite and >= 0",
-             (0.0, 1.0, True): "in [0, 1)",
-             (-1e-9, math.inf, True): "finite and >= -1e-09"}
+             (0.0, 1.0, True): "in [0, 1)"}
 
     def abc_rule(name, value, low, high, closed):
         x = math.nan

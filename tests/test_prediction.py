@@ -10,7 +10,7 @@ from conftest import (edge_routes, make_task, random_route, reference_forecast,
 from offloadsim import engine, oracle, prediction
 from offloadsim.engine import run_trip
 from offloadsim.model import AccessKind, RouteProfile, RouteSegment, scale_route
-from offloadsim.policies import Policy, plan_exit
+from offloadsim.policies import Policy
 from offloadsim.prediction import (
     ErrorSpec,
     build_prediction,
@@ -161,28 +161,6 @@ class TestBuildPrediction:
             build_prediction(default_route, zero_errors, horizon=float("nan"))
         assert prediction._walk.cache_info().currsize == 0
 
-    def test_overlapped_next_hotspot_is_forecast(self):
-        """Hotspot 2 starts 5e-7 s before hotspot 1 ends, which a route
-        accepts: the forecast on leaving hotspot 1 lists hotspot 2 first, and
-        prefetch-dt stages its cache there."""
-        def seg(kind, start, end, rate, hotspot=None):
-            rates = ({"wifi_local_rate": rate, "backhaul_rate": rate / 2}
-                     if kind is AccessKind.WIFI else {"mobile_rate": rate})
-            return RouteSegment(kind, start, end - start, hotspot_index=hotspot, **rates)
-
-        route = RouteProfile((seg(AccessKind.MOBILE, 0.0, 10.0, 2.0),
-                              seg(AccessKind.WIFI, 10.0, 20.0, 8.0, 1),
-                              seg(AccessKind.WIFI, 20.0 - 5e-7, 30.0, 8.0, 2),
-                              seg(AccessKind.MOBILE, 30.0, 40.0, 2.0)), 40.0)
-        errors = ErrorSpec(0.10, 0.20)
-        forecasts = build_prediction(route, errors)
-        pred = forecasts[1]
-        assert pred.next_hotspot == 2
-        assert [h.hotspot_index for h in reference_hotspots(route, 1, 0.10, 0.20, None)] == [2]
-        assert_forecasts_equal(forecasts, reference_forecasts(route, 0.10, 0.20, None))
-        amount = plan_exit(Policy.PREFETCH_DELAY_TOLERANT, 50.0, 20.0, pred, 10.0)[2]
-        assert amount > 0
-
 
 class TestForecastMemo:
     def test_seed_does_not_change_forecast(self):
@@ -294,26 +272,6 @@ class TestForecastIndex:
                 assert_forecasts_equal(got, reference_forecasts(route, te, re, h))
                 checked += len(got)
         assert checked > 9_000
-
-    def test_overlapping_segments_equal_reference(self):
-        """Segments may start up to 1e-6 s off their predecessor's end, so a
-        hotspot can start before the one before it ends, or a mobile segment
-        end after the next hotspot starts: every field of every replan
-        point's forecast still equals the scan's, which goes by position."""
-        rng = np.random.default_rng(31)
-        checked = 0
-        for i in range(400):
-            route = random_route(rng, n_segments=int(rng.integers(3, 12)))
-            shifts = [0.0, *rng.uniform(-5e-7, 5e-7, len(route.segments) - 1).tolist()]
-            route = RouteProfile(tuple(dataclasses.replace(seg, start_time=seg.start_time + d)
-                                       for seg, d in zip(route.segments, shifts)),
-                                 route.total_time)
-            te, re = self.ERROR_PAIRS[i % len(self.ERROR_PAIRS)]
-            for h in forecast_horizons(route, rng) + forecast_horizons(route, rng):
-                got = build_prediction(route, ErrorSpec(te, re), h)
-                assert_forecasts_equal(got, reference_forecasts(route, te, re, h))
-                checked += len(got)
-        assert checked > 30_000
 
     def test_one_index_per_route(self, monkeypatch, fresh_memos):
         """All five policies on one route, through every replan, index the
