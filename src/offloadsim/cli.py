@@ -47,9 +47,9 @@ def _resolve_input(arg: str) -> str:
     """Accept a file's path (not a directory's) or a bundled name, with or without ``.json``."""
     if Path(arg).is_file():
         return arg
-    bundled = {"dt-default": config.bundled_scenario_path("scenario_dt_default"),
-               "ds-default": config.bundled_scenario_path("scenario_ds_default"), **_recipes()}
-    path = bundled.get(arg.removesuffix(".json"))
+    bundled = {name: config.bundled_scenario_path(stem)
+               for name, stem in config.BUNDLED_SCENARIOS.items()}
+    path = {**bundled, **_recipes()}.get(arg.removesuffix(".json"))
     if path is None:
         raise ConfigError(f"no such scenario or sweep file: {arg}")
     return str(path)

@@ -1,8 +1,9 @@
 """JSON configuration: routes, energy model, scenarios, sweeps.
 
 Bundled under ``offloadsim/data``: three route layouts (``2ap``, ``4ap``,
-``8ap``), the energy model, two default scenarios, and one sweep recipe per
-result figure under ``data/recipes``.
+``8ap``), two default scenarios (``dt-default``, ``ds-default``), and one
+sweep recipe per result figure under ``data/recipes``, each naming the
+default scenario it sweeps.
 
 Every JSON object is read by :class:`_Object`: each value is parsed under its
 dotted path (``dt-default.task.size_mb``), a value the model rejects is named
@@ -32,6 +33,8 @@ class ConfigError(Exception):
 
 
 _BUNDLED_ROUTES = {f"{n}ap" for n in HOTSPOT_COUNTS}
+# each bundled scenario's name, as a sweep or the CLI gives it, and its data file
+BUNDLED_SCENARIOS = {"dt-default": "scenario_dt_default", "ds-default": "scenario_ds_default"}
 _NOTES = frozenset({"comment", "figure", "name"})  # free text, never read
 _REQUIRED = object()
 
@@ -205,11 +208,13 @@ def _energy(data: Any, path: str) -> EnergyModel:
 
 
 def load_energy_model(path: Optional[str] = None) -> EnergyModel:
-    source = bundled_scenario_path("energy") if path is None else path
-    return _energy(_read_json(source, "energy model"), "energy model")
+    """The energy model file at ``path``; with no path, ``EnergyModel()``."""
+    return EnergyModel() if path is None else _energy(_read_json(path, "energy model"),
+                                                      "energy model")
 
 
-def _scenario(data: Any, path: str) -> ScenarioSpec:
+def _scenario(data: Any, path: str, name: Optional[str] = None) -> ScenarioSpec:
+    """The scenario ``data`` read under ``path``; a sweep's base is named ``name``."""
     obj = _Object(data, path)
     route = _route(obj.get("route", json_string, "4ap"), f"{path}.route")
     rates = obj.get("rate_factors", _Object, {})
@@ -225,9 +230,10 @@ def _scenario(data: Any, path: str) -> ScenarioSpec:
     err_d = obj.get("errors", _Object, {})
     errors = err_d.build(ErrorSpec, time_error=err_d.get("time_error", parse_float, 0.10),
                          throughput_error=err_d.get("throughput_error", parse_float, 0.20))
+    scenario_id = obj.get("scenario_id", json_string, path)
     return obj.build(
         ScenarioSpec,
-        scenario_id=obj.get("scenario_id", json_string, path),
+        scenario_id=scenario_id if name is None else name,
         route=route,
         task=task,
         policies=obj.get("policies", _array(_policy)),
@@ -240,9 +246,13 @@ def _scenario(data: Any, path: str) -> ScenarioSpec:
 
 
 def _sweep(data: Any, path: str) -> SweepSpec:
+    """A sweep of the bundled scenario or scenario file its ``scenario`` names,
+    resolved as a scenario's ``route`` is; its points are named after ``path``."""
     obj = _Object(data, path)
     metrics = obj.get("metrics", _metrics, None)  # a figure's metrics, read only here
-    base = obj.get("scenario", _scenario)
+    ref = obj.get("scenario", json_string)
+    source = bundled_scenario_path(BUNDLED_SCENARIOS[ref]) if ref in BUNDLED_SCENARIOS else ref
+    base = _scenario(_read_json(source, f"{path}.scenario"), ref, path)
     axis = obj.get("sweep", _Object)
     obj.done()
     parameter = axis.get("parameter", _choice({p: p for p in SWEEPABLE}, "sweep parameter"))

@@ -132,7 +132,7 @@ class RouteSegment:
             check_real("backhaul_rate", self.backhaul_rate)
             # The backhaul path traverses the same radio link, so it can
             # never beat the local-cache rate.
-            if self.backhaul_rate > self.wifi_local_rate * (1 + 1e-12):
+            if self.backhaul_rate > self.wifi_local_rate:
                 raise ValueError(f"backhaul_rate {self.backhaul_rate} exceeds wifi_local_rate "
                                  f"{self.wifi_local_rate}")
             check_integer("hotspot_index", self.hotspot_index, 1)

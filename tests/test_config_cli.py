@@ -15,6 +15,7 @@ import pytest
 from conftest import RECIPES
 from offloadsim import cli
 from offloadsim.config import (
+    BUNDLED_SCENARIOS,
     ConfigError,
     bundled_recipe_path,
     bundled_scenario_path,
@@ -74,7 +75,7 @@ NAMED_FIELD = [
     ((None, "errors", "time_error", "0.1"), "input.errors.time_error: expected a number"),
     (("4ap", None, "hotspot_index", "1"), "route.json.segments[1].hotspot_index: expected an"),
     (("4ap", None, "backhaul_rate", "1"), "route.json.segments[1].backhaul_rate: expected a"),
-    (("fig2a", "scenario", "seed", "7"), "input.scenario.seed: expected an integer"),
+    (("fig2a", "scenario", "seed", "7"), "base.json.seed: expected an integer"),
     ((None, None, "policies", ["prefetch-dt", 1]), "input.policies[1]: expected a JSON string"),
     (("fig2a", None, "metrics", [1]), "input.metrics[0]: expected a JSON string"),
     (("fig2a", "sweep", "parameter", [1]), "input.sweep.parameter: expected a JSON string"),
@@ -89,8 +90,8 @@ NAMED_FIELD = [
 ]
 
 # cases of test_bad_input_file_exits_2 that put a metrics list in a scenario,
-# or in a sweep's scenario: only a sweep's top level names the metrics its CSV
-# shows, so the key is unknown there
+# or in a sweep's base file: only a sweep's top level names the metrics its
+# CSV shows, so the key is unknown there
 SCENARIO_METRICS = [
     (None, None, "metrics", ["offload_pct", "bogus"]),
     ("fig2a", "scenario", "metrics", ["bogus"]),
@@ -142,7 +143,8 @@ class TestLoaders:
             load_route(str(bad))
 
     def test_energy_defaults(self):
-        """energy.json lists the defaults a scenario without ``energy`` runs."""
+        """With no file, the energy model is the one a scenario without
+        ``energy`` runs."""
         assert load_energy_model() == EnergyModel()
         assert EnergyModel().mobile_transfer_j_per_mb == 100.0
 
@@ -225,6 +227,87 @@ class TestRecipes:
         bad.write_text(json.dumps(data))
         with pytest.raises(ConfigError):
             load_sweep(str(bad))
+
+    def test_each_recipe_is_its_default_swept(self):
+        """Figures 2-5 sweep the delay-tolerant default and 6-9 the
+        delay-sensitive one; a recipe names it and restates none of it."""
+        for name in RECIPES:
+            data = json.loads(bundled_recipe_path(name).read_text())
+            default = "dt-default" if name < "fig6" else "ds-default"
+            assert data["scenario"] == default, name
+            base = load_sweep(str(bundled_recipe_path(name))).base
+            assert base == load_scenario(str(bundled_scenario_path(BUNDLED_SCENARIOS[default])))
+            assert base.scenario_id == name
+
+
+class TestScenarioReference:
+    """A sweep's ``scenario`` is a bundled scenario's name or a scenario
+    file's path, never an inline object; its points take the sweep file's
+    name."""
+
+    SWEEP = {"parameter": "size_mb", "values": [30, 40]}
+
+    def write(self, tmp_path, scenario, name="input"):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"scenario": scenario, "sweep": self.SWEEP}))
+        return str(path)
+
+    def test_a_bundled_name_loads(self, tmp_path):
+        sweep = load_sweep(self.write(tmp_path, "ds-default", "mine"))
+        assert sweep.base == load_scenario(str(bundled_scenario_path("scenario_ds_default")))
+        assert [p.scenario_id for p in sweep.points] == ["mine@size_mb=30", "mine@size_mb=40"]
+
+    def test_a_file_path_loads(self, tmp_path, monkeypatch):
+        data = json.loads(bundled_scenario_path("scenario_dt_default").read_text())
+        data["task"]["size_mb"] = 45
+        (tmp_path / "base.json").write_text(json.dumps(data))
+        monkeypatch.chdir(tmp_path)
+        for ref in ("base.json", str(tmp_path / "base.json")):
+            sweep = load_sweep(self.write(tmp_path, ref))
+            assert sweep.base == load_scenario("base.json")
+            assert sweep.base.task.size_mb == 45
+            assert sweep.base.scenario_id == "input"
+            assert sweep.points[1].scenario_id == "input@size_mb=40"
+
+    @pytest.mark.parametrize("scenario,message", [
+        ("dt_default", "cannot read dt_default: "),
+        ("missing.json", "cannot read missing.json: "),
+        ("broken.json", "invalid JSON in broken.json: "),
+        ({"route": "4ap"}, "expected a JSON string, got {'route': '4ap'}"),
+    ], ids=["unknown-name", "unreadable-path", "invalid-json", "inline-object"])
+    def test_a_bad_reference_exits_2_naming_the_key(self, tmp_path, monkeypatch, capsys,
+                                                    scenario, message):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "broken.json").write_text("{oops")
+        assert cli.main(["sweep", "--sweep", self.write(tmp_path, scenario)]) == 2
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: input.scenario: {message}"), err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("edit,named", [
+        ({"seeds": 0}, "base.json.seeds: unknown key"),
+        ({"task": {"size_mb": -1}}, "base.json.task: size_mb must be"),
+        ({"route": "5ap"}, "base.json.route: cannot read 5ap: "),
+    ], ids=["unknown-key", "rejected-value", "bad-route"])
+    def test_an_error_in_the_referenced_file_is_named_by_it(self, tmp_path, monkeypatch,
+                                                           capsys, edit, named):
+        monkeypatch.chdir(tmp_path)
+        data = json.loads(bundled_scenario_path("scenario_dt_default").read_text())
+        (tmp_path / "base.json").write_text(json.dumps(dict(data, **edit)))
+        assert cli.main(["sweep", "--sweep", self.write(tmp_path, "base.json")]) == 2
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {named}"), err
+        assert captured.out == ""
+
+    def test_the_points_take_the_sweep_files_name(self, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        path = self.write(tmp_path, "dt-default", "my-sweep")
+        assert cli.main(["sweep", "--sweep", path, "--runs", "2", "--out", str(out)]) == 0
+        ids = {row.split(",")[0] for row in out.read_text().splitlines()[1:]}
+        assert ids == {"my-sweep@size_mb=30", "my-sweep@size_mb=40"}
+        capsys.readouterr()
 
 
 def cli_examples() -> list[tuple[str, str]]:
@@ -337,14 +420,15 @@ class TestCli:
         data.update(route=str(tmp_path / "route.json"),
                     rate_factors={"mobile": "1/3", "wifi": "1", "backhaul": "1"})
         data["errors"]["throughput_error"] = 0.0
+        (tmp_path / "base.json").write_text(json.dumps(data))
         path = tmp_path / "input.json"
-        path.write_text(json.dumps({"scenario": data, "sweep": {
+        path.write_text(json.dumps({"scenario": str(tmp_path / "base.json"), "sweep": {
             "parameter": "mobile_factor", "values": ["1/3", 1]}}))
         assert self.run_cli("sweep", "--sweep", str(path), "--thr-error", "0.2") == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines() == [
-            "error: input.sweep: values[1] (dt-default@mobile_factor=1): segment 0: "
+            "error: input.sweep: values[1] (input@mobile_factor=1): segment 0: "
             "a realized mobile rate leaves (0, inf) at error 0.2"]
 
     @pytest.mark.parametrize("sub", ["", "sub"])
@@ -362,7 +446,7 @@ class TestCli:
         run exits 0 with no warning, and each CI is 2^k times that of its
         row scaled by 2^-k."""
         data = json.loads(bundled_scenario_path("scenario_dt_default").read_text())
-        data["energy"] = {**dataclasses.asdict(load_energy_model()),
+        data["energy"] = {**dataclasses.asdict(EnergyModel()),
                           "mobile_transfer_j_per_mb": 1e160}
         path = tmp_path / "huge.json"
         path.write_text(json.dumps(data))
@@ -386,7 +470,7 @@ class TestCli:
         in np.mean; the run exits 0 with no warning, and every mean is finite
         and 2^k times that of its row scaled by 2^-k."""
         data = json.loads(bundled_scenario_path("scenario_dt_default").read_text())
-        data["energy"] = {**dataclasses.asdict(load_energy_model()),
+        data["energy"] = {**dataclasses.asdict(EnergyModel()),
                           "mobile_transfer_j_per_mb": 1e305}
         path = tmp_path / "huge.json"
         path.write_text(json.dumps(data))
@@ -466,7 +550,7 @@ class TestCli:
             path.write_text(json.dumps(route))
             data["route"] = str(path)
         elif section == "energy":
-            data["energy"] = dict(bundled("energy"), **{key: value})
+            data["energy"] = dict(dataclasses.asdict(EnergyModel()), **{key: value})
         elif section == "sweep":
             data = json.loads(bundled_recipe_path("fig3a").read_text())
             data[section][key] = value  # fig3a sweeps the mobile factor
@@ -520,13 +604,18 @@ class TestCli:
         the wrong JSON type, true or false or a string of digits for a number,
         a non-string or unknown name in a list, an unknown sweep parameter, or
         a metrics list anywhere but a sweep's top level fails at load, naming
-        the field."""
+        the field; in a sweep's base file, the field is named by that file."""
         data = json.loads(bundled_scenario_path("scenario_dt_default").read_text())
         if recipe == "4ap":  # a copy of the route, its first hotspot changed
             route = json.loads(bundled_scenario_path("route_4ap").read_text())
             route["segments"][1][key] = value
             data["route"] = str(tmp_path / "route.json")
             Path(data["route"]).write_text(json.dumps(route))
+        elif section == "scenario":  # a copy of the sweep's base, referenced by path
+            data[key] = value
+            (tmp_path / "base.json").write_text(json.dumps(data))
+            data = dict(json.loads(bundled_recipe_path(recipe).read_text()),
+                        scenario=str(tmp_path / "base.json"))
         else:
             if recipe is not None:
                 data = json.loads(bundled_recipe_path(recipe).read_text())
@@ -545,7 +634,8 @@ class TestCli:
             if case == (recipe, section, key, value):
                 assert named in err[0], err[0]
         if (recipe, section, key, value) in SCENARIO_METRICS:
-            assert err[0] == f"error: input{'.scenario' * bool(section)}.metrics: unknown key"
+            named = tmp_path / "base.json" if section else "input"
+            assert err[0] == f"error: {named}.metrics: unknown key"
         assert captured.out == ""
 
     # a route whose mobile rates are 1.7e308 Mbit/s, its times divided by 1000
@@ -596,10 +686,10 @@ class TestCli:
         data["errors"]["throughput_error"] = throughput_error
         data["task"].update(edit.get("task", {}))
         if "energy" in edit:
-            energy = json.loads(bundled_scenario_path("energy").read_text())
-            data["energy"] = dict(energy, **edit["energy"])
-        if sweep is not None:
-            data = {"scenario": data, "sweep": sweep}
+            data["energy"] = dict(dataclasses.asdict(EnergyModel()), **edit["energy"])
+        if sweep is not None:  # a sweep of the edited scenario, saved as base.json
+            (tmp_path / "base.json").write_text(json.dumps(data))
+            data = {"scenario": str(tmp_path / "base.json"), "sweep": sweep}
         path = tmp_path / "input.json"
         path.write_text(json.dumps(data))
         option = "--sweep" if argv[0] == "sweep" else "--scenario"
@@ -637,6 +727,25 @@ class TestCli:
         assert self.run_cli("run", "--scenario", str(bad), "--runs", "3") == 2
         err = capsys.readouterr().err.splitlines()
         assert err == [f"error: {route_path}: segment 1 starts at 17.9999995, expected 18.0"]
+
+    @pytest.mark.parametrize("above", [False, True], ids=["equal", "one-float-above"])
+    def test_a_route_file_backhaul_may_equal_its_local_rate(self, tmp_path, capsys, above):
+        """A hotspot whose backhaul rate equals its local rate loads; one
+        float above it exits 2 naming the segment."""
+        route = json.loads(bundled_scenario_path("route_4ap").read_text())
+        local = route["segments"][1]["wifi_local_rate"]  # the first hotspot
+        backhaul = math.nextafter(local, math.inf) if above else local
+        route["segments"][1]["backhaul_rate"] = backhaul
+        route_path = tmp_path / "route.json"
+        route_path.write_text(json.dumps(route))
+        data = json.loads(bundled_scenario_path("scenario_dt_default").read_text())
+        data["route"] = str(route_path)
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(data))
+        assert self.run_cli("run", "--scenario", str(path), "--runs", "2") == 2 * above
+        err = capsys.readouterr().err.splitlines()
+        assert err == ([f"error: {route_path}.segments[1]: backhaul_rate {backhaul!r} exceeds "
+                        f"wifi_local_rate {local!r}"] if above else [])
 
     @pytest.mark.parametrize("edit,message", [
         ({"durations": [1e-11, 1e-11], "starts": [0, 5.0001e-7], "total_time": 2e-11},

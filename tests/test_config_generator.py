@@ -1,11 +1,12 @@
 """Every malformed value in a config file exits 2 and names its field.
 
 The generator walks every value of dt-default, ds-default, one recipe per
-sweep parameter, each route file and energy.json (notes left out), and puts
-a value of the wrong kind there: a digit string, a boolean, null, a list, an
-object, a negative number, a fraction where an integer is due, an integer
-literal past the float range where a float is due, and a hotspot count with
-no bundled layout.  It also adds a misspelt copy of every key.  Every
+sweep parameter (its base, the default it names, copied to ``base.json`` and
+referenced by that path), each route file and the default energy model
+(notes left out), and puts a value of the wrong kind there: a digit string,
+a boolean, null, a list, an object, a negative number, a fraction where an
+integer is due, an integer literal past the float range where a float is
+due, and a hotspot count with no bundled layout.  It also adds a misspelt copy of every key.  Every
 scenario it walks also carries the optional key no bundled file sets,
 ``task.delay_threshold_s``.  Each variant
 runs through the CLI in-process and must exit 2 with one ``error:`` line
@@ -17,6 +18,7 @@ are the inputs README documents as valid: a string of digits where a rate
 factor or sweep value may be a fraction string, and any ``scenario_id``.
 """
 
+import dataclasses
 import json
 import shutil
 import sys
@@ -26,7 +28,8 @@ import pytest
 
 from conftest import RECIPES
 from offloadsim import cli
-from offloadsim.config import bundled_recipe_path, bundled_scenario_path
+from offloadsim.config import BUNDLED_SCENARIOS, bundled_recipe_path, bundled_scenario_path
+from offloadsim.model import EnergyModel
 
 NOTES = {"comment", "figure", "name"}
 INTEGER_KEYS = {"seed", "runs", "hotspot_index"}
@@ -128,30 +131,38 @@ def test_every_malformed_value_exits_2_naming_its_field(name, tmp_path, monkeypa
     monkeypatch.chdir(tmp_path)
     shutil.copy(bundled_scenario_path("route_4ap"), tmp_path / "3ap")
     scenario = load(bundled_scenario_path("scenario_dt_default"))
-    route_path = tmp_path / "route.json"
+    files = {"input.json": scenario}  # each run writes these, by file name
+    bases = {}  # a recipe's base file, walked with it
     if name.startswith("route_"):
-        doc, root, top = load(bundled_scenario_path(name)), str(route_path), scenario
+        doc, root = load(bundled_scenario_path(name)), str(tmp_path / "route.json")
         scenario["route"] = root
+        files["route.json"] = doc
     elif name == "energy":
-        doc, root, top = load(bundled_scenario_path(name)), "input.energy", scenario
+        doc, root = dataclasses.asdict(EnergyModel()), "input.energy"
         scenario["energy"] = doc
-    else:
-        path = bundled_scenario_path(name) if name.startswith("scenario") \
-            else bundled_recipe_path(name)
-        doc = top = load(path)
-        root = "input"
-        with_optional_keys(doc if name.startswith("scenario") else doc["scenario"])
+    elif name.startswith("scenario"):
+        doc, root = load(bundled_scenario_path(name)), "input"
+        with_optional_keys(doc)
+        files["input.json"] = doc
+    else:  # a recipe, its base the default it names, saved as base.json
+        doc, root = load(bundled_recipe_path(name)), "input"
+        base = load(bundled_scenario_path(BUNDLED_SCENARIOS[doc["scenario"]]))
+        with_optional_keys(base)
+        doc["scenario"] = "base.json"
+        files["input.json"], bases["base.json"] = doc, base
+    files.update(bases)
+    roots = [(root, doc), *bases.items()]
     hotspot_values = doc.get("sweep", {}).get("parameter") == "hotspot_count"
 
     def run(expect, named):
-        route_path.write_text(json.dumps(doc))
-        (tmp_path / "input.json").write_text(json.dumps(top))
+        for file, value in files.items():
+            (tmp_path / file).write_text(json.dumps(value))
         code = run_cli(["run", "--scenario", "input.json", "--runs", "2"])
         return problem(expect, named, code, capsys.readouterr())
 
-    nodes = list(walk(doc, root))
-    objects = [(root, doc)] + [(path, container[key]) for path, _, container, key in nodes
-                               if isinstance(container[key], dict)]
+    nodes = [node for path, value in roots for node in walk(value, path)]
+    objects = roots + [(path, container[key]) for path, _, container, key in nodes
+                       if isinstance(container[key], dict)]
     failures = []
     for path, holder, container, key in nodes:
         original = container[key]
@@ -159,7 +170,7 @@ def test_every_malformed_value_exits_2_naming_its_field(name, tmp_path, monkeypa
             container[key] = value
             named = path if expect == "path" else holder
             if expect == "point":
-                point_id = f"{doc['scenario']['scenario_id']}@hotspot_count={value:g}"
+                point_id = f"input@hotspot_count={value:g}"  # named after the sweep file
                 named = f"{holder}: values{path[path.rindex('['):]} ({point_id})"
             found = run(expect, named)
             container[key] = original

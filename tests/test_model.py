@@ -4,6 +4,7 @@ import math
 import numbers
 import os
 import pickle
+import re
 import subprocess
 import sys
 import textwrap
@@ -78,6 +79,16 @@ class TestRouteSegment:
     def test_backhaul_cannot_exceed_local(self):
         with pytest.raises(ValueError):
             wifi(0.0, 10.0, 5.0, 6.0, 1)
+
+    @pytest.mark.parametrize("local", [16.16, 1e-300, 1e300])
+    def test_backhaul_may_equal_local_and_no_more(self, local):
+        """The rule is exact: a backhaul rate one float above its local
+        rate is rejected, where a 1e-12 relative slack let it through."""
+        assert wifi(0.0, 10.0, local, local, 1).backhaul_rate == local
+        above = math.nextafter(local, math.inf)
+        with pytest.raises(ValueError, match=re.escape(
+                f"backhaul_rate {above!r} exceeds wifi_local_rate {local!r}")):
+            wifi(0.0, 10.0, local, above, 1)
 
     def test_wifi_needs_hotspot_index(self):
         with pytest.raises(ValueError):
