@@ -8,7 +8,7 @@ the picture.
 """
 
 from offloadsim import Policy, relative_gain, run_sweep
-from offloadsim.config import bundled_recipe_path, load_sweep
+from offloadsim.config import load_sweep
 
 DS = Policy.PREFETCH_DELAY_SENSITIVE
 NP = Policy.NO_PREDICTION_OFFLOAD
@@ -30,15 +30,14 @@ def show(results, metric, unit, lower_is_better=True):
 
 def main():
     print("Transfer delay vs object size (mean of 120 paired runs)")
-    show(run_sweep(load_sweep(str(bundled_recipe_path("fig6a")))),
-         "transfer_delay_s", "s")
+    show(run_sweep(load_sweep("fig6a")), "transfer_delay_s", "s")
 
     print("Transfer delay vs time estimation error (50 MB object)")
-    sweep = load_sweep(str(bundled_recipe_path("fig8a")))
+    sweep = load_sweep("fig8a")
     show(run_sweep(sweep), "transfer_delay_s", "s")
 
     print("Energy vs throughput estimation error (50 MB object)")
-    sweep = load_sweep(str(bundled_recipe_path("fig9b")))
+    sweep = load_sweep("fig9b")
     show(run_sweep(sweep), "energy_j", "J")
 
     print("Reading: the mean delay barely moves with time error (the CI widens")

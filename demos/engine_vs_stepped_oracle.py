@@ -10,13 +10,13 @@ and 0.05 s plus one step.
 from dataclasses import replace
 
 from offloadsim import compare_runs, realize_route, run_trip, run_trip_stepped
-from offloadsim.config import bundled_scenario_path, load_scenario
+from offloadsim.config import load_scenario
 from offloadsim.metrics import derive_run_seed
 
 
 def main():
-    for name in ("scenario_dt_default", "scenario_ds_default"):
-        spec = load_scenario(str(bundled_scenario_path(name)))
+    for name in ("dt-default", "ds-default"):
+        spec = load_scenario(name)
         nominal = spec.scaled_route()
         print(f"{spec.scenario_id}: {spec.task.size_mb:.0f} MB, "
               f"{len(spec.policies)} policies, 10 seeds")

@@ -7,7 +7,7 @@ advantage of prediction + prefetching over the no-prediction baseline.
 """
 
 from offloadsim import Policy, relative_gain, run_sweep
-from offloadsim.config import bundled_recipe_path, load_sweep
+from offloadsim.config import load_sweep
 
 PF = Policy.PREFETCH_DELAY_TOLERANT
 PRED = Policy.PREDICTION_ONLY_DELAY_TOLERANT
@@ -15,7 +15,7 @@ NP = Policy.NO_PREDICTION_OFFLOAD
 
 
 def main():
-    sweep = load_sweep(str(bundled_recipe_path("fig2a")))
+    sweep = load_sweep("fig2a")
     results = run_sweep(sweep)
 
     print("Offloaded traffic (% of object, mean over 120 runs, +-95% CI)")

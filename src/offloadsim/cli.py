@@ -5,8 +5,9 @@
     offloadsim figures --out figures/
     offloadsim oracle-check --scenario ds-default --seeds 50
 
-Scenario and sweep arguments take a JSON path or the name of a bundled file
-(``dt-default``, ``ds-default``, ``fig2a`` ... ``fig9b``).  ``figures`` writes
+Scenario and sweep arguments take a JSON file's path or a bundled name
+(``dt-default``, ``ds-default``, ``fig2a`` ... ``fig9b``), by the rule that
+resolves a reference inside a file (``config``).  ``figures`` writes
 every bundled recipe's CSV, ``<name>.csv``, into one directory, each the bytes
 ``sweep --sweep <name>`` writes.  Exit codes: 0 on success, 1 when an oracle
 check fails, 2 on a configuration error or an unwritable ``--out``.
@@ -35,24 +36,6 @@ from .metrics import (
 )
 from .oracle import DEFAULT_DT, check_dt, compare_runs, run_trip_stepped
 from .prediction import realize_route
-
-
-def _recipes() -> dict[str, Path]:
-    """Every bundled sweep recipe by name, in name order."""
-    data = config.bundled_scenario_path("scenario_dt_default").parent
-    return {path.stem: path for path in sorted((data / "recipes").glob("*.json"))}
-
-
-def _resolve_input(arg: str) -> str:
-    """Accept a file's path (not a directory's) or a bundled name, with or without ``.json``."""
-    if Path(arg).is_file():
-        return arg
-    bundled = {name: config.bundled_scenario_path(stem)
-               for name, stem in config.BUNDLED_SCENARIOS.items()}
-    path = {**bundled, **_recipes()}.get(arg.removesuffix(".json"))
-    if path is None:
-        raise ConfigError(f"no such scenario or sweep file: {arg}")
-    return str(path)
 
 
 def _apply_overrides(spec: ScenarioSpec, args: argparse.Namespace,
@@ -91,12 +74,12 @@ def _print_summary(results: Sequence[AggregateResult]) -> None:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     """``run`` takes a scenario or a sweep file, ``sweep`` only a sweep file."""
-    path = _resolve_input(args.sweep if args.command == "sweep" else args.scenario)
-    spec = (config.load_sweep if args.command == "sweep" else config.load_experiment)(path)
+    ref = args.sweep if args.command == "sweep" else args.scenario
+    spec = (config.load_sweep if args.command == "sweep" else config.load_experiment)(ref)
     if isinstance(spec, SweepSpec):
         base = _apply_overrides(spec.base, args, swept=spec.parameter)
         if base is not spec.base:  # the points are built and checked again, before any run
-            spec = config.checked(f"{Path(path).stem}.sweep", replace, spec, base=base)
+            spec = config.checked(f"{spec.base.scenario_id}.sweep", replace, spec, base=base)
         points, metrics = spec.points, spec.metrics
     else:  # a scenario's CSV shows every metric
         points, metrics = [_apply_overrides(spec, args)], None
@@ -123,14 +106,14 @@ def _cmd_figures(args: argparse.Namespace) -> int:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"--out: {exc}") from exc
-    for name, path in _recipes().items():
-        sweep = config.load_sweep(str(path))
+    for name in config.RECIPES:  # read by data path: no file of its name stands in
+        sweep = config.load_sweep(str(config.bundled_recipe_path(name)))
         _write_out(out / f"{name}.csv", render_csv(run_sweep(sweep), sweep.metrics))
     return 0
 
 
 def _cmd_oracle_check(args: argparse.Namespace) -> int:
-    spec = config.load_experiment(_resolve_input(args.scenario))
+    spec = config.load_experiment(args.scenario)
     if isinstance(spec, SweepSpec):
         raise ConfigError(f"--scenario: {args.scenario} is a sweep; "
                           "oracle-check takes one scenario")

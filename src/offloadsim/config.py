@@ -2,8 +2,9 @@
 
 Bundled under ``offloadsim/data``: three route layouts (``2ap``, ``4ap``,
 ``8ap``), two default scenarios (``dt-default``, ``ds-default``), and one
-sweep recipe per result figure under ``data/recipes``, each naming the
-default scenario it sweeps.
+sweep recipe per result figure (``fig2a`` ... ``fig9b``), each naming the
+default scenario it sweeps.  A loader's argument, a scenario's ``route`` and a
+sweep's ``scenario`` each name a file or a bundled name by one rule, :func:`_resolve`.
 
 Every JSON object is read by :class:`_Object`: each value is parsed under its
 dotted path (``dt-default.task.size_mb``), a value the model rejects is named
@@ -17,7 +18,6 @@ import dataclasses
 import functools
 import json
 from fractions import Fraction
-from importlib import resources
 from pathlib import Path
 from typing import Any, Callable, Optional, Union
 
@@ -32,9 +32,13 @@ class ConfigError(Exception):
     """A configuration file is missing, malformed, or inconsistent."""
 
 
-_BUNDLED_ROUTES = {f"{n}ap" for n in HOTSPOT_COUNTS}
-# each bundled scenario's name, as a sweep or the CLI gives it, and its data file
+# each bundled name, as a reference gives it, and its data file
+ROUTES = {f"{n}ap": f"route_{n}ap" for n in HOTSPOT_COUNTS}
 BUNDLED_SCENARIOS = {"dt-default": "scenario_dt_default", "ds-default": "scenario_ds_default"}
+RECIPES = {f"fig{n}": f"recipes/fig{n}" for n in
+           "2a 2b 3a 3b 3c 3d 4a 4b 5a 5b 6a 6b 7a 7b 7c 7d 8a 8b 9a 9b".split()}
+_EXPERIMENTS = {**BUNDLED_SCENARIOS, **RECIPES}  # what a loader or the CLI names
+_DATA = Path(__file__).with_name("data")  # the package data, installed beside this module
 _NOTES = frozenset({"comment", "figure", "name"})  # free text, never read
 _REQUIRED = object()
 
@@ -42,7 +46,7 @@ _REQUIRED = object()
 def _read_json(source: Union[str, Path], label: str) -> Any:
     try:
         text = Path(source).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # also a NUL in the path, or a non-UTF-8 file
         raise ConfigError(f"{label}: cannot read {source}: {exc}") from exc
     try:
         return json.loads(text)
@@ -181,24 +185,35 @@ def _route_file(data: Any, path: str) -> RouteProfile:
                      obj.get("total_time", parse_float))
 
 
+def _resolve(ref: Any, label: str, names: dict[str, str],
+             base: Path = Path()) -> tuple[Path, Optional[str]]:
+    """The file at ``ref``, a relative ``ref`` taken from ``base`` (the directory
+    of the file that names it), and None; else the data file and name of the
+    bundled name ``ref``, with or without ``.json``, in ``names``; else the path
+    tried, whose read fails under ``label``."""
+    path = base / json_string(ref, label)
+    name = ref.removesuffix(".json")
+    if path.is_file() or name not in names:
+        return path, None
+    return bundled_scenario_path(names[name]), name
+
+
 @functools.cache
-def _bundled_route(key: str) -> RouteProfile:
-    """A bundled route, parsed once per process (routes are frozen)."""
-    return _route_file(_read_json(bundled_scenario_path(f"route_{key}"), key), key)
+def bundled_route(name: str) -> RouteProfile:
+    """A bundled route by name, parsed once per process (routes are frozen)."""
+    return _route_file(_read_json(bundled_scenario_path(ROUTES[name]), name), name)
 
 
-def _route(ref: Any, label: str) -> RouteProfile:
-    """The bundled route ``ref`` names, or the route file at path ``ref``;
-    ``label`` names the reference."""
-    if json_string(ref, label) in _BUNDLED_ROUTES:
-        return _bundled_route(ref)
-    return _route_file(_read_json(ref, label), ref)
+def _route(ref: Any, label: str, base: Path = Path()) -> RouteProfile:
+    """The route ``ref`` names, from ``base``; ``label`` names the reference."""
+    path, name = _resolve(ref, label, ROUTES, base)
+    return bundled_route(name) if name else _route_file(_read_json(path, label), ref)
 
 
-def load_route(key_or_path: str) -> RouteProfile:
-    """Load a bundled route by key ('4ap', '2ap', '8ap') or any JSON path;
-    a path is read again on every call."""
-    return _route(key_or_path, "route")
+def load_route(ref: str) -> RouteProfile:
+    """A route file or bundled name ('2ap', '4ap', '8ap'); a file is read
+    again on every call."""
+    return _route(ref, "route")
 
 
 def _energy(data: Any, path: str) -> EnergyModel:
@@ -213,10 +228,10 @@ def load_energy_model(path: Optional[str] = None) -> EnergyModel:
                                                       "energy model")
 
 
-def _scenario(data: Any, path: str, name: Optional[str] = None) -> ScenarioSpec:
-    """The scenario ``data`` read under ``path``; a sweep's base is named ``name``."""
+def _scenario(data: Any, path: str, base: Path, name: Optional[str] = None) -> ScenarioSpec:
+    """The scenario ``data`` of a file in ``base``, under ``path``; a sweep's base is ``name``."""
     obj = _Object(data, path)
-    route = _route(obj.get("route", json_string, "4ap"), f"{path}.route")
+    route = obj.get("route", functools.partial(_route, base=base), None) or bundled_route("4ap")
     rates = obj.get("rate_factors", _Object, {})
     factors = {f"{name}_factor": rates.get(name, parse_factor, "1/3")
                for name in ("mobile", "wifi", "backhaul")}
@@ -245,35 +260,40 @@ def _scenario(data: Any, path: str, name: Optional[str] = None) -> ScenarioSpec:
     )
 
 
-def _sweep(data: Any, path: str) -> SweepSpec:
-    """A sweep of the bundled scenario or scenario file its ``scenario`` names,
-    resolved as a scenario's ``route`` is; its points are named after ``path``."""
+def _sweep(data: Any, path: str, base: Path) -> SweepSpec:
+    """A sweep of a file in ``base``, of the scenario its ``scenario`` names;
+    its points are named after ``path``."""
     obj = _Object(data, path)
     metrics = obj.get("metrics", _metrics, None)  # a figure's metrics, read only here
     ref = obj.get("scenario", json_string)
-    source = bundled_scenario_path(BUNDLED_SCENARIOS[ref]) if ref in BUNDLED_SCENARIOS else ref
-    base = _scenario(_read_json(source, f"{path}.scenario"), ref, path)
+    source, _ = _resolve(ref, f"{path}.scenario", BUNDLED_SCENARIOS, base)
+    scenario = _scenario(_read_json(source, f"{path}.scenario"), ref, source.parent, path)
     axis = obj.get("sweep", _Object)
     obj.done()
     parameter = axis.get("parameter", _choice({p: p for p in SWEEPABLE}, "sweep parameter"))
     # the spec builds and checks every point, so a bad one fails here, not mid-sweep
-    return axis.build(SweepSpec, base=base, parameter=parameter,
+    return axis.build(SweepSpec, base=scenario, parameter=parameter,
                       values=axis.get("values", _array(parse_factor)), metrics=metrics)
 
 
-def load_scenario(path: str) -> ScenarioSpec:
-    return _scenario(_read_json(path, "scenario"), Path(path).stem)
+def _file(ref: str, label: str) -> tuple[Any, str, Path]:
+    """The data, stem and directory of the file or bundled name ``ref``."""
+    path, _ = _resolve(ref, label, _EXPERIMENTS)
+    return _read_json(path, label), path.stem, path.parent
 
 
-def load_sweep(path: str) -> SweepSpec:
-    return _sweep(_read_json(path, "sweep"), Path(path).stem)
+def load_scenario(ref: str) -> ScenarioSpec:
+    return _scenario(*_file(ref, "scenario"))
 
 
-def load_experiment(path: str) -> Union[ScenarioSpec, SweepSpec]:
-    """Load either kind of file; sweep files carry a 'sweep' key."""
-    data = _read_json(path, "experiment")
-    parse = _sweep if isinstance(data, dict) and "sweep" in data else _scenario
-    return parse(data, Path(path).stem)
+def load_sweep(ref: str) -> SweepSpec:
+    return _sweep(*_file(ref, "sweep"))
+
+
+def load_experiment(ref: str) -> Union[ScenarioSpec, SweepSpec]:
+    """Load either kind of file or bundled name; sweep files carry a 'sweep' key."""
+    data, stem, base = _file(ref, "experiment")
+    return (_sweep if isinstance(data, dict) and "sweep" in data else _scenario)(data, stem, base)
 
 
 def bundled_recipe_path(name: str) -> Path:
@@ -283,6 +303,4 @@ def bundled_recipe_path(name: str) -> Path:
 
 def bundled_scenario_path(name: str) -> Path:
     """Filesystem path of a bundled data file, e.g. 'scenario_dt_default'."""
-    fname = name if name.endswith(".json") else f"{name}.json"
-    with resources.as_file(resources.files("offloadsim.data").joinpath(fname)) as path:
-        return Path(path)
+    return _DATA / (name if name.endswith(".json") else f"{name}.json")

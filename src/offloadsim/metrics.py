@@ -336,11 +336,11 @@ def run_scenario(spec: ScenarioSpec) -> AggregateResult:
 
 
 def _hotspot_layout(spec: ScenarioSpec, count: float) -> dict:
-    from .config import load_route  # deferred: config builds on these types
+    from .config import bundled_route  # deferred: config builds on these types
 
-    if count not in HOTSPOT_COUNTS:  # any other key would be read as a file path
+    if count not in HOTSPOT_COUNTS:  # a bundled layout, never a file of its name
         raise ValueError(f"hotspot_count must be one of {HOTSPOT_COUNTS}, got {count:g}")
-    return {"route": load_route(f"{int(count)}ap")}
+    return {"route": bundled_route(f"{int(count)}ap")}
 
 
 # each sweepable parameter and the fields a sweep point at value v replaces

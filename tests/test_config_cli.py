@@ -4,20 +4,23 @@ import json
 import math
 import os
 import shlex
+import shutil
 import subprocess
 import sys
 import warnings
-from pathlib import Path
+from pathlib import Path, PurePosixPath
 
 import numpy as np
 import pytest
 
 from conftest import RECIPES
-from offloadsim import cli
+from offloadsim import cli, config
 from offloadsim.config import (
     BUNDLED_SCENARIOS,
+    ROUTES,
     ConfigError,
     bundled_recipe_path,
+    bundled_route,
     bundled_scenario_path,
     load_energy_model,
     load_experiment,
@@ -270,25 +273,31 @@ class TestScenarioReference:
             assert sweep.points[1].scenario_id == "input@size_mb=40"
 
     @pytest.mark.parametrize("scenario,message", [
-        ("dt_default", "cannot read dt_default: "),
-        ("missing.json", "cannot read missing.json: "),
-        ("broken.json", "invalid JSON in broken.json: "),
-        ({"route": "4ap"}, "expected a JSON string, got {'route': '4ap'}"),
-    ], ids=["unknown-name", "unreadable-path", "invalid-json", "inline-object"])
+        ("dt_default", "cannot read {dir}/dt_default: "),
+        ("missing.json", "cannot read {dir}/missing.json: "),
+        ("broken.json", "invalid JSON in {dir}/broken.json: "),
+        ({"route": "4ap"}, "expected a JSON string, got {{'route': '4ap'}}"),
+        ("nul\u0000byte", "cannot read {dir}/nul\x00byte: embedded null byte"),
+        ("latin1.json", "cannot read {dir}/latin1.json: 'utf-8' codec can't decode"),
+    ], ids=["unknown-name", "unreadable-path", "invalid-json", "inline-object", "nul-byte",
+            "not-utf-8"])
     def test_a_bad_reference_exits_2_naming_the_key(self, tmp_path, monkeypatch, capsys,
                                                     scenario, message):
+        """The message names the key and the path tried, beside the sweep file."""
         monkeypatch.chdir(tmp_path)
         (tmp_path / "broken.json").write_text("{oops")
+        (tmp_path / "latin1.json").write_bytes(b'{"route": "caf\xe9"}')
         assert cli.main(["sweep", "--sweep", self.write(tmp_path, scenario)]) == 2
         captured = capsys.readouterr()
         err = captured.err.splitlines()
-        assert len(err) == 1 and err[0].startswith(f"error: input.scenario: {message}"), err
+        prefix = f"error: input.scenario: {message.format(dir=tmp_path)}"
+        assert len(err) == 1 and err[0].startswith(prefix), err
         assert captured.out == ""
 
     @pytest.mark.parametrize("edit,named", [
         ({"seeds": 0}, "base.json.seeds: unknown key"),
         ({"task": {"size_mb": -1}}, "base.json.task: size_mb must be"),
-        ({"route": "5ap"}, "base.json.route: cannot read 5ap: "),
+        ({"route": "5ap"}, "base.json.route: cannot read {dir}/5ap: "),
     ], ids=["unknown-key", "rejected-value", "bad-route"])
     def test_an_error_in_the_referenced_file_is_named_by_it(self, tmp_path, monkeypatch,
                                                            capsys, edit, named):
@@ -298,7 +307,7 @@ class TestScenarioReference:
         assert cli.main(["sweep", "--sweep", self.write(tmp_path, "base.json")]) == 2
         captured = capsys.readouterr()
         err = captured.err.splitlines()
-        assert len(err) == 1 and err[0].startswith(f"error: {named}"), err
+        assert len(err) == 1 and err[0].startswith(f"error: {named.format(dir=tmp_path)}"), err
         assert captured.out == ""
 
     def test_the_points_take_the_sweep_files_name(self, tmp_path, capsys):
@@ -308,6 +317,108 @@ class TestScenarioReference:
         ids = {row.split(",")[0] for row in out.read_text().splitlines()[1:]}
         assert ids == {"my-sweep@size_mb=30", "my-sweep@size_mb=40"}
         capsys.readouterr()
+
+
+class TestReferenceRule:
+    """One rule finds every named input: a file at the reference, a relative
+    one read from the directory of the file that names it (the working
+    directory for a CLI argument or a loader call); else a bundled name of
+    its kind, with or without ``.json``."""
+
+    def write_refdir(self, tmp_path):
+        """``refdir/s.json`` sweeps ``base.json``, whose route is ``myroute.json``."""
+        refdir = tmp_path / "refdir"
+        refdir.mkdir()
+        shutil.copy(bundled_scenario_path("route_2ap"), refdir / "myroute.json")
+        data = json.loads(bundled_scenario_path("scenario_dt_default").read_text())
+        (refdir / "base.json").write_text(json.dumps(dict(data, route="myroute.json")))
+        (refdir / "s.json").write_text(json.dumps(
+            {"scenario": "base.json", "sweep": {"parameter": "size_mb", "values": [30, 40]}}))
+        return refdir
+
+    def test_a_sweep_runs_the_same_from_any_directory(self, tmp_path, monkeypatch, capsys):
+        refdir = self.write_refdir(tmp_path)
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        csvs = []
+        for cwd, ref in ((refdir, "s.json"), (elsewhere, "../refdir/s.json"),
+                         (elsewhere, str(refdir / "s.json"))):
+            monkeypatch.chdir(cwd)
+            out = tmp_path / f"out{len(csvs)}.csv"
+            assert cli.main(["sweep", "--sweep", ref, "--runs", "2", "--out", str(out)]) == 0
+            assert capsys.readouterr().err == ""
+            csvs.append(out.read_bytes())
+        assert csvs[0] == csvs[1] == csvs[2]
+
+    def test_a_route_is_read_beside_its_scenario(self, tmp_path, monkeypatch, capsys):
+        refdir = self.write_refdir(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        spec = load_scenario("refdir/base.json")
+        assert spec.route == load_route("refdir/myroute.json") == load_route("2ap")
+        assert cli.main(["run", "--scenario", str(refdir / "base.json"), "--runs", "2"]) == 0
+        capsys.readouterr()
+
+    def test_a_loader_takes_a_bundled_name(self):
+        assert load_scenario("dt-default") == load_scenario(
+            str(bundled_scenario_path("scenario_dt_default")))
+        assert load_sweep("fig2a") == load_sweep(str(bundled_recipe_path("fig2a")))
+        assert load_experiment("fig9b.json") == load_experiment(str(bundled_recipe_path("fig9b")))
+
+    @pytest.mark.parametrize("ref,beside,hotspots", [
+        ("4ap", "4ap", 2), ("4ap", None, 4), ("8ap.json", None, 8), ("4ap.json", "4ap.json", 2)])
+    def test_a_file_beside_the_scenario_comes_before_a_bundled_route(
+            self, tmp_path, ref, beside, hotspots):
+        """As for a CLI argument: a file of the name, here the 2-hotspot
+        route, is read; with none, the name is bundled, ``.json`` or not."""
+        if beside:
+            shutil.copy(bundled_scenario_path("route_2ap"), tmp_path / beside)
+        data = json.loads(bundled_scenario_path("scenario_dt_default").read_text())
+        (tmp_path / "input.json").write_text(json.dumps(dict(data, route=ref)))
+        assert load_scenario(str(tmp_path / "input.json")).route.n_hotspots == hotspots
+
+    def test_figures_never_read_a_working_directory_file(self, tmp_path, monkeypatch, capsys):
+        """A file in the working directory named after a route, scenario or
+        recipe leaves every figure bundled: its 20 CSVs match their golden
+        digests, and fig3d's 2-hotspot point runs the bundled 2ap route."""
+        monkeypatch.chdir(tmp_path)
+        for name, data in (("2ap", "route_8ap"), ("4ap", "route_2ap"),
+                           ("dt-default.json", "scenario_ds_default"),
+                           ("fig2a", "recipes/fig2b"), ("fig2a.json", "recipes/fig2b")):
+            shutil.copy(bundled_scenario_path(data), tmp_path / name)
+        golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+        assert cli.main(["figures", "--out", "figures"]) == 0
+        for name in RECIPES:
+            digest = hashlib.sha256((tmp_path / "figures" / f"{name}.csv").read_bytes())
+            assert digest.hexdigest() == golden[f"figures:{name}"], name
+        point = load_sweep("fig3d").points[0]
+        assert point.route == bundled_route("2ap") != load_route("2ap")
+        capsys.readouterr()
+
+
+class TestDataFiles:
+    """The bundled data directory, the name tables and the package data are
+    one set of files, so an installed package resolves the same names."""
+
+    TABLES = {"route": ROUTES, "scenario": BUNDLED_SCENARIOS, "recipe": config.RECIPES}
+
+    def test_every_data_file_is_a_table_entry_and_package_data(self):
+        data = bundled_scenario_path("scenario_dt_default").parent
+        files = {p.relative_to(data).as_posix() for p in data.rglob("*.json")}
+        entries = [f"{stem}.json" for table in self.TABLES.values() for stem in table.values()]
+        assert sorted(entries) == sorted(files)
+        assert sorted(config.RECIPES) == RECIPES
+        tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+        globs = tomllib.loads((ROOT / "pyproject.toml").read_text())[
+            "tool"]["setuptools"]["package-data"]["offloadsim"]
+        for name in files:
+            path = PurePosixPath("data", name)
+            assert any(len(path.parts) == len(PurePosixPath(g).parts) and path.match(g)
+                       for g in globs), name
+
+    @pytest.mark.parametrize("kind", ["route", "scenario", "recipe"])
+    def test_every_table_entry_names_an_existing_file(self, kind):
+        for name, stem in self.TABLES[kind].items():
+            assert bundled_scenario_path(stem).is_file(), (kind, name)
 
 
 def cli_examples() -> list[tuple[str, str]]:
@@ -351,8 +462,9 @@ class TestCli:
         if code == 0:
             assert out.read_text().startswith("scenario_id,policy,metric,")
         else:
-            assert proc.stderr.splitlines() == [
-                "error: no such scenario or sweep file: no-such-scenario"]
+            err = proc.stderr.splitlines()
+            assert len(err) == 1, err
+            assert err[0].startswith("error: experiment: cannot read no-such-scenario: "), err
             assert not out.exists()
 
     def test_run_deterministic_csv(self, tmp_path, capsys):
@@ -779,12 +891,15 @@ class TestCli:
 
     @pytest.mark.parametrize("name", ["energy", "route-4ap", "dt_default",
                                       "scenario_dt_default", "recipes/fig2a"])
-    def test_only_documented_bundled_names_resolve(self, name, capsys):
+    def test_only_documented_bundled_names_resolve(self, name, tmp_path, monkeypatch,
+                                                   capsys):
         """The bundled names are dt-default, ds-default and the recipes; any
-        other bundled file is an unknown name."""
+        other bundled file is an unknown name, read as a path and named by it."""
+        monkeypatch.chdir(tmp_path)
         assert self.run_cli("run", "--scenario", name, "--runs", "2") == 2
         captured = capsys.readouterr()
-        assert captured.err.splitlines() == [f"error: no such scenario or sweep file: {name}"]
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: experiment: cannot read {name}: ")
         assert captured.out == ""
 
     @pytest.mark.parametrize("name", ["dt-default.json", "ds-default", "fig9b.json"])
