@@ -7,11 +7,14 @@ fluid: bytes moved = rate x time, with exact interpolation of the completion
 crossing.  A round-off slack is a share of what it is compared with (the
 object size, a dwell, the deadline), so no result depends on the units.
 
-One trip loop serves both entry points.  :func:`run_trip` executes one
-realized route on floats; :func:`run_policies`, what a Monte-Carlo scenario
-uses, executes many realizations of one nominal route under P >= 1 policies
-in one pass: every per-run value is a ``(P, runs)`` array, policy p in row
-p, and the realized rows, ``(runs,)`` each, broadcast along the policy axis.
+One trip loop serves both entry points, and both read a
+:class:`~offloadsim.prediction.RealizedBatch`: its rows carry the realized
+times and rates, its nominal route each segment's kind.  :func:`run_trip`
+executes one realization, whose rows hold floats; :func:`run_policies`,
+what a Monte-Carlo scenario uses, executes many realizations of one nominal
+route under P >= 1 policies in one pass: every per-run value is a
+``(P, runs)`` array, policy p in row p, and the realized rows, ``(runs,)``
+each, broadcast along the policy axis.
 A trait the policies do not share (rate limiting, prefetching, entering
 hotspots) is a ``(P, 1)`` mask, and a masked step is skipped where no row
 takes it; a shared trait, and so every trait of one policy, is a bool.  The
@@ -46,7 +49,8 @@ import numpy as np
 from .model import MBIT_PER_MB, EnergyModel, RouteProfile, TransferTask, check_types
 from .policies import (_LOCAL, _MOBILE, Channel, Floats, Policy, PolicyColumns, check_admitted,
                        elementwise, plan_entry, plan_exit, policy_columns)
-from .prediction import ErrorSpec, RealizedBatch, _route_index, build_prediction
+from .prediction import (ErrorSpec, RealizedBatch, _route_index, build_prediction,
+                         check_one_realization)
 
 _SLACK = 2.0 ** -40  # of what it is compared with; see the module docstring
 
@@ -151,14 +155,6 @@ class _ByteState:
         return moved * MBIT_PER_MB / rate
 
 
-def _check_same_structure(realized: RouteProfile, nominal: RouteProfile) -> None:
-    if len(realized.segments) != len(nominal.segments):
-        raise ValueError("realized and nominal routes differ in segment count")
-    # a segment's hotspot index is None exactly where it is mobile: equal indices, equal kinds
-    if [s.hotspot_index for s in realized.segments] != [s.hotspot_index for s in nominal.segments]:
-        raise ValueError("realized and nominal routes differ in structure")
-
-
 def _run(
     segments: Sequence,
     end: Floats,
@@ -170,8 +166,8 @@ def _run(
 ) -> RunOutcome:
     """The trip loop, on one trip or on every run of a batch.
 
-    ``segments`` are the realized segments, each with the
-    :class:`~offloadsim.model.RouteSegment` attributes ``start_time``,
+    ``segments`` are the rows of a realization of ``nominal`` (see
+    :class:`~offloadsim.prediction.RealizedBatch`), each with ``start_time``,
     ``duration``, ``end_time`` and its kind's rates: floats for one trip,
     ``(runs,)`` arrays for a batch.  ``end``, the realized route end, has the
     outcome's form: a float beside a :class:`Policy`, or ``(P, runs)`` beside
@@ -276,7 +272,7 @@ def _run(
 
 
 def run_trip(
-    route_realized: RouteProfile,
+    route_realized: RealizedBatch,
     route_nominal: RouteProfile,
     task: TransferTask,
     policy: Policy,
@@ -284,6 +280,9 @@ def run_trip(
     energy_model: EnergyModel = EnergyModel(),
 ) -> RunOutcome:
     """Execute one trip under ``policy`` and return the realized outcome.
+    ``route_realized`` is one realization of ``route_nominal``, as
+    :func:`~offloadsim.prediction.realize_route` draws it; a batch, or a
+    realization of another route, raises ``ValueError``.
 
     A rate-limited or prefetching policy (re)plans at the route start and
     at every realized hotspot exit, on the nominal route's forecast for the
@@ -297,10 +296,10 @@ def run_trip(
     whatever the channel realizes; inside hotspots the node runs the
     policy's entry steps against the realized dwell.
     """
-    check_types(("route_realized", route_realized, RouteProfile),
+    check_types(("route_realized", route_realized, RealizedBatch),
                 ("route_nominal", route_nominal, RouteProfile), ("task", task, TransferTask),
                 ("errors", errors, ErrorSpec), ("energy_model", energy_model, EnergyModel))
-    _check_same_structure(route_realized, route_nominal)
+    check_one_realization(route_realized, route_nominal)
     check_admitted((policy,), task.traffic_class)
     return _run(route_realized.segments, route_realized.total_time, route_nominal, task,
                 policy, errors, energy_model)
@@ -322,7 +321,7 @@ def run_policies(
     check_types(("batch", batch, RealizedBatch), ("task", task, TransferTask),
                 ("errors", errors, ErrorSpec), ("energy_model", energy_model, EnergyModel))
     policies = check_admitted(policies, task.traffic_class)
-    end = batch.segments[-1].end_time
+    end = batch.total_time
     out = _run(batch.segments, np.broadcast_to(end, (len(policies), len(end))), batch.route,
                task, policy_columns(policies), errors, energy_model)
 

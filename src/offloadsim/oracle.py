@@ -8,12 +8,13 @@ its own received prefix and its own phase list for each hotspot.  It shares
 per trip, read by the count of hotspots passed, and the planner's pick of
 WiFi rate), so agreement between the two checks the byte integration, the
 completion crossings, the phase order, the hotspot phase list the oracle
-builds itself (in place of
-:func:`~offloadsim.policies.plan_entry`) and the mobile rate of each WiFi
-window, which it finds by its own scan (in place of the engine's route
-index).  It does not check the planning or the forecasts:
-``tests/test_policies.py`` checks the planners, and ``reference_forecast``
-in ``tests/conftest.py`` the forecasts.
+builds itself (in place of :func:`~offloadsim.policies.plan_entry`) and the
+mobile rate of each WiFi window, which it finds by its own scan of the
+nominal route (in place of the engine's route index).  Like the engine, it
+reads each segment's kind and hotspot index from the nominal route and its
+times and rates from the realized rows.  It does not check the planning or
+the forecasts: ``tests/test_policies.py`` checks the planners, and
+``reference_forecast`` in ``tests/conftest.py`` the forecasts.
 
 Each segment is still ``ceil(duration / dt)`` steps taken in order; no step
 is solved in closed form.  Most steps are *plain*: a full step inside one
@@ -49,8 +50,8 @@ from typing import Optional
 from .model import (_MOBILE_KIND, _WIFI_KIND, MBIT_PER_MB, RouteProfile, TransferTask,
                     check_real, check_types)
 from .policies import _MOBILE as _MOBILE_CHANNEL, Policy, check_admitted, plan_exit
-from .prediction import ErrorSpec, build_prediction
-from .engine import RunOutcome, _check_same_structure
+from .prediction import ErrorSpec, RealizedBatch, build_prediction, check_one_realization
+from .engine import RunOutcome
 
 DEFAULT_DT = 0.01
 
@@ -80,19 +81,22 @@ def check_dt(dt: float, longest: float) -> None:
 
 
 def run_trip_stepped(
-    route_realized: RouteProfile,
+    route_realized: RealizedBatch,
     route_nominal: RouteProfile,
     task: TransferTask,
     policy: Policy,
     errors: ErrorSpec,
     dt: float = DEFAULT_DT,
 ) -> StepOutcome:
-    """March through the realized route in steps of at most ``dt`` seconds."""
-    check_types(("route_realized", route_realized, RouteProfile),
+    """March through ``route_realized``, one realization of ``route_nominal``
+    as :func:`~offloadsim.engine.run_trip` takes it, in steps of at most
+    ``dt`` seconds."""
+    check_types(("route_realized", route_realized, RealizedBatch),
                 ("route_nominal", route_nominal, RouteProfile), ("task", task, TransferTask),
                 ("errors", errors, ErrorSpec))
-    check_dt(dt, max(s.duration for s in route_realized.segments))
-    _check_same_structure(route_realized, route_nominal)
+    check_one_realization(route_realized, route_nominal)
+    rows = route_realized.segments
+    check_dt(dt, max(row.duration for row in rows))
     check_admitted((policy,), task.traffic_class)
 
     size = task.size_mb
@@ -114,19 +118,19 @@ def run_trip_stepped(
     plan_rate = replan(0, 0.0)
     passed = 0  # hotspots left so far
 
-    for i, seg in enumerate(route_realized.segments):
+    for i, (seg, row) in enumerate(zip(route_nominal.segments, rows)):
         if completion is not None:
             break
 
         # Phase list: (slot, rate, fill-up-to position). The prefix is
         # contiguous, so each phase just extends it toward its limit.
         if seg.kind is _MOBILE_KIND:
-            rate = seg.mobile_rate
+            rate = row.mobile_rate
             if policy.rate_limited:
                 rate = rate if rate < plan_rate else plan_rate
             phases = [(_MOBILE, rate, size)]
         elif not policy.associates:  # mobile-only, which is never rate-limited
-            phases = [(_MOBILE, _window_mobile_rate(route_realized, i), size)]
+            phases = [(_MOBILE, _window_mobile_rate(route_nominal, rows, i), size)]
         else:
             cache = caches.get(seg.hotspot_index) if policy.prefetches else None
             if cache is not None:
@@ -134,21 +138,21 @@ def run_trip_stepped(
                 hole_end, cached_end = size if size < offset else offset, offset + amount
                 cached_end = size if size < cached_end else cached_end
                 if policy.hole_channel is _MOBILE_CHANNEL:
-                    hole_rate = _window_mobile_rate(route_realized, i)
+                    hole_rate = _window_mobile_rate(route_nominal, rows, i)
                     hole = (_MOBILE, hole_rate, hole_end)
                 else:
-                    hole = (_BACKHAUL, seg.backhaul_rate, hole_end)
+                    hole = (_BACKHAUL, row.backhaul_rate, hole_end)
                 phases = [
                     hole,
-                    (_LOCAL, seg.wifi_local_rate, cached_end),
-                    (_BACKHAUL, seg.backhaul_rate, size),
+                    (_LOCAL, row.wifi_local_rate, cached_end),
+                    (_BACKHAUL, row.backhaul_rate, size),
                 ]
             else:
-                phases = [(_BACKHAUL, seg.backhaul_rate, size)]
+                phases = [(_BACKHAUL, row.backhaul_rate, size)]
 
-        n_steps = math.ceil(seg.duration / dt)
+        n_steps = math.ceil(row.duration / dt)
         n_steps = n_steps if n_steps > 1 else 1
-        h = seg.duration / n_steps
+        h = row.duration / n_steps
         ai = 0
         k = 0
         while k < n_steps and ai < len(phases):
@@ -178,7 +182,7 @@ def run_trip_stepped(
                 if moved >= need - 1e-15:
                     ai += 1
                 if size - prefix <= 1e-12:
-                    completion = seg.start_time + k * h + (h - rem)
+                    completion = row.start_time + k * h + (h - rem)
                     break
             if completion is not None:
                 break
@@ -186,7 +190,7 @@ def run_trip_stepped(
 
         if completion is None and seg.kind is _WIFI_KIND:
             passed += 1
-            plan_rate = replan(passed, seg.end_time)
+            plan_rate = replan(passed, row.end_time)
 
     return StepOutcome(
         mobile_mb=totals[_MOBILE],
@@ -210,11 +214,12 @@ def _window_mobile_segment(route: RouteProfile, index: int) -> Optional[int]:
     return None
 
 
-def _window_mobile_rate(route: RouteProfile, index: int) -> float:
-    """Mobile rate available while inside WiFi segment ``index`` (0 when the
-    route has no mobile segment)."""
+def _window_mobile_rate(route: RouteProfile, rows, index: int) -> float:
+    """Realized mobile rate available while inside WiFi segment ``index`` of
+    ``route``, read from the realized ``rows`` (0 when the route has no
+    mobile segment)."""
     j = _window_mobile_segment(route, index)
-    return 0.0 if j is None else route.segments[j].mobile_rate
+    return 0.0 if j is None else rows[j].mobile_rate
 
 
 def _advance(x: float, c: float, k: int) -> float:

@@ -40,24 +40,26 @@ a batch computes all its runs' draws at once, jumping r steps ahead for row
 r.  The draw matrix of each ``(seed, runs, draw count)`` is cached, so the
 figures' three route layouts draw their runs once each.
 
-One loop, :func:`_realized`, turns draws into realized segments: on floats
-for :func:`realize_route`, on ``(runs,)`` rows for :func:`realize_batch`.  So
-run k of a batch equals the single realization with run k's seed bit for bit
-by construction, not by a second copy of the formulas kept in step.
+One loop, :func:`_realized`, turns draws into the rows of a
+:class:`RealizedBatch`: floats for :func:`realize_route`, ``(runs,)`` arrays
+for :func:`realize_batch`.  So run k of a batch equals the single realization
+with run k's seed bit for bit by construction, not by a second copy of the
+formulas kept in step.  Neither builds a ``RouteSegment``: both run
+:func:`check_realizable` before any draw, which proves every value a row can
+hold positive and finite.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, reduce
-from types import SimpleNamespace
+from functools import lru_cache
 from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .model import (_WIFI_KIND, MBIT_PER_MB, RouteProfile, RouteSegment, check_integer,
-                    check_real, check_types, min2)
+from .model import (_WIFI_KIND, MBIT_PER_MB, RouteProfile, check_integer, check_real, check_types,
+                    min2)
 
 
 @dataclass(frozen=True)
@@ -372,10 +374,18 @@ def _draw_matrix(seed: int, runs: int, n: int) -> np.ndarray:
     return draws
 
 
-def _realized(index: _RouteIndex, errors: ErrorSpec, draws, start, minimum):
-    """Each segment of a realization of the indexed route, in order, as
-    ``(segment, start, duration, end, rates)``, the rates keyed by their
-    :class:`RouteSegment` names; the next segment starts at ``end``.
+class RealizedRow:
+    """One realized segment: ``start_time``, ``duration``, ``end_time`` and
+    the rates its kind carries, under the ``RouteSegment`` names; a rate it
+    does not carry is an unset slot, so reading it raises AttributeError."""
+
+    __slots__ = ("start_time", "duration", "end_time", "mobile_rate", "wifi_local_rate",
+                 "backhaul_rate")
+
+
+def _realized(index: _RouteIndex, errors: ErrorSpec, draws, start, minimum) -> tuple:
+    """The rows of a realization of the indexed route, in order; each row
+    starts at the previous row's ``end_time``.
 
     The values are floats for one realization (a list of draws, ``start``
     0.0, :func:`~offloadsim.model.min2`) and ``(runs,)`` arrays for a batch
@@ -385,21 +395,19 @@ def _realized(index: _RouteIndex, errors: ErrorSpec, draws, start, minimum):
     """
     te, re = errors.time_error, errors.throughput_error
     draw = iter(draws).__next__
-
-    def jitter(value: float, err: float):
-        return value * (1.0 + err * draw())
-
+    rows = []
     for seg, wifi in zip(index.route.segments, index.wifi):
-        duration = jitter(seg.duration, te)
+        row = RealizedRow()  # slots set one by one: no Python-level __init__ call
+        row.start_time = start
+        row.duration = duration = seg.duration * (1.0 + te * draw())
         if wifi:
-            local = jitter(seg.wifi_local_rate, re)
-            rates = {"wifi_local_rate": local,
-                     "backhaul_rate": minimum(jitter(seg.backhaul_rate, re), local)}
+            row.wifi_local_rate = local = seg.wifi_local_rate * (1.0 + re * draw())
+            row.backhaul_rate = minimum(seg.backhaul_rate * (1.0 + re * draw()), local)
         else:
-            rates = {"mobile_rate": jitter(seg.mobile_rate, re)}
-        end = start + duration
-        yield seg, start, duration, end, rates
-        start = end
+            row.mobile_rate = seg.mobile_rate * (1.0 + re * draw())
+        row.end_time = start = start + duration
+        rows.append(row)
+    return tuple(rows)
 
 
 @lru_cache(maxsize=32)  # the 20 figure recipes check 18 keys; a raise is not cached
@@ -409,12 +417,26 @@ def check_realizable(route: RouteProfile, time_error: float, throughput_error: f
     monotone, so this bounds every realized end, and ``1 -/+ e`` every value
     :func:`_realized` draws.  A realized value that could leave (0, inf), or
     a realized rate times this time that could overflow, raises
-    ``ValueError``."""
+    ``ValueError`` naming the first such segment.
+
+    By the same monotony the extremes decide, as each term of the total is
+    at most the total: the shortest duration and the lowest rate, each times
+    ``1 - e``, and the highest rate times ``1 + e`` times the total.  Only a
+    route they reject is walked segment by segment, to name the segment."""
     te, re = time_error, throughput_error
-    # left to right by +: builtin sum() is compensated from Python 3.12 on
-    longest = reduce(lambda total, seg: total + seg.duration * (1 + te), route.segments, 0.0)
+    longest, durations, rates = 0.0, [], []
+    for seg in route.segments:  # left to right by +: builtin sum() is compensated from 3.12 on
+        longest += seg.duration * (1 + te)
+        durations.append(seg.duration)
+        if seg.kind is _WIFI_KIND:
+            rates += (seg.wifi_local_rate, seg.backhaul_rate)
+        else:
+            rates.append(seg.mobile_rate)
     if not longest < math.inf:
         raise ValueError(f"the realized total time overflows at time error {te}")
+    if (min(durations) * (1 - te) > 0 and min(rates) * (1 - re) > 0
+            and max(rates) * (1 + re) * longest < math.inf):
+        return longest
     for i, seg in enumerate(route.segments):
         drawn = ([("wifi local rate", seg.wifi_local_rate, re),
                   ("backhaul rate", seg.backhaul_rate, re)] if seg.kind is _WIFI_KIND
@@ -428,18 +450,17 @@ def check_realizable(route: RouteProfile, time_error: float, throughput_error: f
     return longest
 
 
-def realize_route(route: RouteProfile, errors: ErrorSpec) -> RouteProfile:
+def realize_route(route: RouteProfile, errors: ErrorSpec) -> RealizedBatch:
     """Draw one perturbed realization of a nominal route: every duration and
     rate uniformly and independently from its error interval, deterministic
-    for a given ``errors.seed``."""
+    for a given ``errors.seed``.  It is a one-run :class:`RealizedBatch`
+    whose rows hold floats.  Before any draw, a route that
+    :func:`check_realizable` rejects raises ``ValueError``."""
     check_types(("route", route, RouteProfile), ("errors", errors, ErrorSpec))
+    check_realizable(route, errors.time_error, errors.throughput_error)
     index = _route_index(route)
-    segments = []
-    for seg, start, duration, end, rates in _realized(
-            index, errors, _stream(errors.seed, index.draw_count), 0.0, min2):
-        segments.append(RouteSegment(seg.kind, start, duration,
-                                     hotspot_index=seg.hotspot_index, **rates))
-    return RouteProfile(tuple(segments), end)
+    return RealizedBatch(route, _realized(index, errors, _stream(errors.seed, index.draw_count),
+                                          0.0, min2))
 
 
 # A batch on the 8-hotspot layout and its cached draws hold 776 B a run: 77.6 MB at most.
@@ -450,17 +471,31 @@ MAX_RUNS = 100_000
 class RealizedBatch:
     """Realizations of one nominal route, one entry per run.
 
-    ``segments[i]`` is segment i of every realization, under the
-    :class:`RouteSegment` attribute names (``start_time``, ``duration``,
-    ``end_time`` and only the rates the segment's kind carries; any other
-    raises ``AttributeError``), each a ``(runs,)`` array.  Row i's
-    ``end_time`` is row i + 1's ``start_time`` array, and the last row's is
-    each run's realized total time.  One batch serves any number of
-    policies: the trip loop broadcasts its rows along the policy axis.
+    ``segments[i]`` is segment i of every realization, a
+    :class:`RealizedRow`: floats for one run (:func:`realize_route`),
+    ``(runs,)`` arrays for a batch (:func:`realize_batch`).  Row i's
+    ``end_time`` is row i + 1's ``start_time``, and the last row's is each
+    run's realized total time, ``total_time``.  One batch serves any number
+    of policies: the trip loop broadcasts its rows along the policy axis.
     """
 
     route: RouteProfile
-    segments: tuple[SimpleNamespace, ...]
+    segments: tuple[RealizedRow, ...]
+
+    @property
+    def total_time(self):
+        return self.segments[-1].end_time
+
+
+def check_one_realization(realized: RealizedBatch, nominal: RouteProfile) -> None:
+    """Raise ``ValueError`` naming ``route_realized`` unless ``realized`` is
+    one realization of ``nominal``: float rows, one per segment, drawn from
+    ``nominal`` itself or a route equal to it."""
+    rows, route = realized.segments, realized.route
+    if not (route is nominal or route == nominal) or len(rows) != len(nominal.segments):
+        raise ValueError("route_realized must be a realization of route_nominal")
+    if isinstance(rows[-1].end_time, np.ndarray):
+        raise ValueError("route_realized must hold one realization's floats, not a batch's arrays")
 
 
 def realize_batch(route: RouteProfile, errors: ErrorSpec, seed: int,
@@ -479,8 +514,5 @@ def realize_batch(route: RouteProfile, errors: ErrorSpec, seed: int,
     check_integer("seed", seed)
     check_realizable(route, errors.time_error, errors.throughput_error)
     index = _route_index(route)
-    rows = _realized(index, errors, _draw_matrix(seed, runs, index.draw_count),
-                     np.zeros(runs), np.minimum)
-    return RealizedBatch(route, tuple(SimpleNamespace(start_time=start, duration=duration,
-                                                      end_time=end, **rates)
-                                      for _, start, duration, end, rates in rows))
+    draws = _draw_matrix(seed, runs, index.draw_count)
+    return RealizedBatch(route, _realized(index, errors, draws, np.zeros(runs), np.minimum))

@@ -13,7 +13,7 @@ from offloadsim.model import (
     TransferTask,
     scale_route,
 )
-from offloadsim.prediction import ErrorSpec, PredictionProfile
+from offloadsim.prediction import ErrorSpec, PredictionProfile, RealizedRow
 
 # The 20 bundled figure recipes.
 RECIPES = [f"fig{n}{letter}" for n, letters in
@@ -141,6 +141,14 @@ class HotspotBounds(NamedTuple):
     local_max: float
     backhaul_min: float
     backhaul_max: float
+
+
+def row_fields(row) -> dict:
+    """The values a realized row holds (a segment's times and the rates its
+    kind carries), by name; a :class:`~offloadsim.model.RouteSegment`'s
+    are read under the same names, its unset rates left out."""
+    return {name: getattr(row, name) for name in RealizedRow.__slots__
+            if getattr(row, name, None) is not None}
 
 
 def mobile_rates(segments) -> list[float]:

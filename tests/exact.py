@@ -12,16 +12,11 @@ The forecasts stay the nominal route's floats: both trips plan on them.
 import math
 import operator
 from fractions import Fraction
-from types import SimpleNamespace
 
 from offloadsim.engine import RunOutcome, _run
 from offloadsim.model import EnergyModel, RouteProfile, TransferTask
 from offloadsim.policies import Policy
-from offloadsim.prediction import ErrorSpec
-
-# the attributes of a realized segment that the trip loop reads
-SEGMENT_FIELDS = ("start_time", "duration", "end_time", "mobile_rate", "wifi_local_rate",
-                  "backhaul_rate")
+from offloadsim.prediction import ErrorSpec, RealizedBatch, RealizedRow
 
 
 def _exact(op):
@@ -45,12 +40,16 @@ class Exact(Fraction):
     __truediv__, __rtruediv__ = _exact(operator.truediv)
 
 
-def exact_trip(realized: RouteProfile, nominal: RouteProfile, task: TransferTask,
+def exact_trip(realized: RealizedBatch, nominal: RouteProfile, task: TransferTask,
                policy: Policy, errors: ErrorSpec,
                energy: EnergyModel = EnergyModel()) -> RunOutcome:
-    """``run_trip`` of the same arguments with the realized segments, each
-    value the float trip reads, as :class:`Exact` rows."""
-    rows = [SimpleNamespace(**{name: Exact(getattr(seg, name)) for name in SEGMENT_FIELDS
-                               if getattr(seg, name) is not None})
-            for seg in realized.segments]
+    """``run_trip`` of the same arguments with the realized rows, each value
+    the float trip reads (every slot a row has set), as :class:`Exact`."""
+    rows = []
+    for seg in realized.segments:
+        row = RealizedRow()
+        for name in RealizedRow.__slots__:
+            if hasattr(seg, name):
+                setattr(row, name, Exact(getattr(seg, name)))
+        rows.append(row)
     return _run(rows, Exact(realized.total_time), nominal, task, policy, errors, energy)

@@ -14,7 +14,7 @@ from offloadsim.model import (
 )
 from offloadsim.oracle import run_trip_stepped
 from offloadsim.policies import Channel, Policy, PolicyClassMismatch
-from offloadsim.prediction import ErrorSpec, realize_batch, realize_route
+from offloadsim.prediction import ErrorSpec, RealizedBatch, realize_batch, realize_route
 
 ALL_POLICIES = tuple(Policy)
 DT_POLICIES = (Policy.PREFETCH_DELAY_TOLERANT, Policy.PREDICTION_ONLY_DELAY_TOLERANT,
@@ -227,20 +227,31 @@ class TestRunTripValidation:
             run_trip_stepped(realized, default_route, task, "prefetch-dt", zero_errors)
 
     def test_structure_mismatch(self, default_route, route_2ap, zero_errors):
-        """A realized route must have the nominal route's segment count, and
-        each segment its kind and hotspot index, whichever route changed."""
-        realized = realize_route(default_route, zero_errors)
+        """A trip, in the engine and in the oracle, runs on one realization
+        of its nominal route: drawn from that route or from one equal to it.
+        A batch, even of one run, and a realization of another route (other
+        kinds, other hotspots, fewer segments), whichever route changed, or
+        one missing a row, raise ValueError naming route_realized."""
+        task, policy = make_task(50.0), Policy.NO_PREDICTION_OFFLOAD
+        twin = RouteProfile(default_route.segments, default_route.total_time)
         shorter = RouteProfile(default_route.segments[:3], 90.0)
-        for pair, message in [((realized, route_2ap), "structure"),
-                              ((realize_route(route_2ap, zero_errors), default_route),
-                               "structure"),
-                              ((realized, shorter), "segment count"),
-                              ((realize_route(shorter, zero_errors), default_route),
-                               "segment count")]:
-            run_trip(realized, default_route, make_task(50.0),
-                     Policy.NO_PREDICTION_OFFLOAD, zero_errors)
-            with pytest.raises(ValueError, match=f"routes differ in {message}"):
-                run_trip(*pair, make_task(50.0), Policy.NO_PREDICTION_OFFLOAD, zero_errors)
+        realized = realize_route(default_route, zero_errors)
+        one = "^route_realized must hold one realization's floats, not a batch's arrays$"
+        other = "^route_realized must be a realization of route_nominal$"
+        cases = [(realize_batch(default_route, zero_errors, 0, 3), default_route, one),
+                 (realize_batch(default_route, zero_errors, 0, 1), default_route, one),
+                 (realized, route_2ap, other),
+                 (realize_route(route_2ap, zero_errors), default_route, other),
+                 (realized, shorter, other),
+                 (realize_route(shorter, zero_errors), default_route, other),
+                 (RealizedBatch(default_route, realized.segments[:-1]), default_route, other)]
+        for entry in (run_trip, run_trip_stepped):
+            for good in (realized, realize_route(twin, zero_errors)):
+                entry(good, default_route, task, policy, zero_errors)
+                entry(good, twin, task, policy, zero_errors)
+            for bad, nominal, message in cases:
+                with pytest.raises(ValueError, match=message):
+                    entry(bad, nominal, task, policy, zero_errors)
 
 
 @pytest.mark.parametrize("entry,argument", [
@@ -461,7 +472,8 @@ class TestEnergyAccounting:
         return RouteProfile(tuple(segments), t)
 
     def energy(self, route, size_mb, zero_errors):
-        out = run_trip(route, route, make_task(size_mb, threshold=route.total_time),
+        out = run_trip(realize_route(route, zero_errors), route,
+                       make_task(size_mb, threshold=route.total_time),
                        Policy.NO_PREDICTION_OFFLOAD, zero_errors)
         assert out.completed
         return out.energy
@@ -502,8 +514,8 @@ class TestEnergyAccounting:
             RouteSegment(AccessKind.MOBILE, 68.0, 10.0, mobile_rate=1.0),
             RouteSegment(AccessKind.WIFI, 78.0, 18.0, hotspot_index=2, **wifi),
             RouteSegment(AccessKind.MOBILE, 96.0, 201.0, mobile_rate=1.0)), 297.0)
-        out = run_trip(route, route, make_task(300.0, threshold=route.total_time), policy,
-                       zero_errors)
+        out = run_trip(realize_route(route, zero_errors), route,
+                       make_task(300.0, threshold=route.total_time), policy, zero_errors)
         assert not out.completed
         assert out.wifi_local_mb + out.wifi_backhaul_mb == 36.0
         assert out.energy.wifi_idle_j == 0.77 * 40.0

@@ -36,7 +36,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import edge_routes, make_task, random_route
+from conftest import edge_routes, make_task, random_route, row_fields
 from exact import Exact, exact_trip
 from offloadsim import engine
 from offloadsim.config import bundled_scenario_path, load_scenario
@@ -79,8 +79,8 @@ def gaps(realized, nominal, task, policy, errors, energy, planned_rates):
     want = exact_trip(realized, nominal, task, policy, errors, energy)
     for name in BYTES + ("transfer_delay",):  # a plain Fraction would round beside a float
         assert type(getattr(want, name)) in (Exact, float), name
-    rates = [r for seg in realized.segments
-             for r in (seg.mobile_rate, seg.wifi_local_rate, seg.backhaul_rate) if r]
+    rates = [r for row in realized.segments for name, r in row_fields(row).items()
+             if name.endswith("_rate")]
     slowest = min(r for r in rates + planned_rates if r > 0)
     n, size, end = len(realized.segments), task.size_mb, realized.total_time
     byte_bound = n * EPS * size
@@ -93,8 +93,8 @@ def gaps(realized, nominal, task, policy, errors, energy, planned_rates):
         done = want.transfer_delay if want.completed else got.transfer_delay
         edge = min(abs(done - task.effective_deadline()), abs(done - end))
         assert edge <= time_bound, (policy, "flag flip away from the deadline and route end")
-    visits = sum(seg.is_wifi and not (want.completed and seg.start_time > want.transfer_delay)
-                 for seg in realized.segments)
+    visits = sum(seg.is_wifi and not (want.completed and row.start_time > want.transfer_delay)
+                 for row, seg in zip(realized.segments, nominal.segments))
     energy_bounds = (energy.mobile_transfer_j_per_mb * byte_bound,
                      energy.wifi_transfer_j_per_mb * byte_bound,
                      energy.wifi_idle_w * time_bound * visits)

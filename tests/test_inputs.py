@@ -1,7 +1,7 @@
 """One field rule on the Python API: every field of every public constructor,
 and the checked arguments of ``scale_route``, ``realize_batch``,
-``run_trip_stepped``, ``build_prediction``, ``relative_gain`` and
-``t_quantile_975``, raises ``ValueError`` naming the field for each bad
+``run_trip``, ``run_trip_stepped``, ``build_prediction``, ``relative_gain``
+and ``t_quantile_975``, raises ``ValueError`` naming the field for each bad
 value of one pool, never ``TypeError``, ``AttributeError`` or
 ``OverflowError``, and never runs a bool as a number.
 
@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 from offloadsim.config import bundled_scenario_path, load_route, load_scenario
+from offloadsim.engine import run_trip
 from offloadsim.metrics import (ScenarioSpec, SweepSpec, relative_gain, render_csv,
                                 t_quantile_975)
 from offloadsim.model import (AccessKind, EnergyModel, RouteProfile, RouteSegment, TrafficClass,
@@ -60,9 +61,13 @@ def sweep(**kw):
     return SweepSpec(**{"base": SPEC, "parameter": "size_mb", "values": (20.0,), **kw})
 
 
-def stepped(dt):
-    return run_trip_stepped(realize_route(ROUTE, ErrorSpec()), ROUTE, TASK,
-                            Policy.NO_PREDICTION_OFFLOAD, ErrorSpec(), dt=dt)
+def trip(entry):
+    """A trip of ``entry`` on the zero-error realization of ROUTE."""
+    def run(**kw):
+        return entry(**{"route_realized": realize_route(ROUTE, ErrorSpec()),
+                        "route_nominal": ROUTE, "task": TASK,
+                        "policy": Policy.NO_PREDICTION_OFFLOAD, "errors": ErrorSpec(), **kw})
+    return run
 
 
 # (name, builder of the keyword arguments, the fields, the pool values valid there)
@@ -87,7 +92,9 @@ CASES = [
     ("scale_route", scaled, {"route": (), "mobile_factor": (), "wifi_factor": (),
                              "backhaul_factor": ()}),
     ("realize_batch", batch, {"seed": ("zero", "huge"), "runs": ()}),
-    ("run_trip_stepped", stepped, {"dt": ()}),
+    ("run_trip", trip(run_trip), {"route_realized": (), "route_nominal": ()}),
+    ("run_trip_stepped", trip(run_trip_stepped),
+     {"route_realized": (), "route_nominal": (), "dt": ()}),
     ("build_prediction", lambda horizon: build_prediction(ROUTE, ErrorSpec(), horizon),
      {"horizon": ("None", "inf", "zero", "-0.0")}),
     ("relative_gain", lambda a_mean: relative_gain(a_mean, 1.0), {"a_mean": ("zero", "-0.0")}),

@@ -14,7 +14,7 @@ from offloadsim.model import AccessKind, RouteProfile, RouteSegment, scale_route
 from offloadsim.policies import Policy
 from offloadsim.prediction import ErrorSpec, build_prediction, derive_run_seed, realize_route
 
-from conftest import memo_caches
+from conftest import memo_caches, row_fields
 from test_draw_kernel import SEEDS
 from test_metrics import make_spec
 
@@ -111,7 +111,7 @@ def test_a_batch_peaks_near_what_it_holds(fresh_memos, route_8ap):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    held = {id(a): a.nbytes for row in batch.segments for a in vars(row).values()}
+    held = {id(a): a.nbytes for row in batch.segments for a in row_fields(row).values()}
     assert peak <= 1.1 * sum(held.values())
 
 

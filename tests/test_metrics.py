@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 import offloadsim
-from conftest import RECIPES, clear_memos, edge_routes, make_task, random_route
+from conftest import (RECIPES, clear_memos, edge_routes, make_task, random_route,
+                      row_fields)
 from offloadsim import metrics, prediction
 from offloadsim.config import (bundled_recipe_path, bundled_scenario_path, load_scenario,
                                load_sweep)
@@ -530,7 +531,7 @@ class TestDrawMemo:
             draws[0, 0] = 0.0
         # the batch is the caller's own: new writable arrays, not views of the memo
         for row in batch.segments:
-            for values in vars(row).values():
+            for values in row_fields(row).values():
                 assert values.flags.writeable
                 assert not np.shares_memory(values, draws)
 
@@ -775,7 +776,7 @@ class TestColumnPass:
         scenario_outcomes(make_spec(route_4ap, runs=7))
         (batch,) = batches
         for row in batch.segments:
-            assert all(values.shape == (7,) for values in vars(row).values())
+            assert all(values.shape == (7,) for values in row_fields(row).values())
 
 
 class TestSweep:

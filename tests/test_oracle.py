@@ -4,11 +4,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import RECIPES, edge_routes, make_task, random_route
+from conftest import RECIPES, edge_routes, make_task, random_route, row_fields
 from offloadsim.config import bundled_recipe_path, bundled_scenario_path, load_scenario, load_sweep
-from offloadsim.engine import _check_same_structure, run_policies, run_trip
+from offloadsim.engine import run_policies, run_trip
 from offloadsim.metrics import derive_run_seed
-from offloadsim.model import MBIT_PER_MB, AccessKind, RouteProfile, RouteSegment, scale_route
+from offloadsim.model import MBIT_PER_MB, AccessKind, RouteProfile, RouteSegment
 from offloadsim.oracle import (
     StepOutcome,
     _advance,
@@ -18,7 +18,8 @@ from offloadsim.oracle import (
     run_trip_stepped,
 )
 from offloadsim.policies import Channel, Policy, PolicyClassMismatch, plan_exit
-from offloadsim.prediction import ErrorSpec, build_prediction, realize_batch, realize_route
+from offloadsim.prediction import (ErrorSpec, RealizedBatch, RealizedRow, build_prediction,
+                                   check_one_realization, realize_batch, realize_route)
 
 DT = (Policy.PREFETCH_DELAY_TOLERANT, Policy.PREDICTION_ONLY_DELAY_TOLERANT,
       Policy.NO_PREDICTION_OFFLOAD)
@@ -133,7 +134,12 @@ def test_mutation_detected(default_route):
     errors = ErrorSpec(0.10, 0.20, seed=5)
     task = make_task(60.0)
     realized = realize_route(default_route, errors)
-    corrupted = scale_route(realized, wifi_factor=1.10)
+    rows = []
+    for row in realized.segments:  # every realized local rate 10% higher
+        rows.append(RealizedRow())
+        for name, value in row_fields(row).items():
+            setattr(rows[-1], name, value * 1.10 if name == "wifi_local_rate" else value)
+    corrupted = RealizedBatch(default_route, tuple(rows))
     analytic = run_trip(corrupted, default_route, task,
                         Policy.PREFETCH_DELAY_TOLERANT, errors)
     stepped = run_trip_stepped(realized, default_route, task,
@@ -255,8 +261,9 @@ def test_completion_slack_is_relative_to_the_object():
         policies = tuple(p for p in Policy if p.admits(task.traffic_class))
         outcomes = run_policies(batch, task, policies, errors)
         for policy in policies:
-            analytic = run_trip(route, route, task, policy, errors)
-            stepped = run_trip_stepped(route, route, task, policy, errors)
+            realized = realize_route(route, errors)
+            analytic = run_trip(realized, route, task, policy, errors)
+            stepped = run_trip_stepped(realized, route, task, policy, errors)
             assert not analytic.completed and analytic.transfer_delay == 1.0, policy
             assert analytic.mobile_mb == pytest.approx(0.95e-8, rel=1e-12), policy
             assert not outcomes[policy].completed.any(), policy
@@ -367,7 +374,7 @@ def reference_stepped(route_realized, route_nominal, task, policy, errors, dt=0.
     the batched march must equal bit for bit."""
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    _check_same_structure(route_realized, route_nominal)
+    check_one_realization(route_realized, route_nominal)
     if not policy.admits(task.traffic_class):
         raise PolicyClassMismatch(
             f"{policy.cli_name} cannot serve {task.traffic_class.value} traffic"
@@ -394,16 +401,17 @@ def reference_stepped(route_realized, route_nominal, task, policy, errors, dt=0.
     plan_rate = replan(0, 0.0)
     passed = 0
 
-    for i, seg in enumerate(route_realized.segments):
+    rows = route_realized.segments
+    for i, (seg, row) in enumerate(zip(route_nominal.segments, rows)):
         if completion is not None:
             break
 
         if seg.kind is AccessKind.MOBILE:
-            rate = (min(plan_rate, seg.mobile_rate)
-                    if policy.rate_limited else seg.mobile_rate)
+            rate = (min(plan_rate, row.mobile_rate)
+                    if policy.rate_limited else row.mobile_rate)
             phases = [(Channel.MOBILE, rate, size)]
         elif policy is Policy.MOBILE_ONLY:
-            window = _window_mobile_rate(route_realized, i)
+            window = _window_mobile_rate(route_nominal, rows, i)
             rate = min(plan_rate, window) if policy.rate_limited else window
             phases = [(Channel.MOBILE, rate, size)]
         else:
@@ -411,20 +419,20 @@ def reference_stepped(route_realized, route_nominal, task, policy, errors, dt=0.
             if cache is not None:
                 offset, amount = cache
                 if policy.hole_channel is Channel.MOBILE:
-                    hole_rate = _window_mobile_rate(route_realized, i)
+                    hole_rate = _window_mobile_rate(route_nominal, rows, i)
                     hole = (Channel.MOBILE, hole_rate, min(offset, size))
                 else:
-                    hole = (Channel.WIFI_BACKHAUL, seg.backhaul_rate, min(offset, size))
+                    hole = (Channel.WIFI_BACKHAUL, row.backhaul_rate, min(offset, size))
                 phases = [
                     hole,
-                    (Channel.WIFI_LOCAL, seg.wifi_local_rate, min(offset + amount, size)),
-                    (Channel.WIFI_BACKHAUL, seg.backhaul_rate, size),
+                    (Channel.WIFI_LOCAL, row.wifi_local_rate, min(offset + amount, size)),
+                    (Channel.WIFI_BACKHAUL, row.backhaul_rate, size),
                 ]
             else:
-                phases = [(Channel.WIFI_BACKHAUL, seg.backhaul_rate, size)]
+                phases = [(Channel.WIFI_BACKHAUL, row.backhaul_rate, size)]
 
-        n_steps = max(1, math.ceil(seg.duration / dt))
-        h = seg.duration / n_steps
+        n_steps = max(1, math.ceil(row.duration / dt))
+        h = row.duration / n_steps
         ai = 0
         for k in range(n_steps):
             rem = h
@@ -442,14 +450,14 @@ def reference_stepped(route_realized, route_nominal, task, policy, errors, dt=0.
                 if moved >= need - 1e-15:
                     ai += 1
                 if size - prefix <= 1e-12:
-                    completion = seg.start_time + k * h + (h - rem)
+                    completion = row.start_time + k * h + (h - rem)
                     break
             if completion is not None:
                 break
 
         if completion is None and seg.kind is AccessKind.WIFI:
             passed += 1
-            plan_rate = replan(passed, seg.end_time)
+            plan_rate = replan(passed, row.end_time)
 
     return StepOutcome(
         mobile_mb=totals[Channel.MOBILE],

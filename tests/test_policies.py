@@ -522,7 +522,8 @@ class TestOnePlanner:
                             calls.clear()
                             plans.clear()
                             outcome = engine.run_trip(trip, route, task, policy, errors)
-                            ends = [s.end_time for s in trip.segments if s.is_wifi]
+                            ends = [row.end_time for row, s in zip(trip.segments, route.segments)
+                                    if s.is_wifi]
                             if outcome.completed:
                                 ends = [e for e in ends if e < outcome.completion_time]
                             exits.append(len(ends))

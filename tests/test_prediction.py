@@ -1,12 +1,16 @@
 import collections
 import dataclasses
+import functools
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (edge_routes, make_task, random_route, reference_forecast,
-                      reference_forecasts, reference_hotspots)
+                      reference_forecasts, reference_hotspots, row_fields)
 from offloadsim import engine, oracle, prediction
 from offloadsim.engine import run_trip
 from offloadsim.model import AccessKind, RouteProfile, RouteSegment, scale_route
@@ -59,6 +63,62 @@ def realize_route_scalar(route, errors):
                                     mobile_rate=jitter(seg.mobile_rate, re)))
         cursor += dur
     return RouteProfile(tuple(out), cursor)
+
+
+def reference_check_realizable(route, time_error, throughput_error):
+    """``check_realizable`` as a walk over every segment's values, kept as the
+    reference that its decision on the extremes must match."""
+    te, re = time_error, throughput_error
+    longest = functools.reduce(lambda total, seg: total + seg.duration * (1 + te),
+                               route.segments, 0.0)
+    if not longest < math.inf:
+        raise ValueError(f"the realized total time overflows at time error {te}")
+    for i, seg in enumerate(route.segments):
+        drawn = ([("wifi local rate", seg.wifi_local_rate, re),
+                  ("backhaul rate", seg.backhaul_rate, re)] if seg.is_wifi
+                 else [("mobile rate", seg.mobile_rate, re)])
+        for name, value, e in [("duration", seg.duration, te), *drawn]:
+            if not (value * (1 - e) > 0 and value * (1 + e) < math.inf):
+                raise ValueError(f"segment {i}: a realized {name} leaves (0, inf) at error {e}")
+            if name != "duration" and not value * (1 + e) * longest < math.inf:
+                raise ValueError(f"segment {i}: a realized {name} times the realized "
+                                 "total time overflows")
+    return longest
+
+
+TINY, HUGE = 5e-324, sys.float_info.max
+SUBNORMAL = st.floats(TINY, sys.float_info.min, exclude_max=True)
+# at most 8 durations of at most HUGE / 8 s sum to a finite total
+DURATIONS = st.one_of(SUBNORMAL, st.floats(1e-3, 1e4), st.floats(1e306, HUGE / 8),
+                      st.sampled_from([TINY, HUGE / 8]))
+RATES = st.one_of(SUBNORMAL, st.floats(1e-3, 1e4), st.floats(1e300, HUGE),
+                  st.sampled_from([TINY, 1e308, HUGE]))
+ERRORS = st.one_of(st.sampled_from([0.0, 0.5, 1 - 2 ** -53]),
+                   st.floats(0.0, 1.0, exclude_max=True))
+
+
+@st.composite
+def extreme_routes(draw):
+    """Routes of 1 to 8 segments, all mobile, all WiFi or mixed, with
+    subnormal, ordinary and near-overflow durations and rates; in some, every
+    duration is within a factor 2 of HUGE / 8, so the total can overflow."""
+    kinds = draw(st.one_of(st.lists(st.just(False), min_size=1, max_size=8),
+                           st.lists(st.just(True), min_size=1, max_size=8),
+                           st.lists(st.booleans(), min_size=1, max_size=8)))
+    durations = draw(st.sampled_from([DURATIONS, st.floats(HUGE / 16, HUGE / 8)]))
+    segments, t = [], 0.0
+    for wifi in kinds:
+        duration = draw(durations)
+        if wifi:
+            local, backhaul = sorted((draw(RATES), draw(RATES)), reverse=True)
+            segments.append(RouteSegment(AccessKind.WIFI, t, duration, wifi_local_rate=local,
+                                         backhaul_rate=backhaul,
+                                         hotspot_index=len(segments) + 1))
+        else:
+            segments.append(RouteSegment(AccessKind.MOBILE, t, duration,
+                                         mobile_rate=draw(RATES)))
+        t += duration
+    return RouteProfile(tuple(segments), t)
 
 
 class TestErrorSpec:
@@ -399,18 +459,82 @@ class TestRouteIndex:
 
 
 class TestRealizeRoute:
-    def test_zero_errors_identity(self, default_route):
-        realized = realize_route(default_route, ErrorSpec(0.0, 0.0, seed=7))
-        assert realized == default_route
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(route=extreme_routes(), time_error=ERRORS, throughput_error=ERRORS)
+    def test_realizable_on_the_extremes_as_segment_by_segment(self, route, time_error,
+                                                              throughput_error):
+        """Deciding on the shortest duration, the lowest and highest rate and
+        the longest total time gives the segment walk's verdict: the same
+        longest total time, or the same ValueError message, which names the
+        first failing segment."""
+        check = prediction.check_realizable.__wrapped__  # the body, past the memo
+        try:
+            want = reference_check_realizable(route, time_error, throughput_error)
+        except ValueError as error:
+            with pytest.raises(ValueError) as got:
+                check(route, time_error, throughput_error)
+            assert str(got.value) == str(error)
+        else:
+            assert check(route, time_error, throughput_error) == want
+
+    def test_a_realization_builds_no_segment_and_checks_once(self, monkeypatch,
+                                                             fresh_memos):
+        """A realization and the five trips on it, on one 32-segment route,
+        build no RouteSegment or RouteProfile (rows hold the realized
+        values; check_realizable proved them before any draw) and run
+        check_realizable's body once."""
+        rng = np.random.default_rng(28)
+        route = random_route(rng, n_segments=32)
+        errors = ErrorSpec(0.10, 0.20, seed=3)
+        size = sum(s.duration * (s.backhaul_rate if s.is_wifi else s.mobile_rate)
+                   for s in route.segments) / 8
+        tolerant = make_task(size, threshold=0.8 * route.total_time)
+        sensitive = make_task(size, sensitive=True)
+        built = collections.Counter()
+        for cls in (RouteSegment, RouteProfile):
+            def counted(self, *args, init=cls.__init__, **kwargs):
+                built[type(self).__name__] += 1
+                init(self, *args, **kwargs)
+            monkeypatch.setattr(cls, "__init__", counted)
+        checks, check = [], prediction.check_realizable.__wrapped__
+
+        def body(*args):
+            checks.append(args)
+            return check(*args)
+
+        monkeypatch.setattr(prediction, "check_realizable", functools.lru_cache(body))
+        realized = realize_route(route, errors)
+        for policy in Policy:
+            task = sensitive if policy is Policy.PREFETCH_DELAY_SENSITIVE else tolerant
+            run_trip(realized, route, task, policy, errors)
+        assert len(Policy) == 5 and not built
+        assert checks == [(route, 0.10, 0.20)]
+        RouteProfile(route.segments, route.total_time)  # the counters count
+        assert built == {"RouteProfile": 1}
+
+    def test_zero_errors_identity(self):
+        """At zero errors each row holds its nominal segment's values bit for
+        bit, as floats, and only the rates the segment carries: so a test may
+        run a trip on the zero-error realization of its route."""
+        rng = np.random.default_rng(23)
+        for route in [random_route(rng) for _ in range(20)] + edge_routes(rng):
+            realized = realize_route(route, ErrorSpec(0.0, 0.0, seed=7))
+            assert realized.route is route and realized.total_time == route.total_time
+            for row, seg in zip(realized.segments, route.segments, strict=True):
+                got, want = row_fields(row), row_fields(seg)
+                assert all(type(v) is float for v in got.values())
+                assert {k: v.hex() for k, v in got.items()} == {
+                    k: float(v).hex() for k, v in want.items()}
 
     def test_deterministic_for_seed(self, default_route):
         errors = ErrorSpec(0.10, 0.20, seed=1234)
-        assert realize_route(default_route, errors) == realize_route(default_route, errors)
+        a, b = realize_route(default_route, errors), realize_route(default_route, errors)
+        assert list(map(row_fields, a.segments)) == list(map(row_fields, b.segments))
 
     def test_different_seeds_differ(self, default_route):
         a = realize_route(default_route, ErrorSpec(0.10, 0.20, seed=1))
         b = realize_route(default_route, ErrorSpec(0.10, 0.20, seed=2))
-        assert a != b
+        assert list(map(row_fields, a.segments)) != list(map(row_fields, b.segments))
 
     def test_draws_stay_in_intervals(self, default_route):
         errors_by_seed = (ErrorSpec(0.10, 0.20, seed=s) for s in range(1200))
@@ -444,8 +568,9 @@ class TestRealizeRoute:
     def test_backhaul_capped_at_local_under_large_error(self, default_route):
         for seed in range(300):
             realized = realize_route(default_route, ErrorSpec(0.10, 0.80, seed=seed))
-            for seg in realized.hotspots:
-                assert seg.backhaul_rate <= seg.wifi_local_rate + 1e-12
+            for row, seg in zip(realized.segments, default_route.segments):
+                if seg.is_wifi:
+                    assert row.backhaul_rate <= row.wifi_local_rate + 1e-12
 
     def test_vector_draw_equals_scalar_draws(self, default_route):
         rng = np.random.default_rng(24)
@@ -459,10 +584,9 @@ class TestRealizeRoute:
                 assert got.total_time == want.total_time
                 assert len(got.segments) == len(want.segments)
                 for g, w in zip(got.segments, want.segments):
-                    assert_fields_equal(g, w)
-                    for f in ("start_time", "duration", "mobile_rate",
-                              "wifi_local_rate", "backhaul_rate"):
-                        assert type(getattr(g, f)) is type(getattr(w, f))
+                    assert row_fields(g) == row_fields(w)
+                    assert [type(v) for v in row_fields(g).values()] == [
+                        type(v) for v in row_fields(w).values()]
 
     def test_batch_equals_single_realizations(self, default_route):
         """Column k of realize_batch is realize_route with run k's seed, exactly,
@@ -482,13 +606,8 @@ class TestRealizeRoute:
                 for row, seg in zip(batch.segments, single.segments):
                     assert (row.start_time[k], row.duration[k], row.end_time[k]) == (
                         seg.start_time, seg.duration, seg.end_time)
-                    rates = [name for name in ("mobile_rate", "wifi_local_rate",
-                                               "backhaul_rate")
-                             if getattr(seg, name) is not None]
-                    assert [getattr(row, name)[k] for name in rates] == [
-                        getattr(seg, name) for name in rates]
-                    assert vars(row).keys() == {"start_time", "duration", "end_time",
-                                                *rates}
+                    assert {name: values[k] for name, values in row_fields(row).items()} == (
+                        row_fields(seg))
 
     @pytest.mark.parametrize("name,value", [
         ("runs", 0), ("runs", -3), ("runs", 2.0), ("runs", True), ("runs", "2"), ("runs", None),
@@ -512,13 +631,13 @@ class TestRealizeRoute:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_realization_raises_value_error(self):
         """A 1.5e308 s segment at time error 0.5 overflows in the runs whose
-        draw exceeds about 0.4 (seed 4 for one realization).  The single
-        realization raises on the value it drew; the batch raises before any
-        draw, as some run could overflow, and warns of no overflow."""
+        draw exceeds about 0.4 (seed 4 for one realization).  A realization
+        and a batch both raise before any draw, as some run could overflow,
+        and warn of no overflow."""
         route = RouteProfile((RouteSegment(AccessKind.MOBILE, 0.0, 1.5e308, mobile_rate=1.0),),
                              1.5e308)
         errors = ErrorSpec(0.5, 0.0, seed=4)
-        with pytest.raises(ValueError, match="duration must be positive and finite"):
+        with pytest.raises(ValueError, match="realized total time overflows at time error 0.5"):
             realize_route(route, errors)
         with pytest.raises(ValueError, match="realized total time overflows at time error 0.5"):
             realize_batch(route, errors, 0, 8)
@@ -532,16 +651,21 @@ class TestRealizeRoute:
          "segment 0: a realized mobile rate times the realized total time overflows")])
     def test_batch_rejects_a_route_that_could_overflow_before_drawing(self, fresh_memos,
                                                                       segment, message):
-        """Whether a batch is drawn does not depend on its draws: at base seed
-        19 every one of 4 runs draws u < 0.14, so each realization and the
-        bytes it could move are finite, yet the batch is refused before any
-        draw, as draws near 1 would leave (0, inf)."""
+        """Whether a realization or a batch is drawn does not depend on its
+        draws: at base seed 19 every one of 4 runs draws u < 0.14, so each
+        realization and the bytes it could move are finite, yet each run and
+        the batch are refused before any draw, as draws near 1 would leave
+        (0, inf)."""
         route = RouteProfile((segment,), segment.duration)
         errors = ErrorSpec(0.5, 0.5)
         for k in range(4):
-            realized = realize_route(route, dataclasses.replace(errors,
-                                                                seed=derive_run_seed(19, k)))
-            assert realized.total_time * realized.segments[0].mobile_rate < math.inf
+            seed = derive_run_seed(19, k)
+            u_time, u_rate = prediction._stream(seed, 2)
+            assert u_time < 0.14 and u_rate < 0.14
+            assert (segment.duration * (1 + 0.5 * u_time)
+                    * segment.mobile_rate * (1 + 0.5 * u_rate)) < math.inf
+            with pytest.raises(ValueError, match=message):
+                realize_route(route, dataclasses.replace(errors, seed=seed))
         with pytest.raises(ValueError, match=message):
             realize_batch(route, errors, 19, 4)
         assert prediction._draw_matrix.cache_info().currsize == 0
