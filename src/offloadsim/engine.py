@@ -41,8 +41,7 @@ seconds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -55,8 +54,7 @@ from .prediction import (ErrorSpec, RealizedBatch, _route_index, build_predictio
 _SLACK = 2.0 ** -40  # of what it is compared with; see the module docstring
 
 
-@dataclass(frozen=True)
-class EnergyBreakdown:
+class EnergyBreakdown(NamedTuple):
     """Energy of one trip, or of every run of a batch (one entry per run)."""
 
     mobile_j: Floats
@@ -68,8 +66,7 @@ class EnergyBreakdown:
         return self.mobile_j + self.wifi_transfer_j + self.wifi_idle_j
 
 
-@dataclass(frozen=True)
-class RunOutcome:
+class RunOutcome(NamedTuple):
     """Realized result of one trip, or of every run of a batch under one
     policy (one entry per run in each field): byte split, timing, and the
     energy the trip loop priced (see the module docstring)."""
@@ -253,22 +250,21 @@ def _run(
     completed = state.complete
     transfer_delay = where(completed, state.completion_time, end)
     wifi_mb = state.wifi_local_mb + state.wifi_backhaul_mb
-    return RunOutcome(
-        offload_pct=minimum(100.0, wifi_mb / size * 100.0),
-        transfer_delay=transfer_delay,
-        deadline_met=completed & (transfer_delay <= deadline + _SLACK * deadline),
-        completed=completed,
-        energy=EnergyBreakdown(
-            mobile_j=energy_model.mobile_transfer_j_per_mb * state.mobile_mb,
-            wifi_transfer_j=energy_model.wifi_transfer_j_per_mb * wifi_mb,
-            wifi_idle_j=energy_model.wifi_idle_w * idle_s,
-        ),
-        mobile_mb=state.mobile_mb,
-        wifi_local_mb=state.wifi_local_mb,
-        wifi_backhaul_mb=state.wifi_backhaul_mb,
-        cache_bytes_used=provisioned,
-        plan_infeasible=infeasible,
-    )
+    return tuple.__new__(RunOutcome, (  # with no Python-level __new__
+        minimum(100.0, wifi_mb / size * 100.0),  # offload_pct
+        transfer_delay,
+        completed & (transfer_delay <= deadline + _SLACK * deadline),  # deadline_met
+        completed,
+        tuple.__new__(EnergyBreakdown, (
+            energy_model.mobile_transfer_j_per_mb * state.mobile_mb,
+            energy_model.wifi_transfer_j_per_mb * wifi_mb,
+            energy_model.wifi_idle_w * idle_s)),
+        state.mobile_mb,
+        state.wifi_local_mb,
+        state.wifi_backhaul_mb,
+        provisioned,  # cache_bytes_used
+        infeasible,  # plan_infeasible
+    ))
 
 
 def run_trip(
@@ -326,7 +322,6 @@ def run_policies(
                task, policy_columns(policies), errors, energy_model)
 
     def row(x, p: int):  # an outcome or its energy, every array cut to row p
-        return type(x)(**{name: row(v, p) if isinstance(v, EnergyBreakdown) else v[p]
-                          for name, v in vars(x).items()})
+        return x._make(row(v, p) if type(v) is EnergyBreakdown else v[p] for v in x)
 
     return {policy: row(out, p) for p, policy in enumerate(policies)}

@@ -41,7 +41,7 @@ import functools
 import io
 import math
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -272,15 +272,13 @@ class ScenarioSpec:
         return _scale(self.route, (self.mobile_factor, self.wifi_factor, self.backhaul_factor))
 
 
-@dataclass(frozen=True)
-class MetricSummary:
+class MetricSummary(NamedTuple):
     mean: float
     ci95: float
     n: int
 
 
-@dataclass(frozen=True)
-class AggregateResult:
+class AggregateResult(NamedTuple):
     scenario_id: str
     summaries: dict[Policy, dict[str, MetricSummary]]
     infeasible: dict[Policy, int]

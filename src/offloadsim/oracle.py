@@ -44,8 +44,7 @@ segment's steps end once its phases are done.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .model import (_MOBILE_KIND, _WIFI_KIND, MBIT_PER_MB, RouteProfile, TransferTask,
                     check_real, check_types)
@@ -64,8 +63,7 @@ TIME_TOL_S = 0.05
 _MOBILE, _LOCAL, _BACKHAUL = 0, 1, 2
 
 
-@dataclass(frozen=True)
-class StepOutcome:
+class StepOutcome(NamedTuple):
     mobile_mb: float
     wifi_local_mb: float
     wifi_backhaul_mb: float
@@ -77,7 +75,9 @@ def check_dt(dt: float, longest: float) -> None:
     is none), or whose step count over a segment of ``longest`` seconds
     overflows."""
     check_real("dt", dt)
-    check_real(f"{longest:g} s / dt", longest / dt)
+    steps = longest / dt
+    if not 0.0 < steps < math.inf:  # the label is built only for the message
+        check_real(f"{longest:g} s / dt", steps)
 
 
 def run_trip_stepped(
@@ -272,8 +272,7 @@ def _plain(p: float, cap: float, end: float, size: float) -> bool:
     return need > 1e-15 and cap < need - 1e-15 and size - (p + cap) > 1e-12
 
 
-@dataclass(frozen=True)
-class AgreementReport:
+class AgreementReport(NamedTuple):
     """Worst engine/oracle deviation for one trip."""
 
     byte_dev_mb: float

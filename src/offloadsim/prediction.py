@@ -467,7 +467,7 @@ def realize_route(route: RouteProfile, errors: ErrorSpec) -> RealizedBatch:
 MAX_RUNS = 100_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RealizedBatch:
     """Realizations of one nominal route, one entry per run.
 
@@ -477,6 +477,9 @@ class RealizedBatch:
     ``end_time`` is row i + 1's ``start_time``, and the last row's is each
     run's realized total time, ``total_time``.  One batch serves any number
     of policies: the trip loop broadcasts its rows along the policy axis.
+
+    A batch is equal only to itself and hashes by identity: two draws of one
+    seed are two objects, equal row for row in their values.
     """
 
     route: RouteProfile

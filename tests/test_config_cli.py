@@ -1023,6 +1023,16 @@ class TestCli:
         assert "FAIL" in out
         assert "2 failing seed(s)" in out
 
+    def test_oracle_check_dt_overflow_message(self, capsys):
+        """The longest realized segment of dt-default, 54 s at 10% time
+        error, over a subnormal step overflows the step count."""
+        assert self.run_cli("oracle-check", "--scenario", "dt-default",
+                            "--dt", "1e-320") == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "error: --dt: 59.4 s / dt must be positive and finite, got inf"]
+        assert captured.out == ""
+
     def test_oracle_check_dt_flag(self, capsys):
         code = self.run_cli("oracle-check", "--scenario", "dt-default",
                             "--seeds", "2", "--dt", "0.05")

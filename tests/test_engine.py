@@ -321,7 +321,7 @@ def test_a_trip_stays_on_python_scalars(route_2ap, route_4ap, route_8ap, default
                     if not policy.admits(task.traffic_class):
                         continue
                     out = run_trip(realized, route, task, policy, default_errors)
-                    for name, value in [*vars(out).items(), *vars(out.energy).items()]:
+                    for name, value in [*out._asdict().items(), *out.energy._asdict().items()]:
                         if name != "energy":
                             assert type(value) is (bool if name in flags else float), \
                                 (policy, name, type(value))

@@ -694,7 +694,7 @@ class TestAggregateMemo:
         for spec in hits:
             got = run_scenario(spec)
             assert got.scenario_id == spec.scenario_id and got.policies == spec.policies
-            assert replace(got, scenario_id=base.scenario_id) == want
+            assert got._replace(scenario_id=base.scenario_id) == want
         assert ran == [base]
         for spec in misses:
             got = run_scenario(spec)

@@ -185,6 +185,28 @@ def test_dt_that_is_no_real_number_is_named(default_route, zero_errors, dt):
                          make_task(60.0), Policy.NO_PREDICTION_OFFLOAD, zero_errors, dt=dt)
 
 
+def test_dt_overflow_message_is_pinned(default_route, zero_errors):
+    """The step-count label names the longest realized segment; it is built
+    only when the check fails, so a passing check never formats it."""
+    with pytest.raises(ValueError) as raised:
+        run_trip_stepped(realize_route(default_route, zero_errors), default_route,
+                         make_task(60.0), Policy.NO_PREDICTION_OFFLOAD, zero_errors, dt=1e-320)
+    assert str(raised.value) == "54 s / dt must be positive and finite, got inf"
+
+    formatted = []
+
+    class Longest(float):
+        def __format__(self, spec):
+            formatted.append(spec)
+            return float.__format__(self, spec)
+
+    check_dt(0.01, Longest(54.0))
+    assert formatted == []
+    with pytest.raises(ValueError, match=r"^54 s / dt must be positive and finite, got inf$"):
+        check_dt(1e-320, Longest(54.0))
+    assert formatted == ["g"]
+
+
 def test_one_sided_route_end_completion_tolerated(default_route):
     """A completion within the step quantum of the route end may be reported
     by only one side; bytes must still agree."""

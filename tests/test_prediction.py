@@ -531,6 +531,16 @@ class TestRealizeRoute:
         a, b = realize_route(default_route, errors), realize_route(default_route, errors)
         assert list(map(row_fields, a.segments)) == list(map(row_fields, b.segments))
 
+    def test_a_batch_is_equal_only_to_itself(self, default_route):
+        """Two draws of one seed hold equal values but are unequal objects,
+        and a batch hashes by identity, not by its rows."""
+        errors = ErrorSpec(0.10, 0.20, seed=1234)
+        a, b = realize_route(default_route, errors), realize_route(default_route, errors)
+        assert list(map(row_fields, a.segments)) == list(map(row_fields, b.segments))
+        assert a == a and a != b
+        assert hash(a) == object.__hash__(a) and hash(b) == object.__hash__(b)
+        assert b not in {a} and a in {a}
+
     def test_different_seeds_differ(self, default_route):
         a = realize_route(default_route, ErrorSpec(0.10, 0.20, seed=1))
         b = realize_route(default_route, ErrorSpec(0.10, 0.20, seed=2))

@@ -70,9 +70,8 @@ def scaled(scaling: str, k: int, route, task, energy):
 
 
 def fields(outcome) -> dict:
-    out = {f.name: getattr(outcome, f.name) for f in dataclasses.fields(outcome)}
-    energy = out.pop("energy")
-    out.update((f.name, getattr(energy, f.name)) for f in dataclasses.fields(energy))
+    out = outcome._asdict()
+    out.update(out.pop("energy")._asdict())
     return out
 
 
